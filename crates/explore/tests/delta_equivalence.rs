@@ -7,7 +7,7 @@
 //! the explorer corpus, under every collector.
 
 use ggd_explore::corpus_triple;
-use ggd_mutator::generator::SegmentWeights;
+use ggd_mutator::generator::{build_perf_scenario, PerfSpec, SegmentWeights};
 use ggd_sim::{
     CausalCollector, Cluster, ClusterConfig, RefListingCollector, SyncMode, TracingCollector,
 };
@@ -83,5 +83,25 @@ fn pipelines_agree_under_heavy_churn_and_faults() {
         let scenario = &triple.scenario;
         let config = triple.config();
         assert_modes_agree!(index, scenario, config, CausalCollector::new);
+    }
+}
+
+#[test]
+fn pipelines_agree_on_the_perf_shaped_churn() {
+    // The benchmark's `remote_churn` at 1/10: 64 sites and free-list slot
+    // reuse under remote-reference churn, a shape the ≤16-site explorer DSL
+    // never reaches. Under FullRescan the delta tracker stays inactive, so
+    // every collection there is the full mark-sweep — which makes this the
+    // cluster-level differential of the change-proportional collection the
+    // incremental pipeline runs. The oracle is off: ROADMAP item 1's
+    // violations on this shape are the collector's, identical under both
+    // pipelines, and pinned by `perf_shape_safety.rs`.
+    let config = ClusterConfig {
+        safety_oracle: false,
+        ..ClusterConfig::default()
+    };
+    for seed in [17u64, 23] {
+        let scenario = build_perf_scenario(&PerfSpec::mix(64, 800, 15_000), seed);
+        assert_modes_agree!(seed, &scenario, config, CausalCollector::new);
     }
 }

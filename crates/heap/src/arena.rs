@@ -37,6 +37,8 @@ const VACANT: ObjRef = ObjRef::Local(ObjectId::new(0));
 pub(crate) const FLAG_LOCAL_ROOT: u8 = 1;
 /// Slot flag: the object is in the conservative global root set.
 pub(crate) const FLAG_GLOBAL_ROOT: u8 = 2;
+/// Either root flag: the object is in the local collector's root set.
+const FLAG_ANY_ROOT: u8 = FLAG_LOCAL_ROOT | FLAG_GLOBAL_ROOT;
 
 /// The placement of an object in its site's slab: a dense index plus the
 /// generation the slot carried when the handle was minted.
@@ -418,6 +420,37 @@ impl Arena {
                 }
             }
         }
+    }
+
+    /// Marks the forward closure of `suspects` through non-root slots — the
+    /// *region* a change-proportional collection examines. Roots are live by
+    /// definition, so the walk neither enters nor expands them; the region's
+    /// members end up in `scratch` (marks + visit list).
+    pub(crate) fn mark_region<I>(&self, scratch: &mut Scratch, suspects: I)
+    where
+        I: IntoIterator<Item = u32>,
+    {
+        scratch.begin(self.slots.len());
+        for s in suspects {
+            if !self.has_flag(s, FLAG_ANY_ROOT) && scratch.mark(s) {
+                scratch.stack.push(s);
+            }
+        }
+        while let Some(s) = scratch.stack.pop() {
+            scratch.visited.push(s);
+            for t in self.local_targets(s) {
+                if !self.has_flag(t, FLAG_ANY_ROOT) && scratch.mark(t) {
+                    scratch.stack.push(t);
+                }
+            }
+        }
+    }
+
+    /// The slots of the resident objects `slot` references locally (one
+    /// entry per reference, so duplicates are possible).
+    pub(crate) fn local_targets(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
+        self.refs(slot)
+            .filter_map(|r| r.as_local().and_then(|id| self.slot_of(id)))
     }
 
     // ------------------------------------------------------------------

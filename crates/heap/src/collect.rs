@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
-use ggd_types::{GlobalAddr, ObjectId};
+use ggd_types::ObjectId;
 
 use crate::site_heap::SiteHeap;
 
@@ -15,7 +15,7 @@ pub struct HeapStats {
     pub allocated: u64,
     /// Objects freed by local collections.
     pub collected: u64,
-    /// Local collections performed.
+    /// `collect` calls, including the O(1) ones that had nothing to trace.
     pub collections: u64,
 }
 
@@ -29,20 +29,11 @@ impl fmt::Display for HeapStats {
     }
 }
 
-/// Result of one local mark-sweep collection.
+/// Result of one local collection.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CollectionOutcome {
     /// Objects freed by this collection.
     pub freed: BTreeSet<ObjectId>,
-    /// Remote references (proxies) that were only held by freed objects and
-    /// therefore no longer exist on this site at all. These are the events
-    /// that trigger the paper's *edge-destruction* control messages (§3.4:
-    /// "an edge-destruction control message is sent by the local garbage
-    /// collector when … the proxy for that remote object is collected").
-    pub dropped_proxies: BTreeSet<GlobalAddr>,
-    /// Remote references that were held by freed objects but survive because
-    /// some live object still holds them too.
-    pub surviving_proxies: BTreeSet<GlobalAddr>,
     /// Number of objects that survived the collection.
     pub live: usize,
 }
@@ -56,84 +47,73 @@ impl CollectionOutcome {
 
 impl fmt::Display for CollectionOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "freed={} live={} dropped_proxies={}",
-            self.freed.len(),
-            self.live,
-            self.dropped_proxies.len()
-        )
+        write!(f, "freed={} live={}", self.freed.len(), self.live)
     }
 }
 
 impl SiteHeap {
-    /// Runs a stop-the-world mark-sweep collection over this site.
+    /// Runs a local collection: frees every object not reachable from the
+    /// union of the designated local roots and the current global root set,
+    /// exactly as prescribed by §2.1 of the paper. The GGD layer learns
+    /// which remote references died with them from the next
+    /// [`SiteHeap::take_delta`].
     ///
-    /// The root set is the union of the designated local roots and the
-    /// current global root set, exactly as prescribed by §2.1 of the paper.
-    /// Objects not reachable from that set are freed; remote references held
-    /// only by freed objects are reported as dropped proxies so that the GGD
-    /// layer can emit the corresponding edge-destruction control messages.
-    ///
-    /// Marking runs over the arena with the heap's reusable scratch buffers,
-    /// so a collection allocates only for its outcome report.
+    /// The outcome is always that of a stop-the-world mark-sweep over the
+    /// whole site, but the cost is proportional to what changed since the
+    /// previous collection: once the delta tracker is active and one full
+    /// trace has run under it, the heap records *suspects* (fresh objects,
+    /// local targets of removed references, demoted roots) and a collection
+    /// examines only their forward closure — returning in O(1), without
+    /// allocating, when there are none. A heap whose history is unknown
+    /// (tracker inactive, or activated since the last collection) runs the
+    /// full trace. Debug builds check every collection against
+    /// [`SiteHeap::would_collect`].
     pub fn collect(&mut self) -> CollectionOutcome {
-        let mut freed = BTreeSet::new();
-        let mut freed_slots: Vec<u32> = Vec::new();
-        let mut freed_remote: BTreeSet<GlobalAddr> = BTreeSet::new();
-        {
-            let (arena, scratch, local_roots, global_roots) = self.traversal_parts();
-            arena.mark_reachable(
-                scratch,
-                local_roots.iter().chain(global_roots.iter()).copied(),
-                None,
-            );
-            for slot in arena.live_slots() {
-                if !scratch.is_marked(slot) {
-                    freed.insert(arena.id_at(slot));
-                    freed_slots.push(slot);
-                    for addr in arena.refs(slot).filter_map(|r| r.as_remote()) {
-                        freed_remote.insert(addr);
-                    }
-                }
-            }
-        }
+        #[cfg(debug_assertions)]
+        let expected = self.would_collect();
 
-        // The delta tracker drops the freed objects' reverse edges while
-        // their slots are still readable. Freed objects were unreachable
-        // from every snapshot source, so no surviving vertex's reachable
-        // set changes — no dirt is recorded for survivors.
-        self.note_collected_slots(&freed_slots);
-        self.free_slot_list(&freed_slots);
-        self.drop_roots_of_collected(&freed);
-
-        // A proxy is dropped only when no live object still holds it.
-        let still_held = self.remote_targets();
-        let mut dropped_proxies = BTreeSet::new();
-        let mut surviving_proxies = BTreeSet::new();
-        for addr in &freed_remote {
-            if still_held.contains(addr) {
-                surviving_proxies.insert(*addr);
+        // Ascending slot order on both paths, so the arena's free list —
+        // and with it slot reuse — does not depend on which one ran.
+        let doomed: Vec<u32> = {
+            let (arena, scratch, tracker, roots) = self.collection_parts();
+            if tracker.is_recording() {
+                tracker.unheld_suspects(arena, scratch)
             } else {
-                dropped_proxies.insert(*addr);
+                arena.mark_reachable(scratch, roots, None);
+                tracker.start_recording();
+                arena
+                    .live_slots()
+                    .filter(|&slot| !scratch.is_marked(slot))
+                    .collect()
             }
-        }
+        };
+        let freed: BTreeSet<ObjectId> = doomed
+            .iter()
+            .map(|&slot| self.arena().id_at(slot))
+            .collect();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            freed,
+            expected,
+            "collection on {} diverged from the full trace",
+            self.site()
+        );
+
+        self.sweep(&doomed);
+        self.drop_roots_of_collected(&freed);
 
         let live = self.len();
         let stats = self.stats_mut();
         stats.collections += 1;
         stats.collected += freed.len() as u64;
 
-        CollectionOutcome {
-            freed,
-            dropped_proxies,
-            surviving_proxies,
-            live,
-        }
+        CollectionOutcome { freed, live }
     }
 
     /// Computes, without mutating the heap, the set of objects a collection
-    /// run right now would free. Used by tests and by the simulator's oracle.
+    /// run right now would free, by a full trace from every root. This is
+    /// the oracle: debug builds assert every [`SiteHeap::collect`] against
+    /// it, and tests and the simulator use it as a dry run.
     pub fn would_collect(&self) -> BTreeSet<ObjectId> {
         let marked = self.reachable_from(self.roots_for_local_gc());
         self.iter()
@@ -154,7 +134,7 @@ impl SiteHeap {
 mod tests {
     use super::*;
     use crate::object::ObjRef;
-    use ggd_types::SiteId;
+    use ggd_types::{GlobalAddr, SiteId};
 
     fn heap() -> SiteHeap {
         SiteHeap::new(SiteId::new(0))
@@ -214,25 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_proxies_are_reported_only_when_last_holder_dies() {
-        let mut h = heap();
-        let root = h.alloc_local_root();
-        let dying = h.alloc();
-        let surviving = h.alloc();
-        let shared = GlobalAddr::new(5, 1);
-        let exclusive = GlobalAddr::new(5, 2);
-        h.add_ref(root, ObjRef::Local(surviving)).unwrap();
-        h.add_ref(surviving, ObjRef::Remote(shared)).unwrap();
-        h.add_ref(dying, ObjRef::Remote(shared)).unwrap();
-        h.add_ref(dying, ObjRef::Remote(exclusive)).unwrap();
-
-        let outcome = h.collect();
-        assert_eq!(outcome.freed, BTreeSet::from([dying]));
-        assert_eq!(outcome.dropped_proxies, BTreeSet::from([exclusive]));
-        assert_eq!(outcome.surviving_proxies, BTreeSet::from([shared]));
-    }
-
-    #[test]
     fn would_collect_is_a_dry_run() {
         let mut h = heap();
         let _root = h.alloc_local_root();
@@ -267,5 +228,258 @@ mod tests {
         let outcome = h.collect();
         assert!(outcome.is_noop());
         assert_eq!(outcome.live, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Change-proportional collection. Debug builds already assert every
+    // `collect` against `would_collect`; these pin the expected sets by
+    // hand, so they also mean something in a release build.
+    // ------------------------------------------------------------------
+
+    /// A heap past its unknown-history collection: one local root, tracker
+    /// active and recording, so every later `collect` takes the bounded path.
+    fn recording_heap() -> (SiteHeap, ObjectId) {
+        let mut h = heap();
+        let root = h.alloc_local_root();
+        let _ = h.take_delta();
+        assert!(
+            !h.tracker().is_recording(),
+            "history is unknown until a full trace"
+        );
+        assert!(h.collect().is_noop());
+        assert!(h.tracker().is_recording());
+        (h, root)
+    }
+
+    fn link(h: &mut SiteHeap, from: ObjectId, to: ObjectId) {
+        h.add_ref(from, ObjRef::Local(to)).unwrap();
+    }
+
+    #[test]
+    fn fresh_object_never_linked_is_freed() {
+        let (mut h, root) = recording_heap();
+        let kept = h.alloc();
+        link(&mut h, root, kept);
+        let orphan = h.alloc();
+        assert_eq!(h.collect().freed, BTreeSet::from([orphan]));
+        assert!(h.collect().is_noop(), "nothing changed since");
+        assert_eq!(h.stats().collections, 3, "no-op calls still count");
+    }
+
+    #[test]
+    fn cycle_cut_by_one_unlink_is_freed_whole() {
+        let (mut h, root) = recording_heap();
+        let (a, b, c) = (h.alloc(), h.alloc(), h.alloc());
+        link(&mut h, root, a);
+        link(&mut h, a, b);
+        link(&mut h, b, c);
+        link(&mut h, c, a);
+        assert!(h.collect().is_noop());
+        h.remove_ref(root, ObjRef::Local(a)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([a, b, c]));
+    }
+
+    #[test]
+    fn suspect_held_from_outside_the_region_survives_with_its_subtree() {
+        let (mut h, root) = recording_heap();
+        let (holder, shared, leaf) = (h.alloc(), h.alloc(), h.alloc());
+        link(&mut h, root, holder);
+        link(&mut h, root, shared);
+        link(&mut h, holder, shared);
+        link(&mut h, shared, leaf);
+        assert!(h.collect().is_noop());
+        // `shared` becomes a suspect; `holder` is outside its region.
+        h.remove_ref(root, ObjRef::Local(shared)).unwrap();
+        assert!(h.collect().is_noop());
+        h.remove_ref(holder, ObjRef::Local(shared)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([shared, leaf]));
+    }
+
+    #[test]
+    fn garbage_pointing_into_a_live_structure_neither_keeps_nor_frees_it() {
+        let (mut h, root) = recording_heap();
+        let (live, leaf) = (h.alloc(), h.alloc());
+        link(&mut h, root, live);
+        link(&mut h, live, leaf);
+        assert!(h.collect().is_noop());
+        // `live` and `leaf` fall inside the orphan's region; only the
+        // predecessor outside it (`root`) may keep them.
+        let orphan = h.alloc();
+        link(&mut h, orphan, live);
+        assert_eq!(h.collect().freed, BTreeSet::from([orphan]));
+        // The orphan's reverse edge went with it: the next unlink must not
+        // find a phantom holder.
+        h.remove_ref(root, ObjRef::Local(live)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([live, leaf]));
+    }
+
+    #[test]
+    fn demoted_global_root_reachable_from_a_local_root_survives() {
+        let (mut h, root) = recording_heap();
+        let (exported, child, lone) = (h.alloc(), h.alloc(), h.alloc());
+        link(&mut h, root, exported);
+        link(&mut h, exported, child);
+        h.register_global_root(exported).unwrap();
+        h.register_global_root(lone).unwrap();
+        assert!(h.collect().is_noop());
+        h.unregister_global_root(exported);
+        h.unregister_global_root(lone);
+        assert_eq!(h.collect().freed, BTreeSet::from([lone]));
+        h.remove_local_root(root);
+        assert_eq!(h.collect().freed, BTreeSet::from([root, exported, child]));
+    }
+
+    #[test]
+    fn slot_reused_between_collections_carries_no_stale_state() {
+        let (mut h, root) = recording_heap();
+        let doomed = h.alloc();
+        let doomed_slot = h.slot_of(doomed).unwrap().index();
+        link(&mut h, root, doomed);
+        h.remove_ref(root, ObjRef::Local(doomed)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([doomed]));
+        // The new tenant of the slot is held; the old tenant's suspect entry
+        // and reverse edges must not leak onto it.
+        let tenant = h.alloc();
+        assert_eq!(h.slot_of(tenant).unwrap().index(), doomed_slot);
+        link(&mut h, root, tenant);
+        assert!(h.collect().is_noop());
+        h.remove_ref(root, ObjRef::Local(tenant)).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([tenant]));
+    }
+
+    #[test]
+    fn bounded_sweep_leaves_the_free_list_of_a_full_sweep() {
+        // Suspects arrive in descending slot order; slot reuse must still
+        // match a heap that never activates its tracker.
+        let (mut bounded, root) = recording_heap();
+        let mut full = heap();
+        assert_eq!(full.alloc_local_root(), root);
+        let mut tenants = Vec::new();
+        for h in [&mut bounded, &mut full] {
+            let objs: Vec<ObjectId> = (0..4).map(|_| h.alloc()).collect();
+            for &obj in &objs {
+                link(h, root, obj);
+            }
+            for &obj in objs.iter().rev() {
+                h.remove_ref(root, ObjRef::Local(obj)).unwrap();
+            }
+            assert_eq!(h.collect().freed.len(), 4);
+            let slots: Vec<u32> = (0..4)
+                .map(|_| {
+                    let id = h.alloc();
+                    h.slot_of(id).unwrap().index()
+                })
+                .collect();
+            tenants.push(slots);
+        }
+        assert!(bounded.tracker().is_recording() && !full.tracker().is_recording());
+        assert_eq!(tenants[0], tenants[1]);
+    }
+
+    #[test]
+    fn first_collection_after_from_image_runs_the_full_trace() {
+        let (mut h, root) = recording_heap();
+        let kept = h.alloc();
+        link(&mut h, root, kept);
+        let orphan = h.alloc();
+        // The image carries no suspects: the orphan is found only because a
+        // restored heap's history is unknown, tracker primed or not.
+        let mut restored = SiteHeap::from_image(&h.image());
+        let _ = restored.take_delta();
+        assert!(!restored.tracker().is_recording());
+        assert_eq!(restored.collect().freed, BTreeSet::from([orphan]));
+        assert!(restored.tracker().is_recording());
+        assert_eq!(h.collect().freed, BTreeSet::from([orphan]));
+        assert_eq!(restored, h);
+    }
+
+    /// Drives `steps` pseudo-random mutator steps through two heaps: `lazy`
+    /// collects at an irregular cadence (bounded traces once its tracker is
+    /// recording) and goes through an image round trip mid-stream; `eager`
+    /// never activates its tracker and runs the full trace after every
+    /// step. Operands are drawn from the objects `eager` still holds — what
+    /// a mutator can reach — so both heaps accept the same stream.
+    fn lazy_and_eager_twins_agree(seed: u64, steps: u64, deltas: bool) {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut lazy = heap();
+        let mut eager = heap();
+        for step in 0..steps {
+            let live: Vec<ObjectId> = eager.iter().map(|obj| obj.id()).collect();
+            let mut pick = || live.get((next() % live.len().max(1) as u64) as usize);
+            let (a, b) = (pick().copied(), pick().copied());
+            let remote = GlobalAddr::new((next() % 3 + 1) as u32, next() % 5 + 1);
+            let op = next() % 14;
+            for h in [&mut lazy, &mut eager] {
+                match (op, a, b) {
+                    (0, ..) => {
+                        h.alloc();
+                    }
+                    (1, ..) | (_, None, _) | (_, _, None) => {
+                        h.alloc_local_root();
+                    }
+                    (2 | 3, Some(parent), _) => {
+                        let child = h.alloc();
+                        h.add_ref(parent, ObjRef::Local(child)).unwrap();
+                    }
+                    (4, Some(from), Some(to)) => h.add_ref(from, ObjRef::Local(to)).unwrap(),
+                    (5, Some(from), _) => h.add_ref(from, ObjRef::Remote(remote)).unwrap(),
+                    (6, Some(recipient), Some(target)) => {
+                        let local = h.addr_of(target);
+                        let addr = if step % 2 == 0 { local } else { remote };
+                        h.receive_ref(recipient, addr).unwrap();
+                    }
+                    (7 | 8, Some(from), Some(to)) => {
+                        h.remove_ref(from, ObjRef::Local(to)).unwrap();
+                    }
+                    (9, Some(from), _) => h.clear_refs(from).unwrap(),
+                    (10, Some(id), _) => h.add_local_root(id).unwrap(),
+                    (11, Some(id), _) => {
+                        h.remove_local_root(id);
+                    }
+                    (12, Some(id), _) => {
+                        h.register_global_root(id).unwrap();
+                    }
+                    (_, Some(id), _) => {
+                        h.unregister_global_root(id);
+                    }
+                }
+            }
+            eager.collect();
+            if deltas && next() % 3 == 0 {
+                let _ = lazy.take_delta();
+                assert!(lazy.tracker_is_consistent(), "step {step}: tracker");
+            }
+            if step == steps / 2 {
+                lazy = SiteHeap::from_image(&lazy.image());
+            }
+            if next() % 5 == 0 {
+                lazy.collect();
+                assert_eq!(lazy.image().objects, eager.image().objects, "step {step}");
+            }
+        }
+        lazy.collect();
+        assert_eq!(lazy.image().objects, eager.image().objects);
+        assert_eq!(lazy.local_root_set(), eager.local_root_set());
+        assert_eq!(lazy.global_root_set(), eager.global_root_set());
+        assert_eq!(lazy.stats().collected, eager.stats().collected);
+        assert_eq!(lazy.tracker().is_recording(), deltas);
+    }
+
+    #[test]
+    fn bounded_collection_matches_an_eager_full_trace_twin() {
+        for seed in [0x1234_5678_9abc_def0, 0xfeed_f00d_dead_beef] {
+            lazy_and_eager_twins_agree(seed, 2_500, true);
+        }
+    }
+
+    #[test]
+    fn collection_cadence_is_invisible_without_a_tracker() {
+        lazy_and_eager_twins_agree(0x9e37_79b9_7f4a_7c15, 2_000, false);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`SiteHeap`] — a slotted object heap with local roots, a global-root
 //!   table and reference slots that may point to local objects or to remote
 //!   objects (proxies);
-//! * [`SiteHeap::collect`] — a mark-sweep local collector that reports which
-//!   remote references (proxies) died with the objects it freed;
+//! * [`SiteHeap::collect`] — the local collector: mark-sweep semantics at a
+//!   cost proportional to what changed since the previous collection;
 //! * [`ReachabilitySnapshot`] — for each vertex the site hosts (its
 //!   actual-root anchor and each global root), the set of remote objects
 //!   reachable from it through the local object graph. Successive snapshots

@@ -96,7 +96,8 @@ pub trait ObjectModel {
     /// True when the object is currently in the global root set.
     fn is_global_root(&self, id: ObjectId) -> bool;
 
-    /// Runs a stop-the-world local mark-sweep collection.
+    /// Runs a local collection: frees exactly what a stop-the-world
+    /// mark-sweep from the local and global roots would free.
     fn collect(&mut self) -> CollectionOutcome;
 
     /// The set of objects a collection run right now would free.

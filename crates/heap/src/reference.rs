@@ -283,51 +283,18 @@ impl ObjectModel for RefHeap {
     }
 
     fn collect(&mut self) -> CollectionOutcome {
-        let roots: BTreeSet<ObjectId> = self
-            .local_roots
-            .union(&self.global_roots)
-            .copied()
-            .collect();
-        let (marked, _) = self.reach_with_remotes(roots);
-
-        let mut freed = BTreeSet::new();
-        let mut freed_remote: BTreeSet<GlobalAddr> = BTreeSet::new();
-        for (id, obj) in &self.objects {
-            if !marked.contains(id) {
-                freed.insert(*id);
-                freed_remote.extend(obj.remote_refs());
-            }
-        }
+        let freed = self.would_collect();
         for id in &freed {
             self.objects.remove(id);
             self.local_roots.remove(id);
             self.global_roots.remove(id);
         }
 
-        let mut still_held = BTreeSet::new();
-        for obj in self.objects.values() {
-            still_held.extend(obj.remote_refs());
-        }
-        let mut dropped_proxies = BTreeSet::new();
-        let mut surviving_proxies = BTreeSet::new();
-        for addr in &freed_remote {
-            if still_held.contains(addr) {
-                surviving_proxies.insert(*addr);
-            } else {
-                dropped_proxies.insert(*addr);
-            }
-        }
-
         let live = self.objects.len();
         self.stats.collections += 1;
         self.stats.collected += freed.len() as u64;
 
-        CollectionOutcome {
-            freed,
-            dropped_proxies,
-            surviving_proxies,
-            live,
-        }
+        CollectionOutcome { freed, live }
     }
 
     fn would_collect(&self) -> BTreeSet<ObjectId> {

@@ -65,9 +65,10 @@ pub struct SiteHeap {
     global_roots: BTreeSet<ObjectId>,
     next_object: u64,
     stats: HeapStats,
-    /// Incremental-delta bookkeeping (see [`SiteHeap::take_delta`]); not
-    /// part of the heap's logical identity, so it is excluded from equality
-    /// and rebuilt lazily on the first delta request.
+    /// Incremental-delta bookkeeping (see [`SiteHeap::take_delta`]) and the
+    /// collector's suspect list (see [`SiteHeap::collect`]); not part of the
+    /// heap's logical identity, so it is excluded from equality and rebuilt
+    /// lazily on the first delta request.
     tracker: DeltaTracker,
     /// Reusable traversal buffers (marks, stack, visit list).
     scratch: Scratch,
@@ -115,8 +116,10 @@ impl SiteHeap {
     pub fn alloc(&mut self) -> ObjectId {
         let id = ObjectId::new(self.next_object);
         self.next_object += 1;
-        self.arena.insert(id);
+        let slot = self.arena.insert(id);
         self.tracker.grow_to(self.arena.slot_count());
+        // Unrooted and unreferenced: garbage until something links it.
+        self.tracker.note_suspect(slot);
         self.stats.allocated += 1;
         id
     }
@@ -230,6 +233,7 @@ impl SiteHeap {
         if removed {
             if let Some(slot) = self.arena.slot_of(id) {
                 self.arena.clear_flag(slot, FLAG_LOCAL_ROOT);
+                self.tracker.note_suspect(slot);
             }
             self.tracker.note_anchor_dirty();
         }
@@ -270,6 +274,7 @@ impl SiteHeap {
         if removed {
             if let Some(slot) = self.arena.slot_of(id) {
                 self.arena.clear_flag(slot, FLAG_GLOBAL_ROOT);
+                self.tracker.note_suspect(slot);
             }
             self.tracker.note_root_removed(id);
         }
@@ -487,26 +492,39 @@ impl SiteHeap {
         self.tracker = tracker;
     }
 
-    /// Tracker bookkeeping for a sweep, while the doomed slots are still
-    /// readable: unhook each freed slot from its targets' predecessor lists
-    /// and drop its own dirt/rootedness state.
-    pub(crate) fn note_collected_slots(&mut self, freed_slots: &[u32]) {
-        if !self.tracker.is_active() {
-            return;
-        }
-        for &slot in freed_slots {
-            for r in self.arena.refs(slot) {
-                if let Some(target) = r.as_local().and_then(|t| self.arena.slot_of(t)) {
-                    self.tracker.remove_pred(target, slot);
-                }
-            }
-            self.tracker.note_freed_slot(slot);
-        }
+    /// Split borrow for a collection: the traversal parts plus the tracker
+    /// whose suspects bound the trace.
+    pub(crate) fn collection_parts(
+        &mut self,
+    ) -> (
+        &Arena,
+        &mut Scratch,
+        &mut DeltaTracker,
+        impl Iterator<Item = ObjectId> + '_,
+    ) {
+        (
+            &self.arena,
+            &mut self.scratch,
+            &mut self.tracker,
+            self.local_roots.iter().chain(&self.global_roots).copied(),
+        )
     }
 
-    /// Frees a batch of swept slots.
-    pub(crate) fn free_slot_list(&mut self, freed_slots: &[u32]) {
-        for &slot in freed_slots {
+    /// Frees the traced-dead `slots`, in the order given. The tracker first
+    /// unhooks every doomed slot from its targets' predecessor lists, while
+    /// all of them are still readable. Freed objects were unreachable from
+    /// every snapshot source, so no surviving vertex's reachable set changes
+    /// — no dirt is recorded for survivors.
+    pub(crate) fn sweep(&mut self, slots: &[u32]) {
+        if self.tracker.is_active() {
+            for &slot in slots {
+                for target in self.arena.local_targets(slot) {
+                    self.tracker.remove_pred(target, slot);
+                }
+                self.tracker.note_freed_slot(slot);
+            }
+        }
+        for &slot in slots {
             self.arena.free(slot);
         }
     }

@@ -34,7 +34,7 @@ use std::fmt;
 
 use ggd_types::{GlobalAddr, ObjectId, SiteId, VertexId};
 
-use crate::arena::{FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
+use crate::arena::{Arena, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
 use crate::site_heap::SiteHeap;
 
 /// A point-in-time view of the edges this site contributes to the global
@@ -318,6 +318,10 @@ impl fmt::Display for EdgeDelta {
 /// the reverse-edge map and adopts the empty snapshot as the baseline, so
 /// the first delta reports the heap's entire current contribution — exactly
 /// what a collector that has seen nothing yet needs.
+///
+/// The same reverse edges bound the local collector's trace, so the tracker
+/// also keeps the *suspects* of [`SiteHeap::collect`] (see
+/// [`DeltaTracker::unheld_suspects`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaTracker {
     active: bool,
@@ -347,6 +351,15 @@ pub(crate) struct DeltaTracker {
     /// Reusable closure work stack and result list.
     stack: Vec<u32>,
     affected: Vec<u32>,
+    /// True once a collection has run its full trace under this tracker:
+    /// from then on every survivor was reachable at the last collection and
+    /// `suspects` holds every way that can have stopped being true since.
+    recording: bool,
+    /// Slots that may have become garbage since the last collection: fresh
+    /// allocations, local targets of removed references, demoted roots.
+    /// Duplicates are allowed; no slot is freed between collections, so the
+    /// indices stay valid until the next one drains the list.
+    suspects: Vec<u32>,
 }
 
 impl DeltaTracker {
@@ -419,8 +432,17 @@ impl DeltaTracker {
                     list.swap_remove(pos);
                 }
             }
+            self.note_suspect(target);
         }
         self.set_dirty(from);
+    }
+
+    /// `slot` may have just become garbage: it is fresh, or it lost an
+    /// incoming reference or its root status.
+    pub(crate) fn note_suspect(&mut self, slot: u32) {
+        if self.recording {
+            self.suspects.push(slot);
+        }
     }
 
     pub(crate) fn note_anchor_dirty(&mut self) {
@@ -504,15 +526,76 @@ impl DeltaTracker {
             .sum()
     }
 
-    /// Computes the reverse-edge closure of the dirty slots into
-    /// `self.affected`: every slot that can currently reach a dirty slot —
-    /// the only candidates whose forward-reachable sets can have changed.
-    fn compute_affected(&mut self) {
+    /// Starts a fresh mark epoch, so old marks lapse without clearing.
+    fn next_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.mark.fill(0);
             self.epoch = 1;
         }
+        self.epoch
+    }
+
+    /// True when `suspects` covers everything that can have died since the
+    /// last collection, i.e. a collection may trust it instead of tracing
+    /// the whole heap.
+    pub(crate) fn is_recording(&self) -> bool {
+        self.recording
+    }
+
+    /// A full trace just ran: whatever history was missing no longer
+    /// matters, so an active tracker records suspects from here on.
+    pub(crate) fn start_recording(&mut self) {
+        self.suspects.clear();
+        self.recording = self.active;
+    }
+
+    /// The change-proportional trace: returns, in ascending slot order,
+    /// exactly the slots a full mark-sweep would free, and drains the
+    /// suspect list.
+    ///
+    /// All garbage lies in the *region* — the forward closure of the
+    /// suspects through non-root slots — so everything outside it is live.
+    /// A region member with a predecessor outside the region is therefore
+    /// live, and so is whatever it reaches inside the region; the rest of
+    /// the region is garbage. DESIGN.md §6 carries the full argument.
+    pub(crate) fn unheld_suspects(&mut self, arena: &Arena, scratch: &mut Scratch) -> Vec<u32> {
+        if self.suspects.is_empty() {
+            return Vec::new();
+        }
+        arena.mark_region(scratch, self.suspects.drain(..));
+        let epoch = self.next_epoch();
+        self.stack.clear();
+        for &slot in scratch.visited() {
+            let held = self.preds[slot as usize]
+                .iter()
+                .any(|&(pred, _count)| !scratch.is_marked(pred));
+            if held {
+                self.mark[slot as usize] = epoch;
+                self.stack.push(slot);
+            }
+        }
+        while let Some(slot) = self.stack.pop() {
+            for target in arena.local_targets(slot) {
+                if scratch.is_marked(target) && self.mark[target as usize] != epoch {
+                    self.mark[target as usize] = epoch;
+                    self.stack.push(target);
+                }
+            }
+        }
+        let region = scratch.visited().iter().copied();
+        let mut doomed: Vec<u32> = region
+            .filter(|&slot| self.mark[slot as usize] != epoch)
+            .collect();
+        doomed.sort_unstable();
+        doomed
+    }
+
+    /// Computes the reverse-edge closure of the dirty slots into
+    /// `self.affected`: every slot that can currently reach a dirty slot —
+    /// the only candidates whose forward-reachable sets can have changed.
+    fn compute_affected(&mut self) {
+        self.next_epoch();
         self.affected.clear();
         self.stack.clear();
         for i in 0..self.dirty_list.len() {
@@ -750,10 +833,8 @@ impl SiteHeap {
             let arena = self.arena();
             tracker.ensure_capacity(arena.slot_count());
             for slot in arena.live_slots() {
-                for target in arena.refs(slot).filter_map(|r| r.as_local()) {
-                    if let Some(t) = arena.slot_of(target) {
-                        tracker.add_pred(t, slot);
-                    }
+                for target in arena.local_targets(slot) {
+                    tracker.add_pred(target, slot);
                 }
             }
             for id in &locally_rooted {
