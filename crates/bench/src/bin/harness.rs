@@ -72,16 +72,6 @@ fn main() {
             bench::render("E8 — fixed garbage, growing live population", &rows)
         );
     }
-    if wanted(&args, "e9") {
-        let rows = bench::experiment_parallel_scaling(&[1, 2, 4]);
-        println!(
-            "{}",
-            bench::render(
-                "E9 — parallel drive loop: outcome and wire cost per worker count",
-                &rows
-            )
-        );
-    }
     if wanted(&args, "e10") {
         println!("## E10 — per-object detection latency (obs ledger, oracle on)");
         println!("{}", bench::experiment_detection_latency());

@@ -4,16 +4,13 @@
 //! Each `run_*` function returns printable rows so that the same code backs
 //! the `harness` binary, the Criterion benchmarks and the integration tests.
 
-pub mod json;
-pub mod perf;
-
 use std::fmt::Write as _;
 
 use ggd_mutator::{workloads, Scenario};
 use ggd_net::FaultPlan;
 use ggd_sim::{
-    CausalCollector, Cluster, ClusterConfig, Collector, ParallelCluster, RefListingCollector,
-    RunReport, TracingCollector,
+    CausalCollector, Cluster, ClusterConfig, Collector, RefListingCollector, RunReport,
+    TracingCollector,
 };
 use ggd_types::SiteId;
 
@@ -233,40 +230,6 @@ pub fn experiment_live_population(live_per_site: &[u32]) -> Vec<Row> {
             TracingCollector::factory(8),
         );
         rows.push(Row::from_report(format!("live={live}"), &report));
-    }
-    rows
-}
-
-/// E9 — the parallel drive loop: one churn workload run at each worker
-/// count. The `workers` and `control_bytes` columns are the new schema-v3
-/// dimensions: thread count and *real encoded* control-plane wire bytes
-/// (the sequential rows of E3–E8 report message counts; frames only exist
-/// on the threaded and parallel paths). Wall clock is deliberately absent —
-/// table rows are for the deterministic outcome dimensions; timing lives in
-/// `BENCH_perf.json`.
-pub fn experiment_parallel_scaling(workers: &[u32]) -> Vec<Row> {
-    let scenario = workloads::random_churn(8, 200, 21);
-    let mut rows = Vec::new();
-    for &w in workers {
-        let config = ClusterConfig {
-            workers: w,
-            safety_oracle: false,
-            ..ClusterConfig::default()
-        };
-        let (report, _cluster) =
-            ParallelCluster::run_seeded(&scenario, config, CausalCollector::new);
-        rows.push(Row {
-            x: format!("workers={w}"),
-            collector: report.collector.clone(),
-            values: vec![
-                ("workers", f64::from(w)),
-                ("control_msgs", report.control_messages() as f64),
-                ("control_bytes", report.net.control_bytes_sent() as f64),
-                ("mutator_bytes", report.net.mutator_bytes_sent() as f64),
-                ("reclaimed", report.reclaimed as f64),
-                ("residual", report.residual_garbage as f64),
-            ],
-        });
     }
     rows
 }

@@ -680,8 +680,8 @@ pub fn splice_membership(scenario: &crate::Scenario, seed: u64) -> crate::Scenar
 // Large-scale perf scenarios
 // ----------------------------------------------------------------------
 
-/// Parameters of a large-scale performance scenario (the
-/// `ggd-bench --bin perf` harness). Unlike the explorer segments, these
+/// Parameters of a large-scale performance scenario (the repo benchmark's
+/// workloads, `benchmark/`). Unlike the explorer segments, these
 /// builders do all bookkeeping in O(1) per op — site-bucketed object pools,
 /// no linear scans — so scenarios with hundreds of thousands of ops build
 /// in milliseconds.

@@ -74,7 +74,8 @@ pub struct NetMetrics {
     /// Payload bytes currently sitting in transport queues.
     queued_bytes: u64,
     /// High-water mark of `queued_bytes` — the backlog a deployment would
-    /// have to buffer. Reported by the perf harness (`BENCH_perf.json`).
+    /// have to buffer. Reported by the repo benchmark
+    /// (`net.peak_queued_bytes`).
     peak_queued_bytes: u64,
 }
 

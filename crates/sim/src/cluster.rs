@@ -21,8 +21,8 @@ use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::report::RunReport;
-use crate::runtime::{SiteRuntime, SiteTick, SyncMode};
+use crate::report::{record_net, record_store, sum_store_stats, RunReport};
+use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick, SyncMode};
 
 /// Configuration of a cluster run.
 ///
@@ -45,8 +45,8 @@ pub struct ClusterConfig {
     pub sync_mode: SyncMode,
     /// When true (the default), every local collection is cross-checked
     /// against the global reachability oracle — an O(cluster) pass per
-    /// collection. The perf harness disables it to measure the collectors,
-    /// not the oracle.
+    /// collection. The repo benchmark's timed reps disable it to measure the
+    /// collectors, not the oracle.
     pub safety_oracle: bool,
     /// Site durability: off (volatile sites, the default), the in-memory
     /// durable medium, or on-disk stores. Crash faults in
@@ -764,18 +764,7 @@ where
     /// Empty after a planned leave — the membership oracle of the explorer
     /// corpus asserts exactly this, cluster-wide, for all three collectors.
     pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|(_, rt)| {
-                rt.collector().mentions_site(departed)
-                    || rt
-                        .heap()
-                        .remote_targets()
-                        .iter()
-                        .any(|addr| addr.site() == departed)
-            })
-            .map(|(&s, _)| s)
-            .collect()
+        sites_mentioning(&self.sites, departed)
     }
 
     /// Sites gone through a planned leave so far.
@@ -950,50 +939,13 @@ where
     pub fn obs_report(&self) -> ObsReport {
         let mut cluster_obs = self.obs.clone();
         if cluster_obs.is_enabled() {
-            let net = self.net.metrics_snapshot();
-            cluster_obs.set_gauge_aux("net_control_messages_sent", net.control_messages_sent());
-            cluster_obs.set_gauge_aux("net_mutator_messages_sent", net.mutator_messages_sent());
-            cluster_obs.set_gauge_aux("net_control_bytes_sent", net.control_bytes_sent());
-            cluster_obs.set_gauge_aux("net_mutator_bytes_sent", net.mutator_bytes_sent());
-            // One event per (class, payload-label) bucket: the per-collector
-            // message-class breakdown. Volumes are transport-shaped (the
-            // parallel driver only frames cross-worker traffic), hence aux.
-            for row in net.bucket_rows() {
-                cluster_obs.event_labeled(
-                    "msg-class",
-                    row.key.to_string(),
-                    false,
-                    &[
-                        ("sent", row.sent),
-                        ("delivered", row.delivered),
-                        ("dropped", row.dropped),
-                        ("bytes", row.bytes_sent),
-                    ],
-                );
-            }
-            let stats = self.store_stats();
-            cluster_obs.set_gauge_aux("store_records_appended", stats.records_appended);
-            cluster_obs.set_gauge_aux("store_wal_bytes_appended", stats.wal_bytes_appended);
-            cluster_obs.set_gauge_aux("store_checkpoints_installed", stats.checkpoints_installed);
-            cluster_obs.set_gauge_aux("store_records_replayed", stats.records_replayed);
-            cluster_obs.set_gauge_aux("recoveries", self.recoveries);
+            record_net(&mut cluster_obs, &self.net.metrics_snapshot());
+            record_store(&mut cluster_obs, &self.store_stats(), self.recoveries);
         }
         let site_obs: Vec<SiteObs> = self
             .sites
             .values()
-            .map(|runtime| {
-                let mut obs = runtime.obs().clone();
-                if obs.is_enabled() {
-                    for (name, value) in runtime.collector().obs_counters() {
-                        obs.set_gauge_aux(name, value);
-                    }
-                    let heap = runtime.heap().stats();
-                    obs.set_gauge_aux("heap_allocated", heap.allocated);
-                    obs.set_gauge_aux("heap_collected", heap.collected);
-                    obs.set_gauge_aux("heap_collections", heap.collections);
-                }
-                obs
-            })
+            .map(SiteRuntime::obs_scope)
             .chain(self.downed.values().map(|d| d.obs.clone()))
             .collect();
         ObsReport::assemble(&cluster_obs, site_obs.iter())
@@ -1021,22 +973,9 @@ where
     /// Aggregated durable-store counters across every site (up or down).
     /// All zeros with durability off.
     pub fn store_stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        let absorb = |total: &mut StoreStats, stats: &StoreStats| {
-            total.records_appended += stats.records_appended;
-            total.wal_bytes_appended += stats.wal_bytes_appended;
-            total.checkpoints_installed += stats.checkpoints_installed;
-            total.records_replayed += stats.records_replayed;
-        };
-        for runtime in self.sites.values() {
-            if let Some(store) = runtime.store() {
-                absorb(&mut total, store.stats());
-            }
-        }
-        for downed in self.downed.values() {
-            absorb(&mut total, downed.store.stats());
-        }
-        total
+        let up = self.sites.values().filter_map(SiteRuntime::store);
+        let down = self.downed.values().map(|downed| &downed.store);
+        sum_store_stats(up.chain(down).map(SiteStore::stats))
     }
 
     /// Applies the fault plan's crash schedule against the transport clock:
@@ -1138,9 +1077,9 @@ where
     }
 
     /// Crashes `site` and recovers it from its durable store on the spot —
-    /// the recovery-equivalence tests and the perf suite's replay
-    /// measurements use this to exercise the full checkpoint-load +
-    /// log-replay path at a point of their choosing.
+    /// the recovery-equivalence tests and the repo benchmark's recovery
+    /// reps use this to exercise the full checkpoint-load + log-replay path
+    /// at a point of their choosing.
     ///
     /// # Panics
     ///

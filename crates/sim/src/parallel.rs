@@ -41,6 +41,11 @@
 //! like [`ThreadedNetwork`](ggd_net::ThreadedNetwork), runs are not
 //! bit-reproducible. The deterministic sequential path is untouched; this
 //! driver is opt-in via [`ClusterConfig::workers`].
+//!
+//! Its role is an asynchrony/correctness harness — real threads, encoded
+//! frames, the termination barrier — not a scaling path: measured at two
+//! workers it is slower than the sequential driver on every benchmark
+//! workload (DESIGN.md §8).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,8 +66,8 @@ use ggd_types::{GlobalAddr, ObjectId, SiteId};
 use crate::cluster::{membership_kind_code, Catchup, ClusterConfig, Legality};
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::report::RunReport;
-use crate::runtime::{SiteRuntime, SiteTick, SyncMode};
+use crate::report::{record_net, record_store, sum_store_stats, RunReport};
+use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick, SyncMode};
 
 /// How long a worker spins on the termination barrier, or the coordinator
 /// on a phase acknowledgement, before declaring the run wedged. Only a bug
@@ -1251,26 +1256,7 @@ where
         if cluster_obs.is_enabled() {
             // The network aggregates live in the report's metrics snapshot;
             // mirror them as auxiliary gauges before `net` moves out.
-            cluster_obs.set_gauge_aux("net_control_messages_sent", net.control_messages_sent());
-            cluster_obs.set_gauge_aux("net_mutator_messages_sent", net.mutator_messages_sent());
-            cluster_obs.set_gauge_aux("net_control_bytes_sent", net.control_bytes_sent());
-            cluster_obs.set_gauge_aux("net_mutator_bytes_sent", net.mutator_bytes_sent());
-            // Per-(class, payload-label) breakdown, mirroring the sequential
-            // driver's teardown events. Aux: the worker mesh only frames
-            // cross-worker traffic, so volumes are transport-shaped.
-            for row in net.bucket_rows() {
-                cluster_obs.event_labeled(
-                    "msg-class",
-                    row.key.to_string(),
-                    false,
-                    &[
-                        ("sent", row.sent),
-                        ("delivered", row.delivered),
-                        ("dropped", row.dropped),
-                        ("bytes", row.bytes_sent),
-                    ],
-                );
-            }
+            record_net(&mut cluster_obs, &net);
         }
         let report = RunReport {
             collector: collector_name,
@@ -1318,18 +1304,7 @@ impl<C: Collector> ParallelCluster<C> {
     /// The sites whose collector state or heap still references `departed`.
     /// Empty after a planned leave, on any worker count.
     pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|(_, rt)| {
-                rt.collector().mentions_site(departed)
-                    || rt
-                        .heap()
-                        .remote_targets()
-                        .iter()
-                        .any(|addr| addr.site() == departed)
-            })
-            .map(|(&s, _)| s)
-            .collect()
+        sites_mentioning(&self.sites, departed)
     }
 
     /// Sites gone through a planned leave over the run.
@@ -1366,17 +1341,8 @@ impl<C: Collector> ParallelCluster<C> {
     /// Aggregated durable-store counters across every site. All zeros with
     /// durability off.
     pub fn store_stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for runtime in self.sites.values() {
-            if let Some(store) = runtime.store() {
-                let stats = store.stats();
-                total.records_appended += stats.records_appended;
-                total.wal_bytes_appended += stats.wal_bytes_appended;
-                total.checkpoints_installed += stats.checkpoints_installed;
-                total.records_replayed += stats.records_replayed;
-            }
-        }
-        total
+        let stores = self.sites.values().filter_map(SiteRuntime::store);
+        sum_store_stats(stores.map(SiteStore::stats))
     }
 
     /// Assembles the observability report — the parallel counterpart of
@@ -1386,30 +1352,9 @@ impl<C: Collector> ParallelCluster<C> {
     pub fn obs_report(&self) -> ObsReport {
         let mut cluster_obs = self.obs.clone();
         if cluster_obs.is_enabled() {
-            let stats = self.store_stats();
-            cluster_obs.set_gauge_aux("store_records_appended", stats.records_appended);
-            cluster_obs.set_gauge_aux("store_wal_bytes_appended", stats.wal_bytes_appended);
-            cluster_obs.set_gauge_aux("store_checkpoints_installed", stats.checkpoints_installed);
-            cluster_obs.set_gauge_aux("store_records_replayed", stats.records_replayed);
-            cluster_obs.set_gauge_aux("recoveries", self.recoveries);
+            record_store(&mut cluster_obs, &self.store_stats(), self.recoveries);
         }
-        let site_obs: Vec<SiteObs> = self
-            .sites
-            .values()
-            .map(|runtime| {
-                let mut obs = runtime.obs().clone();
-                if obs.is_enabled() {
-                    for (name, value) in runtime.collector().obs_counters() {
-                        obs.set_gauge_aux(name, value);
-                    }
-                    let heap = runtime.heap().stats();
-                    obs.set_gauge_aux("heap_allocated", heap.allocated);
-                    obs.set_gauge_aux("heap_collected", heap.collected);
-                    obs.set_gauge_aux("heap_collections", heap.collections);
-                }
-                obs
-            })
-            .collect();
+        let site_obs: Vec<SiteObs> = self.sites.values().map(SiteRuntime::obs_scope).collect();
         ObsReport::assemble(&cluster_obs, site_obs.iter())
     }
 }

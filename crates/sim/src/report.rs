@@ -4,6 +4,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use ggd_net::NetMetrics;
+use ggd_obs::SiteObs;
+use ggd_store::StoreStats;
 
 /// Everything an experiment needs to know about one run of a scenario under
 /// one collector.
@@ -74,6 +76,52 @@ impl RunReport {
             _ => None,
         }
     }
+}
+
+/// Mirrors the network aggregates into the cluster scope as auxiliary
+/// gauges, plus one `msg-class` event per (class, payload-label) bucket —
+/// the per-collector message-class breakdown. Aux: volumes are
+/// transport-shaped (the parallel driver only frames cross-worker traffic).
+pub(crate) fn record_net(obs: &mut SiteObs, net: &NetMetrics) {
+    obs.set_gauge_aux("net_control_messages_sent", net.control_messages_sent());
+    obs.set_gauge_aux("net_mutator_messages_sent", net.mutator_messages_sent());
+    obs.set_gauge_aux("net_control_bytes_sent", net.control_bytes_sent());
+    obs.set_gauge_aux("net_mutator_bytes_sent", net.mutator_bytes_sent());
+    for row in net.bucket_rows() {
+        obs.event_labeled(
+            "msg-class",
+            row.key.to_string(),
+            false,
+            &[
+                ("sent", row.sent),
+                ("delivered", row.delivered),
+                ("dropped", row.dropped),
+                ("bytes", row.bytes_sent),
+            ],
+        );
+    }
+}
+
+/// Mirrors the durable-store aggregates and the recovery count into the
+/// cluster scope as auxiliary gauges.
+pub(crate) fn record_store(obs: &mut SiteObs, stats: &StoreStats, recoveries: u64) {
+    obs.set_gauge_aux("store_records_appended", stats.records_appended);
+    obs.set_gauge_aux("store_wal_bytes_appended", stats.wal_bytes_appended);
+    obs.set_gauge_aux("store_checkpoints_installed", stats.checkpoints_installed);
+    obs.set_gauge_aux("store_records_replayed", stats.records_replayed);
+    obs.set_gauge_aux("recoveries", recoveries);
+}
+
+/// Sums per-site store counters into the cluster-wide aggregate.
+pub(crate) fn sum_store_stats<'a>(stores: impl Iterator<Item = &'a StoreStats>) -> StoreStats {
+    let mut total = StoreStats::default();
+    for stats in stores {
+        total.records_appended += stats.records_appended;
+        total.wal_bytes_appended += stats.wal_bytes_appended;
+        total.checkpoints_installed += stats.checkpoints_installed;
+        total.records_replayed += stats.records_replayed;
+    }
+    total
 }
 
 impl fmt::Display for RunReport {

@@ -17,7 +17,7 @@ use ggd_obs::SiteObs;
 use ggd_store::{CheckpointImage, HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
 use ggd_types::{GlobalAddr, SiteId};
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::collector::Collector;
 
@@ -32,8 +32,7 @@ pub enum SyncMode {
     Incremental,
     /// The retained pre-delta pipeline: a full O(heap) reachability rescan
     /// after every mutation, re-diffed inside the collector. Kept as the
-    /// reference implementation for differential equivalence tests and as
-    /// the perf harness's comparison baseline.
+    /// reference implementation for differential equivalence tests.
     FullRescan,
 }
 
@@ -72,6 +71,26 @@ pub struct SiteRuntime<C: Collector> {
     obs: SiteObs,
 }
 
+/// The sites among `sites` whose collector state or heap still references
+/// `departed` — what both drivers' `sites_mentioning` report.
+pub(crate) fn sites_mentioning<C: Collector>(
+    sites: &BTreeMap<SiteId, SiteRuntime<C>>,
+    departed: SiteId,
+) -> Vec<SiteId> {
+    sites
+        .iter()
+        .filter(|(_, rt)| {
+            rt.collector.mentions_site(departed)
+                || rt
+                    .heap
+                    .remote_targets()
+                    .iter()
+                    .any(|addr| addr.site() == departed)
+        })
+        .map(|(&s, _)| s)
+        .collect()
+}
+
 impl<C: Collector> SiteRuntime<C> {
     /// Creates the runtime for `site` around `collector`, using the
     /// incremental delta pipeline.
@@ -101,6 +120,22 @@ impl<C: Collector> SiteRuntime<C> {
     /// Read access to the observability handle.
     pub fn obs(&self) -> &SiteObs {
         &self.obs
+    }
+
+    /// This site's scope of an observability report: the probes' recordings
+    /// plus the collector and heap counters as auxiliary gauges.
+    pub(crate) fn obs_scope(&self) -> SiteObs {
+        let mut obs = self.obs.clone();
+        if obs.is_enabled() {
+            for (name, value) in self.collector.obs_counters() {
+                obs.set_gauge_aux(name, value);
+            }
+            let heap = self.heap.stats();
+            obs.set_gauge_aux("heap_allocated", heap.allocated);
+            obs.set_gauge_aux("heap_collected", heap.collected);
+            obs.set_gauge_aux("heap_collections", heap.collections);
+        }
+        obs
     }
 
     /// Mutable access to the observability handle (the driver uses this to

@@ -132,7 +132,8 @@ impl Decode for CheckpointImage {
     }
 }
 
-/// Counters a store accumulates, for the perf suite's `recovery` group.
+/// Counters a store accumulates, read by the drivers' `store_stats` and the
+/// repo benchmark's `store.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// WAL records appended over the store's lifetime.

@@ -139,14 +139,54 @@ fn reflisting_collector_metrics_agree_across_drivers() {
     assert_cross_driver_identity("reflisting", RefListingCollector::new);
 }
 
-#[test]
-fn tracing_collector_metrics_agree_across_drivers() {
-    let sites = corpus()
+/// The widest scenario of the corpus: what the tracing collector's factory
+/// must be sized for.
+fn corpus_sites() -> u32 {
+    corpus()
         .iter()
         .map(|(_, s)| s.site_count())
         .max()
-        .unwrap_or(0);
-    assert_cross_driver_identity("tracing", TracingCollector::factory(sites));
+        .unwrap_or(0)
+}
+
+#[test]
+fn tracing_collector_metrics_agree_across_drivers() {
+    assert_cross_driver_identity("tracing", TracingCollector::factory(corpus_sites()));
+}
+
+/// Switching observability on must not change what a run does: same
+/// reclamation, verdicts, residual garbage, message counts and control
+/// bytes as the default (obs-off) configuration.
+fn assert_obs_changes_no_outcome<C: Collector>(
+    label: &str,
+    factory: impl Fn(SiteId) -> C + Clone + 'static,
+) {
+    let outcome = |report: &RunReport| {
+        (
+            report.reclaimed,
+            report.verdicts,
+            report.residual_garbage,
+            report.control_messages(),
+            report.mutator_messages(),
+            report.net.control_bytes_sent(),
+        )
+    };
+    for (name, scenario) in corpus() {
+        let enabled = ClusterConfig {
+            obs: ObsConfig::enabled(),
+            ..ClusterConfig::default()
+        };
+        let (on, _) = Cluster::run_seeded(&scenario, enabled, factory.clone());
+        let (off, _) = Cluster::run_seeded(&scenario, ClusterConfig::default(), factory.clone());
+        assert_eq!(outcome(&on), outcome(&off), "{label}/{name}");
+    }
+}
+
+#[test]
+fn enabling_observability_changes_no_outcome_for_any_collector() {
+    assert_obs_changes_no_outcome("causal", CausalCollector::new);
+    assert_obs_changes_no_outcome("reflisting", RefListingCollector::new);
+    assert_obs_changes_no_outcome("tracing", TracingCollector::factory(corpus_sites()));
 }
 
 #[test]
