@@ -205,3 +205,76 @@ fn planned_departures_leave_zero_references_on_both_drivers() {
          (got {checked_departures})"
     );
 }
+
+/// Evictions take a site as it lies on every driver: a site evicted while
+/// crashed is never recovered first (its crash-time heap is what the oracle
+/// keeps), and an up site is evicted with the heap it has.
+#[test]
+fn evicting_a_downed_site_never_recovers_it_on_either_driver() {
+    use ggd_mutator::{MutatorOp, Scenario};
+    use ggd_net::FaultPlan;
+    use ggd_sim::DurabilityConfig;
+
+    let [s0, s1, s2, s3] = [0, 1, 2, 3].map(SiteId::new);
+    let mut s = Scenario::new(4);
+    let a = s.alloc(s0, true);
+    let b = s.alloc(s1, false);
+    let c = s.alloc(s2, false);
+    let d = s.alloc(s3, false);
+    s.send_ref(s1, a, b);
+    s.send_ref(s2, a, c);
+    s.send_ref(s3, a, d);
+    // The crash window opens on the first delivery of this settle, on both
+    // clocks; site 3 only ever sends, so it goes down in the same state.
+    s.settle();
+    s.evict(s3);
+    s.evict(s2);
+    s.settle();
+    s.op(MutatorOp::ClearRefs { site: s0, name: a });
+    s.settle();
+
+    let config = ClusterConfig {
+        faults: FaultPlan::new().with_crash(s3, 1, u64::MAX),
+        durability: DurabilityConfig::memory(),
+        ..ClusterConfig::default()
+    };
+    let (seq_report, seq) = Cluster::run_seeded(&s, config.clone(), CausalCollector::new);
+    assert_eq!(seq_report.safety_violations, 0);
+    assert_eq!(seq.recoveries(), 0, "an evicted site never comes back");
+    assert_eq!(seq.evicted_sites().collect::<Vec<_>>(), [s2, s3]);
+    assert_eq!(
+        seq.reclaimed_addrs()
+            .iter()
+            .map(|addr| addr.site())
+            .collect::<Vec<_>>(),
+        [s1],
+        "the survivor's object is reclaimed; the evicted heaps' garbage stays"
+    );
+    assert_eq!(seq.garbage_addrs().len(), 2);
+    for workers in [1, 3] {
+        let parallel_config = ClusterConfig {
+            workers,
+            safety_oracle: false,
+            ..config.clone()
+        };
+        let (par_report, par) =
+            ParallelCluster::run_seeded(&s, parallel_config, CausalCollector::new);
+        assert_eq!(par_report.safety_violations, 0, "workers={workers}");
+        assert_eq!(par.recoveries(), seq.recoveries(), "workers={workers}");
+        assert_eq!(
+            par.evicted_sites().collect::<Vec<_>>(),
+            seq.evicted_sites().collect::<Vec<_>>(),
+            "workers={workers}"
+        );
+        assert_eq!(
+            par.garbage_addrs(),
+            seq.garbage_addrs(),
+            "workers={workers}"
+        );
+        assert_eq!(
+            par.reclaimed_addrs(),
+            seq.reclaimed_addrs(),
+            "workers={workers}"
+        );
+    }
+}

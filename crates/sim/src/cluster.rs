@@ -1,28 +1,33 @@
-//! The cluster: site runtimes (heap + collector) over any transport.
+//! The sequential driver: one thread schedules every site over any transport.
 //!
-//! [`Cluster`] is generic over [`ggd_net::Transport`], so the one drive loop
-//! here — mutator-op execution, the settle loop, snapshot plumbing and
-//! verdict bookkeeping — runs unchanged over the deterministic
-//! [`SimNetwork`] (experiments, bit-for-bit reproducible) and the
-//! [`ThreadedNetwork`] (real OS threads, scheduler-dependent interleaving).
-//! Per-site behavior lives in [`SiteRuntime`](crate::SiteRuntime).
+//! A [`Cluster`] is a scheduler around the crate's one execution core. The
+//! planner (`plan.rs`) turns each scenario step into shard commands — name
+//! resolution, skip analysis, the crash schedule, the membership scripts —
+//! and one shard (`shard.rs`) hosting every site executes them. What is left
+//! here is what only a driver that sees the whole cluster can do: own the
+//! [`Transport`] and poll it to quiescence in [`Cluster::settle`], judge each
+//! local collection against the global reachability [`Oracle`], and assemble
+//! the reports. [`Cluster`] is generic over the transport, so the same loop
+//! runs over the deterministic [`SimNetwork`] (experiments, bit-for-bit
+//! reproducible) and the [`ThreadedNetwork`] (real OS threads,
+//! scheduler-dependent interleaving).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_heap::SiteHeap;
-use ggd_mutator::{MembershipEvent, MembershipKind, MutatorOp, ObjName, Scenario, Step};
+use ggd_mutator::{MembershipEvent, MutatorOp, ObjName, Scenario, Step};
 use ggd_net::{FaultPlan, SimNetwork, SimNetworkConfig, ThreadedNetwork, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
-use ggd_store::{
-    DurabilityConfig, MembershipAnnouncement, MembershipChange, SiteStore, StoreStats,
-};
+use ggd_store::{DurabilityConfig, StoreStats};
 use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::report::{record_net, record_store, sum_store_stats, RunReport};
-use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick, SyncMode};
+use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
+use crate::report::{record_net, record_store, RunReport};
+use crate::runtime::SyncMode;
+use crate::shard::Shard;
 
 /// Configuration of a cluster run.
 ///
@@ -82,16 +87,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Stable numeric code for a membership change in trace-event fields
-/// (events carry `u64` fields only). Shared by both drivers.
-pub(crate) fn membership_kind_code(kind: MembershipChange) -> u64 {
-    match kind {
-        MembershipChange::Join => 0,
-        MembershipChange::PlannedLeave => 1,
-        MembershipChange::Evict => 2,
-    }
-}
-
 impl ClusterConfig {
     pub(crate) fn settle_rounds(&self) -> u32 {
         if self.max_settle_rounds == 0 {
@@ -100,10 +95,25 @@ impl ClusterConfig {
             self.max_settle_rounds
         }
     }
+
+    /// The planner for `sites` founding sites under this config's crash
+    /// schedule. Panics when crashes are scheduled but durability is off: a
+    /// crashed volatile site loses its heap with no way back.
+    pub(crate) fn planner(&self, sites: u32) -> Planner {
+        let crashes = self.faults.crashes();
+        assert!(
+            crashes.is_empty() || self.durability.is_on(),
+            "crash faults require durability (ClusterConfig::durability)"
+        );
+        let windows = crashes
+            .iter()
+            .map(|c| (c.site, c.at_round, c.restart_after));
+        Planner::new(sites, windows.collect())
+    }
 }
 
-/// A cluster of sites, each a [`SiteRuntime`] pairing a heap with a
-/// garbage-detection engine, connected by a [`Transport`].
+/// A cluster of sites, each a [`SiteRuntime`](crate::SiteRuntime) pairing a
+/// heap with a garbage-detection engine, connected by a [`Transport`].
 ///
 /// The transport defaults to the deterministic [`SimNetwork`], so
 /// experiment code reads exactly as before the transport abstraction:
@@ -113,146 +123,16 @@ where
     C: Collector,
     T: Transport<SimPayload<C::Msg>>,
 {
-    config: ClusterConfig,
-    sites: BTreeMap<SiteId, SiteRuntime<C>>,
-    /// Sites currently down: their durable store, held until restart.
-    downed: BTreeMap<SiteId, DownedSite<C::Msg>>,
-    /// One flag per entry of the fault plan's crash schedule.
-    crashes_applied: Vec<bool>,
-    /// Collector factory, retained so crashed sites can be rebuilt.
-    factory: Box<dyn Fn(SiteId) -> C>,
-    recoveries: u64,
-    net: T,
-    names: BTreeMap<ObjName, GlobalAddr>,
-    /// Mutator-legality tracking, maintained only under crash plans: which
-    /// sites hold (a copy of) each named object's reference, and which
-    /// objects are addressable (local roots, or targets of an executed
-    /// send). When a crash skips an op, later ops that causally depended on
-    /// it are skipped too — otherwise a `SendRef` could forward a reference
-    /// its sender never held, an illegal computation outside every
-    /// collector's safety contract.
-    legality: Option<Legality>,
-    /// Current expected membership: founding sites, plus joins, minus
-    /// departures. Crashed sites stay members (they come back).
-    membership: BTreeSet<SiteId>,
-    /// Sites gone through a planned leave: their objects and references
-    /// dissolved with them, and no trace of them may survive anywhere.
-    departed: BTreeSet<SiteId>,
-    /// Sites evicted without warning, with their last heap: the oracle
-    /// conservatively keeps treating their objects as existing (exactly like
-    /// a crashed site's), so an unsafe sweep of an object reachable only
-    /// through the evicted site is still caught.
-    evicted: BTreeMap<SiteId, SiteHeap>,
-    /// Every membership announcement so far, in epoch order — late joiners
-    /// catch up on it before applying their own join.
-    membership_log: Vec<MembershipAnnouncement>,
-    reclaimed: u64,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
-    safety_violations: u64,
-    verdicts: u64,
-    triggered_at: Option<u64>,
-    last_verdict_at: Option<u64>,
-    /// The logical step clock: counts scenario steps during
-    /// [`Cluster::run`]. Both drivers count the same steps, so timestamps
+    planner: Planner,
+    /// Every site of the cluster, up or down, and the configuration they
+    /// were built under. Its logical step clock counts scenario steps during
+    /// [`Cluster::run`]; every driver counts the same steps, so timestamps
     /// derived from it (unlike transport-clock ones) compare across drivers.
-    step: u64,
-    triggered_step: Option<u64>,
-    last_verdict_step: Option<u64>,
+    shard: Shard<C>,
+    net: T,
     /// Cluster-scope observability handle (disabled unless
     /// [`ClusterConfig::obs`] turns it on).
     obs: SiteObs,
-}
-
-/// A site that is currently crashed: its durable medium, its scheduled
-/// restart time (transport time), and its heap as of the crash — kept for
-/// the *oracle only*. The durable store provably restores exactly this
-/// heap on recovery, so the site's objects still exist in the ground-truth
-/// object graph while it is down; excluding them would let an unsafe sweep
-/// of an object reachable only through the downed site go undetected.
-#[derive(Debug)]
-struct DownedSite<M> {
-    store: SiteStore<M>,
-    restart_after: u64,
-    heap: SiteHeap,
-    /// Membership protocol steps the site missed while down: applied (and
-    /// thereby WAL-logged) in order right after recovery, so a recovered
-    /// site never runs with a stale view of the fleet — and a survivor that
-    /// was down across a planned leave still performs its reference
-    /// handoff before anyone can observe it.
-    pending_catchup: Vec<Catchup>,
-    /// The site's observability handle, carried across the crash: the
-    /// measurement layer sits outside the failure model, so measurements
-    /// survive and are re-attached after recovery (replay does not
-    /// double-count — the recovered runtime replays with a disabled handle).
-    obs: SiteObs,
-}
-
-/// One membership protocol step deferred for a crashed site, replayed in
-/// order at recovery. Shared with the parallel driver's workers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Catchup {
-    /// Sever this site's references towards `departing` (the handoff half
-    /// of a planned leave it slept through).
-    Handoff { departing: SiteId, epoch: u64 },
-    /// Apply a membership announcement broadcast while the site was down.
-    Announce(MembershipAnnouncement),
-}
-
-/// Monotone mutator-legality state (the executable mirror of the
-/// explorer's `sanitize` pass): `holders[name]` is the set of sites that
-/// have legally held `name`'s reference, `anchored` the set of objects a
-/// mutator message can legally be addressed to. Shared with the parallel
-/// driver, whose coordinator performs the same skip analysis before
-/// dispatching ops to workers.
-#[derive(Debug, Default)]
-pub(crate) struct Legality {
-    holders: BTreeMap<ObjName, BTreeSet<SiteId>>,
-    anchored: BTreeSet<ObjName>,
-}
-
-impl Legality {
-    /// Records a successful `Alloc`: `site` holds `name`, and a local root
-    /// makes it addressable.
-    pub(crate) fn note_alloc(&mut self, name: ObjName, site: SiteId, local_root: bool) {
-        self.holders.entry(name).or_default().insert(site);
-        if local_root {
-            self.anchored.insert(name);
-        }
-    }
-
-    /// Judges a `SendRef` and, when legal, records its effects. Skipped ops
-    /// may have broken the causal chain that made this send legal in the
-    /// generated scenario: the sender must actually have held the target's
-    /// reference, and the recipient must be addressable. Holding is
-    /// recorded at *send* time, deliberately mirroring the explorer's
-    /// `sanitize` (and the generator's own forwarders model): a transfer
-    /// lost en route — to a drop plan or to a crashed inbox — still
-    /// legalizes later forwards, because the sender legitimately performed
-    /// the send and message loss is squarely inside the collectors' fault
-    /// contract (the export registered the target as a global root, so a
-    /// forwarded-but-never-received reference can only add conservatism,
-    /// never an unsafe free).
-    pub(crate) fn approve_send(
-        &mut self,
-        target: ObjName,
-        from_site: SiteId,
-        recipient: ObjName,
-        recipient_site: SiteId,
-    ) -> bool {
-        let sender_holds = self
-            .holders
-            .get(&target)
-            .is_some_and(|sites| sites.contains(&from_site));
-        if !sender_holds || !self.anchored.contains(&recipient) {
-            return false;
-        }
-        self.anchored.insert(target);
-        self.holders
-            .entry(target)
-            .or_default()
-            .insert(recipient_site);
-        true
-    }
 }
 
 impl<C, T> fmt::Debug for Cluster<C, T>
@@ -262,10 +142,9 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
-            .field("config", &self.config)
-            .field("sites", &self.sites)
-            .field("downed", &self.downed.keys().collect::<Vec<_>>())
-            .field("recoveries", &self.recoveries)
+            .field("config", &self.shard.config)
+            .field("planner", &self.planner)
+            .field("recoveries", &self.shard.recoveries())
             .field("net", &self.net)
             .finish_non_exhaustive()
     }
@@ -368,67 +247,30 @@ where
         transport: T,
         factory: impl Fn(SiteId) -> C + 'static,
     ) -> Self {
-        assert!(
-            config.faults.crashes().is_empty() || config.durability.is_on(),
-            "crash faults require durability (ClusterConfig::durability)"
-        );
-        let mut runtimes = BTreeMap::new();
-        for i in 0..sites {
-            let site = SiteId::new(i);
-            let mut runtime = SiteRuntime::with_mode(site, factory(site), config.sync_mode)
-                .with_obs(SiteObs::new(Some(site), &config.obs));
-            if let Some(store) = SiteStore::open(site, &config.durability) {
-                runtime = runtime.with_store(store);
-            }
-            runtimes.insert(site, runtime);
-        }
+        let planner = config.planner(sites);
         let obs = SiteObs::new(None, &config.obs);
-        let crashes_applied = vec![false; config.faults.crashes().len()];
-        let legality = if config.faults.crashes().is_empty() {
-            None
-        } else {
-            Some(Legality::default())
-        };
+        let shard: Shard<C> = Shard::new((0..sites).map(SiteId::new), config, Box::new(factory));
         Cluster {
-            config,
-            sites: runtimes,
-            downed: BTreeMap::new(),
-            crashes_applied,
-            factory: Box::new(factory),
-            recoveries: 0,
+            planner,
+            shard,
             net: transport,
-            names: BTreeMap::new(),
-            legality,
-            membership: (0..sites).map(SiteId::new).collect(),
-            departed: BTreeSet::new(),
-            evicted: BTreeMap::new(),
-            membership_log: Vec::new(),
-            reclaimed: 0,
-            reclaimed_addrs: BTreeSet::new(),
-            safety_violations: 0,
-            verdicts: 0,
-            triggered_at: None,
-            last_verdict_at: None,
-            step: 0,
-            triggered_step: None,
-            last_verdict_step: None,
             obs,
         }
     }
 
     /// The address allocated for a symbolic object name, if it exists yet.
     pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.names.get(&name).copied()
+        self.planner.addr_of(name)
     }
 
     /// Read access to a site's heap.
     pub fn heap(&self, site: SiteId) -> &SiteHeap {
-        self.sites[&site].heap()
+        self.shard.site(site).heap()
     }
 
     /// Read access to a site's collector.
     pub fn collector(&self, site: SiteId) -> &C {
-        self.sites[&site].collector()
+        self.shard.site(site).collector()
     }
 
     /// Iterates over every site's heap — the inputs the [`Oracle`] judges
@@ -436,18 +278,14 @@ where
     /// durable store restores exactly it on recovery, so those objects
     /// still exist in the ground-truth object graph.
     pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.sites
-            .values()
-            .map(SiteRuntime::heap)
-            .chain(self.downed.values().map(|d| &d.heap))
-            .chain(self.evicted.values())
+        self.shard.heaps()
     }
 
     /// The addresses of every object reclaimed by local collections so far.
     /// Differential checks compare these sets across collectors (e.g.
     /// reference listing must never reclaim a cycle member).
     pub fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
-        &self.reclaimed_addrs
+        self.shard.reclaimed_addrs()
     }
 
     /// The current residual-garbage set: objects that exist but are
@@ -460,18 +298,13 @@ where
     /// crash window extends past the scenario's end are recovered before
     /// the final settle, so the report always covers the whole cluster.
     pub fn run(&mut self, scenario: &Scenario) -> RunReport {
-        if scenario.has_membership() && self.legality.is_none() {
-            // Departures skip ops exactly like crash windows do, and the
-            // skips can break causal send chains — the same legality
-            // tracking applies.
-            self.legality = Some(Legality::default());
+        if scenario.has_membership() {
+            self.planner.track_legality();
         }
         for step in scenario.steps() {
             // Advance the logical step clock *before* executing: the first
-            // scenario step is step 1. The parallel driver counts the same
-            // steps, so step-stamped timestamps compare across drivers.
-            self.step += 1;
-            self.obs.set_step(self.step);
+            // scenario step is step 1.
+            self.advance_step();
             match step {
                 Step::Op(op) => self.execute(*op),
                 Step::Settle => self.settle(),
@@ -481,15 +314,22 @@ where
         }
         // The end-of-run completion (final settle + forced recoveries)
         // counts as one more step.
-        self.step += 1;
-        self.obs.set_step(self.step);
+        self.advance_step();
         self.settle();
         self.mark_garbage_unreachable();
-        if !self.downed.is_empty() {
-            self.recover_all_downed();
+        let stragglers = self.planner.recover_all();
+        if !stragglers.is_empty() {
+            for command in stragglers {
+                self.issue(command);
+            }
             self.settle();
         }
         self.report()
+    }
+
+    fn advance_step(&mut self) {
+        self.shard.step += 1;
+        self.obs.set_step(self.shard.step);
     }
 
     /// Executes a single mutator operation.
@@ -500,286 +340,68 @@ where
     /// pattern is a pure function of `(scenario, fault plan, seed)`, so
     /// replay determinism is preserved.
     pub fn execute(&mut self, op: MutatorOp) {
-        self.process_crash_lifecycle();
-        match op {
-            MutatorOp::Alloc {
-                site,
-                name,
-                local_root,
-            } => {
-                if !self.site_is_up(site) {
-                    return;
-                }
-                let addr = self.site_mut(site).alloc(local_root);
-                self.names.insert(name, addr);
-                if let Some(legality) = &mut self.legality {
-                    legality.note_alloc(name, site, local_root);
-                }
-                self.after_step(site);
-            }
-            MutatorOp::LinkLocal { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                let tick = self.site_mut(site).link_local(from_addr, to_addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::Unlink { site, from, to } => {
-                let (Some(&from_addr), Some(&to_addr)) =
-                    (self.names.get(&from), self.names.get(&to))
-                else {
-                    return;
-                };
-                if !self.site_is_up(site)
-                    || self.addr_is_gone(from_addr)
-                    || self.addr_is_gone(to_addr)
-                {
-                    return;
-                }
-                let tick = self.site_mut(site).unlink(from_addr, to_addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::SendRef {
-                from_site,
-                recipient,
-                target,
-            } => {
-                let (Some(&recipient_addr), Some(&target_addr)) =
-                    (self.names.get(&recipient), self.names.get(&target))
-                else {
-                    return;
-                };
-                if !self.site_is_up(from_site)
-                    || self.addr_is_gone(recipient_addr)
-                    || self.addr_is_gone(target_addr)
-                {
-                    return;
-                }
-                if let Some(legality) = &mut self.legality {
-                    if !legality.approve_send(target, from_site, recipient, recipient_addr.site()) {
-                        return;
-                    }
-                }
-                let tick = self
-                    .site_mut(from_site)
-                    .export_reference(target_addr, recipient_addr);
-                self.absorb_tick(from_site, tick);
-                if recipient_addr.site() == from_site {
-                    // A same-site transfer is a local mutation, not a
-                    // network message (see `SiteRuntime::export_reference`):
-                    // the reference is stored immediately and must not be
-                    // droppable, duplicable or stallable by the fault plan.
-                    let tick = self.site_mut(from_site).receive_reference(
-                        from_site,
-                        recipient_addr,
-                        target_addr,
-                    );
-                    self.absorb_tick(from_site, tick);
-                } else {
-                    self.net.send(
-                        from_site,
-                        recipient_addr.site(),
-                        SimPayload::Reference {
-                            recipient: recipient_addr,
-                            target: target_addr,
-                        },
-                    );
-                }
-            }
-            MutatorOp::DropLocalRoot { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                let tick = self.site_mut(site).drop_local_root(addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::ClearRefs { site, name } => {
-                let Some(&addr) = self.names.get(&name) else {
-                    return;
-                };
-                if !self.site_is_up(site) || self.addr_is_gone(addr) {
-                    return;
-                }
-                let tick = self.site_mut(site).clear_refs(addr);
-                self.absorb_tick(site, tick);
-            }
-            MutatorOp::CollectSite { site } => self.collect_site(site),
-            MutatorOp::CollectAll => self.collect_all(),
+        self.lifecycle();
+        if let Some(command) = self.planner.plan_op(op) {
+            self.issue(command);
         }
     }
 
-    /// Executes one epoch-stamped membership event — the elastic-membership
-    /// protocol of the sequential driver.
-    ///
-    /// *Join*: a fresh [`SiteRuntime`] comes up (durably, when the cluster
-    /// runs with durability: it WAL-logs from its very first input), catches
-    /// up on the membership history, and the fleet is told.
-    ///
-    /// *Planned leave*: quiesce, so the departing site's DkLog drains; every
-    /// survivor performs the reference handoff (severing its references
-    /// towards the departing site, durably recorded); quiesce again; the
-    /// departing site dissolves; the announcement lets every survivor retire
-    /// the departed site's `DependencyVector`/`RootedVector` entries. After
-    /// this, no reference to the departed site survives anywhere — the
-    /// membership oracle ([`Cluster::sites_mentioning`]) pins that.
-    ///
-    /// *Evict*: unplanned and permanent — no quiesce, no handoff. The
-    /// evicted site's heap is kept for the oracle (its objects
-    /// conservatively still exist); collectors stay conservative, so
-    /// whatever it pinned becomes residual garbage, never a wrong verdict.
+    /// Executes one epoch-stamped membership event — a join, a planned leave
+    /// or an eviction — by running the planner's script for it, phase by
+    /// phase (DESIGN.md §9 describes the three protocols). After a planned
+    /// leave no reference to the departed site survives anywhere
+    /// ([`Cluster::sites_mentioning`]).
     pub fn execute_membership(&mut self, ev: MembershipEvent) {
-        self.process_crash_lifecycle();
-        let site = ev.site;
-        match ev.kind {
-            MembershipKind::Join => {
-                if self.membership.contains(&site)
-                    || self.departed.contains(&site)
-                    || self.evicted.contains_key(&site)
-                {
-                    return;
-                }
-                let mut runtime =
-                    SiteRuntime::with_mode(site, (self.factory)(site), self.config.sync_mode)
-                        .with_obs(SiteObs::new(Some(site), &self.config.obs));
-                if let Some(store) = SiteStore::open(site, &self.config.durability) {
-                    runtime = runtime.with_store(store);
-                }
-                self.sites.insert(site, runtime);
-                self.membership.insert(site);
-                let history = self.membership_log.clone();
-                for ann in history {
-                    let tick = self.site_mut(site).apply_membership(ann);
-                    self.absorb_tick(site, tick);
-                }
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Join,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::PlannedLeave => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if !self.site_is_up(site) {
-                    // A crashed site can still leave in an orderly fashion:
-                    // recover its durable state first, then hand off.
-                    self.recover_site(site);
-                }
-                self.settle();
-                self.obs.event(
-                    "handoff",
-                    true,
-                    &[("epoch", ev.epoch), ("departing", u64::from(site.index()))],
-                );
-                let survivors: Vec<SiteId> =
-                    self.sites.keys().copied().filter(|&s| s != site).collect();
-                for s in survivors {
-                    let tick = self.site_mut(s).perform_handoff(site, ev.epoch);
-                    self.absorb_tick(s, tick);
-                }
-                // A survivor that crashed mid-protocol hands off at
-                // recovery, before anyone can observe its revived heap.
-                for downed in self.downed.values_mut() {
-                    downed.pending_catchup.push(Catchup::Handoff {
-                        departing: site,
-                        epoch: ev.epoch,
-                    });
-                }
-                self.settle();
-                self.sites.remove(&site);
-                self.membership.remove(&site);
-                self.departed.insert(site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::PlannedLeave,
-                    site,
-                });
-                self.settle();
-            }
-            MembershipKind::Evict => {
-                if !self.membership.contains(&site) {
-                    return;
-                }
-                if let Some(runtime) = self.sites.remove(&site) {
-                    self.evicted.insert(site, runtime.heap().clone());
-                } else if let Some(downed) = self.downed.remove(&site) {
-                    self.evicted.insert(site, downed.heap);
-                }
-                self.membership.remove(&site);
-                self.announce(MembershipAnnouncement {
-                    epoch: ev.epoch,
-                    kind: MembershipChange::Evict,
-                    site,
-                });
-                self.settle();
+        self.lifecycle();
+        for phase in self.planner.plan_membership(ev) {
+            match phase {
+                Phase::Settle => self.settle(),
+                Phase::Run(command) => self.issue(command),
+                Phase::Event(kind, fields) => self.obs.event(kind, true, &fields),
             }
         }
     }
 
-    /// Records `ann` in the history, applies it to every running site (the
-    /// announcement lands in each WAL), and queues it for sites currently
-    /// down — they apply it right after recovery.
-    fn announce(&mut self, ann: MembershipAnnouncement) {
-        self.obs.event(
-            "membership",
-            true,
-            &[
-                ("epoch", ann.epoch),
-                ("site", u64::from(ann.site.index())),
-                ("kind", membership_kind_code(ann.kind)),
-            ],
-        );
-        self.membership_log.push(ann);
-        let ups: Vec<SiteId> = self.sites.keys().copied().collect();
-        for s in ups {
-            let tick = self.site_mut(s).apply_membership(ann);
-            self.absorb_tick(s, tick);
-        }
-        for downed in self.downed.values_mut() {
-            downed.pending_catchup.push(Catchup::Announce(ann));
+    /// Hands one planner command to the shard. Collections take the detour
+    /// through [`Cluster::collect_site`], where the oracle judges them.
+    fn issue(&mut self, command: ShardCommand) {
+        match command {
+            ShardCommand::Op(site, SiteOp::Collect) => self.collect_site(site),
+            ShardCommand::CollectAll => self.collect_all(),
+            command => self.shard.execute(command, &mut self.net),
         }
     }
 
-    /// True when `addr` is hosted by a site that has permanently left the
-    /// fleet: mutator ops naming it are skipped, exactly like ops lost to a
-    /// crash window.
-    fn addr_is_gone(&self, addr: GlobalAddr) -> bool {
-        self.departed.contains(&addr.site()) || self.evicted.contains_key(&addr.site())
+    /// Applies the fault plan's crash schedule against the transport clock:
+    /// opens every due crash window (tearing the volatile runtime down) and
+    /// restarts every site whose window has closed (recovering it from its
+    /// durable store).
+    fn lifecycle(&mut self) {
+        for command in self.planner.lifecycle(self.net.now()) {
+            self.issue(command);
+        }
     }
 
     /// The sites whose collector state or heap still references `departed`.
     /// Empty after a planned leave — the membership oracle of the explorer
     /// corpus asserts exactly this, cluster-wide, for all three collectors.
     pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        sites_mentioning(&self.sites, departed)
+        self.shard.sites_mentioning(departed)
     }
 
     /// Sites gone through a planned leave so far.
     pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
-        &self.departed
+        self.planner.departed()
     }
 
     /// Sites evicted so far.
     pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.evicted.keys().copied()
+        self.shard.evicted_sites()
     }
 
     /// Current expected membership (up or temporarily crashed).
     pub fn membership(&self) -> &BTreeSet<SiteId> {
-        &self.membership
+        self.planner.membership()
     }
 
     /// Delivers every in-flight message, running local collections between
@@ -788,32 +410,22 @@ where
     pub fn settle(&mut self) {
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
-        for _ in 0..self.config.settle_rounds() {
+        for _ in 0..self.shard.config.settle_rounds() {
             rounds += 1;
             let mut progressed = false;
-            self.process_crash_lifecycle();
+            self.lifecycle();
             while let Some(delivery) = self.net.poll() {
                 progressed = true;
                 delivered += 1;
                 // The transport clock advanced: crash windows may have
                 // opened or closed.
-                self.process_crash_lifecycle();
-                let to = delivery.to;
-                let from = delivery.from;
-                if !self.site_is_up(to) {
-                    // The transport filters deliveries to crashed sites by
-                    // its own clock; a message can still slip through in
-                    // the instant before the cluster observes the crash.
-                    // It dies with the site's inbox.
-                    continue;
-                }
-                let tick = match delivery.payload {
-                    SimPayload::Reference { recipient, target } => {
-                        self.site_mut(to).receive_reference(from, recipient, target)
-                    }
-                    SimPayload::Control(msg) => self.site_mut(to).on_control(from, msg),
-                };
-                self.absorb_tick(to, tick);
+                self.lifecycle();
+                // The transport filters deliveries to crashed sites by its
+                // own clock; a message can still slip through in the
+                // instant before the cluster observes the crash. It dies
+                // with the site's inbox.
+                self.shard
+                    .deliver(delivery.from, delivery.to, delivery.payload, &mut self.net);
             }
             self.collect_all();
             if !progressed && self.net.pending() == 0 {
@@ -830,21 +442,13 @@ where
     }
 
     /// Stamps the first step at which each currently-garbage object was
-    /// observed unreachable (first sighting wins in the ledger). Runs after
-    /// every scenario step, but only with observability *and* the safety
-    /// oracle on — a global reachability pass per step is exactly the cost
-    /// the oracle flag already opts into.
+    /// observed unreachable. Runs after every scenario step and before
+    /// every collection, but only with observability *and* the safety
+    /// oracle on — a global reachability pass is exactly the cost the
+    /// oracle flag already opts into.
     fn mark_garbage_unreachable(&mut self) {
-        if !(self.obs.is_enabled() && self.config.safety_oracle) {
-            return;
-        }
-        let step = self.step;
-        for addr in Oracle::garbage(self.heaps()) {
-            if let Some(runtime) = self.sites.get_mut(&addr.site()) {
-                let obs = runtime.obs_mut();
-                obs.set_step(step);
-                obs.mark_unreachable(addr);
-            }
+        if self.obs.is_enabled() && self.shard.config.safety_oracle {
+            self.shard.mark_garbage_unreachable();
         }
     }
 
@@ -854,81 +458,25 @@ where
         if !self.site_is_up(site) {
             return;
         }
-        let live = if self.config.safety_oracle {
-            Some(Oracle::reachable(self.heaps()))
-        } else {
-            None
-        };
-        if self.obs.is_enabled() && self.config.safety_oracle {
-            // The lifecycle ledger learns when objects *became* unreachable
-            // from the same oracle pass that polices safety. Opt-in cost:
-            // only with observability on top of the oracle.
-            let step = self.step;
-            let garbage = Oracle::garbage(self.heaps());
-            for addr in garbage {
-                if let Some(runtime) = self.sites.get_mut(&addr.site()) {
-                    let obs = runtime.obs_mut();
-                    obs.set_step(step);
-                    obs.mark_unreachable(addr);
-                }
-            }
-        }
-        let runtime = self.site_mut(site);
-        let outcome = runtime.collect();
-        let tick = if outcome.is_noop() {
-            None
-        } else {
-            Some(runtime.sync())
-        };
-        for freed in &outcome.freed {
-            let addr = GlobalAddr::from_parts(site, *freed);
-            if live.as_ref().is_some_and(|live| live.contains(&addr)) {
-                self.safety_violations += 1;
-            }
-            self.reclaimed_addrs.insert(addr);
-        }
-        self.reclaimed += outcome.freed.len() as u64;
-        if let Some(tick) = tick {
-            self.absorb_tick(site, tick);
-        }
+        let judged = self.shard.config.safety_oracle;
+        let live = judged.then(|| Oracle::reachable(self.heaps()));
+        // The lifecycle ledger learns when objects *became* unreachable
+        // from the same oracle state that polices safety.
+        self.mark_garbage_unreachable();
+        self.shard.collect_site(site, live.as_ref(), &mut self.net);
     }
 
     /// Runs a local collection on every site.
     pub fn collect_all(&mut self) {
-        let sites: Vec<SiteId> = self.sites.keys().copied().collect();
-        for site in sites {
+        for site in self.shard.up_sites() {
             self.collect_site(site);
         }
     }
 
     /// Builds the end-of-run report.
     pub fn report(&self) -> RunReport {
-        let residual = Oracle::garbage(self.heaps()).len() as u64;
-        let allocated = self
-            .sites
-            .values()
-            .map(|rt| rt.heap().stats().allocated)
-            .sum();
-        RunReport {
-            collector: self
-                .sites
-                .values()
-                .next()
-                .map(|rt| rt.collector().name().to_owned())
-                .unwrap_or_default(),
-            sites: self.sites.len() as u32,
-            allocated,
-            reclaimed: self.reclaimed,
-            safety_violations: self.safety_violations,
-            residual_garbage: residual,
-            verdicts: self.verdicts,
-            finished_at: self.net.now(),
-            last_verdict_at: self.last_verdict_at,
-            triggered_at: self.triggered_at,
-            triggered_step: self.triggered_step,
-            last_verdict_step: self.last_verdict_step,
-            net: self.net.metrics_snapshot(),
-        }
+        self.shard
+            .report(self.net.now(), self.net.metrics_snapshot())
     }
 
     /// Assembles the observability report: the cluster scope (network and
@@ -940,15 +488,9 @@ where
         let mut cluster_obs = self.obs.clone();
         if cluster_obs.is_enabled() {
             record_net(&mut cluster_obs, &self.net.metrics_snapshot());
-            record_store(&mut cluster_obs, &self.store_stats(), self.recoveries);
+            record_store(&mut cluster_obs, &self.store_stats(), self.recoveries());
         }
-        let site_obs: Vec<SiteObs> = self
-            .sites
-            .values()
-            .map(SiteRuntime::obs_scope)
-            .chain(self.downed.values().map(|d| d.obs.clone()))
-            .collect();
-        ObsReport::assemble(&cluster_obs, site_obs.iter())
+        ObsReport::assemble(&cluster_obs, self.shard.obs_scopes().iter())
     }
 
     /// The transport's current clock value.
@@ -956,124 +498,20 @@ where
         self.net.now()
     }
 
-    // ------------------------------------------------------------------
-    // Crash lifecycle
-    // ------------------------------------------------------------------
-
     /// True when the site's runtime is currently up.
     pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.sites.contains_key(&site)
+        self.shard.is_up(site)
     }
 
     /// Number of site recoveries performed so far.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.shard.recoveries()
     }
 
     /// Aggregated durable-store counters across every site (up or down).
     /// All zeros with durability off.
     pub fn store_stats(&self) -> StoreStats {
-        let up = self.sites.values().filter_map(SiteRuntime::store);
-        let down = self.downed.values().map(|downed| &downed.store);
-        sum_store_stats(up.chain(down).map(SiteStore::stats))
-    }
-
-    /// Applies the fault plan's crash schedule against the transport clock:
-    /// opens every due crash window (tearing the volatile runtime down) and
-    /// restarts every site whose window has closed (recovering it from its
-    /// durable store).
-    fn process_crash_lifecycle(&mut self) {
-        if self.crashes_applied.is_empty() && self.downed.is_empty() {
-            return;
-        }
-        let now = self.net.now();
-        for index in 0..self.crashes_applied.len() {
-            // `SiteCrash` is `Copy`: take the one element by value instead
-            // of cloning the schedule (this runs per delivery in settle).
-            let crash = self.config.faults.crashes()[index];
-            if self.crashes_applied[index] || now < crash.at_round {
-                continue;
-            }
-            self.crashes_applied[index] = true;
-            self.crash_site(crash.site, crash.restart_after);
-        }
-        let due: Vec<SiteId> = self
-            .downed
-            .iter()
-            .filter(|(_, d)| d.restart_after <= now)
-            .map(|(&site, _)| site)
-            .collect();
-        for site in due {
-            self.recover_site(site);
-        }
-    }
-
-    /// Tears a site's volatile state down, keeping its durable store for
-    /// the restart at `restart_after`. A site already down merely has its
-    /// restart time extended (overlapping windows).
-    fn crash_site(&mut self, site: SiteId, restart_after: u64) {
-        if let Some(mut runtime) = self.sites.remove(&site) {
-            let store = runtime
-                .take_store()
-                .expect("crash faults require durability (checked at construction)");
-            let heap = runtime.heap().clone();
-            let obs = runtime.take_obs();
-            self.downed.insert(
-                site,
-                DownedSite {
-                    store,
-                    restart_after,
-                    heap,
-                    pending_catchup: Vec::new(),
-                    obs,
-                },
-            );
-        } else if let Some(downed) = self.downed.get_mut(&site) {
-            downed.restart_after = downed.restart_after.max(restart_after);
-        }
-    }
-
-    /// Recovers one downed site from its durable store.
-    fn recover_site(&mut self, site: SiteId) {
-        let Some(downed) = self.downed.remove(&site) else {
-            return;
-        };
-        let mut runtime =
-            SiteRuntime::recover(downed.store, (self.factory)(site), self.config.sync_mode);
-        let replayed = runtime
-            .store()
-            .map_or(0, |store| store.stats().records_replayed);
-        // Recovery replays with a disabled handle (no double-counting);
-        // re-attach the crash-time measurements now.
-        runtime.set_obs(downed.obs);
-        {
-            let obs = runtime.obs_mut();
-            obs.set_step(self.step);
-            obs.add_aux("recoveries", 1);
-            obs.event("wal-replay", false, &[("records_replayed", replayed)]);
-        }
-        self.sites.insert(site, runtime);
-        self.recoveries += 1;
-        // Membership changed while this site was down: catch up in order
-        // (WAL-logged, so a second crash replays the same steps).
-        for action in downed.pending_catchup {
-            let tick = match action {
-                Catchup::Handoff { departing, epoch } => {
-                    self.site_mut(site).perform_handoff(departing, epoch)
-                }
-                Catchup::Announce(ann) => self.site_mut(site).apply_membership(ann),
-            };
-            self.absorb_tick(site, tick);
-        }
-    }
-
-    /// Recovers every downed site immediately, regardless of its scheduled
-    /// restart time (end-of-run completion).
-    fn recover_all_downed(&mut self) {
-        let sites: Vec<SiteId> = self.downed.keys().copied().collect();
-        for site in sites {
-            self.recover_site(site);
-        }
+        self.shard.store_stats()
     }
 
     /// Crashes `site` and recovers it from its durable store on the spot —
@@ -1087,50 +525,16 @@ where
     /// site is unknown.
     pub fn crash_and_recover(&mut self, site: SiteId) {
         assert!(
-            self.config.durability.is_on(),
+            self.shard.config.durability.is_on(),
             "crash_and_recover requires durability"
         );
         assert!(
-            self.site_is_up(site) || self.downed.contains_key(&site),
+            self.planner.membership().contains(&site),
             "unknown site {site}"
         );
-        self.crash_site(site, 0);
-        self.recover_site(site);
-    }
-
-    fn site_mut(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let step = self.step;
-        let runtime = self.sites.get_mut(&site).expect("site exists");
-        // Keep the runtime's logical clock current so every probe inside
-        // the entry point stamps the right step — no signature changes.
-        runtime.obs_mut().set_step(step);
-        runtime
-    }
-
-    /// Books a runtime step's results: verdict counters and control-message
-    /// sends (which also timestamp the first GGD trigger).
-    fn absorb_tick(&mut self, site: SiteId, tick: SiteTick<C::Msg>) {
-        if tick.verdicts_applied > 0 {
-            self.verdicts += tick.verdicts_applied;
-            self.last_verdict_at = Some(self.net.now());
-            self.last_verdict_step = Some(self.step);
-        }
-        for (dest, msg) in tick.outgoing {
-            if self.triggered_at.is_none() {
-                self.triggered_at = Some(self.net.now());
-                self.triggered_step = Some(self.step);
-            }
-            self.net.send(site, dest, SimPayload::Control(msg));
-        }
-        self.after_step(site);
-    }
-
-    /// Post-step bookkeeping: with durability on, the site installs a
-    /// checkpoint once its WAL cadence asks for one. Runs with the tick
-    /// absorbed, i.e. outgoing messages and verdicts drained.
-    fn after_step(&mut self, site: SiteId) {
-        if let Some(runtime) = self.sites.get_mut(&site) {
-            runtime.maybe_checkpoint();
+        let crash = self.planner.crash(site, 0);
+        for command in crash.into_iter().chain(self.planner.recover(site)) {
+            self.issue(command);
         }
     }
 }

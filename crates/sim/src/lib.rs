@@ -7,12 +7,20 @@
 //! a garbage-detection engine implementing the [`Collector`] trait;
 //! reference-carrying mutator messages and GGD control messages share one
 //! [`ggd_net::Transport`], so the per-class message counts reported by every
-//! experiment come straight from the network metrics. [`Cluster`] is generic
-//! over the transport: experiments run it on the deterministic
-//! [`ggd_net::SimNetwork`] (the default type parameter), while the threaded
-//! constructors ([`Cluster::threaded`], [`Cluster::threaded_from_scenario`])
-//! run the identical drive loop over [`ggd_net::ThreadedNetwork`] on real OS
-//! threads.
+//! experiment come straight from the network metrics.
+//!
+//! The paper's collector is per-site and message-driven, so nothing in it
+//! depends on who schedules the sites. The crate is built the same way: one
+//! execution core — a pure planner (`plan.rs`: scenario step → commands;
+//! name resolution, skip analysis, crash schedule, membership scripts) and
+//! a shard executor (`shard.rs`: the site runtimes and everything that
+//! happens to them) — under two schedulers. [`Cluster`] runs the core on
+//! one thread over any transport: the deterministic
+//! [`ggd_net::SimNetwork`] (the default type parameter) or, through
+//! [`Cluster::threaded`] / [`Cluster::threaded_from_scenario`],
+//! [`ggd_net::ThreadedNetwork`] on real OS threads. [`ParallelCluster`]
+//! runs it across worker threads exchanging encoded frames, as an
+//! asynchrony/correctness harness.
 //!
 //! # Example
 //!
@@ -32,8 +40,10 @@ mod cluster;
 mod collector;
 mod oracle;
 mod parallel;
+mod plan;
 mod report;
 mod runtime;
+mod shard;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use collector::{

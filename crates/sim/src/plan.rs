@@ -1,0 +1,681 @@
+//! Planning: scenario steps in, shard commands out.
+//!
+//! The [`Planner`] holds every decision a driver makes *about* the sites
+//! without touching one: which address a symbolic name resolves to, whether
+//! an op can run at all (its site is down, or it names an object of a site
+//! that left), whether a `SendRef` is still a legal computation after
+//! earlier skips, when the crash schedule takes a site down or brings it
+//! back, and which steps each membership protocol consists of. It is pure
+//! state — no runtime, no transport, no thread — so its output is a
+//! function of `(scenario, crash schedule)` alone and the same under every
+//! scheduler. What it emits, a [`Shard`](crate::shard::Shard) executes.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use ggd_mutator::{MembershipEvent, MembershipKind, MutatorOp, ObjName};
+use ggd_store::{MembershipAnnouncement, MembershipChange};
+use ggd_types::{GlobalAddr, ObjectId, SiteId};
+
+/// A mutator op with every name resolved to an address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SiteOp {
+    /// `expect` is the address the planner predicted; the site's heap must
+    /// agree or name resolution has diverged.
+    Alloc {
+        local_root: bool,
+        expect: GlobalAddr,
+    },
+    LinkLocal {
+        from: GlobalAddr,
+        to: GlobalAddr,
+    },
+    Unlink {
+        from: GlobalAddr,
+        to: GlobalAddr,
+    },
+    ClearRefs {
+        addr: GlobalAddr,
+    },
+    DropLocalRoot {
+        addr: GlobalAddr,
+    },
+    /// Export + wire send (or the immediate local receive for a same-site
+    /// recipient).
+    SendRef {
+        target: GlobalAddr,
+        recipient: GlobalAddr,
+    },
+    Collect,
+}
+
+/// One instruction to the shard(s) hosting the sites it concerns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ShardCommand {
+    /// A resolved mutator op on a site that is up.
+    Op(SiteId, SiteOp),
+    /// Run a local collection on every site that is up.
+    CollectAll,
+    /// Tear the site's volatile runtime down, keeping its durable store.
+    Crash(SiteId),
+    /// Rebuild the site from its durable store.
+    Recover(SiteId),
+    /// Bring a fresh site up mid-run, caught up on the membership history.
+    Join {
+        site: SiteId,
+        history: Vec<MembershipAnnouncement>,
+    },
+    /// Every survivor severs its references towards `departing` (the
+    /// reference-handoff half of a planned leave).
+    Handoff { departing: SiteId, epoch: u64 },
+    /// Dissolve a site that completed its planned leave.
+    Remove(SiteId),
+    /// Evict a site without ceremony, keeping its heap for the oracle.
+    Evict(SiteId),
+    /// Apply one membership announcement on every site (deferred to
+    /// recovery for sites currently down).
+    Announce(MembershipAnnouncement),
+}
+
+impl ShardCommand {
+    /// The one site the command concerns; `None` for commands every shard
+    /// must see.
+    pub(crate) fn site(&self) -> Option<SiteId> {
+        match *self {
+            ShardCommand::Op(site, _)
+            | ShardCommand::Crash(site)
+            | ShardCommand::Recover(site)
+            | ShardCommand::Join { site, .. }
+            | ShardCommand::Remove(site)
+            | ShardCommand::Evict(site) => Some(site),
+            ShardCommand::CollectAll | ShardCommand::Handoff { .. } | ShardCommand::Announce(_) => {
+                None
+            }
+        }
+    }
+}
+
+/// One phase of a membership protocol's script.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Quiesce: deliver everything in flight, collecting between rounds.
+    Settle,
+    /// Hand the command to the shard(s) concerned.
+    Run(ShardCommand),
+    /// Record a deterministic cluster-scope trace event.
+    Event(&'static str, Vec<(&'static str, u64)>),
+}
+
+/// Stable numeric code for a membership change in trace-event fields
+/// (events carry `u64` fields only).
+fn membership_kind_code(kind: MembershipChange) -> u64 {
+    match kind {
+        MembershipChange::Join => 0,
+        MembershipChange::PlannedLeave => 1,
+        MembershipChange::Evict => 2,
+    }
+}
+
+/// Monotone mutator-legality state (the executable mirror of the
+/// explorer's `sanitize` pass): `holders[name]` is the set of sites that
+/// have legally held `name`'s reference, `anchored` the set of objects a
+/// mutator message can legally be addressed to.
+#[derive(Debug, Default)]
+struct Legality {
+    holders: BTreeMap<ObjName, BTreeSet<SiteId>>,
+    anchored: BTreeSet<ObjName>,
+}
+
+impl Legality {
+    /// Records a successful `Alloc`: `site` holds `name`, and a local root
+    /// makes it addressable.
+    fn note_alloc(&mut self, name: ObjName, site: SiteId, local_root: bool) {
+        self.holders.entry(name).or_default().insert(site);
+        if local_root {
+            self.anchored.insert(name);
+        }
+    }
+
+    /// Judges a `SendRef` and, when legal, records its effects. Skipped ops
+    /// may have broken the causal chain that made this send legal in the
+    /// generated scenario: the sender must actually have held the target's
+    /// reference, and the recipient must be addressable. Holding is
+    /// recorded at *send* time, deliberately mirroring the explorer's
+    /// `sanitize` (and the generator's own forwarders model): a transfer
+    /// lost en route — to a drop plan or to a crashed inbox — still
+    /// legalizes later forwards, because the sender legitimately performed
+    /// the send and message loss is squarely inside the collectors' fault
+    /// contract (the export registered the target as a global root, so a
+    /// forwarded-but-never-received reference can only add conservatism,
+    /// never an unsafe free).
+    fn approve_send(
+        &mut self,
+        target: ObjName,
+        from_site: SiteId,
+        recipient: ObjName,
+        recipient_site: SiteId,
+    ) -> bool {
+        let sender_holds = self
+            .holders
+            .get(&target)
+            .is_some_and(|sites| sites.contains(&from_site));
+        if !sender_holds || !self.anchored.contains(&recipient) {
+            return false;
+        }
+        self.anchored.insert(target);
+        self.holders
+            .entry(target)
+            .or_default()
+            .insert(recipient_site);
+        true
+    }
+}
+
+/// The pure half of a drive loop — see the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct Planner {
+    names: BTreeMap<ObjName, GlobalAddr>,
+    /// Objects allocated so far per site. `SiteHeap` hands out ids
+    /// 1, 2, … in allocation order and recovery replay preserves the
+    /// counter, so the next `Alloc`'s address is known without asking the
+    /// site (the shard asserts the prediction).
+    allocated: BTreeMap<SiteId, u64>,
+    /// Mutator-legality tracking, maintained only under crash plans and
+    /// membership schedules: which sites hold (a copy of) each named
+    /// object's reference, and which objects are addressable (local roots,
+    /// or targets of an executed send). When an op is skipped, later ops
+    /// that causally depended on it are skipped too — otherwise a `SendRef`
+    /// could forward a reference its sender never held, an illegal
+    /// computation outside every collector's safety contract.
+    legality: Option<Legality>,
+    /// Current expected membership: founding sites, plus joins, minus
+    /// departures. Crashed sites stay members (they come back).
+    membership: BTreeSet<SiteId>,
+    /// Sites gone through a planned leave: their objects and references
+    /// dissolved with them, and no trace of them may survive anywhere.
+    departed: BTreeSet<SiteId>,
+    /// Sites evicted without warning (the shard keeps their last heap).
+    evicted: BTreeSet<SiteId>,
+    /// Crash windows that have not opened yet, as `(site, at, restart_after)`
+    /// in transport time and schedule order.
+    crashes: Vec<(SiteId, u64, u64)>,
+    /// Sites currently down, with their scheduled restart time.
+    downed: BTreeMap<SiteId, u64>,
+    /// Every membership announcement so far, in epoch order — late joiners
+    /// catch up on it before applying their own join.
+    membership_log: Vec<MembershipAnnouncement>,
+}
+
+impl Planner {
+    /// A planner for `sites` founding sites under a crash schedule of
+    /// `(site, at, restart_after)` windows in transport time.
+    pub(crate) fn new(sites: u32, crashes: Vec<(SiteId, u64, u64)>) -> Self {
+        Planner {
+            legality: (!crashes.is_empty()).then(Legality::default),
+            membership: (0..sites).map(SiteId::new).collect(),
+            crashes,
+            ..Planner::default()
+        }
+    }
+
+    /// Turns legality tracking on. Departures skip ops exactly like crash
+    /// windows do, and the skips can break causal send chains, so scenarios
+    /// with a membership schedule need it too.
+    pub(crate) fn track_legality(&mut self) {
+        self.legality.get_or_insert_with(Legality::default);
+    }
+
+    /// The address allocated for a symbolic object name, if it exists yet.
+    pub(crate) fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
+        self.names.get(&name).copied()
+    }
+
+    pub(crate) fn membership(&self) -> &BTreeSet<SiteId> {
+        &self.membership
+    }
+
+    pub(crate) fn departed(&self) -> &BTreeSet<SiteId> {
+        &self.departed
+    }
+
+    fn site_is_up(&self, site: SiteId) -> bool {
+        self.membership.contains(&site) && !self.downed.contains_key(&site)
+    }
+
+    /// Resolves `name` for an op running on `site`. `None` — skip the op —
+    /// when the name's `Alloc` was itself skipped, when `site` is down (the
+    /// mutator process died with its site), or when the object is hosted by
+    /// a site that has permanently left the fleet.
+    fn resolve(&self, site: SiteId, name: ObjName) -> Option<GlobalAddr> {
+        let addr = *self.names.get(&name)?;
+        let gone = self.departed.contains(&addr.site()) || self.evicted.contains(&addr.site());
+        (self.site_is_up(site) && !gone).then_some(addr)
+    }
+
+    /// Resolves one mutator op into the command that executes it, or `None`
+    /// when the op is skipped. The skip pattern is a pure function of
+    /// `(scenario, crash schedule)`, so replay determinism is preserved.
+    pub(crate) fn plan_op(&mut self, op: MutatorOp) -> Option<ShardCommand> {
+        let (site, op) = match op {
+            MutatorOp::Alloc {
+                site,
+                name,
+                local_root,
+            } => {
+                if !self.site_is_up(site) {
+                    return None;
+                }
+                let count = self.allocated.entry(site).or_insert(0);
+                *count += 1;
+                let expect = GlobalAddr::from_parts(site, ObjectId::new(*count));
+                self.names.insert(name, expect);
+                if let Some(legality) = &mut self.legality {
+                    legality.note_alloc(name, site, local_root);
+                }
+                (site, SiteOp::Alloc { local_root, expect })
+            }
+            MutatorOp::LinkLocal { site, from, to } => {
+                let (from, to) = (self.resolve(site, from)?, self.resolve(site, to)?);
+                (site, SiteOp::LinkLocal { from, to })
+            }
+            MutatorOp::Unlink { site, from, to } => {
+                let (from, to) = (self.resolve(site, from)?, self.resolve(site, to)?);
+                (site, SiteOp::Unlink { from, to })
+            }
+            MutatorOp::SendRef {
+                from_site,
+                recipient,
+                target,
+            } => {
+                let recipient_addr = self.resolve(from_site, recipient)?;
+                let target_addr = self.resolve(from_site, target)?;
+                if let Some(legality) = &mut self.legality {
+                    if !legality.approve_send(target, from_site, recipient, recipient_addr.site()) {
+                        return None;
+                    }
+                }
+                let op = SiteOp::SendRef {
+                    target: target_addr,
+                    recipient: recipient_addr,
+                };
+                (from_site, op)
+            }
+            MutatorOp::DropLocalRoot { site, name } => {
+                let addr = self.resolve(site, name)?;
+                (site, SiteOp::DropLocalRoot { addr })
+            }
+            MutatorOp::ClearRefs { site, name } => {
+                let addr = self.resolve(site, name)?;
+                (site, SiteOp::ClearRefs { addr })
+            }
+            MutatorOp::CollectSite { site } => {
+                if !self.site_is_up(site) {
+                    return None;
+                }
+                (site, SiteOp::Collect)
+            }
+            MutatorOp::CollectAll => return Some(ShardCommand::CollectAll),
+        };
+        Some(ShardCommand::Op(site, op))
+    }
+
+    /// Applies the crash schedule against a reading of the transport clock:
+    /// a `Crash` for every window now due, a `Recover` for every site whose
+    /// window has closed.
+    #[inline] // per op and per delivery: the nothing-scheduled case must cost a branch
+    pub(crate) fn lifecycle(&mut self, now: u64) -> Vec<ShardCommand> {
+        let mut commands = Vec::new();
+        if self.crashes.is_empty() && self.downed.is_empty() {
+            return commands;
+        }
+        let opening = |&(_, at, _): &(SiteId, u64, u64)| at <= now;
+        let opened: Vec<_> = self.crashes.iter().copied().filter(opening).collect();
+        self.crashes.retain(|window| !opening(window));
+        for (site, _, restart_after) in opened {
+            commands.extend(self.crash(site, restart_after));
+        }
+        let due: Vec<SiteId> = self
+            .downed
+            .iter()
+            .filter(|(_, &restart)| restart <= now)
+            .map(|(&site, _)| site)
+            .collect();
+        commands.extend(due.into_iter().filter_map(|site| self.recover(site)));
+        commands
+    }
+
+    /// Takes `site` down until `restart_after`. A site already down merely
+    /// has its restart time extended (overlapping windows); a site that is
+    /// not a member has nothing to crash.
+    pub(crate) fn crash(&mut self, site: SiteId, restart_after: u64) -> Option<ShardCommand> {
+        if let Some(restart) = self.downed.get_mut(&site) {
+            *restart = (*restart).max(restart_after);
+            return None;
+        }
+        if !self.membership.contains(&site) {
+            return None;
+        }
+        self.downed.insert(site, restart_after);
+        Some(ShardCommand::Crash(site))
+    }
+
+    /// Brings `site` back if it is down.
+    pub(crate) fn recover(&mut self, site: SiteId) -> Option<ShardCommand> {
+        self.downed
+            .remove(&site)
+            .map(|_| ShardCommand::Recover(site))
+    }
+
+    /// Brings every downed site back immediately, regardless of its
+    /// scheduled restart time (end-of-run completion).
+    pub(crate) fn recover_all(&mut self) -> Vec<ShardCommand> {
+        std::mem::take(&mut self.downed)
+            .into_keys()
+            .map(ShardCommand::Recover)
+            .collect()
+    }
+
+    /// The script of one epoch-stamped membership event — empty when the
+    /// event no longer describes a fleet change (a join of a site that is
+    /// or ever was a member, a departure of a non-member).
+    ///
+    /// *Join*: a fresh site comes up (durably, when the cluster runs with
+    /// durability: it WAL-logs from its very first input), catches up on
+    /// the membership history, and the fleet is told.
+    ///
+    /// *Planned leave*: quiesce, so the departing site's DkLog drains; every
+    /// survivor performs the reference handoff (severing its references
+    /// towards the departing site, durably recorded); quiesce again; the
+    /// departing site dissolves; the announcement lets every survivor retire
+    /// the departed site's `DependencyVector`/`RootedVector` entries. After
+    /// this, no reference to the departed site survives anywhere — the
+    /// membership oracle (`sites_mentioning`) pins that. Once its leave has
+    /// begun the site is out of the crash schedule.
+    ///
+    /// *Evict*: unplanned and permanent — no quiesce, no handoff, and a
+    /// site that is down is evicted as it lies, without recovery. The
+    /// evicted site's heap is kept for the oracle (its objects
+    /// conservatively still exist); collectors stay conservative, so
+    /// whatever it pinned becomes residual garbage, never a wrong verdict.
+    pub(crate) fn plan_membership(&mut self, ev: MembershipEvent) -> Vec<Phase> {
+        let site = ev.site;
+        let mut script = Vec::new();
+        let kind = match ev.kind {
+            MembershipKind::Join => {
+                if self.membership.contains(&site)
+                    || self.departed.contains(&site)
+                    || self.evicted.contains(&site)
+                {
+                    return script;
+                }
+                self.membership.insert(site);
+                let history = self.membership_log.clone();
+                script.push(Phase::Run(ShardCommand::Join { site, history }));
+                MembershipChange::Join
+            }
+            MembershipKind::PlannedLeave => {
+                if !self.membership.remove(&site) {
+                    return script;
+                }
+                // A crashed site can still leave in an orderly fashion:
+                // recover its durable state first, then hand off.
+                script.extend(self.recover(site).map(Phase::Run));
+                script.push(Phase::Settle);
+                script.push(Phase::Event(
+                    "handoff",
+                    vec![("epoch", ev.epoch), ("departing", u64::from(site.index()))],
+                ));
+                script.push(Phase::Run(ShardCommand::Handoff {
+                    departing: site,
+                    epoch: ev.epoch,
+                }));
+                script.push(Phase::Settle);
+                self.departed.insert(site);
+                script.push(Phase::Run(ShardCommand::Remove(site)));
+                MembershipChange::PlannedLeave
+            }
+            MembershipKind::Evict => {
+                if !self.membership.remove(&site) {
+                    return script;
+                }
+                self.downed.remove(&site);
+                self.evicted.insert(site);
+                script.push(Phase::Run(ShardCommand::Evict(site)));
+                MembershipChange::Evict
+            }
+        };
+        // Record the announcement in the history and tell the fleet.
+        let ann = MembershipAnnouncement {
+            epoch: ev.epoch,
+            kind,
+            site,
+        };
+        self.membership_log.push(ann);
+        script.push(Phase::Event(
+            "membership",
+            vec![
+                ("epoch", ann.epoch),
+                ("site", u64::from(ann.site.index())),
+                ("kind", membership_kind_code(ann.kind)),
+            ],
+        ));
+        script.push(Phase::Run(ShardCommand::Announce(ann)));
+        script.push(Phase::Settle);
+        script
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const S0: SiteId = SiteId::new(0);
+    const S1: SiteId = SiteId::new(1);
+    const S2: SiteId = SiteId::new(2);
+
+    fn alloc(planner: &mut Planner, site: SiteId, name: u32) -> Option<GlobalAddr> {
+        let op = MutatorOp::Alloc {
+            site,
+            name: ObjName(name),
+            local_root: true,
+        };
+        match planner.plan_op(op)? {
+            ShardCommand::Op(on, SiteOp::Alloc { expect, .. }) => {
+                assert_eq!(on, site);
+                Some(expect)
+            }
+            other => panic!("an Alloc plans an Alloc, got {other:?}"),
+        }
+    }
+
+    fn send(from_site: SiteId, recipient: u32, target: u32) -> MutatorOp {
+        MutatorOp::SendRef {
+            from_site,
+            recipient: ObjName(recipient),
+            target: ObjName(target),
+        }
+    }
+
+    fn event(kind: MembershipKind, site: SiteId, epoch: u64) -> MembershipEvent {
+        MembershipEvent { epoch, kind, site }
+    }
+
+    /// The commands of a script, in order, with the settles between them
+    /// shown as `None`.
+    fn outline(script: &[Phase]) -> Vec<Option<&ShardCommand>> {
+        script
+            .iter()
+            .filter_map(|phase| match phase {
+                Phase::Settle => Some(None),
+                Phase::Run(command) => Some(Some(command)),
+                Phase::Event(..) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_op_on_a_downed_site_is_skipped_and_breaks_the_send_chain_behind_it() {
+        let mut planner = Planner::new(3, vec![(S1, 5, 9)]);
+        let a = alloc(&mut planner, S0, 0).expect("site 0 is up");
+        let b = alloc(&mut planner, S1, 1).expect("site 1 is up");
+        let c = alloc(&mut planner, S2, 2).expect("site 2 is up");
+        assert_eq!(planner.lifecycle(5), vec![ShardCommand::Crash(S1)]);
+        // Site 1 would have handed `b` to `a`, but it is down: the send and
+        // an Alloc are skipped.
+        assert_eq!(planner.plan_op(send(S1, 0, 1)), None);
+        assert_eq!(alloc(&mut planner, S1, 3), None);
+        assert_eq!(planner.lifecycle(9), vec![ShardCommand::Recover(S1)]);
+        // Every site is up again, yet site 0 may not forward `b`: it never
+        // received it. The skipped name never resolves either.
+        assert_eq!(planner.plan_op(send(S0, 2, 1)), None);
+        let link = MutatorOp::LinkLocal {
+            site: S1,
+            from: ObjName(1),
+            to: ObjName(3),
+        };
+        assert_eq!(planner.plan_op(link), None);
+        // Once the hand-over does happen, the forward is legal.
+        let hand_over = SiteOp::SendRef {
+            target: b,
+            recipient: a,
+        };
+        assert_eq!(
+            planner.plan_op(send(S1, 0, 1)),
+            Some(ShardCommand::Op(S1, hand_over))
+        );
+        let forward = SiteOp::SendRef {
+            target: b,
+            recipient: c,
+        };
+        assert_eq!(
+            planner.plan_op(send(S0, 2, 1)),
+            Some(ShardCommand::Op(S0, forward))
+        );
+    }
+
+    #[test]
+    fn ops_naming_objects_of_departed_or_evicted_sites_are_skipped() {
+        let mut planner = Planner::new(3, Vec::new());
+        planner.track_legality();
+        alloc(&mut planner, S0, 0);
+        alloc(&mut planner, S1, 1);
+        alloc(&mut planner, S2, 2);
+        assert!(planner.plan_op(send(S1, 0, 1)).is_some());
+        assert!(planner.plan_op(send(S2, 0, 2)).is_some());
+        assert!(!planner
+            .plan_membership(event(MembershipKind::PlannedLeave, S1, 1))
+            .is_empty());
+        assert!(!planner
+            .plan_membership(event(MembershipKind::Evict, S2, 2))
+            .is_empty());
+        for gone in [1, 2] {
+            let unlink = MutatorOp::Unlink {
+                site: S0,
+                from: ObjName(0),
+                to: ObjName(gone),
+            };
+            assert_eq!(planner.plan_op(unlink), None);
+            assert_eq!(planner.plan_op(send(S0, 0, gone)), None);
+        }
+        // Ops on the sites themselves are skipped too.
+        assert_eq!(alloc(&mut planner, S1, 3), None);
+        assert_eq!(planner.plan_op(MutatorOp::CollectSite { site: S2 }), None);
+        assert_eq!(planner.departed(), &BTreeSet::from([S1]));
+        assert_eq!(planner.membership(), &BTreeSet::from([S0]));
+    }
+
+    #[test]
+    fn a_join_of_a_current_departed_or_evicted_site_plans_nothing() {
+        let mut planner = Planner::new(3, Vec::new());
+        planner.plan_membership(event(MembershipKind::PlannedLeave, S1, 1));
+        planner.plan_membership(event(MembershipKind::Evict, S2, 2));
+        for (epoch, site) in [(3, S0), (4, S1), (5, S2)] {
+            let script = planner.plan_membership(event(MembershipKind::Join, site, epoch));
+            assert_eq!(script, Vec::new(), "join of {site}");
+        }
+        // Departures of non-members plan nothing either.
+        for kind in [MembershipKind::PlannedLeave, MembershipKind::Evict] {
+            assert_eq!(planner.plan_membership(event(kind, S1, 6)), Vec::new());
+        }
+        // A genuine join is caught up on both earlier announcements.
+        let joiner = SiteId::new(3);
+        let script = planner.plan_membership(event(MembershipKind::Join, joiner, 7));
+        match outline(&script)[..] {
+            [Some(ShardCommand::Join { site, history }), Some(ShardCommand::Announce(ann)), None] =>
+            {
+                assert_eq!(*site, joiner);
+                assert_eq!(history.iter().map(|a| a.epoch).collect::<Vec<_>>(), [1, 2]);
+                assert_eq!((ann.epoch, ann.kind), (7, MembershipChange::Join));
+            }
+            ref other => panic!("unexpected join script {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overlapping_crash_windows_extend_the_outage() {
+        let mut planner = Planner::new(2, vec![(S1, 2, 6), (S1, 4, 10), (S1, 5, 7)]);
+        assert_eq!(planner.lifecycle(1), Vec::new());
+        assert_eq!(planner.lifecycle(2), vec![ShardCommand::Crash(S1)]);
+        // The second and third windows open while the site is down: no
+        // second crash, and the latest restart time wins.
+        assert_eq!(planner.lifecycle(5), Vec::new());
+        assert_eq!(planner.lifecycle(9), Vec::new());
+        assert!(!planner.downed.is_empty());
+        assert_eq!(planner.lifecycle(10), vec![ShardCommand::Recover(S1)]);
+        assert!(planner.downed.is_empty());
+        assert_eq!(planner.lifecycle(11), Vec::new());
+    }
+
+    #[test]
+    fn a_planned_leave_of_a_downed_site_recovers_it_before_the_first_settle() {
+        let mut planner = Planner::new(3, vec![(S2, 1, u64::MAX)]);
+        assert_eq!(planner.lifecycle(1), vec![ShardCommand::Crash(S2)]);
+        let script = planner.plan_membership(event(MembershipKind::PlannedLeave, S2, 1));
+        let handoff = ShardCommand::Handoff {
+            departing: S2,
+            epoch: 1,
+        };
+        let ann = ShardCommand::Announce(MembershipAnnouncement {
+            epoch: 1,
+            kind: MembershipChange::PlannedLeave,
+            site: S2,
+        });
+        assert_eq!(
+            outline(&script),
+            [
+                Some(&ShardCommand::Recover(S2)),
+                None,
+                Some(&handoff),
+                None,
+                Some(&ShardCommand::Remove(S2)),
+                Some(&ann),
+                None,
+            ]
+        );
+        assert!(planner.downed.is_empty(), "the leave consumed the outage");
+        // An eviction, by contrast, takes a downed site as it lies.
+        let mut planner = Planner::new(3, vec![(S2, 1, u64::MAX)]);
+        planner.lifecycle(1);
+        let script = planner.plan_membership(event(MembershipKind::Evict, S2, 1));
+        assert_eq!(outline(&script)[0], Some(&ShardCommand::Evict(S2)));
+        assert!(planner.downed.is_empty());
+        assert_eq!(planner.recover_all(), Vec::new());
+    }
+
+    #[test]
+    fn alloc_prediction_survives_a_crash_and_starts_at_one_for_a_joiner() {
+        let id = |site: SiteId, n: u64| GlobalAddr::from_parts(site, ObjectId::new(n));
+        let mut planner = Planner::new(2, vec![(S1, 3, 4)]);
+        assert_eq!(alloc(&mut planner, S1, 0), Some(id(S1, 1)));
+        assert_eq!(alloc(&mut planner, S1, 1), Some(id(S1, 2)));
+        assert_eq!(alloc(&mut planner, S0, 2), Some(id(S0, 1)));
+        planner.lifecycle(3);
+        // A skipped Alloc consumes no id: recovery replays only what ran.
+        assert_eq!(alloc(&mut planner, S1, 3), None);
+        planner.lifecycle(4);
+        assert_eq!(alloc(&mut planner, S1, 4), Some(id(S1, 3)));
+        let joiner = SiteId::new(5);
+        assert_eq!(alloc(&mut planner, joiner, 5), None, "not a member yet");
+        planner.plan_membership(event(MembershipKind::Join, joiner, 1));
+        assert_eq!(alloc(&mut planner, joiner, 6), Some(id(joiner, 1)));
+    }
+}

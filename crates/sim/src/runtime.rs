@@ -3,14 +3,12 @@
 //! [`SiteRuntime`] contains everything about a site that is independent of
 //! how messages reach it: mutator operations against the local heap, the
 //! lazy-rule collector hooks, snapshot plumbing after every mutation, local
-//! collections and verdict application. The transport-generic
-//! [`Cluster`](crate::Cluster) drives a map of site runtimes over any
-//! [`ggd_net::Transport`]; a future multi-threaded runner can host one
-//! runtime per OS thread without duplicating any of this logic.
+//! collections and verdict application. Runtimes are hosted by the
+//! crate's shard executor, on whichever thread a driver puts it.
 //!
 //! Every mutating entry point returns a [`SiteTick`]: the control messages
 //! the site wants sent and the number of GGD verdicts it applied to its own
-//! heap. The caller owns the transport and the run-wide counters.
+//! heap. The shard books the counters and hands the messages to its driver.
 
 use ggd_heap::{CollectionOutcome, ObjRef, SiteHeap};
 use ggd_obs::SiteObs;
@@ -72,7 +70,7 @@ pub struct SiteRuntime<C: Collector> {
 }
 
 /// The sites among `sites` whose collector state or heap still references
-/// `departed` — what both drivers' `sites_mentioning` report.
+/// `departed`.
 pub(crate) fn sites_mentioning<C: Collector>(
     sites: &BTreeMap<SiteId, SiteRuntime<C>>,
     departed: SiteId,
@@ -236,8 +234,8 @@ impl<C: Collector> SiteRuntime<C> {
         runtime
     }
 
-    /// Applies one WAL record through the ordinary entry points, mirroring
-    /// exactly what the cluster did when the event first happened. Ticks
+    /// Applies one WAL record through the ordinary entry points, repeating
+    /// exactly what the shard did when the event first happened. Ticks
     /// are discarded: the outgoing messages were already sent and the
     /// verdicts already applied (to this heap — which the replay re-applies
     /// identically) before the crash.
@@ -272,8 +270,8 @@ impl<C: Collector> SiteRuntime<C> {
                 let _ = self.on_control(*from, msg.clone());
             }
             WalRecord::Collect => {
-                // Mirror `Cluster::collect_site`: a no-op collection does
-                // not sync.
+                // As when the record was written: a no-op collection
+                // does not sync.
                 let outcome = self.collect();
                 if !outcome.is_noop() {
                     let _ = self.sync();
@@ -299,7 +297,7 @@ impl<C: Collector> SiteRuntime<C> {
     }
 
     /// Installs a checkpoint when the store's cadence asks for one and the
-    /// collector can produce its state. Called by the cluster after it has
+    /// collector can produce its state. Called by the shard after it has
     /// absorbed a tick, i.e. with outgoing messages and verdicts drained.
     pub fn maybe_checkpoint(&mut self) {
         let Some(store) = &mut self.store else {
