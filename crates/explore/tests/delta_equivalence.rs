@@ -88,20 +88,31 @@ fn pipelines_agree_under_heavy_churn_and_faults() {
 
 #[test]
 fn pipelines_agree_on_the_perf_shaped_churn() {
-    // The benchmark's `remote_churn` at 1/10: 64 sites and free-list slot
-    // reuse under remote-reference churn, a shape the ≤16-site explorer DSL
-    // never reaches. Under FullRescan the delta tracker stays inactive, so
-    // every collection there is the full mark-sweep — which makes this the
-    // cluster-level differential of the change-proportional collection the
-    // incremental pipeline runs. The oracle is off: ROADMAP item 1's
-    // violations on this shape are the collector's, identical under both
-    // pipelines, and pinned by `perf_shape_safety.rs`.
+    // Two benchmark workloads at 1/10, shapes the ≤16-site explorer DSL
+    // never reaches:
+    // * `remote_churn`: 64 sites and free-list slot reuse under
+    //   remote-reference churn. Under FullRescan the delta tracker stays
+    //   inactive, so every collection there is the full mark-sweep — which
+    //   makes this the cluster-level differential of the
+    //   change-proportional collection the incremental pipeline runs.
+    // * `bulk_build`: mostly growth, so most deltas take the tracker's
+    //   grow-only path (the cache extended along added references).
+    // The oracle is off: ROADMAP item 1's violations on the churn shape are
+    // the collector's, identical under both pipelines, and pinned by
+    // `perf_shape_safety.rs`.
     let config = ClusterConfig {
         safety_oracle: false,
         ..ClusterConfig::default()
     };
-    for seed in [17u64, 23] {
-        let scenario = build_perf_scenario(&PerfSpec::mix(64, 800, 15_000), seed);
-        assert_modes_agree!(seed, &scenario, config, CausalCollector::new);
+    let shapes = [
+        ("remote_churn", PerfSpec::mix(64, 800, 15_000)),
+        ("bulk_build", PerfSpec::mix(64, 10_000, 2_000)),
+    ];
+    for (name, spec) in &shapes {
+        for seed in [17u64, 23] {
+            let scenario = build_perf_scenario(spec, seed);
+            let index = format!("{name}/{seed}");
+            assert_modes_agree!(index, &scenario, config, CausalCollector::new);
+        }
     }
 }

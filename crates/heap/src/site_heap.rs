@@ -310,7 +310,7 @@ impl SiteHeap {
             .slot_of(from)
             .ok_or(HeapError::UnknownObject(from))?;
         self.arena.push_ref(from_slot, to);
-        self.tracker.note_ref_added(from_slot, target_slot);
+        self.tracker.note_ref_added(from_slot, to, target_slot);
         Ok(())
     }
 

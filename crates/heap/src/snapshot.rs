@@ -23,7 +23,11 @@
 //! word-packed bitset, the reverse-edge multiset is a per-slot adjacency
 //! vector, and local rootedness is a second bitset refreshed from the
 //! marker's visit list — so a mutation costs a couple of bit operations, not
-//! a set insertion. The running snapshot is available through
+//! a set insertion. A window that only *added* references (no removal, no
+//! local-root or global-root loss, no slot freed under a recorded addition)
+//! skips the per-source recomputation altogether: reach is monotone then, so
+//! the cache is extended along each added edge instead (DESIGN.md §6
+//! carries the argument). The running snapshot is available through
 //! [`SiteHeap::cached_snapshot`] and always equals what a fresh
 //! [`SiteHeap::snapshot`] rescan would produce — the runtime
 //! `debug_assert!`s that equivalence on every delta in debug builds.
@@ -35,6 +39,7 @@ use std::fmt;
 use ggd_types::{GlobalAddr, ObjectId, SiteId, VertexId};
 
 use crate::arena::{Arena, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
+use crate::object::ObjRef;
 use crate::site_heap::SiteHeap;
 
 /// A point-in-time view of the edges this site contributes to the global
@@ -217,20 +222,40 @@ pub struct VertexEdgeDelta {
     pub destroyed: Vec<GlobalAddr>,
 }
 
-/// Flattens the per-vertex accumulation map into the delta's edge list,
-/// preserving vertex order (the anchor sorts first). Shared by the
-/// activation and incremental paths so the two can never drift apart.
-fn assemble_vertex_edges(
-    edges: BTreeMap<VertexId, (Vec<GlobalAddr>, Vec<GlobalAddr>)>,
-) -> Vec<VertexEdgeDelta> {
-    edges
-        .into_iter()
-        .map(|(vertex, (created, destroyed))| VertexEdgeDelta {
-            vertex,
+impl VertexEdgeDelta {
+    /// The changes of `source` when its reachable set goes from `old` to
+    /// `new`, or `None` when nothing changed.
+    fn between(
+        source: VertexId,
+        old: &BTreeSet<GlobalAddr>,
+        new: &BTreeSet<GlobalAddr>,
+    ) -> Option<VertexEdgeDelta> {
+        let created: Vec<GlobalAddr> = new.difference(old).copied().collect();
+        let destroyed: Vec<GlobalAddr> = old.difference(new).copied().collect();
+        (!created.is_empty() || !destroyed.is_empty()).then_some(VertexEdgeDelta {
+            vertex: source,
             created,
             destroyed,
         })
-        .collect()
+    }
+
+    /// Groups creation-only `(vertex, target)` pairs, in any order and free
+    /// of duplicates, into one entry per vertex with its targets sorted.
+    fn group_created(mut pairs: Vec<(VertexId, GlobalAddr)>) -> Vec<VertexEdgeDelta> {
+        pairs.sort_unstable();
+        let mut grouped: Vec<VertexEdgeDelta> = Vec::new();
+        for (vertex, target) in pairs {
+            match grouped.last_mut() {
+                Some(last) if last.vertex == vertex => last.created.push(target),
+                _ => grouped.push(VertexEdgeDelta {
+                    vertex,
+                    created: vec![target],
+                    destroyed: Vec::new(),
+                }),
+            }
+        }
+        grouped
+    }
 }
 
 /// The difference between two successive reachability snapshots, produced
@@ -274,6 +299,16 @@ impl EdgeDelta {
         self.rootedness.is_empty() && self.removed.is_empty() && self.edges.is_empty()
     }
 
+    /// Puts a delta assembled in any order into the order consumers replay:
+    /// rootedness transitions by object, vertex entries by vertex. No object
+    /// or vertex appears twice, so unstable sorts suffice. Shared by the
+    /// activation and both incremental paths so they can never drift apart.
+    fn in_replay_order(mut self) -> EdgeDelta {
+        self.rootedness.sort_unstable();
+        self.edges.sort_unstable_by_key(|v| v.vertex);
+        self
+    }
+
     /// Every created edge, flattened as `(source vertex, target)` pairs.
     pub fn created(&self) -> impl Iterator<Item = (VertexId, GlobalAddr)> + '_ {
         self.edges
@@ -309,8 +344,8 @@ impl fmt::Display for EdgeDelta {
 }
 
 /// The per-heap bookkeeping behind [`SiteHeap::take_delta`]: a slot-indexed
-/// reverse-edge multiset, word-packed dirty/rootedness bitsets, and the
-/// running snapshot cache.
+/// reverse-edge multiset, word-packed dirty/rootedness bitsets, the
+/// references added since the last delta, and the running snapshot cache.
 ///
 /// The tracker starts inactive and costs nothing until the first
 /// `take_delta` call activates it (full-rescan users — the retained
@@ -333,6 +368,12 @@ pub(crate) struct DeltaTracker {
     /// Insertion-ordered list of dirtied slots (may hold entries whose bit
     /// was since cleared by a free — those are skipped at closure time).
     dirty_list: Vec<u32>,
+    /// References added since the last delta, as `(from slot, target)`.
+    added: Vec<(u32, ObjRef)>,
+    /// A reachable set may have shrunk since the last delta: a reference
+    /// was removed, or a slot was freed while `added` named slots (its
+    /// reuse would make a recorded `from` stale).
+    shrunk: bool,
     /// The local root set changed in a reachability-relevant way.
     anchor_dirty: bool,
     /// Global roots registered since the last delta.
@@ -408,7 +449,9 @@ impl DeltaTracker {
         }
     }
 
-    pub(crate) fn note_ref_added(&mut self, from: u32, target: Option<u32>) {
+    /// `from` gained the reference `to`; `target` is its slot when `to` is
+    /// local.
+    pub(crate) fn note_ref_added(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
         if !self.active {
             return;
         }
@@ -416,12 +459,14 @@ impl DeltaTracker {
             self.add_pred(target, from);
         }
         self.set_dirty(from);
+        self.added.push((from, to));
     }
 
     pub(crate) fn note_ref_removed(&mut self, from: u32, target: Option<u32>) {
         if !self.active {
             return;
         }
+        self.shrunk = true;
         // The target may already be gone when dangling slots to collected
         // objects are dropped — its pred list was torn down at free time.
         if let Some(target) = target {
@@ -456,8 +501,12 @@ impl DeltaTracker {
     /// whole anchor dirty.
     pub(crate) fn note_fresh_local_root(&mut self, slot: u32) {
         if self.active {
-            self.rooted_words[(slot >> 6) as usize] |= 1u64 << (slot & 63);
+            self.set_rooted(slot);
         }
+    }
+
+    fn set_rooted(&mut self, slot: u32) {
+        self.rooted_words[(slot >> 6) as usize] |= 1u64 << (slot & 63);
     }
 
     pub(crate) fn note_root_added(&mut self, id: ObjectId) {
@@ -492,8 +541,12 @@ impl DeltaTracker {
 
     /// Forgets everything keyed to a slot being freed: its own predecessor
     /// list, its dirty bit (the `dirty_list` entry goes stale and is skipped
-    /// at closure time) and its rootedness bit.
+    /// at closure time) and its rootedness bit. Recorded additions may name
+    /// the slot, so they can no longer be replayed.
     pub(crate) fn note_freed_slot(&mut self, slot: u32) {
+        if !self.added.is_empty() {
+            self.shrunk = true;
+        }
         self.preds[slot as usize].clear();
         let word = (slot >> 6) as usize;
         let bit = 1u64 << (slot & 63);
@@ -515,7 +568,7 @@ impl DeltaTracker {
             *word = 0;
         }
         for &slot in visited {
-            self.rooted_words[(slot >> 6) as usize] |= 1u64 << (slot & 63);
+            self.set_rooted(slot);
         }
     }
 
@@ -595,8 +648,6 @@ impl DeltaTracker {
     /// `self.affected`: every slot that can currently reach a dirty slot —
     /// the only candidates whose forward-reachable sets can have changed.
     fn compute_affected(&mut self) {
-        self.next_epoch();
-        self.affected.clear();
         self.stack.clear();
         for i in 0..self.dirty_list.len() {
             let slot = self.dirty_list[i];
@@ -604,6 +655,21 @@ impl DeltaTracker {
                 self.stack.push(slot);
             }
         }
+        self.close_backward();
+    }
+
+    /// Computes into `self.affected` every slot that can currently reach
+    /// `slot` (itself included).
+    fn compute_reaching(&mut self, slot: u32) {
+        self.stack.clear();
+        self.stack.push(slot);
+        self.close_backward();
+    }
+
+    /// Closes the seeds on `self.stack` under `preds` into `self.affected`.
+    fn close_backward(&mut self) {
+        self.next_epoch();
+        self.affected.clear();
         while let Some(slot) = self.stack.pop() {
             let s = slot as usize;
             if self.mark[s] == self.epoch {
@@ -627,12 +693,21 @@ impl DeltaTracker {
             || !self.roots_removed.is_empty()
     }
 
+    /// True when nothing since the last delta can have shrunk a reachable
+    /// set or the local root set, so the cache only needs extending along
+    /// `added` (plus the roots registered since).
+    fn is_grow_only(&self) -> bool {
+        !self.shrunk && !self.anchor_dirty && self.roots_removed.is_empty()
+    }
+
     fn clear_dirt(&mut self) {
         for i in 0..self.dirty_list.len() {
             let slot = self.dirty_list[i];
             self.dirty_words[(slot >> 6) as usize] &= !(1u64 << (slot & 63));
         }
         self.dirty_list.clear();
+        self.added.clear();
+        self.shrunk = false;
         self.anchor_dirty = false;
         self.roots_added.clear();
         self.roots_removed.clear();
@@ -677,24 +752,126 @@ impl SiteHeap {
     /// Produces the edge/rootedness difference accumulated since the last
     /// call, updating the cached snapshot along the way.
     ///
-    /// Work is proportional to the *affected* region — the reverse-edge
-    /// closure of the slots whose edge lists changed, plus one reachability
-    /// recomputation per vertex in that region — not to the heap. A
+    /// A window that only added references extends the cache along each
+    /// added edge: work is the forward closure of the edge's target plus,
+    /// when that reaches a remote, the reverse closure of its source —
+    /// O(1) for a fresh object linked under anything. Any other window pays
+    /// for the *affected* region — the reverse-edge closure of the slots
+    /// whose edge lists changed, plus one reachability recomputation per
+    /// vertex in that region. Neither is proportional to the heap, and a
     /// mutation that touched nothing relevant returns an empty delta
     /// without traversing anything.
     pub fn take_delta(&mut self) -> EdgeDelta {
         if !self.tracker().is_active() {
             return self.activate_tracker();
         }
-        let site = self.site();
+        let mut delta = EdgeDelta::empty(self.site());
         if !self.tracker().has_dirt() {
-            return EdgeDelta::empty(site);
+            return delta;
         }
         let mut tracker = self.take_tracker();
+        if tracker.is_grow_only() {
+            self.extend_along_additions(&mut tracker, &mut delta);
+        } else {
+            self.recompute_affected(&mut tracker, &mut delta);
+        }
+        tracker.clear_dirt();
+        self.put_tracker(tracker);
+        delta.in_replay_order()
+    }
+
+    /// The grow-only window. With nothing removed, reach is monotone: a
+    /// source's new target is reached through a last added edge `a → r`
+    /// whose source it reaches now, so extending every source that reaches
+    /// `a` by what `r` reaches is exact, in any edge order (DESIGN.md §6).
+    /// Roots registered in the window are recomputed whole instead.
+    fn extend_along_additions(&mut self, tracker: &mut DeltaTracker, delta: &mut EdgeDelta) {
+        let site = self.site();
+        let mut created: Vec<(VertexId, GlobalAddr)> = Vec::new();
+        for i in 0..tracker.added.len() {
+            let (from, to) = tracker.added[i];
+            let from_rooted = tracker.is_rooted_slot(from);
+            let mut reach = BTreeSet::new();
+            match to {
+                ObjRef::Remote(addr) => {
+                    reach.insert(addr);
+                }
+                ObjRef::Local(target) => {
+                    let (arena, scratch, _, _) = self.traversal_parts();
+                    arena.mark_reachable(scratch, std::iter::once(target), Some(&mut reach));
+                    // The first added edge on any path from a local root
+                    // starts at a slot that was already rooted.
+                    if from_rooted {
+                        for &slot in scratch.visited() {
+                            tracker.set_rooted(slot);
+                            if arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                                let root = arena.id_at(slot);
+                                if tracker.cache.locally_rooted_global_roots.insert(root) {
+                                    delta.rootedness.push((root, true));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if reach.is_empty() {
+                continue;
+            }
+            let mut extend = |vertex: VertexId, targets: &mut BTreeSet<GlobalAddr>| {
+                for &addr in &reach {
+                    if targets.insert(addr) {
+                        created.push((vertex, addr));
+                    }
+                }
+            };
+            if from_rooted {
+                extend(
+                    VertexId::SiteRoot(site),
+                    &mut tracker.cache.from_local_roots,
+                );
+            }
+            tracker.compute_reaching(from);
+            let arena = self.arena();
+            for &slot in &tracker.affected {
+                if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                    continue;
+                }
+                // Registered roots get one whole entry from `refresh_source`
+                // below; every other global root was one at the last delta.
+                let root = arena.id_at(slot);
+                if tracker.roots_added.contains(&root) {
+                    continue;
+                }
+                if let Some(targets) = tracker.cache.per_global_root.get_mut(&root) {
+                    extend(
+                        VertexId::Object(GlobalAddr::from_parts(site, root)),
+                        targets,
+                    );
+                }
+            }
+        }
+        delta.edges = VertexEdgeDelta::group_created(created);
+
+        // A registered root reports rootedness off the now-extended bitset.
+        for &root in &tracker.roots_added {
+            let is = self
+                .arena()
+                .slot_of(root)
+                .is_some_and(|s| tracker.is_rooted_slot(s));
+            if is && tracker.cache.locally_rooted_global_roots.insert(root) {
+                delta.rootedness.push((root, true));
+            }
+            self.refresh_source(&mut tracker.cache, root, &mut delta.edges);
+        }
+    }
+
+    /// Any other window: recompute every source that can reach a dirty slot.
+    fn recompute_affected(&mut self, tracker: &mut DeltaTracker, delta: &mut EdgeDelta) {
+        let site = self.site();
         tracker.compute_affected();
 
         let mut anchor_affected = tracker.anchor_dirty;
-        let mut sources: BTreeSet<ObjectId> = BTreeSet::new();
+        let mut sources: Vec<ObjectId> = Vec::new();
         {
             let arena = self.arena();
             for &slot in &tracker.affected {
@@ -702,64 +879,54 @@ impl SiteHeap {
                     anchor_affected = true;
                 }
                 if arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
-                    sources.insert(arena.id_at(slot));
+                    let root = arena.id_at(slot);
+                    if !tracker.roots_added.contains(&root)
+                        && !tracker.roots_removed.contains(&root)
+                    {
+                        sources.push(root);
+                    }
                 }
             }
         }
         sources.extend(tracker.roots_added.iter().copied());
-        for id in &tracker.roots_removed {
-            sources.remove(id);
-        }
-
-        let mut edges: BTreeMap<VertexId, (Vec<GlobalAddr>, Vec<GlobalAddr>)> = BTreeMap::new();
-        let mut removed: Vec<ObjectId> = Vec::new();
 
         // Vertices that left the graph: every cached edge is destroyed.
         for &id in &tracker.roots_removed {
-            removed.push(id);
+            delta.removed.push(id);
             let old = tracker
                 .cache
                 .per_global_root
                 .remove(&id)
                 .unwrap_or_default();
             tracker.cache.locally_rooted_global_roots.remove(&id);
-            if !old.is_empty() {
-                let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
-                edges.entry(vertex).or_default().1 = old.into_iter().collect();
-            }
+            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            delta
+                .edges
+                .extend(VertexEdgeDelta::between(vertex, &old, &BTreeSet::new()));
         }
 
         // Anchor and rootedness: only recomputed when a local root reaches
         // the affected region (otherwise nothing reachable from the local
         // root set changed, so neither can any global root's rootedness).
-        let mut rootedness: Vec<(ObjectId, bool)> = Vec::new();
         if anchor_affected {
             let (arena, scratch, local_roots, global_roots) = self.traversal_parts();
             let mut remotes = BTreeSet::new();
             arena.mark_reachable(scratch, local_roots.iter().copied(), Some(&mut remotes));
-            let created: Vec<GlobalAddr> = remotes
-                .difference(&tracker.cache.from_local_roots)
-                .copied()
-                .collect();
-            let destroyed: Vec<GlobalAddr> = tracker
-                .cache
-                .from_local_roots
-                .difference(&remotes)
-                .copied()
-                .collect();
-            if !created.is_empty() || !destroyed.is_empty() {
-                edges.insert(VertexId::SiteRoot(site), (created, destroyed));
-            }
+            delta.edges.extend(VertexEdgeDelta::between(
+                VertexId::SiteRoot(site),
+                &tracker.cache.from_local_roots,
+                &remotes,
+            ));
             tracker.cache.from_local_roots = remotes;
 
             // After the removed-roots pass above, every cached rootedness
             // entry names a current global root, so one in-place sweep over
-            // the root set (in id order) finds every transition.
+            // the root set finds every transition.
             for &root in global_roots {
                 let is = arena.slot_of(root).is_some_and(|s| scratch.is_marked(s));
                 let was = tracker.cache.locally_rooted_global_roots.contains(&root);
                 if was != is {
-                    rootedness.push((root, is));
+                    delta.rootedness.push((root, is));
                     if is {
                         tracker.cache.locally_rooted_global_roots.insert(root);
                     } else {
@@ -779,43 +946,32 @@ impl SiteHeap {
                 let is = arena
                     .slot_of(root)
                     .is_some_and(|s| tracker.is_rooted_slot(s));
-                if is && !tracker.cache.locally_rooted_global_roots.contains(&root) {
-                    rootedness.push((root, true));
-                    tracker.cache.locally_rooted_global_roots.insert(root);
+                if is && tracker.cache.locally_rooted_global_roots.insert(root) {
+                    delta.rootedness.push((root, true));
                 }
             }
         }
 
-        // Per-root recomputation for the affected sources only.
-        for &root in &sources {
-            let mut new_set = BTreeSet::new();
-            {
-                let (arena, scratch, _, _) = self.traversal_parts();
-                arena.mark_reachable(scratch, std::iter::once(root), Some(&mut new_set));
-            }
-            let vertex = VertexId::Object(GlobalAddr::from_parts(site, root));
-            let (created, destroyed) = match tracker.cache.per_global_root.get(&root) {
-                Some(old) => (
-                    new_set.difference(old).copied().collect::<Vec<_>>(),
-                    old.difference(&new_set).copied().collect::<Vec<_>>(),
-                ),
-                None => (new_set.iter().copied().collect(), Vec::new()),
-            };
-            if !created.is_empty() || !destroyed.is_empty() {
-                edges.insert(vertex, (created, destroyed));
-            }
-            tracker.cache.per_global_root.insert(root, new_set);
+        for root in sources {
+            self.refresh_source(&mut tracker.cache, root, &mut delta.edges);
         }
+    }
 
-        tracker.clear_dirt();
-        self.put_tracker(tracker);
-
-        EdgeDelta {
-            site,
-            rootedness,
-            removed,
-            edges: assemble_vertex_edges(edges),
-        }
+    /// Recomputes global root `root`'s reachable remote set from scratch,
+    /// pushes its difference against `cache` onto `edges` and caches it.
+    fn refresh_source(
+        &mut self,
+        cache: &mut ReachabilitySnapshot,
+        root: ObjectId,
+        edges: &mut Vec<VertexEdgeDelta>,
+    ) {
+        let mut new_set = BTreeSet::new();
+        let (arena, scratch, _, _) = self.traversal_parts();
+        arena.mark_reachable(scratch, std::iter::once(root), Some(&mut new_set));
+        let vertex = VertexId::Object(GlobalAddr::from_parts(self.site(), root));
+        let old = cache.per_global_root.entry(root).or_default();
+        edges.extend(VertexEdgeDelta::between(vertex, old, &new_set));
+        *old = new_set;
     }
 
     /// First `take_delta` on this heap: rebuild the reverse-edge map from
@@ -839,51 +995,39 @@ impl SiteHeap {
             }
             for id in &locally_rooted {
                 if let Some(slot) = arena.slot_of(*id) {
-                    tracker.note_fresh_local_root(slot);
+                    tracker.set_rooted(slot);
                 }
             }
         }
 
-        let rootedness: Vec<(ObjectId, bool)> = snapshot
+        let none = BTreeSet::new();
+        let mut delta = EdgeDelta::empty(site);
+        delta.rootedness = snapshot
             .locally_rooted_global_roots
             .iter()
             .map(|&id| (id, true))
             .collect();
-        let mut edges: BTreeMap<VertexId, (Vec<GlobalAddr>, Vec<GlobalAddr>)> = BTreeMap::new();
-        if !snapshot.from_local_roots.is_empty() {
-            edges.insert(
-                VertexId::SiteRoot(site),
-                (
-                    snapshot.from_local_roots.iter().copied().collect(),
-                    Vec::new(),
-                ),
-            );
-        }
+        delta.edges.extend(VertexEdgeDelta::between(
+            VertexId::SiteRoot(site),
+            &none,
+            &snapshot.from_local_roots,
+        ));
         for (&id, targets) in &snapshot.per_global_root {
-            if !targets.is_empty() {
-                edges.insert(
-                    VertexId::Object(GlobalAddr::from_parts(site, id)),
-                    (targets.iter().copied().collect(), Vec::new()),
-                );
-            }
+            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            delta
+                .edges
+                .extend(VertexEdgeDelta::between(vertex, &none, targets));
         }
 
         tracker.cache = snapshot;
         self.put_tracker(tracker);
-
-        EdgeDelta {
-            site,
-            rootedness,
-            removed: Vec::new(),
-            edges: assemble_vertex_edges(edges),
-        }
+        delta.in_replay_order()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::ObjRef;
 
     #[test]
     fn snapshot_captures_root_and_global_root_edges() {
@@ -1052,11 +1196,193 @@ mod tests {
         assert!(h.tracker_is_consistent());
     }
 
+    /// Takes a delta and checks it against full rescans: the cache must
+    /// equal a fresh snapshot, and the delta must be exactly the snapshot
+    /// diff since `before` (rootedness, removals and edges, in replay
+    /// order). Returns the delta and whether it took the grow-only path.
+    fn take_checked(h: &mut SiteHeap, before: &ReachabilitySnapshot) -> (EdgeDelta, bool) {
+        let tracker = h.tracker();
+        let grow_only = tracker.is_active() && tracker.has_dirt() && tracker.is_grow_only();
+        let delta = h.take_delta();
+        assert!(h.tracker_is_consistent(), "cache diverged from rescan");
+        let after = h.snapshot();
+        let rootedness: Vec<(ObjectId, bool)> = after
+            .global_roots()
+            .filter_map(|id| {
+                let is = after.is_locally_rooted(id);
+                (before.is_locally_rooted(id) != is).then_some((id, is))
+            })
+            .collect();
+        let removed: Vec<ObjectId> = before
+            .global_roots()
+            .filter(|&id| !after.per_global_root.contains_key(&id))
+            .collect();
+        let diff = before.diff(&after);
+        assert_eq!(delta.rootedness, rootedness);
+        assert_eq!(delta.removed, removed);
+        assert_eq!(delta.created().collect::<Vec<_>>(), diff.created);
+        assert_eq!(delta.destroyed().collect::<Vec<_>>(), diff.destroyed);
+        (delta, grow_only)
+    }
+
+    /// Runs `window` as one delta window on a heap whose tracker is active
+    /// and checks the resulting delta (see [`take_checked`]).
+    fn checked_window(h: &mut SiteHeap, window: impl FnOnce(&mut SiteHeap)) -> (EdgeDelta, bool) {
+        let _ = h.take_delta();
+        let before = h.cached_snapshot().clone();
+        window(h);
+        take_checked(h, &before)
+    }
+
+    fn object_vertex(id: ObjectId) -> VertexId {
+        VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), id))
+    }
+
+    #[test]
+    fn grow_only_window_whose_later_edge_roots_an_earlier_source() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let root = h.alloc_local_root();
+        let (x, y) = (h.alloc(), h.alloc());
+        let remote = GlobalAddr::new(1, 1);
+        h.add_ref(y, ObjRef::Remote(remote)).unwrap();
+        h.register_global_root(y).unwrap();
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.add_ref(x, ObjRef::Local(y)).unwrap();
+            h.add_ref(root, ObjRef::Local(x)).unwrap();
+        });
+        assert!(grow_only);
+        assert_eq!(delta.rootedness, vec![(y, true)]);
+        assert_eq!(
+            delta.created().collect::<Vec<_>>(),
+            vec![(VertexId::SiteRoot(SiteId::new(0)), remote)]
+        );
+        // `x` and `y` are rooted now: the next window's addition under `y`
+        // must reach the anchor.
+        let later = GlobalAddr::new(1, 2);
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.add_ref(y, ObjRef::Remote(later)).unwrap();
+        });
+        assert!(grow_only);
+        assert_eq!(delta.created().count(), 2, "anchor and `y` gain {later}");
+    }
+
+    #[test]
+    fn grow_only_edges_closing_a_cycle_extend_every_root_on_it() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let (g, a, k, b) = (h.alloc(), h.alloc(), h.alloc(), h.alloc());
+        let (ra, rb) = (GlobalAddr::new(1, 1), GlobalAddr::new(2, 1));
+        h.add_ref(g, ObjRef::Local(a)).unwrap();
+        h.add_ref(a, ObjRef::Remote(ra)).unwrap();
+        h.add_ref(k, ObjRef::Local(b)).unwrap();
+        h.add_ref(b, ObjRef::Remote(rb)).unwrap();
+        h.register_global_root(g).unwrap();
+        h.register_global_root(k).unwrap();
+        // g → a → k → b → g: neither root is `from` of an added edge.
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.add_ref(a, ObjRef::Local(k)).unwrap();
+            h.add_ref(b, ObjRef::Local(g)).unwrap();
+        });
+        assert!(grow_only);
+        assert_eq!(
+            delta.created().collect::<Vec<_>>(),
+            vec![(object_vertex(g), rb), (object_vertex(k), ra)]
+        );
+        // An edge inside the closed cycle changes nothing.
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.add_ref(k, ObjRef::Local(a)).unwrap();
+        });
+        assert!(grow_only && delta.is_empty());
+    }
+
+    #[test]
+    fn grow_only_remote_under_a_slot_shared_with_a_root_registered_in_the_window() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let (old, new, shared) = (h.alloc(), h.alloc(), h.alloc());
+        h.add_ref(old, ObjRef::Local(shared)).unwrap();
+        h.add_ref(new, ObjRef::Local(shared)).unwrap();
+        h.register_global_root(old).unwrap();
+        let remote = GlobalAddr::new(3, 1);
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.register_global_root(new).unwrap();
+            h.add_ref(shared, ObjRef::Remote(remote)).unwrap();
+        });
+        assert!(grow_only);
+        assert_eq!(
+            delta.created().collect::<Vec<_>>(),
+            vec![(object_vertex(old), remote), (object_vertex(new), remote)]
+        );
+    }
+
+    #[test]
+    fn unregister_and_reregister_inside_a_grow_only_window() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let root = h.alloc_local_root();
+        let (g, a) = (h.alloc(), h.alloc());
+        h.add_ref(g, ObjRef::Local(a)).unwrap();
+        h.add_ref(a, ObjRef::Remote(GlobalAddr::new(1, 1))).unwrap();
+        h.register_global_root(g).unwrap();
+        let remote = GlobalAddr::new(1, 2);
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.unregister_global_root(g);
+            h.register_global_root(g).unwrap();
+            h.add_ref(a, ObjRef::Remote(remote)).unwrap();
+            h.add_ref(root, ObjRef::Local(g)).unwrap();
+        });
+        assert!(grow_only, "a re-registered root was never removed");
+        assert!(delta.removed.is_empty());
+        assert_eq!(delta.rootedness, vec![(g, true)]);
+        assert_eq!(delta.created().count(), 3, "anchor gains both, g one");
+    }
+
+    #[test]
+    fn global_root_becomes_locally_rooted_through_an_addition() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let root = h.alloc_local_root();
+        let (mid, g) = (h.alloc(), h.alloc());
+        h.add_ref(root, ObjRef::Local(mid)).unwrap();
+        let remote = GlobalAddr::new(2, 2);
+        h.add_ref(g, ObjRef::Remote(remote)).unwrap();
+        h.register_global_root(g).unwrap();
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.add_ref(mid, ObjRef::Local(g)).unwrap();
+        });
+        assert!(grow_only);
+        assert_eq!(delta.rootedness, vec![(g, true)]);
+        assert_eq!(
+            delta.created().collect::<Vec<_>>(),
+            vec![(VertexId::SiteRoot(SiteId::new(0)), remote)]
+        );
+    }
+
+    #[test]
+    fn slot_freed_and_reused_under_a_recorded_addition_takes_the_general_path() {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        h.alloc_local_root();
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            let garbage = h.alloc();
+            let slot = h.slot_of(garbage).unwrap().index();
+            h.add_ref(garbage, ObjRef::Remote(GlobalAddr::new(4, 1)))
+                .unwrap();
+            assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
+            // The recorded `from` slot now holds a local root.
+            let tenant = h.alloc_local_root();
+            assert_eq!(h.slot_of(tenant).unwrap().index(), slot);
+        });
+        assert!(
+            !grow_only,
+            "a free under a pending addition must not replay it"
+        );
+        assert!(delta.is_empty());
+    }
+
     #[test]
     fn incremental_cache_matches_rescan_under_random_mutations() {
-        // Pseudo-random single-heap workload; after every mutation the
-        // incrementally maintained snapshot must equal a full rescan, and
-        // replaying the emitted deltas must reconstruct the final edge set.
+        // Pseudo-random single-heap workload in two phases: mixed mutations,
+        // then growth only (allocations, added references, registrations,
+        // the odd collection). Deltas are taken after windows of 1–8
+        // mutations (the cluster syncs per mutation, but the tracker must
+        // not depend on that); each must equal the snapshot diff, and
+        // replaying them all must reconstruct the final edge set.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1070,77 +1396,70 @@ mod tests {
         for _ in 0..4 {
             objects.push(h.alloc_local_root());
         }
-        for step in 0..400u64 {
-            match next() % 10 {
-                0 => objects.push(h.alloc()),
-                1 => objects.push(h.alloc_local_root()),
-                2 | 3 => {
-                    let from = objects[(next() % objects.len() as u64) as usize];
-                    let to = objects[(next() % objects.len() as u64) as usize];
-                    if h.contains(from) && h.contains(to) {
-                        h.add_ref(from, ObjRef::Local(to)).unwrap();
-                    }
+        let mut before = ReachabilitySnapshot::default();
+        let mut window = 1;
+        let mut grow_only_windows = [0usize; 2];
+        for step in 0..800u64 {
+            let growing = step >= 400;
+            let pick = |r: u64| objects[(r % objects.len() as u64) as usize];
+            let (a, b) = (pick(next()), pick(next()));
+            let remote = GlobalAddr::new((next() % 4 + 1) as u32, next() % 6 + 1);
+            let op = next() % 10;
+            match (growing, op) {
+                (_, 0) => objects.push(h.alloc()),
+                (_, 1) => objects.push(h.alloc_local_root()),
+                (_, 2 | 3) if h.contains(a) && h.contains(b) => {
+                    h.add_ref(a, ObjRef::Local(b)).unwrap();
                 }
-                4 => {
-                    let from = objects[(next() % objects.len() as u64) as usize];
-                    let addr = GlobalAddr::new((next() % 4 + 1) as u32, next() % 6 + 1);
-                    if h.contains(from) {
-                        h.add_ref(from, ObjRef::Remote(addr)).unwrap();
-                    }
+                (_, 4) if h.contains(a) => h.add_ref(a, ObjRef::Remote(remote)).unwrap(),
+                (_, 6) if h.contains(a) => {
+                    let _ = h.register_global_root(a);
                 }
-                5 => {
-                    let from = objects[(next() % objects.len() as u64) as usize];
-                    if h.contains(from) {
-                        h.clear_refs(from).unwrap();
-                    }
+                (false, 5) if h.contains(a) => h.clear_refs(a).unwrap(),
+                (false, 7) => {
+                    h.unregister_global_root(a);
                 }
-                6 => {
-                    let obj = objects[(next() % objects.len() as u64) as usize];
-                    if h.contains(obj) {
-                        let _ = h.register_global_root(obj);
-                    }
+                (false, 8) => {
+                    h.remove_local_root(a);
                 }
-                7 => {
-                    let obj = objects[(next() % objects.len() as u64) as usize];
-                    h.unregister_global_root(obj);
+                (true, 5 | 7) if h.contains(a) => {
+                    let child = h.alloc();
+                    h.add_ref(a, ObjRef::Local(child)).unwrap();
+                    objects.push(child);
                 }
-                8 => {
-                    let obj = objects[(next() % objects.len() as u64) as usize];
-                    h.remove_local_root(obj);
-                }
-                _ => {
+                (true, 8) if h.contains(a) => h.receive_ref(a, remote).unwrap(),
+                (_, 9) => {
                     h.collect();
                 }
+                _ => {}
             }
-            // Deltas are taken at varying cadence so several mutations can
-            // accumulate into one (the cluster syncs per mutation, but the
-            // tracker must not depend on that).
-            if step % 3 != 2 {
+            window -= 1;
+            if window > 0 {
                 continue;
             }
-            let delta = h.take_delta();
-            assert!(
-                h.tracker_is_consistent(),
-                "cache diverged from rescan at step {step}"
-            );
+            window = 1 + next() % 8;
+            let (delta, grow_only) = take_checked(&mut h, &before);
+            grow_only_windows[usize::from(growing)] += usize::from(grow_only);
             for pair in delta.created() {
                 assert!(edges_model.insert(pair), "duplicate creation {pair:?}");
             }
             for pair in delta.destroyed() {
                 assert!(edges_model.remove(&pair), "destroying unknown {pair:?}");
             }
+            before = h.cached_snapshot().clone();
         }
-        let final_edges = h.snapshot().edges();
-        // Model may lag by the ops after the last cadence point; take one
-        // final delta and compare.
-        let delta = h.take_delta();
+        let (delta, _) = take_checked(&mut h, &before);
         for pair in delta.created() {
             edges_model.insert(pair);
         }
         for pair in delta.destroyed() {
             edges_model.remove(&pair);
         }
-        assert_eq!(edges_model, final_edges);
+        assert_eq!(edges_model, h.snapshot().edges());
+        assert!(
+            grow_only_windows[0] > 0 && grow_only_windows[1] > grow_only_windows[0],
+            "both phases must exercise the grow-only path: {grow_only_windows:?}"
+        );
     }
 
     #[test]
