@@ -5,9 +5,10 @@
 //! collector.
 //!
 //! Reliable ([`FaultPlan::is_reliable`]) is the right boundary: the
-//! parallel driver exchanges frames over reliable mailboxes, so it can
-//! only be compared against plans that never lose *or duplicate* a
-//! message — a duplicated reference transfer redelivered after a later
+//! parallel driver's mailboxes drop frames only in crash and partition
+//! windows, timed on its own delivered-frame clock, so it can only be
+//! compared against plans that never lose *or duplicate* a message — a
+//! duplicated reference transfer redelivered after a later
 //! unlink genuinely resurrects an edge, which is a semantic difference,
 //! not a driver bug. Stalled sites are likewise excluded: a stall parks
 //! messages past the end of the settle window, starving collectors of
@@ -16,7 +17,7 @@
 //! settling guarantees claim those cannot change the outcome, so the
 //! cross-driver comparison doubles as an end-to-end check of both.
 
-use ggd_explore::corpus_triple;
+use ggd_explore::{corpus_triple, SaboteurCollector};
 use ggd_mutator::generator::SegmentWeights;
 use ggd_net::FaultPlan;
 use ggd_sim::{
@@ -32,8 +33,8 @@ fn comparable(plan: &FaultPlan, sites: u32) -> bool {
 }
 
 /// Runs one collector through the sequential driver and the parallel driver
-/// at the given worker counts, asserting reclaimed- and residual-set
-/// equality.
+/// at the given worker counts, asserting that the parallel run leaves no
+/// dangling reference and reclaimed- and residual-set equality.
 macro_rules! assert_drivers_agree {
     ($index:expr, $scenario:expr, $config:expr, $factory:expr) => {{
         let (seq_report, seq) = Cluster::run_seeded($scenario, $config.clone(), $factory);
@@ -41,12 +42,19 @@ macro_rules! assert_drivers_agree {
             let parallel_config = ClusterConfig {
                 workers,
                 // No consistent global heap view exists while workers run;
-                // the equality asserted below is the safety check instead.
+                // the dangling check and equalities below judge safety.
                 safety_oracle: false,
                 ..$config.clone()
             };
             let (report, cluster) =
                 ParallelCluster::run_seeded($scenario, parallel_config, $factory);
+            let dangling = cluster.dangling_refs();
+            assert!(
+                dangling.is_empty(),
+                "triple #{}: freed objects still referenced ({}, workers={workers}): {dangling:?}",
+                $index,
+                seq_report.collector
+            );
             assert_eq!(
                 seq.reclaimed_addrs(),
                 cluster.reclaimed_addrs(),
@@ -118,5 +126,37 @@ fn parallel_driver_matches_sequential_under_churn() {
         }
         let config = triple.config();
         assert_drivers_agree!(index, scenario, config, CausalCollector::new);
+    }
+}
+
+#[test]
+fn the_dangling_check_catches_an_unsafe_sweep_on_workers() {
+    // Site 1 exports an unrooted object to site 0's root; the saboteur then
+    // forges a verdict for it. Without a live oracle, the freed-but-held
+    // reference must still be found at end of run.
+    let [s0, s1] = [0, 1].map(SiteId::new);
+    let mut s = ggd_mutator::Scenario::new(2);
+    let root = s.alloc(s0, true);
+    let exported = s.alloc(s1, false);
+    s.send_ref(s1, root, exported);
+    s.settle();
+
+    let sabotaged = |site| SaboteurCollector::new(site, 0);
+    let (report, _) = Cluster::run_seeded(&s, ClusterConfig::default(), sabotaged);
+    assert!(
+        report.safety_violations > 0,
+        "the live oracle sees the sweep"
+    );
+    for workers in [1, 2] {
+        let config = ClusterConfig {
+            workers,
+            safety_oracle: false,
+            ..ClusterConfig::default()
+        };
+        let (_, cluster) = ParallelCluster::run_seeded(&s, config, sabotaged);
+        assert!(
+            !cluster.dangling_refs().is_empty(),
+            "workers={workers}: the unsafe sweep went unnoticed"
+        );
     }
 }

@@ -254,8 +254,8 @@ impl Scenario {
 
     /// Number of site slots the scenario can ever use: the founding
     /// `site_count` plus any site indices introduced by `Join` events.
-    /// Transports that size their endpoints up front (the threaded network,
-    /// the parallel driver's shards) must be built for this count.
+    /// Anything that sizes per-site state up front must be built for this
+    /// count.
     pub fn max_site_count(&self) -> u32 {
         self.steps
             .iter()

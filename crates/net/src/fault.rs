@@ -17,9 +17,9 @@ use ggd_types::SiteId;
 /// cluster layer tears the site's volatile runtime down at `at_round` and
 /// recovers it from its durable store once `restart_after` is reached.
 ///
-/// "Round" is transport time: simulated ticks on the
-/// [`SimNetwork`](crate::SimNetwork), the delivered-message logical clock
-/// on the [`ThreadedNetwork`](crate::ThreadedNetwork).
+/// "Round" is driver time: simulated ticks on the
+/// [`SimNetwork`](crate::SimNetwork), the delivered-frame logical clock
+/// under the `ggd-sim` parallel driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SiteCrash {
     /// The crashing site.

@@ -5,10 +5,10 @@
 //! eventually, machine — boundaries should move *bytes*: a message's cost is
 //! its encoded size, not the size of a cloned enum. [`Frame`] is that unit:
 //! a varint length prefix followed by the payload body, produced and
-//! consumed through [`WireCodec`]. [`ThreadedNetwork`](crate::ThreadedNetwork)
-//! encodes every payload into a frame at `send` and decodes it at the
-//! receiving mailbox, so its queue-depth and byte metrics report real
-//! serialized sizes.
+//! consumed through [`WireCodec`]. The `ggd-sim` parallel driver encodes
+//! every inter-site payload into a frame when it is posted and decodes it at
+//! the receiving worker's mailbox, so its queue-depth and byte metrics
+//! report real serialized sizes.
 //!
 //! The body encoding itself belongs to the payload (the simulator encodes
 //! its payloads with the `ggd-store` codec); this module only contributes
@@ -66,8 +66,8 @@ pub trait WireCodec: Payload + Sized {
 /// One encoded message: a varint length prefix followed by the payload body.
 ///
 /// The payload's [`MessageClass`] and label ride along out-of-band — they are
-/// metrics metadata, needed at relay hops and drop sites where the body is
-/// never decoded; the body bytes alone reconstruct the payload.
+/// metrics metadata, needed where a frame is dropped without its body ever
+/// being decoded; the body bytes alone reconstruct the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     class: MessageClass,

@@ -8,18 +8,15 @@
 //!
 //! * [`Transport`] — the trait every network implements: accept a send,
 //!   hand over the next delivery, report in-flight count, clock and metrics.
-//!   The `ggd-sim` cluster is generic over it, so the same runtime drives
-//!   every transport below.
+//!   The `ggd-sim` sequential cluster is generic over it.
 //! * [`SimNetwork`] — a seeded, deterministic discrete-event network with
 //!   configurable latency, message loss, duplication, reordering, partitions
 //!   and stalled sites. Experiments E3–E8 run on it so that message
 //!   complexity can be counted exactly and fault scenarios are reproducible.
-//! * [`ThreadedTransport`] — a crossbeam-channel transport for running the
-//!   same site logic on real OS threads. [`ThreadedNetwork`] implements the
-//!   [`Transport`] trait over per-site relay threads whose channels carry
-//!   *encoded wire frames* ([`Frame`], length-prefixed bytes produced via
-//!   [`WireCodec`]) rather than payload values, so its byte metrics report
-//!   real serialized sizes (used by the threaded integration tests).
+//! * [`Frame`] / [`WireCodec`] — length-prefixed encoded messages. The
+//!   `ggd-sim` parallel driver, the one concurrent backend, moves these
+//!   between its worker threads, so its byte metrics report real
+//!   serialized sizes.
 //! * [`NetMetrics`] — per-class and per-label counters (messages and bytes)
 //!   from which every experiment table derives its "messages" columns.
 //!
@@ -53,18 +50,13 @@ mod frame;
 mod message;
 mod metrics;
 mod sim;
-mod threaded;
 mod transport;
 
 pub use fault::{
     crash_plan_code, FaultPlan, LinkFault, NamedFaultPlan, PartitionWindow, SiteCrash,
 };
 pub use frame::{read_varint, write_varint, Frame, FrameError, WireCodec};
-pub use message::{Delivery, Envelope, MessageClass, MessageId, Payload};
+pub use message::{Delivery, MessageClass, MessageId, Payload};
 pub use metrics::{BucketRow, MetricKey, NetMetrics};
 pub use sim::{SimNetwork, SimNetworkConfig};
-pub use threaded::{
-    SendError, ThreadedEndpoint, ThreadedNetwork, ThreadedReceiver, ThreadedSender,
-    ThreadedTransport,
-};
 pub use transport::Transport;

@@ -1,4 +1,4 @@
-//! Message envelopes and the payload classification used for metrics.
+//! Deliveries and the payload classification used for metrics.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -31,11 +31,8 @@ impl fmt::Display for MessageClass {
     }
 }
 
-/// Trait implemented by every payload type carried by [`SimNetwork`] or
-/// [`ThreadedTransport`].
-///
-/// [`SimNetwork`]: crate::SimNetwork
-/// [`ThreadedTransport`]: crate::ThreadedTransport
+/// Trait implemented by every payload type carried by a
+/// [`Transport`](crate::Transport) or encoded into a [`Frame`](crate::Frame).
 pub trait Payload: Clone {
     /// Whether the message is mutator traffic or collector overhead.
     fn class(&self) -> MessageClass;
@@ -71,24 +68,6 @@ impl MessageId {
 impl fmt::Display for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "m{}", self.0)
-    }
-}
-
-/// A message in flight: origin, destination and payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Envelope<P> {
-    /// Sending site.
-    pub from: SiteId,
-    /// Destination site.
-    pub to: SiteId,
-    /// Application- or collector-defined payload.
-    pub payload: P,
-}
-
-impl<P> Envelope<P> {
-    /// Creates a new envelope.
-    pub fn new(from: SiteId, to: SiteId, payload: P) -> Self {
-        Envelope { from, to, payload }
     }
 }
 
@@ -152,23 +131,7 @@ impl Payload for TestPayload {
 /// Labels the `TestPayload` wire codec can round-trip: decode has to map an
 /// index back to a `&'static str`, so the tests register theirs here.
 #[cfg(test)]
-const TEST_LABELS: &[&str] = &[
-    "a",
-    "b",
-    "x",
-    "y",
-    "z",
-    "m",
-    "ping",
-    "pong",
-    "in-flight",
-    "to-the-dead",
-    "to-the-living",
-    "after-restart",
-    "severed",
-    "open",
-    "after-heal",
-];
+const TEST_LABELS: &[&str] = &["m", "ping"];
 
 #[cfg(test)]
 impl crate::frame::WireCodec for TestPayload {
@@ -225,14 +188,6 @@ mod tests {
         let id = MessageId::new(17);
         assert_eq!(id.get(), 17);
         assert_eq!(id.to_string(), "m17");
-    }
-
-    #[test]
-    fn envelope_carries_payload() {
-        let env = Envelope::new(SiteId::new(1), SiteId::new(2), TestPayload::control("x"));
-        assert_eq!(env.from, SiteId::new(1));
-        assert_eq!(env.to, SiteId::new(2));
-        assert_eq!(env.payload.label(), "x");
     }
 
     #[test]

@@ -116,11 +116,11 @@ impl NetMetrics {
         self.bucket(class, label).duplicated += 1;
     }
 
-    /// Frame-layer send accounting: every byte-level transport (the threaded
-    /// network and the parallel driver's worker mesh) reports sends through
-    /// this single hook so `control_bytes_sent` / `mutator_bytes_sent`
-    /// cannot drift between encode paths. Returns the frame's wire length
-    /// for the caller's queue accounting.
+    /// Frame-layer send accounting: a byte-level transport (the parallel
+    /// driver's worker mesh) reports sends through this hook, so
+    /// `control_bytes_sent` / `mutator_bytes_sent` count encoded frame
+    /// lengths. Returns the frame's wire length for the caller's queue
+    /// accounting.
     pub fn record_frame_sent(&mut self, frame: &crate::Frame) -> usize {
         let len = frame.wire_len();
         self.record_sent(frame.class(), frame.label(), len);

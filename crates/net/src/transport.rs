@@ -2,21 +2,18 @@
 //!
 //! The paper's GGD engines are transport-agnostic: they consume deliveries
 //! and produce `(destination, payload)` pairs, nothing more. [`Transport`]
-//! captures the contract a runtime needs from a network so that the same
-//! cluster/drive-loop code runs over:
-//!
-//! * [`SimNetwork`](crate::SimNetwork) — deterministic discrete-event
-//!   delivery with fault injection (the experiments);
-//! * [`ThreadedNetwork`](crate::ThreadedNetwork) — real OS threads relaying
-//!   messages through channels (the threaded integration tests and
-//!   examples).
+//! captures the contract the sequential drive loop needs from a network. The
+//! crate's implementation is [`SimNetwork`](crate::SimNetwork):
+//! deterministic discrete-event delivery with fault injection (the
+//! experiments). Real-thread asynchrony lives in the `ggd-sim` parallel
+//! driver, which moves encoded [`Frame`](crate::Frame)s between worker
+//! mailboxes instead of implementing this trait.
 //!
 //! # Time
 //!
 //! `now()` is transport-defined: simulated ticks for the discrete-event
-//! network, delivered-message count (a logical clock) for the threaded one.
-//! Latency figures in run reports are therefore only comparable within one
-//! transport.
+//! network. The parallel driver's clock counts delivered frames instead, so
+//! latency figures in run reports are only comparable within one driver.
 
 use ggd_types::SiteId;
 

@@ -7,17 +7,17 @@
 //! here is what only a driver that sees the whole cluster can do: own the
 //! [`Transport`] and poll it to quiescence in [`Cluster::settle`], judge each
 //! local collection against the global reachability [`Oracle`], and assemble
-//! the reports. [`Cluster`] is generic over the transport, so the same loop
-//! runs over the deterministic [`SimNetwork`] (experiments, bit-for-bit
-//! reproducible) and the [`ThreadedNetwork`] (real OS threads,
-//! scheduler-dependent interleaving).
+//! the reports. [`Cluster`] is generic over the transport; its default, the
+//! deterministic [`SimNetwork`], makes every run bit-for-bit reproducible.
+//! Scheduler-dependent interleaving on real OS threads is the
+//! [`ParallelCluster`](crate::ParallelCluster)'s job.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_heap::SiteHeap;
 use ggd_mutator::{MembershipEvent, MutatorOp, ObjName, Scenario, Step};
-use ggd_net::{FaultPlan, SimNetwork, SimNetworkConfig, ThreadedNetwork, Transport};
+use ggd_net::{FaultPlan, SimNetwork, SimNetworkConfig, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
 use ggd_store::{DurabilityConfig, StoreStats};
 use ggd_types::{GlobalAddr, SiteId};
@@ -39,7 +39,9 @@ use crate::shard::Shard;
 pub struct ClusterConfig {
     /// Network latency/jitter configuration (simulated network only).
     pub net: SimNetworkConfig,
-    /// Fault injection plan (simulated network only).
+    /// Fault injection plan. The simulated network applies all of it;
+    /// [`ParallelCluster`](crate::ParallelCluster) applies its crash
+    /// schedule and bounded partition windows.
     pub faults: FaultPlan,
     /// RNG seed for the network (simulated network only).
     pub seed: u64,
@@ -189,42 +191,6 @@ impl<C: Collector> Cluster<C> {
         let mut cluster = Cluster::from_scenario(scenario, config, factory);
         let report = cluster.run(scenario);
         (report, cluster)
-    }
-}
-
-impl<C: Collector> Cluster<C, ThreadedNetwork<SimPayload<C::Msg>>>
-where
-    C::Msg: Send + 'static,
-{
-    /// Creates a cluster of `sites` sites over a [`ThreadedNetwork`]: every
-    /// inter-site message crosses real OS threads. `config.net` and
-    /// `config.seed` are ignored (the threaded transport is unseeded), and
-    /// of `config.faults` only the crash schedule applies — the threaded
-    /// transport neither drops, duplicates, delays, stalls nor partitions
-    /// otherwise.
-    pub fn threaded(
-        sites: u32,
-        config: ClusterConfig,
-        factory: impl Fn(SiteId) -> C + 'static,
-    ) -> Self {
-        let net = ThreadedNetwork::for_sites_with_faults(sites, config.faults.clone());
-        Cluster::with_transport(sites, config, net, factory)
-    }
-
-    /// Creates a threaded cluster sized for `scenario`: transport endpoints
-    /// for every site the scenario can ever reach (joins included), runtimes
-    /// for the founding sites only — joined sites get theirs when their join
-    /// executes.
-    pub fn threaded_from_scenario(
-        scenario: &Scenario,
-        config: ClusterConfig,
-        factory: impl Fn(SiteId) -> C + 'static,
-    ) -> Self {
-        let net = ThreadedNetwork::for_sites_with_faults(
-            scenario.max_site_count(),
-            config.faults.clone(),
-        );
-        Cluster::with_transport(scenario.site_count(), config, net, factory)
     }
 }
 
@@ -576,22 +542,6 @@ mod tests {
         assert_eq!(report.mutator_messages(), 6);
         assert_eq!(report.control_messages(), 12);
         assert_eq!(report.detection_latency(), Some(5));
-    }
-
-    #[test]
-    fn paper_example_on_threads_matches_the_simulated_outcome() {
-        let scenario = workloads::paper_example();
-        let mut cluster = Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            CausalCollector::new,
-        );
-        let report = cluster.run(&scenario);
-        assert_eq!(report.safety_violations, 0);
-        assert_eq!(report.residual_garbage, 0);
-        assert_eq!(report.reclaimed, 3);
-        // Message *outcomes* match the simulated run; timings are logical.
-        assert_eq!(report.mutator_messages(), 6);
     }
 
     #[test]
@@ -1003,39 +953,41 @@ mod tests {
     #[test]
     fn split_and_heal_is_safe_for_every_collector_on_both_transports() {
         use crate::collector::{RefListingCollector, TracingCollector};
-        let scenario = workloads::random_churn(4, 60, 5);
-        let faults = FaultPlan::new().with_split(4, 5, 40);
-        let config = || ClusterConfig {
-            faults: faults.clone(),
-            ..ClusterConfig::default()
-        };
-        let check = |report: RunReport, name: &str, threaded: bool| {
-            assert_eq!(
-                report.safety_violations, 0,
-                "{name} violated safety under a split-and-heal (threaded={threaded})"
-            );
-        };
-        // Simulated transport.
-        let mut c = Cluster::from_scenario(&scenario, config(), CausalCollector::new);
-        check(c.run(&scenario), "causal", false);
-        let mut c = Cluster::from_scenario(
-            &scenario,
-            config(),
-            TracingCollector::factory(scenario.site_count()),
-        );
-        check(c.run(&scenario), "tracing", false);
-        let mut c = Cluster::from_scenario(&scenario, config(), RefListingCollector::new);
-        check(c.run(&scenario), "reflisting", false);
-        // Threaded transport.
-        let mut c = Cluster::threaded_from_scenario(&scenario, config(), CausalCollector::new);
-        check(c.run(&scenario), "causal", true);
-        let mut c = Cluster::threaded_from_scenario(
-            &scenario,
-            config(),
-            TracingCollector::factory(scenario.site_count()),
-        );
-        check(c.run(&scenario), "tracing", true);
-        let mut c = Cluster::threaded_from_scenario(&scenario, config(), RefListingCollector::new);
-        check(c.run(&scenario), "reflisting", true);
+        use crate::ParallelCluster;
+        /// One collector through both drivers. The simulated transport is
+        /// judged by the live oracle. On worker mailboxes the window must
+        /// really cut traffic, every cut frame must release its queued
+        /// bytes, and the end-of-run dangling check stands in for the oracle.
+        fn check<C>(factory: impl Fn(SiteId) -> C + Clone + Send + 'static)
+        where
+            C: Collector + Send + 'static,
+            C::Msg: Send + 'static,
+        {
+            let scenario = workloads::random_churn(4, 60, 5);
+            let config = ClusterConfig {
+                faults: FaultPlan::new().with_split(4, 5, 40),
+                ..ClusterConfig::default()
+            };
+            let (report, _) = Cluster::run_seeded(&scenario, config.clone(), factory.clone());
+            let name = report.collector;
+            assert_eq!(report.safety_violations, 0, "{name} unsafe under a split");
+            for workers in [2, 4] {
+                let config = ClusterConfig {
+                    workers,
+                    safety_oracle: false,
+                    ..config.clone()
+                };
+                let (report, cluster) =
+                    ParallelCluster::run_seeded(&scenario, config, factory.clone());
+                let name = format!("{name} (workers={workers})");
+                assert!(report.net.dropped_total() > 0, "{name}: nothing cut");
+                assert_eq!(report.net.queued_bytes(), 0, "{name}");
+                let dangling = cluster.dangling_refs();
+                assert!(dangling.is_empty(), "{name}: {dangling:?}");
+            }
+        }
+        check(CausalCollector::new);
+        check(TracingCollector::factory(4));
+        check(RefListingCollector::new);
     }
 }

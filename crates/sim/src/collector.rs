@@ -260,10 +260,9 @@ pub enum SimPayload<M> {
 /// Wire framing for the cluster payload: the `ggd-store` codec encodes the
 /// body (collector messages are already `Encode`/`Decode` for the WAL; the
 /// reference transfer packs two [`GlobalAddr`]s), and `ggd-net`'s [`Frame`]
-/// adds the length prefix. Both byte-level transports — the framed
-/// [`ThreadedNetwork`](ggd_net::ThreadedNetwork) and the parallel driver's
-/// worker mailboxes — move `SimPayload`s through this codec, so their byte
-/// metrics measure real serialized cost.
+/// adds the length prefix. The parallel driver's worker mailboxes move
+/// `SimPayload`s through this codec, so its byte metrics measure real
+/// serialized cost.
 ///
 /// [`Frame`]: ggd_net::Frame
 impl<M> ggd_net::WireCodec for SimPayload<M>

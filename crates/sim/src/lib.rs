@@ -15,11 +15,9 @@
 //! name resolution, skip analysis, crash schedule, membership scripts) and
 //! a shard executor (`shard.rs`: the site runtimes and everything that
 //! happens to them) — under two schedulers. [`Cluster`] runs the core on
-//! one thread over any transport: the deterministic
-//! [`ggd_net::SimNetwork`] (the default type parameter) or, through
-//! [`Cluster::threaded`] / [`Cluster::threaded_from_scenario`],
-//! [`ggd_net::ThreadedNetwork`] on real OS threads. [`ParallelCluster`]
-//! runs it across worker threads exchanging encoded frames, as an
+//! one thread over any transport, by default the deterministic
+//! [`ggd_net::SimNetwork`]. [`ParallelCluster`], the one concurrent
+//! backend, runs it across worker threads exchanging encoded frames, as an
 //! asynchrony/correctness harness.
 //!
 //! # Example

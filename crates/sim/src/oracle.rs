@@ -58,6 +58,40 @@ impl Oracle {
             .filter(|addr| !live.contains(addr))
             .collect()
     }
+
+    /// The references held by globally reachable objects that name an
+    /// object its (existing) site heap no longer contains, as `(holder,
+    /// target)` pairs. Object ids are never reused, so a dangling reference
+    /// means either an object was freed while still referenced, or the
+    /// mutator sent a reference to an object that was already dead — the
+    /// scenario generators name objects by handle and can do that. It is
+    /// the end-of-run safety check for runs that could not consult the
+    /// oracle at every collection, once the second kind is set aside
+    /// ([`ParallelCluster::dangling_refs`](crate::ParallelCluster::dangling_refs)).
+    /// References into a site with no heap are not judged.
+    pub fn dangling<'a>(
+        heaps: impl IntoIterator<Item = &'a SiteHeap>,
+    ) -> Vec<(GlobalAddr, GlobalAddr)> {
+        let heaps: BTreeMap<SiteId, &SiteHeap> = heaps.into_iter().map(|h| (h.site(), h)).collect();
+        let mut dangling = Vec::new();
+        for holder in Self::reachable(heaps.values().copied()) {
+            let Some(obj) = heaps[&holder.site()].object(holder.object()) else {
+                continue;
+            };
+            let local = obj
+                .local_refs()
+                .map(|id| GlobalAddr::from_parts(holder.site(), id));
+            for target in local.chain(obj.remote_refs()) {
+                if heaps
+                    .get(&target.site())
+                    .is_some_and(|heap| !heap.contains(target.object()))
+                {
+                    dangling.push((holder, target));
+                }
+            }
+        }
+        dangling
+    }
 }
 
 #[cfg(test)]
@@ -100,5 +134,26 @@ mod tests {
             Oracle::garbage([&h0, &h1]),
             BTreeSet::from([a_addr, b_addr])
         );
+    }
+
+    #[test]
+    fn dangling_names_a_target_freed_under_a_rooted_remote_holder() {
+        let mut h0 = SiteHeap::new(SiteId::new(0));
+        let mut h1 = SiteHeap::new(SiteId::new(1));
+        let holder = h0.alloc_local_root();
+        let target = h1.alloc();
+        let target_addr = h1.addr_of(target);
+        h0.add_ref(holder, ObjRef::Remote(target_addr)).unwrap();
+        assert!(Oracle::dangling([&h0, &h1]).is_empty());
+
+        // Site 1 was never told its object is exported, so its local
+        // collection frees the object site 0's root still references.
+        assert_eq!(h1.collect().freed, BTreeSet::from([target]));
+        assert_eq!(
+            Oracle::dangling([&h0, &h1]),
+            vec![(h0.addr_of(holder), target_addr)]
+        );
+        // A site with no heap is not judged.
+        assert!(Oracle::dangling([&h0]).is_empty());
     }
 }

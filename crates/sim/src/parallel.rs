@@ -10,10 +10,9 @@
 //!   degenerates to one site per worker) and consume a mailbox: shard
 //!   commands from the coordinator and inter-site wire frames from each
 //!   other. Inter-site traffic is exchanged worker-to-worker as
-//!   length-prefixed encoded [`Frame`]s — the same `ggd-store`-backed codec
-//!   the framed [`ThreadedNetwork`](ggd_net::ThreadedNetwork) uses — so byte
-//!   metrics measure real serialized cost and no payload value ever crosses
-//!   a thread boundary.
+//!   length-prefixed encoded [`Frame`]s (the `ggd-store`-backed codec), so
+//!   byte metrics measure real serialized cost and no payload value ever
+//!   crosses a thread boundary.
 //! * **The coordinator** (the calling thread) owns the planner (`plan.rs`):
 //!   it plans each scenario step, routes the resulting commands to the
 //!   worker hosting the site (or to all of them), and detects quiescence.
@@ -34,14 +33,14 @@
 //! What stays deterministic and what does not: everything the planner
 //! decides is a pure function of the scenario and config, and every site
 //! executes its commands in planning order, but frame arrival order across
-//! workers is scheduler-dependent — like
-//! [`ThreadedNetwork`](ggd_net::ThreadedNetwork), runs are not
-//! bit-reproducible. This driver is opt-in via [`ClusterConfig::workers`].
+//! workers is scheduler-dependent, so runs are not bit-reproducible. This
+//! driver is opt-in via [`ClusterConfig::workers`].
 //!
-//! Its role is an asynchrony/correctness harness — the same planner and
-//! shard code under real threads, encoded frames and the termination
-//! barrier — not a scaling path: measured at two workers it is slower than
-//! the sequential driver on every benchmark workload (DESIGN.md §8).
+//! It is the workspace's one concurrent backend, and its role is an
+//! asynchrony/correctness harness — the same planner and shard code under
+//! real threads, encoded frames and the termination barrier — not a scaling
+//! path: measured at two workers it is slower than the sequential driver on
+//! every benchmark workload (DESIGN.md §8).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +59,7 @@ use ggd_types::{GlobalAddr, SiteId};
 use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::plan::{Phase, Planner, ShardCommand};
+use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
 use crate::report::{record_net, record_store, RunReport};
 use crate::shard::{Outbox, Shard};
 
@@ -71,6 +70,9 @@ const PHASE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// A collector factory that can move to a worker thread.
 type SendFactory<C> = Box<dyn Fn(SiteId) -> C + Send>;
+
+/// A shard whose collector factory can move to a worker thread.
+type WorkerShard<C> = Shard<C, SendFactory<C>>;
 
 /// Counters shared by the coordinator and every worker. `in_flight` is the
 /// termination barrier's credit count; the rest feed the run report.
@@ -116,7 +118,8 @@ enum Command {
     /// Drain phase: process stashed and incoming frames until the global
     /// in-flight count reaches zero, then acknowledge.
     Drain(u64),
-    /// Hand the shard and the wire metrics back to the coordinator and exit.
+    /// Hand the shard, the wire metrics and the stale exports back to the
+    /// coordinator and exit.
     Shutdown,
 }
 
@@ -124,7 +127,7 @@ enum Command {
 enum Reply<C: Collector> {
     AtBarrier,
     DrainDone { processed: u64 },
-    Finished(Box<(Shard<C, SendFactory<C>>, NetMetrics)>),
+    Finished(Box<(WorkerShard<C>, NetMetrics, BTreeSet<GlobalAddr>)>),
 }
 
 impl<C: Collector> Reply<C> {
@@ -159,8 +162,6 @@ where
     /// the termination barrier can never observe a frame-shaped gap.
     fn post(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>) {
         let frame = Frame::encode(&payload);
-        // The shared frame-layer hook keeps byte accounting identical with
-        // the threaded transport's encode path.
         let len = self.metrics.record_frame_sent(&frame) as u64;
         let shared = &self.shared;
         let queued = shared.queued_bytes.fetch_add(len, Ordering::SeqCst) + len;
@@ -188,10 +189,12 @@ where
 /// One worker thread: a shard plus its mailbox plumbing.
 struct Worker<C: Collector> {
     index: usize,
-    shard: Shard<C, SendFactory<C>>,
+    shard: WorkerShard<C>,
     wire: Wire,
     /// Frames received outside a drain phase, still holding their credit.
     pending: VecDeque<(SiteId, SiteId, Frame)>,
+    /// Objects a hosted site exported after it had already freed them.
+    stale_exports: BTreeSet<GlobalAddr>,
     replies: Sender<Reply<C>>,
 }
 
@@ -204,6 +207,7 @@ where
         while let Ok(cmd) = rx.recv() {
             match cmd {
                 Command::Exec(command, step) => {
+                    self.note_stale_export(&command);
                     self.shard.step = step;
                     self.shard.execute(command, &mut self.wire);
                 }
@@ -217,10 +221,26 @@ where
                     let _ = self.replies.send(Reply::DrainDone { processed });
                 }
                 Command::Shutdown => {
-                    let state = Box::new((self.shard, self.wire.metrics));
+                    let state = Box::new((self.shard, self.wire.metrics, self.stale_exports));
                     let _ = self.replies.send(Reply::Finished(state));
                     return;
                 }
+            }
+        }
+    }
+
+    /// Records a `SendRef` whose target its own site has already freed. The
+    /// scenario names objects by handle, so it can export an object after
+    /// its death; the reference that lands then dangles through no fault
+    /// of the collector (see [`ParallelCluster::dangling_refs`]).
+    fn note_stale_export(&mut self, command: &ShardCommand) {
+        if let ShardCommand::Op(site, SiteOp::SendRef { target, .. }) = *command {
+            let shard = &self.shard;
+            if target.site() == site
+                && shard.is_up(site)
+                && !shard.site(site).heap().contains(target.object())
+            {
+                self.stale_exports.insert(target);
             }
         }
     }
@@ -269,24 +289,27 @@ where
     }
 
     /// Consumes one frame: decode at the mailbox, deliver to the hosted
-    /// runtime (or drop as loss if the site is down), then release the
-    /// credit — strictly after any descendant sends were enqueued.
+    /// runtime (or drop as loss if the site is down or a bounded partition
+    /// window separates the link), then release the credit — strictly after
+    /// any descendant sends were enqueued.
     fn process_frame(&mut self, from: SiteId, to: SiteId, frame: Frame) {
         let wire = &mut self.wire;
-        wire.shared
+        let shared = &wire.shared;
+        shared
             .queued_bytes
             .fetch_sub(frame.wire_len() as u64, Ordering::SeqCst);
-        if self.shard.is_up(to) {
+        let now = shared.deliveries.load(Ordering::SeqCst);
+        if self.shard.is_up(to) && !self.shard.config.faults.partition_drops(from, to, now) {
             let payload: SimPayload<C::Msg> = frame
                 .decode()
                 .expect("wire frame decodes back to the payload that was sent");
             wire.metrics.record_frame_delivered(&frame);
-            wire.shared.deliveries.fetch_add(1, Ordering::SeqCst);
+            shared.deliveries.fetch_add(1, Ordering::SeqCst);
             self.shard.deliver(from, to, payload, wire);
         } else {
-            // The site is down (or between crash and recover): the frame
-            // dies with the inbox, counted as loss — the same semantics as
-            // every transport.
+            // The site is down (or between crash and recover), or the link
+            // is cut at the delivery clock: the frame dies, counted as loss
+            // — the simulated network's semantics.
             wire.metrics.record_frame_dropped(&frame);
         }
         wire.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -430,11 +453,13 @@ impl<C: Collector> Coordinator<C> {
 /// The end state of a parallel run: every worker's shard merged back into
 /// one on the calling thread, ready for oracle inspection.
 pub struct ParallelCluster<C: Collector> {
-    shard: Shard<C, SendFactory<C>>,
+    shard: WorkerShard<C>,
     planner: Planner,
     /// Cluster-scope observability handle (network aggregates already
     /// absorbed as auxiliary gauges at end of run).
     obs: SiteObs,
+    /// Objects exported by their own site after it had freed them.
+    stale_exports: BTreeSet<GlobalAddr>,
 }
 
 impl<C> ParallelCluster<C>
@@ -448,11 +473,12 @@ where
     /// Takes the inputs of [`Cluster::run_seeded`](crate::Cluster::run_seeded)
     /// and plans the same commands from them, but the run is *not*
     /// deterministic: frame interleaving across workers is
-    /// scheduler-dependent, exactly like the threaded transport.
-    /// [`ClusterConfig::safety_oracle`] is ignored (no consistent global
-    /// heap view exists mid-run); safety is checked by the
-    /// sequential-equivalence suite instead. Of [`ClusterConfig::faults`],
-    /// only the crash schedule applies.
+    /// scheduler-dependent. [`ClusterConfig::safety_oracle`] is ignored (no
+    /// consistent global heap view exists mid-run); safety is checked by the
+    /// sequential-equivalence suite and, at end of run, by
+    /// [`ParallelCluster::dangling_refs`] instead. Of [`ClusterConfig::faults`], only the
+    /// crash schedule and bounded partition windows apply, both against the
+    /// delivered-frame clock.
     ///
     /// # Panics
     ///
@@ -494,6 +520,7 @@ where
                     metrics: NetMetrics::new(),
                 },
                 pending: VecDeque::new(),
+                stale_exports: BTreeSet::new(),
                 replies: reply_tx.clone(),
             };
             handles.push(
@@ -540,12 +567,14 @@ where
         let factory: SendFactory<C> = Box::new(factory);
         let mut shard = Shard::new(std::iter::empty(), coordinator.config, factory);
         let mut net = NetMetrics::new();
+        let mut stale_exports = BTreeSet::new();
         for _ in 0..workers {
             match coordinator.replies.recv_timeout(PHASE_DEADLINE) {
                 Ok(Reply::Finished(state)) => {
-                    let (hosted, metrics) = *state;
+                    let (hosted, metrics, stale) = *state;
                     shard.merge(hosted);
                     net.absorb(&metrics);
+                    stale_exports.extend(stale);
                 }
                 Ok(other) => panic!(
                     "parallel protocol violation: got {} while awaiting shutdown",
@@ -575,6 +604,7 @@ where
             shard,
             planner: coordinator.planner,
             obs: cluster_obs,
+            stale_exports,
         };
         (report, cluster)
     }
@@ -618,6 +648,16 @@ impl<C: Collector> ParallelCluster<C> {
         Oracle::garbage(self.heaps())
     }
 
+    /// The run's end-of-run safety judgment: the [`Oracle::dangling`]
+    /// references, less those naming an object the scenario exported after
+    /// its own site had freed it (a reference born dangling, not one a
+    /// collector broke). Empty unless a collector freed a referenced object.
+    pub fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
+        let mut dangling = Oracle::dangling(self.heaps());
+        dangling.retain(|(_, target)| !self.stale_exports.contains(target));
+        dangling
+    }
+
     /// Number of site recoveries performed over the run.
     pub fn recoveries(&self) -> u64 {
         self.shard.recoveries()
@@ -653,7 +693,8 @@ mod tests {
     use super::*;
     use crate::collector::{CausalCollector, RefListingCollector, TracingCollector};
     use crate::Cluster;
-    use ggd_mutator::workloads;
+    use ggd_mutator::{workloads, ObjName};
+    use ggd_types::ObjectId;
 
     fn parallel_config(workers: u32) -> ClusterConfig {
         ClusterConfig {
@@ -782,5 +823,97 @@ mod tests {
         assert_eq!(report.net.queued_bytes(), 0, "every frame was consumed");
         assert!(report.net.peak_queued_bytes() > 0, "frames were queued");
         assert!(report.net.control_bytes_sent() > 0);
+    }
+
+    const S: [SiteId; 3] = [SiteId::new(0), SiteId::new(1), SiteId::new(2)];
+
+    /// Three sites with one rooted object each (object 1 on every site).
+    fn three_roots() -> (Scenario, [ObjName; 3]) {
+        let mut s = Scenario::new(3);
+        let roots = S.map(|site| s.alloc(site, true));
+        (s, roots)
+    }
+
+    /// The remote sites whose objects `site`'s heap references.
+    fn referenced_sites<C: Collector>(cluster: &ParallelCluster<C>, site: SiteId) -> Vec<SiteId> {
+        let heap = cluster.heap(site);
+        heap.iter()
+            .flat_map(|obj| obj.remote_refs().map(|addr| addr.site()))
+            .collect()
+    }
+
+    #[test]
+    fn queued_bytes_measure_real_encoded_frames() {
+        // Byte counters are encoded frame lengths, not size hints.
+        use ggd_net::Payload;
+        let (mut s, [a, b, _]) = three_roots();
+        s.send_ref(S[1], a, b);
+        s.settle();
+        let [recipient, target] =
+            [S[0], S[1]].map(|site| GlobalAddr::from_parts(site, ObjectId::new(1)));
+        let transfer: SimPayload<<CausalCollector as Collector>::Msg> =
+            SimPayload::Reference { recipient, target };
+        let encoded = Frame::encode(&transfer).wire_len() as u64;
+        assert_ne!(
+            encoded,
+            transfer.size_hint() as u64,
+            "hint and encoding must differ"
+        );
+
+        let (report, _) = ParallelCluster::run_seeded(&s, parallel_config(1), CausalCollector::new);
+        assert_eq!(report.mutator_messages(), 1);
+        assert_eq!(report.net.mutator_bytes_sent(), encoded);
+        assert!(report.net.peak_queued_bytes() > 0);
+        assert_eq!(report.net.queued_bytes(), 0);
+    }
+
+    #[test]
+    fn partition_window_drops_cross_traffic_as_loss() {
+        // A bounded window (an unbounded one parks instead) cuts sites 0 and
+        // 1 for the whole run; site 2's link to site 0 stays open.
+        let (mut s, [a, b, c]) = three_roots();
+        s.send_ref(S[1], a, b);
+        s.send_ref(S[2], a, c);
+        s.settle();
+        for workers in [1, 3] {
+            let config = ClusterConfig {
+                faults: ggd_net::FaultPlan::new().with_partition_window(S[0], S[1], 0, 1_000_000),
+                ..parallel_config(workers)
+            };
+            let (report, cluster) = ParallelCluster::run_seeded(&s, config, CausalCollector::new);
+            assert_eq!(
+                referenced_sites(&cluster, S[0]),
+                [S[2]],
+                "workers={workers}"
+            );
+            assert!(report.net.dropped_total() > 0, "workers={workers}");
+            assert_eq!(report.net.queued_bytes(), 0, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn messages_to_a_crashed_site_are_dropped_as_loss() {
+        // Site 1 is down from the first delivery until the end-of-run
+        // recovery: the reference mailed to it dies with its inbox.
+        let (mut s, [a, b, c]) = three_roots();
+        s.send_ref(S[2], a, c);
+        s.settle();
+        s.send_ref(S[2], b, c);
+        s.settle();
+        for workers in [1, 3] {
+            let config = ClusterConfig {
+                faults: ggd_net::FaultPlan::new().with_crash(S[1], 1, u64::MAX),
+                durability: crate::DurabilityConfig::memory(),
+                ..parallel_config(workers)
+            };
+            let (report, cluster) = ParallelCluster::run_seeded(&s, config, CausalCollector::new);
+            assert_eq!(cluster.recoveries(), 1, "workers={workers}");
+            assert!(
+                referenced_sites(&cluster, S[1]).is_empty(),
+                "workers={workers}"
+            );
+            assert!(report.net.dropped_total() > 0, "workers={workers}");
+            assert_eq!(report.net.queued_bytes(), 0, "workers={workers}");
+        }
     }
 }

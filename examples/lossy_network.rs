@@ -1,7 +1,8 @@
 //! Robustness demonstration: the same churning workload is run over networks
-//! that drop and duplicate control messages, and then — through the *same*
-//! `Cluster` drive loop — over real OS threads. Safety is never compromised;
-//! loss only leaves residual garbage (§1/§5 of the paper).
+//! that drop and duplicate control messages, and then the paper's example
+//! runs on real OS threads through the parallel driver (the same planner and
+//! site code). Safety is never compromised; loss only leaves residual
+//! garbage (§1/§5 of the paper).
 //!
 //! ```sh
 //! cargo run --example lossy_network
@@ -46,15 +47,18 @@ fn main() {
     );
 
     println!();
-    println!("== the paper's running example over real OS threads (same Cluster code) ==");
+    println!("== the paper's running example over real OS threads (2 workers) ==");
     let scenario = workloads::paper_example();
-    let mut cluster =
-        Cluster::threaded_from_scenario(&scenario, ClusterConfig::default(), CausalCollector::new);
-    let report = cluster.run(&scenario);
+    let config = ClusterConfig {
+        workers: 2,
+        safety_oracle: false,
+        ..ClusterConfig::default()
+    };
+    let (report, _) = ParallelCluster::run_seeded(&scenario, config, CausalCollector::new);
     println!("{report}");
     println!(
-        "threaded delivery interleaving is scheduler-dependent, yet the outcome matches the \
-         simulation: reclaimed = {}, residual = {}, violations = {}",
+        "delivery interleaving across workers is scheduler-dependent, yet the outcome matches \
+         the simulation: reclaimed = {}, residual = {}, violations = {}",
         report.reclaimed, report.residual_garbage, report.safety_violations
     );
 }

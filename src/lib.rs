@@ -7,9 +7,9 @@
 //! sub-crates so that applications can depend on a single crate:
 //!
 //! * [`types`] — identifiers, timestamps and dependency vectors;
-//! * [`net`] — the [`Transport`](net::Transport) abstraction with its two
-//!   implementations: the deterministic simulated network and the threaded
-//!   (real OS threads) network;
+//! * [`net`] — the [`Transport`](net::Transport) abstraction, the
+//!   deterministic simulated network and the wire frames the parallel
+//!   driver moves between threads;
 //! * [`heap`] — per-site heaps, local mark-sweep GC and reachability
 //!   snapshots;
 //! * [`mutator`] — mutator operations and workload generators;
@@ -19,8 +19,9 @@
 //! * [`obs`] — deterministic observability: per-site metric registries,
 //!   span-style structured tracing and the object-lifecycle ledger, all
 //!   keyed by logical time;
-//! * [`sim`] — the transport-generic cluster, per-site runtimes, oracle and
-//!   experiment reports;
+//! * [`sim`] — the transport-generic sequential cluster, the parallel
+//!   (worker-thread) driver, per-site runtimes, oracle and experiment
+//!   reports;
 //! * [`explore`] — the deterministic scenario explorer: generated
 //!   `(scenario, fault plan, seed)` corpora differentially tested across
 //!   all collectors, with greedy shrinking of failures.
@@ -66,7 +67,7 @@ pub mod prelude {
     };
     pub use ggd_net::{
         FaultPlan, Frame, LinkFault, NamedFaultPlan, NetMetrics, SimNetwork, SimNetworkConfig,
-        ThreadedNetwork, Transport, WireCodec,
+        Transport, WireCodec,
     };
     pub use ggd_obs::{ObsConfig, ObsReport, TraceView};
     pub use ggd_sim::{

@@ -1,5 +1,6 @@
-//! ThreadedNetwork stress: a churn workload over 8 sites through every
-//! collector family, on real OS threads, with a hard timeout.
+//! Parallel-driver stress: churn workloads over 8 sites on 8 worker
+//! threads — through every collector family, and under site crashes — with
+//! a hard timeout.
 //!
 //! Ignored by default so `cargo test` stays fast and scheduler-dependent
 //! timing cannot flake CI; opt in with:
@@ -14,68 +15,79 @@ use std::time::Duration;
 
 use ggd::prelude::*;
 
-/// Wall-clock budget for the whole three-collector run. Generous: the run
-/// takes well under a second in release and a few seconds in debug; only a
-/// genuine hang (e.g. a transport that stops delivering while the settle
-/// loop waits) should ever exhaust it.
+/// Wall-clock budget for each stress run. Generous: a run takes well under
+/// a second in release; only a genuine hang (e.g. a termination barrier
+/// that never drains) should ever exhaust it.
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
 
-#[test]
-#[ignore = "threaded stress run; opt in with `cargo test --test stress -- --ignored`"]
-fn threaded_churn_stress_across_all_collectors() {
+/// Runs `body` on a helper thread so the test thread can enforce the hard
+/// timeout; on timeout the helper is abandoned (the process exits with the
+/// failing test).
+fn within_timeout<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
-    // The run executes on a worker thread so the test thread can enforce
-    // the hard timeout; on timeout the worker is abandoned (the process
-    // exits with the failing test).
     thread::spawn(move || {
-        let scenario = workloads::random_churn(8, 200, 21);
-        let mut reports: Vec<(&'static str, RunReport)> = Vec::new();
-
-        let mut causal = Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            CausalCollector::new,
-        );
-        reports.push(("causal", causal.run(&scenario)));
-
-        let mut tracing = Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            TracingCollector::factory(scenario.site_count()),
-        );
-        reports.push(("tracing", tracing.run(&scenario)));
-
-        let mut reflisting = Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            RefListingCollector::new,
-        );
-        reports.push(("reflisting", reflisting.run(&scenario)));
-
-        let _ = tx.send(reports);
+        let _ = tx.send(body());
     });
-
-    let reports = match rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(reports) => reports,
+    match rx.recv_timeout(HARD_TIMEOUT) {
+        Ok(result) => result,
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("stress run exceeded the hard timeout — a transport or settle loop hangs")
+            panic!("stress run exceeded the hard timeout — the termination barrier deadlocked")
         }
         Err(mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("stress worker panicked before reporting; see its panic output above")
+            panic!("stress run panicked before reporting; see its panic output above")
         }
-    };
-
-    for (name, report) in &reports {
-        assert_eq!(
-            report.safety_violations, 0,
-            "{name} violated safety under threaded churn"
-        );
-        assert_eq!(report.sites, 8, "{name} ran the wrong cluster size");
-        assert!(report.allocated > 0, "{name} executed no allocations");
     }
+}
+
+/// One run with one worker per site. The parallel driver has no live
+/// oracle, so it is judged at end of run: no reachable object may
+/// reference one a collector freed.
+fn run<C>(
+    scenario: &Scenario,
+    config: ClusterConfig,
+    factory: impl Fn(SiteId) -> C + Clone + Send + 'static,
+) -> (RunReport, ParallelCluster<C>)
+where
+    C: Collector + Send + 'static,
+    C::Msg: Send + 'static,
+{
+    let config = ClusterConfig {
+        workers: 8,
+        safety_oracle: false,
+        ..config
+    };
+    let (report, cluster) = ParallelCluster::run_seeded(scenario, config, factory);
+    let dangling = cluster.dangling_refs();
+    assert!(
+        dangling.is_empty(),
+        "{} freed objects that are still referenced: {dangling:?}",
+        report.collector
+    );
+    assert_eq!(report.sites, 8);
+    assert!(report.allocated > 0, "the run executed no allocations");
+    assert_eq!(
+        report.net.queued_bytes(),
+        0,
+        "every queued frame must have been consumed or died with a crashed site"
+    );
+    (report, cluster)
+}
+
+#[test]
+#[ignore = "parallel-driver stress run; opt in with `cargo test --test stress -- --ignored`"]
+fn parallel_churn_stress_across_all_collectors() {
+    let reports = within_timeout(|| {
+        let scenario = workloads::random_churn(8, 200, 21);
+        let config = ClusterConfig::default;
+        [
+            run(&scenario, config(), CausalCollector::new).0,
+            run(&scenario, config(), TracingCollector::factory(8)).0,
+            run(&scenario, config(), RefListingCollector::new).0,
+        ]
+    });
     // The mutator traffic is schedule-independent: every collector saw the
     // same scenario, so the reference-transfer counts must agree.
-    let mutator_counts: Vec<u64> = reports.iter().map(|(_, r)| r.mutator_messages()).collect();
+    let mutator_counts: Vec<u64> = reports.iter().map(RunReport::mutator_messages).collect();
     assert!(
         mutator_counts.windows(2).all(|w| w[0] == w[1]),
         "mutator traffic diverged across collectors: {mutator_counts:?}"
@@ -83,98 +95,30 @@ fn threaded_churn_stress_across_all_collectors() {
 }
 
 #[test]
-#[ignore = "threaded crash stress run; opt in with `cargo test --test stress -- --ignored`"]
-fn threaded_churn_survives_killing_and_restarting_two_sites() {
-    // Churn over 8 sites on real OS threads while two of them are killed
-    // mid-run and restarted from their durable stores (checkpoint-load +
-    // WAL replay). Crash windows are in the threaded transport's logical
-    // time (delivered messages), so exactly *which* messages die with the
-    // crashed inboxes is scheduler-dependent — which is the point: whatever
-    // the interleaving, safety must hold, both victims must come back, and
-    // the transport must tear down without leaking relay threads.
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
-        let scenario = workloads::random_churn(8, 240, 23);
-        let config = ClusterConfig {
-            faults: FaultPlan::new()
-                .with_crash(SiteId::new(6), 10, 120)
-                .with_crash(SiteId::new(7), 40, 200),
-            durability: DurabilityConfig::memory().with_checkpoint_every(16),
-            ..ClusterConfig::default()
-        };
-        let mut cluster = Cluster::threaded_from_scenario(&scenario, config, CausalCollector::new);
-        let report = cluster.run(&scenario);
-        let recoveries = cluster.recoveries();
-        let up: Vec<bool> = (0..8).map(|i| cluster.site_is_up(SiteId::new(i))).collect();
-        let stats = cluster.store_stats();
-        let _ = tx.send((report, recoveries, up, stats));
-    });
-
-    let (report, recoveries, up, stats) = match rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("crash stress run exceeded the hard timeout — recovery or teardown hangs")
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("crash stress worker panicked before reporting; see its output above")
-        }
-    };
-
-    assert_eq!(
-        report.safety_violations, 0,
-        "a crash/restart cycle must never make the causal collector unsafe"
-    );
-    assert!(up.iter().all(|&b| b), "every site must be up at end of run");
-    assert!(
-        recoveries >= 2,
-        "both scheduled crashes must have fired and recovered (got {recoveries})"
-    );
-    assert!(
-        stats.records_replayed > 0,
-        "recovery must have replayed WAL records"
-    );
-}
-
-#[test]
 #[ignore = "parallel-driver crash stress run; opt in with `cargo test --test stress -- --ignored`"]
 fn parallel_driver_survives_killing_and_restarting_two_of_eight_workers() {
-    // The same two-victim crash schedule, but on the worker-per-shard
-    // parallel driver with one worker per site: sites 6 and 7 are torn down
-    // mid-run (their worker keeps only the durable store), frames addressed
-    // to them die as loss while they are gone, and both are rebuilt from
-    // checkpoint + WAL replay. The run must terminate under the hard
-    // timeout — the termination barrier's in-flight credits must drain even
-    // though downed sites consume frames without answering — and every site
-    // must be back up at the end.
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
+    // Churn over 8 sites while two of them are killed mid-run and restarted
+    // from their durable stores (checkpoint-load + WAL replay). Crash
+    // windows are in the delivered-frame clock, so exactly *which* frames
+    // die with the crashed inboxes is scheduler-dependent — which is the
+    // point: whatever the interleaving, safety must hold and both victims
+    // must come back. While sites 6 and 7 are down their worker keeps only
+    // the durable store, and the termination barrier's in-flight credits
+    // must drain even though the downed sites consume frames without
+    // answering.
+    let (recoveries, up, stats) = within_timeout(|| {
         let scenario = workloads::random_churn(8, 240, 23);
         let config = ClusterConfig {
             faults: FaultPlan::new()
                 .with_crash(SiteId::new(6), 10, 120)
                 .with_crash(SiteId::new(7), 40, 200),
             durability: DurabilityConfig::memory().with_checkpoint_every(16),
-            workers: 8,
-            safety_oracle: false,
             ..ClusterConfig::default()
         };
-        let (report, cluster) =
-            ParallelCluster::run_seeded(&scenario, config, CausalCollector::new);
-        let recoveries = cluster.recoveries();
+        let (_, cluster) = run(&scenario, config, CausalCollector::new);
         let up: Vec<bool> = (0..8).map(|i| cluster.site_is_up(SiteId::new(i))).collect();
-        let stats = cluster.store_stats();
-        let _ = tx.send((report, recoveries, up, stats));
+        (cluster.recoveries(), up, cluster.store_stats())
     });
-
-    let (report, recoveries, up, stats) = match rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("parallel crash stress exceeded the hard timeout — the termination barrier deadlocked")
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("parallel crash stress worker panicked before reporting; see its output above")
-        }
-    };
 
     assert!(up.iter().all(|&b| b), "every site must be up at end of run");
     assert!(
@@ -184,12 +128,5 @@ fn parallel_driver_survives_killing_and_restarting_two_of_eight_workers() {
     assert!(
         stats.records_replayed > 0,
         "recovery must have replayed WAL records"
-    );
-    assert!(report.allocated > 0, "the run executed no allocations");
-    assert_eq!(report.sites, 8);
-    assert_eq!(
-        report.net.queued_bytes(),
-        0,
-        "every queued frame must have been consumed or died with a crashed site"
     );
 }

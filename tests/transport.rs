@@ -1,134 +1,84 @@
-//! Transport-genericity tests: the paper's scenario runs through the *same*
-//! `Cluster`/`SiteRuntime` code over both the deterministic simulated
-//! network and the threaded (real OS threads) network, for every collector
-//! family, and produces the same outcome.
+//! Driver-genericity tests: the paper's scenario runs through the *same*
+//! planner and shard code on the sequential `Cluster` over the
+//! deterministic simulated network and on the `ParallelCluster`'s worker
+//! threads, for every collector family, and produces the same outcome.
 
 use ggd::prelude::*;
-use ggd::sim::SimPayload;
 
-/// Runs `scenario` to completion and checks the invariants every collector
-/// must uphold on a reliable transport: no safety violations, and — for the
-/// comprehensive collectors — no residual garbage.
-fn run_and_check<C, T>(
-    mut cluster: Cluster<C, T>,
+/// Runs `scenario` through both drivers and returns the sequential report
+/// once the two agree on everything scheduling cannot change: what was
+/// reclaimed, what remains and the mutator traffic (control-message counts
+/// may differ — delivery interleaving on threads is scheduler-dependent,
+/// and GGD propagation adapts to it). The sequential run is judged by the
+/// live oracle; the parallel one, which has none, by its end-of-run
+/// dangling-reference check.
+fn run_both<C>(
     scenario: &Scenario,
+    factory: impl Fn(SiteId) -> C + Clone + Send + 'static,
     label: &str,
-    expect_comprehensive: bool,
 ) -> RunReport
 where
-    C: Collector,
-    T: Transport<SimPayload<C::Msg>>,
+    C: Collector + Send + 'static,
+    C::Msg: Send + 'static,
 {
-    let report = cluster.run(scenario);
-    assert_eq!(report.safety_violations, 0, "{label}: safety violated");
-    if expect_comprehensive {
-        assert_eq!(report.residual_garbage, 0, "{label}: left garbage behind");
-    }
-    report
-}
+    let mut cluster = Cluster::from_scenario(scenario, ClusterConfig::default(), factory.clone());
+    let sim = cluster.run(scenario);
+    assert_eq!(sim.safety_violations, 0, "{label}: safety violated");
 
-/// The sim-vs-threaded pairs that must agree regardless of scheduling:
-/// how much was reclaimed, what remains, and the mutator message count
-/// (control-message counts may differ — delivery interleaving is
-/// scheduler-dependent on threads, and GGD propagation adapts to it).
-fn assert_same_outcome(label: &str, sim: &RunReport, threaded: &RunReport) {
+    let config = ClusterConfig {
+        workers: 2,
+        safety_oracle: false,
+        ..ClusterConfig::default()
+    };
+    let (parallel, cluster) = ParallelCluster::run_seeded(scenario, config, factory);
+    let dangling = cluster.dangling_refs();
+    assert!(dangling.is_empty(), "{label}/parallel: {dangling:?}");
+    assert_eq!(sim.reclaimed, parallel.reclaimed, "{label}: reclaimed");
     assert_eq!(
-        sim.reclaimed, threaded.reclaimed,
-        "{label}: reclaimed differ"
-    );
-    assert_eq!(
-        sim.residual_garbage, threaded.residual_garbage,
-        "{label}: residual differ"
+        sim.residual_garbage, parallel.residual_garbage,
+        "{label}: residual"
     );
     assert_eq!(
         sim.mutator_messages(),
-        threaded.mutator_messages(),
-        "{label}: mutator traffic differ"
+        parallel.mutator_messages(),
+        "{label}: mutator traffic"
     );
+    sim
 }
 
 #[test]
 fn causal_collector_agrees_across_transports() {
-    let scenario = workloads::paper_example();
-    let sim = run_and_check(
-        Cluster::from_scenario(&scenario, ClusterConfig::default(), CausalCollector::new),
-        &scenario,
-        "causal/sim",
-        true,
-    );
-    let threaded = run_and_check(
-        Cluster::threaded_from_scenario(&scenario, ClusterConfig::default(), CausalCollector::new),
-        &scenario,
-        "causal/threaded",
-        true,
-    );
-    assert_same_outcome("causal", &sim, &threaded);
-    assert_eq!(sim.reclaimed, 3, "objects 2, 3 and 4 are garbage");
+    let report = run_both(&workloads::paper_example(), CausalCollector::new, "causal");
+    assert_eq!(report.residual_garbage, 0);
+    assert_eq!(report.reclaimed, 3, "objects 2, 3 and 4 are garbage");
 }
 
 #[test]
 fn tracing_collector_agrees_across_transports() {
     let scenario = workloads::paper_example();
-    let sites = scenario.site_count();
-    let sim = run_and_check(
-        Cluster::from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            TracingCollector::factory(sites),
-        ),
-        &scenario,
-        "tracing/sim",
-        true,
-    );
-    let threaded = run_and_check(
-        Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            TracingCollector::factory(sites),
-        ),
-        &scenario,
-        "tracing/threaded",
-        true,
-    );
-    assert_same_outcome("tracing", &sim, &threaded);
+    let factory = TracingCollector::factory(scenario.site_count());
+    assert_eq!(run_both(&scenario, factory, "tracing").residual_garbage, 0);
 }
 
 #[test]
 fn reflisting_collector_agrees_across_transports() {
     // Reference listing is *not* comprehensive: the paper example's garbage
     // {2, 3, 4} is a distributed cycle, which acyclic schemes can never
-    // reclaim (§3 of the paper). Both transports must exhibit the identical
+    // reclaim (§3 of the paper). Both drivers must exhibit the identical
     // gap — safety holds, and exactly the cycle is left behind.
-    let scenario = workloads::paper_example();
-    let sim = run_and_check(
-        Cluster::from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            RefListingCollector::new,
-        ),
-        &scenario,
-        "reflisting/sim",
-        false,
+    let report = run_both(
+        &workloads::paper_example(),
+        RefListingCollector::new,
+        "reflisting",
     );
-    let threaded = run_and_check(
-        Cluster::threaded_from_scenario(
-            &scenario,
-            ClusterConfig::default(),
-            RefListingCollector::new,
-        ),
-        &scenario,
-        "reflisting/threaded",
-        false,
-    );
-    assert_same_outcome("reflisting", &sim, &threaded);
     assert_eq!(
-        sim.residual_garbage, 3,
+        report.residual_garbage, 3,
         "the disconnected cycle stays in place under reference listing"
     );
 }
 
 #[test]
-fn threaded_cluster_handles_structured_garbage_workloads() {
+fn parallel_cluster_handles_structured_garbage_workloads() {
     // Beyond the paper example: rings and islands exercise multi-hop GGD
     // propagation under scheduler-dependent delivery interleaving.
     for (label, scenario, expected_reclaimed) in [
@@ -136,19 +86,8 @@ fn threaded_cluster_handles_structured_garbage_workloads() {
         ("island", workloads::garbage_island(6, 3, 2), 3),
         ("list", workloads::doubly_linked_list(4), 4),
     ] {
-        let report = run_and_check(
-            Cluster::threaded_from_scenario(
-                &scenario,
-                ClusterConfig::default(),
-                CausalCollector::new,
-            ),
-            &scenario,
-            label,
-            true,
-        );
-        assert_eq!(
-            report.reclaimed, expected_reclaimed,
-            "{label}: wrong number of objects reclaimed on threads"
-        );
+        let report = run_both(&scenario, CausalCollector::new, label);
+        assert_eq!(report.residual_garbage, 0, "{label}: left garbage behind");
+        assert_eq!(report.reclaimed, expected_reclaimed, "{label}");
     }
 }
