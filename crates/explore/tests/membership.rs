@@ -278,3 +278,95 @@ fn evicting_a_downed_site_never_recovers_it_on_either_driver() {
         );
     }
 }
+
+/// Sites are held in tables indexed by `SiteId`, which must grow to fit a
+/// joiner past the founding sites (leaving holes below it) and keep
+/// iterating in ascending `SiteId` while entries come and go: the joiner
+/// crashes and comes back, and a founding site in the middle is evicted.
+/// Both drivers must agree on which sites end up up, in what order they are
+/// reported, on the fleet size, the evicted sites and every reclaimed
+/// address.
+#[test]
+fn a_joiner_past_the_founding_sites_crashes_recovers_and_outlives_an_eviction_on_both_drivers() {
+    use ggd_mutator::{MutatorOp, Scenario};
+    use ggd_net::FaultPlan;
+    use ggd_sim::DurabilityConfig;
+
+    let [s0, s1, s2, s5] = [0, 1, 2, 5].map(SiteId::new);
+    let mut s = Scenario::new(3);
+    s.join(s5);
+    let a = s.alloc(s0, true);
+    let b = s.alloc(s1, true);
+    let c = s.alloc(s2, false);
+    let d = s.alloc(s1, false);
+    let e = s.alloc(s5, false);
+    s.send_ref(s2, a, c);
+    s.send_ref(s2, b, c);
+    s.send_ref(s1, a, d);
+    // The joiner only ever sends, so it goes down in the same state on both
+    // clocks, and it is brought back by the end-of-run recovery.
+    s.send_ref(s5, a, e);
+    s.settle();
+    s.evict(s2);
+    s.settle();
+    s.op(MutatorOp::ClearRefs { site: s0, name: a });
+    s.settle();
+
+    let config = ClusterConfig {
+        faults: FaultPlan::new().with_crash(s5, 1, u64::MAX),
+        durability: DurabilityConfig::memory(),
+        ..ClusterConfig::default()
+    };
+    let up_sites = |is_up: &dyn Fn(SiteId) -> bool| -> Vec<SiteId> {
+        (0..s.max_site_count())
+            .map(SiteId::new)
+            .filter(|&site| is_up(site))
+            .collect()
+    };
+    let (seq_report, seq) = Cluster::run_seeded(&s, config.clone(), CausalCollector::new);
+    assert_eq!(seq_report.safety_violations, 0);
+    assert_eq!(seq.recoveries(), 1, "the joiner came back");
+    assert_eq!(up_sites(&|site| seq.site_is_up(site)), [s0, s1, s5]);
+    assert_eq!(seq_report.sites, 3);
+    assert_eq!(seq.evicted_sites().collect::<Vec<_>>(), [s2]);
+    assert!(!seq.reclaimed_addrs().is_empty());
+    let mentioning = seq.sites_mentioning(s2);
+    assert!(
+        mentioning.windows(2).all(|pair| pair[0] < pair[1]),
+        "reported in ascending SiteId: {mentioning:?}"
+    );
+    assert!(mentioning.contains(&s1), "s1 still holds c: {mentioning:?}");
+    for workers in [1, 3] {
+        let parallel_config = ClusterConfig {
+            workers,
+            safety_oracle: false,
+            ..config.clone()
+        };
+        let (par_report, par) =
+            ParallelCluster::run_seeded(&s, parallel_config, CausalCollector::new);
+        assert_eq!(par_report.safety_violations, 0, "workers={workers}");
+        assert_eq!(par.recoveries(), seq.recoveries(), "workers={workers}");
+        assert_eq!(
+            up_sites(&|site| par.site_is_up(site)),
+            up_sites(&|site| seq.site_is_up(site)),
+            "workers={workers}"
+        );
+        assert_eq!(par.sites_mentioning(s2), mentioning, "workers={workers}");
+        assert_eq!(par_report.sites, seq_report.sites, "workers={workers}");
+        assert_eq!(
+            par.evicted_sites().collect::<Vec<_>>(),
+            seq.evicted_sites().collect::<Vec<_>>(),
+            "workers={workers}"
+        );
+        assert_eq!(
+            par.reclaimed_addrs(),
+            seq.reclaimed_addrs(),
+            "workers={workers}"
+        );
+        assert_eq!(
+            par.garbage_addrs(),
+            seq.garbage_addrs(),
+            "workers={workers}"
+        );
+    }
+}

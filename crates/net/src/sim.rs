@@ -191,20 +191,16 @@ impl<P: Payload> SimNetwork<P> {
             p > 0.0 && self.rng.gen_bool(p)
         };
 
+        // The RNG draws stay drop, duplicate, first delay, second delay, so
+        // a seed replays identically; only a duplicate pays for a clone.
         let first_delay = self.delay(from, to);
-        self.enqueue(
-            id,
-            from,
-            to,
-            false,
-            class,
-            label,
-            payload.clone(),
-            first_delay,
-        );
         if duplicated {
             let second_delay = self.delay(from, to);
+            let copy = payload.clone();
+            self.enqueue(id, from, to, false, class, label, copy, first_delay);
             self.enqueue(id, from, to, true, class, label, payload, second_delay);
+        } else {
+            self.enqueue(id, from, to, false, class, label, payload, first_delay);
         }
         self.next_seq += 1;
         id

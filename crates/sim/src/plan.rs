@@ -170,15 +170,29 @@ impl Legality {
     }
 }
 
+/// The slot for `index` in a dense table, growing the table (with default
+/// entries) to reach it.
+pub(crate) fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= table.len() {
+        table.resize_with(index + 1, T::default);
+    }
+    &mut table[index]
+}
+
 /// The pure half of a drive loop — see the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct Planner {
-    names: BTreeMap<ObjName, GlobalAddr>,
-    /// Objects allocated so far per site. `SiteHeap` hands out ids
-    /// 1, 2, … in allocation order and recovery replay preserves the
-    /// counter, so the next `Alloc`'s address is known without asking the
-    /// site (the shard asserts the prediction).
-    allocated: BTreeMap<SiteId, u64>,
+    /// The address each object name was allocated at, indexed by
+    /// `ObjName.0`: names are dense by construction (`Scenario::fresh_name`
+    /// counts up from 0), so resolving one is an index, not a search. `None`
+    /// — like an index past the end — for a name whose `Alloc` has not run
+    /// or was skipped.
+    names: Vec<Option<GlobalAddr>>,
+    /// Objects allocated so far per site, indexed by `SiteId::index()`.
+    /// `SiteHeap` hands out ids 1, 2, … in allocation order and recovery
+    /// replay preserves the counter, so the next `Alloc`'s address is known
+    /// without asking the site (the shard asserts the prediction).
+    allocated: Vec<u64>,
     /// Mutator-legality tracking, maintained only under crash plans and
     /// membership schedules: which sites hold (a copy of) each named
     /// object's reference, and which objects are addressable (local roots,
@@ -226,7 +240,7 @@ impl Planner {
 
     /// The address allocated for a symbolic object name, if it exists yet.
     pub(crate) fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.names.get(&name).copied()
+        self.names.get(name.0 as usize).copied().flatten()
     }
 
     pub(crate) fn membership(&self) -> &BTreeSet<SiteId> {
@@ -246,7 +260,7 @@ impl Planner {
     /// mutator process died with its site), or when the object is hosted by
     /// a site that has permanently left the fleet.
     fn resolve(&self, site: SiteId, name: ObjName) -> Option<GlobalAddr> {
-        let addr = *self.names.get(&name)?;
+        let addr = self.addr_of(name)?;
         let gone = self.departed.contains(&addr.site()) || self.evicted.contains(&addr.site());
         (self.site_is_up(site) && !gone).then_some(addr)
     }
@@ -264,10 +278,11 @@ impl Planner {
                 if !self.site_is_up(site) {
                     return None;
                 }
-                let count = self.allocated.entry(site).or_insert(0);
+                let count = slot(&mut self.allocated, site.index() as usize);
                 *count += 1;
                 let expect = GlobalAddr::from_parts(site, ObjectId::new(*count));
-                self.names.insert(name, expect);
+                // A repeated Alloc of a name rebinds it.
+                *slot(&mut self.names, name.0 as usize) = Some(expect);
                 if let Some(legality) = &mut self.legality {
                     legality.note_alloc(name, site, local_root);
                 }
@@ -487,6 +502,11 @@ mod tests {
         }
     }
 
+    /// The `n`th object allocated on `site`.
+    fn id(site: SiteId, n: u64) -> GlobalAddr {
+        GlobalAddr::from_parts(site, ObjectId::new(n))
+    }
+
     fn send(from_site: SiteId, recipient: u32, target: u32) -> MutatorOp {
         MutatorOp::SendRef {
             from_site,
@@ -662,8 +682,71 @@ mod tests {
     }
 
     #[test]
+    fn names_resolve_by_index_whatever_order_they_are_allocated_in() {
+        let mut planner = Planner::new(2, Vec::new());
+        // Out of order, with gaps — as hand-built tests and shrunk
+        // reproducers name their objects.
+        assert_eq!(alloc(&mut planner, S1, 5), Some(id(S1, 1)));
+        assert_eq!(alloc(&mut planner, S0, 2), Some(id(S0, 1)));
+        assert_eq!(alloc(&mut planner, S1, 0), Some(id(S1, 2)));
+        let resolved: Vec<_> = (0..8).map(|n| planner.addr_of(ObjName(n))).collect();
+        let (a, b, c) = (Some(id(S1, 2)), Some(id(S0, 1)), Some(id(S1, 1)));
+        assert_eq!(resolved, [a, None, b, None, None, c, None, None]);
+        // Far past the end of the table: nothing, and no growth.
+        assert_eq!(planner.addr_of(ObjName(u32::MAX)), None);
+        assert_eq!(planner.names.len(), 6);
+        // `resolve` agrees with `addr_of` on every name while the sites are
+        // up, and ops naming a hole are skipped.
+        for n in (0..8).chain([u32::MAX]) {
+            assert_eq!(planner.resolve(S0, ObjName(n)), planner.addr_of(ObjName(n)));
+        }
+        for hole in [1, 7, u32::MAX] {
+            let link = MutatorOp::LinkLocal {
+                site: S1,
+                from: ObjName(5),
+                to: ObjName(hole),
+            };
+            assert_eq!(planner.plan_op(link), None, "n{hole} was never allocated");
+            let clear = MutatorOp::ClearRefs {
+                site: S0,
+                name: ObjName(hole),
+            };
+            assert_eq!(planner.plan_op(clear), None);
+        }
+        let link = MutatorOp::LinkLocal {
+            site: S1,
+            from: ObjName(5),
+            to: ObjName(0),
+        };
+        let (from, to) = (c.unwrap(), a.unwrap());
+        let planned = ShardCommand::Op(S1, SiteOp::LinkLocal { from, to });
+        assert_eq!(planner.plan_op(link), Some(planned));
+    }
+
+    #[test]
+    fn a_name_whose_alloc_was_skipped_resolves_once_a_later_alloc_runs() {
+        let mut planner = Planner::new(2, vec![(S1, 1, 2)]);
+        assert_eq!(alloc(&mut planner, S0, 0), Some(id(S0, 1)));
+        planner.lifecycle(1);
+        assert_eq!(alloc(&mut planner, S1, 3), None, "site 1 is down");
+        assert_eq!(planner.addr_of(ObjName(3)), None);
+        assert_eq!(planner.resolve(S0, ObjName(3)), None);
+        // While a site is down nothing resolves on it, though the name
+        // exists.
+        assert_eq!(planner.resolve(S1, ObjName(0)), None);
+        assert_eq!(planner.addr_of(ObjName(0)), Some(id(S0, 1)));
+        planner.lifecycle(2);
+        // A later Alloc of the same name binds it, and a repeated one
+        // rebinds it, as a map insert would.
+        assert_eq!(alloc(&mut planner, S1, 3), Some(id(S1, 1)));
+        assert_eq!(planner.resolve(S0, ObjName(3)), Some(id(S1, 1)));
+        assert_eq!(alloc(&mut planner, S0, 3), Some(id(S0, 2)));
+        assert_eq!(planner.resolve(S1, ObjName(3)), Some(id(S0, 2)));
+        assert_eq!(planner.addr_of(ObjName(3)), Some(id(S0, 2)));
+    }
+
+    #[test]
     fn alloc_prediction_survives_a_crash_and_starts_at_one_for_a_joiner() {
-        let id = |site: SiteId, n: u64| GlobalAddr::from_parts(site, ObjectId::new(n));
         let mut planner = Planner::new(2, vec![(S1, 3, 4)]);
         assert_eq!(alloc(&mut planner, S1, 0), Some(id(S1, 1)));
         assert_eq!(alloc(&mut planner, S1, 1), Some(id(S1, 2)));

@@ -15,7 +15,7 @@ use ggd_obs::SiteObs;
 use ggd_store::{CheckpointImage, HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
 use ggd_types::{GlobalAddr, SiteId};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::collector::Collector;
 
@@ -71,12 +71,11 @@ pub struct SiteRuntime<C: Collector> {
 
 /// The sites among `sites` whose collector state or heap still references
 /// `departed`.
-pub(crate) fn sites_mentioning<C: Collector>(
-    sites: &BTreeMap<SiteId, SiteRuntime<C>>,
+pub(crate) fn sites_mentioning<'a, C: Collector + 'a>(
+    sites: impl Iterator<Item = (SiteId, &'a SiteRuntime<C>)>,
     departed: SiteId,
 ) -> Vec<SiteId> {
     sites
-        .iter()
         .filter(|(_, rt)| {
             rt.collector.mentions_site(departed)
                 || rt
@@ -85,7 +84,7 @@ pub(crate) fn sites_mentioning<C: Collector>(
                     .iter()
                     .any(|addr| addr.site() == departed)
         })
-        .map(|(&s, _)| s)
+        .map(|(s, _)| s)
         .collect()
 }
 

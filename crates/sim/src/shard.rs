@@ -22,7 +22,7 @@ use ggd_types::{GlobalAddr, SiteId};
 use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::plan::{ShardCommand, SiteOp};
+use crate::plan::{slot, ShardCommand, SiteOp};
 use crate::report::{sum_store_stats, RunReport};
 use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick};
 
@@ -84,9 +84,63 @@ enum Catchup {
 /// A (transport time, scenario step) pair.
 type Stamp = (u64, u64);
 
+/// Per-site entries indexed by `SiteId::index()`. Sites are `0..n` plus
+/// joiners, so a lookup on the per-op path is an index rather than a tree
+/// walk. Iteration runs in ascending `SiteId`: `up_sites`, `collect_all`,
+/// report assembly, `sites_mentioning` and so every control stream depend
+/// on that order. The table grows when a site beyond its end is inserted.
+#[derive(Debug)]
+struct SiteTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> SiteTable<T> {
+    fn new() -> Self {
+        SiteTable { slots: Vec::new() }
+    }
+
+    fn get(&self, site: SiteId) -> Option<&T> {
+        self.slots.get(site.index() as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, site: SiteId) -> Option<&mut T> {
+        self.slots.get_mut(site.index() as usize)?.as_mut()
+    }
+
+    fn insert(&mut self, site: SiteId, value: T) {
+        *slot(&mut self.slots, site.index() as usize) = Some(value);
+    }
+
+    fn remove(&mut self, site: SiteId) -> Option<T> {
+        self.slots.get_mut(site.index() as usize)?.take()
+    }
+
+    /// Moves every entry of `other` in, overwriting entries of the same site.
+    fn extend(&mut self, other: SiteTable<T>) {
+        for (index, slot) in other.slots.into_iter().enumerate() {
+            if let Some(value) = slot {
+                self.insert(SiteId::new(index as u32), value);
+            }
+        }
+    }
+
+    /// Occupied entries in ascending `SiteId`.
+    fn iter(&self) -> impl Iterator<Item = (SiteId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(index, slot)| Some((SiteId::new(index as u32), slot.as_ref()?)))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// The executing half of a drive loop — see the module docs.
 pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
-    sites: BTreeMap<SiteId, SiteRuntime<C>>,
+    /// The hosted sites that are up.
+    sites: SiteTable<SiteRuntime<C>>,
     /// Hosted sites currently down, held until their restart.
     downed: BTreeMap<SiteId, DownedSite<C::Msg>>,
     /// Hosted sites evicted without warning, with their last heap: the
@@ -122,7 +176,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         factory: F,
     ) -> Self {
         let mut shard = Shard {
-            sites: BTreeMap::new(),
+            sites: SiteTable::new(),
             downed: BTreeMap::new(),
             evicted: BTreeMap::new(),
             factory,
@@ -177,9 +231,9 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             ShardCommand::Handoff { departing, epoch } => {
                 self.fan_out(Catchup::Handoff { departing, epoch }, Some(departing), out);
             }
-            ShardCommand::Remove(site) => drop(self.sites.remove(&site)),
+            ShardCommand::Remove(site) => drop(self.sites.remove(site)),
             ShardCommand::Evict(site) => {
-                if let Some(runtime) = self.sites.remove(&site) {
+                if let Some(runtime) = self.sites.remove(site) {
                     self.evicted.insert(site, runtime.heap().clone());
                 } else if let Some(downed) = self.downed.remove(&site) {
                     self.evicted.insert(site, downed.heap);
@@ -291,7 +345,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     /// Tears a site's volatile state down, keeping its durable store, its
     /// crash-time heap and its measurements for the restart.
     fn crash(&mut self, site: SiteId) {
-        let Some(mut runtime) = self.sites.remove(&site) else {
+        let Some(mut runtime) = self.sites.remove(site) else {
             return;
         };
         let store = runtime
@@ -342,7 +396,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     }
 
     fn runtime(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let runtime = self.sites.get_mut(&site).expect("site is up on this shard");
+        let runtime = self.sites.get_mut(site).expect("site is up on this shard");
         // Keep the runtime's logical clock current so every probe inside
         // the entry point stamps the right step — no signature changes.
         runtime.obs_mut().set_step(self.step);
@@ -364,7 +418,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             }
             out.post(site, dest, SimPayload::Control(msg));
         }
-        if let Some(runtime) = self.sites.get_mut(&site) {
+        if let Some(runtime) = self.sites.get_mut(site) {
             runtime.maybe_checkpoint();
         }
     }
@@ -373,15 +427,15 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
 impl<C: Collector, F> Shard<C, F> {
     /// True when the site's runtime is currently up on this shard.
     pub(crate) fn is_up(&self, site: SiteId) -> bool {
-        self.sites.contains_key(&site)
+        self.sites.get(site).is_some()
     }
 
     pub(crate) fn up_sites(&self) -> Vec<SiteId> {
-        self.sites.keys().copied().collect()
+        self.sites.iter().map(|(site, _)| site).collect()
     }
 
     pub(crate) fn site(&self, site: SiteId) -> &SiteRuntime<C> {
-        &self.sites[&site]
+        self.sites.get(site).expect("site is up on this shard")
     }
 
     /// Every heap the oracle judges by: up sites, downed sites as of their
@@ -407,7 +461,7 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     pub(crate) fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        sites_mentioning(&self.sites, departed)
+        sites_mentioning(self.sites.iter(), departed)
     }
 
     /// Aggregated durable-store counters across every hosted site, up or
@@ -432,7 +486,7 @@ impl<C: Collector, F> Shard<C, F> {
     /// meaningful only on a shard that hosts every site.
     pub(crate) fn mark_garbage_unreachable(&mut self) {
         for addr in Oracle::garbage(self.heaps()) {
-            if let Some(runtime) = self.sites.get_mut(&addr.site()) {
+            if let Some(runtime) = self.sites.get_mut(addr.site()) {
                 let obs = runtime.obs_mut();
                 obs.set_step(self.step);
                 obs.mark_unreachable(addr);
@@ -469,7 +523,7 @@ impl<C: Collector, F> Shard<C, F> {
                 .next()
                 .map(|rt| rt.collector().name().to_owned())
                 .unwrap_or_default(),
-            sites: self.sites.len() as u32,
+            sites: self.sites.values().count() as u32,
             allocated: self
                 .sites
                 .values()
