@@ -192,9 +192,9 @@ pub fn experiment_cycles(sizes: &[u32]) -> Vec<Row> {
 }
 
 /// E7 — the consensus bottleneck: a garbage island touching 3 of N sites,
-/// with one unrelated site stalled. The causal collector reclaims the island
-/// anyway; the tracing collector cannot reclaim anything until the stalled
-/// site resumes.
+/// with one unrelated site stalled for the whole run. The causal collector
+/// reclaims the island anyway; the tracing collector reclaims nothing,
+/// because the stalled site never acknowledges a round.
 pub fn experiment_stalled_site(total_sites: &[u32]) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in total_sites {

@@ -101,7 +101,7 @@ pub fn reproducer(triple: &Triple, failure_kind: &str) -> String {
         "        net: SimNetworkConfig::reordering({}),\n",
         triple.jitter
     ));
-    out.push_str(&format!("        faults: {},\n", triple.fault.code));
+    out.push_str(&format!("        faults: {},\n", triple.fault.plan.code()));
     out.push_str(&format!("        seed: {},\n", triple.seed));
     if triple.durability.is_on() {
         let base = match &triple.durability.mode {

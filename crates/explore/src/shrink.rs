@@ -23,7 +23,9 @@ use crate::runner::{run_triple, RunMode, Triple};
 /// * `SendRef`s whose recipient is not *anchored* — neither a local root
 ///   nor an object a kept send previously exported. A real mutator cannot
 ///   address a message to such an object, and the causal engine's
-///   comprehensiveness claim only covers legal computations.
+///   comprehensiveness claim only covers legal computations. These two
+///   rules are [`Legality`](ggd_mutator::Legality), the same judge the
+///   drivers' planner applies to the sends it plans.
 /// * membership events that no longer describe a fleet change: a `Join`
 ///   of a site that is already a member (or below the `founding` count),
 ///   or a departure of a site that is not currently a member. Kept
@@ -34,13 +36,11 @@ use crate::runner::{run_triple, RunMode, Triple};
 /// One forward pass suffices: every tracked set only grows (sites move
 /// monotonically founding → active → departed).
 pub fn sanitize(founding: u32, steps: &[Step]) -> Vec<Step> {
-    use ggd_mutator::{MembershipKind, MutatorOp};
+    use ggd_mutator::{Legality, MembershipKind, MutatorOp};
     use std::collections::BTreeMap;
 
-    let mut defined: BTreeSet<ObjName> = BTreeSet::new();
     let mut host: BTreeMap<ObjName, ggd_types::SiteId> = BTreeMap::new();
-    let mut anchored: BTreeSet<ObjName> = BTreeSet::new();
-    let mut holders: BTreeMap<ObjName, BTreeSet<ggd_types::SiteId>> = BTreeMap::new();
+    let mut legality = Legality::default();
     let mut active: BTreeSet<ggd_types::SiteId> =
         (0..founding).map(ggd_types::SiteId::new).collect();
     let mut departed: BTreeSet<ggd_types::SiteId> = BTreeSet::new();
@@ -56,17 +56,13 @@ pub fn sanitize(founding: u32, steps: &[Step]) -> Vec<Step> {
                         if !active.contains(site) {
                             continue;
                         }
-                        defined.insert(name);
                         host.insert(name, *site);
-                        holders.entry(name).or_default().insert(*site);
-                        if *local_root {
-                            anchored.insert(name);
-                        }
+                        legality.note_alloc(name, *site, *local_root);
                     }
                     kept.push(*step);
                     continue;
                 }
-                if !op.used_names().iter().all(|n| defined.contains(n)) {
+                if !op.used_names().iter().all(|n| host.contains_key(n)) {
                     continue;
                 }
                 if let MutatorOp::SendRef {
@@ -75,15 +71,9 @@ pub fn sanitize(founding: u32, steps: &[Step]) -> Vec<Step> {
                     target,
                 } = op
                 {
-                    let sender_holds = holders
-                        .get(target)
-                        .is_some_and(|sites| sites.contains(from_site));
-                    if !sender_holds || !anchored.contains(recipient) {
+                    if !legality.approve_send(*target, *from_site, *recipient, host[recipient]) {
                         continue;
                     }
-                    anchored.insert(*target);
-                    let recipient_site = host[recipient];
-                    holders.entry(*target).or_default().insert(recipient_site);
                 }
                 kept.push(*step);
             }
@@ -193,7 +183,7 @@ pub fn shrink(triple: &Triple, mode: RunMode, kind: &str) -> Triple {
     // strictly more convincing.
     if best.fault.plan != ggd_net::FaultPlan::new() {
         let candidate = Triple {
-            fault: NamedFaultPlan::new("reliable", "FaultPlan::new()", ggd_net::FaultPlan::new()),
+            fault: NamedFaultPlan::new("reliable", ggd_net::FaultPlan::new()),
             ..best.clone()
         };
         if still_fails(&candidate, mode, kind) {
@@ -217,7 +207,7 @@ pub fn shrink(triple: &Triple, mode: RunMode, kind: &str) -> Triple {
     // crashes still needs its durable backend.
     if best.fault.plan.has_crashes() {
         let with_plan = |base: &Triple, plan: ggd_net::FaultPlan| Triple {
-            fault: NamedFaultPlan::new("crash_shrunk", &ggd_net::crash_plan_code(&plan), plan),
+            fault: NamedFaultPlan::new("crash_shrunk", plan),
             ..base.clone()
         };
         let mut index = 0;

@@ -10,8 +10,8 @@
 //! compared against plans that never lose *or duplicate* a message — a
 //! duplicated reference transfer redelivered after a later
 //! unlink genuinely resurrects an edge, which is a semantic difference,
-//! not a driver bug. Stalled sites are likewise excluded: a stall parks
-//! messages past the end of the settle window, starving collectors of
+//! not a driver bug. Stalled sites are likewise excluded: a stall holds
+//! messages for the whole run, starving collectors of
 //! exactly the notices the parallel mailboxes (which never stall) would
 //! deliver. Delay and reordering jitter stay in the sequential leg: the
 //! settling guarantees claim those cannot change the outcome, so the

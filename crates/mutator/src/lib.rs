@@ -11,6 +11,8 @@
 //! the paper's running example (Figures 3–5), doubly-linked lists and rings
 //! spread over many sites (the §4 Schelvis comparison), inter-site garbage
 //! cycles, third-party exchange patterns and seeded random graphs.
+//! [`Legality`] is the rule deciding which reference sends a real mutator
+//! could perform once some ops of a scenario are skipped or removed.
 //!
 //! # Example
 //!
@@ -23,12 +25,15 @@
 //! ```
 
 pub mod generator;
+mod legality;
 pub mod workloads;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use ggd_types::SiteId;
+
+pub use legality::Legality;
 
 /// A symbolic object name used by scenarios; the simulator maps names to the
 /// concrete [`ggd_types::GlobalAddr`]s chosen at allocation time.

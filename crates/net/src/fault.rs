@@ -5,9 +5,16 @@
 //! garbage, never cause a live object to be reclaimed, and GGD messages are
 //! idempotent. [`FaultPlan`] is how experiments E4 and the failure-injection
 //! property tests exercise those claims.
+//!
+//! A plan is one declarative value, fixed when a run is built: loss and
+//! duplication probabilities, per-link overrides, stalled sites, crash
+//! windows and partition windows. Nothing changes it mid-run, so a
+//! `(plan, seed)` pair always replays identically, and
+//! [`FaultPlan::code`] renders the Rust expression that rebuilds it.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 use ggd_types::SiteId;
 
@@ -34,19 +41,10 @@ pub struct SiteCrash {
 /// One scheduled bidirectional partition: no message between `a` and `b`
 /// is delivered while the transport clock is in `[from_round, heal_round)`.
 ///
-/// Two kinds of window exist, distinguished by their bounds:
-///
-/// * an *unbounded* window (`from_round == 0`, `heal_round == u64::MAX`) is
-///   what the legacy [`FaultPlan::with_partition`] API builds. Transports
-///   **park** messages crossing it and release them when the window is
-///   removed by [`FaultPlan::heal_partition`] — the original imperative
-///   heal-by-mutation behaviour, now just a degenerate window.
-/// * a *bounded* window (anything else, built by
-///   [`FaultPlan::with_partition_window`] or [`FaultPlan::with_split`])
-///   **drops** messages arriving inside it, counting them as loss, so
-///   [`FaultPlan::is_loss_free`] and [`FaultPlan::is_reliable`] stay
-///   accurate without any mid-run mutation. This is the declarative,
-///   replayable representation the explorer's split-and-heal plans use.
+/// Both drivers **drop** a message arriving inside the window, counting it
+/// as loss, so [`FaultPlan::is_loss_free`] and [`FaultPlan::is_reliable`]
+/// stay accurate. The window heals by itself at `heal_round`. Built by
+/// [`FaultPlan::with_partition_window`] and [`FaultPlan::with_split`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PartitionWindow {
     /// Lower site of the (normalized) pair.
@@ -60,12 +58,6 @@ pub struct PartitionWindow {
 }
 
 impl PartitionWindow {
-    /// True when this is the degenerate always-on window the legacy
-    /// [`FaultPlan::with_partition`] API builds (park semantics).
-    pub fn is_unbounded(&self) -> bool {
-        self.from_round == 0 && self.heal_round == u64::MAX
-    }
-
     /// True when the window separates `x` and `y` (in either order).
     pub fn covers(&self, x: SiteId, y: SiteId) -> bool {
         (self.a, self.b) == FaultPlan::norm(x, y)
@@ -91,7 +83,8 @@ pub struct LinkFault {
 /// A declarative description of the faults the network should inject.
 ///
 /// All probabilities are evaluated with the network's seeded RNG, so a given
-/// `(FaultPlan, seed)` pair always produces the same behaviour.
+/// `(FaultPlan, seed)` pair always produces the same behaviour. The plan is
+/// built once, with the `with_*` builders, and never changes during a run.
 ///
 /// # Example
 ///
@@ -102,10 +95,17 @@ pub struct LinkFault {
 /// let plan = FaultPlan::new()
 ///     .with_drop_probability(0.1)
 ///     .with_duplicate_probability(0.05)
-///     .with_partition(SiteId::new(0), SiteId::new(3))
+///     .with_partition_window(SiteId::new(3), SiteId::new(0), 5, 20)
 ///     .with_stalled_site(SiteId::new(2));
-/// assert!(plan.is_partitioned(SiteId::new(3), SiteId::new(0)));
+/// assert!(plan.partition_drops(SiteId::new(0), SiteId::new(3), 5));
+/// assert!(!plan.partition_drops(SiteId::new(0), SiteId::new(3), 20), "healed");
 /// assert!(plan.is_stalled(SiteId::new(2)));
+/// assert_eq!(
+///     plan.code(),
+///     "FaultPlan::new().with_drop_probability(0.1).with_duplicate_probability(0.05)\
+///      .with_stalled_site(SiteId::new(2))\
+///      .with_partition_window(SiteId::new(0), SiteId::new(3), 5, 20)"
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -153,32 +153,9 @@ impl FaultPlan {
         self
     }
 
-    /// Declares a bidirectional partition between two sites: no message is
-    /// delivered in either direction while the partition is in place.
-    ///
-    /// Internally this is the unbounded window `[0, u64::MAX)` — see
-    /// [`PartitionWindow`]. Transports *park* messages crossing it until
-    /// [`FaultPlan::heal_partition`] removes it.
-    pub fn with_partition(mut self, a: SiteId, b: SiteId) -> Self {
-        let (a, b) = Self::norm(a, b);
-        let window = PartitionWindow {
-            a,
-            b,
-            from_round: 0,
-            heal_round: u64::MAX,
-        };
-        if !self.partition_windows.contains(&window) {
-            self.partition_windows.push(window);
-            self.partition_windows.sort();
-        }
-        self
-    }
-
     /// Schedules a bidirectional partition between two sites for transport
     /// times in `[from_round, heal_round)`. Messages arriving inside the
-    /// window are *dropped as loss* (unlike the unbounded
-    /// [`FaultPlan::with_partition`], which parks), so the plan stays fully
-    /// declarative and replayable and the loss accounting stays accurate.
+    /// window are *dropped as loss*; see [`PartitionWindow`].
     ///
     /// # Panics
     ///
@@ -237,15 +214,16 @@ impl FaultPlan {
         &self.partition_windows
     }
 
-    /// True when the plan schedules at least one partition window (bounded
-    /// or unbounded).
+    /// True when the plan schedules at least one partition window.
     pub fn has_partitions(&self) -> bool {
         !self.partition_windows.is_empty()
     }
 
-    /// Declares a site as stalled: messages addressed to it stay queued until
-    /// [`FaultPlan::resume_site`] is called (used to demonstrate that the
-    /// causal GGD makes progress while graph tracing blocks on consensus).
+    /// Declares a site as stalled for the whole run: the simulated network
+    /// holds every message addressed to it, never delivering it and never
+    /// counting it as lost. Experiment E7 uses this to show that the causal
+    /// GGD makes progress while graph tracing blocks on consensus. The
+    /// parallel driver ignores stalls.
     pub fn with_stalled_site(mut self, site: SiteId) -> Self {
         self.stalled.insert(site);
         self
@@ -309,25 +287,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Removes every partition window between the two sites — the
-    /// imperative heal, kept for the legacy [`FaultPlan::with_partition`]
-    /// API. Scheduled windows heal themselves at their `heal_round`; calling
-    /// this cancels them early.
-    pub fn heal_partition(&mut self, a: SiteId, b: SiteId) {
-        let pair = Self::norm(a, b);
-        self.partition_windows.retain(|w| (w.a, w.b) != pair);
-    }
-
-    /// Marks a stalled site as running again.
-    pub fn resume_site(&mut self, site: SiteId) {
-        self.stalled.remove(&site);
-    }
-
-    /// Stalls a site (in-place variant of [`FaultPlan::with_stalled_site`]).
-    pub fn stall_site(&mut self, site: SiteId) {
-        self.stalled.insert(site);
-    }
-
     /// Drop probability effective on the given directed link.
     pub fn drop_probability(&self, from: SiteId, to: SiteId) -> f64 {
         self.link_overrides
@@ -352,23 +311,13 @@ impl FaultPlan {
             .unwrap_or(0)
     }
 
-    /// True when an *unbounded* partition separates the two sites — the
-    /// condition under which transports park (rather than drop) messages.
-    /// Bounded windows never park; see
-    /// [`FaultPlan::partition_drops`].
-    pub fn is_partitioned(&self, a: SiteId, b: SiteId) -> bool {
-        self.partition_windows
-            .iter()
-            .any(|w| w.is_unbounded() && w.covers(a, b))
-    }
-
-    /// True when a *bounded* partition window separates the two sites at
-    /// transport time `now`: a message arriving then must be dropped,
-    /// counting as loss.
+    /// True when a partition window separates the two sites at transport
+    /// time `now`: a message arriving then must be dropped, counting as
+    /// loss.
     pub fn partition_drops(&self, a: SiteId, b: SiteId, now: u64) -> bool {
         self.partition_windows
             .iter()
-            .any(|w| !w.is_unbounded() && w.covers(a, b) && w.active_at(now))
+            .any(|w| w.covers(a, b) && w.active_at(now))
     }
 
     /// True when the site is currently stalled.
@@ -392,9 +341,7 @@ impl FaultPlan {
     }
 
     /// The differential explorer's fault matrix for a system of `sites`
-    /// sites: loss, duplication, delay and stall combinations, each paired
-    /// with the Rust expression that rebuilds it (used when printing
-    /// shrunk-failure reproducers).
+    /// sites: loss, duplication, delay and stall combinations.
     ///
     /// Every entry is deterministic under a seeded [`SimNetwork`]
     /// (probabilities are evaluated with the network's RNG), so a
@@ -403,68 +350,40 @@ impl FaultPlan {
     /// [`SimNetwork`]: crate::SimNetwork
     pub fn matrix(sites: u32) -> Vec<NamedFaultPlan> {
         let last = SiteId::new(sites.saturating_sub(1));
+        let (s0, s1) = (SiteId::new(0), SiteId::new(1));
         let delayed = LinkFault {
             drop_probability: 0.0,
             duplicate_probability: 0.0,
             extra_delay: 4,
         };
         let mut entries = vec![
-            NamedFaultPlan::new("reliable", "FaultPlan::new()", FaultPlan::new()),
-            NamedFaultPlan::new(
-                "drop10",
-                "FaultPlan::new().with_drop_probability(0.1)",
-                FaultPlan::new().with_drop_probability(0.1),
-            ),
-            NamedFaultPlan::new(
-                "drop30",
-                "FaultPlan::new().with_drop_probability(0.3)",
-                FaultPlan::new().with_drop_probability(0.3),
-            ),
-            NamedFaultPlan::new(
-                "dup30",
-                "FaultPlan::new().with_duplicate_probability(0.3)",
-                FaultPlan::new().with_duplicate_probability(0.3),
-            ),
-            NamedFaultPlan::new(
+            ("reliable", FaultPlan::new()),
+            ("drop10", FaultPlan::new().with_drop_probability(0.1)),
+            ("drop30", FaultPlan::new().with_drop_probability(0.3)),
+            ("dup30", FaultPlan::new().with_duplicate_probability(0.3)),
+            (
                 "drop20_dup20",
-                "FaultPlan::new().with_drop_probability(0.2).with_duplicate_probability(0.2)",
                 FaultPlan::new()
                     .with_drop_probability(0.2)
                     .with_duplicate_probability(0.2),
             ),
-            NamedFaultPlan::new(
+            (
                 "delay_0_1",
-                "FaultPlan::new()\
-                 .with_link_fault(SiteId::new(0), SiteId::new(1), \
-                 LinkFault { drop_probability: 0.0, duplicate_probability: 0.0, extra_delay: 4 })\
-                 .with_link_fault(SiteId::new(1), SiteId::new(0), \
-                 LinkFault { drop_probability: 0.0, duplicate_probability: 0.0, extra_delay: 4 })",
                 FaultPlan::new()
-                    .with_link_fault(SiteId::new(0), SiteId::new(1), delayed)
-                    .with_link_fault(SiteId::new(1), SiteId::new(0), delayed),
+                    .with_link_fault(s0, s1, delayed)
+                    .with_link_fault(s1, s0, delayed),
             ),
         ];
         if sites >= 2 {
-            entries.push(NamedFaultPlan::new(
-                "stall_last",
-                &format!(
-                    "FaultPlan::new().with_stalled_site(SiteId::new({}))",
-                    last.index()
-                ),
-                FaultPlan::new().with_stalled_site(last),
-            ));
-            entries.push(NamedFaultPlan::new(
+            entries.push(("stall_last", FaultPlan::new().with_stalled_site(last)));
+            entries.push((
                 "stall_last_drop10",
-                &format!(
-                    "FaultPlan::new().with_drop_probability(0.1).with_stalled_site(SiteId::new({}))",
-                    last.index()
-                ),
                 FaultPlan::new()
                     .with_drop_probability(0.1)
                     .with_stalled_site(last),
             ));
         }
-        entries
+        NamedFaultPlan::all(entries)
     }
 
     /// True when the plan can never drop nor duplicate a message.
@@ -483,18 +402,12 @@ impl FaultPlan {
     /// splits that heal early or late, a single-pair window, and a split
     /// combined with background message loss. The companion of
     /// [`FaultPlan::matrix`] for the explorer's membership corpus — every
-    /// bounded window drops arrivals as loss, so none of these plans are
-    /// loss-free and the reflisting baseline is exempted exactly as for
-    /// lossy plans.
+    /// window drops arrivals as loss, so none of these plans are loss-free
+    /// and the reflisting baseline is exempted exactly as for lossy plans.
     pub fn partition_matrix(sites: u32) -> Vec<NamedFaultPlan> {
         let last = SiteId::new(sites.saturating_sub(1));
-        let code = |plan: &FaultPlan| crash_plan_code(plan);
-        let mut entries = vec![NamedFaultPlan::new(
-            "reliable",
-            "FaultPlan::new()",
-            FaultPlan::new(),
-        )];
-        let windows = [
+        NamedFaultPlan::all(vec![
+            ("reliable", FaultPlan::new()),
             (
                 "split_early_heal",
                 FaultPlan::new().with_split(sites, 2, 10),
@@ -510,11 +423,7 @@ impl FaultPlan {
                     .with_split(sites, 3, 12)
                     .with_drop_probability(0.1),
             ),
-        ];
-        for (name, plan) in windows {
-            entries.push(NamedFaultPlan::new(name, &code(&plan), plan));
-        }
-        entries
+        ])
     }
 
     /// The crash-fault matrix for a system of `sites` sites: single and
@@ -527,9 +436,7 @@ impl FaultPlan {
     pub fn crash_matrix(sites: u32) -> Vec<NamedFaultPlan> {
         let last = SiteId::new(sites.saturating_sub(1));
         let s0 = SiteId::new(0);
-        let code = |plan: &FaultPlan| crash_plan_code(plan);
-        let mut entries = Vec::new();
-        let singles = [
+        let mut entries = vec![
             ("crash_last_early", FaultPlan::new().with_crash(last, 2, 9)),
             ("crash_last_late", FaultPlan::new().with_crash(last, 12, 30)),
             ("crash_coordinator", FaultPlan::new().with_crash(s0, 4, 16)),
@@ -546,17 +453,69 @@ impl FaultPlan {
                     .with_crash(last, 5, 14),
             ),
         ];
-        for (name, plan) in singles {
-            entries.push(NamedFaultPlan::new(name, &code(&plan), plan));
-        }
         if sites >= 3 {
             let second = SiteId::new(1);
-            let plan = FaultPlan::new()
-                .with_crash(second, 3, 12)
-                .with_crash(last, 8, 18);
-            entries.push(NamedFaultPlan::new("crash_two_overlap", &code(&plan), plan));
+            entries.push((
+                "crash_two_overlap",
+                FaultPlan::new()
+                    .with_crash(second, 3, 12)
+                    .with_crash(last, 8, 18),
+            ));
         }
-        entries
+        NamedFaultPlan::all(entries)
+    }
+
+    /// The Rust expression that rebuilds this plan, for shrunk-failure
+    /// reproducers (it assumes `ggd::prelude::*` is in scope). One builder
+    /// call per setting that differs from [`FaultPlan::new`]: the drop and
+    /// duplicate probabilities, then link overrides, stalled sites, crashes
+    /// and partition windows, each in the plan's sorted order. A split
+    /// renders as the windows it installed.
+    pub fn code(&self) -> String {
+        let site = |s: SiteId| format!("SiteId::new({})", s.index());
+        let mut code = String::from("FaultPlan::new()");
+        let (drop, duplicate) = (self.drop_probability, self.duplicate_probability);
+        if drop > 0.0 {
+            let _ = write!(code, ".with_drop_probability({drop:?})");
+        }
+        if duplicate > 0.0 {
+            let _ = write!(code, ".with_duplicate_probability({duplicate:?})");
+        }
+        for (&(from, to), fault) in &self.link_overrides {
+            let _ = write!(
+                code,
+                ".with_link_fault({}, {}, LinkFault {{ drop_probability: {:?}, \
+                 duplicate_probability: {:?}, extra_delay: {} }})",
+                site(from),
+                site(to),
+                fault.drop_probability,
+                fault.duplicate_probability,
+                fault.extra_delay
+            );
+        }
+        for &stalled in &self.stalled {
+            let _ = write!(code, ".with_stalled_site({})", site(stalled));
+        }
+        for crash in &self.crashes {
+            let _ = write!(
+                code,
+                ".with_crash({}, {}, {})",
+                site(crash.site),
+                crash.at_round,
+                crash.restart_after
+            );
+        }
+        for window in &self.partition_windows {
+            let _ = write!(
+                code,
+                ".with_partition_window({}, {}, {}, {})",
+                site(window.a),
+                site(window.b),
+                window.from_round,
+                window.heal_round
+            );
+        }
+        code
     }
 
     fn norm(a: SiteId, b: SiteId) -> (SiteId, SiteId) {
@@ -568,75 +527,31 @@ impl FaultPlan {
     }
 }
 
-/// Renders the Rust expression rebuilding a crash- or partition-bearing
-/// plan (drop/duplicate probabilities, crash windows, partition windows;
-/// the explorer's crash and membership plans use nothing else). Used by
-/// [`FaultPlan::crash_matrix`], [`FaultPlan::partition_matrix`] and by the
-/// shrinker when it minimizes a fault schedule.
-pub fn crash_plan_code(plan: &FaultPlan) -> String {
-    let mut code = String::from("FaultPlan::new()");
-    if plan.drop_probability > 0.0 {
-        code.push_str(&format!(
-            ".with_drop_probability({:?})",
-            plan.drop_probability
-        ));
-    }
-    if plan.duplicate_probability > 0.0 {
-        code.push_str(&format!(
-            ".with_duplicate_probability({:?})",
-            plan.duplicate_probability
-        ));
-    }
-    for crash in &plan.crashes {
-        code.push_str(&format!(
-            ".with_crash(SiteId::new({}), {}, {})",
-            crash.site.index(),
-            crash.at_round,
-            crash.restart_after
-        ));
-    }
-    for window in &plan.partition_windows {
-        if window.is_unbounded() {
-            code.push_str(&format!(
-                ".with_partition(SiteId::new({}), SiteId::new({}))",
-                window.a.index(),
-                window.b.index()
-            ));
-        } else {
-            code.push_str(&format!(
-                ".with_partition_window(SiteId::new({}), SiteId::new({}), {}, {})",
-                window.a.index(),
-                window.b.index(),
-                window.from_round,
-                window.heal_round
-            ));
-        }
-    }
-    code
-}
-
-/// One entry of the explorer's fault matrix: a fault plan, its stable name
-/// (for corpus statistics) and the Rust expression that rebuilds it (for
-/// self-contained shrunk-failure reproducers).
+/// One entry of a fault matrix: a plan and the stable name corpus
+/// statistics report it under. Reproducers print the plan's
+/// [`FaultPlan::code`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NamedFaultPlan {
     /// Stable name used in statistics tables.
     pub name: String,
-    /// A Rust expression evaluating to `plan` (assumes `ggd::prelude::*`
-    /// plus `LinkFault` are in scope).
-    pub code: String,
     /// The plan itself.
     pub plan: FaultPlan,
 }
 
 impl NamedFaultPlan {
     /// Creates a matrix entry.
-    pub fn new(name: &str, code: &str, plan: FaultPlan) -> Self {
+    pub fn new(name: &str, plan: FaultPlan) -> Self {
         NamedFaultPlan {
             name: name.to_owned(),
-            code: code.to_owned(),
             plan,
         }
+    }
+
+    fn all(entries: Vec<(&str, FaultPlan)>) -> Vec<NamedFaultPlan> {
+        entries
+            .into_iter()
+            .map(|(name, plan)| NamedFaultPlan::new(name, plan))
+            .collect()
     }
 }
 
@@ -684,23 +599,17 @@ mod tests {
 
     #[test]
     fn partitions_are_symmetric_and_healable() {
-        let mut plan = FaultPlan::new().with_partition(SiteId::new(1), SiteId::new(2));
-        assert!(plan.is_partitioned(SiteId::new(1), SiteId::new(2)));
-        assert!(plan.is_partitioned(SiteId::new(2), SiteId::new(1)));
-        assert!(!plan.is_partitioned(SiteId::new(1), SiteId::new(3)));
+        // A window covers an unordered pair: the reversed call adds nothing,
+        // and the window cuts both directions until it heals by itself.
+        let plan = FaultPlan::new()
+            .with_partition_window(SiteId::new(1), SiteId::new(2), 0, 6)
+            .with_partition_window(SiteId::new(2), SiteId::new(1), 0, 6);
+        assert_eq!(plan.partition_windows().len(), 1);
+        assert!(plan.partition_drops(SiteId::new(1), SiteId::new(2), 3));
+        assert!(plan.partition_drops(SiteId::new(2), SiteId::new(1), 3));
+        assert!(!plan.partition_drops(SiteId::new(1), SiteId::new(3), 3));
+        assert!(!plan.partition_drops(SiteId::new(2), SiteId::new(1), 6));
         assert!(!plan.is_reliable());
-        plan.heal_partition(SiteId::new(2), SiteId::new(1));
-        assert!(!plan.is_partitioned(SiteId::new(1), SiteId::new(2)));
-    }
-
-    #[test]
-    fn stall_and_resume() {
-        let mut plan = FaultPlan::new().with_stalled_site(SiteId::new(4));
-        assert!(plan.is_stalled(SiteId::new(4)));
-        plan.resume_site(SiteId::new(4));
-        assert!(!plan.is_stalled(SiteId::new(4)));
-        plan.stall_site(SiteId::new(5));
-        assert!(plan.is_stalled(SiteId::new(5)));
     }
 
     #[test]
@@ -751,7 +660,7 @@ mod tests {
             );
             assert!(!entry.plan.is_loss_free());
             assert!(
-                entry.code.contains("with_crash"),
+                entry.plan.code().contains("with_crash"),
                 "{} has no crash reproducer code",
                 entry.name
             );
@@ -766,13 +675,13 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "matrix misses {expected}");
         }
-        let code = crash_plan_code(&FaultPlan::new().with_drop_probability(0.25).with_crash(
-            SiteId::new(2),
-            1,
-            4,
-        ));
-        assert!(code.contains("with_drop_probability(0.25)"));
-        assert!(code.contains("with_crash(SiteId::new(2), 1, 4)"));
+        let plan = FaultPlan::new()
+            .with_crash(SiteId::new(2), 1, 4)
+            .with_drop_probability(0.25);
+        assert_eq!(
+            plan.code(),
+            "FaultPlan::new().with_drop_probability(0.25).with_crash(SiteId::new(2), 1, 4)"
+        );
     }
 
     #[test]
@@ -786,7 +695,7 @@ mod tests {
             .is_loss_free());
         assert!(!FaultPlan::new().with_drop_probability(0.1).is_loss_free());
         assert!(!FaultPlan::new()
-            .with_partition(SiteId::new(0), SiteId::new(1))
+            .with_partition_window(SiteId::new(0), SiteId::new(1), 0, 5)
             .is_loss_free());
         assert!(!FaultPlan::new()
             .with_link_fault(
@@ -805,10 +714,6 @@ mod tests {
     fn partition_windows_are_scheduled_and_half_open() {
         let plan = FaultPlan::new().with_partition_window(SiteId::new(2), SiteId::new(0), 5, 10);
         assert!(plan.has_partitions());
-        assert!(
-            !plan.is_partitioned(SiteId::new(0), SiteId::new(2)),
-            "bounded windows never park"
-        );
         assert!(!plan.partition_drops(SiteId::new(0), SiteId::new(2), 4));
         assert!(plan.partition_drops(SiteId::new(0), SiteId::new(2), 5));
         assert!(plan.partition_drops(SiteId::new(2), SiteId::new(0), 9));
@@ -820,19 +725,19 @@ mod tests {
 
     #[test]
     fn legacy_partition_is_an_unbounded_window() {
-        let plan = FaultPlan::new().with_partition(SiteId::new(3), SiteId::new(1));
+        // A link cut for the whole run is just the widest window, and it
+        // drops like any other.
+        let plan =
+            FaultPlan::new().with_partition_window(SiteId::new(3), SiteId::new(1), 0, u64::MAX);
         let windows = plan.partition_windows();
         assert_eq!(windows.len(), 1);
-        assert!(windows[0].is_unbounded());
         assert_eq!(
             (windows[0].a, windows[0].b),
             (SiteId::new(1), SiteId::new(3))
         );
-        assert!(plan.is_partitioned(SiteId::new(1), SiteId::new(3)));
-        assert!(
-            !plan.partition_drops(SiteId::new(1), SiteId::new(3), 0),
-            "unbounded windows park, they do not drop"
-        );
+        for now in [0, u64::MAX - 1] {
+            assert!(plan.partition_drops(SiteId::new(1), SiteId::new(3), now));
+        }
     }
 
     #[test]
@@ -852,18 +757,6 @@ mod tests {
     #[should_panic]
     fn empty_partition_window_panics() {
         let _ = FaultPlan::new().with_partition_window(SiteId::new(0), SiteId::new(1), 5, 5);
-    }
-
-    #[test]
-    fn heal_partition_cancels_windows_for_the_pair() {
-        let mut plan = FaultPlan::new()
-            .with_partition(SiteId::new(0), SiteId::new(1))
-            .with_partition_window(SiteId::new(0), SiteId::new(1), 3, 9)
-            .with_partition_window(SiteId::new(0), SiteId::new(2), 3, 9);
-        plan.heal_partition(SiteId::new(1), SiteId::new(0));
-        assert!(!plan.is_partitioned(SiteId::new(0), SiteId::new(1)));
-        assert!(!plan.partition_drops(SiteId::new(0), SiteId::new(1), 5));
-        assert!(plan.partition_drops(SiteId::new(0), SiteId::new(2), 5));
     }
 
     #[test]
@@ -890,18 +783,21 @@ mod tests {
                 entry.name
             );
             assert!(
-                entry.code.contains("with_partition_window"),
+                entry.plan.code().contains("with_partition_window"),
                 "{} has no window reproducer code",
                 entry.name
             );
         }
-        let code = crash_plan_code(
-            &FaultPlan::new()
-                .with_partition(SiteId::new(0), SiteId::new(1))
-                .with_partition_window(SiteId::new(1), SiteId::new(2), 4, 9),
-        );
-        assert!(code.contains("with_partition(SiteId::new(0), SiteId::new(1))"));
-        assert!(code.contains("with_partition_window(SiteId::new(1), SiteId::new(2), 4, 9)"));
+        // A split renders as the windows it installed.
+        let windows = (0..2).flat_map(|low| (2..4).map(move |high| (low, high)));
+        let one_by_one = windows.fold(FaultPlan::new(), |plan, (low, high)| {
+            plan.with_partition_window(SiteId::new(low), SiteId::new(high), 4, 9)
+        });
+        let split = FaultPlan::new().with_split(4, 4, 9);
+        assert_eq!(split, one_by_one);
+        assert!(split
+            .code()
+            .ends_with(".with_partition_window(SiteId::new(1), SiteId::new(3), 4, 9)"));
     }
 
     #[test]
@@ -924,12 +820,20 @@ mod tests {
         let stall = matrix.iter().find(|e| e.name == "stall_last").unwrap();
         assert!(stall.plan.is_stalled(SiteId::new(3)));
         assert!(stall.plan.is_loss_free());
-        for entry in &matrix {
-            assert!(
-                !entry.code.is_empty(),
-                "{} has no reproducer code",
-                entry.name
-            );
-        }
+        assert_eq!(
+            stall.plan.code(),
+            "FaultPlan::new().with_stalled_site(SiteId::new(3))"
+        );
+        let delay = matrix.iter().find(|e| e.name == "delay_0_1").unwrap();
+        let link =
+            "LinkFault { drop_probability: 0.0, duplicate_probability: 0.0, extra_delay: 4 }";
+        assert_eq!(
+            delay.plan.code(),
+            format!(
+                "FaultPlan::new()\
+                 .with_link_fault(SiteId::new(0), SiteId::new(1), {link})\
+                 .with_link_fault(SiteId::new(1), SiteId::new(0), {link})"
+            )
+        );
     }
 }

@@ -12,10 +12,12 @@
 //!
 //! The body encoding itself belongs to the payload (the simulator encodes
 //! its payloads with the `ggd-store` codec); this module only contributes
-//! the self-delimiting envelope. The length prefix uses the same LEB128
-//! varint format as that codec.
+//! the self-delimiting envelope. The length prefix is the LEB128 varint of
+//! `ggd-types`, the one that codec uses too.
 
 use std::fmt;
+
+use ggd_types::{read_varint, write_varint};
 
 use crate::message::{MessageClass, Payload};
 
@@ -98,7 +100,7 @@ impl Frame {
     /// on an in-process transport means the sender and receiver disagree on
     /// the payload type, a bug rather than an I/O condition.
     pub fn decode<P: WireCodec>(&self) -> Result<P, FrameError> {
-        let (len, prefix) = read_varint(&self.bytes)?;
+        let (len, prefix) = read_varint(&self.bytes).map_err(|_| FrameError::BadLength)?;
         let body = &self.bytes[prefix..];
         if (body.len() as u64) < len {
             return Err(FrameError::Truncated);
@@ -130,42 +132,6 @@ impl Frame {
     }
 }
 
-/// Appends `value` to `out` as a LEB128 varint (the `ggd-store` format).
-pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads a LEB128 varint off the front of `bytes`, returning the value and
-/// the number of prefix bytes consumed.
-///
-/// # Errors
-///
-/// Returns [`FrameError::BadLength`] when the varint is cut short or longer
-/// than 64 bits.
-pub fn read_varint(bytes: &[u8]) -> Result<(u64, usize), FrameError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    for (i, &byte) in bytes.iter().enumerate() {
-        if shift >= 64 {
-            return Err(FrameError::BadLength);
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok((value, i + 1));
-        }
-        shift += 7;
-    }
-    Err(FrameError::BadLength)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,20 +139,33 @@ mod tests {
 
     #[test]
     fn varint_round_trips() {
-        for value in [0u64, 1, 127, 128, 300, 16_383, 16_384, u64::MAX] {
-            let mut out = Vec::new();
-            write_varint(&mut out, value);
-            let (back, used) = read_varint(&out).unwrap();
-            assert_eq!(back, value);
-            assert_eq!(used, out.len());
+        // The test body carries its size as a varint: values across the
+        // one-, two- and ten-byte encodings survive a frame round trip.
+        for bytes in [0, 1, 127, 128, 300, 16_383, 16_384, usize::MAX] {
+            let payload = TestPayload {
+                bytes,
+                ..TestPayload::control("ping")
+            };
+            let back: TestPayload = Frame::encode(&payload).decode().unwrap();
+            assert_eq!(back.bytes, bytes);
         }
     }
 
     #[test]
     fn varint_rejects_truncation_and_overflow() {
-        assert_eq!(read_varint(&[]), Err(FrameError::BadLength));
-        assert_eq!(read_varint(&[0x80]), Err(FrameError::BadLength));
-        assert_eq!(read_varint(&[0x80; 11]), Err(FrameError::BadLength));
+        // A length prefix that is empty, cut short or longer than ten bytes
+        // is a bad length, whatever follows it.
+        let frame = |bytes: Vec<u8>| Frame {
+            class: MessageClass::Control,
+            label: "ping",
+            bytes,
+        };
+        for prefix in [vec![], vec![0x80], vec![0x80; 11]] {
+            assert_eq!(
+                frame(prefix).decode::<TestPayload>(),
+                Err(FrameError::BadLength)
+            );
+        }
     }
 
     #[test]

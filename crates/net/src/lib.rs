@@ -10,9 +10,15 @@
 //!   hand over the next delivery, report in-flight count, clock and metrics.
 //!   The `ggd-sim` sequential cluster is generic over it.
 //! * [`SimNetwork`] — a seeded, deterministic discrete-event network with
-//!   configurable latency, message loss, duplication, reordering, partitions
-//!   and stalled sites. Experiments E3–E8 run on it so that message
-//!   complexity can be counted exactly and fault scenarios are reproducible.
+//!   configurable latency and reordering. Experiments E3–E8 run on it so
+//!   that message complexity can be counted exactly and fault scenarios are
+//!   reproducible.
+//! * [`FaultPlan`] — the faults a run injects, as one declarative value
+//!   fixed at construction: loss, duplication, per-link delay, stalled
+//!   sites, crash windows and partition windows. A partition window drops
+//!   every message that arrives while it is in force, on both drivers, and
+//!   heals by itself; a stalled site holds its messages for the whole run.
+//!   [`FaultPlan::code`] renders the Rust expression that rebuilds a plan.
 //! * [`Frame`] / [`WireCodec`] — length-prefixed encoded messages. The
 //!   `ggd-sim` parallel driver, the one concurrent backend, moves these
 //!   between its worker threads, so its byte metrics report real
@@ -52,10 +58,8 @@ mod metrics;
 mod sim;
 mod transport;
 
-pub use fault::{
-    crash_plan_code, FaultPlan, LinkFault, NamedFaultPlan, PartitionWindow, SiteCrash,
-};
-pub use frame::{read_varint, write_varint, Frame, FrameError, WireCodec};
+pub use fault::{FaultPlan, LinkFault, NamedFaultPlan, PartitionWindow, SiteCrash};
+pub use frame::{Frame, FrameError, WireCodec};
 pub use message::{Delivery, MessageClass, MessageId, Payload};
 pub use metrics::{BucketRow, MetricKey, NetMetrics};
 pub use sim::{SimNetwork, SimNetworkConfig};

@@ -145,7 +145,7 @@ impl crate::frame::WireCodec for TestPayload {
             .position(|l| *l == self.label)
             .expect("test label registered in TEST_LABELS") as u8;
         out.push(index);
-        crate::frame::write_varint(out, self.bytes as u64);
+        ggd_types::write_varint(out, self.bytes as u64);
     }
 
     fn decode_body(bytes: &[u8]) -> Result<Self, crate::frame::FrameError> {
@@ -160,7 +160,7 @@ impl crate::frame::WireCodec for TestPayload {
         let label = *TEST_LABELS
             .get(index as usize)
             .ok_or(FrameError::Malformed)?;
-        let (size, used) = crate::frame::read_varint(rest).map_err(|_| FrameError::Malformed)?;
+        let (size, used) = ggd_types::read_varint(rest).map_err(|_| FrameError::Malformed)?;
         if used != rest.len() {
             return Err(FrameError::TrailingBytes);
         }

@@ -80,8 +80,9 @@ impl<P> Ord for Queued<P> {
 /// Messages are delivered one at a time via [`SimNetwork::deliver_next`]; the
 /// caller (normally `ggd-sim`) processes the delivery, possibly sending new
 /// messages, and loops until the network is quiescent. Faults (drop,
-/// duplicate, delay, partition, stalled site) are decided with the seeded RNG
-/// so that every run is reproducible from `(config, fault plan, seed)`.
+/// duplicate, delay, partition window, crash, stalled site) come from a
+/// [`FaultPlan`] fixed at construction and are decided with the seeded RNG,
+/// so every run is reproducible from `(config, fault plan, seed)`.
 ///
 /// See the crate-level documentation for a usage example.
 #[derive(Debug)]
@@ -93,7 +94,6 @@ pub struct SimNetwork<P> {
     now: u64,
     next_seq: u64,
     queue: BinaryHeap<Queued<P>>,
-    parked: Vec<Queued<P>>,
 }
 
 impl<P: Payload> SimNetwork<P> {
@@ -107,7 +107,6 @@ impl<P: Payload> SimNetwork<P> {
             now: 0,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            parked: Vec::new(),
         }
     }
 
@@ -123,19 +122,10 @@ impl<P: Payload> SimNetwork<P> {
         self.now
     }
 
-    /// Number of messages currently in flight (excluding parked ones).
+    /// Number of messages currently in flight (excluding those held for a
+    /// stalled site).
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Number of messages parked behind a partition or a stalled site.
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// True when no message can currently be delivered.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.parked.is_empty()
     }
 
     /// Read access to the accumulated metrics.
@@ -143,25 +133,9 @@ impl<P: Payload> SimNetwork<P> {
         &self.metrics
     }
 
-    /// Resets the metrics counters (the in-flight messages are untouched).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
     /// Read access to the fault plan.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// Mutable access to the fault plan, e.g. to heal a partition or resume a
-    /// stalled site mid-run.
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-
-    /// Replaces the entire fault plan.
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
     }
 
     /// Sends `payload` from `from` to `to`.
@@ -242,57 +216,29 @@ impl<P: Payload> SimNetwork<P> {
         });
     }
 
-    fn blocked(&self, msg: &Queued<P>) -> bool {
-        self.faults.is_stalled(msg.to) || self.faults.is_partitioned(msg.from, msg.to)
-    }
-
-    /// Moves parked messages whose blocking condition has cleared back into
-    /// the delivery queue.
-    fn unpark(&mut self) {
-        if self.parked.is_empty() {
-            return;
-        }
-        let mut still_parked = Vec::new();
-        let parked = std::mem::take(&mut self.parked);
-        for mut msg in parked {
-            if self.blocked(&msg) {
-                still_parked.push(msg);
-            } else {
-                msg.deliver_at = self.now.max(msg.deliver_at);
-                self.queue.push(msg);
-            }
-        }
-        self.parked = still_parked;
-    }
-
     /// Delivers the next message in simulated-time order, advancing the
     /// clock. Returns `None` when nothing can currently be delivered (the
-    /// queue is empty, or every remaining message is parked behind a
-    /// partition or stalled site).
+    /// queue is empty, or every remaining message is addressed to a stalled
+    /// site).
     pub fn deliver_next(&mut self) -> Option<Delivery<P>> {
-        self.unpark();
         while let Some(msg) = self.queue.pop() {
             // A message arriving while its destination is crashed dies with
-            // the destination's volatile inbox: dropped, counted as loss
-            // (unlike stalls/partitions, which only park). The clock still
-            // advances — simulated time passed while the site was down.
+            // the destination's volatile inbox, and one arriving while a
+            // partition window cuts its link is lost on the wire: either way
+            // it is dropped, counted as loss. The clock still advances —
+            // simulated time passed while the site was down or cut off.
             let arrives_at = self.now.max(msg.deliver_at);
-            if self.faults.is_crashed(msg.to, arrives_at) {
+            if self.faults.is_crashed(msg.to, arrives_at)
+                || self.faults.partition_drops(msg.from, msg.to, arrives_at)
+            {
                 self.now = arrives_at;
                 self.metrics.note_dequeued(msg.payload.size_hint());
                 self.metrics.record_dropped(msg.class, msg.label);
                 continue;
             }
-            // A bounded partition window drops arrivals inside it, as loss;
-            // only the legacy unbounded partitions park (handled below).
-            if self.faults.partition_drops(msg.from, msg.to, arrives_at) {
-                self.now = arrives_at;
-                self.metrics.note_dequeued(msg.payload.size_hint());
-                self.metrics.record_dropped(msg.class, msg.label);
-                continue;
-            }
-            if self.blocked(&msg) {
-                self.parked.push(msg);
+            // A stalled site never resumes: its messages stay counted as
+            // queued and are never delivered.
+            if self.faults.is_stalled(msg.to) {
                 continue;
             }
             self.now = self.now.max(msg.deliver_at);
@@ -313,18 +259,6 @@ impl<P: Payload> SimNetwork<P> {
         }
         None
     }
-
-    /// Delivers every message currently deliverable, invoking `handler` for
-    /// each. The handler cannot send new messages; use the `ggd-sim` cluster
-    /// loop when deliveries must trigger further sends.
-    pub fn drain<F: FnMut(Delivery<P>)>(&mut self, mut handler: F) -> usize {
-        let mut count = 0;
-        while let Some(delivery) = self.deliver_next() {
-            handler(delivery);
-            count += 1;
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -340,6 +274,15 @@ mod tests {
         SimNetwork::new(SimNetworkConfig::default(), seed)
     }
 
+    /// Delivers filler traffic on the `from → to` link until the clock
+    /// reaches `t`.
+    fn advance_to(n: &mut SimNetwork<TestPayload>, from: u32, to: u32, t: u64) {
+        while n.now() < t {
+            n.send(site(from), site(to), TestPayload::control("tick"));
+            assert_eq!(n.deliver_next().unwrap().payload.label, "tick");
+        }
+    }
+
     #[test]
     fn delivers_in_send_order_without_jitter() {
         let mut n = net(1);
@@ -350,7 +293,7 @@ mod tests {
             .map(|d| d.payload.label)
             .collect();
         assert_eq!(labels, vec!["a", "b", "c"]);
-        assert!(n.is_idle());
+        assert_eq!(n.pending(), 0);
         assert_eq!(n.metrics().delivered_total(), 3);
     }
 
@@ -422,35 +365,42 @@ mod tests {
     }
 
     #[test]
-    fn stalled_site_parks_messages_until_resumed() {
+    fn stalled_site_holds_its_messages_for_the_whole_run() {
         let faults = FaultPlan::new().with_stalled_site(site(1));
         let mut n: SimNetwork<TestPayload> =
             SimNetwork::with_faults(SimNetworkConfig::default(), faults, 5);
-        n.send(site(0), site(1), TestPayload::control("blocked"));
+        n.send(site(0), site(1), TestPayload::control("held"));
         n.send(site(0), site(2), TestPayload::control("free"));
         let d = n.deliver_next().unwrap();
         assert_eq!(d.to, site(2));
         assert!(n.deliver_next().is_none());
-        assert_eq!(n.parked(), 1);
-        assert!(!n.is_idle());
-
-        n.faults_mut().resume_site(site(1));
-        let d = n.deliver_next().unwrap();
-        assert_eq!(d.to, site(1));
-        assert!(n.is_idle());
+        assert_eq!(n.pending(), 0, "a held message is not in flight");
+        // Held, not lost: it is neither delivered nor dropped, and its bytes
+        // stay queued however far the clock runs.
+        advance_to(&mut n, 0, 2, 50);
+        assert!(n.deliver_next().is_none());
+        assert_eq!(n.metrics().dropped_total(), 0);
+        assert_eq!(n.metrics().queued_bytes(), 16);
     }
 
     #[test]
     fn partition_blocks_both_directions_until_healed() {
-        let faults = FaultPlan::new().with_partition(site(0), site(1));
+        // Window [0, 5) between sites 0 and 1: traffic in either direction
+        // is dropped, site 2's links are untouched, and the link carries
+        // traffic again once the clock reaches the heal round.
+        let faults = FaultPlan::new().with_partition_window(site(0), site(1), 0, 5);
         let mut n: SimNetwork<TestPayload> =
             SimNetwork::with_faults(SimNetworkConfig::default(), faults, 5);
         n.send(site(0), site(1), TestPayload::control("a"));
         n.send(site(1), site(0), TestPayload::control("b"));
+        n.send(site(2), site(0), TestPayload::control("c"));
+        let d = n.deliver_next().unwrap();
+        assert_eq!(d.payload.label, "c");
         assert!(n.deliver_next().is_none());
-        assert_eq!(n.parked(), 2);
-        n.faults_mut().heal_partition(site(0), site(1));
-        assert_eq!(n.drain(|_| {}), 2);
+        assert_eq!(n.metrics().dropped_total(), 2);
+        advance_to(&mut n, 2, 0, 5);
+        n.send(site(1), site(0), TestPayload::control("healed"));
+        assert_eq!(n.deliver_next().unwrap().payload.label, "healed");
     }
 
     #[test]
@@ -471,28 +421,21 @@ mod tests {
         assert!(n.deliver_next().is_none(), "both arrivals are dropped");
         assert_eq!(n.metrics().dropped_total(), 2);
         assert_eq!(n.now(), 2, "simulated time passed while the site was down");
-        assert_eq!(n.parked(), 0, "crash drops, it does not park");
 
-        // A message delayed past the restart is delivered normally.
-        let late = crate::fault::LinkFault {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            extra_delay: 9,
-        };
-        let with_delay = n.faults().clone().with_link_fault(site(0), site(1), late);
-        n.set_faults(with_delay);
+        // A message arriving after the restart is delivered normally.
+        advance_to(&mut n, 0, 2, 9);
         n.send(site(0), site(1), TestPayload::control("after-restart"));
         let d = n.deliver_next().unwrap();
         assert_eq!(d.payload.label, "after-restart");
-        assert!(d.at >= 10);
+        assert_eq!(d.at, 10);
     }
 
     #[test]
     fn partition_window_drops_inside_the_window_only() {
         // Window [2, 10) between sites 0 and 1: the first message (arrives
         // at t=1) lands, the next two (t=2, t=3) are dropped as loss, and a
-        // message delayed past the heal lands again. Mirrors the crash test
-        // above — bounded windows drop, they never park.
+        // message arriving after the heal lands again. Mirrors the crash
+        // test above.
         let faults = FaultPlan::new().with_partition_window(site(0), site(1), 2, 10);
         let mut n: SimNetwork<TestPayload> =
             SimNetwork::with_faults(SimNetworkConfig::default(), faults, 5);
@@ -504,20 +447,13 @@ mod tests {
         n.send(site(1), site(0), TestPayload::control("cut-2"));
         assert!(n.deliver_next().is_none(), "both arrivals are dropped");
         assert_eq!(n.metrics().dropped_total(), 2);
-        assert_eq!(n.parked(), 0, "a bounded window drops, it does not park");
         assert_eq!(n.now(), 2, "time passed while the link was severed");
 
-        let late = crate::fault::LinkFault {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            extra_delay: 9,
-        };
-        let with_delay = n.faults().clone().with_link_fault(site(0), site(1), late);
-        n.set_faults(with_delay);
+        advance_to(&mut n, 0, 2, 9);
         n.send(site(0), site(1), TestPayload::control("after-heal"));
         let d = n.deliver_next().unwrap();
         assert_eq!(d.payload.label, "after-heal");
-        assert!(d.at >= 10);
+        assert_eq!(d.at, 10);
     }
 
     #[test]
@@ -533,43 +469,10 @@ mod tests {
         assert_eq!(n.metrics().dropped_total(), 1);
 
         // After the heal round the same link works again.
-        let late = crate::fault::LinkFault {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            extra_delay: 9,
-        };
-        let with_delay = n.faults().clone().with_link_fault(site(0), site(2), late);
-        n.set_faults(with_delay);
+        advance_to(&mut n, 0, 1, 4);
         n.send(site(0), site(2), TestPayload::control("healed"));
         let d = n.deliver_next().unwrap();
         assert_eq!(d.payload.label, "healed");
-        assert!(d.at >= 5);
-    }
-
-    #[test]
-    fn drain_counts_deliveries() {
-        let mut n = net(9);
-        for _ in 0..5 {
-            n.send(site(0), site(1), TestPayload::mutator("m"));
-        }
-        let mut seen = 0;
-        assert_eq!(
-            n.drain(|d| {
-                assert_eq!(d.payload.label, "m");
-                seen += 1;
-            }),
-            5
-        );
-        assert_eq!(seen, 5);
-    }
-
-    #[test]
-    fn reset_metrics_keeps_messages_in_flight() {
-        let mut n = net(2);
-        n.send(site(0), site(1), TestPayload::control("x"));
-        n.reset_metrics();
-        assert_eq!(n.metrics().sent_total(), 0);
-        assert!(n.deliver_next().is_some());
-        assert_eq!(n.metrics().delivered_total(), 1);
+        assert_eq!(d.at, 5);
     }
 }

@@ -38,8 +38,9 @@ pub trait Transport<P: Payload> {
     /// clock. Returns `None` when nothing can currently be delivered.
     fn poll(&mut self) -> Option<Delivery<P>>;
 
-    /// Number of messages known to be in flight (undeliverable parked
-    /// messages excluded). Zero together with a `None` poll means quiescent.
+    /// Number of messages known to be in flight (messages held for a
+    /// stalled site excluded). Zero together with a `None` poll means
+    /// quiescent.
     fn pending(&self) -> usize;
 
     /// The transport's current clock value (see the module docs).

@@ -1,6 +1,6 @@
 //! The object-lifecycle ledger: per-object
-//! allocation → unreachable → detected → reclaimed timestamps, sampled at
-//! allocation time and folded into detection-latency histograms.
+//! allocation → unreachable → detected → reclaimed timestamps, recorded for
+//! every object and folded into detection-latency histograms.
 //!
 //! This is the paper's metric — how long garbage survives between becoming
 //! unreachable and being detected/reclaimed — measured per object instead of
@@ -17,20 +17,18 @@
 //! * `reclaimed` — the step a local collection actually freed it.
 //!
 //! The ledger is keyed by [`GlobalAddr`], so merging per-site ledgers and
-//! rendering are canonical, and sampling is by object index
-//! (`object % sample == 0`) so the sequential and parallel drivers sample
-//! the *same* objects.
+//! rendering are canonical.
 
 use crate::registry::Histogram;
 use ggd_types::GlobalAddr;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Dense lifecycle slots for one site's sampled objects. Slot `i` holds the
-/// object with index `i * sample`.
+/// Dense lifecycle slots for one site's objects. Slot `i` holds the object
+/// with index `i`.
 type Page = Vec<Option<Lifecycle>>;
 
-/// Lifecycle timestamps of one sampled object, in logical steps.
+/// Lifecycle timestamps of one object, in logical steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Lifecycle {
     /// Step of allocation.
@@ -46,56 +44,32 @@ pub struct Lifecycle {
 /// Per-site lifecycle ledger (merged across sites at report time).
 ///
 /// Storage is a dense page per site rather than a map keyed by address:
-/// sampled object indices are allocation-sequential, so the record calls on
-/// the mutation hot path are O(1) vector writes. The address order the
+/// object indices are allocation-sequential, so the record calls on the
+/// mutation hot path are O(1) vector writes. The address order the
 /// renderers need falls out of iterating sites ascending, slots ascending.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Ledger {
     pages: BTreeMap<u32, Page>,
-    /// Sampling modulus: objects with `object.index() % sample == 0` are
-    /// tracked. 1 tracks everything; 0 disables the ledger.
-    sample: u64,
     /// Count of occupied slots across all pages.
     len: usize,
 }
 
+/// Slot of an address within its site's page.
+fn slot(addr: GlobalAddr) -> usize {
+    usize::try_from(addr.object().index()).unwrap_or(usize::MAX)
+}
+
 impl Ledger {
-    /// Creates a ledger with the given sampling modulus.
-    pub fn new(sample: u64) -> Self {
-        Ledger {
-            pages: BTreeMap::new(),
-            sample,
-            len: 0,
-        }
-    }
-
-    fn sampled(&self, addr: GlobalAddr) -> bool {
-        self.sample != 0 && addr.object().index() % self.sample == 0
-    }
-
-    /// Slot of a sampled address within its site's page. Only meaningful
-    /// when `sampled(addr)` holds (callers check first).
-    fn slot(&self, addr: GlobalAddr) -> usize {
-        usize::try_from(addr.object().index() / self.sample).unwrap_or(usize::MAX)
-    }
-
     fn entry_mut(&mut self, addr: GlobalAddr) -> Option<&mut Lifecycle> {
-        if !self.sampled(addr) {
-            return None;
-        }
-        let slot = self.slot(addr);
         self.pages
             .get_mut(&addr.site().index())?
-            .get_mut(slot)?
+            .get_mut(slot(addr))?
             .as_mut()
     }
 
     /// Records an allocation at `step`.
     pub fn on_alloc(&mut self, addr: GlobalAddr, step: u64) {
-        if !self.sampled(addr) {
-            return;
-        }
-        let slot = self.slot(addr);
+        let slot = slot(addr);
         let page = self.pages.entry(addr.site().index()).or_default();
         if page.len() <= slot {
             page.resize(slot + 1, None);
@@ -142,12 +116,11 @@ impl Ledger {
 
     /// Iterates entries in address order.
     pub fn iter(&self) -> impl Iterator<Item = (GlobalAddr, &Lifecycle)> {
-        let sample = self.sample.max(1);
-        self.pages.iter().flat_map(move |(&site, page)| {
+        self.pages.iter().flat_map(|(&site, page)| {
             page.iter().enumerate().filter_map(move |(slot, entry)| {
                 entry
                     .as_ref()
-                    .map(|lifecycle| (GlobalAddr::new(site, slot as u64 * sample), lifecycle))
+                    .map(|lifecycle| (GlobalAddr::new(site, slot as u64), lifecycle))
             })
         })
     }
@@ -155,14 +128,8 @@ impl Ledger {
     /// Merges another ledger (disjoint address spaces: each site ledgers its
     /// own objects, so collisions keep the earliest timestamps defensively).
     pub fn absorb(&mut self, other: &Ledger) {
-        if self.sample == 0 {
-            self.sample = other.sample;
-        }
         for (addr, &lifecycle) in other.iter() {
-            if !self.sampled(addr) {
-                continue; // mismatched modulus — all real configs share one
-            }
-            let slot = self.slot(addr);
+            let slot = slot(addr);
             let page = self.pages.entry(addr.site().index()).or_default();
             if page.len() <= slot {
                 page.resize(slot + 1, None);
@@ -234,7 +201,7 @@ mod tests {
 
     #[test]
     fn tracks_full_lifecycle() {
-        let mut ledger = Ledger::new(1);
+        let mut ledger = Ledger::default();
         let addr = GlobalAddr::new(1, 4);
         ledger.on_alloc(addr, 2);
         ledger.mark_unreachable(addr, 5);
@@ -253,7 +220,7 @@ mod tests {
 
     #[test]
     fn first_timestamp_wins() {
-        let mut ledger = Ledger::new(1);
+        let mut ledger = Ledger::default();
         let addr = GlobalAddr::new(0, 0);
         ledger.on_alloc(addr, 1);
         ledger.mark_unreachable(addr, 3);
@@ -262,20 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_by_object_index() {
-        let mut ledger = Ledger::new(4);
-        ledger.on_alloc(GlobalAddr::new(0, 0), 1);
-        ledger.on_alloc(GlobalAddr::new(0, 1), 1);
-        ledger.on_alloc(GlobalAddr::new(0, 4), 1);
-        assert_eq!(ledger.len(), 2);
-        let mut off = Ledger::new(0);
-        off.on_alloc(GlobalAddr::new(0, 0), 1);
-        assert!(off.is_empty());
-    }
-
-    #[test]
     fn untracked_objects_are_ignored() {
-        let mut ledger = Ledger::new(2);
+        let mut ledger = Ledger::default();
         ledger.mark_unreachable(GlobalAddr::new(0, 2), 1);
         ledger.on_detected(GlobalAddr::new(0, 2), 1);
         ledger.on_reclaimed(GlobalAddr::new(0, 2), 1);
@@ -284,7 +239,7 @@ mod tests {
 
     #[test]
     fn jsonl_rendering_is_canonical() {
-        let mut ledger = Ledger::new(1);
+        let mut ledger = Ledger::default();
         ledger.on_alloc(GlobalAddr::new(1, 1), 2);
         ledger.on_reclaimed(GlobalAddr::new(1, 1), 4);
         let mut out = String::new();

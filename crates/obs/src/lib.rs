@@ -6,9 +6,8 @@
 //! instead of scattered ad-hoc counters. Three pieces:
 //!
 //! 1. **Per-scope metrics registry** ([`Registry`], held by [`SiteObs`]):
-//!    counters, gauges and fixed-bucket [`Histogram`]s, keyed by *logical
-//!    time only* — scenario steps, settle rounds, sim ticks, never a wall
-//!    clock. Snapshots are bit-reproducible across runs, and the
+//!    counters and gauges, keyed by *logical time only* — scenario steps,
+//!    settle rounds, sim ticks, never a wall clock. Snapshots are bit-reproducible across runs, and the
 //!    deterministic subset is identical between the sequential and parallel
 //!    drivers on the equivalence corpus.
 //! 2. **Structured event tracing** ([`TraceEvent`], exported by
@@ -18,8 +17,8 @@
 //!    determinism class; see [`trace`] for the exact contract.
 //! 3. **Object-lifecycle ledger** ([`Ledger`]): per-object
 //!    allocation → unreachable → detected → reclaimed logical timestamps,
-//!    folded into detection-latency histograms — the paper's metric,
-//!    measured per object.
+//!    folded into fixed-bucket detection-latency [`Histogram`]s — the
+//!    paper's metric, measured per object.
 //!
 //! The off-path is free: with [`ObsConfig::enabled`]` == false` every handle
 //! is a `None` behind one pointer and every probe is a single branch.

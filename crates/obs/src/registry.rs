@@ -1,9 +1,9 @@
-//! The per-site metrics registry: counters, gauges and fixed-bucket
-//! histograms, all keyed by *logical* time.
+//! The per-site metrics registry (counters and gauges) and the fixed-bucket
+//! histogram the lifecycle ledger folds into, all keyed by *logical* time.
 //!
 //! Nothing in this module ever reads a wall clock. Counters advance when the
 //! instrumented code says so, histograms bucket logical durations (scenario
-//! steps, settle rounds, sim ticks), and every rendering walks `BTreeMap`s —
+//! steps), and every rendering walks `BTreeMap`s —
 //! so two runs of the same deterministic schedule produce byte-identical
 //! snapshots, and the sequential and parallel drivers agree wherever the
 //! underlying quantity is schedule-independent.
@@ -115,7 +115,6 @@ impl Histogram {
 pub struct Registry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Registry {
@@ -129,11 +128,6 @@ impl Registry {
         self.gauges.insert(gauge, value);
     }
 
-    /// Records an observation into the named histogram.
-    pub fn observe(&mut self, histogram: &'static str, value: u64) {
-        self.histograms.entry(histogram).or_default().observe(value);
-    }
-
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -144,27 +138,19 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// The named histogram, when it has ever observed anything.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// True when no instrument has recorded anything.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
     /// Merges another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge element-wise.
+    /// other's value.
     pub fn absorb(&mut self, other: &Registry) {
         for (&name, &value) in &other.counters {
             self.add(name, value);
         }
         for (&name, &value) in &other.gauges {
             self.set_gauge(name, value);
-        }
-        for (&name, hist) in &other.histograms {
-            self.histograms.entry(name).or_default().absorb(hist);
         }
     }
 
@@ -177,9 +163,6 @@ impl Registry {
         }
         for (name, value) in &self.gauges {
             let _ = writeln!(out, "{scope} gauge {name} {value}");
-        }
-        for (name, hist) in &self.histograms {
-            let _ = writeln!(out, "{scope} histogram {name} {}", hist.render());
         }
     }
 }
@@ -225,7 +208,6 @@ mod tests {
         r.add("zeta", 2);
         r.add("alpha", 1);
         r.set_gauge("mid", 7);
-        r.observe("lat", 3);
         let mut one = String::new();
         r.render_into("s0", &mut one);
         let mut two = String::new();
@@ -233,7 +215,6 @@ mod tests {
         assert_eq!(one, two);
         assert!(one.find("alpha").unwrap() < one.find("zeta").unwrap());
         assert!(one.contains("s0 gauge mid 7"));
-        assert!(one.contains("s0 histogram lat count=1 sum=3 max=3 le4:1"));
     }
 
     #[test]

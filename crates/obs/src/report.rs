@@ -17,7 +17,7 @@
 use crate::ledger::Ledger;
 use crate::registry::{Histogram, Registry};
 use crate::site::SiteObs;
-use crate::trace::{TraceEvent, TraceView, TRACE_SCHEMA};
+use crate::trace::{render_jsonl, TraceEvent, TraceView};
 use ggd_types::SiteId;
 use std::fmt::Write as _;
 
@@ -117,22 +117,7 @@ impl ObsReport {
     /// The versioned JSONL trace: header, events (filtered per `view`),
     /// then one object line per ledger entry.
     pub fn trace_jsonl(&self, view: TraceView) -> String {
-        let view_name = match view {
-            TraceView::Full => "full",
-            TraceView::Deterministic => "deterministic",
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"view\":\"{view_name}\"}}"
-        );
-        for event in &self.events {
-            if matches!(view, TraceView::Deterministic) && !event.det {
-                continue;
-            }
-            out.push_str(&event.render());
-            out.push('\n');
-        }
+        let mut out = render_jsonl(&self.events, view);
         self.ledger
             .render_jsonl_into(matches!(view, TraceView::Full), &mut out);
         out

@@ -14,41 +14,17 @@ use crate::trace::TraceEvent;
 use ggd_types::{GlobalAddr, SiteId};
 
 /// Configuration of the observability layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
     /// Master switch. Off (the default) compiles every probe down to a
-    /// branch on a `None`.
+    /// branch on a `None`. On, every object is ledgered.
     pub enabled: bool,
-    /// Lifecycle-ledger sampling modulus: objects whose index satisfies
-    /// `index % lifecycle_sample == 0` are tracked. 1 tracks every object;
-    /// 0 disables the ledger while keeping metrics and events.
-    pub lifecycle_sample: u64,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            lifecycle_sample: 1,
-        }
-    }
 }
 
 impl ObsConfig {
-    /// Observability on, every object ledgered.
+    /// Observability on.
     pub fn enabled() -> Self {
-        ObsConfig {
-            enabled: true,
-            lifecycle_sample: 1,
-        }
-    }
-
-    /// Observability on with a sparser lifecycle sample (for large runs).
-    pub fn sampled(lifecycle_sample: u64) -> Self {
-        ObsConfig {
-            enabled: true,
-            lifecycle_sample,
-        }
+        ObsConfig { enabled: true }
     }
 }
 
@@ -93,7 +69,7 @@ impl SiteObs {
                 det: Registry::default(),
                 aux: Registry::default(),
                 events: Vec::new(),
-                ledger: Ledger::new(config.lifecycle_sample),
+                ledger: Ledger::default(),
             })),
         }
     }
@@ -140,20 +116,6 @@ impl SiteObs {
     pub fn set_gauge_aux(&mut self, gauge: &'static str, value: u64) {
         if let Some(inner) = self.inner.as_deref_mut() {
             inner.aux.set_gauge(gauge, value);
-        }
-    }
-
-    /// Records into a deterministic histogram.
-    pub fn observe(&mut self, histogram: &'static str, value: u64) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.det.observe(histogram, value);
-        }
-    }
-
-    /// Records into an auxiliary histogram.
-    pub fn observe_aux(&mut self, histogram: &'static str, value: u64) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.aux.observe(histogram, value);
         }
     }
 

@@ -105,10 +105,12 @@ pub fn render_jsonl(events: &[TraceEvent], view: TraceView) -> String {
 
 /// Structural validation of an exported trace.
 ///
-/// Checks the versioned header and, per line: object framing, the required
-/// keys in order (`t`, `step`, `site`, `kind`, `det`, `f`), and a numeric
-/// step. This is the library-level well-formedness check; the explorer's
-/// `--trace` mode additionally runs every line through a full JSON parser.
+/// Checks the versioned header and, per line: the record's framing and
+/// type tag, that the type's required keys are present (`step`, `site`,
+/// `kind`, `det` and `f` for events; `addr`, `alloc`, `detected` and
+/// `reclaimed` for ledger objects), and a numeric event step. It matches
+/// substrings and does not parse JSON; it is the one trace check the
+/// explorer's `--trace` and `--validate-traces` modes run.
 pub fn validate_jsonl(trace: &str) -> Result<usize, String> {
     let mut lines = trace.lines();
     let header = lines.next().ok_or_else(|| "empty trace".to_string())?;

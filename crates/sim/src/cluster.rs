@@ -29,24 +29,25 @@ use crate::report::{record_net, record_store, RunReport};
 use crate::runtime::SyncMode;
 use crate::shard::Shard;
 
+/// Safety valve of the settle loop on both drivers: the most rounds of
+/// deliver-then-collect one settle runs before giving up on quiescence.
+pub(crate) const SETTLE_ROUNDS: u32 = 64;
+
 /// Configuration of a cluster run.
 ///
 /// The `net`, `faults` and `seed` fields parameterize the [`SimNetwork`]
 /// constructors ([`Cluster::new`] / [`Cluster::from_scenario`]); transports
-/// supplied through [`Cluster::with_transport`] ignore them. The settle
-/// valve applies to every transport.
+/// supplied through [`Cluster::with_transport`] ignore them.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Network latency/jitter configuration (simulated network only).
     pub net: SimNetworkConfig,
-    /// Fault injection plan. The simulated network applies all of it;
-    /// [`ParallelCluster`](crate::ParallelCluster) applies its crash
-    /// schedule and bounded partition windows.
+    /// Fault injection plan, fixed for the run. The simulated network
+    /// applies all of it; [`ParallelCluster`](crate::ParallelCluster)
+    /// applies its crash schedule and partition windows.
     pub faults: FaultPlan,
     /// RNG seed for the network (simulated network only).
     pub seed: u64,
-    /// Safety valve for the settle loop; `0` means the default (64 rounds).
-    pub max_settle_rounds: u32,
     /// Snapshot pipeline for every site runtime (incremental by default;
     /// [`SyncMode::FullRescan`] retains the pre-delta reference path).
     pub sync_mode: SyncMode,
@@ -79,7 +80,6 @@ impl Default for ClusterConfig {
             net: SimNetworkConfig::default(),
             faults: FaultPlan::default(),
             seed: 0,
-            max_settle_rounds: 0,
             sync_mode: SyncMode::default(),
             safety_oracle: true,
             durability: DurabilityConfig::off(),
@@ -90,14 +90,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    pub(crate) fn settle_rounds(&self) -> u32 {
-        if self.max_settle_rounds == 0 {
-            64
-        } else {
-            self.max_settle_rounds
-        }
-    }
-
     /// The planner for `sites` founding sites under this config's crash
     /// schedule. Panics when crashes are scheduled but durability is off: a
     /// crashed volatile site loses its heap with no way back.
@@ -168,12 +160,6 @@ impl<C: Collector> Cluster<C> {
         factory: impl Fn(SiteId) -> C + 'static,
     ) -> Self {
         Cluster::new(scenario.site_count(), config, factory)
-    }
-
-    /// Mutable access to the simulated network's fault plan (heal
-    /// partitions, resume stalled sites, …) between steps.
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        self.net.faults_mut()
     }
 
     /// Builds a simulated cluster for `scenario`, runs it to completion and
@@ -376,7 +362,7 @@ where
     pub fn settle(&mut self) {
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
-        for _ in 0..self.shard.config.settle_rounds() {
+        for _ in 0..SETTLE_ROUNDS {
             rounds += 1;
             let mut progressed = false;
             self.lifecycle();

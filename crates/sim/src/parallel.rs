@@ -56,7 +56,7 @@ use ggd_obs::{ObsReport, SiteObs};
 use ggd_store::StoreStats;
 use ggd_types::{GlobalAddr, SiteId};
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, SETTLE_ROUNDS};
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
 use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
@@ -289,8 +289,8 @@ where
     }
 
     /// Consumes one frame: decode at the mailbox, deliver to the hosted
-    /// runtime (or drop as loss if the site is down or a bounded partition
-    /// window separates the link), then release the credit — strictly after
+    /// runtime (or drop as loss if the site is down or a partition window
+    /// separates the link), then release the credit — strictly after
     /// any descendant sends were enqueued.
     fn process_frame(&mut self, from: SiteId, to: SiteId, frame: Frame) {
         let wire = &mut self.wire;
@@ -389,7 +389,7 @@ impl<C: Collector> Coordinator<C> {
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
         self.barrier();
-        for _ in 0..self.config.settle_rounds() {
+        for _ in 0..SETTLE_ROUNDS {
             rounds += 1;
             self.lifecycle();
             self.broadcast(|| Command::Drain(step));
@@ -477,7 +477,7 @@ where
     /// consistent global heap view exists mid-run); safety is checked by the
     /// sequential-equivalence suite and, at end of run, by
     /// [`ParallelCluster::dangling_refs`] instead. Of [`ClusterConfig::faults`], only the
-    /// crash schedule and bounded partition windows apply, both against the
+    /// crash schedule and partition windows apply, both against the
     /// delivered-frame clock.
     ///
     /// # Panics
@@ -869,8 +869,8 @@ mod tests {
 
     #[test]
     fn partition_window_drops_cross_traffic_as_loss() {
-        // A bounded window (an unbounded one parks instead) cuts sites 0 and
-        // 1 for the whole run; site 2's link to site 0 stays open.
+        // A window cuts sites 0 and 1 for the whole run; site 2's link to
+        // site 0 stays open.
         let (mut s, [a, b, c]) = three_roots();
         s.send_ref(S[1], a, b);
         s.send_ref(S[2], a, c);

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ggd_mutator::{MembershipEvent, MembershipKind, MutatorOp, ObjName};
+use ggd_mutator::{Legality, MembershipEvent, MembershipKind, MutatorOp, ObjName};
 use ggd_store::{MembershipAnnouncement, MembershipChange};
 use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
@@ -112,61 +112,6 @@ fn membership_kind_code(kind: MembershipChange) -> u64 {
         MembershipChange::Join => 0,
         MembershipChange::PlannedLeave => 1,
         MembershipChange::Evict => 2,
-    }
-}
-
-/// Monotone mutator-legality state (the executable mirror of the
-/// explorer's `sanitize` pass): `holders[name]` is the set of sites that
-/// have legally held `name`'s reference, `anchored` the set of objects a
-/// mutator message can legally be addressed to.
-#[derive(Debug, Default)]
-struct Legality {
-    holders: BTreeMap<ObjName, BTreeSet<SiteId>>,
-    anchored: BTreeSet<ObjName>,
-}
-
-impl Legality {
-    /// Records a successful `Alloc`: `site` holds `name`, and a local root
-    /// makes it addressable.
-    fn note_alloc(&mut self, name: ObjName, site: SiteId, local_root: bool) {
-        self.holders.entry(name).or_default().insert(site);
-        if local_root {
-            self.anchored.insert(name);
-        }
-    }
-
-    /// Judges a `SendRef` and, when legal, records its effects. Skipped ops
-    /// may have broken the causal chain that made this send legal in the
-    /// generated scenario: the sender must actually have held the target's
-    /// reference, and the recipient must be addressable. Holding is
-    /// recorded at *send* time, deliberately mirroring the explorer's
-    /// `sanitize` (and the generator's own forwarders model): a transfer
-    /// lost en route — to a drop plan or to a crashed inbox — still
-    /// legalizes later forwards, because the sender legitimately performed
-    /// the send and message loss is squarely inside the collectors' fault
-    /// contract (the export registered the target as a global root, so a
-    /// forwarded-but-never-received reference can only add conservatism,
-    /// never an unsafe free).
-    fn approve_send(
-        &mut self,
-        target: ObjName,
-        from_site: SiteId,
-        recipient: ObjName,
-        recipient_site: SiteId,
-    ) -> bool {
-        let sender_holds = self
-            .holders
-            .get(&target)
-            .is_some_and(|sites| sites.contains(&from_site));
-        if !sender_holds || !self.anchored.contains(&recipient) {
-            return false;
-        }
-        self.anchored.insert(target);
-        self.holders
-            .entry(target)
-            .or_default()
-            .insert(recipient_site);
-        true
     }
 }
 

@@ -7,8 +7,9 @@
 //! buffer, [`Decode`] reads it back. The encoding is deliberately simple
 //! and fully deterministic:
 //!
-//! * integers are LEB128 varints (WAL records are dominated by small
-//!   vertex indices and event counters, so varints roughly halve the log);
+//! * integers are `ggd-types` LEB128 varints (WAL records are dominated by
+//!   small vertex indices and event counters, so varints roughly halve the
+//!   log);
 //! * enums are a one-byte tag followed by the variant's fields;
 //! * sequences and maps are a length varint followed by the elements in
 //!   iteration order — every in-memory container used on the wire is
@@ -20,6 +21,8 @@
 //! module is only about turning values into bytes and back.
 
 use std::fmt;
+
+use ggd_types::{read_varint, write_varint, VarintError};
 
 /// Errors surfaced while decoding durable bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,19 +97,12 @@ impl<'a> Reader<'a> {
     /// Returns [`CodecError::UnexpectedEof`] on a truncated varint and
     /// [`CodecError::VarintOverflow`] on an overlong one.
     pub fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(CodecError::VarintOverflow);
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
+        let (value, used) = read_varint(&self.bytes[self.pos..]).map_err(|e| match e {
+            VarintError::Truncated => CodecError::UnexpectedEof,
+            VarintError::Overflow => CodecError::VarintOverflow,
+        })?;
+        self.pos += used;
+        Ok(value)
     }
 
     /// Reads a length prefix, bounded by the remaining input so corrupt
@@ -122,19 +118,6 @@ impl<'a> Reader<'a> {
             return Err(CodecError::UnexpectedEof);
         }
         Ok(n as usize)
-    }
-}
-
-/// Appends a LEB128 varint to `out`.
-pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -192,7 +175,7 @@ impl Decode for u8 {
 
 impl Encode for u32 {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, u64::from(*self));
+        write_varint(out, u64::from(*self));
     }
 }
 impl Decode for u32 {
@@ -203,7 +186,7 @@ impl Decode for u32 {
 
 impl Encode for u64 {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, *self);
+        write_varint(out, *self);
     }
 }
 impl Decode for u64 {
@@ -278,7 +261,7 @@ impl<T: Decode> Decode for Option<T> {
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
+        write_varint(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
@@ -297,7 +280,7 @@ impl<T: Decode> Decode for Vec<T> {
 
 impl<K: Encode, V: Encode> Encode for std::collections::BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
+        write_varint(out, self.len() as u64);
         for (k, v) in self {
             k.encode(out);
             v.encode(out);
@@ -319,7 +302,7 @@ impl<K: Decode + Ord, V: Decode> Decode for std::collections::BTreeMap<K, V> {
 
 impl<T: Encode> Encode for std::collections::BTreeSet<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
+        write_varint(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
@@ -344,7 +327,7 @@ mod tests {
     fn varints_round_trip() {
         for value in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
             let mut buf = Vec::new();
-            put_varint(&mut buf, value);
+            write_varint(&mut buf, value);
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), value);
             assert!(r.is_empty());
@@ -377,7 +360,7 @@ mod tests {
     #[test]
     fn absurd_length_fails_fast() {
         let mut buf = Vec::new();
-        put_varint(&mut buf, u64::MAX);
+        write_varint(&mut buf, u64::MAX);
         assert!(matches!(
             decode_from_slice::<Vec<u8>>(&buf),
             Err(CodecError::UnexpectedEof)

@@ -15,9 +15,11 @@ use ggd_baselines::{RefListingMessage, TracingMessage};
 use ggd_causal::EngineStats;
 use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, Outgoing, RootedVector};
 use ggd_heap::{HeapImage, HeapStats, ObjRef};
-use ggd_types::{DependencyVector, EventIndex, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId};
+use ggd_types::{
+    write_varint, DependencyVector, EventIndex, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
+};
 
-use crate::codec::{put_varint, CodecError, Decode, Encode, Reader};
+use crate::codec::{CodecError, Decode, Encode, Reader};
 
 impl Encode for SiteId {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -93,7 +95,7 @@ impl Encode for Timestamp {
             Timestamp::Created(n) => n.get() << 1,
             Timestamp::Destroyed(n) => (n.get() << 1) | 1,
         };
-        put_varint(out, packed);
+        write_varint(out, packed);
     }
 }
 impl Decode for Timestamp {
@@ -141,7 +143,7 @@ impl Decode for ObjRef {
 
 impl Encode for DependencyVector {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
+        write_varint(out, self.len() as u64);
         for (vertex, ts) in self.iter() {
             vertex.encode(out);
             ts.encode(out);
@@ -181,7 +183,7 @@ impl Decode for RootedVector {
 
 impl Encode for DkLog {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
+        write_varint(out, self.len() as u64);
         for (vertex, row) in self.rows() {
             vertex.encode(out);
             row.encode(out);

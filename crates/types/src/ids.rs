@@ -1,16 +1,14 @@
-//! Identifiers for sites, objects and log-keeping events.
+//! Identifiers for sites, objects and global-root-graph vertices.
 //!
 //! A distributed object system partitions its object graph over a number of
 //! independent address spaces, called *sites* in the paper (§2). An object is
 //! identified globally by the pair ([`SiteId`], [`ObjectId`]) — a
 //! [`GlobalAddr`]. Vertices of the *global root graph* are identified by the
-//! `GlobalAddr` of the corresponding global root (or, when the clustering
-//! granularity of §3.5 is selected, by their site).
+//! `GlobalAddr` of the corresponding global root, or by the site whose local
+//! roots they stand for.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-use crate::EventIndex;
 
 /// Identifier of a site, i.e. one independent address space of the
 /// partitioned object graph (§2 of the paper).
@@ -152,45 +150,6 @@ impl From<(SiteId, ObjectId)> for GlobalAddr {
     }
 }
 
-/// Identity of one log-keeping event: the vertex at which it occurred plus
-/// its per-vertex sequence number (the paper's `e_{i,j}` notation, §3.1).
-///
-/// # Example
-///
-/// ```
-/// use ggd_types::{EventId, EventIndex, GlobalAddr};
-/// let e = EventId::new(GlobalAddr::new(3, 1), EventIndex::new(2).unwrap());
-/// assert_eq!(e.to_string(), "e(s3/o1,2)");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct EventId {
-    vertex: GlobalAddr,
-    index: EventIndex,
-}
-
-impl EventId {
-    /// Creates an event identity from a vertex and its event sequence number.
-    pub const fn new(vertex: GlobalAddr, index: EventIndex) -> Self {
-        EventId { vertex, index }
-    }
-
-    /// The vertex (global root) at which the event occurred.
-    pub const fn vertex(self) -> GlobalAddr {
-        self.vertex
-    }
-
-    /// The per-vertex sequence number of the event.
-    pub const fn index(self) -> EventIndex {
-        self.index
-    }
-}
-
-impl fmt::Display for EventId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e({},{})", self.vertex, self.index)
-    }
-}
-
 /// Identity of a vertex of the *global root graph* (§2.2 of the paper).
 ///
 /// The global root graph has two kinds of vertices:
@@ -274,60 +233,6 @@ impl From<GlobalAddr> for VertexId {
     }
 }
 
-/// Granularity at which log-keeping information is maintained (§3.5).
-///
-/// The paper notes that individual remote objects need not be distinguished:
-/// collocated objects can be lumped together into one "process". The default
-/// granularity used by the worked example is per-object; the Amadeus
-/// implementation referenced by the paper clusters per site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Granularity {
-    /// One log-keeping "process" per global root (the paper's Figures 3–5).
-    #[default]
-    PerObject,
-    /// One log-keeping "process" per site (the clustering of §3.5).
-    PerSite,
-}
-
-impl Granularity {
-    /// Maps a global root to the key of the log-keeping "process" that
-    /// accounts for it under this granularity.
-    pub fn cluster_of(self, addr: GlobalAddr) -> ClusterKey {
-        match self {
-            Granularity::PerObject => ClusterKey::Object(addr),
-            Granularity::PerSite => ClusterKey::Site(addr.site()),
-        }
-    }
-}
-
-impl fmt::Display for Granularity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Granularity::PerObject => write!(f, "per-object"),
-            Granularity::PerSite => write!(f, "per-site"),
-        }
-    }
-}
-
-/// Key of a log-keeping "process" under a given [`Granularity`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum ClusterKey {
-    /// The process is a single global root.
-    Object(GlobalAddr),
-    /// The process is a whole site.
-    Site(SiteId),
-}
-
-impl fmt::Display for ClusterKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClusterKey::Object(a) => write!(f, "{a}"),
-            ClusterKey::Site(s) => write!(f, "{s}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,25 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn event_id_display() {
-        let e = EventId::new(GlobalAddr::new(4, 2), EventIndex::new(7).unwrap());
-        assert_eq!(e.vertex(), GlobalAddr::new(4, 2));
-        assert_eq!(e.index().get(), 7);
-        assert_eq!(e.to_string(), "e(s4/o2,7)");
-    }
-
-    #[test]
-    fn granularity_clustering() {
-        let a = GlobalAddr::new(3, 8);
-        assert_eq!(Granularity::PerObject.cluster_of(a), ClusterKey::Object(a));
-        assert_eq!(
-            Granularity::PerSite.cluster_of(a),
-            ClusterKey::Site(SiteId::new(3))
-        );
-        assert_eq!(Granularity::default(), Granularity::PerObject);
-    }
-
-    #[test]
     fn parts_round_trip() {
         // No JSON library is available offline (see vendor/README.md), so
         // exercise the decomposition round trip the wire format relies on.
@@ -393,15 +279,5 @@ mod tests {
     fn display_forms() {
         assert_eq!(SiteId::new(0).to_string(), "s0");
         assert_eq!(ObjectId::new(0).to_string(), "o0");
-        assert_eq!(Granularity::PerSite.to_string(), "per-site");
-        assert_eq!(Granularity::PerObject.to_string(), "per-object");
-        assert_eq!(
-            ClusterKey::Site(SiteId::new(1)).to_string(),
-            "s1".to_string()
-        );
-        assert_eq!(
-            ClusterKey::Object(GlobalAddr::new(1, 1)).to_string(),
-            "s1/o1".to_string()
-        );
     }
 }

@@ -14,7 +14,9 @@
 //!   representation used by the lazy log-keeping mechanism and by the GGD
 //!   engine (§3.2–§3.3), together with the Schwarz & Mattern partial order;
 //! * [`CausalOrder`] classifies two vectors as causally related, equal or
-//!   concurrent.
+//!   concurrent;
+//! * [`write_varint`] / [`read_varint`] are the LEB128 integer encoding the
+//!   durable codec and the wire frames share.
 //!
 //! # Example
 //!
@@ -36,10 +38,12 @@
 
 mod ids;
 mod timestamp;
+mod varint;
 mod vector;
 
-pub use ids::{ClusterKey, EventId, GlobalAddr, Granularity, ObjectId, SiteId, VertexId};
+pub use ids::{GlobalAddr, ObjectId, SiteId, VertexId};
 pub use timestamp::{EventIndex, Timestamp};
+pub use varint::{read_varint, write_varint, VarintError};
 pub use vector::{CausalOrder, DependencyVector, VectorEntries};
 
 /// Convenience result alias used by fallible constructors in this crate.

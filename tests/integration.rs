@@ -93,3 +93,34 @@ fn message_loss_only_delays_collection() {
         assert_eq!(report.safety_violations, 0, "seed {seed}");
     }
 }
+
+/// Evaluates a fault-plan expression and also returns its source text.
+macro_rules! plan_with_source {
+    ($($plan:tt)+) => {
+        ($($plan)+, stringify!($($plan)+))
+    };
+}
+
+#[test]
+fn fault_plan_code_is_the_expression_that_built_it() {
+    // Every setting a plan holds, each through its builder, in the order
+    // `FaultPlan::code` renders them. Shrunk reproducers print this code, so
+    // it must compile back to the same plan.
+    let (plan, source) = plan_with_source!(FaultPlan::new()
+        .with_drop_probability(0.1)
+        .with_duplicate_probability(0.05)
+        .with_link_fault(
+            SiteId::new(0),
+            SiteId::new(1),
+            LinkFault {
+                drop_probability: 0.2,
+                duplicate_probability: 0.0,
+                extra_delay: 4
+            }
+        )
+        .with_stalled_site(SiteId::new(3))
+        .with_crash(SiteId::new(2), 5, 14)
+        .with_partition_window(SiteId::new(0), SiteId::new(3), 4, 9));
+    let squash = |code: &str| code.split_whitespace().collect::<String>();
+    assert_eq!(squash(&plan.code()), squash(source));
+}
