@@ -1,7 +1,8 @@
 //! Criterion micro- and macro-benchmarks:
 //!
 //! * dependency-vector merge and closure reconstruction (the per-message
-//!   cost of the causal engine),
+//!   cost of the causal engine), over a site-less log and over the dense
+//!   local plus ordered remote layout the engine uses,
 //! * the paper-example scenario end to end,
 //! * the E3 list-collapse scenario for a representative k.
 
@@ -10,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ggd_bench::run_causal;
 use ggd_causal::DkLog;
 use ggd_mutator::workloads;
-use ggd_types::{DependencyVector, Timestamp, VertexId};
+use ggd_types::{DependencyVector, SiteId, Timestamp, VertexId};
 
 fn vector_of(size: usize, offset: u64) -> DependencyVector {
     (0..size)
@@ -106,6 +107,35 @@ fn bench_closure(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("chain", chain), &chain, |bencher, _| {
             bencher.iter(|| log.closure(subject));
         });
+
+        // The engine's layout: the site's own objects in the dense table,
+        // every other vertex in the ordered map, the chain alternating
+        // between the two.
+        let site = SiteId::new(0);
+        let vertex = |i: u64| {
+            if i % 2 == 0 {
+                VertexId::object(site.index(), i + 1)
+            } else {
+                VertexId::object(1 + (i % 7) as u32, i)
+            }
+        };
+        let mut log = DkLog::for_site(site);
+        for i in 0..chain {
+            log.row_mut(vertex(i + 1))
+                .vector
+                .set(vertex(i), Timestamp::created(i + 1));
+            log.row_mut(vertex(i))
+                .vector
+                .set(vertex(i), Timestamp::created(i + 1));
+        }
+        let subject = vertex(chain);
+        group.bench_with_input(
+            BenchmarkId::new("mixed_chain", chain),
+            &chain,
+            |bencher, _| {
+                bencher.iter(|| log.closure(subject));
+            },
+        );
     }
     group.finish();
 }

@@ -5,6 +5,8 @@
 //! per-vertex event counters, the log `DK`, the circulated-closure memo, the
 //! out-edge view, the lazy-rule holder bookkeeping and the verdict history.
 //! The out-edge refcount index is derived data and rebuilt on restore.
+//! The checkpoint holds this state in ordered maps, whatever layout the live
+//! engine uses, so its encoding is in ascending vertex order.
 //!
 //! A checkpoint is meant to be taken at a quiescent point of the site's own
 //! processing — after the runtime has drained outgoing messages and applied

@@ -1,16 +1,30 @@
 //! The per-site causal GGD engine: lazy log-keeping plus the `Receive` /
 //! `ComputeV` reconstruction of vector-times (Fig. 6 of the paper).
+//!
+//! Every relevant event touches the event counter, the `DK` row, the
+//! closure memo or the out-edges of one *local* vertex — the site's anchor
+//! or one of its own objects. The engine keeps that state in one record per
+//! vertex: the anchor's in a field of its own, each object's in a table
+//! indexed by `ObjectId::index()` (the shape of the heap arena's
+//! `id_index`), and the log keeps the objects' rows the same way. Only
+//! state keyed by *remote* vertices (rows kept on their behalf, holder
+//! bookkeeping, edge refcounts) lives in ordered maps. The table grows only
+//! from local events — export, receive, delta or snapshot, restore — never
+//! from a control message. Checkpoints and every iteration the engine
+//! exposes are in ascending vertex order, exactly as if everything were
+//! ordered maps (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
-use ggd_types::{DependencyVector, GlobalAddr, SiteId, Timestamp, VertexId};
+use ggd_types::{DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId};
 
 use crate::checkpoint::EngineCheckpoint;
-use crate::log::{DkLog, RootedVector};
+use crate::log::{stamp, DkLog, RootedVector};
 use crate::message::CausalMessage;
+use crate::table::IdTable;
 
 /// A control message queued by the engine, together with its destination
 /// site. The caller (normally `ggd-sim`) moves these onto the transport.
@@ -61,6 +75,110 @@ impl fmt::Display for EngineStats {
     }
 }
 
+/// What the engine keeps about one of its own site's vertices: the anchor
+/// or a local object (DESIGN.md §6 "Engine state").
+#[derive(Debug, Clone, Default)]
+struct VertexState {
+    /// Log-keeping event counter; 0 until the vertex's first event.
+    counter: u64,
+    /// The closure last circulated from the vertex (suppresses
+    /// re-propagation of unchanged knowledge). Boxed: most local vertices
+    /// never circulate one, and an inline vector would triple every record.
+    last_closure: Option<Box<DependencyVector>>,
+    /// The vertex's out-going inter-site edges.
+    edges_out: BTreeSet<GlobalAddr>,
+    /// A global root currently reachable from the site's local root set.
+    locally_rooted: bool,
+    /// A garbage verdict was produced for the vertex (blocks re-detection).
+    detected: bool,
+}
+
+impl VertexState {
+    /// Remembers `closure` as the last one circulated, reusing the memo's
+    /// allocation.
+    fn remember(&mut self, closure: DependencyVector) {
+        match &mut self.last_closure {
+            Some(memo) => **memo = closure,
+            None => self.last_closure = Some(Box::new(closure)),
+        }
+    }
+}
+
+/// The state of every local vertex the engine has heard of: the anchor's in
+/// a field of its own, each object's in a table indexed by its identity.
+#[derive(Debug, Clone)]
+struct LocalVertices {
+    site: SiteId,
+    anchor: VertexState,
+    objects: IdTable<VertexState>,
+}
+
+impl LocalVertices {
+    fn new(site: SiteId) -> Self {
+        LocalVertices {
+            site,
+            anchor: VertexState::default(),
+            objects: IdTable::default(),
+        }
+    }
+
+    /// The state of `vertex`, if it is local and has any.
+    fn get(&self, vertex: VertexId) -> Option<&VertexState> {
+        match vertex {
+            VertexId::SiteRoot(site) if site == self.site => Some(&self.anchor),
+            VertexId::Object(addr) if addr.site() == self.site => self.objects.get(addr.object()),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, vertex: VertexId) -> Option<&mut VertexState> {
+        match vertex {
+            VertexId::SiteRoot(site) if site == self.site => Some(&mut self.anchor),
+            VertexId::Object(addr) if addr.site() == self.site => {
+                self.objects.get_mut(addr.object())
+            }
+            _ => None,
+        }
+    }
+
+    /// The state of the local `vertex`, created if needed. Only the local
+    /// events (export, receive, delta or snapshot, restore) reach here with
+    /// a vertex that has no state yet.
+    fn entry(&mut self, vertex: VertexId) -> &mut VertexState {
+        debug_assert_eq!(vertex.site(), self.site, "state is kept for local vertices");
+        match vertex {
+            VertexId::SiteRoot(_) => &mut self.anchor,
+            VertexId::Object(addr) => self.objects.get_or_default(addr.object()),
+        }
+    }
+
+    /// Every vertex with state, in ascending order (the anchor first).
+    fn iter(&self) -> impl Iterator<Item = (VertexId, &VertexState)> {
+        let site = self.site;
+        std::iter::once((VertexId::SiteRoot(site), &self.anchor)).chain(
+            self.objects.iter().map(move |(id, state)| {
+                (VertexId::Object(GlobalAddr::from_parts(site, id)), state)
+            }),
+        )
+    }
+
+    /// Every state, mutably, in no particular order.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut VertexState> {
+        std::iter::once(&mut self.anchor).chain(self.objects.values_mut())
+    }
+}
+
+/// `apply_delta`'s event buffers, kept across calls so that a delta
+/// allocates nothing; empty between calls.
+#[derive(Debug, Clone, Default)]
+struct DeltaScratch {
+    /// Per changed vertex: how many of its targets were created, then how
+    /// many destroyed.
+    events: Vec<(VertexId, usize, usize)>,
+    /// The targets of every event, in event order.
+    targets: Vec<GlobalAddr>,
+}
+
 /// The causal GGD engine of one site.
 ///
 /// See the crate-level documentation for the full protocol and a worked
@@ -72,21 +190,20 @@ impl fmt::Display for EngineStats {
 #[derive(Debug, Clone)]
 pub struct CausalEngine {
     site: SiteId,
-    counters: BTreeMap<VertexId, u64>,
     log: DkLog,
-    last_closure: BTreeMap<VertexId, DependencyVector>,
-    edges_out: BTreeMap<VertexId, BTreeSet<GlobalAddr>>,
+    /// Counter, closure memo, out-edges and root and verdict flags of every
+    /// local vertex, found by index.
+    vertices: LocalVertices,
     /// Per-target count of local vertices holding an edge to it — the
     /// O(1) answer to "does this site still reach `target`?" on the delta
-    /// path. Kept in lockstep with `edges_out`.
+    /// path. Kept in lockstep with the vertices' out-edges.
     edge_refcounts: BTreeMap<GlobalAddr, u32>,
-    locally_rooted: BTreeSet<VertexId>,
     inbound_holders: BTreeMap<GlobalAddr, BTreeSet<VertexId>>,
     static_roots: BTreeSet<VertexId>,
-    detected: BTreeSet<GlobalAddr>,
     pending_verdicts: Vec<GlobalAddr>,
     outgoing: Vec<Outgoing>,
     stats: EngineStats,
+    delta_scratch: DeltaScratch,
 }
 
 impl CausalEngine {
@@ -94,18 +211,15 @@ impl CausalEngine {
     pub fn new(site: SiteId) -> Self {
         CausalEngine {
             site,
-            counters: BTreeMap::new(),
-            log: DkLog::new(),
-            last_closure: BTreeMap::new(),
-            edges_out: BTreeMap::new(),
+            log: DkLog::for_site(site),
+            vertices: LocalVertices::new(site),
             edge_refcounts: BTreeMap::new(),
-            locally_rooted: BTreeSet::new(),
             inbound_holders: BTreeMap::new(),
             static_roots: BTreeSet::new(),
-            detected: BTreeSet::new(),
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
             stats: EngineStats::default(),
+            delta_scratch: DeltaScratch::default(),
         }
     }
 
@@ -127,7 +241,7 @@ impl CausalEngine {
 
     /// Current per-vertex event counters.
     pub fn counter(&self, vertex: VertexId) -> u64 {
-        self.counters.get(&vertex).copied().unwrap_or(0)
+        self.vertices.get(vertex).map_or(0, |state| state.counter)
     }
 
     /// Statistics accumulated so far.
@@ -159,53 +273,98 @@ impl CausalEngine {
         std::mem::take(&mut self.pending_verdicts)
     }
 
-    /// All verdicts ever produced by this engine.
+    /// All verdicts ever produced by this engine, in ascending order.
     pub fn detected(&self) -> impl Iterator<Item = GlobalAddr> + '_ {
-        self.detected.iter().copied()
+        self.vertices
+            .iter()
+            .filter(|(_, state)| state.detected)
+            .filter_map(|(vertex, _)| vertex.as_object())
     }
 
     // ------------------------------------------------------------------
     // Durability: checkpoint, restore, compaction
     // ------------------------------------------------------------------
 
-    /// Captures the engine's complete durable state. The derived
-    /// out-edge refcount index is not included; [`CausalEngine::restore`]
-    /// rebuilds it.
+    /// Captures the engine's complete durable state, in the ordered form
+    /// the checkpoint codec writes. The derived out-edge refcount index is
+    /// not included; [`CausalEngine::restore`] rebuilds it.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
+        let mut checkpoint = EngineCheckpoint {
             site: self.site,
-            counters: self.counters.clone(),
+            counters: BTreeMap::new(),
             log: self.log.clone(),
-            last_closure: self.last_closure.clone(),
-            edges_out: self.edges_out.clone(),
-            locally_rooted: self.locally_rooted.clone(),
+            last_closure: BTreeMap::new(),
+            edges_out: BTreeMap::new(),
+            locally_rooted: BTreeSet::new(),
             inbound_holders: self.inbound_holders.clone(),
             static_roots: self.static_roots.clone(),
-            detected: self.detected.clone(),
+            detected: self.detected().collect(),
             pending_verdicts: self.pending_verdicts.clone(),
             outgoing: self.outgoing.clone(),
             stats: self.stats,
+        };
+        for (vertex, state) in self.vertices.iter() {
+            if state.counter > 0 {
+                checkpoint.counters.insert(vertex, state.counter);
+            }
+            if let Some(closure) = &state.last_closure {
+                checkpoint.last_closure.insert(vertex, (**closure).clone());
+            }
+            if !state.edges_out.is_empty() {
+                checkpoint.edges_out.insert(vertex, state.edges_out.clone());
+            }
+            if state.locally_rooted {
+                checkpoint.locally_rooted.insert(vertex);
+            }
         }
+        checkpoint
     }
 
     /// Rebuilds an engine from a checkpoint, such that
     /// `CausalEngine::restore(e.checkpoint())` is indistinguishable from
-    /// `e` under every public operation.
+    /// `e` under every public operation. State a checkpoint holds for
+    /// another site's vertices is ignored: the engine keeps state for its
+    /// own vertices only.
     pub fn restore(checkpoint: EngineCheckpoint) -> Self {
+        let site = checkpoint.site;
+        let mut vertices = LocalVertices::new(site);
+        let is_local = |vertex: &VertexId| vertex.site() == site;
+        for (vertex, counter) in checkpoint.counters {
+            if is_local(&vertex) {
+                vertices.entry(vertex).counter = counter;
+            }
+        }
+        for (vertex, closure) in checkpoint.last_closure {
+            if is_local(&vertex) {
+                vertices.entry(vertex).remember(closure);
+            }
+        }
+        for (vertex, targets) in checkpoint.edges_out {
+            if is_local(&vertex) {
+                vertices.entry(vertex).edges_out = targets;
+            }
+        }
+        for vertex in checkpoint.locally_rooted {
+            if is_local(&vertex) {
+                vertices.entry(vertex).locally_rooted = true;
+            }
+        }
+        for addr in checkpoint.detected {
+            if addr.site() == site {
+                vertices.entry(VertexId::Object(addr)).detected = true;
+            }
+        }
         let mut engine = CausalEngine {
-            site: checkpoint.site,
-            counters: checkpoint.counters,
+            site,
             log: checkpoint.log,
-            last_closure: checkpoint.last_closure,
-            edges_out: checkpoint.edges_out,
+            vertices,
             edge_refcounts: BTreeMap::new(),
-            locally_rooted: checkpoint.locally_rooted,
             inbound_holders: checkpoint.inbound_holders,
             static_roots: checkpoint.static_roots,
-            detected: checkpoint.detected,
             pending_verdicts: checkpoint.pending_verdicts,
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
+            delta_scratch: DeltaScratch::default(),
         };
         engine.rebuild_edge_refcounts();
         engine
@@ -234,11 +393,7 @@ impl CausalEngine {
     ///
     /// Returns the number of rows dropped.
     pub fn compact_detected(&mut self) -> usize {
-        let mut dead: BTreeSet<VertexId> = self
-            .detected
-            .iter()
-            .map(|&addr| VertexId::Object(addr))
-            .collect();
+        let mut dead: BTreeSet<VertexId> = self.detected().map(VertexId::Object).collect();
         let mut dropped = if dead.is_empty() {
             0
         } else {
@@ -275,6 +430,8 @@ impl CausalEngine {
         // entries keyed by it. Exported objects' rows always carry their
         // recipient placeholders, so no global root's row can match this
         // shape.
+        let holders: BTreeSet<VertexId> =
+            self.inbound_holders.values().flatten().copied().collect();
         let inert_local: BTreeSet<VertexId> = self
             .log
             .rows()
@@ -286,12 +443,10 @@ impl CausalEngine {
                     && row.vector.len() == 1
                     && row.vector.get(*vertex).is_live()
                     && row.root_flags.is_empty()
-                    && !self.locally_rooted.contains(vertex)
-                    && !self.edges_out.contains_key(vertex)
-                    && !self
-                        .inbound_holders
-                        .values()
-                        .any(|holders| holders.contains(vertex))
+                    && self.vertices.get(*vertex).map_or(true, |state| {
+                        !state.locally_rooted && state.edges_out.is_empty()
+                    })
+                    && !holders.contains(vertex)
             })
             .map(|(vertex, _)| vertex)
             .collect();
@@ -306,15 +461,19 @@ impl CausalEngine {
         // that would need it bundled. Dropping it bounds the stamp map by
         // the live cross-site graph instead of the history of every global
         // root that ever existed.
-        let mut keep: BTreeSet<VertexId> = BTreeSet::new();
+        let mut keep = holders;
         for (vertex, row) in self.log.rows() {
             keep.insert(vertex);
             keep.extend(row.vector.iter().map(|(q, _)| q));
         }
         keep.extend(self.edge_refcounts.keys().map(|&a| VertexId::Object(a)));
         keep.extend(self.inbound_holders.keys().map(|&a| VertexId::Object(a)));
-        keep.extend(self.inbound_holders.values().flatten().copied());
-        keep.extend(self.locally_rooted.iter().copied());
+        keep.extend(
+            self.vertices
+                .iter()
+                .filter(|(_, state)| state.locally_rooted)
+                .map(|(vertex, _)| vertex),
+        );
         keep.extend(self.static_roots.iter().copied());
         self.log.retain_stamps(&keep);
 
@@ -322,8 +481,10 @@ impl CausalEngine {
         // final.
         dead.extend(dead_remote);
         dead.extend(inert_local);
-        if !dead.is_empty() {
-            self.last_closure.retain(|vertex, _| !dead.contains(vertex));
+        for &vertex in &dead {
+            if let Some(state) = self.vertices.get_mut(vertex) {
+                state.last_closure = None;
+            }
         }
         self.stats.compaction_runs += 1;
         self.stats.compaction_rows_dropped += dropped as u64;
@@ -379,22 +540,18 @@ impl CausalEngine {
         // forget their root stamps.
         let dropped = self.log.prune_vertices(&dead);
 
-        // 3. Auxiliary state: counters and circulated-closure memos for
-        // departed subjects, dead entries inside remaining memos, edges and
-        // holder bookkeeping towards departed-hosted targets, and queued
-        // messages addressed to the departed site.
-        self.counters.retain(|vertex, _| vertex.site() != departed);
-        self.last_closure
-            .retain(|vertex, _| vertex.site() != departed);
-        for closure in self.last_closure.values_mut() {
-            for &vertex in &dead {
-                closure.set(vertex, Timestamp::Never);
+        // 3. Auxiliary state: dead entries inside the closure memos, edges
+        // and holder bookkeeping towards departed-hosted targets, and queued
+        // messages addressed to the departed site. (Counters and memos are
+        // kept for local vertices only, so none belongs to a departed one.)
+        for state in self.vertices.values_mut() {
+            if let Some(closure) = &mut state.last_closure {
+                for &vertex in &dead {
+                    closure.set(vertex, Timestamp::Never);
+                }
             }
+            state.edges_out.retain(|addr| addr.site() != departed);
         }
-        for targets in self.edges_out.values_mut() {
-            targets.retain(|addr| addr.site() != departed);
-        }
-        self.edges_out.retain(|_, targets| !targets.is_empty());
         self.rebuild_edge_refcounts();
         self.inbound_holders
             .retain(|target, _| target.site() != departed);
@@ -424,13 +581,11 @@ impl CausalEngine {
         self.log.rows().any(|(vertex, row)| {
             vertex.site() == site || row.vector.iter().any(|(q, _)| q.site() == site)
         }) || self.log.root_flags().keys().any(|v| v.site() == site)
-            || self.last_closure.iter().any(|(vertex, closure)| {
-                vertex.site() == site || closure.iter().any(|(q, _)| q.site() == site)
+            || self.vertices.iter().any(|(vertex, state)| {
+                state.last_closure.as_ref().is_some_and(|closure| {
+                    vertex.site() == site || closure.iter().any(|(q, _)| q.site() == site)
+                }) || state.edges_out.iter().any(|a| a.site() == site)
             })
-            || self
-                .edges_out
-                .values()
-                .any(|targets| targets.iter().any(|a| a.site() == site))
             || self.inbound_holders.keys().any(|a| a.site() == site)
             || self.outgoing.iter().any(|out| out.to_site == site)
     }
@@ -443,9 +598,13 @@ impl CausalEngine {
     /// vertex: the paper's "object i sends a copy of its own reference to
     /// object j". The engine records, in the exported object's own row, a
     /// placeholder live entry keyed by the recipient, so that the object
-    /// knows it has (at least) that inbound edge. No message is sent.
+    /// knows it has (at least) that inbound edge. No message is sent. An
+    /// export of another site's object is ignored.
     pub fn on_export(&mut self, exported: GlobalAddr, recipient: VertexId) {
         debug_assert_eq!(exported.site(), self.site, "exported object must be local");
+        if exported.site() != self.site {
+            return;
+        }
         let vertex = VertexId::Object(exported);
         self.bump(vertex);
         self.log
@@ -484,6 +643,9 @@ impl CausalEngine {
             return; // purely local reference, no inter-site edge involved
         }
         debug_assert_eq!(recipient.site(), self.site, "recipient must be local");
+        if recipient.site() != self.site {
+            return;
+        }
         let holder = VertexId::Object(recipient);
         // The hosting site is the authority for this holder's entry: use the
         // holder's own (monotone) event counter so that later destructions
@@ -512,21 +674,21 @@ impl CausalEngine {
     /// (no-longer-a-root) vector to its acquaintances.
     pub fn apply_snapshot(&mut self, snapshot: &ReachabilitySnapshot) {
         debug_assert_eq!(snapshot.site(), self.site, "snapshot must be local");
+        if snapshot.site() != self.site {
+            return;
+        }
+        let site = self.site;
+        let local = |id: ObjectId| VertexId::Object(GlobalAddr::from_parts(site, id));
+        let mut current: Vec<ObjectId> = snapshot.global_roots().collect();
+        current.sort_unstable();
+        current.dedup();
 
         // 1. Local-rootedness transitions of global roots.
         let mut rootedness_changed = Vec::new();
-        let now_rooted: BTreeSet<VertexId> = snapshot
-            .global_roots()
-            .filter(|&id| snapshot.is_locally_rooted(id))
-            .map(|id| VertexId::Object(GlobalAddr::from_parts(self.site, id)))
-            .collect();
-        let all_current: BTreeSet<VertexId> = snapshot
-            .global_roots()
-            .map(|id| VertexId::Object(GlobalAddr::from_parts(self.site, id)))
-            .collect();
-        for vertex in all_current.iter().copied() {
-            let was = self.locally_rooted.contains(&vertex);
-            let is = now_rooted.contains(&vertex);
+        for &id in &current {
+            let vertex = local(id);
+            let was = self.is_locally_rooted(vertex);
+            let is = snapshot.is_locally_rooted(id);
             if was != is {
                 let n = self.bump(vertex);
                 self.log.stamp_root(vertex, n, is);
@@ -537,21 +699,40 @@ impl CausalEngine {
                 self.log.stamp_root(vertex, n, true);
             }
         }
-        self.locally_rooted = now_rooted;
-
-        // 2. Edge differences per local vertex.
-        let mut new_edges: BTreeMap<VertexId, BTreeSet<GlobalAddr>> = BTreeMap::new();
-        new_edges.insert(self.anchor(), snapshot.edges_of(self.anchor()));
-        for vertex in all_current {
-            new_edges.insert(vertex, snapshot.edges_of(vertex));
+        for state in self.vertices.values_mut() {
+            state.locally_rooted = false;
+        }
+        for &id in &current {
+            if snapshot.is_locally_rooted(id) {
+                self.vertices.entry(local(id)).locally_rooted = true;
+            }
         }
 
-        let mut all_vertices: BTreeSet<VertexId> = self.edges_out.keys().copied().collect();
-        all_vertices.extend(new_edges.keys().copied());
+        // 2. Edge differences per local vertex, in vertex order.
+        let mut new_edges: Vec<(VertexId, BTreeSet<GlobalAddr>)> =
+            Vec::with_capacity(current.len() + 1);
+        new_edges.push((self.anchor(), snapshot.edges_of(self.anchor())));
+        new_edges.extend(
+            current
+                .iter()
+                .map(|&id| (local(id), snapshot.edges_of(local(id)))),
+        );
+        let mut all_vertices: Vec<VertexId> = self
+            .vertices
+            .iter()
+            .filter(|(_, state)| !state.edges_out.is_empty())
+            .map(|(vertex, _)| vertex)
+            .chain(new_edges.iter().map(|(vertex, _)| *vertex))
+            .collect();
+        all_vertices.sort_unstable();
+        all_vertices.dedup();
 
         for vertex in all_vertices {
-            let old = self.edges_out.remove(&vertex).unwrap_or_default();
-            let new = new_edges.get(&vertex).cloned().unwrap_or_default();
+            let old = std::mem::take(&mut self.vertices.entry(vertex).edges_out);
+            let new = new_edges
+                .binary_search_by_key(&vertex, |(v, _)| *v)
+                .map(|i| new_edges[i].1.clone())
+                .unwrap_or_default();
             for &target in new.difference(&old) {
                 let n = self.bump(vertex);
                 self.log
@@ -564,7 +745,7 @@ impl CausalEngine {
                 // target right away, so that a concurrent garbage evaluation
                 // elsewhere can never miss the newly created root path.
                 // Third-party and non-root edge creations stay message-free.
-                if vertex.is_site_root() || self.locally_rooted.contains(&vertex) {
+                if vertex.is_site_root() || self.is_locally_rooted(vertex) {
                     self.queue_root_announcement(vertex, target, n);
                 }
             }
@@ -575,13 +756,14 @@ impl CausalEngine {
                     .vector
                     .set(vertex, Timestamp::destroyed(n));
                 self.stats.edge_destructions += 1;
-                let still_reached = new_edges.values().any(|targets| targets.contains(&target));
+                let still_reached = new_edges
+                    .iter()
+                    .any(|(_, targets)| targets.contains(&target));
                 self.mark_lost_holders(target, still_reached);
                 self.queue_destruction(vertex, target);
             }
+            self.vertices.entry(vertex).edges_out = new;
         }
-        self.edges_out = new_edges;
-        self.edges_out.retain(|_, targets| !targets.is_empty());
         self.rebuild_edge_refcounts();
 
         // 3. Vertices whose local-rootedness changed announce their fresh
@@ -590,98 +772,111 @@ impl CausalEngine {
         for vertex in rootedness_changed {
             let closure = self.log.closure(vertex);
             self.propagate_with(vertex, &closure);
-            self.last_closure.insert(vertex, closure);
+            self.vertices.entry(vertex).remember(closure);
         }
     }
 
     /// Applies an incremental snapshot delta: the same log-keeping events
     /// [`CausalEngine::apply_snapshot`] derives by re-diffing full edge
     /// sets, but in O(delta) — no edge-map clones, no full-set
-    /// differences. The event order (rootedness transitions, then
-    /// per-vertex creations before destructions in vertex order, then
-    /// rootedness propagation) matches the rescan path exactly, so both
-    /// pipelines emit bit-identical control-message streams; the
-    /// differential equivalence tests in `ggd-explore` pin that.
+    /// differences, and no vertex outside the delta touched. The event
+    /// order (rootedness transitions, then per-vertex creations before
+    /// destructions in vertex order, then rootedness propagation) matches
+    /// the rescan path exactly, so both pipelines emit bit-identical
+    /// control-message streams; the differential equivalence tests in
+    /// `ggd-explore` pin that.
     pub fn apply_delta(&mut self, delta: &EdgeDelta) {
         debug_assert_eq!(delta.site(), self.site, "delta must be local");
+        if delta.site() != self.site {
+            return;
+        }
+        let site = self.site;
+        let local = |id: ObjectId| VertexId::Object(GlobalAddr::from_parts(site, id));
 
         // 0. Vertices that left the graph stop being locally rooted without
         // a transition event, mirroring how the rescan path rebuilds its
         // rooted set from a snapshot that no longer mentions them.
         for &id in &delta.removed {
-            self.locally_rooted
-                .remove(&VertexId::Object(GlobalAddr::from_parts(self.site, id)));
+            if let Some(state) = self.vertices.get_mut(local(id)) {
+                state.locally_rooted = false;
+            }
         }
 
         // 1. Local-rootedness transitions of current global roots.
         let mut rootedness_changed = Vec::new();
         for &(id, is) in &delta.rootedness {
-            let vertex = VertexId::Object(GlobalAddr::from_parts(self.site, id));
-            let was = self.locally_rooted.contains(&vertex);
-            if was != is {
+            let vertex = local(id);
+            if self.is_locally_rooted(vertex) != is {
                 let n = self.bump(vertex);
                 self.log.stamp_root(vertex, n, is);
                 rootedness_changed.push(vertex);
-                if is {
-                    self.locally_rooted.insert(vertex);
-                } else {
-                    self.locally_rooted.remove(&vertex);
-                }
+                self.vertices.entry(vertex).locally_rooted = is;
             }
         }
 
-        // 2. Edge events. `edges_out` is brought to its final state first,
-        // so the lost-holder check ("does any local vertex still reach the
-        // target *after* this change?") sees the same post-state the rescan
-        // path's freshly built edge map provides. Only changes that
-        // actually alter `edges_out` become events: the rescan path diffs
-        // against the engine's *own* edge map, which differs from the
-        // heap's cache exactly when garbage finalisation already destroyed
-        // a detected vertex's edges ahead of the heap — replaying those
-        // would duplicate the finalisation messages.
-        let mut events: Vec<(VertexId, Vec<GlobalAddr>, Vec<GlobalAddr>)> =
-            Vec::with_capacity(delta.edges.len());
+        // 2. Edge events. The out-edges are brought to their final state
+        // first, so the lost-holder check ("does any local vertex still
+        // reach the target *after* this change?") sees the same post-state
+        // the rescan path's freshly built edge map provides. Only changes
+        // that actually alter a vertex's out-edges become events: the
+        // rescan path diffs against the engine's *own* edges, which differ
+        // from the heap's cache exactly when garbage finalisation already
+        // destroyed a detected vertex's edges ahead of the heap — replaying
+        // those would duplicate the finalisation messages.
+        let DeltaScratch {
+            mut events,
+            targets: mut changed,
+        } = std::mem::take(&mut self.delta_scratch);
         for part in &delta.edges {
-            let targets = self.edges_out.entry(part.vertex).or_default();
-            let created: Vec<GlobalAddr> = part
-                .created
-                .iter()
-                .copied()
-                .filter(|&target| targets.insert(target))
-                .collect();
-            let destroyed: Vec<GlobalAddr> = part
-                .destroyed
-                .iter()
-                .copied()
-                .filter(|target| targets.remove(target))
-                .collect();
-            let now_empty = targets.is_empty();
-            if now_empty {
-                self.edges_out.remove(&part.vertex);
-            }
-            for &target in &created {
+            // Only a creation can give a vertex its first out-edge.
+            let targets = if part.created.is_empty() {
+                match self.vertices.get_mut(part.vertex) {
+                    Some(state) => &mut state.edges_out,
+                    None => continue,
+                }
+            } else {
+                &mut self.vertices.entry(part.vertex).edges_out
+            };
+            let start = changed.len();
+            changed.extend(
+                part.created
+                    .iter()
+                    .copied()
+                    .filter(|&target| targets.insert(target)),
+            );
+            let created = changed.len() - start;
+            changed.extend(
+                part.destroyed
+                    .iter()
+                    .copied()
+                    .filter(|target| targets.remove(target)),
+            );
+            let destroyed = changed.len() - start - created;
+            for &target in &changed[start..start + created] {
                 *self.edge_refcounts.entry(target).or_insert(0) += 1;
             }
-            for target in &destroyed {
-                self.drop_edge_refcount(*target);
+            for &target in &changed[start + created..] {
+                self.drop_edge_refcount(target);
             }
-            if !created.is_empty() || !destroyed.is_empty() {
+            if created + destroyed > 0 {
                 events.push((part.vertex, created, destroyed));
             }
         }
-        for (vertex, created, destroyed) in events {
-            for target in created {
+        let mut at = 0;
+        for &(vertex, created, destroyed) in &events {
+            for &target in &changed[at..at + created] {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
                     .vector
                     .merge_entry(vertex, Timestamp::created(n));
                 self.stats.edge_creations += 1;
-                if vertex.is_site_root() || self.locally_rooted.contains(&vertex) {
+                if vertex.is_site_root() || self.is_locally_rooted(vertex) {
                     self.queue_root_announcement(vertex, target, n);
                 }
             }
-            for target in destroyed {
+            at += created;
+            for &target in &changed[at..at + destroyed] {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
@@ -691,19 +886,28 @@ impl CausalEngine {
                 let still_reached = self.edge_refcounts.contains_key(&target);
                 debug_assert_eq!(
                     still_reached,
-                    self.edges_out.values().any(|t| t.contains(&target)),
-                    "edge refcounts diverged from edges_out"
+                    self.vertices
+                        .iter()
+                        .any(|(_, state)| state.edges_out.contains(&target)),
+                    "edge refcounts diverged from the out-edges"
                 );
                 self.mark_lost_holders(target, still_reached);
                 self.queue_destruction(vertex, target);
             }
+            at += destroyed;
         }
+        events.clear();
+        changed.clear();
+        self.delta_scratch = DeltaScratch {
+            events,
+            targets: changed,
+        };
 
         // 3. Fresh rootedness propagates along the (final) out-edges.
         for vertex in rootedness_changed {
             let closure = self.log.closure(vertex);
             self.propagate_with(vertex, &closure);
-            self.last_closure.insert(vertex, closure);
+            self.vertices.entry(vertex).remember(closure);
         }
     }
 
@@ -714,6 +918,14 @@ impl CausalEngine {
     /// Processes one incoming GGD control message: the paper's `Receive`
     /// procedure, followed by `ComputeV` and either further propagation or a
     /// garbage verdict.
+    ///
+    /// A message is dropped, like a misrouted one, when it names one of this
+    /// site's objects — as recipient or as sender — that the engine holds no
+    /// state for. Every object another site can legitimately address was
+    /// exported by this site first, which gave it state, so only a stale or
+    /// corrupt message is dropped; and losing a control message can only
+    /// leave residual garbage, never free a reachable object. The rule keeps
+    /// the engine's tables growing from local events only.
     pub fn on_message(&mut self, message: CausalMessage) {
         self.stats.messages_received += 1;
         let CausalMessage { from, to, payload } = message;
@@ -721,8 +933,9 @@ impl CausalEngine {
             // Misrouted message: ignore (robustness over panicking).
             return;
         }
-        if let VertexId::Object(addr) = to {
-            if self.detected.contains(&addr) {
+        match self.vertices.get(to) {
+            None => return,
+            Some(state) if state.detected => {
                 // News for a vertex already declared garbage: the object is
                 // as good as deleted, so there is nothing to improve and
                 // nobody downstream to tell — its out-edges were finalised
@@ -735,6 +948,10 @@ impl CausalEngine {
                 // message livelock that keeps `settle` spinning forever.
                 return;
             }
+            Some(_) => {}
+        }
+        if from.site() == self.site && self.vertices.get(from).is_none() {
+            return;
         }
         self.log.absorb_root_flags(&payload);
 
@@ -756,7 +973,11 @@ impl CausalEngine {
         }
 
         let closure = self.log.closure(to);
-        let closure_improved = self.last_closure.get(&to) != Some(&closure);
+        let closure_improved = self
+            .vertices
+            .get(to)
+            .and_then(|state| state.last_closure.as_deref())
+            != Some(&closure);
         if closure_improved {
             // New knowledge: circulate the improved approximation of the
             // vector-time along the out-going edges (step 3, §3.3).
@@ -771,7 +992,7 @@ impl CausalEngine {
         if closure_improved {
             // Remember the circulated closure — by move, not clone; the
             // next receipt compares against it.
-            self.last_closure.insert(to, closure);
+            self.vertices.entry(to).remember(closure);
         }
     }
 
@@ -800,12 +1021,12 @@ impl CausalEngine {
         }
     }
 
-    /// Recomputes `edge_refcounts` from `edges_out` — used by the rescan
-    /// path, which replaces the edge map wholesale.
+    /// Recomputes `edge_refcounts` from the vertices' out-edges — used by
+    /// the rescan path, which replaces every edge set wholesale.
     fn rebuild_edge_refcounts(&mut self) {
         self.edge_refcounts.clear();
-        for targets in self.edges_out.values() {
-            for &target in targets {
+        for (_, state) in self.vertices.iter() {
+            for &target in &state.edges_out {
                 *self.edge_refcounts.entry(target).or_insert(0) += 1;
             }
         }
@@ -821,14 +1042,20 @@ impl CausalEngine {
     }
 
     fn bump(&mut self, vertex: VertexId) -> u64 {
-        let counter = self.counters.entry(vertex).or_insert(0);
-        *counter += 1;
-        let n = *counter;
+        let state = self.vertices.entry(vertex);
+        state.counter += 1;
+        let n = state.counter;
         self.log
             .row_mut(vertex)
             .vector
             .merge_entry(vertex, Timestamp::created(n));
         n
+    }
+
+    fn is_locally_rooted(&self, vertex: VertexId) -> bool {
+        self.vertices
+            .get(vertex)
+            .is_some_and(|state| state.locally_rooted)
     }
 
     fn is_root(&self, vertex: VertexId) -> bool {
@@ -847,13 +1074,13 @@ impl CausalEngine {
         // every message (and so every WAL record) grow with the number of
         // global roots that ever existed, and would re-teach peers stamps
         // they already compacted away (the soak test pins both).
-        let mentioned: Vec<VertexId> = payload.vector.iter().map(|(q, _)| q).collect();
-        for vertex in mentioned {
+        let RootedVector { vector, root_flags } = &mut payload;
+        for (vertex, _) in vector.iter() {
             if let Some(&(as_of, is_root)) = self.log.root_flags().get(&vertex) {
-                payload.stamp_root(vertex, as_of, is_root);
+                stamp(root_flags, vertex, as_of, is_root);
             }
-            if self.locally_rooted.contains(&vertex) {
-                payload.stamp_root(vertex, self.counter(vertex).max(1), true);
+            if let Some(state) = self.vertices.get(vertex).filter(|s| s.locally_rooted) {
+                stamp(root_flags, vertex, state.counter.max(1), true);
             }
         }
         payload
@@ -873,10 +1100,16 @@ impl CausalEngine {
 
     fn queue_destruction(&mut self, from: VertexId, target: GlobalAddr) {
         let to = VertexId::Object(target);
-        let row = self.log.row(to).cloned().unwrap_or_default();
-        let mut payload = self.outgoing_payload(row.vector);
-        for (vertex, stamp) in row.root_flags {
-            payload.stamp_root(vertex, stamp.0, stamp.1);
+        let vector = self
+            .log
+            .row(to)
+            .map(|row| row.vector.clone())
+            .unwrap_or_default();
+        let mut payload = self.outgoing_payload(vector);
+        if let Some(row) = self.log.row(to) {
+            for (&vertex, &(as_of, is_root)) in &row.root_flags {
+                stamp(&mut payload.root_flags, vertex, as_of, is_root);
+            }
         }
         self.stats.destructions_sent += 1;
         self.outgoing.push(Outgoing {
@@ -890,7 +1123,7 @@ impl CausalEngine {
     /// so that neither it nor the target set has to be cloned on the hot
     /// path.
     fn propagate_with(&mut self, vertex: VertexId, closure: &DependencyVector) {
-        let Some(targets) = self.edges_out.get(&vertex) else {
+        let Some(targets) = self.vertices.get(vertex).map(|state| &state.edges_out) else {
             return;
         };
         if targets.is_empty() {
@@ -925,7 +1158,11 @@ impl CausalEngine {
         let VertexId::Object(addr) = vertex else {
             return; // Anchors are never garbage.
         };
-        if self.detected.contains(&addr) {
+        if self
+            .vertices
+            .get(vertex)
+            .is_some_and(|state| state.detected)
+        {
             return;
         }
         let has_live_root = closure
@@ -941,7 +1178,7 @@ impl CausalEngine {
         }
         // Garbage detected: the vertex is no longer reachable from any
         // actual root of the global root graph.
-        self.detected.insert(addr);
+        self.vertices.entry(vertex).detected = true;
         self.pending_verdicts.push(addr);
         self.stats.verdicts += 1;
 
@@ -950,17 +1187,16 @@ impl CausalEngine {
         // garbage, so that whole disconnected subgraphs collapse without
         // waiting for local collections.
         let n = self.bump(vertex);
-        if let Some(targets) = self.edges_out.remove(&vertex) {
-            for target in targets {
-                self.drop_edge_refcount(target);
-                let to = VertexId::Object(target);
-                self.log
-                    .row_mut(to)
-                    .vector
-                    .set(vertex, Timestamp::destroyed(n));
-                self.stats.edge_destructions += 1;
-                self.queue_destruction(vertex, target);
-            }
+        let targets = std::mem::take(&mut self.vertices.entry(vertex).edges_out);
+        for target in targets {
+            self.drop_edge_refcount(target);
+            let to = VertexId::Object(target);
+            self.log
+                .row_mut(to)
+                .vector
+                .set(vertex, Timestamp::destroyed(n));
+            self.stats.edge_destructions += 1;
+            self.queue_destruction(vertex, target);
         }
     }
 }
@@ -1267,6 +1503,56 @@ mod tests {
         assert!(engine.take_verdicts().is_empty());
         assert!(!engine.has_outgoing());
         assert_eq!(engine.stats().messages_received, 1);
+    }
+
+    #[test]
+    fn control_messages_never_grow_the_vertex_table() {
+        let site = SiteId::new(2);
+        let mut engine = CausalEngine::new(site);
+        engine.on_export(addr(2, 3), VertexId::object(1, 1));
+        let index_len = engine.vertices.objects.index_len();
+        let records = engine.vertices.objects.len();
+        let rows = engine.log().len();
+        assert_eq!((index_len, records), (4, 1));
+
+        // A recipient with no state, at the far end of the id space and one
+        // past the table, and a local sender with no state: each message is
+        // counted and dropped, as a misrouted one is.
+        let destruction = |from: VertexId, to: VertexId| CausalMessage {
+            from,
+            to,
+            payload: RootedVector::from_vector(DependencyVector::singleton(
+                from,
+                Timestamp::destroyed(1),
+            )),
+        };
+        for message in [
+            destruction(VertexId::object(1, 1), VertexId::object(2, u64::MAX)),
+            destruction(
+                VertexId::object(1, 1),
+                VertexId::object(2, index_len as u64),
+            ),
+            destruction(VertexId::object(2, u64::MAX), VertexId::object(2, 3)),
+        ] {
+            let before = *engine.stats();
+            engine.on_message(message);
+            assert_eq!(engine.vertices.objects.index_len(), index_len);
+            assert_eq!(engine.vertices.objects.len(), records);
+            assert_eq!(engine.log().len(), rows);
+            assert!(!engine.has_outgoing());
+            assert!(engine.take_verdicts().is_empty());
+            assert_eq!(
+                *engine.stats(),
+                EngineStats {
+                    messages_received: before.messages_received + 1,
+                    ..before
+                }
+            );
+        }
+
+        // The exported object itself is addressable.
+        engine.on_message(destruction(VertexId::object(1, 1), VertexId::object(2, 3)));
+        assert_eq!(engine.stats().verdicts, 1);
     }
 
     #[test]

@@ -74,6 +74,7 @@ mod checkpoint;
 mod engine;
 mod log;
 mod message;
+mod table;
 
 pub use checkpoint::EngineCheckpoint;
 pub use engine::{CausalEngine, EngineStats, Outgoing};

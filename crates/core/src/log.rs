@@ -1,11 +1,17 @@
 //! The per-site log `DK` of dependency vectors and the root knowledge that
 //! travels with them.
+//!
+//! A site's log finds the rows of its own objects by index and keeps the
+//! rest ordered; [`DkLog::rows`] still yields one strictly ascending
+//! sequence (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ggd_types::{DependencyVector, VertexId};
+use ggd_types::{DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId};
+
+use crate::table::IdTable;
 
 /// A dependency vector bundled with *root knowledge*: for each vertex it
 /// mentions, whether that vertex was an actual root of the global root graph
@@ -43,13 +49,7 @@ impl RootedVector {
 
     /// Records a root-status stamp, keeping the most recent one.
     pub fn stamp_root(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
-        match self.root_flags.get(&vertex) {
-            Some(&(existing, _)) if existing >= as_of => false,
-            _ => {
-                self.root_flags.insert(vertex, (as_of, is_root));
-                true
-            }
-        }
+        stamp(&mut self.root_flags, vertex, as_of, is_root)
     }
 
     /// Merges another rooted vector into this one (vector join plus
@@ -76,6 +76,23 @@ impl RootedVector {
     }
 }
 
+/// Records a root-status stamp in `flags` unless an equally fresh or
+/// fresher one is already there. Returns whether it was recorded.
+pub(crate) fn stamp(
+    flags: &mut BTreeMap<VertexId, (u64, bool)>,
+    vertex: VertexId,
+    as_of: u64,
+    is_root: bool,
+) -> bool {
+    match flags.get(&vertex) {
+        Some(&(existing, _)) if existing >= as_of => false,
+        _ => {
+            flags.insert(vertex, (as_of, is_root));
+            true
+        }
+    }
+}
+
 impl fmt::Display for RootedVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.vector)?;
@@ -96,52 +113,142 @@ impl fmt::Display for RootedVector {
 /// graph this site has heard of, the best locally-held approximation of the
 /// dependency vector of that vertex's latest log-keeping event (§3.3, item 1
 /// of the algorithm summary).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// A log built for a site ([`DkLog::for_site`]) keeps the rows of the site's
+/// own objects — the rows every relevant event touches — in a dense table
+/// indexed by object identity, and the rows of anchors and remote vertices
+/// in an ordered map. [`DkLog::rows`] merges the two into one strictly
+/// ascending sequence, so everything that iterates the log (the `Display`
+/// form, the checkpoint codec, compaction, retirement) sees exactly the
+/// order a single ordered map would give. Equality is by content: two logs
+/// holding the same rows and stamps are equal whatever their layout.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DkLog {
+    /// The site whose objects' rows live in `local`; `None` keeps every row
+    /// in `rows`.
+    site: Option<SiteId>,
+    /// Rows of the site's own objects, by object identity.
+    local: IdTable<RootedVector>,
+    /// Rows of anchors and of other sites' vertices.
     rows: BTreeMap<VertexId, RootedVector>,
     root_flags: BTreeMap<VertexId, (u64, bool)>,
+    /// Reused traversal buffers of [`DkLog::closure`]; empty between calls.
+    scratch: ClosureScratch,
 }
 
+/// The work list and expanded set of one `ComputeV` traversal, kept across
+/// calls so a closure allocates nothing but its result.
+#[derive(Debug, Clone, Default)]
+struct ClosureScratch {
+    stack: Vec<VertexId>,
+    /// Sorted: searched and extended by binary search.
+    expanded: Vec<VertexId>,
+}
+
+impl PartialEq for DkLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.rows().eq(other.rows())
+            && self.root_flags == other.root_flags
+    }
+}
+
+impl Eq for DkLog {}
+
 impl DkLog {
-    /// Creates an empty log.
+    /// Creates an empty log that keeps every row in one ordered map.
     pub fn new() -> Self {
         DkLog::default()
     }
 
+    /// Creates an empty log for `site`: the rows of the site's own objects
+    /// are found by index instead of by an ordered search.
+    pub fn for_site(site: SiteId) -> Self {
+        DkLog {
+            site: Some(site),
+            ..DkLog::default()
+        }
+    }
+
+    /// The identity of `vertex` in the dense table, when it is one of the
+    /// log's own site's objects.
+    fn local_id(&self, vertex: VertexId) -> Option<ObjectId> {
+        match vertex {
+            VertexId::Object(addr) if Some(addr.site()) == self.site => Some(addr.object()),
+            _ => None,
+        }
+    }
+
     /// Read access to the row held for `vertex` (empty if never touched).
     pub fn row(&self, vertex: VertexId) -> Option<&RootedVector> {
-        self.rows.get(&vertex)
+        match self.local_id(vertex) {
+            Some(id) => self.local.get(id),
+            None => self.rows.get(&vertex),
+        }
     }
 
     /// Mutable access to the row held for `vertex`, creating it if needed.
     pub fn row_mut(&mut self, vertex: VertexId) -> &mut RootedVector {
-        self.rows.entry(vertex).or_default()
+        match self.local_id(vertex) {
+            Some(id) => self.local.get_or_default(id),
+            None => self.rows.entry(vertex).or_default(),
+        }
     }
 
-    /// Iterates over all rows in key order.
+    /// Iterates over all rows in ascending vertex order: rows below the
+    /// site's first object (anchors, lower sites), the site's own objects
+    /// by identity, then the rest.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
-        self.rows.iter().map(|(&v, r)| (v, r))
+        let site = self.site.unwrap_or_default();
+        let first_local = VertexId::Object(GlobalAddr::from_parts(site, ObjectId::new(0)));
+        let (below, above) = match self.site {
+            Some(_) => (
+                self.rows.range(..first_local),
+                Some(self.rows.range(first_local..)),
+            ),
+            None => (self.rows.range(..), None),
+        };
+        let local = self
+            .local
+            .iter()
+            .map(move |(id, row)| (VertexId::Object(GlobalAddr::from_parts(site, id)), row));
+        below
+            .map(|(&vertex, row)| (vertex, row))
+            .chain(local)
+            .chain(
+                above
+                    .into_iter()
+                    .flatten()
+                    .map(|(&vertex, row)| (vertex, row)),
+            )
+    }
+
+    /// Every row, mutably, in no particular order.
+    fn rows_mut(&mut self) -> impl Iterator<Item = &mut RootedVector> {
+        self.local.values_mut().chain(self.rows.values_mut())
+    }
+
+    /// Keeps only the rows whose subject `keep` accepts.
+    fn retain_rows(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        let site = self.site.unwrap_or_default();
+        self.local
+            .retain(|id, _| keep(VertexId::Object(GlobalAddr::from_parts(site, id))));
+        self.rows.retain(|&vertex, _| keep(vertex));
     }
 
     /// Number of rows currently held.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.local.len() + self.rows.len()
     }
 
     /// True when the log holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Records a root-status stamp in the log-wide root knowledge.
     pub fn stamp_root(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
-        match self.root_flags.get(&vertex) {
-            Some(&(existing, _)) if existing >= as_of => false,
-            _ => {
-                self.root_flags.insert(vertex, (as_of, is_root));
-                true
-            }
-        }
+        stamp(&mut self.root_flags, vertex, as_of, is_root)
     }
 
     /// Merges the root knowledge carried by an incoming vector.
@@ -179,19 +286,19 @@ impl DkLog {
     /// path; it can only be stale conservatism (a placeholder or root stamp
     /// that destruction news would eventually revoke anyway). Dropping it
     /// anticipates that revocation. Returns the number of rows dropped.
-    pub fn prune_vertices(&mut self, dead: &std::collections::BTreeSet<VertexId>) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|vertex, _| !dead.contains(vertex));
-        for row in self.rows.values_mut() {
+    pub fn prune_vertices(&mut self, dead: &BTreeSet<VertexId>) -> usize {
+        let before = self.len();
+        self.retain_rows(|vertex| !dead.contains(&vertex));
+        for row in self.rows_mut() {
             for &vertex in dead {
-                row.vector.set(vertex, ggd_types::Timestamp::Never);
+                row.vector.set(vertex, Timestamp::Never);
                 row.root_flags.remove(&vertex);
             }
         }
         for vertex in dead {
             self.root_flags.remove(vertex);
         }
-        before - self.rows.len()
+        before - self.len()
     }
 
     /// Drops every root-status stamp — log-level and per-row — for
@@ -206,24 +313,20 @@ impl DkLog {
     /// soak test pins this). The caller supplies the keep-set so engine
     /// bookkeeping (edges, holders, local roots) can be included
     /// conservatively.
-    pub fn retain_stamps(&mut self, keep: &std::collections::BTreeSet<VertexId>) -> usize {
-        let before: usize = self.root_flags.len()
-            + self
-                .rows
-                .values()
-                .map(|row| row.root_flags.len())
-                .sum::<usize>();
+    pub fn retain_stamps(&mut self, keep: &BTreeSet<VertexId>) -> usize {
+        let stamps = |log: &DkLog| {
+            log.root_flags.len()
+                + log
+                    .rows()
+                    .map(|(_, row)| row.root_flags.len())
+                    .sum::<usize>()
+        };
+        let before = stamps(self);
         self.root_flags.retain(|vertex, _| keep.contains(vertex));
-        for row in self.rows.values_mut() {
+        for row in self.rows_mut() {
             row.root_flags.retain(|vertex, _| keep.contains(vertex));
         }
-        before
-            - self.root_flags.len()
-            - self
-                .rows
-                .values()
-                .map(|row| row.root_flags.len())
-                .sum::<usize>()
+        before - stamps(self)
     }
 
     /// Drops whole rows without touching entries keyed by their subjects in
@@ -231,10 +334,10 @@ impl DkLog {
     /// tombstone-only contents are safe to forget but whose subject may
     /// still be mentioned (as a tombstone) elsewhere. Returns the number of
     /// rows dropped.
-    pub fn drop_rows(&mut self, subjects: &std::collections::BTreeSet<VertexId>) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|vertex, _| !subjects.contains(vertex));
-        before - self.rows.len()
+    pub fn drop_rows(&mut self, subjects: &BTreeSet<VertexId>) -> usize {
+        let before = self.len();
+        self.retain_rows(|vertex| !subjects.contains(&vertex));
+        before - self.len()
     }
 
     /// The paper's `ComputeV` (Fig. 6): reconstructs the best currently
@@ -246,29 +349,35 @@ impl DkLog {
     /// in the result as tombstones: propagated vectors must carry
     /// destruction news, otherwise stale live entries held by other sites
     /// could never be revoked (the receiving side merges monotonically).
-    pub fn closure(&self, vertex: VertexId) -> DependencyVector {
+    ///
+    /// It takes `&mut self` only to reuse the log's traversal buffers: a
+    /// closure allocates nothing but the vector it returns.
+    pub fn closure(&mut self, vertex: VertexId) -> DependencyVector {
+        let mut scratch = std::mem::take(&mut self.scratch);
         let mut v = DependencyVector::new();
-        let mut expanded = std::collections::BTreeSet::new();
-        let mut stack: Vec<VertexId> = vec![vertex];
-        while let Some(p) = stack.pop() {
-            if !expanded.insert(p) {
+        scratch.stack.push(vertex);
+        while let Some(p) = scratch.stack.pop() {
+            let Err(at) = scratch.expanded.binary_search(&p) else {
                 continue;
-            }
-            let Some(row) = self.rows.get(&p) else {
+            };
+            scratch.expanded.insert(at, p);
+            let Some(row) = self.row(p) else {
                 continue;
             };
             for (q, ts) in row.vector.iter() {
                 v.merge_entry(q, ts);
-                if v.get(q).is_live() && !expanded.contains(&q) {
-                    stack.push(q);
+                if v.get(q).is_live() && scratch.expanded.binary_search(&q).is_err() {
+                    scratch.stack.push(q);
                 }
             }
         }
         // The subject's own entry reflects its own latest event, never a
         // second-hand one.
-        if let Some(row) = self.rows.get(&vertex) {
+        if let Some(row) = self.row(vertex) {
             v.set(vertex, row.vector.get(vertex));
         }
+        scratch.expanded.clear();
+        self.scratch = scratch;
         v
     }
 
@@ -281,24 +390,19 @@ impl DkLog {
     /// entries need no separate resolution — they were, by construction,
     /// taken from a neighbour's shipped vector.
     pub fn direct_live_entries_resolved(&self, subject: VertexId) -> bool {
-        let Some(row) = self.rows.get(&subject) else {
+        let Some(row) = self.row(subject) else {
             return true;
         };
         row.vector
             .iter()
             .filter(|(q, ts)| *q != subject && ts.is_live() && !self.is_root(*q))
-            .all(|(q, _)| {
-                self.rows
-                    .get(&q)
-                    .map(|r| !r.vector.is_empty())
-                    .unwrap_or(false)
-            })
+            .all(|(q, _)| self.row(q).is_some_and(|r| !r.vector.is_empty()))
     }
 }
 
 impl fmt::Display for DkLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (vertex, row) in &self.rows {
+        for (vertex, row) in self.rows() {
             writeln!(f, "DK[{vertex}] = {row}")?;
         }
         Ok(())

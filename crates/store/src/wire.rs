@@ -193,18 +193,24 @@ impl Encode for DkLog {
 }
 impl Decode for DkLog {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let rows = r.len()?;
-        let mut log = DkLog::new();
-        for _ in 0..rows {
-            let vertex = VertexId::decode(r)?;
-            *log.row_mut(vertex) = RootedVector::decode(r)?;
-        }
-        let flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::decode(r)?;
-        for (vertex, (as_of, is_root)) in flags {
-            log.stamp_root(vertex, as_of, is_root);
-        }
-        Ok(log)
+        decode_log_into(r, DkLog::new())
     }
+}
+
+/// Decodes a log's rows and stamps into `log`, an empty log with the layout
+/// the caller wants (a checkpoint's log is decoded straight into its site's
+/// dense layout).
+fn decode_log_into(r: &mut Reader<'_>, mut log: DkLog) -> Result<DkLog, CodecError> {
+    let rows = r.len()?;
+    for _ in 0..rows {
+        let vertex = VertexId::decode(r)?;
+        *log.row_mut(vertex) = RootedVector::decode(r)?;
+    }
+    let flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::decode(r)?;
+    for (vertex, (as_of, is_root)) in flags {
+        log.stamp_root(vertex, as_of, is_root);
+    }
+    Ok(log)
 }
 
 impl Encode for CausalMessage {
@@ -415,10 +421,11 @@ impl Encode for EngineCheckpoint {
 }
 impl Decode for EngineCheckpoint {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let site = SiteId::decode(r)?;
         Ok(EngineCheckpoint {
-            site: SiteId::decode(r)?,
+            site,
             counters: BTreeMap::decode(r)?,
-            log: DkLog::decode(r)?,
+            log: decode_log_into(r, DkLog::for_site(site))?,
             last_closure: BTreeMap::decode(r)?,
             edges_out: BTreeMap::decode(r)?,
             locally_rooted: std::collections::BTreeSet::decode(r)?,
@@ -512,6 +519,125 @@ mod tests {
             transfers_sent: vec![((GlobalAddr::new(0, 1), GlobalAddr::new(1, 1)), 2)],
             transfers_received: vec![],
         });
+    }
+
+    /// Drives a site-3 engine through a seeded mix of local events (exports,
+    /// receives, third-party sends, edge and rootedness changes,
+    /// compactions) and control messages over sparse local ids (1, 2 and
+    /// 1,000), vertices of sites below and above it, and its anchor.
+    fn seeded_engine(seed: u64) -> ggd_causal::CausalEngine {
+        use ggd_heap::{EdgeDelta, VertexEdgeDelta};
+        let site = SiteId::new(3);
+        let mut engine = ggd_causal::CausalEngine::new(site);
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let local = [1u64, 2, 1_000];
+        let remote = [
+            GlobalAddr::new(1, 4),
+            GlobalAddr::new(1, 9),
+            GlobalAddr::new(7, 2),
+            GlobalAddr::new(7, 5),
+        ];
+        for _ in 0..300 {
+            let own = GlobalAddr::new(3, local[next(3) as usize]);
+            let other = remote[next(4) as usize];
+            match next(7) {
+                0 => engine.on_export(own, VertexId::Object(other)),
+                1 => engine.on_receive_ref(own, other),
+                2 => engine.on_third_party_send(other, VertexId::Object(remote[next(4) as usize])),
+                3 => {
+                    let vertex = if next(2) == 0 {
+                        engine.anchor()
+                    } else {
+                        VertexId::Object(own)
+                    };
+                    let (created, destroyed) = if next(2) == 0 {
+                        (vec![other], vec![])
+                    } else {
+                        (vec![], vec![other])
+                    };
+                    let mut delta = EdgeDelta::empty(site);
+                    delta.edges.push(VertexEdgeDelta {
+                        vertex,
+                        created,
+                        destroyed,
+                    });
+                    engine.apply_delta(&delta);
+                }
+                4 => {
+                    let from = VertexId::Object(other);
+                    let index = next(5) + 1;
+                    let news = if next(2) == 0 {
+                        Timestamp::created(index)
+                    } else {
+                        Timestamp::destroyed(index)
+                    };
+                    engine.on_message(CausalMessage {
+                        from,
+                        to: VertexId::Object(own),
+                        payload: RootedVector::from_vector(DependencyVector::singleton(from, news)),
+                    });
+                }
+                5 => {
+                    let mut delta = EdgeDelta::empty(site);
+                    delta.rootedness.push((own.object(), next(2) == 0));
+                    engine.apply_delta(&delta);
+                }
+                _ => {
+                    engine.compact_detected();
+                }
+            }
+            engine.take_outgoing();
+            engine.take_verdicts();
+        }
+        engine
+    }
+
+    #[test]
+    fn engine_state_keeps_row_order_and_round_trips() {
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 1..=8 {
+            let engine = seeded_engine(seed);
+            let log = engine.log();
+            let vertices: Vec<VertexId> = log.rows().map(|(vertex, _)| vertex).collect();
+            assert!(
+                vertices.windows(2).all(|pair| pair[0] < pair[1]),
+                "seed {seed}: rows must be strictly ascending: {vertices:?}"
+            );
+            seen.extend(vertices);
+
+            let bytes = encode_to_vec(log);
+            let decoded: DkLog = decode_from_slice(&bytes).unwrap();
+            assert_eq!(&decoded, log, "seed {seed}: decode changed the log");
+            assert_eq!(encode_to_vec(&decoded), bytes, "seed {seed}: log re-encode");
+
+            let checkpoint = engine.checkpoint();
+            assert_eq!(
+                ggd_causal::CausalEngine::restore(checkpoint.clone()).checkpoint(),
+                checkpoint,
+                "seed {seed}: restore(checkpoint) must checkpoint identically"
+            );
+            round_trip(checkpoint);
+        }
+        // The seeds cover every kind of row: the anchor, remote rows below
+        // and above the site, and the dense local rows, sparse ids included.
+        for vertex in [
+            VertexId::site_root(3),
+            VertexId::object(1, 4),
+            VertexId::object(3, 1),
+            VertexId::object(3, 1_000),
+            VertexId::object(7, 2),
+        ] {
+            assert!(
+                seen.contains(&vertex),
+                "no seed produced a row for {vertex}"
+            );
+        }
     }
 
     #[test]
