@@ -92,7 +92,8 @@ fn bench_vector_ops(c: &mut Criterion) {
 fn bench_closure(c: &mut Criterion) {
     let mut group = c.benchmark_group("closure");
     for chain in [8u64, 64, 256] {
-        let mut log = DkLog::new();
+        // Every vertex of the chain is another site's: all rows ordered.
+        let mut log = DkLog::new(SiteId::new(u32::MAX));
         for i in 0..chain {
             let this = VertexId::object(i as u32, 1);
             let next = VertexId::object(i as u32 + 1, 1);
@@ -119,7 +120,7 @@ fn bench_closure(c: &mut Criterion) {
                 VertexId::object(1 + (i % 7) as u32, i)
             }
         };
-        let mut log = DkLog::for_site(site);
+        let mut log = DkLog::new(site);
         for i in 0..chain {
             log.row_mut(vertex(i + 1))
                 .vector

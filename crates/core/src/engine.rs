@@ -24,7 +24,7 @@ use ggd_types::{DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, Verte
 use crate::checkpoint::EngineCheckpoint;
 use crate::log::{stamp, DkLog, RootedVector};
 use crate::message::CausalMessage;
-use crate::table::IdTable;
+use crate::table::LocalTable;
 
 /// A control message queued by the engine, together with its destination
 /// site. The caller (normally `ggd-sim`) moves these onto the transport.
@@ -108,75 +108,67 @@ impl VertexState {
 /// a field of its own, each object's in a table indexed by its identity.
 #[derive(Debug, Clone)]
 struct LocalVertices {
-    site: SiteId,
+    anchor_site: SiteId,
     anchor: VertexState,
-    objects: IdTable<VertexState>,
+    objects: LocalTable<VertexState>,
 }
 
 impl LocalVertices {
     fn new(site: SiteId) -> Self {
         LocalVertices {
-            site,
+            anchor_site: site,
             anchor: VertexState::default(),
-            objects: IdTable::default(),
+            objects: LocalTable::new(site),
         }
+    }
+
+    fn is_anchor(&self, vertex: VertexId) -> bool {
+        vertex == VertexId::SiteRoot(self.anchor_site)
+    }
+
+    /// True when `vertex` is the anchor or one of the site's objects.
+    fn holds(&self, vertex: VertexId) -> bool {
+        self.is_anchor(vertex) || self.objects.holds(vertex)
     }
 
     /// The state of `vertex`, if it is local and has any.
     fn get(&self, vertex: VertexId) -> Option<&VertexState> {
-        match vertex {
-            VertexId::SiteRoot(site) if site == self.site => Some(&self.anchor),
-            VertexId::Object(addr) if addr.site() == self.site => self.objects.get(addr.object()),
-            _ => None,
+        if self.is_anchor(vertex) {
+            Some(&self.anchor)
+        } else {
+            self.objects.get(vertex)
         }
     }
 
     fn get_mut(&mut self, vertex: VertexId) -> Option<&mut VertexState> {
-        match vertex {
-            VertexId::SiteRoot(site) if site == self.site => Some(&mut self.anchor),
-            VertexId::Object(addr) if addr.site() == self.site => {
-                self.objects.get_mut(addr.object())
-            }
-            _ => None,
+        if self.is_anchor(vertex) {
+            Some(&mut self.anchor)
+        } else {
+            self.objects.get_mut(vertex)
         }
     }
 
     /// The state of the local `vertex`, created if needed. Only the local
     /// events (export, receive, delta or snapshot, restore) reach here with
-    /// a vertex that has no state yet.
+    /// a vertex that has no state yet; any other vertex panics.
     fn entry(&mut self, vertex: VertexId) -> &mut VertexState {
-        debug_assert_eq!(vertex.site(), self.site, "state is kept for local vertices");
-        match vertex {
-            VertexId::SiteRoot(_) => &mut self.anchor,
-            VertexId::Object(addr) => self.objects.get_or_default(addr.object()),
+        if self.is_anchor(vertex) {
+            &mut self.anchor
+        } else {
+            self.objects.get_or_default(vertex)
         }
     }
 
     /// Every vertex with state, in ascending order (the anchor first).
     fn iter(&self) -> impl Iterator<Item = (VertexId, &VertexState)> {
-        let site = self.site;
-        std::iter::once((VertexId::SiteRoot(site), &self.anchor)).chain(
-            self.objects.iter().map(move |(id, state)| {
-                (VertexId::Object(GlobalAddr::from_parts(site, id)), state)
-            }),
-        )
+        std::iter::once((VertexId::SiteRoot(self.anchor_site), &self.anchor))
+            .chain(self.objects.iter())
     }
 
     /// Every state, mutably, in no particular order.
     fn values_mut(&mut self) -> impl Iterator<Item = &mut VertexState> {
         std::iter::once(&mut self.anchor).chain(self.objects.values_mut())
     }
-}
-
-/// `apply_delta`'s event buffers, kept across calls so that a delta
-/// allocates nothing; empty between calls.
-#[derive(Debug, Clone, Default)]
-struct DeltaScratch {
-    /// Per changed vertex: how many of its targets were created, then how
-    /// many destroyed.
-    events: Vec<(VertexId, usize, usize)>,
-    /// The targets of every event, in event order.
-    targets: Vec<GlobalAddr>,
 }
 
 /// The causal GGD engine of one site.
@@ -203,7 +195,6 @@ pub struct CausalEngine {
     pending_verdicts: Vec<GlobalAddr>,
     outgoing: Vec<Outgoing>,
     stats: EngineStats,
-    delta_scratch: DeltaScratch,
 }
 
 impl CausalEngine {
@@ -211,7 +202,7 @@ impl CausalEngine {
     pub fn new(site: SiteId) -> Self {
         CausalEngine {
             site,
-            log: DkLog::for_site(site),
+            log: DkLog::new(site),
             vertices: LocalVertices::new(site),
             edge_refcounts: BTreeMap::new(),
             inbound_holders: BTreeMap::new(),
@@ -219,7 +210,6 @@ impl CausalEngine {
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
             stats: EngineStats::default(),
-            delta_scratch: DeltaScratch::default(),
         }
     }
 
@@ -328,43 +318,47 @@ impl CausalEngine {
     pub fn restore(checkpoint: EngineCheckpoint) -> Self {
         let site = checkpoint.site;
         let mut vertices = LocalVertices::new(site);
-        let is_local = |vertex: &VertexId| vertex.site() == site;
         for (vertex, counter) in checkpoint.counters {
-            if is_local(&vertex) {
+            if vertices.holds(vertex) {
                 vertices.entry(vertex).counter = counter;
             }
         }
         for (vertex, closure) in checkpoint.last_closure {
-            if is_local(&vertex) {
+            if vertices.holds(vertex) {
                 vertices.entry(vertex).remember(closure);
             }
         }
         for (vertex, targets) in checkpoint.edges_out {
-            if is_local(&vertex) {
+            if vertices.holds(vertex) {
                 vertices.entry(vertex).edges_out = targets;
             }
         }
         for vertex in checkpoint.locally_rooted {
-            if is_local(&vertex) {
+            if vertices.holds(vertex) {
                 vertices.entry(vertex).locally_rooted = true;
             }
         }
         for addr in checkpoint.detected {
-            if addr.site() == site {
+            if vertices.objects.holds(VertexId::Object(addr)) {
                 vertices.entry(VertexId::Object(addr)).detected = true;
             }
         }
+        // Holders are local objects the receive rule bumps; keep no other.
+        let mut inbound_holders = checkpoint.inbound_holders;
+        for holders in inbound_holders.values_mut() {
+            holders.retain(|&holder| vertices.objects.holds(holder));
+        }
+        inbound_holders.retain(|_, holders| !holders.is_empty());
         let mut engine = CausalEngine {
             site,
             log: checkpoint.log,
             vertices,
             edge_refcounts: BTreeMap::new(),
-            inbound_holders: checkpoint.inbound_holders,
+            inbound_holders,
             static_roots: checkpoint.static_roots,
             pending_verdicts: checkpoint.pending_verdicts,
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
-            delta_scratch: DeltaScratch::default(),
         };
         engine.rebuild_edge_refcounts();
         engine
@@ -823,10 +817,8 @@ impl CausalEngine {
         // from the heap's cache exactly when garbage finalisation already
         // destroyed a detected vertex's edges ahead of the heap — replaying
         // those would duplicate the finalisation messages.
-        let DeltaScratch {
-            mut events,
-            targets: mut changed,
-        } = std::mem::take(&mut self.delta_scratch);
+        let mut events: Vec<(VertexId, Vec<GlobalAddr>, Vec<GlobalAddr>)> =
+            Vec::with_capacity(delta.edges.len());
         for part in &delta.edges {
             // Only a creation can give a vertex its first out-edge.
             let targets = if part.created.is_empty() {
@@ -837,34 +829,30 @@ impl CausalEngine {
             } else {
                 &mut self.vertices.entry(part.vertex).edges_out
             };
-            let start = changed.len();
-            changed.extend(
-                part.created
-                    .iter()
-                    .copied()
-                    .filter(|&target| targets.insert(target)),
-            );
-            let created = changed.len() - start;
-            changed.extend(
-                part.destroyed
-                    .iter()
-                    .copied()
-                    .filter(|target| targets.remove(target)),
-            );
-            let destroyed = changed.len() - start - created;
-            for &target in &changed[start..start + created] {
+            let created: Vec<GlobalAddr> = part
+                .created
+                .iter()
+                .copied()
+                .filter(|&target| targets.insert(target))
+                .collect();
+            let destroyed: Vec<GlobalAddr> = part
+                .destroyed
+                .iter()
+                .copied()
+                .filter(|target| targets.remove(target))
+                .collect();
+            for &target in &created {
                 *self.edge_refcounts.entry(target).or_insert(0) += 1;
             }
-            for &target in &changed[start + created..] {
+            for &target in &destroyed {
                 self.drop_edge_refcount(target);
             }
-            if created + destroyed > 0 {
+            if !created.is_empty() || !destroyed.is_empty() {
                 events.push((part.vertex, created, destroyed));
             }
         }
-        let mut at = 0;
-        for &(vertex, created, destroyed) in &events {
-            for &target in &changed[at..at + created] {
+        for (vertex, created, destroyed) in events {
+            for target in created {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
@@ -875,8 +863,7 @@ impl CausalEngine {
                     self.queue_root_announcement(vertex, target, n);
                 }
             }
-            at += created;
-            for &target in &changed[at..at + destroyed] {
+            for target in destroyed {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
@@ -894,14 +881,7 @@ impl CausalEngine {
                 self.mark_lost_holders(target, still_reached);
                 self.queue_destruction(vertex, target);
             }
-            at += destroyed;
         }
-        events.clear();
-        changed.clear();
-        self.delta_scratch = DeltaScratch {
-            events,
-            targets: changed,
-        };
 
         // 3. Fresh rootedness propagates along the (final) out-edges.
         for vertex in rootedness_changed {
@@ -1553,6 +1533,30 @@ mod tests {
         // The exported object itself is addressable.
         engine.on_message(destruction(VertexId::object(1, 1), VertexId::object(2, 3)));
         assert_eq!(engine.stats().verdicts, 1);
+    }
+
+    #[test]
+    fn restore_keeps_state_for_local_vertices_only() {
+        let mut engine = CausalEngine::new(SiteId::new(2));
+        engine.on_receive_ref(addr(2, 3), addr(1, 1));
+        // Another site's object with the local holder's identity, as a
+        // holder, with a counter and with a verdict.
+        let foreign = VertexId::object(5, 3);
+        let mut checkpoint = engine.checkpoint();
+        checkpoint
+            .inbound_holders
+            .get_mut(&addr(1, 1))
+            .unwrap()
+            .insert(foreign);
+        checkpoint
+            .inbound_holders
+            .insert(addr(1, 2), BTreeSet::from([foreign]));
+        checkpoint.counters.insert(foreign, 99);
+        checkpoint.detected.insert(addr(5, 3));
+        assert_eq!(
+            CausalEngine::restore(checkpoint).checkpoint(),
+            engine.checkpoint()
+        );
     }
 
     #[test]

@@ -9,9 +9,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ggd_types::{DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId};
+use ggd_types::{DependencyVector, SiteId, Timestamp, VertexId};
 
-use crate::table::IdTable;
+use crate::table::LocalTable;
 
 /// A dependency vector bundled with *root knowledge*: for each vertex it
 /// mentions, whether that vertex was an actual root of the global root graph
@@ -114,21 +114,17 @@ impl fmt::Display for RootedVector {
 /// dependency vector of that vertex's latest log-keeping event (§3.3, item 1
 /// of the algorithm summary).
 ///
-/// A log built for a site ([`DkLog::for_site`]) keeps the rows of the site's
-/// own objects — the rows every relevant event touches — in a dense table
-/// indexed by object identity, and the rows of anchors and remote vertices
-/// in an ordered map. [`DkLog::rows`] merges the two into one strictly
-/// ascending sequence, so everything that iterates the log (the `Display`
-/// form, the checkpoint codec, compaction, retirement) sees exactly the
-/// order a single ordered map would give. Equality is by content: two logs
-/// holding the same rows and stamps are equal whatever their layout.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A log belongs to a site. It keeps the rows of the site's own objects —
+/// the rows every relevant event touches — in a table indexed by
+/// object identity, and the rows of anchors and remote vertices in an
+/// ordered map. [`DkLog::rows`] merges the two into one strictly ascending
+/// sequence, so everything that iterates the log (the `Display` form, the
+/// checkpoint codec, compaction, retirement) sees exactly the order a single
+/// ordered map would give. Equality is by content.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DkLog {
-    /// The site whose objects' rows live in `local`; `None` keeps every row
-    /// in `rows`.
-    site: Option<SiteId>,
     /// Rows of the site's own objects, by object identity.
-    local: IdTable<RootedVector>,
+    local: LocalTable<RootedVector>,
     /// Rows of anchors and of other sites' vertices.
     rows: BTreeMap<VertexId, RootedVector>,
     root_flags: BTreeMap<VertexId, (u64, bool)>,
@@ -156,42 +152,31 @@ impl PartialEq for DkLog {
 impl Eq for DkLog {}
 
 impl DkLog {
-    /// Creates an empty log that keeps every row in one ordered map.
-    pub fn new() -> Self {
-        DkLog::default()
-    }
-
-    /// Creates an empty log for `site`: the rows of the site's own objects
-    /// are found by index instead of by an ordered search.
-    pub fn for_site(site: SiteId) -> Self {
+    /// Creates the empty log of `site`; allocates nothing.
+    pub fn new(site: SiteId) -> Self {
         DkLog {
-            site: Some(site),
-            ..DkLog::default()
-        }
-    }
-
-    /// The identity of `vertex` in the dense table, when it is one of the
-    /// log's own site's objects.
-    fn local_id(&self, vertex: VertexId) -> Option<ObjectId> {
-        match vertex {
-            VertexId::Object(addr) if Some(addr.site()) == self.site => Some(addr.object()),
-            _ => None,
+            local: LocalTable::new(site),
+            rows: BTreeMap::new(),
+            root_flags: BTreeMap::new(),
+            scratch: ClosureScratch::default(),
         }
     }
 
     /// Read access to the row held for `vertex` (empty if never touched).
     pub fn row(&self, vertex: VertexId) -> Option<&RootedVector> {
-        match self.local_id(vertex) {
-            Some(id) => self.local.get(id),
-            None => self.rows.get(&vertex),
+        if self.local.holds(vertex) {
+            self.local.get(vertex)
+        } else {
+            self.rows.get(&vertex)
         }
     }
 
     /// Mutable access to the row held for `vertex`, creating it if needed.
     pub fn row_mut(&mut self, vertex: VertexId) -> &mut RootedVector {
-        match self.local_id(vertex) {
-            Some(id) => self.local.get_or_default(id),
-            None => self.rows.entry(vertex).or_default(),
+        if self.local.holds(vertex) {
+            self.local.get_or_default(vertex)
+        } else {
+            self.rows.entry(vertex).or_default()
         }
     }
 
@@ -199,26 +184,14 @@ impl DkLog {
     /// site's first object (anchors, lower sites), the site's own objects
     /// by identity, then the rest.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
-        let site = self.site.unwrap_or_default();
-        let first_local = VertexId::Object(GlobalAddr::from_parts(site, ObjectId::new(0)));
-        let (below, above) = match self.site {
-            Some(_) => (
-                self.rows.range(..first_local),
-                Some(self.rows.range(first_local..)),
-            ),
-            None => (self.rows.range(..), None),
-        };
-        let local = self
-            .local
-            .iter()
-            .map(move |(id, row)| (VertexId::Object(GlobalAddr::from_parts(site, id)), row));
-        below
+        let first_local = self.local.first_vertex();
+        self.rows
+            .range(..first_local)
             .map(|(&vertex, row)| (vertex, row))
-            .chain(local)
+            .chain(self.local.iter())
             .chain(
-                above
-                    .into_iter()
-                    .flatten()
+                self.rows
+                    .range(first_local..)
                     .map(|(&vertex, row)| (vertex, row)),
             )
     }
@@ -230,9 +203,7 @@ impl DkLog {
 
     /// Keeps only the rows whose subject `keep` accepts.
     fn retain_rows(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
-        let site = self.site.unwrap_or_default();
-        self.local
-            .retain(|id, _| keep(VertexId::Object(GlobalAddr::from_parts(site, id))));
+        self.local.retain(|vertex, _| keep(vertex));
         self.rows.retain(|&vertex, _| keep(vertex));
     }
 
@@ -440,7 +411,7 @@ mod tests {
 
     #[test]
     fn closure_expands_transitively_through_live_entries() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         // c's row: b reaches c.
         log.row_mut(v(3, 1))
             .vector
@@ -464,7 +435,7 @@ mod tests {
 
     #[test]
     fn closure_stops_at_destroyed_entries() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         log.row_mut(v(3, 1))
             .vector
             .set(v(2, 1), Timestamp::destroyed(5));
@@ -481,7 +452,7 @@ mod tests {
 
     #[test]
     fn closure_terminates_on_cycles() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         log.row_mut(v(1, 1))
             .vector
             .set(v(2, 1), Timestamp::created(1));
@@ -495,7 +466,7 @@ mod tests {
 
     #[test]
     fn resolution_requires_knowledge_of_direct_neighbours() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         // Subject t has a live placeholder for q but q's row is unknown.
         let t = v(2, 1);
         let q = v(3, 1);
@@ -517,7 +488,7 @@ mod tests {
 
     #[test]
     fn log_level_root_knowledge() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         assert!(log.is_root(VertexId::site_root(0)));
         assert!(!log.is_root(v(1, 1)));
         assert!(log.stamp_root(v(1, 1), 3, true));
@@ -536,7 +507,7 @@ mod tests {
 
     #[test]
     fn display_and_size() {
-        let mut log = DkLog::new();
+        let mut log = DkLog::new(SiteId::new(2));
         assert!(log.is_empty());
         log.row_mut(v(1, 1))
             .vector

@@ -145,6 +145,10 @@ impl Collector for FoldingCollector {
         self.inner.restore_state(bytes)
     }
 
+    fn restore_state_below(&mut self, bytes: &[u8], next_object: u64) -> bool {
+        self.inner.restore_state_below(bytes, next_object)
+    }
+
     fn on_membership(&mut self, ann: &MembershipAnnouncement) {
         self.inner.on_membership(ann);
     }

@@ -77,6 +77,17 @@ pub trait Collector {
         false
     }
 
+    /// [`Collector::restore_state`] for a checkpoint whose heap image had
+    /// allocated only identities below `next_object` — the form recovery
+    /// calls. A collector that indexes its site's objects by identity
+    /// rejects an image naming one at or past the bound instead of sizing a
+    /// table for it. The default ignores the bound; a wrapping collector
+    /// forwards both methods.
+    fn restore_state_below(&mut self, bytes: &[u8], next_object: u64) -> bool {
+        let _ = next_object;
+        self.restore_state(bytes)
+    }
+
     /// Membership hook: the fleet gained or lost a site. A planned leave
     /// arrives *after* the cluster has quiesced and every survivor severed
     /// its references towards the departed site (the reference handoff), so
@@ -179,7 +190,11 @@ impl Collector for CausalCollector {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        match ggd_store::decode_from_slice::<ggd_causal::EngineCheckpoint>(bytes) {
+        self.restore_state_below(bytes, u64::MAX)
+    }
+
+    fn restore_state_below(&mut self, bytes: &[u8], next_object: u64) -> bool {
+        match ggd_store::wire::decode_engine_checkpoint(bytes, next_object) {
             Ok(checkpoint) => {
                 self.engine = CausalEngine::restore(checkpoint);
                 true

@@ -199,7 +199,7 @@ impl<C: Collector> SiteRuntime<C> {
             }) => {
                 let mut restored = collector;
                 assert!(
-                    restored.restore_state(&state),
+                    restored.restore_state_below(&state, heap.next_object),
                     "collector rejected its own checkpoint during recovery of {site}"
                 );
                 let mut runtime = SiteRuntime {

@@ -191,19 +191,13 @@ impl Encode for DkLog {
         self.root_flags().encode(out);
     }
 }
-impl Decode for DkLog {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_log_into(r, DkLog::new())
-    }
-}
-
-/// Decodes a log's rows and stamps into `log`, an empty log with the layout
-/// the caller wants (a checkpoint's log is decoded straight into its site's
-/// dense layout).
-fn decode_log_into(r: &mut Reader<'_>, mut log: DkLog) -> Result<DkLog, CodecError> {
+/// Decodes the log of `site`. A row for one of the site's own objects at or
+/// past `next_object` is rejected before the log indexes it by identity.
+fn decode_log(r: &mut Reader<'_>, site: SiteId, next_object: u64) -> Result<DkLog, CodecError> {
+    let mut log = DkLog::new(site);
     let rows = r.len()?;
     for _ in 0..rows {
-        let vertex = VertexId::decode(r)?;
+        let vertex = allocated(VertexId::decode(r)?, site, next_object)?;
         *log.row_mut(vertex) = RootedVector::decode(r)?;
     }
     let flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::decode(r)?;
@@ -211,6 +205,21 @@ fn decode_log_into(r: &mut Reader<'_>, mut log: DkLog) -> Result<DkLog, CodecErr
         log.stamp_root(vertex, as_of, is_root);
     }
     Ok(log)
+}
+
+/// Passes `vertex` through unless it is one of `site`'s objects with an
+/// identity at or past `next_object`, which the site never allocated. The
+/// engine and its log find their own objects' state in tables indexed by
+/// identity, so such an identity must fail the decode, not size a table.
+fn allocated(vertex: VertexId, site: SiteId, next_object: u64) -> Result<VertexId, CodecError> {
+    match vertex {
+        VertexId::Object(addr) if addr.site() == site && addr.object().index() >= next_object => {
+            Err(CodecError::Invalid(
+                "object identity the site never allocated",
+            ))
+        }
+        _ => Ok(vertex),
+    }
 }
 
 impl Encode for CausalMessage {
@@ -361,8 +370,10 @@ impl Encode for HeapImage {
     }
 }
 impl Decode for HeapImage {
+    /// Rejects an object identity outside `1..next_object`: the arena
+    /// indexes its objects by identity, and the heap never allocated one.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(HeapImage {
+        let image = HeapImage {
             site: SiteId::decode(r)?,
             next_object: u64::decode(r)?,
             stats: HeapStats::decode(r)?,
@@ -370,7 +381,17 @@ impl Decode for HeapImage {
             global_roots: std::collections::BTreeSet::decode(r)?,
             objects: Vec::decode(r)?,
             generation: u32::decode(r)?,
-        })
+        };
+        if image
+            .objects
+            .iter()
+            .any(|(id, _)| id.index() == 0 || id.index() >= image.next_object)
+        {
+            return Err(CodecError::Invalid(
+                "object identity the heap never allocated",
+            ));
+        }
+        Ok(image)
     }
 }
 
@@ -420,23 +441,69 @@ impl Encode for EngineCheckpoint {
     }
 }
 impl Decode for EngineCheckpoint {
+    /// Decodes an image without knowing its heap: only the one identity no
+    /// site allocates, `u64::MAX`, is rejected. Recovery decodes through
+    /// [`decode_engine_checkpoint`] instead.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let site = SiteId::decode(r)?;
-        Ok(EngineCheckpoint {
-            site,
-            counters: BTreeMap::decode(r)?,
-            log: decode_log_into(r, DkLog::for_site(site))?,
-            last_closure: BTreeMap::decode(r)?,
-            edges_out: BTreeMap::decode(r)?,
-            locally_rooted: std::collections::BTreeSet::decode(r)?,
-            inbound_holders: BTreeMap::decode(r)?,
-            static_roots: std::collections::BTreeSet::decode(r)?,
-            detected: std::collections::BTreeSet::decode(r)?,
-            pending_verdicts: Vec::decode(r)?,
-            outgoing: Vec::decode(r)?,
-            stats: EngineStats::decode(r)?,
-        })
+        decode_checkpoint(r, u64::MAX)
     }
+}
+
+/// Decodes an engine checkpoint image taken beside a heap image whose next
+/// object identity is `next_object`, requiring every byte to be consumed.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] on malformed input, on trailing bytes, and when
+/// the image names one of its own site's objects at or past `next_object`
+/// as a vertex with engine state or a log row.
+pub fn decode_engine_checkpoint(
+    bytes: &[u8],
+    next_object: u64,
+) -> Result<EngineCheckpoint, CodecError> {
+    let mut r = Reader::new(bytes);
+    let checkpoint = decode_checkpoint(&mut r, next_object)?;
+    if !r.is_empty() {
+        return Err(CodecError::Invalid("trailing bytes after value"));
+    }
+    Ok(checkpoint)
+}
+
+fn decode_checkpoint(r: &mut Reader<'_>, next_object: u64) -> Result<EngineCheckpoint, CodecError> {
+    let site = SiteId::decode(r)?;
+    let checkpoint = EngineCheckpoint {
+        site,
+        counters: BTreeMap::decode(r)?,
+        log: decode_log(r, site, next_object)?,
+        last_closure: BTreeMap::decode(r)?,
+        edges_out: BTreeMap::decode(r)?,
+        locally_rooted: std::collections::BTreeSet::decode(r)?,
+        inbound_holders: BTreeMap::decode(r)?,
+        static_roots: std::collections::BTreeSet::decode(r)?,
+        detected: std::collections::BTreeSet::decode(r)?,
+        pending_verdicts: Vec::decode(r)?,
+        outgoing: Vec::decode(r)?,
+        stats: EngineStats::decode(r)?,
+    };
+    // Every vertex `CausalEngine::restore` keeps state for.
+    let with_state = checkpoint
+        .counters
+        .keys()
+        .chain(checkpoint.last_closure.keys())
+        .chain(checkpoint.edges_out.keys())
+        .chain(&checkpoint.locally_rooted)
+        .chain(checkpoint.inbound_holders.values().flatten())
+        .copied()
+        .chain(
+            checkpoint
+                .detected
+                .iter()
+                .map(|&addr| VertexId::Object(addr)),
+        );
+    for vertex in with_state {
+        allocated(vertex, site, next_object)?;
+    }
+    Ok(checkpoint)
 }
 
 #[cfg(test)]
@@ -482,10 +549,21 @@ mod tests {
         rooted.stamp_root(VertexId::object(4, 4), 9, true);
         round_trip(rooted.clone());
 
-        let mut log = DkLog::new();
-        *log.row_mut(VertexId::object(1, 1)) = rooted;
+        let mut log = DkLog::new(SiteId::new(1));
+        *log.row_mut(VertexId::object(1, 1)) = rooted.clone();
+        *log.row_mut(VertexId::object(3, 1)) = rooted;
         log.stamp_root(VertexId::object(2, 2), 5, false);
-        round_trip(log);
+        log_round_trip(&log, SiteId::new(1));
+    }
+
+    /// A log's encode → decode → encode, decoded into its site's layout.
+    fn log_round_trip(log: &DkLog, site: SiteId) {
+        let bytes = encode_to_vec(log);
+        let mut r = Reader::new(&bytes);
+        let decoded = decode_log(&mut r, site, u64::MAX).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(&decoded, log);
+        assert_eq!(encode_to_vec(&decoded), bytes, "re-encode is bit-identical");
     }
 
     #[test]
@@ -611,10 +689,7 @@ mod tests {
             );
             seen.extend(vertices);
 
-            let bytes = encode_to_vec(log);
-            let decoded: DkLog = decode_from_slice(&bytes).unwrap();
-            assert_eq!(&decoded, log, "seed {seed}: decode changed the log");
-            assert_eq!(encode_to_vec(&decoded), bytes, "seed {seed}: log re-encode");
+            log_round_trip(log, engine.site());
 
             let checkpoint = engine.checkpoint();
             assert_eq!(
@@ -636,6 +711,111 @@ mod tests {
             assert!(
                 seen.contains(&vertex),
                 "no seed produced a row for {vertex}"
+            );
+        }
+    }
+
+    #[test]
+    fn identities_the_site_never_allocated_fail_the_decode() {
+        let site = SiteId::new(3);
+        let empty = || EngineCheckpoint {
+            site,
+            counters: BTreeMap::new(),
+            log: DkLog::new(site),
+            last_closure: BTreeMap::new(),
+            edges_out: BTreeMap::new(),
+            locally_rooted: std::collections::BTreeSet::new(),
+            inbound_holders: BTreeMap::new(),
+            static_roots: std::collections::BTreeSet::new(),
+            detected: std::collections::BTreeSet::new(),
+            pending_verdicts: Vec::new(),
+            outgoing: Vec::new(),
+            stats: EngineStats::default(),
+        };
+        // The same image decodes below a bound past its highest identity.
+        let mut fine = empty();
+        fine.counters.insert(VertexId::object(3, 9), 1);
+        fine.counters.insert(VertexId::object(4, u64::MAX), 1);
+        let bytes = encode_to_vec(&fine);
+        assert_eq!(decode_engine_checkpoint(&bytes, 10), Ok(fine.clone()));
+        assert!(decode_engine_checkpoint(&bytes, 9).is_err());
+
+        let huge = [u64::MAX, 1 << 40];
+        for id in huge {
+            let vertex = VertexId::object(3, id);
+            let mut images = Vec::new();
+            let mut image = empty();
+            image.counters.insert(vertex, 1);
+            images.push(encode_to_vec(&image));
+            let mut image = empty();
+            image.locally_rooted.insert(vertex);
+            images.push(encode_to_vec(&image));
+            let mut image = empty();
+            image
+                .inbound_holders
+                .insert(GlobalAddr::new(1, 1), std::iter::once(vertex).collect());
+            images.push(encode_to_vec(&image));
+            let mut image = empty();
+            image.detected.insert(GlobalAddr::new(3, id));
+            images.push(encode_to_vec(&image));
+            // A log row: spliced in by hand, since a log cannot hold it.
+            let mut log_row = Vec::new();
+            site.encode(&mut log_row);
+            BTreeMap::<VertexId, u64>::new().encode(&mut log_row);
+            write_varint(&mut log_row, 1);
+            vertex.encode(&mut log_row);
+            RootedVector::new().encode(&mut log_row);
+            let tail = encode_to_vec(&empty());
+            // The empty image is the site, an empty counter map, then an
+            // empty log (no rows, no stamps) and the rest.
+            let mut head = Vec::new();
+            site.encode(&mut head);
+            BTreeMap::<VertexId, u64>::new().encode(&mut head);
+            write_varint(&mut head, 0);
+            log_row.extend_from_slice(&tail[head.len()..]);
+            images.push(log_row);
+
+            for bytes in &images {
+                assert!(
+                    matches!(
+                        decode_engine_checkpoint(bytes, 1_000),
+                        Err(CodecError::Invalid(_))
+                    ),
+                    "object {id} must fail the decode"
+                );
+            }
+            if id == u64::MAX {
+                // No site allocates `u64::MAX`, even with no heap to ask.
+                for bytes in &images {
+                    assert!(decode_from_slice::<EngineCheckpoint>(bytes).is_err());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_images_name_only_allocated_identities() {
+        let image = |ids: &[u64]| HeapImage {
+            site: SiteId::new(1),
+            next_object: 5,
+            stats: HeapStats::default(),
+            local_roots: std::collections::BTreeSet::new(),
+            global_roots: std::collections::BTreeSet::new(),
+            objects: ids
+                .iter()
+                .map(|&id| (ObjectId::new(id), Vec::new()))
+                .collect(),
+            generation: 0,
+        };
+        round_trip(image(&[1, 4]));
+        for ids in [&[0u64][..], &[1, 5], &[1 << 40]] {
+            let bytes = encode_to_vec(&image(ids));
+            assert!(
+                matches!(
+                    decode_from_slice::<HeapImage>(&bytes),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{ids:?} must fail the decode"
             );
         }
     }
