@@ -3,6 +3,9 @@
 //! * dependency-vector merge and closure reconstruction (the per-message
 //!   cost of the causal engine), over a site-less log and over the dense
 //!   local plus ordered remote layout the engine uses,
+//! * one heap's `take_delta` over a removal window and the grow-only window
+//!   that undoes it, under a global root whose tree holds 16 or 256
+//!   remotes,
 //! * the paper-example scenario end to end,
 //! * the E3 list-collapse scenario for a representative k.
 
@@ -10,8 +13,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ggd_bench::run_causal;
 use ggd_causal::DkLog;
+use ggd_heap::{ObjRef, SiteHeap};
 use ggd_mutator::workloads;
-use ggd_types::{DependencyVector, SiteId, Timestamp, VertexId};
+use ggd_types::{DependencyVector, GlobalAddr, SiteId, Timestamp, VertexId};
 
 fn vector_of(size: usize, offset: u64) -> DependencyVector {
     (0..size)
@@ -141,6 +145,43 @@ fn bench_closure(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_take_delta(c: &mut Criterion) {
+    let mut group = c.benchmark_group("take_delta");
+    for remotes in [16u64, 256] {
+        // A global root over one local holder per four distinct remotes;
+        // the window cuts the first holder's first remote and puts it back.
+        let mut heap = SiteHeap::new(SiteId::new(0));
+        let root = heap.alloc();
+        heap.register_global_root(root).unwrap();
+        let mut holders = Vec::new();
+        for i in 0..remotes {
+            if i % 4 == 0 {
+                let holder = heap.alloc();
+                heap.add_ref(root, ObjRef::Local(holder)).unwrap();
+                holders.push(holder);
+            }
+            let remote = ObjRef::Remote(GlobalAddr::new(1 + (i % 8) as u32, 1 + i));
+            heap.add_ref(holders[holders.len() - 1], remote).unwrap();
+        }
+        let _ = heap.take_delta();
+        let holder = holders[0];
+        let cut = ObjRef::Remote(GlobalAddr::new(1, 1));
+        group.bench_with_input(
+            BenchmarkId::new("unlink_relink", remotes),
+            &remotes,
+            |bencher, _| {
+                bencher.iter(|| {
+                    heap.remove_ref(holder, cut).unwrap();
+                    let removal = heap.take_delta();
+                    heap.add_ref(holder, cut).unwrap();
+                    (removal, heap.take_delta())
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_scenarios(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario");
     group.sample_size(10);
@@ -159,5 +200,11 @@ fn bench_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_vector_ops, bench_closure, bench_scenarios);
+criterion_group!(
+    benches,
+    bench_vector_ops,
+    bench_closure,
+    bench_take_delta,
+    bench_scenarios
+);
 criterion_main!(benches);

@@ -17,7 +17,6 @@
 //! checkpoint images and replayed unlinks are slot-order sensitive), and
 //! [`Arena::clear_refs`] returns the whole chain to the pool.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_types::{GlobalAddr, ObjectId};
@@ -383,13 +382,14 @@ impl Arena {
 
     /// Marks everything reachable from `seeds` through local references,
     /// recording visited slots in `scratch` (marks + visit list) and, when
-    /// `remotes` is given, every remote reference encountered. No per-call
-    /// allocation once the scratch buffers are warm.
+    /// `remotes` is given, pushing every remote reference encountered onto
+    /// it (unsorted, one entry per occurrence). No per-call allocation once
+    /// the scratch buffers and `remotes` are warm.
     pub(crate) fn mark_reachable<I>(
         &self,
         scratch: &mut Scratch,
         seeds: I,
-        mut remotes: Option<&mut BTreeSet<GlobalAddr>>,
+        mut remotes: Option<&mut Vec<GlobalAddr>>,
     ) where
         I: IntoIterator<Item = ObjectId>,
     {
@@ -413,8 +413,8 @@ impl Arena {
                         }
                     }
                     ObjRef::Remote(addr) => {
-                        if let Some(set) = remotes.as_deref_mut() {
-                            set.insert(addr);
+                        if let Some(list) = remotes.as_deref_mut() {
+                            list.push(addr);
                         }
                     }
                 }
@@ -717,13 +717,22 @@ mod tests {
         let s3 = a.insert(ObjectId::new(3));
         a.push_ref(s1, ObjRef::Local(ObjectId::new(2)));
         a.push_ref(s2, ObjRef::Remote(GlobalAddr::new(7, 7)));
+        a.push_ref(s2, ObjRef::Remote(GlobalAddr::new(7, 7)));
         a.push_ref(s3, ObjRef::Remote(GlobalAddr::new(8, 8)));
         let mut scratch = Scratch::default();
-        let mut remotes = BTreeSet::new();
+        let mut remotes = vec![GlobalAddr::new(9, 9)];
         a.mark_reachable(&mut scratch, [ObjectId::new(1)], Some(&mut remotes));
         assert!(scratch.is_marked(s1) && scratch.is_marked(s2));
         assert!(!scratch.is_marked(s3));
-        assert_eq!(remotes, BTreeSet::from([GlobalAddr::new(7, 7)]));
+        // Appended after what the caller left there, once per occurrence.
+        assert_eq!(
+            remotes,
+            vec![
+                GlobalAddr::new(9, 9),
+                GlobalAddr::new(7, 7),
+                GlobalAddr::new(7, 7)
+            ]
+        );
     }
 
     #[test]

@@ -331,7 +331,7 @@ impl SiteHeap {
             // The target may already be gone when dangling slots to collected
             // objects are dropped; the tracker then only records the dirt.
             let target_slot = to.as_local().and_then(|t| self.arena.slot_of(t));
-            self.tracker.note_ref_removed(from_slot, target_slot);
+            self.tracker.note_ref_removed(from_slot, to, target_slot);
         }
         Ok(removed)
     }
@@ -349,7 +349,7 @@ impl SiteHeap {
         if self.tracker.is_active() {
             for r in self.arena.refs(from_slot) {
                 let target_slot = r.as_local().and_then(|t| self.arena.slot_of(t));
-                self.tracker.note_ref_removed(from_slot, target_slot);
+                self.tracker.note_ref_removed(from_slot, r, target_slot);
             }
         }
         self.arena.clear_refs(from_slot);

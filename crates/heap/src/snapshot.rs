@@ -26,13 +26,19 @@
 //! a set insertion. A window that only *added* references (no removal, no
 //! local-root or global-root loss, no slot freed under a recorded addition)
 //! skips the per-source recomputation altogether: reach is monotone then, so
-//! the cache is extended along each added edge instead (DESIGN.md §6
-//! carries the argument). The running snapshot is available through
+//! the cache is extended along each added edge instead. A window that only
+//! *removed* references re-marks only the sources whose cached targets meet
+//! the remotes the window can have cut off: the removed remote targets and
+//! whatever the removed local targets reach now (DESIGN.md §6 carries both
+//! arguments). Every cached target list is sorted and free of duplicates, so
+//! a re-marked source is compared with its cache first and diffed by a merge
+//! walk only when it changed. The running snapshot is available through
 //! [`SiteHeap::cached_snapshot`] and always equals what a fresh
 //! [`SiteHeap::snapshot`] rescan would produce — the runtime
 //! `debug_assert!`s that equivalence on every delta in debug builds.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -44,11 +50,14 @@ use crate::site_heap::SiteHeap;
 
 /// A point-in-time view of the edges this site contributes to the global
 /// root graph, plus the local-rootedness of its global roots.
+///
+/// Every target list is sorted and free of duplicates, so two snapshots of
+/// the same reachability compare equal.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReachabilitySnapshot {
     site: SiteId,
-    from_local_roots: BTreeSet<GlobalAddr>,
-    per_global_root: BTreeMap<ObjectId, BTreeSet<GlobalAddr>>,
+    from_local_roots: Vec<GlobalAddr>,
+    per_global_root: BTreeMap<ObjectId, Vec<GlobalAddr>>,
     locally_rooted_global_roots: BTreeSet<ObjectId>,
 }
 
@@ -61,14 +70,14 @@ impl ReachabilitySnapshot {
     /// True when the site's local root set reaches `addr` (an edge from the
     /// actual-root anchor vertex).
     pub fn root_reaches(&self, addr: GlobalAddr) -> bool {
-        self.from_local_roots.contains(&addr)
+        self.from_local_roots.binary_search(&addr).is_ok()
     }
 
     /// True when global root `id` reaches `addr`.
     pub fn global_root_reaches(&self, id: ObjectId, addr: GlobalAddr) -> bool {
         self.per_global_root
             .get(&id)
-            .map(|targets| targets.contains(&addr))
+            .map(|targets| targets.binary_search(&addr).is_ok())
             .unwrap_or(false)
     }
 
@@ -103,11 +112,13 @@ impl ReachabilitySnapshot {
     /// The out-going edges of one vertex hosted by this site.
     pub fn edges_of(&self, vertex: VertexId) -> BTreeSet<GlobalAddr> {
         match vertex {
-            VertexId::SiteRoot(site) if site == self.site => self.from_local_roots.clone(),
+            VertexId::SiteRoot(site) if site == self.site => {
+                self.from_local_roots.iter().copied().collect()
+            }
             VertexId::Object(addr) if addr.site() == self.site => self
                 .per_global_root
                 .get(&addr.object())
-                .cloned()
+                .map(|targets| targets.iter().copied().collect())
                 .unwrap_or_default(),
             _ => BTreeSet::new(),
         }
@@ -171,11 +182,15 @@ impl SiteHeap {
     /// implementation the incremental cache is checked against.
     pub fn snapshot(&self) -> ReachabilitySnapshot {
         let locally_reachable = self.locally_rooted();
-        let from_local_roots = self.remote_reachable_from(self.local_root_set().iter().copied());
+        let from_local_roots = self
+            .remote_reachable_from(self.local_root_set().iter().copied())
+            .into_iter()
+            .collect();
         let mut per_global_root = BTreeMap::new();
         let mut locally_rooted_global_roots = BTreeSet::new();
         for id in self.global_root_set() {
-            per_global_root.insert(*id, self.remote_reachable_from([*id]));
+            let targets = self.remote_reachable_from([*id]).into_iter().collect();
+            per_global_root.insert(*id, targets);
             if locally_reachable.contains(id) {
                 locally_rooted_global_roots.insert(*id);
             }
@@ -200,8 +215,11 @@ pub(crate) fn snapshot_from_parts(
 ) -> ReachabilitySnapshot {
     ReachabilitySnapshot {
         site,
-        from_local_roots,
-        per_global_root,
+        from_local_roots: from_local_roots.into_iter().collect(),
+        per_global_root: per_global_root
+            .into_iter()
+            .map(|(id, targets)| (id, targets.into_iter().collect()))
+            .collect(),
         locally_rooted_global_roots,
     }
 }
@@ -224,14 +242,33 @@ pub struct VertexEdgeDelta {
 
 impl VertexEdgeDelta {
     /// The changes of `source` when its reachable set goes from `old` to
-    /// `new`, or `None` when nothing changed.
+    /// `new` (both sorted and free of duplicates), or `None` when nothing
+    /// changed. One merge walk over the two lists.
     fn between(
         source: VertexId,
-        old: &BTreeSet<GlobalAddr>,
-        new: &BTreeSet<GlobalAddr>,
+        old: &[GlobalAddr],
+        new: &[GlobalAddr],
     ) -> Option<VertexEdgeDelta> {
-        let created: Vec<GlobalAddr> = new.difference(old).copied().collect();
-        let destroyed: Vec<GlobalAddr> = old.difference(new).copied().collect();
+        let (mut created, mut destroyed) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].cmp(&new[j]) {
+                Ordering::Less => {
+                    destroyed.push(old[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    created.push(new[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        destroyed.extend_from_slice(&old[i..]);
+        created.extend_from_slice(&new[j..]);
         (!created.is_empty() || !destroyed.is_empty()).then_some(VertexEdgeDelta {
             vertex: source,
             created,
@@ -255,6 +292,47 @@ impl VertexEdgeDelta {
             }
         }
         grouped
+    }
+}
+
+/// True when the sorted lists `a` and `b` have an element in common: each
+/// element of the shorter is looked up in the longer by binary search.
+fn shares_any(a: &[GlobalAddr], b: &[GlobalAddr]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short.iter().any(|addr| long.binary_search(addr).is_ok())
+}
+
+/// Inserts every address of `reach` that the sorted list `targets` lacks,
+/// by binary search, and records each as an edge `vertex` gained.
+fn extend_sorted(
+    vertex: VertexId,
+    reach: &[GlobalAddr],
+    targets: &mut Vec<GlobalAddr>,
+    created: &mut Vec<(VertexId, GlobalAddr)>,
+) {
+    for &addr in reach {
+        if let Err(pos) = targets.binary_search(&addr) {
+            targets.insert(pos, addr);
+            created.push((vertex, addr));
+        }
+    }
+}
+
+/// Sorts and de-duplicates `fresh`, the remotes `vertex` reaches now. Only
+/// when that differs from the sorted list `cached` does it push the change
+/// onto `edges` and copy `fresh` over `cached`.
+fn refresh_list(
+    vertex: VertexId,
+    cached: &mut Vec<GlobalAddr>,
+    fresh: &mut Vec<GlobalAddr>,
+    edges: &mut Vec<VertexEdgeDelta>,
+) {
+    fresh.sort_unstable();
+    fresh.dedup();
+    if cached != fresh {
+        edges.extend(VertexEdgeDelta::between(vertex, cached, fresh));
+        cached.clear();
+        cached.extend_from_slice(fresh);
     }
 }
 
@@ -370,6 +448,9 @@ pub(crate) struct DeltaTracker {
     dirty_list: Vec<u32>,
     /// References added since the last delta, as `(from slot, target)`.
     added: Vec<(u32, ObjRef)>,
+    /// Targets of the references removed since the last delta, one entry
+    /// per removed occurrence.
+    removed: Vec<ObjRef>,
     /// A reachable set may have shrunk since the last delta: a reference
     /// was removed, or a slot was freed while `added` named slots (its
     /// reuse would make a recorded `from` stale).
@@ -392,6 +473,11 @@ pub(crate) struct DeltaTracker {
     /// Reusable closure work stack and result list.
     stack: Vec<u32>,
     affected: Vec<u32>,
+    /// Reusable list of the remotes one traversal reached.
+    reach: Vec<GlobalAddr>,
+    /// In a window that only removed references: the sorted remotes a
+    /// source can have lost (see `SiteHeap::gather_lost`).
+    lost: Vec<GlobalAddr>,
     /// True once a collection has run its full trace under this tracker:
     /// from then on every survivor was reachable at the last collection and
     /// `suspects` holds every way that can have stopped being true since.
@@ -462,11 +548,14 @@ impl DeltaTracker {
         self.added.push((from, to));
     }
 
-    pub(crate) fn note_ref_removed(&mut self, from: u32, target: Option<u32>) {
+    /// `from` lost one occurrence of the reference `to`; `target` is its
+    /// slot when `to` is local and still resident.
+    pub(crate) fn note_ref_removed(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
         if !self.active {
             return;
         }
         self.shrunk = true;
+        self.removed.push(to);
         // The target may already be gone when dangling slots to collected
         // objects are dropped — its pred list was torn down at free time.
         if let Some(target) = target {
@@ -707,6 +796,7 @@ impl DeltaTracker {
         }
         self.dirty_list.clear();
         self.added.clear();
+        self.removed.clear();
         self.shrunk = false;
         self.anchor_dirty = false;
         self.roots_added.clear();
@@ -757,10 +847,13 @@ impl SiteHeap {
     /// when that reaches a remote, the reverse closure of its source —
     /// O(1) for a fresh object linked under anything. Any other window pays
     /// for the *affected* region — the reverse-edge closure of the slots
-    /// whose edge lists changed, plus one reachability recomputation per
-    /// vertex in that region. Neither is proportional to the heap, and a
-    /// mutation that touched nothing relevant returns an empty delta
-    /// without traversing anything.
+    /// whose edge lists changed — plus one reachability recomputation per
+    /// source in that region that can have changed. When the window added
+    /// nothing, that excludes every source whose cached targets miss the
+    /// remotes the window can have cut off; a removal under which no remote
+    /// hangs therefore re-marks no source at all. None of this is
+    /// proportional to the heap, and a mutation that touched nothing
+    /// relevant returns an empty delta without traversing anything.
     pub fn take_delta(&mut self) -> EdgeDelta {
         if !self.tracker().is_active() {
             return self.activate_tracker();
@@ -791,14 +884,13 @@ impl SiteHeap {
         for i in 0..tracker.added.len() {
             let (from, to) = tracker.added[i];
             let from_rooted = tracker.is_rooted_slot(from);
-            let mut reach = BTreeSet::new();
+            tracker.reach.clear();
             match to {
-                ObjRef::Remote(addr) => {
-                    reach.insert(addr);
-                }
+                ObjRef::Remote(addr) => tracker.reach.push(addr),
                 ObjRef::Local(target) => {
                     let (arena, scratch, _, _) = self.traversal_parts();
-                    arena.mark_reachable(scratch, std::iter::once(target), Some(&mut reach));
+                    let seed = std::iter::once(target);
+                    arena.mark_reachable(scratch, seed, Some(&mut tracker.reach));
                     // The first added edge on any path from a local root
                     // starts at a slot that was already rooted.
                     if from_rooted {
@@ -814,20 +906,15 @@ impl SiteHeap {
                     }
                 }
             }
-            if reach.is_empty() {
+            if tracker.reach.is_empty() {
                 continue;
             }
-            let mut extend = |vertex: VertexId, targets: &mut BTreeSet<GlobalAddr>| {
-                for &addr in &reach {
-                    if targets.insert(addr) {
-                        created.push((vertex, addr));
-                    }
-                }
-            };
             if from_rooted {
-                extend(
+                extend_sorted(
                     VertexId::SiteRoot(site),
+                    &tracker.reach,
                     &mut tracker.cache.from_local_roots,
+                    &mut created,
                 );
             }
             tracker.compute_reaching(from);
@@ -843,9 +930,11 @@ impl SiteHeap {
                     continue;
                 }
                 if let Some(targets) = tracker.cache.per_global_root.get_mut(&root) {
-                    extend(
+                    extend_sorted(
                         VertexId::Object(GlobalAddr::from_parts(site, root)),
+                        &tracker.reach,
                         targets,
+                        &mut created,
                     );
                 }
             }
@@ -861,14 +950,19 @@ impl SiteHeap {
             if is && tracker.cache.locally_rooted_global_roots.insert(root) {
                 delta.rootedness.push((root, true));
             }
-            self.refresh_source(&mut tracker.cache, root, &mut delta.edges);
+            let (cache, reach) = (&mut tracker.cache, &mut tracker.reach);
+            self.refresh_source(cache, reach, root, &mut delta.edges);
         }
     }
 
-    /// Any other window: recompute every source that can reach a dirty slot.
+    /// Any other window: recompute every source that can reach a dirty slot
+    /// and, when nothing was added, can have lost a remote.
     fn recompute_affected(&mut self, tracker: &mut DeltaTracker, delta: &mut EdgeDelta) {
         let site = self.site();
         tracker.compute_affected();
+        // With nothing added a source can only lose remotes, and only ones
+        // in `lost` (DESIGN.md §6 "Removal windows").
+        let bounded = tracker.added.is_empty() && self.gather_lost(tracker);
 
         let mut anchor_affected = tracker.anchor_dirty;
         let mut sources: Vec<ObjectId> = Vec::new();
@@ -878,13 +972,16 @@ impl SiteHeap {
                 if arena.has_flag(slot, FLAG_LOCAL_ROOT) {
                     anchor_affected = true;
                 }
-                if arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
-                    let root = arena.id_at(slot);
-                    if !tracker.roots_added.contains(&root)
-                        && !tracker.roots_removed.contains(&root)
-                    {
-                        sources.push(root);
-                    }
+                if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                    continue;
+                }
+                let root = arena.id_at(slot);
+                if tracker.roots_added.contains(&root) || tracker.roots_removed.contains(&root) {
+                    continue;
+                }
+                let cached = tracker.cache.per_global_root.get(&root);
+                if !bounded || cached.map_or(true, |cached| shares_any(cached, &tracker.lost)) {
+                    sources.push(root);
                 }
             }
         }
@@ -902,7 +999,7 @@ impl SiteHeap {
             let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
             delta
                 .edges
-                .extend(VertexEdgeDelta::between(vertex, &old, &BTreeSet::new()));
+                .extend(VertexEdgeDelta::between(vertex, &old, &[]));
         }
 
         // Anchor and rootedness: only recomputed when a local root reaches
@@ -910,14 +1007,15 @@ impl SiteHeap {
         // root set changed, so neither can any global root's rootedness).
         if anchor_affected {
             let (arena, scratch, local_roots, global_roots) = self.traversal_parts();
-            let mut remotes = BTreeSet::new();
-            arena.mark_reachable(scratch, local_roots.iter().copied(), Some(&mut remotes));
-            delta.edges.extend(VertexEdgeDelta::between(
+            tracker.reach.clear();
+            let seeds = local_roots.iter().copied();
+            arena.mark_reachable(scratch, seeds, Some(&mut tracker.reach));
+            refresh_list(
                 VertexId::SiteRoot(site),
-                &tracker.cache.from_local_roots,
-                &remotes,
-            ));
-            tracker.cache.from_local_roots = remotes;
+                &mut tracker.cache.from_local_roots,
+                &mut tracker.reach,
+                &mut delta.edges,
+            );
 
             // After the removed-roots pass above, every cached rootedness
             // entry names a current global root, so one in-place sweep over
@@ -953,25 +1051,56 @@ impl SiteHeap {
         }
 
         for root in sources {
-            self.refresh_source(&mut tracker.cache, root, &mut delta.edges);
+            let (cache, reach) = (&mut tracker.cache, &mut tracker.reach);
+            self.refresh_source(cache, reach, root, &mut delta.edges);
         }
     }
 
-    /// Recomputes global root `root`'s reachable remote set from scratch,
-    /// pushes its difference against `cache` onto `edges` and caches it.
+    /// Gathers into `tracker.lost`, sorted, every remote a source can have
+    /// lost in a window that removed references and added none: the removed
+    /// remote targets, plus what the removed local targets reach now (one
+    /// traversal from all of them). Returns false, leaving the loss
+    /// unbounded, when a removed local target no longer resolves — a
+    /// collection in the window freed it, or it was gone already.
+    fn gather_lost(&mut self, tracker: &mut DeltaTracker) -> bool {
+        let (arena, scratch, _, _) = self.traversal_parts();
+        tracker.lost.clear();
+        let mut any_local = false;
+        for &target in &tracker.removed {
+            match target {
+                ObjRef::Remote(addr) => tracker.lost.push(addr),
+                ObjRef::Local(id) if arena.slot_of(id).is_some() => any_local = true,
+                ObjRef::Local(_) => return false,
+            }
+        }
+        if any_local {
+            let seeds = tracker
+                .removed
+                .iter()
+                .filter_map(|target| target.as_local());
+            arena.mark_reachable(scratch, seeds, Some(&mut tracker.lost));
+        }
+        tracker.lost.sort_unstable();
+        tracker.lost.dedup();
+        true
+    }
+
+    /// Re-marks global root `root` into the buffer `reach` and, when its
+    /// remote set changed, pushes the difference against `cache` onto
+    /// `edges` and updates `cache` in place.
     fn refresh_source(
         &mut self,
         cache: &mut ReachabilitySnapshot,
+        reach: &mut Vec<GlobalAddr>,
         root: ObjectId,
         edges: &mut Vec<VertexEdgeDelta>,
     ) {
-        let mut new_set = BTreeSet::new();
+        reach.clear();
         let (arena, scratch, _, _) = self.traversal_parts();
-        arena.mark_reachable(scratch, std::iter::once(root), Some(&mut new_set));
+        arena.mark_reachable(scratch, std::iter::once(root), Some(reach));
         let vertex = VertexId::Object(GlobalAddr::from_parts(self.site(), root));
-        let old = cache.per_global_root.entry(root).or_default();
-        edges.extend(VertexEdgeDelta::between(vertex, old, &new_set));
-        *old = new_set;
+        let cached = cache.per_global_root.entry(root).or_default();
+        refresh_list(vertex, cached, reach, edges);
     }
 
     /// First `take_delta` on this heap: rebuild the reverse-edge map from
@@ -1000,7 +1129,6 @@ impl SiteHeap {
             }
         }
 
-        let none = BTreeSet::new();
         let mut delta = EdgeDelta::empty(site);
         delta.rootedness = snapshot
             .locally_rooted_global_roots
@@ -1009,14 +1137,14 @@ impl SiteHeap {
             .collect();
         delta.edges.extend(VertexEdgeDelta::between(
             VertexId::SiteRoot(site),
-            &none,
+            &[],
             &snapshot.from_local_roots,
         ));
         for (&id, targets) in &snapshot.per_global_root {
             let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
             delta
                 .edges
-                .extend(VertexEdgeDelta::between(vertex, &none, targets));
+                .extend(VertexEdgeDelta::between(vertex, &[], targets));
         }
 
         tracker.cache = snapshot;
@@ -1238,6 +1366,164 @@ mod tests {
         VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), id))
     }
 
+    /// True when the pending window removed references and added none, so
+    /// `take_delta` bounds the sources it re-marks by what was cut off.
+    fn is_removal_only(h: &SiteHeap) -> bool {
+        let tracker = h.tracker();
+        tracker.is_active() && tracker.added.is_empty() && !tracker.removed.is_empty()
+    }
+
+    /// A heap with global root `g` holding the chain `g → a → b → c`, every
+    /// link local, and `remote` held by `c`.
+    fn root_over_chain(remote: GlobalAddr) -> (SiteHeap, [ObjectId; 4]) {
+        let mut h = SiteHeap::new(SiteId::new(0));
+        let chain = [h.alloc(), h.alloc(), h.alloc(), h.alloc()];
+        for pair in chain.windows(2) {
+            h.add_ref(pair[0], ObjRef::Local(pair[1])).unwrap();
+        }
+        h.add_ref(chain[3], ObjRef::Remote(remote)).unwrap();
+        h.register_global_root(chain[0]).unwrap();
+        (h, chain)
+    }
+
+    #[test]
+    fn removal_of_one_of_two_copies_of_a_remote_changes_nothing() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, _, _, c]) = root_over_chain(remote);
+        h.add_ref(c, ObjRef::Remote(remote)).unwrap();
+        let root = h.alloc_local_root();
+        h.add_ref(root, ObjRef::Local(c)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(c, ObjRef::Remote(remote)).unwrap());
+            assert!(is_removal_only(h));
+        });
+        assert!(delta.is_empty());
+        assert!(h.cached_snapshot().global_root_reaches(g, remote));
+        assert!(h.cached_snapshot().root_reaches(remote));
+    }
+
+    #[test]
+    fn removal_of_a_local_child_that_reaches_no_remote_changes_nothing() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [_, a, _, _]) = root_over_chain(remote);
+        let (leaf, below) = (h.alloc(), h.alloc());
+        h.add_ref(a, ObjRef::Local(leaf)).unwrap();
+        h.add_ref(leaf, ObjRef::Local(below)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(a, ObjRef::Local(leaf)).unwrap());
+        });
+        assert!(delta.is_empty());
+    }
+
+    #[test]
+    fn removal_of_two_links_of_one_path_destroys_the_remote_below_the_last() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, b, c]) = root_over_chain(remote);
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(a, ObjRef::Local(b)).unwrap());
+            assert!(h.remove_ref(b, ObjRef::Local(c)).unwrap());
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+        assert_eq!(delta.created().count(), 0);
+    }
+
+    #[test]
+    fn removal_whose_local_target_is_freed_in_the_window_refreshes_every_source() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, b, c]) = root_over_chain(remote);
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(a, ObjRef::Local(b)).unwrap());
+            assert_eq!(h.collect().freed, BTreeSet::from([b, c]));
+            assert!(is_removal_only(h));
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+    }
+
+    #[test]
+    fn removal_leaves_a_remote_reached_through_a_second_path() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, _, c]) = root_over_chain(remote);
+        let side = h.alloc();
+        h.add_ref(g, ObjRef::Local(side)).unwrap();
+        h.add_ref(side, ObjRef::Local(c)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(g, ObjRef::Local(a)).unwrap());
+        });
+        assert!(delta.is_empty());
+        assert!(h.cached_snapshot().global_root_reaches(g, remote));
+    }
+
+    #[test]
+    fn root_registered_in_a_removal_window_is_refreshed_whole() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, _, _, c]) = root_over_chain(remote);
+        let (k, x) = (h.alloc(), h.alloc());
+        let other = GlobalAddr::new(2, 1);
+        h.add_ref(k, ObjRef::Local(x)).unwrap();
+        h.add_ref(x, ObjRef::Remote(other)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(c, ObjRef::Remote(remote)).unwrap());
+            h.register_global_root(k).unwrap();
+            assert!(is_removal_only(h));
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+        assert_eq!(
+            delta.created().collect::<Vec<_>>(),
+            vec![(object_vertex(k), other)]
+        );
+    }
+
+    #[test]
+    fn sorted_list_helpers_agree_with_btreeset() {
+        let mut state = 0x0bad_5eed_1234_5678u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let vertex = object_vertex(ObjectId::new(1));
+        for _ in 0..2_000 {
+            // Up to nine addresses from a pool of 12, so pairs overlap often.
+            let [old_set, new_set]: [BTreeSet<GlobalAddr>; 2] = [(); 2].map(|()| {
+                (0..next() % 10)
+                    .map(|_| GlobalAddr::new((next() % 3 + 1) as u32, next() % 4 + 1))
+                    .collect()
+            });
+            let old: Vec<GlobalAddr> = old_set.iter().copied().collect();
+            let new: Vec<GlobalAddr> = new_set.iter().copied().collect();
+            let created: Vec<GlobalAddr> = new_set.difference(&old_set).copied().collect();
+            let destroyed: Vec<GlobalAddr> = old_set.difference(&new_set).copied().collect();
+            match VertexEdgeDelta::between(vertex, &old, &new) {
+                Some(change) => {
+                    assert_eq!(change.created, created);
+                    assert_eq!(change.destroyed, destroyed);
+                }
+                None => assert_eq!(old_set, new_set),
+            }
+            assert_eq!(shares_any(&old, &new), !old_set.is_disjoint(&new_set));
+
+            let mut grown = old.clone();
+            let mut gained = Vec::new();
+            extend_sorted(vertex, &new, &mut grown, &mut gained);
+            let union: Vec<GlobalAddr> = old_set.union(&new_set).copied().collect();
+            assert_eq!(grown, union);
+            assert_eq!(
+                gained,
+                created.iter().map(|&t| (vertex, t)).collect::<Vec<_>>()
+            );
+        }
+    }
+
     #[test]
     fn grow_only_window_whose_later_edge_roots_an_earlier_source() {
         let mut h = SiteHeap::new(SiteId::new(0));
@@ -1377,12 +1663,15 @@ mod tests {
 
     #[test]
     fn incremental_cache_matches_rescan_under_random_mutations() {
-        // Pseudo-random single-heap workload in two phases: mixed mutations,
-        // then growth only (allocations, added references, registrations,
-        // the odd collection). Deltas are taken after windows of 1–8
-        // mutations (the cluster syncs per mutation, but the tracker must
-        // not depend on that); each must equal the snapshot diff, and
-        // replaying them all must reconstruct the final edge set.
+        // Pseudo-random single-heap workload in three phases: mixed
+        // mutations (single unlinks of a local or remote reference among
+        // them), then growth only (allocations, added references,
+        // registrations, the odd collection), then removals only (unlinks,
+        // cleared objects, collections). Remotes come from a pool of 24
+        // addresses, so an object often holds one twice. Deltas are taken
+        // after windows of 1–8 mutations (the cluster syncs per mutation, but
+        // the tracker must not depend on that); each must equal the snapshot
+        // diff, and replaying them all must reconstruct the final edge set.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1399,12 +1688,24 @@ mod tests {
         let mut before = ReachabilitySnapshot::default();
         let mut window = 1;
         let mut grow_only_windows = [0usize; 2];
-        for step in 0..800u64 {
-            let growing = step >= 400;
+        let mut removal_only_windows = [0usize; 2];
+        for step in 0..1100u64 {
+            let growing = (400..800).contains(&step);
+            let shrinking = step >= 800;
             let pick = |r: u64| objects[(r % objects.len() as u64) as usize];
             let (a, b) = (pick(next()), pick(next()));
             let remote = GlobalAddr::new((next() % 4 + 1) as u32, next() % 6 + 1);
-            let op = next() % 10;
+            let op = if shrinking {
+                [5, 9, 10, 10, 11, 11][(next() % 6) as usize]
+            } else {
+                next() % 12
+            };
+            // One of the references `a` holds now, local or remote.
+            let mut held = |remote: bool| {
+                let view = h.object(a)?;
+                let refs: Vec<ObjRef> = view.refs().filter(|r| r.is_remote() == remote).collect();
+                (!refs.is_empty()).then(|| refs[(next() % refs.len() as u64) as usize])
+            };
             match (growing, op) {
                 (_, 0) => objects.push(h.alloc()),
                 (_, 1) => objects.push(h.alloc_local_root()),
@@ -1428,6 +1729,11 @@ mod tests {
                     objects.push(child);
                 }
                 (true, 8) if h.contains(a) => h.receive_ref(a, remote).unwrap(),
+                (false, 10 | 11) => {
+                    if let Some(r) = held(op == 11) {
+                        assert!(h.remove_ref(a, r).unwrap());
+                    }
+                }
                 (_, 9) => {
                     h.collect();
                 }
@@ -1438,6 +1744,9 @@ mod tests {
                 continue;
             }
             window = 1 + next() % 8;
+            if !growing {
+                removal_only_windows[usize::from(shrinking)] += usize::from(is_removal_only(&h));
+            }
             let (delta, grow_only) = take_checked(&mut h, &before);
             grow_only_windows[usize::from(growing)] += usize::from(grow_only);
             for pair in delta.created() {
@@ -1459,6 +1768,11 @@ mod tests {
         assert!(
             grow_only_windows[0] > 0 && grow_only_windows[1] > grow_only_windows[0],
             "both phases must exercise the grow-only path: {grow_only_windows:?}"
+        );
+        assert!(
+            removal_only_windows[0] > 0 && removal_only_windows[1] > removal_only_windows[0],
+            "the mixed and removal phases must exercise removal-only windows: \
+             {removal_only_windows:?}"
         );
     }
 
