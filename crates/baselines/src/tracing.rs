@@ -203,11 +203,6 @@ impl TracingEngine {
         self.site == self.coordinator
     }
 
-    /// Number of sites the coordinator has (spontaneous) reports from.
-    pub fn reports_held(&self) -> usize {
-        self.reports.len()
-    }
-
     /// Number of collection rounds the coordinator has opened so far.
     pub fn rounds_started(&self) -> u64 {
         self.round

@@ -55,24 +55,8 @@ impl RootedVector {
     /// Merges another rooted vector into this one (vector join plus
     /// freshest-stamp-wins root knowledge). Returns whether anything changed.
     pub fn merge(&mut self, other: &RootedVector) -> bool {
-        let mut changed = self.vector.merge(&other.vector);
-        for (&vertex, &(as_of, is_root)) in &other.root_flags {
-            changed |= self.stamp_root(vertex, as_of, is_root);
-        }
-        changed
-    }
-
-    /// True when, according to the freshest knowledge held here, `vertex` is
-    /// an actual root of the global root graph. Site-root anchors are always
-    /// actual roots.
-    pub fn is_root(&self, vertex: VertexId) -> bool {
-        if vertex.is_site_root() {
-            return true;
-        }
-        self.root_flags
-            .get(&vertex)
-            .map(|&(_, is_root)| is_root)
-            .unwrap_or(false)
+        let changed = self.vector.merge(&other.vector);
+        absorb(&mut self.root_flags, &other.root_flags) | changed
     }
 }
 
@@ -91,6 +75,19 @@ pub(crate) fn stamp(
             true
         }
     }
+}
+
+/// Stamps every entry of `incoming` into `flags`, freshest stamp winning.
+/// Returns whether anything was recorded.
+fn absorb(
+    flags: &mut BTreeMap<VertexId, (u64, bool)>,
+    incoming: &BTreeMap<VertexId, (u64, bool)>,
+) -> bool {
+    incoming
+        .iter()
+        .fold(false, |changed, (&vertex, &(as_of, is_root))| {
+            stamp(flags, vertex, as_of, is_root) | changed
+        })
 }
 
 impl fmt::Display for RootedVector {
@@ -224,11 +221,7 @@ impl DkLog {
 
     /// Merges the root knowledge carried by an incoming vector.
     pub fn absorb_root_flags(&mut self, incoming: &RootedVector) -> bool {
-        let mut changed = false;
-        for (&vertex, &(as_of, is_root)) in &incoming.root_flags {
-            changed |= self.stamp_root(vertex, as_of, is_root);
-        }
-        changed
+        absorb(&mut self.root_flags, &incoming.root_flags)
     }
 
     /// True when `vertex` is, per the freshest knowledge in this log, an
@@ -391,19 +384,25 @@ mod tests {
 
     #[test]
     fn rooted_vector_merges_and_stamps() {
+        // Root knowledge is read through a log that absorbed the vector's.
+        let knows_root = |rv: &RootedVector, vertex| {
+            let mut log = DkLog::new(SiteId::new(0));
+            log.absorb_root_flags(rv);
+            log.is_root(vertex)
+        };
         let mut a = RootedVector::new();
         a.vector.set(v(1, 1), Timestamp::created(1));
         assert!(a.stamp_root(v(1, 1), 1, true));
         assert!(!a.stamp_root(v(1, 1), 1, false)); // stale stamp ignored
-        assert!(a.is_root(v(1, 1)));
-        assert!(a.is_root(VertexId::site_root(7)));
-        assert!(!a.is_root(v(2, 2)));
+        assert!(knows_root(&a, v(1, 1)));
+        assert!(knows_root(&a, VertexId::site_root(7)));
+        assert!(!knows_root(&a, v(2, 2)));
 
         let mut b = RootedVector::new();
         b.vector.set(v(2, 2), Timestamp::created(3));
         b.stamp_root(v(1, 1), 5, false);
         assert!(a.merge(&b));
-        assert!(!a.is_root(v(1, 1))); // newer stamp wins
+        assert!(!knows_root(&a, v(1, 1))); // newer stamp wins
         assert_eq!(a.vector.get(v(2, 2)), Timestamp::created(3));
         assert!(!a.merge(&b));
         assert!(!a.to_string().is_empty());

@@ -206,6 +206,25 @@ pub fn trace_triple(triple: &Triple) -> String {
     cluster.obs_report().trace_jsonl(ggd_obs::TraceView::Full)
 }
 
+/// Runs a triple's scenario under one causal variant. The variants build
+/// different cluster types, so what the checks need of the cluster — the
+/// oracle garbage set when `want_garbage`, the departed-site failures — is
+/// extracted here, beside the report.
+fn run_causal_with<C: Collector>(
+    triple: &Triple,
+    factory: impl Fn(SiteId) -> C + 'static,
+    want_garbage: bool,
+) -> (RunReport, BTreeSet<GlobalAddr>, Vec<CheckFailure>) {
+    let (report, cluster) = Cluster::run_seeded(&triple.scenario, triple.config(), factory);
+    let garbage = if want_garbage {
+        cluster.garbage_addrs()
+    } else {
+        BTreeSet::new()
+    };
+    let departed = departed_ref_failures(&cluster, &report.collector);
+    (report, garbage, departed)
+}
+
 /// Runs one triple through every collector and applies the differential
 /// checks. When any check fails, the failing collectors are re-run once and
 /// the two reports compared, asserting replay determinism.
@@ -215,43 +234,19 @@ pub fn run_triple(triple: &Triple, mode: RunMode) -> TripleOutcome {
     let mut failures = Vec::new();
 
     let loss_free = triple.fault.plan.is_loss_free();
-    // The two causal variants build different cluster types, so the hook
-    // results (report + oracle garbage set + membership-oracle failures)
-    // are extracted inside. The oracle reachability pass only matters for
-    // the loss-free subset check, so it is skipped on lossy plans and on
-    // determinism re-runs — the shrinker calls this hundreds of times per
-    // minimization.
-    type CausalRun = (RunReport, BTreeSet<GlobalAddr>, Vec<CheckFailure>);
-    let run_causal = |mode: RunMode, want_garbage: bool| -> CausalRun {
-        match mode {
-            RunMode::Standard => {
-                let (report, cluster) =
-                    Cluster::run_seeded(scenario, triple.config(), CausalCollector::new);
-                let garbage = if want_garbage {
-                    cluster.garbage_addrs()
-                } else {
-                    BTreeSet::new()
-                };
-                let departed = departed_ref_failures(&cluster, &report.collector);
-                (report, garbage, departed)
-            }
-            RunMode::SabotagedCausal { arm_after } => {
-                let (report, cluster) =
-                    Cluster::run_seeded(scenario, triple.config(), move |site| {
-                        SaboteurCollector::new(site, arm_after)
-                    });
-                let garbage = if want_garbage {
-                    cluster.garbage_addrs()
-                } else {
-                    BTreeSet::new()
-                };
-                let departed = departed_ref_failures(&cluster, &report.collector);
-                (report, garbage, departed)
-            }
-        }
+    // The oracle reachability pass only matters for the loss-free subset
+    // check, so it is skipped on lossy plans and on determinism re-runs —
+    // the shrinker calls this hundreds of times per minimization.
+    let run_causal = |want_garbage: bool| match mode {
+        RunMode::Standard => run_causal_with(triple, CausalCollector::new, want_garbage),
+        RunMode::SabotagedCausal { arm_after } => run_causal_with(
+            triple,
+            move |site| SaboteurCollector::new(site, arm_after),
+            want_garbage,
+        ),
     };
 
-    let (causal_report, causal_garbage, causal_departed) = run_causal(mode, loss_free);
+    let (causal_report, causal_garbage, causal_departed) = run_causal(loss_free);
     failures.extend(causal_departed);
     let (tracing_report, tracing_cluster) =
         Cluster::run_seeded(scenario, triple.config(), TracingCollector::factory(sites));
@@ -325,7 +320,7 @@ pub fn run_triple(triple: &Triple, mode: RunMode) -> TripleOutcome {
     // reproduce bit-identical reports, otherwise the reproducer we print
     // would be worthless.
     if !failures.is_empty() {
-        let (causal_again, _, _) = run_causal(mode, false);
+        let (causal_again, _, _) = run_causal(false);
         if causal_again != causal_report {
             failures.push(CheckFailure::NonDeterministicReplay {
                 collector: causal_report.collector.clone(),

@@ -42,11 +42,6 @@ impl SaboteurCollector {
         }
     }
 
-    /// Number of verdicts this site has forged so far.
-    pub fn forged_count(&self) -> usize {
-        self.forged.len()
-    }
-
     /// A global root that is not locally rooted stays alive only through
     /// remote references — demoting it without proof is exactly the unsafe
     /// sweep the oracle exists to catch.

@@ -1,13 +1,15 @@
-//! Composable, seeded scenario generation — the explorer's workload DSL.
+//! Composable, seeded scenario generation — the explorer's workload DSL —
+//! and the shape builders every generator of this crate shares.
 //!
-//! The hand-written generators in [`workloads`](crate::workloads) reproduce
-//! the paper's experiments exactly (their op sequences are pinned by
-//! `BENCH_baseline.json`), so they stay frozen. This module provides the
-//! *generalized* building blocks the differential explorer composes: the
-//! same structural families — lists, rings, garbage islands, third-party
-//! hubs, random churn — but parameterized over arbitrary site placements
-//! and mixed freely within one scenario, all derived deterministically from
-//! a seed.
+//! Each of the paper's evaluation structures — the doubly linked list,
+//! the disconnected inter-site ring, the live local chain and the
+//! third-party exchange hub — is laid out by exactly one builder here. The
+//! hand workloads in [`workloads`](crate::workloads) are fixed-site
+//! parameterizations of those shapes; the [`Segment`]s below place the same
+//! shapes over seeded site draws and mix them freely, with random churn,
+//! within one scenario; [`build_perf_scenario`] cuts its garbage islands
+//! with the same ring. Every op stream is held byte-identical by the
+//! crate's `stream_pin` test, so a layout change is a deliberate re-pin.
 //!
 //! A [`ScenarioSpec`] is a site count plus a list of [`Segment`]s. Segments
 //! are *object-disjoint* (each allocates and manipulates only its own
@@ -229,12 +231,22 @@ impl ScenarioSpec {
         let mut cyclic = Vec::new();
         for segment in &self.segments {
             match *segment {
-                Segment::List { k } => {
-                    emit_list(&mut scenario, &mut rng, self.sites, k, &mut cyclic)
-                }
-                Segment::Ring { k } => {
-                    emit_ring(&mut scenario, &mut rng, self.sites, k, &mut cyclic)
-                }
+                Segment::List { k } => emit_cut(
+                    &mut scenario,
+                    &mut rng,
+                    self.sites,
+                    k,
+                    &mut cyclic,
+                    cut_list,
+                ),
+                Segment::Ring { k } => emit_cut(
+                    &mut scenario,
+                    &mut rng,
+                    self.sites,
+                    k,
+                    &mut cyclic,
+                    cut_ring,
+                ),
                 Segment::Island {
                     island,
                     live_per_site,
@@ -270,29 +282,48 @@ fn random_site(rng: &mut ChaCha8Rng, sites: u32) -> SiteId {
     SiteId::new(rng.gen_range(0..sites))
 }
 
-fn emit_list(
+// ----------------------------------------------------------------------
+// Shape builders
+// ----------------------------------------------------------------------
+//
+// Each evaluation structure is laid out by exactly one function below:
+// which site exports what, in which order, and where the settling points
+// fall. The hand workloads, the explorer segments and the perf scenario
+// differ only in the sites they pass in and in the settling they do after.
+
+/// Hangs a live chain of `len` fresh objects off `head` on `site`, linked
+/// locally, and returns its last object (`head` itself when `len` is 0).
+pub(crate) fn chain(s: &mut Scenario, site: SiteId, head: ObjName, len: u32) -> ObjName {
+    (0..len).fold(head, |prev, _| {
+        let obj = s.alloc(site, false);
+        s.op(MutatorOp::LinkLocal {
+            site,
+            from: prev,
+            to: obj,
+        });
+        obj
+    })
+}
+
+/// A doubly linked list with one element per entry of `sites`, hung off
+/// `root` through a head reference, settled, then cut off `root`: every
+/// element ends as a member of a 2-cycle of distributed garbage. Returns
+/// the elements.
+///
+/// Each element's site exports its own reference to its neighbours (lazy
+/// rule 1 both ways), and the list is fully linked before the settling
+/// point so no element is collected while under construction.
+pub(crate) fn cut_list(
     s: &mut Scenario,
-    rng: &mut ChaCha8Rng,
-    sites: u32,
-    k: u32,
-    cyclic: &mut Vec<ObjName>,
-) {
-    let k = k.clamp(2, sites);
-    let element_sites = distinct_sites(rng, sites, k);
-    let root_site = random_site(rng, sites);
-    let root = s.alloc(root_site, true);
-    let elements: Vec<ObjName> = element_sites
-        .iter()
-        .map(|&site| s.alloc(site, false))
-        .collect();
-    // Head pointer, then next/prev links: each element's hosting site exports
-    // its own reference to the neighbour (lazy rule 1 both ways). Fully
-    // linked before the settling point so no element is collected while
-    // under construction.
-    s.send_ref(element_sites[0], root, elements[0]);
-    for i in 0..(k as usize - 1) {
-        s.send_ref(element_sites[i + 1], elements[i], elements[i + 1]); // next
-        s.send_ref(element_sites[i], elements[i + 1], elements[i]); // prev
+    root_site: SiteId,
+    root: ObjName,
+    sites: &[SiteId],
+) -> Vec<ObjName> {
+    let elements: Vec<ObjName> = sites.iter().map(|&site| s.alloc(site, false)).collect();
+    s.send_ref(sites[0], root, elements[0]);
+    for i in 1..elements.len() {
+        s.send_ref(sites[i], elements[i - 1], elements[i]); // next
+        s.send_ref(sites[i - 1], elements[i], elements[i - 1]); // prev
     }
     s.settle();
     s.op(MutatorOp::Unlink {
@@ -300,38 +331,70 @@ fn emit_list(
         from: root,
         to: elements[0],
     });
-    s.settle();
-    cyclic.extend(elements);
+    elements
 }
 
-fn emit_ring(
+/// A ring with one member per entry of `sites`, hung off `anchor`, fully
+/// linked (each member's site exports it to its predecessor), settled, then
+/// cut off `anchor`: one disconnected inter-site cycle. Returns the members.
+pub(crate) fn cut_ring(
+    s: &mut Scenario,
+    anchor_site: SiteId,
+    anchor: ObjName,
+    sites: &[SiteId],
+) -> Vec<ObjName> {
+    let members: Vec<ObjName> = sites.iter().map(|&site| s.alloc(site, false)).collect();
+    s.send_ref(sites[0], anchor, members[0]);
+    for (i, &member) in members.iter().enumerate() {
+        let next = (i + 1) % members.len();
+        s.send_ref(sites[next], member, members[next]);
+    }
+    s.settle();
+    s.op(MutatorOp::Unlink {
+        site: anchor_site,
+        from: anchor,
+        to: members[0],
+    });
+    members
+}
+
+/// Third-party exchanges (lazy rule 2): a hub root on `hub_site` holds a
+/// target object of `target_site`; for each entry of `spoke_sites` a fresh
+/// spoke root is exported to the hub, a settle, and the hub forwards the
+/// target's reference to the spoke. Nothing becomes garbage.
+pub(crate) fn exchange_hub(
+    s: &mut Scenario,
+    hub_site: SiteId,
+    target_site: SiteId,
+    spoke_sites: impl IntoIterator<Item = SiteId>,
+) {
+    let hub = s.alloc(hub_site, true);
+    let target = s.alloc(target_site, false);
+    s.send_ref(target_site, hub, target);
+    s.settle();
+    for spoke_site in spoke_sites {
+        let spoke = s.alloc(spoke_site, true);
+        s.send_ref(spoke_site, hub, spoke);
+        s.settle();
+        s.send_ref(hub_site, spoke, target);
+    }
+}
+
+/// Builds a list or a ring of `k` elements on distinct sites, hung off a
+/// fresh root on a random site and cut off it; its elements are cyclic.
+fn emit_cut(
     s: &mut Scenario,
     rng: &mut ChaCha8Rng,
     sites: u32,
     k: u32,
     cyclic: &mut Vec<ObjName>,
+    build: fn(&mut Scenario, SiteId, ObjName, &[SiteId]) -> Vec<ObjName>,
 ) {
-    let k = k.clamp(2, sites);
-    let member_sites = distinct_sites(rng, sites, k);
+    let element_sites = distinct_sites(rng, sites, k.clamp(2, sites));
     let root_site = random_site(rng, sites);
     let root = s.alloc(root_site, true);
-    let members: Vec<ObjName> = member_sites
-        .iter()
-        .map(|&site| s.alloc(site, false))
-        .collect();
-    s.send_ref(member_sites[0], root, members[0]);
-    for i in 0..k as usize {
-        let next = (i + 1) % k as usize;
-        s.send_ref(member_sites[next], members[i], members[next]);
-    }
+    cyclic.extend(build(s, root_site, root, &element_sites));
     s.settle();
-    s.op(MutatorOp::Unlink {
-        site: root_site,
-        from: root,
-        to: members[0],
-    });
-    s.settle();
-    cyclic.extend(members);
 }
 
 fn emit_island(
@@ -342,43 +405,18 @@ fn emit_island(
     live_per_site: u32,
     cyclic: &mut Vec<ObjName>,
 ) {
-    let island = island.clamp(2, sites);
-    let island_sites = distinct_sites(rng, sites, island);
+    let island_sites = distinct_sites(rng, sites, island.clamp(2, sites));
     // Live population on the island's sites: a local root with a chain of
     // local objects, never dropped.
     for &site in &island_sites {
-        let mut prev = s.alloc(site, true);
-        for _ in 0..live_per_site {
-            let obj = s.alloc(site, false);
-            s.op(MutatorOp::LinkLocal {
-                site,
-                from: prev,
-                to: obj,
-            });
-            prev = obj;
-        }
+        let head = s.alloc(site, true);
+        chain(s, site, head, live_per_site);
     }
     // The island: a ring over the island sites hanging off a root on the
     // first island site, then disconnected.
-    let anchor_site = island_sites[0];
-    let anchor = s.alloc(anchor_site, true);
-    let members: Vec<ObjName> = island_sites
-        .iter()
-        .map(|&site| s.alloc(site, false))
-        .collect();
-    s.send_ref(island_sites[0], anchor, members[0]);
-    for i in 0..island as usize {
-        let next = (i + 1) % island as usize;
-        s.send_ref(island_sites[next], members[i], members[next]);
-    }
+    let anchor = s.alloc(island_sites[0], true);
+    cyclic.extend(cut_ring(s, island_sites[0], anchor, &island_sites));
     s.settle();
-    s.op(MutatorOp::Unlink {
-        site: anchor_site,
-        from: anchor,
-        to: members[0],
-    });
-    s.settle();
-    cyclic.extend(members);
 }
 
 fn emit_hub(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, spokes: u32) {
@@ -389,19 +427,9 @@ fn emit_hub(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, spokes: u32) {
     if picked.is_empty() {
         picked.push(target_site);
     }
-    let hub = s.alloc(hub_site, true);
-    let target = s.alloc(target_site, false);
-    s.send_ref(target_site, hub, target);
-    s.settle();
-    for i in 0..spokes {
-        // Spokes beyond the distinct pool wrap around over the picked sites.
-        let spoke_site = picked[i as usize % picked.len()];
-        let spoke = s.alloc(spoke_site, true);
-        s.send_ref(spoke_site, hub, spoke);
-        s.settle();
-        // The hub forwards the third-party reference to the spoke.
-        s.send_ref(hub_site, spoke, target);
-    }
+    // Spokes beyond the distinct pool wrap around over the picked sites.
+    let spoke_sites = (0..spokes as usize).map(|i| picked[i % picked.len()]);
+    exchange_hub(s, hub_site, target_site, spoke_sites);
     s.settle();
 }
 
@@ -786,26 +814,12 @@ pub fn build_perf_scenario(spec: &PerfSpec, seed: u64) -> Scenario {
         let base = (island * 3) % sites;
         let member_sites: Vec<SiteId> =
             (0..span).map(|k| SiteId::new((base + k) % sites)).collect();
-        let anchor_site = member_sites[0];
-        let anchor = s.alloc(anchor_site, true);
-        let members: Vec<ObjName> = member_sites
-            .iter()
-            .map(|&site| s.alloc(site, false))
-            .collect();
-        s.send_ref(member_sites[0], anchor, members[0]);
-        for k in 0..span as usize {
-            let next = (k + 1) % span as usize;
-            s.send_ref(member_sites[next], members[k], members[next]);
-        }
-        s.settle();
-        s.op(MutatorOp::Unlink {
-            site: anchor_site,
-            from: anchor,
-            to: members[0],
-        });
+        let anchor = s.alloc(member_sites[0], true);
+        cut_ring(&mut s, member_sites[0], anchor, &member_sites);
     }
 
-    // Hubs: third-party exchange traffic (lazy rule 2 on the hot path).
+    // Hubs: third-party exchange traffic (lazy rule 2 on the hot path),
+    // without the settle between spokes the explorer's hubs make.
     for hub_idx in 0..spec.hubs {
         let hub_site = SiteId::new((hub_idx * 5) % sites);
         let target_site = SiteId::new((hub_idx * 5 + 1) % sites);

@@ -3,7 +3,9 @@
 //! Every generator returns a [`Scenario`] that can be replayed against any
 //! collector. Generators that use randomness take an explicit seed and use
 //! `ChaCha8`, so a `(generator, parameters, seed)` triple always produces
-//! the same scenario.
+//! the same scenario. The lists, rings, hubs and garbage islands are
+//! fixed-site parameterizations of the shape builders shared with the
+//! explorer's [`generator`](crate::generator).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -12,6 +14,7 @@ use rand_chacha::ChaCha8Rng;
 
 use ggd_types::SiteId;
 
+use crate::generator::{chain, cut_list, cut_ring, exchange_hub};
 use crate::{MutatorOp, ObjName, Scenario};
 
 /// The running example of the paper (Figures 3, 4, 5, 7 and 8): four
@@ -74,29 +77,9 @@ pub fn paper_example_names() -> [ObjName; 4] {
 pub fn doubly_linked_list(k: u32) -> Scenario {
     assert!(k >= 1, "list needs at least one element");
     let mut s = Scenario::new(k + 1);
-    let root_site = SiteId::new(0);
-    let root = s.alloc(root_site, true);
-
-    let elements: Vec<ObjName> = (0..k).map(|i| s.alloc(SiteId::new(i + 1), false)).collect();
-    // Head pointer from the root, then next / prev links between consecutive
-    // elements: element i exports its own reference to its neighbours (lazy
-    // rule 1 both ways). The structure is fully linked before the first
-    // settling point so that no element is collected while under
-    // construction.
-    s.send_ref(SiteId::new(1), root, elements[0]);
-    for i in 0..(k as usize - 1) {
-        let left_site = SiteId::new(i as u32 + 1);
-        let right_site = SiteId::new(i as u32 + 2);
-        s.send_ref(right_site, elements[i], elements[i + 1]); // next
-        s.send_ref(left_site, elements[i + 1], elements[i]); // prev
-    }
-    s.settle();
-    // Disconnect the list.
-    s.op(MutatorOp::Unlink {
-        site: root_site,
-        from: root,
-        to: elements[0],
-    });
+    let root = s.alloc(SiteId::new(0), true);
+    let sites: Vec<SiteId> = (1..=k).map(SiteId::new).collect();
+    cut_list(&mut s, SiteId::new(0), root, &sites);
     s.settle();
     s
 }
@@ -108,24 +91,9 @@ pub fn doubly_linked_list(k: u32) -> Scenario {
 pub fn ring(k: u32) -> Scenario {
     assert!(k >= 2, "a ring needs at least two elements");
     let mut s = Scenario::new(k + 1);
-    let root_site = SiteId::new(0);
-    let root = s.alloc(root_site, true);
-    let elements: Vec<ObjName> = (0..k).map(|i| s.alloc(SiteId::new(i + 1), false)).collect();
-    // Fully link the ring (head pointer plus one forward edge per element)
-    // before the first settling point.
-    s.send_ref(SiteId::new(1), root, elements[0]);
-    for i in 0..k as usize {
-        let next = (i + 1) % k as usize;
-        // element i holds a reference to element next: element next's site
-        // exports its reference to element i.
-        s.send_ref(SiteId::new(next as u32 + 1), elements[i], elements[next]);
-    }
-    s.settle();
-    s.op(MutatorOp::Unlink {
-        site: root_site,
-        from: root,
-        to: elements[0],
-    });
+    let root = s.alloc(SiteId::new(0), true);
+    let sites: Vec<SiteId> = (1..=k).map(SiteId::new).collect();
+    cut_ring(&mut s, SiteId::new(0), root, &sites);
     s.settle();
     s
 }
@@ -137,21 +105,8 @@ pub fn ring(k: u32) -> Scenario {
 pub fn third_party_exchanges(spokes: u32) -> Scenario {
     assert!(spokes >= 1);
     let mut s = Scenario::new(spokes + 2);
-    let hub_site = SiteId::new(0);
-    let target_site = SiteId::new(1);
-    let hub = s.alloc(hub_site, true);
-    let target = s.alloc(target_site, false);
-    s.send_ref(target_site, hub, target);
-    s.settle();
-    // Each spoke receives, from the hub, a reference to the third-party
-    // target object.
-    for i in 0..spokes {
-        let spoke_site = SiteId::new(i + 2);
-        let spoke = s.alloc(spoke_site, true);
-        s.send_ref(spoke_site, hub, spoke);
-        s.settle();
-        s.send_ref(hub_site, spoke, target);
-    }
+    let spoke_sites = (2..spokes + 2).map(SiteId::new);
+    exchange_hub(&mut s, SiteId::new(0), SiteId::new(1), spoke_sites);
     s.settle();
     s
 }
@@ -161,7 +116,7 @@ pub fn third_party_exchanges(spokes: u32) -> Scenario {
 /// experiments E7 and E8: the causal algorithm only involves the island's
 /// sites in collecting it, and its message count is independent of the
 /// amount of live data elsewhere.
-pub fn garbage_island(total_sites: u32, island_sites: u32, live_objects_per_site: u32) -> Scenario {
+pub fn garbage_island(total_sites: u32, island_sites: u32, live_per_site: u32) -> Scenario {
     assert!(island_sites >= 1 && island_sites < total_sites);
     let mut s = Scenario::new(total_sites);
     // Live population: per site, a root with a chain of local objects plus a
@@ -169,21 +124,10 @@ pub fn garbage_island(total_sites: u32, island_sites: u32, live_objects_per_site
     let live_roots: Vec<ObjName> = (0..total_sites)
         .map(|i| s.alloc(SiteId::new(i), true))
         .collect();
-    let mut live_exports = Vec::new();
-    for i in 0..total_sites {
-        let site = SiteId::new(i);
-        let mut prev = live_roots[i as usize];
-        for _ in 0..live_objects_per_site {
-            let obj = s.alloc(site, false);
-            s.op(MutatorOp::LinkLocal {
-                site,
-                from: prev,
-                to: obj,
-            });
-            prev = obj;
-        }
-        live_exports.push(prev);
-    }
+    let live_exports: Vec<ObjName> = (0..total_sites)
+        .zip(&live_roots)
+        .map(|(i, &root)| chain(&mut s, SiteId::new(i), root, live_per_site))
+        .collect();
     for i in 0..total_sites {
         let next = (i + 1) % total_sites;
         s.send_ref(
@@ -195,22 +139,9 @@ pub fn garbage_island(total_sites: u32, island_sites: u32, live_objects_per_site
     s.settle();
 
     // The garbage island: a ring over the first `island_sites` sites hanging
-    // off site 0's root, then disconnected. The island is fully linked
-    // before the next settling point.
-    let island: Vec<ObjName> = (0..island_sites)
-        .map(|i| s.alloc(SiteId::new(i), false))
-        .collect();
-    s.send_ref(SiteId::new(0), live_roots[0], island[0]);
-    for i in 0..island_sites as usize {
-        let next = (i + 1) % island_sites as usize;
-        s.send_ref(SiteId::new(next as u32), island[i], island[next]);
-    }
-    s.settle();
-    s.op(MutatorOp::Unlink {
-        site: SiteId::new(0),
-        from: live_roots[0],
-        to: island[0],
-    });
+    // off site 0's root, then disconnected.
+    let island: Vec<SiteId> = (0..island_sites).map(SiteId::new).collect();
+    cut_ring(&mut s, SiteId::new(0), live_roots[0], &island);
     s.settle();
     s
 }
