@@ -39,8 +39,6 @@ pub struct EngineCheckpoint {
     pub locally_rooted: BTreeSet<VertexId>,
     /// Per remote target: local holder objects recorded by the receive rule.
     pub inbound_holders: BTreeMap<GlobalAddr, BTreeSet<VertexId>>,
-    /// Statically designated actual roots.
-    pub static_roots: BTreeSet<VertexId>,
     /// Every garbage verdict ever produced (blocks re-detection).
     pub detected: BTreeSet<GlobalAddr>,
     /// Verdicts produced but not yet drained by the runtime.

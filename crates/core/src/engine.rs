@@ -176,7 +176,7 @@ impl LocalVertices {
 /// See the crate-level documentation for the full protocol and a worked
 /// example; in short the engine consumes mutator-side lazy log-keeping
 /// events ([`CausalEngine::on_export`], [`CausalEngine::on_third_party_send`]),
-/// reachability snapshots ([`CausalEngine::apply_snapshot`]) and incoming
+/// reachability deltas ([`CausalEngine::apply_delta`]) and incoming
 /// control messages ([`CausalEngine::on_message`]), and produces outgoing
 /// control messages and garbage verdicts.
 #[derive(Debug, Clone)]
@@ -191,7 +191,6 @@ pub struct CausalEngine {
     /// path. Kept in lockstep with the vertices' out-edges.
     edge_refcounts: BTreeMap<GlobalAddr, u32>,
     inbound_holders: BTreeMap<GlobalAddr, BTreeSet<VertexId>>,
-    static_roots: BTreeSet<VertexId>,
     pending_verdicts: Vec<GlobalAddr>,
     outgoing: Vec<Outgoing>,
     stats: EngineStats,
@@ -206,7 +205,6 @@ impl CausalEngine {
             vertices: LocalVertices::new(site),
             edge_refcounts: BTreeMap::new(),
             inbound_holders: BTreeMap::new(),
-            static_roots: BTreeSet::new(),
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
             stats: EngineStats::default(),
@@ -237,13 +235,6 @@ impl CausalEngine {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Registers a vertex as a statically designated actual root of the
-    /// global root graph (a well-known persistent root). Site anchors are
-    /// roots automatically and need no registration.
-    pub fn register_designated_root(&mut self, vertex: VertexId) {
-        self.static_roots.insert(vertex);
     }
 
     /// Drains the control messages queued since the last call.
@@ -287,7 +278,6 @@ impl CausalEngine {
             edges_out: BTreeMap::new(),
             locally_rooted: BTreeSet::new(),
             inbound_holders: self.inbound_holders.clone(),
-            static_roots: self.static_roots.clone(),
             detected: self.detected().collect(),
             pending_verdicts: self.pending_verdicts.clone(),
             outgoing: self.outgoing.clone(),
@@ -355,7 +345,6 @@ impl CausalEngine {
             vertices,
             edge_refcounts: BTreeMap::new(),
             inbound_holders,
-            static_roots: checkpoint.static_roots,
             pending_verdicts: checkpoint.pending_verdicts,
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
@@ -468,7 +457,6 @@ impl CausalEngine {
                 .filter(|(_, state)| state.locally_rooted)
                 .map(|(vertex, _)| vertex),
         );
-        keep.extend(self.static_roots.iter().copied());
         self.log.retain_stamps(&keep);
 
         // The circulated-closure memos of every dropped subject are equally
@@ -661,124 +649,48 @@ impl CausalEngine {
     // Snapshots: edge creations / destructions (§3.1)
     // ------------------------------------------------------------------
 
-    /// Applies a reachability snapshot of this site's heap, turning edge
-    /// differences into log-keeping events: creations are recorded lazily,
-    /// destructions additionally queue edge-destruction control messages. A
-    /// global root losing its local-rootedness also propagates its freshened
-    /// (no-longer-a-root) vector to its acquaintances.
+    /// Applies a reachability snapshot of this site's heap: the engine
+    /// states its own out-edges and rootedness as a snapshot, diffs it to
+    /// `snapshot` and applies the result as a delta
+    /// ([`CausalEngine::apply_delta`]).
     pub fn apply_snapshot(&mut self, snapshot: &ReachabilitySnapshot) {
         debug_assert_eq!(snapshot.site(), self.site, "snapshot must be local");
         if snapshot.site() != self.site {
             return;
         }
-        let site = self.site;
-        let local = |id: ObjectId| VertexId::Object(GlobalAddr::from_parts(site, id));
-        let mut current: Vec<ObjectId> = snapshot.global_roots().collect();
-        current.sort_unstable();
-        current.dedup();
-
-        // 1. Local-rootedness transitions of global roots.
-        let mut rootedness_changed = Vec::new();
-        for &id in &current {
-            let vertex = local(id);
-            let was = self.is_locally_rooted(vertex);
-            let is = snapshot.is_locally_rooted(id);
-            if was != is {
-                let n = self.bump(vertex);
-                self.log.stamp_root(vertex, n, is);
-                rootedness_changed.push(vertex);
-            } else if is {
-                // Refresh the stamp so outgoing vectors carry it.
-                let n = self.counter(vertex).max(1);
-                self.log.stamp_root(vertex, n, true);
-            }
-        }
-        for state in self.vertices.values_mut() {
-            state.locally_rooted = false;
-        }
-        for &id in &current {
-            if snapshot.is_locally_rooted(id) {
-                self.vertices.entry(local(id)).locally_rooted = true;
-            }
-        }
-
-        // 2. Edge differences per local vertex, in vertex order.
-        let mut new_edges: Vec<(VertexId, BTreeSet<GlobalAddr>)> =
-            Vec::with_capacity(current.len() + 1);
-        new_edges.push((self.anchor(), snapshot.edges_of(self.anchor())));
-        new_edges.extend(
-            current
-                .iter()
-                .map(|&id| (local(id), snapshot.edges_of(local(id)))),
-        );
-        let mut all_vertices: Vec<VertexId> = self
-            .vertices
-            .iter()
-            .filter(|(_, state)| !state.edges_out.is_empty())
-            .map(|(vertex, _)| vertex)
-            .chain(new_edges.iter().map(|(vertex, _)| *vertex))
-            .collect();
-        all_vertices.sort_unstable();
-        all_vertices.dedup();
-
-        for vertex in all_vertices {
-            let old = std::mem::take(&mut self.vertices.entry(vertex).edges_out);
-            let new = new_edges
-                .binary_search_by_key(&vertex, |(v, _)| *v)
-                .map(|i| new_edges[i].1.clone())
-                .unwrap_or_default();
-            for &target in new.difference(&old) {
-                let n = self.bump(vertex);
-                self.log
-                    .row_mut(VertexId::Object(target))
-                    .vector
-                    .merge_entry(vertex, Timestamp::created(n));
-                self.stats.edge_creations += 1;
-                // Deliberate deviation from pure laziness (see DESIGN.md):
-                // edges whose source is an actual root are announced to the
-                // target right away, so that a concurrent garbage evaluation
-                // elsewhere can never miss the newly created root path.
-                // Third-party and non-root edge creations stay message-free.
-                if vertex.is_site_root() || self.is_locally_rooted(vertex) {
-                    self.queue_root_announcement(vertex, target, n);
-                }
-            }
-            for &target in old.difference(&new) {
-                let n = self.bump(vertex);
-                self.log
-                    .row_mut(VertexId::Object(target))
-                    .vector
-                    .set(vertex, Timestamp::destroyed(n));
-                self.stats.edge_destructions += 1;
-                let still_reached = new_edges
-                    .iter()
-                    .any(|(_, targets)| targets.contains(&target));
-                self.mark_lost_holders(target, still_reached);
-                self.queue_destruction(vertex, target);
-            }
-            self.vertices.entry(vertex).edges_out = new;
-        }
-        self.rebuild_edge_refcounts();
-
-        // 3. Vertices whose local-rootedness changed announce their fresh
-        // status along their out-going edges: losing it lazily restores
-        // comprehensiveness, gaining it promptly preserves safety.
-        for vertex in rootedness_changed {
-            let closure = self.log.closure(vertex);
-            self.propagate_with(vertex, &closure);
-            self.vertices.entry(vertex).remember(closure);
-        }
+        self.apply_delta(&self.own_snapshot().diff(snapshot));
     }
 
-    /// Applies an incremental snapshot delta: the same log-keeping events
-    /// [`CausalEngine::apply_snapshot`] derives by re-diffing full edge
-    /// sets, but in O(delta) — no edge-map clones, no full-set
-    /// differences, and no vertex outside the delta touched. The event
-    /// order (rootedness transitions, then per-vertex creations before
-    /// destructions in vertex order, then rootedness propagation) matches
-    /// the rescan path exactly, so both pipelines emit bit-identical
-    /// control-message streams; the differential equivalence tests in
-    /// `ggd-explore` pin that.
+    /// This engine's view of its site's part of the global root graph: the
+    /// anchor's out-edges, and those of every object that has out-edges or
+    /// is locally rooted.
+    fn own_snapshot(&self) -> ReachabilitySnapshot {
+        let mut per_global_root = BTreeMap::new();
+        let mut locally_rooted = BTreeSet::new();
+        for (vertex, state) in self.vertices.objects.iter() {
+            let VertexId::Object(addr) = vertex else {
+                continue;
+            };
+            let id = addr.object();
+            if !state.edges_out.is_empty() || state.locally_rooted {
+                per_global_root.insert(id, state.edges_out.clone());
+            }
+            if state.locally_rooted {
+                locally_rooted.insert(id);
+            }
+        }
+        let anchor_edges = self.vertices.anchor.edges_out.clone();
+        ReachabilitySnapshot::from_parts(self.site, anchor_edges, per_global_root, locally_rooted)
+    }
+
+    /// Applies a snapshot delta, turning it into log-keeping events in
+    /// O(delta): creations are recorded lazily (an actual root's creation
+    /// is also announced to the target), destructions additionally queue
+    /// edge-destruction control messages, and a global root whose
+    /// local-rootedness changed propagates its fresh vector along its
+    /// out-going edges. Events follow the delta's replay order:
+    /// rootedness transitions, then per-vertex creations before
+    /// destructions in vertex order, then rootedness propagation.
     pub fn apply_delta(&mut self, delta: &EdgeDelta) {
         debug_assert_eq!(delta.site(), self.site, "delta must be local");
         if delta.site() != self.site {
@@ -788,8 +700,7 @@ impl CausalEngine {
         let local = |id: ObjectId| VertexId::Object(GlobalAddr::from_parts(site, id));
 
         // 0. Vertices that left the graph stop being locally rooted without
-        // a transition event, mirroring how the rescan path rebuilds its
-        // rooted set from a snapshot that no longer mentions them.
+        // a transition event.
         for &id in &delta.removed {
             if let Some(state) = self.vertices.get_mut(local(id)) {
                 state.locally_rooted = false;
@@ -810,13 +721,12 @@ impl CausalEngine {
 
         // 2. Edge events. The out-edges are brought to their final state
         // first, so the lost-holder check ("does any local vertex still
-        // reach the target *after* this change?") sees the same post-state
-        // the rescan path's freshly built edge map provides. Only changes
-        // that actually alter a vertex's out-edges become events: the
-        // rescan path diffs against the engine's *own* edges, which differ
-        // from the heap's cache exactly when garbage finalisation already
-        // destroyed a detected vertex's edges ahead of the heap — replaying
-        // those would duplicate the finalisation messages.
+        // reach the target *after* this change?") sees the post-state of
+        // the whole delta. Only changes that actually alter a vertex's
+        // out-edges become events: the engine's own edges differ from the
+        // heap's exactly when garbage finalisation already destroyed a
+        // detected vertex's edges ahead of the heap — replaying those would
+        // duplicate the finalisation messages.
         let mut events: Vec<(VertexId, Vec<GlobalAddr>, Vec<GlobalAddr>)> =
             Vec::with_capacity(delta.edges.len());
         for part in &delta.edges {
@@ -859,6 +769,11 @@ impl CausalEngine {
                     .vector
                     .merge_entry(vertex, Timestamp::created(n));
                 self.stats.edge_creations += 1;
+                // Deliberate deviation from pure laziness (see DESIGN.md):
+                // edges whose source is an actual root are announced to the
+                // target right away, so that a concurrent garbage evaluation
+                // elsewhere can never miss the newly created root path.
+                // Third-party and non-root edge creations stay message-free.
                 if vertex.is_site_root() || self.is_locally_rooted(vertex) {
                     self.queue_root_announcement(vertex, target, n);
                 }
@@ -883,7 +798,9 @@ impl CausalEngine {
             }
         }
 
-        // 3. Fresh rootedness propagates along the (final) out-edges.
+        // 3. Fresh rootedness propagates along the (final) out-edges:
+        // losing it lazily restores comprehensiveness, gaining it promptly
+        // preserves safety.
         for vertex in rootedness_changed {
             let closure = self.log.closure(vertex);
             self.propagate_with(vertex, &closure);
@@ -1002,7 +919,7 @@ impl CausalEngine {
     }
 
     /// Recomputes `edge_refcounts` from the vertices' out-edges — used by
-    /// the rescan path, which replaces every edge set wholesale.
+    /// restore and site retirement, which replace edge sets wholesale.
     fn rebuild_edge_refcounts(&mut self) {
         self.edge_refcounts.clear();
         for (_, state) in self.vertices.iter() {
@@ -1039,7 +956,7 @@ impl CausalEngine {
     }
 
     fn is_root(&self, vertex: VertexId) -> bool {
-        vertex.is_site_root() || self.static_roots.contains(&vertex) || self.log.is_root(vertex)
+        vertex.is_site_root() || self.log.is_root(vertex)
     }
 
     fn outgoing_payload(&self, vector: DependencyVector) -> RootedVector {
@@ -1562,5 +1479,128 @@ mod tests {
     #[test]
     fn stats_display_is_nonempty() {
         assert!(!EngineStats::default().to_string().is_empty());
+    }
+
+    #[test]
+    fn snapshot_and_delta_twins_agree_on_a_seeded_history() {
+        // Two engines follow one heap through a seeded mix of links,
+        // unlinks, clears, exports, third-party sends, receives, local-root
+        // drops, collections and control messages. One is fed full
+        // snapshots, the other the heap's deltas; after every step both
+        // must have queued the same messages, reached the same verdicts
+        // and hold the same state. Verdicts are applied to the heap right
+        // away, as the runtime does.
+        let mut state = 0x7e11_5eed_0bad_cafeu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let site = SiteId::new(0);
+        let mut heap = SiteHeap::new(site);
+        let mut twins = [CausalEngine::new(site), CausalEngine::new(site)];
+        let mut objects = vec![heap.alloc_local_root(), heap.alloc_local_root()];
+        let mut index = 0u64;
+        let mut verdicts = 0;
+        for step in 0..2_500 {
+            let pick = |r: u64| objects[(r % objects.len() as u64) as usize];
+            let (a, b) = (pick(next()), pick(next()));
+            let from = heap.addr_of(a);
+            // Three remote sites of five objects each: recipients repeat.
+            let remote = addr((next() % 3 + 1) as u32, next() % 5 + 1);
+            let present = heap.contains(a);
+            match next() % 13 {
+                0 => objects.push(heap.alloc()),
+                1 => objects.push(heap.alloc_local_root()),
+                2 | 3 if present && heap.contains(b) => {
+                    heap.add_ref(a, ObjRef::Local(b)).unwrap();
+                }
+                4 if present => {
+                    let held: Vec<ObjRef> = heap.object(a).unwrap().refs().collect();
+                    if !held.is_empty() {
+                        let r = held[(next() % held.len() as u64) as usize];
+                        heap.remove_ref(a, r).unwrap();
+                    }
+                }
+                5 if present => heap.clear_refs(a).unwrap(),
+                6 if present => {
+                    heap.register_global_root(a).unwrap();
+                    for twin in &mut twins {
+                        twin.on_export(from, VertexId::Object(remote));
+                    }
+                }
+                7 => {
+                    let recipient = VertexId::Object(addr(remote.site().index() % 3 + 1, 9));
+                    for twin in &mut twins {
+                        twin.on_third_party_send(remote, recipient);
+                    }
+                }
+                8 if present => {
+                    heap.receive_ref(a, remote).unwrap();
+                    for twin in &mut twins {
+                        twin.on_receive_ref(from, remote);
+                    }
+                }
+                9 => {
+                    heap.remove_local_root(a);
+                }
+                10 => {
+                    heap.collect();
+                }
+                11 | 12 if heap.is_global_root(a) => {
+                    index += 1;
+                    let sender = VertexId::Object(remote);
+                    let news = if next() % 2 == 0 {
+                        Timestamp::destroyed(index)
+                    } else {
+                        Timestamp::created(index)
+                    };
+                    let mut payload = RootedVector::new();
+                    payload.vector.set(sender, news);
+                    let message = CausalMessage {
+                        from: sender,
+                        to: VertexId::Object(from),
+                        payload,
+                    };
+                    for twin in &mut twins {
+                        twin.on_message(message.clone());
+                    }
+                    let [by_snapshot, by_delta] = &mut twins;
+                    let found = by_snapshot.take_verdicts();
+                    assert_eq!(found, by_delta.take_verdicts(), "step {step}");
+                    for verdict in &found {
+                        heap.unregister_global_root(verdict.object());
+                    }
+                    verdicts += found.len();
+                }
+                _ => {}
+            }
+            let [by_snapshot, by_delta] = &mut twins;
+            by_snapshot.apply_snapshot(&heap.snapshot());
+            by_delta.apply_delta(&heap.take_delta());
+            assert_eq!(
+                by_snapshot.take_outgoing(),
+                by_delta.take_outgoing(),
+                "step {step}: outgoing messages"
+            );
+            assert_eq!(
+                by_snapshot.take_verdicts(),
+                by_delta.take_verdicts(),
+                "step {step}: verdicts"
+            );
+            assert_eq!(by_snapshot.log(), by_delta.log(), "step {step}: log");
+            assert_eq!(
+                by_snapshot.checkpoint(),
+                by_delta.checkpoint(),
+                "step {step}: counters, edges and rootedness"
+            );
+        }
+        let stats = twins[1].stats();
+        assert!(
+            stats.edge_creations > 0 && stats.edge_destructions > 0 && verdicts > 0,
+            "the history must create and destroy edges and reach verdicts: \
+             {stats}, {verdicts} verdicts"
+        );
     }
 }

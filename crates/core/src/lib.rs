@@ -22,9 +22,12 @@
 //!    *third-party sends* ([`CausalEngine::on_third_party_send`]) as the
 //!    mutator performs them (no control messages result — this is the lazy
 //!    log-keeping);
-//! 2. feed it [`ggd_heap::ReachabilitySnapshot`]s after local mutation and
-//!    after every local collection ([`CausalEngine::apply_snapshot`]);
-//!    destroyed edges turn into edge-destruction control messages;
+//! 2. feed it the heap's [`ggd_heap::EdgeDelta`] after local mutation and
+//!    after every local collection ([`CausalEngine::apply_delta`]), or a
+//!    whole [`ggd_heap::ReachabilitySnapshot`]
+//!    ([`CausalEngine::apply_snapshot`], which diffs it against the
+//!    engine's own view and applies the result as a delta); destroyed
+//!    edges turn into edge-destruction control messages;
 //! 3. deliver incoming [`CausalMessage`]s ([`CausalEngine::on_message`]);
 //! 4. drain [`CausalEngine::take_outgoing`] into the transport and
 //!    [`CausalEngine::take_verdicts`] into the heap

@@ -85,9 +85,9 @@ impl Collector for SaboteurCollector {
     }
 
     fn needs_every_sync(&self) -> bool {
-        // Arming is keyed to the number of syncs observed; skipping
-        // empty-delta syncs would change the sabotage schedule relative to
-        // the full-rescan pipeline and upset shrink reproducibility.
+        // Arming is keyed to the number of syncs observed, empty-delta ones
+        // included; skipping those would move the sabotage schedule, and
+        // with it the shrunk reproducers the self-test goldens pin.
         true
     }
 

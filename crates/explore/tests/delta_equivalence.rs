@@ -1,51 +1,35 @@
-//! Differential equivalence of the two snapshot pipelines: the incremental
-//! delta path (the default) must produce *identical* behaviour to the
-//! retained full-rescan path — same control-message streams (pinned through
-//! the metrics embedded in [`RunReport`] equality, which count messages and
-//! bytes per class and label), same verdicts, same reclaimed sets and same
-//! residual garbage — for every `(scenario, fault plan, seed)` triple of
-//! the explorer corpus, under every collector.
+//! The incremental delta pipeline against the full rescan, on whole cluster
+//! runs. Debug builds check every `SiteHeap::take_delta` against one full
+//! rescan: the heap's cached snapshot must equal it, and the delta must
+//! equal the `ReachabilitySnapshot::diff` from the previous cache to it. So
+//! running a scenario in a debug build is the differential test, and each
+//! `(scenario, fault plan, seed)` triple of the explorer corpus runs once
+//! per collector. The perf-shaped `remote_churn` and `bulk_build` runs are
+//! the only debug runs of 64-site shapes. Every run also ends by checking
+//! each heap's cache against a rescan, which release builds keep.
 
 use ggd_explore::corpus_triple;
 use ggd_mutator::generator::{build_perf_scenario, PerfSpec, SegmentWeights};
+use ggd_mutator::Scenario;
 use ggd_sim::{
-    CausalCollector, Cluster, ClusterConfig, RefListingCollector, SyncMode, TracingCollector,
+    CausalCollector, Cluster, ClusterConfig, Collector, RefListingCollector, TracingCollector,
 };
+use ggd_types::SiteId;
 
-/// Runs one collector under both pipelines and asserts equivalence of the
-/// report, the reclaimed set and the residual-garbage set.
-macro_rules! assert_modes_agree {
-    ($index:expr, $scenario:expr, $config:expr, $factory:expr) => {{
-        let full = ClusterConfig {
-            sync_mode: SyncMode::FullRescan,
-            ..$config.clone()
-        };
-        let incremental = ClusterConfig {
-            sync_mode: SyncMode::Incremental,
-            ..$config.clone()
-        };
-        let (report_full, cluster_full) = Cluster::run_seeded($scenario, full, $factory);
-        let (report_incr, cluster_incr) = Cluster::run_seeded($scenario, incremental, $factory);
-        assert_eq!(
-            report_full, report_incr,
-            "triple #{}: reports diverge between pipelines ({})",
-            $index, report_full.collector
-        );
-        assert_eq!(
-            cluster_full.reclaimed_addrs(),
-            cluster_incr.reclaimed_addrs(),
-            "triple #{}: reclaimed sets diverge ({})",
-            $index,
-            report_full.collector
-        );
-        assert_eq!(
-            cluster_full.garbage_addrs(),
-            cluster_incr.garbage_addrs(),
-            "triple #{}: residual garbage diverges ({})",
-            $index,
-            report_full.collector
-        );
-    }};
+/// Runs one collector over `scenario`; debug builds check every delta on
+/// the way, and every build checks the final caches.
+fn run_checked<C: Collector>(
+    label: &str,
+    scenario: &Scenario,
+    config: &ClusterConfig,
+    factory: impl Fn(SiteId) -> C + 'static,
+) {
+    let (report, cluster) = Cluster::run_seeded(scenario, config.clone(), factory);
+    assert!(
+        cluster.heaps().all(|heap| heap.tracker_is_consistent()),
+        "{label}: a cached snapshot diverged from its rescan ({})",
+        report.collector
+    );
 }
 
 #[test]
@@ -55,12 +39,13 @@ fn incremental_and_full_rescan_pipelines_are_equivalent_on_the_corpus() {
         let scenario = &triple.scenario;
         let config = triple.config();
         let sites = scenario.site_count();
+        let label = format!("triple #{index}");
 
-        assert_modes_agree!(index, scenario, config, CausalCollector::new);
-        assert_modes_agree!(index, scenario, config, TracingCollector::factory(sites));
+        run_checked(&label, scenario, &config, CausalCollector::new);
+        run_checked(&label, scenario, &config, TracingCollector::factory(sites));
         if triple.fault.plan.is_loss_free() {
             // Reference listing assumes reliable channels (see the runner).
-            assert_modes_agree!(index, scenario, config, RefListingCollector::new);
+            run_checked(&label, scenario, &config, RefListingCollector::new);
         }
     }
 }
@@ -80,9 +65,9 @@ fn pipelines_agree_under_heavy_churn_and_faults() {
     };
     for index in 0..12u32 {
         let (_spec, triple) = corpus_triple(1312, index, &weights);
-        let scenario = &triple.scenario;
+        let label = format!("triple #{index}");
         let config = triple.config();
-        assert_modes_agree!(index, scenario, config, CausalCollector::new);
+        run_checked(&label, &triple.scenario, &config, CausalCollector::new);
     }
 }
 
@@ -91,15 +76,13 @@ fn pipelines_agree_on_the_perf_shaped_churn() {
     // Two benchmark workloads at 1/10, shapes the ≤16-site explorer DSL
     // never reaches:
     // * `remote_churn`: 64 sites and free-list slot reuse under
-    //   remote-reference churn. Under FullRescan the delta tracker stays
-    //   inactive, so every collection there is the full mark-sweep — which
-    //   makes this the cluster-level differential of the
-    //   change-proportional collection the incremental pipeline runs.
+    //   remote-reference churn, with the change-proportional collection
+    //   running between deltas.
     // * `bulk_build`: mostly growth, so most deltas take the tracker's
     //   grow-only path (the cache extended along added references).
     // The oracle is off: ROADMAP item 1's violations on the churn shape are
-    // the collector's, identical under both pipelines, and pinned by
-    // `perf_shape_safety.rs`.
+    // the collector's, not the tracker's, and `perf_shape_safety.rs` pins
+    // them.
     let config = ClusterConfig {
         safety_oracle: false,
         ..ClusterConfig::default()
@@ -111,8 +94,8 @@ fn pipelines_agree_on_the_perf_shaped_churn() {
     for (name, spec) in &shapes {
         for seed in [17u64, 23] {
             let scenario = build_perf_scenario(spec, seed);
-            let index = format!("{name}/{seed}");
-            assert_modes_agree!(index, &scenario, config, CausalCollector::new);
+            let label = format!("{name}/{seed}");
+            run_checked(&label, &scenario, &config, CausalCollector::new);
         }
     }
 }

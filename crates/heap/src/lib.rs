@@ -55,4 +55,4 @@ pub use object::ObjRef;
 #[cfg(any(test, feature = "reference-model"))]
 pub use reference::{HeapObject, RefHeap};
 pub use site_heap::{HeapError, SiteHeap};
-pub use snapshot::{EdgeDelta, EdgeDiff, ReachabilitySnapshot, VertexEdgeDelta};
+pub use snapshot::{EdgeDelta, ReachabilitySnapshot, VertexEdgeDelta};

@@ -23,7 +23,7 @@ use crate::collect::{CollectionOutcome, HeapStats};
 use crate::model::ObjectModel;
 use crate::object::ObjRef;
 use crate::site_heap::HeapError;
-use crate::snapshot::{snapshot_from_parts, EdgeDelta, ReachabilitySnapshot, VertexEdgeDelta};
+use crate::snapshot::{EdgeDelta, ReachabilitySnapshot, VertexEdgeDelta};
 
 /// One object of the reference heap: an identity plus the multiset of
 /// references it currently holds.
@@ -323,7 +323,7 @@ impl ObjectModel for RefHeap {
                 locally_rooted_global_roots.insert(*id);
             }
         }
-        snapshot_from_parts(
+        ReachabilitySnapshot::from_parts(
             self.site,
             from_local_roots,
             per_global_root,

@@ -7,8 +7,9 @@
 //! outgoing path from a global root which crosses its site boundary becomes
 //! a single edge in the global root graph"). A [`ReachabilitySnapshot`]
 //! captures those edges at one instant; diffing two successive snapshots
-//! yields the *edge-creation* and *edge-destruction* log-keeping events that
-//! drive the GGD algorithm.
+//! ([`ReachabilitySnapshot::diff`], the one function that turns two views
+//! into an [`EdgeDelta`]) yields the *edge-creation* and *edge-destruction*
+//! log-keeping events that drive the GGD algorithm.
 //!
 //! # Incremental deltas
 //!
@@ -34,8 +35,9 @@
 //! a re-marked source is compared with its cache first and diffed by a merge
 //! walk only when it changed. The running snapshot is available through
 //! [`SiteHeap::cached_snapshot`] and always equals what a fresh
-//! [`SiteHeap::snapshot`] rescan would produce — the runtime
-//! `debug_assert!`s that equivalence on every delta in debug builds.
+//! [`SiteHeap::snapshot`] rescan would produce. Debug builds check that on
+//! every delta with one rescan, together with the delta itself: it must
+//! equal the diff from the previous cache to the rescan.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -134,14 +136,68 @@ impl ReachabilitySnapshot {
                 .sum::<usize>()
     }
 
-    /// Computes the edge-level difference `self → newer`.
-    pub fn diff(&self, newer: &ReachabilitySnapshot) -> EdgeDiff {
-        let old_edges = self.edges();
-        let new_edges = newer.edges();
-        EdgeDiff {
-            created: new_edges.difference(&old_edges).copied().collect(),
-            destroyed: old_edges.difference(&new_edges).copied().collect(),
+    /// Builds a snapshot from its parts: the remotes the local root set
+    /// reaches, the remotes each global root reaches, and the global roots
+    /// the local root set reaches.
+    pub fn from_parts(
+        site: SiteId,
+        from_local_roots: BTreeSet<GlobalAddr>,
+        per_global_root: BTreeMap<ObjectId, BTreeSet<GlobalAddr>>,
+        locally_rooted_global_roots: BTreeSet<ObjectId>,
+    ) -> ReachabilitySnapshot {
+        ReachabilitySnapshot {
+            site,
+            from_local_roots: from_local_roots.into_iter().collect(),
+            per_global_root: per_global_root
+                .into_iter()
+                .map(|(id, targets)| (id, targets.into_iter().collect()))
+                .collect(),
+            locally_rooted_global_roots,
         }
+    }
+
+    /// The log-keeping events that take this view of the site to `newer`:
+    /// the local-rootedness transitions of `newer`'s global roots, the
+    /// global roots `newer` no longer has, and every edge created or
+    /// destroyed, in replay order. This is the one place two views become
+    /// events; [`SiteHeap::take_delta`] is checked against it in debug
+    /// builds.
+    pub fn diff(&self, newer: &ReachabilitySnapshot) -> EdgeDelta {
+        debug_assert_eq!(self.site, newer.site, "views of two sites");
+        let site = newer.site;
+        let mut delta = EdgeDelta::empty(site);
+        delta.rootedness = newer
+            .global_roots()
+            .filter_map(|id| {
+                let is = newer.is_locally_rooted(id);
+                (self.is_locally_rooted(id) != is).then_some((id, is))
+            })
+            .collect();
+        delta.removed = self
+            .global_roots()
+            .filter(|id| !newer.per_global_root.contains_key(id))
+            .collect();
+        let anchor = VertexId::SiteRoot(site);
+        let (old, new) = (&self.from_local_roots, &newer.from_local_roots);
+        delta
+            .edges
+            .extend(VertexEdgeDelta::between(anchor, old, new));
+        let gone = delta.removed.iter().map(|&id| (id, &[][..]));
+        let roots = newer
+            .per_global_root
+            .iter()
+            .map(|(&id, t)| (id, t.as_slice()));
+        for (id, new) in roots.chain(gone) {
+            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            let change = VertexEdgeDelta::between(vertex, self.targets_of(id), new);
+            delta.edges.extend(change);
+        }
+        delta.in_replay_order()
+    }
+
+    /// The sorted remotes global root `id` reaches; none when it is not one.
+    fn targets_of(&self, id: ObjectId) -> &[GlobalAddr] {
+        self.per_global_root.get(&id).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -155,23 +211,6 @@ impl fmt::Display for ReachabilitySnapshot {
     }
 }
 
-/// The edge-creation and edge-destruction events implied by two successive
-/// snapshots of the same site.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct EdgeDiff {
-    /// Edges present in the newer snapshot but not the older one.
-    pub created: Vec<(VertexId, GlobalAddr)>,
-    /// Edges present in the older snapshot but not the newer one.
-    pub destroyed: Vec<(VertexId, GlobalAddr)>,
-}
-
-impl EdgeDiff {
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.created.is_empty() && self.destroyed.is_empty()
-    }
-}
-
 impl SiteHeap {
     /// Takes a reachability snapshot of this site: which remote objects are
     /// reachable from the local root set and from each global root.
@@ -179,48 +218,29 @@ impl SiteHeap {
     /// This is the full O(heap) rescan. The incremental pipeline
     /// ([`SiteHeap::take_delta`]) maintains the same information in
     /// O(changed) per mutation; this method remains the reference
-    /// implementation the incremental cache is checked against.
+    /// implementation every delta is checked against in debug builds.
     pub fn snapshot(&self) -> ReachabilitySnapshot {
-        let locally_reachable = self.locally_rooted();
-        let from_local_roots = self
-            .remote_reachable_from(self.local_root_set().iter().copied())
-            .into_iter()
-            .collect();
-        let mut per_global_root = BTreeMap::new();
-        let mut locally_rooted_global_roots = BTreeSet::new();
+        self.rescan().0
+    }
+
+    /// The full rescan behind [`SiteHeap::snapshot`], together with the
+    /// objects the local root set reaches, found by the same traversal.
+    fn rescan(&self) -> (ReachabilitySnapshot, BTreeSet<ObjectId>) {
+        let (locally_reachable, from_local_roots) =
+            self.reach_with_remotes(self.local_root_set().iter().copied());
+        let mut snapshot = ReachabilitySnapshot {
+            site: self.site(),
+            from_local_roots: from_local_roots.into_iter().collect(),
+            ..ReachabilitySnapshot::default()
+        };
         for id in self.global_root_set() {
             let targets = self.remote_reachable_from([*id]).into_iter().collect();
-            per_global_root.insert(*id, targets);
+            snapshot.per_global_root.insert(*id, targets);
             if locally_reachable.contains(id) {
-                locally_rooted_global_roots.insert(*id);
+                snapshot.locally_rooted_global_roots.insert(*id);
             }
         }
-        ReachabilitySnapshot {
-            site: self.site(),
-            from_local_roots,
-            per_global_root,
-            locally_rooted_global_roots,
-        }
-    }
-}
-
-/// Builds a snapshot directly from parts — used by the test-only reference
-/// heap so it can share the exact snapshot/diff machinery.
-#[cfg(any(test, feature = "reference-model"))]
-pub(crate) fn snapshot_from_parts(
-    site: SiteId,
-    from_local_roots: BTreeSet<GlobalAddr>,
-    per_global_root: BTreeMap<ObjectId, BTreeSet<GlobalAddr>>,
-    locally_rooted_global_roots: BTreeSet<ObjectId>,
-) -> ReachabilitySnapshot {
-    ReachabilitySnapshot {
-        site,
-        from_local_roots: from_local_roots.into_iter().collect(),
-        per_global_root: per_global_root
-            .into_iter()
-            .map(|(id, targets)| (id, targets.into_iter().collect()))
-            .collect(),
-        locally_rooted_global_roots,
+        (snapshot, locally_reachable)
     }
 }
 
@@ -336,14 +356,14 @@ fn refresh_list(
     }
 }
 
-/// The difference between two successive reachability snapshots, produced
-/// incrementally (O(changed), not O(heap)) by [`SiteHeap::take_delta`].
+/// The difference between two successive reachability snapshots: what
+/// [`ReachabilitySnapshot::diff`] computes from two views, and what
+/// [`SiteHeap::take_delta`] produces incrementally (O(changed), not
+/// O(heap)) — the same value, checked on every delta in debug builds.
 ///
-/// Consumers process the parts in the same order the full-snapshot diff
-/// would discover them: local-rootedness transitions first, then per-vertex
-/// edge changes in vertex order (creations before destructions), which is
-/// what keeps the incremental pipeline's control-message stream bit-for-bit
-/// identical to the retained full-rescan pipeline.
+/// Consumers replay the parts in a fixed order: local-rootedness
+/// transitions first, then per-vertex edge changes in vertex order
+/// (creations before destructions).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EdgeDelta {
     site: SiteId,
@@ -380,7 +400,8 @@ impl EdgeDelta {
     /// Puts a delta assembled in any order into the order consumers replay:
     /// rootedness transitions by object, vertex entries by vertex. No object
     /// or vertex appears twice, so unstable sorts suffice. Shared by the
-    /// activation and both incremental paths so they can never drift apart.
+    /// snapshot diff and both incremental paths so they can never drift
+    /// apart.
     fn in_replay_order(mut self) -> EdgeDelta {
         self.rootedness.sort_unstable();
         self.edges.sort_unstable_by_key(|v| v.vertex);
@@ -426,11 +447,13 @@ impl fmt::Display for EdgeDelta {
 /// references added since the last delta, and the running snapshot cache.
 ///
 /// The tracker starts inactive and costs nothing until the first
-/// `take_delta` call activates it (full-rescan users — the retained
-/// pipeline, unit tests, examples — never pay for it). Activation rebuilds
-/// the reverse-edge map and adopts the empty snapshot as the baseline, so
-/// the first delta reports the heap's entire current contribution — exactly
-/// what a collector that has seen nothing yet needs.
+/// `take_delta` call activates it (heaps only ever snapshotted — unit
+/// tests, examples — never pay for it). Activation rebuilds the
+/// reverse-edge map and reports the diff from the empty snapshot as the
+/// first delta: the heap's entire current contribution, exactly what a
+/// collector that has seen nothing yet needs. In debug builds every later
+/// delta is checked against a full rescan and its
+/// [`ReachabilitySnapshot::diff`].
 ///
 /// The same reverse edges bound the local collector's trace, so the tracker
 /// also keeps the *suspects* of [`SiteHeap::collect`] (see
@@ -613,7 +636,7 @@ impl DeltaTracker {
         self.roots_added.remove(&id);
         // A removal only needs announcing when the vertex existed at the
         // previous delta; a register/unregister pair inside one window
-        // cancels out (the full-rescan path never sees it either).
+        // cancels out (a snapshot diff never sees it either).
         if self.cache.per_global_root.contains_key(&id) {
             self.roots_removed.insert(id);
         }
@@ -813,18 +836,23 @@ impl SiteHeap {
     }
 
     /// True when the incrementally maintained snapshot agrees with a fresh
-    /// full rescan. Used by the runtime's `debug_assert!` equivalence check.
+    /// full rescan.
     pub fn tracker_is_consistent(&self) -> bool {
-        let tracker = self.tracker();
-        if !tracker.is_active() {
+        if !self.tracker().is_active() {
             return true;
         }
-        if *self.cached_snapshot() != self.snapshot() {
+        let (snapshot, rooted) = self.rescan();
+        self.matches_rescan(&snapshot, &rooted)
+    }
+
+    /// True when the cache equals the rescanned snapshot and the rootedness
+    /// bitset agrees with the rescanned local-root reach on every live
+    /// slot, carrying no stray bits on dead ones.
+    fn matches_rescan(&self, snapshot: &ReachabilitySnapshot, rooted: &BTreeSet<ObjectId>) -> bool {
+        let tracker = self.tracker();
+        if tracker.cache != *snapshot {
             return false;
         }
-        // The rootedness bitset must agree with a fresh local-roots rescan
-        // on every live slot, and carry no stray bits on dead ones.
-        let rooted = self.locally_rooted();
         let arena = self.arena();
         let mut live_rooted = 0usize;
         for slot in arena.live_slots() {
@@ -854,7 +882,23 @@ impl SiteHeap {
     /// hangs therefore re-marks no source at all. None of this is
     /// proportional to the heap, and a mutation that touched nothing
     /// relevant returns an empty delta without traversing anything.
+    ///
+    /// Debug builds check every delta after the first against one full
+    /// rescan: the cache must equal it, and the delta must equal the
+    /// [`ReachabilitySnapshot::diff`] from the previous cache to it.
     pub fn take_delta(&mut self) -> EdgeDelta {
+        if cfg!(debug_assertions) && self.tracker().is_active() {
+            let dirty = self.tracker().has_dirt();
+            let before = dirty.then(|| self.cached_snapshot().clone());
+            let delta = self.next_delta();
+            self.assert_matches_rescan(before.as_ref().unwrap_or(self.cached_snapshot()), &delta);
+            return delta;
+        }
+        self.next_delta()
+    }
+
+    /// [`SiteHeap::take_delta`] without the debug-build check.
+    fn next_delta(&mut self) -> EdgeDelta {
         if !self.tracker().is_active() {
             return self.activate_tracker();
         }
@@ -871,6 +915,23 @@ impl SiteHeap {
         tracker.clear_dirt();
         self.put_tracker(tracker);
         delta.in_replay_order()
+    }
+
+    /// The debug-build reference check of one delta: a single full rescan
+    /// must equal the cache, and its diff from `before`, the cache as the
+    /// previous delta left it, must equal `delta`.
+    fn assert_matches_rescan(&self, before: &ReachabilitySnapshot, delta: &EdgeDelta) {
+        let (snapshot, rooted) = self.rescan();
+        let site = self.site();
+        assert!(
+            self.matches_rescan(&snapshot, &rooted),
+            "incremental snapshot of {site} diverged from a full rescan"
+        );
+        assert_eq!(
+            *delta,
+            before.diff(&snapshot),
+            "delta of {site} differs from the rescan diff"
+        );
     }
 
     /// The grow-only window. With nothing removed, reach is monotone: a
@@ -1108,8 +1169,7 @@ impl SiteHeap {
     /// the heap's entire current contribution as one delta.
     fn activate_tracker(&mut self) -> EdgeDelta {
         let site = self.site();
-        let snapshot = self.snapshot();
-        let locally_rooted = self.locally_rooted();
+        let (snapshot, locally_rooted) = self.rescan();
         let mut tracker = DeltaTracker {
             active: true,
             ..DeltaTracker::default()
@@ -1128,28 +1188,14 @@ impl SiteHeap {
                 }
             }
         }
-
-        let mut delta = EdgeDelta::empty(site);
-        delta.rootedness = snapshot
-            .locally_rooted_global_roots
-            .iter()
-            .map(|&id| (id, true))
-            .collect();
-        delta.edges.extend(VertexEdgeDelta::between(
-            VertexId::SiteRoot(site),
-            &[],
-            &snapshot.from_local_roots,
-        ));
-        for (&id, targets) in &snapshot.per_global_root {
-            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
-            delta
-                .edges
-                .extend(VertexEdgeDelta::between(vertex, &[], targets));
-        }
-
+        let empty = ReachabilitySnapshot {
+            site,
+            ..ReachabilitySnapshot::default()
+        };
+        let delta = empty.diff(&snapshot);
         tracker.cache = snapshot;
         self.put_tracker(tracker);
-        delta.in_replay_order()
+        delta
     }
 }
 
@@ -1218,11 +1264,11 @@ mod tests {
 
         let diff = before.diff(&after);
         assert_eq!(
-            diff.created,
+            diff.created().collect::<Vec<_>>(),
             vec![(VertexId::SiteRoot(SiteId::new(0)), remote_b)]
         );
         assert_eq!(
-            diff.destroyed,
+            diff.destroyed().collect::<Vec<_>>(),
             vec![(VertexId::SiteRoot(SiteId::new(0)), remote_a)]
         );
         assert!(!diff.is_empty());
@@ -1244,9 +1290,10 @@ mod tests {
         let after = h.snapshot();
 
         let diff = before.diff(&after);
-        assert!(diff.created.is_empty());
+        assert_eq!(diff.created().count(), 0);
+        assert_eq!(diff.removed, vec![exported]);
         assert_eq!(
-            diff.destroyed,
+            diff.destroyed().collect::<Vec<_>>(),
             vec![(
                 VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), exported)),
                 remote
@@ -1324,32 +1371,17 @@ mod tests {
         assert!(h.tracker_is_consistent());
     }
 
-    /// Takes a delta and checks it against full rescans: the cache must
-    /// equal a fresh snapshot, and the delta must be exactly the snapshot
-    /// diff since `before` (rootedness, removals and edges, in replay
-    /// order). Returns the delta and whether it took the grow-only path.
+    /// Takes a delta and checks it against a full rescan, as debug builds
+    /// do inside `take_delta`, so release test runs check it too: the cache
+    /// must equal a fresh snapshot, and the delta must be exactly the
+    /// snapshot diff since `before`. Returns the delta and whether it took
+    /// the grow-only path.
     fn take_checked(h: &mut SiteHeap, before: &ReachabilitySnapshot) -> (EdgeDelta, bool) {
         let tracker = h.tracker();
         let grow_only = tracker.is_active() && tracker.has_dirt() && tracker.is_grow_only();
         let delta = h.take_delta();
         assert!(h.tracker_is_consistent(), "cache diverged from rescan");
-        let after = h.snapshot();
-        let rootedness: Vec<(ObjectId, bool)> = after
-            .global_roots()
-            .filter_map(|id| {
-                let is = after.is_locally_rooted(id);
-                (before.is_locally_rooted(id) != is).then_some((id, is))
-            })
-            .collect();
-        let removed: Vec<ObjectId> = before
-            .global_roots()
-            .filter(|&id| !after.per_global_root.contains_key(&id))
-            .collect();
-        let diff = before.diff(&after);
-        assert_eq!(delta.rootedness, rootedness);
-        assert_eq!(delta.removed, removed);
-        assert_eq!(delta.created().collect::<Vec<_>>(), diff.created);
-        assert_eq!(delta.destroyed().collect::<Vec<_>>(), diff.destroyed);
+        assert_eq!(delta, before.diff(&h.snapshot()));
         (delta, grow_only)
     }
 

@@ -720,7 +720,7 @@ pub fn splice_membership(scenario: &crate::Scenario, seed: u64) -> crate::Scenar
 /// bulk of the objects hang in trees under those anchors. Site roots hold
 /// only remote references, so mutator churn under one anchor leaves every
 /// other vertex's reachability untouched — exactly the locality the
-/// incremental delta pipeline exploits and the full-rescan pipeline cannot.
+/// incremental delta pipeline exploits and a full rescan cannot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfSpec {
     /// Number of sites.

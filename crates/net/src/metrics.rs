@@ -251,32 +251,6 @@ impl NetMetrics {
         self.peak_queued_bytes = self.peak_queued_bytes.max(peak);
     }
 
-    /// Messages sent under a specific label.
-    pub fn sent_with_label(&self, label: &str) -> u64 {
-        self.buckets
-            .iter()
-            .filter(|(k, _)| k.label == label)
-            .map(|(_, b)| b.sent)
-            .sum()
-    }
-
-    /// Bytes sent under a specific label.
-    pub fn bytes_with_label(&self, label: &str) -> u64 {
-        self.buckets
-            .iter()
-            .filter(|(k, _)| k.label == label)
-            .map(|(_, b)| b.bytes_sent)
-            .sum()
-    }
-
-    /// All labels seen so far, in sorted order.
-    pub fn labels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = self.buckets.keys().map(|k| k.label.clone()).collect();
-        labels.sort();
-        labels.dedup();
-        labels
-    }
-
     /// Merges another metrics table into this one (used when aggregating
     /// several runs of an experiment).
     pub fn absorb(&mut self, other: &NetMetrics) {
@@ -292,13 +266,6 @@ impl NetMetrics {
         // Peaks of independent runs do not add up; the aggregate keeps the
         // worst single-run backlog.
         self.peak_queued_bytes = self.peak_queued_bytes.max(other.peak_queued_bytes);
-    }
-
-    /// Resets every counter.
-    pub fn reset(&mut self) {
-        self.buckets.clear();
-        self.queued_bytes = 0;
-        self.peak_queued_bytes = 0;
     }
 }
 
@@ -345,16 +312,6 @@ mod tests {
         assert_eq!(m.bytes_sent_total(), 200);
         assert_eq!(m.control_messages_sent(), 2);
         assert_eq!(m.mutator_messages_sent(), 1);
-        assert_eq!(m.sent_with_label("edge-destruction"), 1);
-        assert_eq!(m.bytes_with_label("payload"), 100);
-        assert_eq!(
-            m.labels(),
-            vec![
-                "edge-destruction".to_owned(),
-                "payload".to_owned(),
-                "vector-propagation".to_owned()
-            ]
-        );
     }
 
     #[test]
@@ -365,18 +322,10 @@ mod tests {
         b.record_sent(MessageClass::Control, "x", 5);
         b.record_sent(MessageClass::Mutator, "y", 1);
         a.absorb(&b);
-        assert_eq!(a.sent_with_label("x"), 2);
-        assert_eq!(a.bytes_with_label("x"), 15);
+        let rows = a.bucket_rows();
+        let x = rows.iter().find(|row| row.key.label == "x").unwrap();
+        assert_eq!((x.sent, x.bytes_sent), (2, 15));
         assert_eq!(a.mutator_messages_sent(), 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = NetMetrics::new();
-        m.record_sent(MessageClass::Control, "x", 10);
-        m.reset();
-        assert_eq!(m.sent_total(), 0);
-        assert!(m.labels().is_empty());
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
 use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
 use crate::report::{record_net, record_store, RunReport};
-use crate::runtime::SyncMode;
 use crate::shard::Shard;
 
 /// Safety valve of the settle loop on both drivers: the most rounds of
@@ -48,9 +47,6 @@ pub struct ClusterConfig {
     pub faults: FaultPlan,
     /// RNG seed for the network (simulated network only).
     pub seed: u64,
-    /// Snapshot pipeline for every site runtime (incremental by default;
-    /// [`SyncMode::FullRescan`] retains the pre-delta reference path).
-    pub sync_mode: SyncMode,
     /// When true (the default), every local collection is cross-checked
     /// against the global reachability oracle — an O(cluster) pass per
     /// collection. The repo benchmark's timed reps disable it to measure the
@@ -80,7 +76,6 @@ impl Default for ClusterConfig {
             net: SimNetworkConfig::default(),
             faults: FaultPlan::default(),
             seed: 0,
-            sync_mode: SyncMode::default(),
             safety_oracle: true,
             durability: DurabilityConfig::off(),
             workers: 0,

@@ -35,14 +35,17 @@ pub trait Collector {
     /// reference to `target`.
     fn on_receive_ref(&mut self, recipient: GlobalAddr, target: GlobalAddr);
 
-    /// A fresh reachability snapshot of this site's heap.
+    /// A reachability snapshot of this site's heap. The runtime never calls
+    /// this directly; it reaches a collector through
+    /// [`Collector::apply_delta`], whose default forwards here.
     fn apply_snapshot(&mut self, snapshot: &ReachabilitySnapshot);
 
-    /// An incremental snapshot delta together with the up-to-date cached
-    /// snapshot it produced. Collectors that can consume the delta directly
-    /// (the causal engine) override this and never touch the snapshot; the
-    /// default falls back to [`Collector::apply_snapshot`], which is free of
-    /// rescans — the runtime maintains the cached snapshot incrementally.
+    /// The heap's reachability delta together with the up-to-date cached
+    /// snapshot it produced — what the runtime calls after every mutation.
+    /// Collectors that can consume the delta directly (the causal engine)
+    /// override this and never touch the snapshot; the default falls back
+    /// to [`Collector::apply_snapshot`], which is free of rescans — the
+    /// heap maintains the cached snapshot incrementally.
     fn apply_delta(&mut self, delta: &EdgeDelta, snapshot: &ReachabilitySnapshot) {
         let _ = delta;
         self.apply_snapshot(snapshot);

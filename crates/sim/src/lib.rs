@@ -50,7 +50,7 @@ pub use collector::{
 pub use oracle::Oracle;
 pub use parallel::ParallelCluster;
 pub use report::RunReport;
-pub use runtime::{SiteRuntime, SiteTick, SyncMode};
+pub use runtime::{SiteRuntime, SiteTick};
 // Durability configuration re-exported so cluster users need not depend on
 // ggd-store directly.
 pub use ggd_store::{DurabilityConfig, DurabilityMode, MembershipAnnouncement, MembershipChange};

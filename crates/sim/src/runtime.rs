@@ -19,21 +19,6 @@ use std::collections::BTreeSet;
 
 use crate::collector::Collector;
 
-/// How a [`SiteRuntime`] turns heap mutations into collector events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// O(changed) pipeline: the heap maintains its reachability snapshot
-    /// incrementally and the collector consumes [`ggd_heap::EdgeDelta`]s;
-    /// syncs whose delta is empty skip the collector entirely (unless it
-    /// asks for every sync). The default.
-    #[default]
-    Incremental,
-    /// The retained pre-delta pipeline: a full O(heap) reachability rescan
-    /// after every mutation, re-diffed inside the collector. Kept as the
-    /// reference implementation for differential equivalence tests.
-    FullRescan,
-}
-
 /// Control messages and verdicts produced by one runtime step.
 #[derive(Debug)]
 pub struct SiteTick<M> {
@@ -53,7 +38,6 @@ pub struct SiteRuntime<C: Collector> {
     site: SiteId,
     heap: SiteHeap,
     collector: C,
-    mode: SyncMode,
     /// The durable store, when the cluster runs with durability on. Every
     /// mutating entry point appends its event *before* applying it
     /// (write-ahead); [`SiteRuntime::recover`] replays the log through the
@@ -89,19 +73,12 @@ pub(crate) fn sites_mentioning<'a, C: Collector + 'a>(
 }
 
 impl<C: Collector> SiteRuntime<C> {
-    /// Creates the runtime for `site` around `collector`, using the
-    /// incremental delta pipeline.
+    /// Creates the runtime for `site` around `collector`.
     pub fn new(site: SiteId, collector: C) -> Self {
-        SiteRuntime::with_mode(site, collector, SyncMode::default())
-    }
-
-    /// Creates the runtime with an explicit [`SyncMode`].
-    pub fn with_mode(site: SiteId, collector: C, mode: SyncMode) -> Self {
         SiteRuntime {
             site,
             heap: SiteHeap::new(site),
             collector,
-            mode,
             store: None,
             obs: SiteObs::disabled(),
         }
@@ -187,7 +164,7 @@ impl<C: Collector> SiteRuntime<C> {
     /// Panics when the durable state is unreadable (corrupt checksum,
     /// undecodable record) or when the collector refuses its checkpoint —
     /// recovery must fail loudly, never run with half a state.
-    pub fn recover(mut store: SiteStore<C::Msg>, collector: C, mode: SyncMode) -> Self {
+    pub fn recover(mut store: SiteStore<C::Msg>, collector: C) -> Self {
         let site = store.site();
         let (checkpoint, records) = store
             .load()
@@ -206,25 +183,22 @@ impl<C: Collector> SiteRuntime<C> {
                     site,
                     heap: SiteHeap::from_image(&heap),
                     collector: restored,
-                    mode,
                     store: None,
                     obs: SiteObs::disabled(),
                 };
-                if mode == SyncMode::Incremental {
-                    // Prime the delta tracker: its first activation reports
-                    // the heap's whole contribution as one delta, but the
-                    // restored collector already holds that knowledge (it
-                    // was checkpointed with it). Discarding the activation
-                    // delta here re-aligns tracker and collector, so the
-                    // replayed events below produce exactly the incremental
-                    // deltas of the original run.
-                    let _ = runtime.heap.take_delta();
-                }
+                // Prime the delta tracker: its first activation reports the
+                // heap's whole contribution as one delta, but the restored
+                // collector already holds that knowledge (it was
+                // checkpointed with it). Discarding the activation delta
+                // here re-aligns tracker and collector, so the replayed
+                // events below produce exactly the deltas of the original
+                // run.
+                let _ = runtime.heap.take_delta();
                 runtime
             }
             // No checkpoint yet: replay from genesis (also the only path
             // for collectors that cannot checkpoint).
-            None => SiteRuntime::with_mode(site, collector, mode),
+            None => SiteRuntime::new(site, collector),
         };
         for record in &records {
             runtime.replay(record);
@@ -337,11 +311,6 @@ impl<C: Collector> SiteRuntime<C> {
             self.obs
                 .event("checkpoint", false, &[("dk_rows_compacted", compacted)]);
         }
-    }
-
-    /// The snapshot pipeline this runtime drives.
-    pub fn mode(&self) -> SyncMode {
-        self.mode
     }
 
     /// The site this runtime hosts.
@@ -558,31 +527,16 @@ impl<C: Collector> SiteRuntime<C> {
     }
 
     /// Snapshot plumbing after local mutation: feeds the collector the
-    /// reachability change (a full rescan or an incremental delta, per the
-    /// [`SyncMode`]), drains its outgoing control messages and applies any
-    /// verdicts to the heap.
+    /// heap's reachability delta, drains its outgoing control messages and
+    /// applies any verdicts to the heap.
     ///
-    /// On the incremental path a mutation that produced an empty delta
-    /// skips the collector entirely (unless it opted into every sync) —
-    /// no-op mutations cost O(1) instead of a full snapshot plus diff.
+    /// A mutation that produced an empty delta skips the collector entirely
+    /// (unless it opted into every sync), so no-op mutations cost O(1).
     pub fn sync(&mut self) -> SiteTick<C::Msg> {
-        match self.mode {
-            SyncMode::FullRescan => {
-                let snapshot = self.heap.snapshot();
-                self.collector.apply_snapshot(&snapshot);
-            }
-            SyncMode::Incremental => {
-                let delta = self.heap.take_delta();
-                debug_assert!(
-                    self.heap.tracker_is_consistent(),
-                    "incremental snapshot diverged from a full rescan on {}",
-                    self.site
-                );
-                if !delta.is_empty() || self.collector.needs_every_sync() {
-                    self.collector
-                        .apply_delta(&delta, self.heap.cached_snapshot());
-                }
-            }
+        let delta = self.heap.take_delta();
+        if !delta.is_empty() || self.collector.needs_every_sync() {
+            self.collector
+                .apply_delta(&delta, self.heap.cached_snapshot());
         }
         let outgoing = self.collector.take_outgoing();
         let verdicts_applied = self.apply_verdicts();
@@ -699,9 +653,8 @@ mod tests {
             for (i, event) in events.iter_mut().enumerate() {
                 if crash_at.contains(&i) {
                     let store = rt.take_store().expect("durable runtime");
-                    let mode = rt.mode();
                     drop(rt);
-                    rt = SiteRuntime::recover(store, CausalCollector::new(site), mode);
+                    rt = SiteRuntime::recover(store, CausalCollector::new(site));
                 }
                 let tick = event(&mut rt);
                 absorb(tick, &mut stream);
@@ -753,7 +706,7 @@ mod tests {
             let heap_before = rt.heap().clone();
             let log_before = rt.collector().engine().log().to_string();
             let store = rt.take_store().unwrap();
-            let recovered = SiteRuntime::recover(store, CausalCollector::new(site), rt.mode());
+            let recovered = SiteRuntime::recover(store, CausalCollector::new(site));
             assert_eq!(recovered.heap(), &heap_before);
             assert_eq!(recovered.collector().engine().log().to_string(), log_before);
             assert!(
@@ -773,7 +726,7 @@ mod tests {
             let _ = rt.link_local(root, child);
             let heap_before = rt.heap().clone();
             let store = rt.take_store().unwrap();
-            let recovered = SiteRuntime::recover(store, CausalCollector::new(site), rt.mode());
+            let recovered = SiteRuntime::recover(store, CausalCollector::new(site));
             assert_eq!(recovered.heap(), &heap_before);
         }
     }

@@ -200,7 +200,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     /// input when the cluster runs with durability.
     fn start(&mut self, site: SiteId) {
         let config = &self.config;
-        let mut runtime = SiteRuntime::with_mode(site, (self.factory)(site), config.sync_mode)
+        let mut runtime = SiteRuntime::new(site, (self.factory)(site))
             .with_obs(SiteObs::new(Some(site), &config.obs));
         if let Some(store) = SiteStore::open(site, &config.durability) {
             runtime = runtime.with_store(store);
@@ -365,8 +365,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         let Some(downed) = self.downed.remove(&site) else {
             return;
         };
-        let mut runtime =
-            SiteRuntime::recover(downed.store, (self.factory)(site), self.config.sync_mode);
+        let mut runtime = SiteRuntime::recover(downed.store, (self.factory)(site));
         let replayed = runtime
             .store()
             .map_or(0, |store| store.stats().records_replayed);

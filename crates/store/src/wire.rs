@@ -433,7 +433,9 @@ impl Encode for EngineCheckpoint {
         self.edges_out.encode(out);
         self.locally_rooted.encode(out);
         self.inbound_holders.encode(out);
-        self.static_roots.encode(out);
+        // The retired set of designated roots, kept as an empty set so the
+        // image layout does not change.
+        write_varint(out, 0);
         self.detected.encode(out);
         self.pending_verdicts.encode(out);
         self.outgoing.encode(out);
@@ -471,15 +473,23 @@ pub fn decode_engine_checkpoint(
 
 fn decode_checkpoint(r: &mut Reader<'_>, next_object: u64) -> Result<EngineCheckpoint, CodecError> {
     let site = SiteId::decode(r)?;
+    let counters = BTreeMap::decode(r)?;
+    let log = decode_log(r, site, next_object)?;
+    let last_closure = BTreeMap::decode(r)?;
+    let edges_out = BTreeMap::decode(r)?;
+    let locally_rooted = std::collections::BTreeSet::decode(r)?;
+    let inbound_holders = BTreeMap::decode(r)?;
+    if r.len()? != 0 {
+        return Err(CodecError::Invalid("designated roots in an engine image"));
+    }
     let checkpoint = EngineCheckpoint {
         site,
-        counters: BTreeMap::decode(r)?,
-        log: decode_log(r, site, next_object)?,
-        last_closure: BTreeMap::decode(r)?,
-        edges_out: BTreeMap::decode(r)?,
-        locally_rooted: std::collections::BTreeSet::decode(r)?,
-        inbound_holders: BTreeMap::decode(r)?,
-        static_roots: std::collections::BTreeSet::decode(r)?,
+        counters,
+        log,
+        last_closure,
+        edges_out,
+        locally_rooted,
+        inbound_holders,
         detected: std::collections::BTreeSet::decode(r)?,
         pending_verdicts: Vec::decode(r)?,
         outgoing: Vec::decode(r)?,
@@ -726,7 +736,6 @@ mod tests {
             edges_out: BTreeMap::new(),
             locally_rooted: std::collections::BTreeSet::new(),
             inbound_holders: BTreeMap::new(),
-            static_roots: std::collections::BTreeSet::new(),
             detected: std::collections::BTreeSet::new(),
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
@@ -791,6 +800,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn designated_roots_fail_the_decode() {
+        let mut engine = ggd_causal::CausalEngine::new(SiteId::new(2));
+        engine.on_export(GlobalAddr::new(2, 1), VertexId::object(5, 1));
+        let image = engine.checkpoint();
+        let bytes = encode_to_vec(&image);
+        // Everything before the retired set of designated roots.
+        let mut head = Vec::new();
+        image.site.encode(&mut head);
+        image.counters.encode(&mut head);
+        image.log.encode(&mut head);
+        image.last_closure.encode(&mut head);
+        image.edges_out.encode(&mut head);
+        image.locally_rooted.encode(&mut head);
+        image.inbound_holders.encode(&mut head);
+        assert_eq!(bytes[head.len()], 0, "the set is written empty");
+        assert_eq!(decode_engine_checkpoint(&bytes, 2), Ok(image));
+
+        let tail = &bytes[head.len() + 1..];
+        let mut spliced = head;
+        write_varint(&mut spliced, 1);
+        VertexId::site_root(2).encode(&mut spliced);
+        spliced.extend_from_slice(tail);
+        assert!(matches!(
+            decode_engine_checkpoint(&spliced, 2),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]

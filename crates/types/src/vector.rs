@@ -405,18 +405,6 @@ impl DependencyVector {
             .map(|&(addr, _)| addr)
     }
 
-    /// True when the vector records a live entry for any of the given roots.
-    ///
-    /// This is the garbage test of Fig. 6: a global root whose fully
-    /// reconstructed vector-time has no live entry for any *actual root* is
-    /// unreachable from every root and hence garbage.
-    pub fn has_live_entry_among<I>(&self, roots: I) -> bool
-    where
-        I: IntoIterator<Item = VertexId>,
-    {
-        roots.into_iter().any(|r| self.get(r).is_live())
-    }
-
     /// Compares two vectors under the Schwarz & Mattern partial order,
     /// counting destroyed entries as "no live edge ever created" (§3.2).
     ///
@@ -478,23 +466,6 @@ impl DependencyVector {
             self.causal_order(other),
             CausalOrder::After | CausalOrder::Equal
         )
-    }
-
-    /// Renders the vector as the fixed-dimension tuple notation of the
-    /// paper's Figure 5, using `order` as the dimension ordering.
-    ///
-    /// Roots missing from the vector print as `0`.
-    pub fn display_as_tuple(&self, order: &[VertexId]) -> String {
-        use fmt::Write as _;
-        let mut out = String::from("(");
-        for (i, addr) in order.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", self.get(*addr));
-        }
-        out.push(')');
-        out
     }
 }
 
@@ -734,20 +705,6 @@ mod tests {
         v.set(c(), Timestamp::created(3));
         let live: Vec<_> = v.live_support().collect();
         assert_eq!(live, vec![a(), c()]);
-        assert!(v.has_live_entry_among([a()]));
-        assert!(!v.has_live_entry_among([b()]));
-        assert!(v.has_live_entry_among([b(), c()]));
-        assert!(!v.has_live_entry_among(std::iter::empty()));
-    }
-
-    #[test]
-    fn tuple_display_matches_figure_5_layout() {
-        let order = [a(), b(), c()];
-        let mut v = DependencyVector::new();
-        v.set(a(), Timestamp::created(1));
-        v.set(c(), Timestamp::destroyed(2));
-        assert_eq!(v.display_as_tuple(&order), "(1,0,Ē2)");
-        assert_eq!(DependencyVector::new().display_as_tuple(&order), "(0,0,0)");
     }
 
     #[test]
