@@ -6,10 +6,13 @@
 //! cargo run --release -p ggd-bench --bin explore -- --corpus 200 --membership
 //! ```
 //!
+//! `--crashes` switches to the crash corpus: fault plans from the crash
+//! matrix, every crashed site recovering by checkpoint-load + WAL replay.
 //! `--membership` switches to the elastic-membership corpus: every triple
 //! gets a join/leave/evict schedule spliced in, draws its fault plan from
 //! the partition matrix (scheduled split-and-heal windows), and runs with
-//! the zero-references-to-departed-sites oracle armed.
+//! the zero-references-to-departed-sites oracle armed. Given both flags,
+//! the membership corpus runs.
 //!
 //! `--trace` re-runs every failing triple's shrunk form with full
 //! observability on and prints its JSONL event timeline (schema
@@ -24,7 +27,7 @@
 //! `--self-test` mode the expectation flips: the deliberately sabotaged
 //! causal collector *must* be caught, so a clean corpus exits 1.
 
-use ggd_explore::{corpus_triple, explore, trace_triple, ExplorerConfig, RunMode};
+use ggd_explore::{corpus_triple, explore, trace_triple, CorpusFamily, ExplorerConfig, RunMode};
 use ggd_obs::validate_jsonl;
 
 fn parse_flag(args: &[String], name: &str) -> bool {
@@ -58,8 +61,14 @@ fn main() {
         corpus: parse_corpus(&args, "--corpus").unwrap_or(200),
         seed: parse_u64(&args, "--seed").unwrap_or(7),
         strict: parse_flag(&args, "--strict"),
-        crashes: parse_flag(&args, "--crashes"),
-        membership: parse_flag(&args, "--membership"),
+        // `--membership` wins over `--crashes`.
+        family: if parse_flag(&args, "--membership") {
+            CorpusFamily::Membership
+        } else if parse_flag(&args, "--crashes") {
+            CorpusFamily::Crashes
+        } else {
+            CorpusFamily::Classic
+        },
         mode: if self_test {
             RunMode::SabotagedCausal { arm_after: 3 }
         } else {
@@ -93,19 +102,14 @@ fn main() {
     }
 
     println!(
-        "## ggd-explore — differential corpus (corpus={}, seed={}{}{}{}{})",
+        "## ggd-explore — differential corpus (corpus={}, seed={}{}{}{})",
         config.corpus,
         config.seed,
         if config.strict { ", strict" } else { "" },
-        if config.crashes {
-            ", CRASH MATRIX + durability"
-        } else {
-            ""
-        },
-        if config.membership {
-            ", MEMBERSHIP + PARTITION MATRIX + durability"
-        } else {
-            ""
+        match config.family {
+            CorpusFamily::Classic => "",
+            CorpusFamily::Crashes => ", CRASH MATRIX + durability",
+            CorpusFamily::Membership => ", MEMBERSHIP + PARTITION MATRIX + durability",
         },
         if self_test { ", SELF-TEST" } else { "" },
     );

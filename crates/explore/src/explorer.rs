@@ -27,20 +27,8 @@ pub struct ExplorerConfig {
     /// How the causal collector is instantiated (the sabotaged mode is the
     /// explorer's self-test).
     pub mode: RunMode,
-    /// When true, triples draw their plans from the *crash* fault matrix
-    /// ([`FaultPlan::crash_matrix`]) and run on the in-memory durable
-    /// medium: every site that crashes recovers by checkpoint-load + WAL
-    /// replay mid-run. The classic matrix keeps durability off.
-    pub crashes: bool,
-    /// When true, every triple gets a deterministic elastic-membership
-    /// schedule spliced in (joins, planned leaves, evictions — see
-    /// [`splice_membership`](ggd_mutator::generator::splice_membership)),
-    /// draws its fault plan from the *partition* matrix
-    /// ([`FaultPlan::partition_matrix`]), biases generation toward the
-    /// zipf hot-churn segment, and runs on the in-memory durable medium so
-    /// joiners exercise the WAL-from-first-input path. Takes precedence
-    /// over `crashes`.
-    pub membership: bool,
+    /// Which generated corpus the triples come from.
+    pub family: CorpusFamily,
 }
 
 impl Default for ExplorerConfig {
@@ -51,10 +39,30 @@ impl Default for ExplorerConfig {
             weights: SegmentWeights::default(),
             strict: false,
             mode: RunMode::Standard,
-            crashes: false,
-            membership: false,
+            family: CorpusFamily::Classic,
         }
     }
+}
+
+/// The generated corpus an exploration runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CorpusFamily {
+    /// Generated scenarios under the classic fault matrix, durability off
+    /// ([`corpus_triple`]).
+    Classic,
+    /// Plans from the *crash* fault matrix ([`FaultPlan::crash_matrix`])
+    /// on the in-memory durable medium: every site that crashes recovers
+    /// by checkpoint-load + WAL replay mid-run (`crash_corpus_triple`).
+    Crashes,
+    /// A deterministic elastic-membership schedule spliced into every
+    /// triple (joins, planned leaves, evictions — see
+    /// [`splice_membership`](ggd_mutator::generator::splice_membership)),
+    /// plans from the *partition* matrix
+    /// ([`FaultPlan::partition_matrix`]), generation biased toward the
+    /// zipf hot-churn segment, and the in-memory durable medium so joiners
+    /// exercise the WAL-from-first-input path
+    /// ([`membership_corpus_triple`]).
+    Membership,
 }
 
 /// Per-collector aggregate over the corpus.
@@ -272,13 +280,12 @@ pub fn explore(config: &ExplorerConfig) -> Exploration {
     let mut stats = CorpusStats::default();
     let mut failures = Vec::new();
     for index in 0..config.corpus {
-        let (spec, triple) = if config.membership {
-            membership_corpus_triple(config.seed, index, &config.weights)
-        } else if config.crashes {
-            crash_corpus_triple(config.seed, index, &config.weights)
-        } else {
-            corpus_triple(config.seed, index, &config.weights)
+        let build = match config.family {
+            CorpusFamily::Classic => corpus_triple,
+            CorpusFamily::Crashes => crash_corpus_triple,
+            CorpusFamily::Membership => membership_corpus_triple,
         };
+        let (spec, triple) = build(config.seed, index, &config.weights);
         for segment in &spec.segments {
             *stats.segments.entry(segment.kind()).or_default() += 1;
         }

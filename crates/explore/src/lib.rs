@@ -20,6 +20,11 @@
 //!   of a disconnected inter-site cycle.
 //! * **Replay determinism** — a failing triple re-runs bit-identically.
 //!
+//! [`ExplorerConfig::family`] picks one of three corpora
+//! ([`CorpusFamily`]): the classic fault matrix; the crash matrix, where
+//! every crashed site recovers by checkpoint-load + WAL replay; or
+//! elastic-membership schedules over the partition matrix.
+//!
 //! Failing triples are greedily minimized ([`shrink`]) and printed as
 //! paste-ready Rust test snippets ([`reproducer`]). The
 //! [`SaboteurCollector`] deliberately forges unsafe verdicts so the whole
@@ -50,8 +55,8 @@ mod saboteur;
 mod shrink;
 
 pub use explorer::{
-    corpus_triple, explore, membership_corpus_triple, CollectorTally, CorpusStats, Exploration,
-    ExplorerConfig, FailedTriple,
+    corpus_triple, explore, membership_corpus_triple, CollectorTally, CorpusFamily, CorpusStats,
+    Exploration, ExplorerConfig, FailedTriple,
 };
 pub use repro::reproducer;
 pub use runner::{run_triple, trace_triple, CheckFailure, RunMode, Triple, TripleOutcome};

@@ -7,7 +7,9 @@
 
 use std::collections::BTreeSet;
 
-use ggd_explore::{explore, membership_corpus_triple, run_triple, ExplorerConfig, RunMode};
+use ggd_explore::{
+    explore, membership_corpus_triple, run_triple, CorpusFamily, ExplorerConfig, RunMode,
+};
 use ggd_mutator::generator::SegmentWeights;
 use ggd_mutator::MembershipKind;
 use ggd_sim::{CausalCollector, Cluster, ClusterConfig, ParallelCluster, TracingCollector};
@@ -22,7 +24,7 @@ fn membership_corpus_runs_clean_and_deterministically() {
     let config = ExplorerConfig {
         corpus: 24,
         seed: PINNED_SEED,
-        membership: true,
+        family: CorpusFamily::Membership,
         ..ExplorerConfig::default()
     };
     let first = explore(&config);
@@ -95,7 +97,7 @@ fn injected_unsafe_sweep_shrinks_under_membership_schedules() {
     let config = ExplorerConfig {
         corpus: 8,
         seed: PINNED_SEED,
-        membership: true,
+        family: CorpusFamily::Membership,
         mode: RunMode::SabotagedCausal { arm_after: 2 },
         ..ExplorerConfig::default()
     };

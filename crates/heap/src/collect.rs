@@ -60,37 +60,19 @@ impl SiteHeap {
     ///
     /// The outcome is always that of a stop-the-world mark-sweep over the
     /// whole site, but the cost is proportional to what changed since the
-    /// previous collection: once the delta tracker is active and one full
-    /// trace has run under it, the heap records *suspects* (fresh objects,
-    /// local targets of removed references, demoted roots) and a collection
+    /// previous collection: the heap records *suspects* (fresh objects,
+    /// local targets of removed references, demoted roots, and on a heap
+    /// restored from an image the garbage it carried) and a collection
     /// examines only their forward closure — returning in O(1), without
-    /// allocating, when there are none. A heap whose history is unknown
-    /// (tracker inactive, or activated since the last collection) runs the
-    /// full trace. Debug builds check every collection against
-    /// [`SiteHeap::would_collect`].
+    /// allocating, when there are none. Freed slots go back to the arena in
+    /// ascending order, so slot reuse follows the freed set alone. Debug
+    /// builds check every collection against [`SiteHeap::would_collect`].
     pub fn collect(&mut self) -> CollectionOutcome {
         #[cfg(debug_assertions)]
         let expected = self.would_collect();
 
-        // Ascending slot order on both paths, so the arena's free list —
-        // and with it slot reuse — does not depend on which one ran.
-        let doomed: Vec<u32> = {
-            let (arena, scratch, tracker, roots) = self.collection_parts();
-            if tracker.is_recording() {
-                tracker.unheld_suspects(arena, scratch)
-            } else {
-                arena.mark_reachable(scratch, roots, None);
-                tracker.start_recording();
-                arena
-                    .live_slots()
-                    .filter(|&slot| !scratch.is_marked(slot))
-                    .collect()
-            }
-        };
-        let freed: BTreeSet<ObjectId> = doomed
-            .iter()
-            .map(|&slot| self.arena().id_at(slot))
-            .collect();
+        let doomed = self.tracker.unheld_suspects(&self.arena, &mut self.scratch);
+        let freed: BTreeSet<ObjectId> = doomed.iter().map(|&slot| self.arena.id_at(slot)).collect();
         #[cfg(debug_assertions)]
         assert_eq!(
             freed,
@@ -102,12 +84,13 @@ impl SiteHeap {
         self.sweep(&doomed);
         self.drop_roots_of_collected(&freed);
 
-        let live = self.len();
-        let stats = self.stats_mut();
-        stats.collections += 1;
-        stats.collected += freed.len() as u64;
+        self.stats.collections += 1;
+        self.stats.collected += freed.len() as u64;
 
-        CollectionOutcome { freed, live }
+        CollectionOutcome {
+            freed,
+            live: self.len(),
+        }
     }
 
     /// Computes, without mutating the heap, the set of objects a collection
@@ -126,7 +109,7 @@ impl SiteHeap {
     /// alone (ignoring global roots). Global roots in this set belong to the
     /// site's *actual* root set no matter what GGD decides.
     pub fn locally_rooted(&self) -> BTreeSet<ObjectId> {
-        self.reachable_from(self.local_root_set().iter().copied())
+        self.reachable_from(self.local_roots.iter().copied())
     }
 }
 
@@ -236,18 +219,10 @@ mod tests {
     // hand, so they also mean something in a release build.
     // ------------------------------------------------------------------
 
-    /// A heap past its unknown-history collection: one local root, tracker
-    /// active and recording, so every later `collect` takes the bounded path.
-    fn recording_heap() -> (SiteHeap, ObjectId) {
+    /// A fresh heap with one local root.
+    fn rooted_heap() -> (SiteHeap, ObjectId) {
         let mut h = heap();
         let root = h.alloc_local_root();
-        let _ = h.take_delta();
-        assert!(
-            !h.tracker().is_recording(),
-            "history is unknown until a full trace"
-        );
-        assert!(h.collect().is_noop());
-        assert!(h.tracker().is_recording());
         (h, root)
     }
 
@@ -257,18 +232,18 @@ mod tests {
 
     #[test]
     fn fresh_object_never_linked_is_freed() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let kept = h.alloc();
         link(&mut h, root, kept);
         let orphan = h.alloc();
         assert_eq!(h.collect().freed, BTreeSet::from([orphan]));
         assert!(h.collect().is_noop(), "nothing changed since");
-        assert_eq!(h.stats().collections, 3, "no-op calls still count");
+        assert_eq!(h.stats().collections, 2, "no-op calls still count");
     }
 
     #[test]
     fn cycle_cut_by_one_unlink_is_freed_whole() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let (a, b, c) = (h.alloc(), h.alloc(), h.alloc());
         link(&mut h, root, a);
         link(&mut h, a, b);
@@ -281,7 +256,7 @@ mod tests {
 
     #[test]
     fn suspect_held_from_outside_the_region_survives_with_its_subtree() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let (holder, shared, leaf) = (h.alloc(), h.alloc(), h.alloc());
         link(&mut h, root, holder);
         link(&mut h, root, shared);
@@ -297,7 +272,7 @@ mod tests {
 
     #[test]
     fn garbage_pointing_into_a_live_structure_neither_keeps_nor_frees_it() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let (live, leaf) = (h.alloc(), h.alloc());
         link(&mut h, root, live);
         link(&mut h, live, leaf);
@@ -315,7 +290,7 @@ mod tests {
 
     #[test]
     fn demoted_global_root_reachable_from_a_local_root_survives() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let (exported, child, lone) = (h.alloc(), h.alloc(), h.alloc());
         link(&mut h, root, exported);
         link(&mut h, exported, child);
@@ -331,7 +306,7 @@ mod tests {
 
     #[test]
     fn slot_reused_between_collections_carries_no_stale_state() {
-        let (mut h, root) = recording_heap();
+        let (mut h, root) = rooted_heap();
         let doomed = h.alloc();
         let doomed_slot = h.slot_of(doomed).unwrap().index();
         link(&mut h, root, doomed);
@@ -350,20 +325,20 @@ mod tests {
     #[test]
     fn bounded_sweep_leaves_the_free_list_of_a_full_sweep() {
         // Suspects arrive in descending slot order; slot reuse must still
-        // match a heap that never activates its tracker.
-        let (mut bounded, root) = recording_heap();
-        let mut full = heap();
-        assert_eq!(full.alloc_local_root(), root);
+        // match the heap's image twin, whose suspects come from one mark in
+        // ascending slot order.
+        let (mut h, root) = rooted_heap();
+        let objs: Vec<ObjectId> = (0..4).map(|_| h.alloc()).collect();
+        for &obj in &objs {
+            link(&mut h, root, obj);
+        }
+        for &obj in objs.iter().rev() {
+            h.remove_ref(root, ObjRef::Local(obj)).unwrap();
+        }
+        let mut twin = SiteHeap::from_image(&h.image());
         let mut tenants = Vec::new();
-        for h in [&mut bounded, &mut full] {
-            let objs: Vec<ObjectId> = (0..4).map(|_| h.alloc()).collect();
-            for &obj in &objs {
-                link(h, root, obj);
-            }
-            for &obj in objs.iter().rev() {
-                h.remove_ref(root, ObjRef::Local(obj)).unwrap();
-            }
-            assert_eq!(h.collect().freed.len(), 4);
+        for h in [&mut h, &mut twin] {
+            assert_eq!(h.collect().freed, objs.iter().copied().collect());
             let slots: Vec<u32> = (0..4)
                 .map(|_| {
                     let id = h.alloc();
@@ -372,33 +347,37 @@ mod tests {
                 .collect();
             tenants.push(slots);
         }
-        assert!(bounded.tracker().is_recording() && !full.tracker().is_recording());
         assert_eq!(tenants[0], tenants[1]);
     }
 
     #[test]
-    fn first_collection_after_from_image_runs_the_full_trace() {
-        let (mut h, root) = recording_heap();
+    fn first_collection_after_from_image_frees_the_garbage_it_carried() {
+        let (mut h, root) = rooted_heap();
         let kept = h.alloc();
         link(&mut h, root, kept);
+        let remote = GlobalAddr::new(1, 1);
+        h.add_ref(kept, ObjRef::Remote(remote)).unwrap();
         let orphan = h.alloc();
-        // The image carries no suspects: the orphan is found only because a
-        // restored heap's history is unknown, tracker primed or not.
+        link(&mut h, orphan, kept);
+        // The image carries no suspects: the restore finds the orphan by
+        // one mark from the roots, with no delta taken first.
         let mut restored = SiteHeap::from_image(&h.image());
-        let _ = restored.take_delta();
-        assert!(!restored.tracker().is_recording());
         assert_eq!(restored.collect().freed, BTreeSet::from([orphan]));
-        assert!(restored.tracker().is_recording());
         assert_eq!(h.collect().freed, BTreeSet::from([orphan]));
         assert_eq!(restored, h);
+        // The restored cache is the restored state, so the first delta
+        // reports nothing the image already held.
+        assert!(restored.take_delta().is_empty());
+        assert!(restored.cached_snapshot().root_reaches(remote));
     }
 
     /// Drives `steps` pseudo-random mutator steps through two heaps: `lazy`
-    /// collects at an irregular cadence (bounded traces once its tracker is
-    /// recording) and goes through an image round trip mid-stream; `eager`
-    /// never activates its tracker and runs the full trace after every
-    /// step. Operands are drawn from the objects `eager` still holds — what
-    /// a mutator can reach — so both heaps accept the same stream.
+    /// collects at an irregular cadence and goes through an image round
+    /// trip mid-stream; `eager` collects after every step. Every collection
+    /// of either must free exactly what `would_collect` names just before
+    /// it, so the full trace stays the reference in release builds too.
+    /// Operands are drawn from the objects `eager` still holds — what a
+    /// mutator can reach — so both heaps accept the same stream.
     fn lazy_and_eager_twins_agree(seed: u64, steps: u64, deltas: bool) {
         let mut state = seed;
         let mut next = move || {
@@ -450,7 +429,13 @@ mod tests {
                     }
                 }
             }
-            eager.collect();
+            if step == steps / 2 {
+                // Garbage the image below carries: only the restore's root
+                // mark can make it a suspect.
+                lazy.alloc();
+                eager.alloc();
+            }
+            collect_checked(&mut eager);
             if deltas && next() % 3 == 0 {
                 let _ = lazy.take_delta();
                 assert!(lazy.tracker_is_consistent(), "step {step}: tracker");
@@ -459,16 +444,21 @@ mod tests {
                 lazy = SiteHeap::from_image(&lazy.image());
             }
             if next() % 5 == 0 {
-                lazy.collect();
+                collect_checked(&mut lazy);
                 assert_eq!(lazy.image().objects, eager.image().objects, "step {step}");
             }
         }
-        lazy.collect();
+        collect_checked(&mut lazy);
         assert_eq!(lazy.image().objects, eager.image().objects);
-        assert_eq!(lazy.local_root_set(), eager.local_root_set());
-        assert_eq!(lazy.global_root_set(), eager.global_root_set());
+        assert_eq!(lazy.local_roots, eager.local_roots);
+        assert_eq!(lazy.global_roots, eager.global_roots);
         assert_eq!(lazy.stats().collected, eager.stats().collected);
-        assert_eq!(lazy.tracker().is_recording(), deltas);
+    }
+
+    /// Collects, checking the freed set against the full trace.
+    fn collect_checked(h: &mut SiteHeap) {
+        let expected = h.would_collect();
+        assert_eq!(h.collect().freed, expected);
     }
 
     #[test]
@@ -479,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn collection_cadence_is_invisible_without_a_tracker() {
+    fn collection_cadence_is_invisible_without_deltas() {
         lazy_and_eager_twins_agree(0x9e37_79b9_7f4a_7c15, 2_000, false);
     }
 }

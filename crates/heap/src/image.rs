@@ -15,9 +15,10 @@
 //! [`ObjectSlot`]: crate::ObjectSlot
 //!
 //! The incremental-delta tracker is deliberately *not* part of the image:
-//! it is a cache, rebuilt from the restored heap by the first
-//! [`SiteHeap::take_delta`] call (`ggd-sim`'s recovery path primes it before
-//! replaying, see `SiteRuntime::recover`).
+//! it is a cache, which [`SiteHeap::from_image`] rebuilds from the restored
+//! heap. The first [`SiteHeap::take_delta`] after a restore therefore
+//! reports only what changed since, and the first [`SiteHeap::collect`]
+//! frees exactly the garbage the image carried plus whatever died since.
 
 use std::collections::BTreeSet;
 
@@ -54,30 +55,33 @@ impl SiteHeap {
     pub fn image(&self) -> HeapImage {
         HeapImage {
             site: self.site(),
-            next_object: self.next_object_id(),
+            next_object: self.next_object,
             stats: *self.stats(),
             local_roots: self.local_roots().collect(),
             global_roots: self.global_roots().collect(),
             objects: self.iter().map(|obj| (obj.id(), obj.refs_vec())).collect(),
-            generation: self.arena().image_generation(),
+            generation: self.arena.image_generation(),
         }
     }
 
-    /// Rebuilds a heap from a checkpoint image. The delta tracker starts
-    /// inactive, exactly as on a fresh heap; every slot of the rebuilt slab
-    /// starts at the image's generation watermark.
+    /// Rebuilds a heap from a checkpoint image. Every slot of the rebuilt
+    /// slab starts at the image's generation watermark. The image holds no
+    /// history, so the delta tracker is primed once from the rebuilt heap:
+    /// its cache is the restored snapshot, and the objects no root reaches
+    /// are the next collection's suspects.
     pub fn from_image(image: &HeapImage) -> SiteHeap {
         let mut heap = SiteHeap::new(image.site);
-        heap.set_next_object_id(image.next_object);
-        *heap.stats_mut() = image.stats;
-        heap.arena_mut().set_watermark(image.generation);
+        heap.next_object = image.next_object;
+        heap.stats = image.stats;
+        heap.arena.set_watermark(image.generation);
         for (id, refs) in &image.objects {
-            let slot = heap.insert_restored(*id);
+            let slot = heap.arena.insert(*id);
             for &r in refs {
-                heap.arena_mut().push_ref(slot, r);
+                heap.arena.push_ref(slot, r);
             }
         }
         heap.set_root_sets(image.local_roots.clone(), image.global_roots.clone());
+        heap.prime_tracker();
         heap
     }
 }

@@ -6,6 +6,10 @@
 //! a flat index, reference lists live in pooled chunks, and root membership
 //! is mirrored into per-slot flags so the delta hot path never touches the
 //! ordered root sets (which are kept for deterministic iteration).
+//!
+//! The `snapshot`, `collect` and `image` modules are further `impl
+//! SiteHeap` blocks, split by topic; they use the crate-visible fields
+//! below directly.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -24,18 +28,12 @@ use crate::snapshot::DeltaTracker;
 pub enum HeapError {
     /// The named object does not exist (never allocated, or already collected).
     UnknownObject(ObjectId),
-    /// A reference to an object of another site was passed where a local
-    /// object of this site was expected.
-    ForeignAddress(GlobalAddr),
 }
 
 impl fmt::Display for HeapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HeapError::UnknownObject(id) => write!(f, "unknown object {id}"),
-            HeapError::ForeignAddress(addr) => {
-                write!(f, "address {addr} does not belong to this site")
-            }
         }
     }
 }
@@ -60,18 +58,19 @@ impl std::error::Error for HeapError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteHeap {
     site: SiteId,
-    arena: Arena,
-    local_roots: BTreeSet<ObjectId>,
-    global_roots: BTreeSet<ObjectId>,
-    next_object: u64,
-    stats: HeapStats,
+    pub(crate) arena: Arena,
+    pub(crate) local_roots: BTreeSet<ObjectId>,
+    pub(crate) global_roots: BTreeSet<ObjectId>,
+    pub(crate) next_object: u64,
+    pub(crate) stats: HeapStats,
     /// Incremental-delta bookkeeping (see [`SiteHeap::take_delta`]) and the
-    /// collector's suspect list (see [`SiteHeap::collect`]); not part of the
-    /// heap's logical identity, so it is excluded from equality and rebuilt
-    /// lazily on the first delta request.
-    tracker: DeltaTracker,
+    /// collector's suspect list (see [`SiteHeap::collect`]). It records
+    /// every mutation from the heap's birth; a heap restored from an image
+    /// primes it once instead. Not part of the heap's logical identity, so
+    /// it is excluded from equality.
+    pub(crate) tracker: DeltaTracker,
     /// Reusable traversal buffers (marks, stack, visit list).
-    scratch: Scratch,
+    pub(crate) scratch: Scratch,
 }
 
 impl PartialEq for SiteHeap {
@@ -102,7 +101,7 @@ impl SiteHeap {
             global_roots: BTreeSet::new(),
             next_object: 1,
             stats: HeapStats::default(),
-            tracker: DeltaTracker::default(),
+            tracker: DeltaTracker::new(site),
             scratch: Scratch::default(),
         }
     }
@@ -117,7 +116,7 @@ impl SiteHeap {
         let id = ObjectId::new(self.next_object);
         self.next_object += 1;
         let slot = self.arena.insert(id);
-        self.tracker.grow_to(self.arena.slot_count());
+        self.tracker.ensure_capacity(self.arena.slot_count());
         // Unrooted and unreferenced: garbage until something links it.
         self.tracker.note_suspect(slot);
         self.stats.allocated += 1;
@@ -140,19 +139,6 @@ impl SiteHeap {
     /// The global address of a local object.
     pub fn addr_of(&self, id: ObjectId) -> GlobalAddr {
         GlobalAddr::from_parts(self.site, id)
-    }
-
-    /// The local identity behind a global address, when it names this site.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::ForeignAddress`] for addresses of other sites.
-    pub fn local_id(&self, addr: GlobalAddr) -> Result<ObjectId, HeapError> {
-        if addr.site() == self.site {
-            Ok(addr.object())
-        } else {
-            Err(HeapError::ForeignAddress(addr))
-        }
     }
 
     /// True when the object currently exists on this heap.
@@ -346,11 +332,9 @@ impl SiteHeap {
             .arena
             .slot_of(from)
             .ok_or(HeapError::UnknownObject(from))?;
-        if self.tracker.is_active() {
-            for r in self.arena.refs(from_slot) {
-                let target_slot = r.as_local().and_then(|t| self.arena.slot_of(t));
-                self.tracker.note_ref_removed(from_slot, r, target_slot);
-            }
+        for r in self.arena.refs(from_slot) {
+            let target_slot = r.as_local().and_then(|t| self.arena.slot_of(t));
+            self.tracker.note_ref_removed(from_slot, r, target_slot);
         }
         self.arena.clear_refs(from_slot);
         Ok(())
@@ -455,60 +439,8 @@ impl SiteHeap {
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal plumbing
+    // Crate-internal helpers
     // ------------------------------------------------------------------
-
-    pub(crate) fn arena(&self) -> &Arena {
-        &self.arena
-    }
-
-    /// Split borrow for scratch-based traversals: the arena, the traversal
-    /// buffers and both root sets, all at once.
-    pub(crate) fn traversal_parts(
-        &mut self,
-    ) -> (
-        &Arena,
-        &mut Scratch,
-        &BTreeSet<ObjectId>,
-        &BTreeSet<ObjectId>,
-    ) {
-        (
-            &self.arena,
-            &mut self.scratch,
-            &self.local_roots,
-            &self.global_roots,
-        )
-    }
-
-    pub(crate) fn tracker(&self) -> &DeltaTracker {
-        &self.tracker
-    }
-
-    pub(crate) fn take_tracker(&mut self) -> DeltaTracker {
-        std::mem::take(&mut self.tracker)
-    }
-
-    pub(crate) fn put_tracker(&mut self, tracker: DeltaTracker) {
-        self.tracker = tracker;
-    }
-
-    /// Split borrow for a collection: the traversal parts plus the tracker
-    /// whose suspects bound the trace.
-    pub(crate) fn collection_parts(
-        &mut self,
-    ) -> (
-        &Arena,
-        &mut Scratch,
-        &mut DeltaTracker,
-        impl Iterator<Item = ObjectId> + '_,
-    ) {
-        (
-            &self.arena,
-            &mut self.scratch,
-            &mut self.tracker,
-            self.local_roots.iter().chain(&self.global_roots).copied(),
-        )
-    }
 
     /// Frees the traced-dead `slots`, in the order given. The tracker first
     /// unhooks every doomed slot from its targets' predecessor lists, while
@@ -516,35 +448,15 @@ impl SiteHeap {
     /// every snapshot source, so no surviving vertex's reachable set changes
     /// — no dirt is recorded for survivors.
     pub(crate) fn sweep(&mut self, slots: &[u32]) {
-        if self.tracker.is_active() {
-            for &slot in slots {
-                for target in self.arena.local_targets(slot) {
-                    self.tracker.remove_pred(target, slot);
-                }
-                self.tracker.note_freed_slot(slot);
+        for &slot in slots {
+            for target in self.arena.local_targets(slot) {
+                self.tracker.remove_pred(target, slot);
             }
+            self.tracker.note_freed_slot(slot);
         }
         for &slot in slots {
             self.arena.free(slot);
         }
-    }
-
-    pub(crate) fn next_object_id(&self) -> u64 {
-        self.next_object
-    }
-
-    pub(crate) fn set_next_object_id(&mut self, next: u64) {
-        self.next_object = next;
-    }
-
-    /// Inserts an object while rebuilding from a checkpoint image. The
-    /// caller pushes the references afterwards and sets the root sets last.
-    pub(crate) fn insert_restored(&mut self, id: ObjectId) -> u32 {
-        self.arena.insert(id)
-    }
-
-    pub(crate) fn arena_mut(&mut self) -> &mut Arena {
-        &mut self.arena
     }
 
     pub(crate) fn set_root_sets(
@@ -574,23 +486,11 @@ impl SiteHeap {
         }
     }
 
-    pub(crate) fn local_root_set(&self) -> &BTreeSet<ObjectId> {
-        &self.local_roots
-    }
-
-    pub(crate) fn global_root_set(&self) -> &BTreeSet<ObjectId> {
-        &self.global_roots
-    }
-
     pub(crate) fn roots_for_local_gc(&self) -> BTreeSet<ObjectId> {
         self.local_roots
             .union(&self.global_roots)
             .copied()
             .collect()
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut HeapStats {
-        &mut self.stats
     }
 
     pub(crate) fn drop_roots_of_collected(&mut self, freed: &BTreeSet<ObjectId>) {
@@ -635,12 +535,7 @@ mod tests {
         let a = h.alloc();
         let addr = h.addr_of(a);
         assert_eq!(addr.site(), SiteId::new(0));
-        assert_eq!(h.local_id(addr).unwrap(), a);
-        let foreign = GlobalAddr::new(9, 1);
-        assert_eq!(
-            h.local_id(foreign).unwrap_err(),
-            HeapError::ForeignAddress(foreign)
-        );
+        assert_eq!(addr.object(), a);
     }
 
     #[test]
@@ -783,9 +678,6 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(!HeapError::UnknownObject(ObjectId::new(1))
-            .to_string()
-            .is_empty());
-        assert!(!HeapError::ForeignAddress(GlobalAddr::new(1, 1))
             .to_string()
             .is_empty());
     }

@@ -126,16 +126,6 @@ impl ReachabilitySnapshot {
         }
     }
 
-    /// Total number of edges in the snapshot.
-    pub fn edge_count(&self) -> usize {
-        self.from_local_roots.len()
-            + self
-                .per_global_root
-                .values()
-                .map(|targets| targets.len())
-                .sum::<usize>()
-    }
-
     /// Builds a snapshot from its parts: the remotes the local root set
     /// reaches, the remotes each global root reaches, and the global roots
     /// the local root set reaches.
@@ -227,13 +217,13 @@ impl SiteHeap {
     /// objects the local root set reaches, found by the same traversal.
     fn rescan(&self) -> (ReachabilitySnapshot, BTreeSet<ObjectId>) {
         let (locally_reachable, from_local_roots) =
-            self.reach_with_remotes(self.local_root_set().iter().copied());
+            self.reach_with_remotes(self.local_roots.iter().copied());
         let mut snapshot = ReachabilitySnapshot {
             site: self.site(),
             from_local_roots: from_local_roots.into_iter().collect(),
             ..ReachabilitySnapshot::default()
         };
-        for id in self.global_root_set() {
+        for id in &self.global_roots {
             let targets = self.remote_reachable_from([*id]).into_iter().collect();
             snapshot.per_global_root.insert(*id, targets);
             if locally_reachable.contains(id) {
@@ -446,13 +436,13 @@ impl fmt::Display for EdgeDelta {
 /// reverse-edge multiset, word-packed dirty/rootedness bitsets, the
 /// references added since the last delta, and the running snapshot cache.
 ///
-/// The tracker starts inactive and costs nothing until the first
-/// `take_delta` call activates it (heaps only ever snapshotted — unit
-/// tests, examples — never pay for it). Activation rebuilds the
-/// reverse-edge map and reports the diff from the empty snapshot as the
-/// first delta: the heap's entire current contribution, exactly what a
-/// collector that has seen nothing yet needs. In debug builds every later
-/// delta is checked against a full rescan and its
+/// A fresh heap's tracker starts from the empty snapshot of its site and
+/// notes every mutation from then on, so its first delta is the heap's
+/// entire contribution so far — exactly what a collector that has seen
+/// nothing yet needs — and comes out of the ordinary incremental paths. A
+/// heap restored from an image primes the tracker once instead
+/// ([`SiteHeap::prime_tracker`]). In debug builds every delta, the first
+/// included, is checked against a full rescan and its
 /// [`ReachabilitySnapshot::diff`].
 ///
 /// The same reverse edges bound the local collector's trace, so the tracker
@@ -460,7 +450,6 @@ impl fmt::Display for EdgeDelta {
 /// [`DeltaTracker::unheld_suspects`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaTracker {
-    active: bool,
     /// Reverse local-edge multiset, slot-indexed:
     /// `target slot → [(pred slot, occurrence count)]`.
     preds: Vec<Vec<(u32, u32)>>,
@@ -501,31 +490,30 @@ pub(crate) struct DeltaTracker {
     /// In a window that only removed references: the sorted remotes a
     /// source can have lost (see `SiteHeap::gather_lost`).
     lost: Vec<GlobalAddr>,
-    /// True once a collection has run its full trace under this tracker:
-    /// from then on every survivor was reachable at the last collection and
-    /// `suspects` holds every way that can have stopped being true since.
-    recording: bool,
     /// Slots that may have become garbage since the last collection: fresh
     /// allocations, local targets of removed references, demoted roots.
-    /// Duplicates are allowed; no slot is freed between collections, so the
-    /// indices stay valid until the next one drains the list.
+    /// Every survivor of the last collection was reachable then, so these
+    /// are the only ways anything can have died since. Duplicates are
+    /// allowed; no slot is freed between collections, so the indices stay
+    /// valid until the next one drains the list.
     suspects: Vec<u32>,
 }
 
 impl DeltaTracker {
-    pub(crate) fn is_active(&self) -> bool {
-        self.active
+    /// The tracker of a fresh heap of `site`: nothing recorded yet, and the
+    /// empty snapshot as its cache.
+    pub(crate) fn new(site: SiteId) -> Self {
+        DeltaTracker {
+            cache: ReachabilitySnapshot {
+                site,
+                ..ReachabilitySnapshot::default()
+            },
+            ..DeltaTracker::default()
+        }
     }
 
     /// Sizes every slot-indexed side table for a slab of `slots` slots.
-    pub(crate) fn grow_to(&mut self, slots: usize) {
-        if !self.active {
-            return;
-        }
-        self.ensure_capacity(slots);
-    }
-
-    fn ensure_capacity(&mut self, slots: usize) {
+    pub(crate) fn ensure_capacity(&mut self, slots: usize) {
         if self.preds.len() < slots {
             self.preds.resize_with(slots, Vec::new);
             self.mark.resize(slots, 0);
@@ -561,9 +549,6 @@ impl DeltaTracker {
     /// `from` gained the reference `to`; `target` is its slot when `to` is
     /// local.
     pub(crate) fn note_ref_added(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
-        if !self.active {
-            return;
-        }
         if let Some(target) = target {
             self.add_pred(target, from);
         }
@@ -574,9 +559,6 @@ impl DeltaTracker {
     /// `from` lost one occurrence of the reference `to`; `target` is its
     /// slot when `to` is local and still resident.
     pub(crate) fn note_ref_removed(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
-        if !self.active {
-            return;
-        }
         self.shrunk = true;
         self.removed.push(to);
         // The target may already be gone when dangling slots to collected
@@ -597,24 +579,18 @@ impl DeltaTracker {
     /// `slot` may have just become garbage: it is fresh, or it lost an
     /// incoming reference or its root status.
     pub(crate) fn note_suspect(&mut self, slot: u32) {
-        if self.recording {
-            self.suspects.push(slot);
-        }
+        self.suspects.push(slot);
     }
 
     pub(crate) fn note_anchor_dirty(&mut self) {
-        if self.active {
-            self.anchor_dirty = true;
-        }
+        self.anchor_dirty = true;
     }
 
     /// A fresh object became a local root; it reaches nothing yet, so the
     /// rootedness bitset can be extended in place instead of marking the
     /// whole anchor dirty.
     pub(crate) fn note_fresh_local_root(&mut self, slot: u32) {
-        if self.active {
-            self.set_rooted(slot);
-        }
+        self.set_rooted(slot);
     }
 
     fn set_rooted(&mut self, slot: u32) {
@@ -622,17 +598,11 @@ impl DeltaTracker {
     }
 
     pub(crate) fn note_root_added(&mut self, id: ObjectId) {
-        if !self.active {
-            return;
-        }
         self.roots_removed.remove(&id);
         self.roots_added.insert(id);
     }
 
     pub(crate) fn note_root_removed(&mut self, id: ObjectId) {
-        if !self.active {
-            return;
-        }
         self.roots_added.remove(&id);
         // A removal only needs announcing when the vertex existed at the
         // previous delta; a register/unregister pair inside one window
@@ -699,20 +669,6 @@ impl DeltaTracker {
             self.epoch = 1;
         }
         self.epoch
-    }
-
-    /// True when `suspects` covers everything that can have died since the
-    /// last collection, i.e. a collection may trust it instead of tracing
-    /// the whole heap.
-    pub(crate) fn is_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// A full trace just ran: whatever history was missing no longer
-    /// matters, so an active tracker records suspects from here on.
-    pub(crate) fn start_recording(&mut self) {
-        self.suspects.clear();
-        self.recording = self.active;
     }
 
     /// The change-proportional trace: returns, in ascending slot order,
@@ -828,19 +784,16 @@ impl DeltaTracker {
 }
 
 impl SiteHeap {
-    /// The incrementally maintained snapshot. Only meaningful once the
-    /// tracker is active, i.e. after the first [`SiteHeap::take_delta`]
-    /// call; it then always reflects the state as of the latest delta.
+    /// The incrementally maintained snapshot, as of the latest
+    /// [`SiteHeap::take_delta`] (the empty snapshot before the first one on
+    /// a fresh heap, the restored state on a heap rebuilt from an image).
     pub fn cached_snapshot(&self) -> &ReachabilitySnapshot {
-        &self.tracker().cache
+        &self.tracker.cache
     }
 
     /// True when the incrementally maintained snapshot agrees with a fresh
     /// full rescan.
     pub fn tracker_is_consistent(&self) -> bool {
-        if !self.tracker().is_active() {
-            return true;
-        }
         let (snapshot, rooted) = self.rescan();
         self.matches_rescan(&snapshot, &rooted)
     }
@@ -849,11 +802,11 @@ impl SiteHeap {
     /// bitset agrees with the rescanned local-root reach on every live
     /// slot, carrying no stray bits on dead ones.
     fn matches_rescan(&self, snapshot: &ReachabilitySnapshot, rooted: &BTreeSet<ObjectId>) -> bool {
-        let tracker = self.tracker();
+        let tracker = &self.tracker;
         if tracker.cache != *snapshot {
             return false;
         }
-        let arena = self.arena();
+        let arena = &self.arena;
         let mut live_rooted = 0usize;
         for slot in arena.live_slots() {
             let bit = tracker.is_rooted_slot(slot);
@@ -883,12 +836,13 @@ impl SiteHeap {
     /// proportional to the heap, and a mutation that touched nothing
     /// relevant returns an empty delta without traversing anything.
     ///
-    /// Debug builds check every delta after the first against one full
-    /// rescan: the cache must equal it, and the delta must equal the
-    /// [`ReachabilitySnapshot::diff`] from the previous cache to it.
+    /// Debug builds check every delta, a fresh heap's first included,
+    /// against one full rescan: the cache must equal it, and the delta must
+    /// equal the [`ReachabilitySnapshot::diff`] from the previous cache to
+    /// it.
     pub fn take_delta(&mut self) -> EdgeDelta {
-        if cfg!(debug_assertions) && self.tracker().is_active() {
-            let dirty = self.tracker().has_dirt();
+        if cfg!(debug_assertions) {
+            let dirty = self.tracker.has_dirt();
             let before = dirty.then(|| self.cached_snapshot().clone());
             let delta = self.next_delta();
             self.assert_matches_rescan(before.as_ref().unwrap_or(self.cached_snapshot()), &delta);
@@ -899,21 +853,18 @@ impl SiteHeap {
 
     /// [`SiteHeap::take_delta`] without the debug-build check.
     fn next_delta(&mut self) -> EdgeDelta {
-        if !self.tracker().is_active() {
-            return self.activate_tracker();
-        }
         let mut delta = EdgeDelta::empty(self.site());
-        if !self.tracker().has_dirt() {
+        if !self.tracker.has_dirt() {
             return delta;
         }
-        let mut tracker = self.take_tracker();
+        let mut tracker = std::mem::take(&mut self.tracker);
         if tracker.is_grow_only() {
             self.extend_along_additions(&mut tracker, &mut delta);
         } else {
             self.recompute_affected(&mut tracker, &mut delta);
         }
         tracker.clear_dirt();
-        self.put_tracker(tracker);
+        self.tracker = tracker;
         delta.in_replay_order()
     }
 
@@ -949,7 +900,7 @@ impl SiteHeap {
             match to {
                 ObjRef::Remote(addr) => tracker.reach.push(addr),
                 ObjRef::Local(target) => {
-                    let (arena, scratch, _, _) = self.traversal_parts();
+                    let (arena, scratch) = (&self.arena, &mut self.scratch);
                     let seed = std::iter::once(target);
                     arena.mark_reachable(scratch, seed, Some(&mut tracker.reach));
                     // The first added edge on any path from a local root
@@ -979,7 +930,7 @@ impl SiteHeap {
                 );
             }
             tracker.compute_reaching(from);
-            let arena = self.arena();
+            let arena = &self.arena;
             for &slot in &tracker.affected {
                 if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
                     continue;
@@ -1005,7 +956,7 @@ impl SiteHeap {
         // A registered root reports rootedness off the now-extended bitset.
         for &root in &tracker.roots_added {
             let is = self
-                .arena()
+                .arena
                 .slot_of(root)
                 .is_some_and(|s| tracker.is_rooted_slot(s));
             if is && tracker.cache.locally_rooted_global_roots.insert(root) {
@@ -1028,7 +979,7 @@ impl SiteHeap {
         let mut anchor_affected = tracker.anchor_dirty;
         let mut sources: Vec<ObjectId> = Vec::new();
         {
-            let arena = self.arena();
+            let arena = &self.arena;
             for &slot in &tracker.affected {
                 if arena.has_flag(slot, FLAG_LOCAL_ROOT) {
                     anchor_affected = true;
@@ -1067,9 +1018,9 @@ impl SiteHeap {
         // the affected region (otherwise nothing reachable from the local
         // root set changed, so neither can any global root's rootedness).
         if anchor_affected {
-            let (arena, scratch, local_roots, global_roots) = self.traversal_parts();
+            let (arena, scratch) = (&self.arena, &mut self.scratch);
             tracker.reach.clear();
-            let seeds = local_roots.iter().copied();
+            let seeds = self.local_roots.iter().copied();
             arena.mark_reachable(scratch, seeds, Some(&mut tracker.reach));
             refresh_list(
                 VertexId::SiteRoot(site),
@@ -1081,7 +1032,7 @@ impl SiteHeap {
             // After the removed-roots pass above, every cached rootedness
             // entry names a current global root, so one in-place sweep over
             // the root set finds every transition.
-            for &root in global_roots {
+            for &root in &self.global_roots {
                 let is = arena.slot_of(root).is_some_and(|s| scratch.is_marked(s));
                 let was = tracker.cache.locally_rooted_global_roots.contains(&root);
                 if was != is {
@@ -1100,7 +1051,7 @@ impl SiteHeap {
             // that happen to sit in the (still-valid) rooted bitset. A root
             // re-added in this window is already in the cache and reports
             // nothing — exactly what a snapshot diff would say.
-            let arena = self.arena();
+            let arena = &self.arena;
             for &root in &tracker.roots_added {
                 let is = arena
                     .slot_of(root)
@@ -1124,7 +1075,7 @@ impl SiteHeap {
     /// unbounded, when a removed local target no longer resolves — a
     /// collection in the window freed it, or it was gone already.
     fn gather_lost(&mut self, tracker: &mut DeltaTracker) -> bool {
-        let (arena, scratch, _, _) = self.traversal_parts();
+        let (arena, scratch) = (&self.arena, &mut self.scratch);
         tracker.lost.clear();
         let mut any_local = false;
         for &target in &tracker.removed {
@@ -1157,45 +1108,43 @@ impl SiteHeap {
         edges: &mut Vec<VertexEdgeDelta>,
     ) {
         reach.clear();
-        let (arena, scratch, _, _) = self.traversal_parts();
-        arena.mark_reachable(scratch, std::iter::once(root), Some(reach));
+        let seed = std::iter::once(root);
+        self.arena
+            .mark_reachable(&mut self.scratch, seed, Some(reach));
         let vertex = VertexId::Object(GlobalAddr::from_parts(self.site(), root));
         let cached = cache.per_global_root.entry(root).or_default();
         refresh_list(vertex, cached, reach, edges);
     }
 
-    /// First `take_delta` on this heap: rebuild the reverse-edge map from
-    /// the object graph, adopt the empty snapshot as baseline, and report
-    /// the heap's entire current contribution as one delta.
-    fn activate_tracker(&mut self) -> EdgeDelta {
-        let site = self.site();
+    /// Primes the tracker of a heap whose history is unknown — one just
+    /// rebuilt from an image — so that its next delta reports only what
+    /// changes from here on, and its next collection is exact. One pass
+    /// over the slab gives the reverse edges and one rescan the rootedness
+    /// bitset and the cache; one mark from both root sets finds the garbage
+    /// the image carried, and every slot it leaves unreached becomes a
+    /// suspect (DESIGN.md §6).
+    pub(crate) fn prime_tracker(&mut self) {
         let (snapshot, locally_rooted) = self.rescan();
-        let mut tracker = DeltaTracker {
-            active: true,
-            ..DeltaTracker::default()
-        };
-        {
-            let arena = self.arena();
-            tracker.ensure_capacity(arena.slot_count());
-            for slot in arena.live_slots() {
-                for target in arena.local_targets(slot) {
-                    tracker.add_pred(target, slot);
-                }
-            }
-            for id in &locally_rooted {
-                if let Some(slot) = arena.slot_of(*id) {
-                    tracker.set_rooted(slot);
-                }
+        let (arena, scratch, tracker) = (&self.arena, &mut self.scratch, &mut self.tracker);
+        tracker.ensure_capacity(arena.slot_count());
+        for slot in arena.live_slots() {
+            for target in arena.local_targets(slot) {
+                tracker.add_pred(target, slot);
             }
         }
-        let empty = ReachabilitySnapshot {
-            site,
-            ..ReachabilitySnapshot::default()
-        };
-        let delta = empty.diff(&snapshot);
+        for id in &locally_rooted {
+            if let Some(slot) = arena.slot_of(*id) {
+                tracker.set_rooted(slot);
+            }
+        }
         tracker.cache = snapshot;
-        self.put_tracker(tracker);
-        delta
+        let roots = self.local_roots.iter().chain(&self.global_roots).copied();
+        arena.mark_reachable(scratch, roots, None);
+        for slot in arena.live_slots() {
+            if !scratch.is_marked(slot) {
+                tracker.note_suspect(slot);
+            }
+        }
     }
 }
 
@@ -1223,7 +1172,7 @@ mod tests {
         assert!(snap.global_root_reaches(exported, remote_b));
         assert!(!snap.global_root_reaches(exported, remote_a));
         assert!(!snap.is_locally_rooted(exported));
-        assert_eq!(snap.edge_count(), 2);
+        assert_eq!(snap.edges().len(), 2);
 
         let edges = snap.edges();
         assert!(edges.contains(&(VertexId::SiteRoot(SiteId::new(0)), remote_a)));
@@ -1332,6 +1281,35 @@ mod tests {
     }
 
     #[test]
+    fn fresh_heaps_first_delta_is_the_diff_from_the_empty_snapshot() {
+        let site = SiteId::new(0);
+        let mut h = SiteHeap::new(site);
+        let root = h.alloc_local_root();
+        let (mid, exported, garbage) = (h.alloc(), h.alloc(), h.alloc());
+        h.add_ref(root, ObjRef::Local(mid)).unwrap();
+        h.add_ref(mid, ObjRef::Remote(GlobalAddr::new(1, 1)))
+            .unwrap();
+        h.add_ref(mid, ObjRef::Local(exported)).unwrap();
+        h.add_ref(exported, ObjRef::Remote(GlobalAddr::new(2, 1)))
+            .unwrap();
+        h.add_ref(garbage, ObjRef::Remote(GlobalAddr::new(3, 1)))
+            .unwrap();
+        h.register_global_root(exported).unwrap();
+        assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
+        let empty = ReachabilitySnapshot::from_parts(
+            site,
+            BTreeSet::new(),
+            BTreeMap::new(),
+            BTreeSet::new(),
+        );
+        let delta = h.take_delta();
+        assert_eq!(delta, empty.diff(&h.snapshot()));
+        assert_eq!(delta.rootedness, vec![(exported, true)]);
+        assert_eq!(delta.created().count(), 3);
+        assert!(h.tracker_is_consistent());
+    }
+
+    #[test]
     fn unregistering_a_root_is_reported_as_removal() {
         let mut h = SiteHeap::new(SiteId::new(0));
         let exported = h.alloc();
@@ -1377,8 +1355,8 @@ mod tests {
     /// snapshot diff since `before`. Returns the delta and whether it took
     /// the grow-only path.
     fn take_checked(h: &mut SiteHeap, before: &ReachabilitySnapshot) -> (EdgeDelta, bool) {
-        let tracker = h.tracker();
-        let grow_only = tracker.is_active() && tracker.has_dirt() && tracker.is_grow_only();
+        let tracker = &h.tracker;
+        let grow_only = tracker.has_dirt() && tracker.is_grow_only();
         let delta = h.take_delta();
         assert!(h.tracker_is_consistent(), "cache diverged from rescan");
         assert_eq!(delta, before.diff(&h.snapshot()));
@@ -1401,8 +1379,8 @@ mod tests {
     /// True when the pending window removed references and added none, so
     /// `take_delta` bounds the sources it re-marks by what was cut off.
     fn is_removal_only(h: &SiteHeap) -> bool {
-        let tracker = h.tracker();
-        tracker.is_active() && tracker.added.is_empty() && !tracker.removed.is_empty()
+        let tracker = &h.tracker;
+        tracker.added.is_empty() && !tracker.removed.is_empty()
     }
 
     /// A heap with global root `g` holding the chain `g → a → b → c`, every

@@ -179,22 +179,17 @@ impl<C: Collector> SiteRuntime<C> {
                     restored.restore_state_below(&state, heap.next_object),
                     "collector rejected its own checkpoint during recovery of {site}"
                 );
-                let mut runtime = SiteRuntime {
+                // The restored heap's delta cache is its restored state, the
+                // knowledge the collector was checkpointed with, so the
+                // replayed events below produce exactly the deltas of the
+                // original run.
+                SiteRuntime {
                     site,
                     heap: SiteHeap::from_image(&heap),
                     collector: restored,
                     store: None,
                     obs: SiteObs::disabled(),
-                };
-                // Prime the delta tracker: its first activation reports the
-                // heap's whole contribution as one delta, but the restored
-                // collector already holds that knowledge (it was
-                // checkpointed with it). Discarding the activation delta
-                // here re-aligns tracker and collector, so the replayed
-                // events below produce exactly the deltas of the original
-                // run.
-                let _ = runtime.heap.take_delta();
-                runtime
+                }
             }
             // No checkpoint yet: replay from genesis (also the only path
             // for collectors that cannot checkpoint).
