@@ -131,6 +131,34 @@ mod tests {
     }
 
     #[test]
+    fn restored_tracker_equals_a_rescan() {
+        // Checked here in release builds too: from_image primes the cache
+        // and rootedness bitset by its own marks, not by a rescan.
+        let mut h = SiteHeap::new(SiteId::new(2));
+        let root = h.alloc_local_root();
+        let held = h.alloc();
+        let loose = h.alloc();
+        h.register_global_root(held).unwrap();
+        h.register_global_root(loose).unwrap();
+        h.add_ref(root, ObjRef::Local(held)).unwrap();
+        h.add_ref(root, ObjRef::Remote(GlobalAddr::new(1, 4)))
+            .unwrap();
+        h.add_ref(held, ObjRef::Remote(GlobalAddr::new(3, 9)))
+            .unwrap();
+        h.add_ref(loose, ObjRef::Remote(GlobalAddr::new(3, 9)))
+            .unwrap();
+        h.add_ref(loose, ObjRef::Remote(GlobalAddr::new(0, 2)))
+            .unwrap();
+        h.alloc();
+
+        let back = SiteHeap::from_image(&h.image());
+        assert!(back.tracker_is_consistent());
+        assert_eq!(back.cached_snapshot(), &h.snapshot());
+        assert!(back.cached_snapshot().is_locally_rooted(held));
+        assert!(!back.cached_snapshot().is_locally_rooted(loose));
+    }
+
+    #[test]
     fn restored_heap_behaves_identically_under_unlink() {
         // Slot order matters: remove_ref swaps out the first match.
         let mut h = SiteHeap::new(SiteId::new(0));

@@ -1119,12 +1119,14 @@ impl SiteHeap {
     /// Primes the tracker of a heap whose history is unknown — one just
     /// rebuilt from an image — so that its next delta reports only what
     /// changes from here on, and its next collection is exact. One pass
-    /// over the slab gives the reverse edges and one rescan the rootedness
-    /// bitset and the cache; one mark from both root sets finds the garbage
-    /// the image carried, and every slot it leaves unreached becomes a
-    /// suspect (DESIGN.md §6).
+    /// over the slab gives the reverse edges. One mark from the local roots
+    /// gives the rootedness bitset and the anchor's list, and one mark per
+    /// global root gives that root's list; these are the rescan's
+    /// traversals on the reusable scratch, so the cache equals
+    /// [`SiteHeap::snapshot`]. One mark from both root sets finds the
+    /// garbage the image carried, and every slot it leaves unreached
+    /// becomes a suspect (DESIGN.md §6).
     pub(crate) fn prime_tracker(&mut self) {
-        let (snapshot, locally_rooted) = self.rescan();
         let (arena, scratch, tracker) = (&self.arena, &mut self.scratch, &mut self.tracker);
         tracker.ensure_capacity(arena.slot_count());
         for slot in arena.live_slots() {
@@ -1132,12 +1134,26 @@ impl SiteHeap {
                 tracker.add_pred(target, slot);
             }
         }
-        for id in &locally_rooted {
-            if let Some(slot) = arena.slot_of(*id) {
-                tracker.set_rooted(slot);
+        let sorted = |mut list: Vec<GlobalAddr>| {
+            list.sort_unstable();
+            list.dedup();
+            list
+        };
+        let mut reach = Vec::new();
+        arena.mark_reachable(scratch, self.local_roots.iter().copied(), Some(&mut reach));
+        tracker.set_rooted_from(scratch.visited());
+        tracker.cache.from_local_roots = sorted(reach);
+        for &root in &self.global_roots {
+            let mut reach = Vec::new();
+            arena.mark_reachable(scratch, std::iter::once(root), Some(&mut reach));
+            tracker.cache.per_global_root.insert(root, sorted(reach));
+            if arena
+                .slot_of(root)
+                .is_some_and(|s| tracker.is_rooted_slot(s))
+            {
+                tracker.cache.locally_rooted_global_roots.insert(root);
             }
         }
-        tracker.cache = snapshot;
         let roots = self.local_roots.iter().chain(&self.global_roots).copied();
         arena.mark_reachable(scratch, roots, None);
         for slot in arena.live_slots() {
@@ -1145,6 +1161,10 @@ impl SiteHeap {
                 tracker.note_suspect(slot);
             }
         }
+        debug_assert!(
+            self.tracker_is_consistent(),
+            "primed tracker diverged from a rescan"
+        );
     }
 }
 
