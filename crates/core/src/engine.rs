@@ -6,20 +6,22 @@
 //! or one of its own objects. The engine keeps that state in one record per
 //! vertex: the anchor's in a field of its own, each object's in a table
 //! indexed by `ObjectId::index()` (the shape of the heap arena's
-//! `id_index`), and the log keeps the objects' rows the same way. Only
-//! state keyed by *remote* vertices (rows kept on their behalf, holder
-//! bookkeeping, edge refcounts) lives in ordered maps. The table grows only
-//! from local events — export, receive, delta or snapshot, restore — never
-//! from a control message. Checkpoints and every iteration the engine
+//! `id_index`), and the log keeps the objects' rows the same way. State
+//! keyed by *remote* vertices is found by one hashed lookup: the rows kept
+//! on their behalf, and one `RemoteTarget` record per remote object
+//! holding its edge count and its receive-rule holders. The table grows
+//! only from local events — export, receive, delta or snapshot, restore —
+//! never from a control message. Checkpoints and every iteration the engine
 //! exposes are in ascending vertex order, exactly as if everything were
 //! ordered maps (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
-use ggd_types::{DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId};
+use ggd_types::{DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId};
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::log::{stamp, DkLog, RootedVector};
@@ -101,6 +103,26 @@ impl VertexState {
             Some(memo) => **memo = closure,
             None => self.last_closure = Some(Box::new(closure)),
         }
+    }
+}
+
+/// What the engine keeps about one remote object: how many local vertices
+/// hold an out-edge to it, and which local objects the receive rule
+/// recorded as holders of a reference to it. A record exists only while
+/// one of the two is non-empty.
+#[derive(Debug, Clone, Default)]
+struct RemoteTarget {
+    /// Local vertices holding an out-edge to the target — the O(1) answer
+    /// to "does this site still reach it?" on the delta path. Kept in
+    /// lockstep with the vertices' out-edges.
+    refs: u32,
+    /// Receive-rule holders, sorted and without duplicates.
+    holders: Vec<VertexId>,
+}
+
+impl RemoteTarget {
+    fn is_empty(&self) -> bool {
+        self.refs == 0 && self.holders.is_empty()
     }
 }
 
@@ -186,11 +208,9 @@ pub struct CausalEngine {
     /// Counter, closure memo, out-edges and root and verdict flags of every
     /// local vertex, found by index.
     vertices: LocalVertices,
-    /// Per-target count of local vertices holding an edge to it — the
-    /// O(1) answer to "does this site still reach `target`?" on the delta
-    /// path. Kept in lockstep with the vertices' out-edges.
-    edge_refcounts: BTreeMap<GlobalAddr, u32>,
-    inbound_holders: BTreeMap<GlobalAddr, BTreeSet<VertexId>>,
+    /// Edge count and receive-rule holders of every remote object this
+    /// site reaches or received a reference to.
+    remote: IdMap<GlobalAddr, RemoteTarget>,
     pending_verdicts: Vec<GlobalAddr>,
     outgoing: Vec<Outgoing>,
     stats: EngineStats,
@@ -203,8 +223,7 @@ impl CausalEngine {
             site,
             log: DkLog::new(site),
             vertices: LocalVertices::new(site),
-            edge_refcounts: BTreeMap::new(),
-            inbound_holders: BTreeMap::new(),
+            remote: IdMap::default(),
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
             stats: EngineStats::default(),
@@ -267,8 +286,8 @@ impl CausalEngine {
     // ------------------------------------------------------------------
 
     /// Captures the engine's complete durable state, in the ordered form
-    /// the checkpoint codec writes. The derived out-edge refcount index is
-    /// not included; [`CausalEngine::restore`] rebuilds it.
+    /// the checkpoint codec writes. The derived out-edge counts are not
+    /// included; [`CausalEngine::restore`] rebuilds them.
     pub fn checkpoint(&self) -> EngineCheckpoint {
         let mut checkpoint = EngineCheckpoint {
             site: self.site,
@@ -277,7 +296,12 @@ impl CausalEngine {
             last_closure: BTreeMap::new(),
             edges_out: BTreeMap::new(),
             locally_rooted: BTreeSet::new(),
-            inbound_holders: self.inbound_holders.clone(),
+            inbound_holders: self
+                .remote
+                .iter()
+                .filter(|(_, record)| !record.holders.is_empty())
+                .map(|(&target, record)| (target, record.holders.iter().copied().collect()))
+                .collect(),
             detected: self.detected().collect(),
             pending_verdicts: self.pending_verdicts.clone(),
             outgoing: self.outgoing.clone(),
@@ -334,17 +358,21 @@ impl CausalEngine {
             }
         }
         // Holders are local objects the receive rule bumps; keep no other.
-        let mut inbound_holders = checkpoint.inbound_holders;
-        for holders in inbound_holders.values_mut() {
-            holders.retain(|&holder| vertices.objects.holds(holder));
+        let mut remote = IdMap::default();
+        for (target, holders) in checkpoint.inbound_holders {
+            let holders: Vec<VertexId> = holders
+                .into_iter()
+                .filter(|&holder| vertices.objects.holds(holder))
+                .collect();
+            if !holders.is_empty() {
+                remote.insert(target, RemoteTarget { refs: 0, holders });
+            }
         }
-        inbound_holders.retain(|_, holders| !holders.is_empty());
         let mut engine = CausalEngine {
             site,
             log: checkpoint.log,
             vertices,
-            edge_refcounts: BTreeMap::new(),
-            inbound_holders,
+            remote,
             pending_verdicts: checkpoint.pending_verdicts,
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
@@ -380,11 +408,10 @@ impl CausalEngine {
         let mut dropped = if dead.is_empty() {
             0
         } else {
-            for (_, holders) in self.inbound_holders.iter_mut() {
-                holders.retain(|holder| !dead.contains(holder));
-            }
-            self.inbound_holders
-                .retain(|_, holders| !holders.is_empty());
+            self.remote.retain(|_, record| {
+                record.holders.retain(|holder| !dead.contains(holder));
+                !record.is_empty()
+            });
             self.log.prune_vertices(&dead)
         };
 
@@ -397,8 +424,7 @@ impl CausalEngine {
                 };
                 addr.site() != self.site
                     && row.vector.iter().all(|(_, ts)| !ts.is_live())
-                    && !self.edge_refcounts.contains_key(&addr)
-                    && !self.inbound_holders.contains_key(&addr)
+                    && !self.remote.contains_key(&addr)
             })
             .map(|(vertex, _)| vertex)
             .collect();
@@ -413,8 +439,12 @@ impl CausalEngine {
         // entries keyed by it. Exported objects' rows always carry their
         // recipient placeholders, so no global root's row can match this
         // shape.
-        let holders: BTreeSet<VertexId> =
-            self.inbound_holders.values().flatten().copied().collect();
+        let holders: BTreeSet<VertexId> = self
+            .remote
+            .values()
+            .flat_map(|record| &record.holders)
+            .copied()
+            .collect();
         let inert_local: BTreeSet<VertexId> = self
             .log
             .rows()
@@ -449,8 +479,7 @@ impl CausalEngine {
             keep.insert(vertex);
             keep.extend(row.vector.iter().map(|(q, _)| q));
         }
-        keep.extend(self.edge_refcounts.keys().map(|&a| VertexId::Object(a)));
-        keep.extend(self.inbound_holders.keys().map(|&a| VertexId::Object(a)));
+        keep.extend(self.remote.keys().map(|&a| VertexId::Object(a)));
         keep.extend(
             self.vertices
                 .iter()
@@ -535,8 +564,7 @@ impl CausalEngine {
             state.edges_out.retain(|addr| addr.site() != departed);
         }
         self.rebuild_edge_refcounts();
-        self.inbound_holders
-            .retain(|target, _| target.site() != departed);
+        self.remote.retain(|target, _| target.site() != departed);
         self.outgoing.retain(|out| out.to_site != departed);
 
         // 4. Shrunken closures may expose garbage that only the departed
@@ -568,7 +596,7 @@ impl CausalEngine {
                     vertex.site() == site || closure.iter().any(|(q, _)| q.site() == site)
                 }) || state.edges_out.iter().any(|a| a.site() == site)
             })
-            || self.inbound_holders.keys().any(|a| a.site() == site)
+            || self.remote.keys().any(|a| a.site() == site)
             || self.outgoing.iter().any(|out| out.to_site == site)
     }
 
@@ -638,10 +666,10 @@ impl CausalEngine {
             .row_mut(VertexId::Object(target))
             .vector
             .merge_entry(holder, Timestamp::created(n));
-        self.inbound_holders
-            .entry(target)
-            .or_default()
-            .insert(holder);
+        let holders = &mut self.remote.entry(target).or_default().holders;
+        if let Err(at) = holders.binary_search(&holder) {
+            holders.insert(at, holder);
+        }
         self.stats.lazy_records += 1;
     }
 
@@ -752,7 +780,7 @@ impl CausalEngine {
                 .filter(|target| targets.remove(target))
                 .collect();
             for &target in &created {
-                *self.edge_refcounts.entry(target).or_insert(0) += 1;
+                self.remote.entry(target).or_default().refs += 1;
             }
             for &target in &destroyed {
                 self.drop_edge_refcount(target);
@@ -785,15 +813,16 @@ impl CausalEngine {
                     .vector
                     .set(vertex, Timestamp::destroyed(n));
                 self.stats.edge_destructions += 1;
-                let still_reached = self.edge_refcounts.contains_key(&target);
                 debug_assert_eq!(
-                    still_reached,
+                    self.remote
+                        .get(&target)
+                        .is_some_and(|record| record.refs > 0),
                     self.vertices
                         .iter()
                         .any(|(_, state)| state.edges_out.contains(&target)),
                     "edge refcounts diverged from the out-edges"
                 );
-                self.mark_lost_holders(target, still_reached);
+                self.mark_lost_holders(target);
                 self.queue_destruction(vertex, target);
             }
         }
@@ -898,42 +927,45 @@ impl CausalEngine {
     // ------------------------------------------------------------------
 
     /// When this site as a whole no longer reaches `target` from any of its
-    /// vertices (`still_reached` is the caller's post-state answer), the
-    /// placeholder entries recorded for the local objects that once held the
-    /// reference are marked destroyed so that the bundled edge-destruction
-    /// message supersedes the matching placeholders held at the target's
-    /// site.
-    fn mark_lost_holders(&mut self, target: GlobalAddr, still_reached: bool) {
-        if still_reached {
-            return;
-        }
-        if let Some(holders) = self.inbound_holders.remove(&target) {
-            for holder in holders {
-                let index = self.bump(holder);
-                self.log
-                    .row_mut(VertexId::Object(target))
-                    .vector
-                    .set(holder, Timestamp::destroyed(index));
-            }
+    /// vertices (the edge counts hold the post-state of the whole delta),
+    /// the placeholder entries recorded for the local objects that once
+    /// held the reference are marked destroyed, in ascending holder order,
+    /// so that the bundled edge-destruction message supersedes the matching
+    /// placeholders held at the target's site.
+    fn mark_lost_holders(&mut self, target: GlobalAddr) {
+        let holders = match self.remote.entry(target) {
+            Entry::Occupied(record) if record.get().refs == 0 => record.remove().holders,
+            _ => return,
+        };
+        for holder in holders {
+            let index = self.bump(holder);
+            self.log
+                .row_mut(VertexId::Object(target))
+                .vector
+                .set(holder, Timestamp::destroyed(index));
         }
     }
 
-    /// Recomputes `edge_refcounts` from the vertices' out-edges — used by
+    /// Recomputes the edge counts from the vertices' out-edges — used by
     /// restore and site retirement, which replace edge sets wholesale.
     fn rebuild_edge_refcounts(&mut self) {
-        self.edge_refcounts.clear();
+        for record in self.remote.values_mut() {
+            record.refs = 0;
+        }
         for (_, state) in self.vertices.iter() {
             for &target in &state.edges_out {
-                *self.edge_refcounts.entry(target).or_insert(0) += 1;
+                self.remote.entry(target).or_default().refs += 1;
             }
         }
+        self.remote.retain(|_, record| !record.is_empty());
     }
 
     fn drop_edge_refcount(&mut self, target: GlobalAddr) {
-        if let Some(count) = self.edge_refcounts.get_mut(&target) {
-            *count -= 1;
-            if *count == 0 {
-                self.edge_refcounts.remove(&target);
+        if let Entry::Occupied(mut record) = self.remote.entry(target) {
+            let refs = &mut record.get_mut().refs;
+            *refs = refs.checked_sub(1).expect("every out-edge is counted");
+            if record.get().is_empty() {
+                record.remove();
             }
         }
     }
@@ -997,17 +1029,16 @@ impl CausalEngine {
 
     fn queue_destruction(&mut self, from: VertexId, target: GlobalAddr) {
         let to = VertexId::Object(target);
-        let vector = self
-            .log
-            .row(to)
-            .map(|row| row.vector.clone())
-            .unwrap_or_default();
-        let mut payload = self.outgoing_payload(vector);
-        if let Some(row) = self.log.row(to) {
-            for (&vertex, &(as_of, is_root)) in &row.root_flags {
-                stamp(&mut payload.root_flags, vertex, as_of, is_root);
+        let payload = match self.log.row(to) {
+            Some(row) => {
+                let mut payload = self.outgoing_payload(row.vector.clone());
+                for (&vertex, &(as_of, is_root)) in &row.root_flags {
+                    stamp(&mut payload.root_flags, vertex, as_of, is_root);
+                }
+                payload
             }
-        }
+            None => self.outgoing_payload(DependencyVector::new()),
+        };
         self.stats.destructions_sent += 1;
         self.outgoing.push(Outgoing {
             to_site: target.site(),
@@ -1474,6 +1505,63 @@ mod tests {
             CausalEngine::restore(checkpoint).checkpoint(),
             engine.checkpoint()
         );
+    }
+
+    #[test]
+    fn hashed_remote_state_shows_no_order() {
+        // Two engines of one site take the same history: receives and
+        // third-party sends that each name their own holder and remote
+        // target (so they commute), then one delta that drops every other
+        // edge, then compaction. The first takes the commuting events in
+        // target order, the second in reverse, so their hashed remote state
+        // is built in opposite orders. Nothing they expose may show it.
+        let site = SiteId::new(2);
+        let mut heap = SiteHeap::new(site);
+        let mut events = Vec::new();
+        for i in 0..200u64 {
+            // Targets on sites below and above `site`, so rows fall on
+            // both sides of the local table.
+            let target = addr([0, 1, 3, 4][(i % 4) as usize], i / 4 + 1);
+            let holder = heap.alloc();
+            heap.register_global_root(holder).unwrap();
+            heap.receive_ref(holder, target).unwrap();
+            events.push((heap.addr_of(holder), target, VertexId::object(5, i % 7 + 1)));
+        }
+        let mut twins = [CausalEngine::new(site), CausalEngine::new(site)];
+        for &(holder, target, recipient) in &events {
+            twins[0].on_receive_ref(holder, target);
+            twins[0].on_third_party_send(target, recipient);
+        }
+        for &(holder, target, recipient) in events.iter().rev() {
+            twins[1].on_receive_ref(holder, target);
+            twins[1].on_third_party_send(target, recipient);
+        }
+        let delta = heap.take_delta();
+        for twin in &mut twins {
+            twin.apply_delta(&delta);
+        }
+        for &(holder, target, _) in events.iter().step_by(2) {
+            heap.remove_ref(holder.object(), ObjRef::Remote(target))
+                .unwrap();
+        }
+        let delta = heap.take_delta();
+        for twin in &mut twins {
+            twin.apply_delta(&delta);
+            twin.compact_detected();
+        }
+        let [mut first, mut second] = twins;
+        assert!(first.stats().edge_destructions > 0 && first.stats().lazy_records > 0);
+        assert_eq!(first.take_outgoing(), second.take_outgoing());
+        assert_eq!(first.checkpoint(), second.checkpoint());
+        assert_eq!(first.log().to_string(), second.log().to_string());
+        // A target whose edge is gone lost its holders with it; the others
+        // keep theirs, and restore rebuilds the same records.
+        let holders = first.checkpoint().inbound_holders;
+        assert_eq!(holders.len(), 100);
+        assert!(holders.values().all(|set| set.len() == 1));
+        let restored = CausalEngine::restore(first.checkpoint());
+        assert_eq!(restored.checkpoint(), second.checkpoint());
+        assert_eq!(restored.remote.len(), first.remote.len());
     }
 
     #[test]

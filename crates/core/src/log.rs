@@ -1,15 +1,15 @@
 //! The per-site log `DK` of dependency vectors and the root knowledge that
 //! travels with them.
 //!
-//! A site's log finds the rows of its own objects by index and keeps the
-//! rest ordered; [`DkLog::rows`] still yields one strictly ascending
+//! A site's log finds the rows of its own objects by index and the rest by
+//! one hashed lookup; [`DkLog::rows`] still yields one strictly ascending
 //! sequence (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ggd_types::{DependencyVector, SiteId, Timestamp, VertexId};
+use ggd_types::{DependencyVector, IdMap, SiteId, Timestamp, VertexId};
 
 use crate::table::LocalTable;
 
@@ -113,17 +113,18 @@ impl fmt::Display for RootedVector {
 ///
 /// A log belongs to a site. It keeps the rows of the site's own objects —
 /// the rows every relevant event touches — in a table indexed by
-/// object identity, and the rows of anchors and remote vertices in an
-/// ordered map. [`DkLog::rows`] merges the two into one strictly ascending
-/// sequence, so everything that iterates the log (the `Display` form, the
-/// checkpoint codec, compaction, retirement) sees exactly the order a single
-/// ordered map would give. Equality is by content.
+/// object identity, and the rows of anchors and remote vertices in a hash
+/// map, so every row is found by one lookup. [`DkLog::rows`] sorts the
+/// hashed rows and merges them around the table into one strictly
+/// ascending sequence, so everything that iterates the log (the `Display`
+/// form, the checkpoint codec, compaction, retirement) sees exactly the
+/// order a single ordered map would give. Equality is by content.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DkLog {
     /// Rows of the site's own objects, by object identity.
     local: LocalTable<RootedVector>,
-    /// Rows of anchors and of other sites' vertices.
-    rows: BTreeMap<VertexId, RootedVector>,
+    /// Rows of anchors and of other sites' vertices, in no order.
+    rows: IdMap<VertexId, RootedVector>,
     root_flags: BTreeMap<VertexId, (u64, bool)>,
     /// Reused traversal buffers of [`DkLog::closure`]; empty between calls.
     scratch: ClosureScratch,
@@ -153,7 +154,7 @@ impl DkLog {
     pub fn new(site: SiteId) -> Self {
         DkLog {
             local: LocalTable::new(site),
-            rows: BTreeMap::new(),
+            rows: IdMap::default(),
             root_flags: BTreeMap::new(),
             scratch: ClosureScratch::default(),
         }
@@ -179,18 +180,19 @@ impl DkLog {
 
     /// Iterates over all rows in ascending vertex order: rows below the
     /// site's first object (anchors, lower sites), the site's own objects
-    /// by identity, then the rest.
+    /// by identity, then the rest. Sorts the hashed rows first, so it is
+    /// for the cold paths only: codec, `Display`, equality, compaction and
+    /// retirement.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
-        let first_local = self.local.first_vertex();
-        self.rows
-            .range(..first_local)
+        let mut below: Vec<(VertexId, &RootedVector)> = self
+            .rows
+            .iter()
             .map(|(&vertex, row)| (vertex, row))
-            .chain(self.local.iter())
-            .chain(
-                self.rows
-                    .range(first_local..)
-                    .map(|(&vertex, row)| (vertex, row)),
-            )
+            .collect();
+        below.sort_unstable_by_key(|&(vertex, _)| vertex);
+        let first_local = self.local.first_vertex();
+        let above = below.split_off(below.partition_point(|&(vertex, _)| vertex < first_local));
+        below.into_iter().chain(self.local.iter()).chain(above)
     }
 
     /// Every row, mutably, in no particular order.
@@ -266,7 +268,7 @@ impl DkLog {
     }
 
     /// Drops every root-status stamp — log-level and per-row — for
-    /// vertices *not* in `keep`. Returns the number of stamps dropped.
+    /// vertices *not* in `keep`.
     ///
     /// Root stamps are only ever consulted for vertices carrying a *live*
     /// entry in some closure, and every closure entry originates in a
@@ -277,20 +279,11 @@ impl DkLog {
     /// soak test pins this). The caller supplies the keep-set so engine
     /// bookkeeping (edges, holders, local roots) can be included
     /// conservatively.
-    pub fn retain_stamps(&mut self, keep: &BTreeSet<VertexId>) -> usize {
-        let stamps = |log: &DkLog| {
-            log.root_flags.len()
-                + log
-                    .rows()
-                    .map(|(_, row)| row.root_flags.len())
-                    .sum::<usize>()
-        };
-        let before = stamps(self);
+    pub fn retain_stamps(&mut self, keep: &BTreeSet<VertexId>) {
         self.root_flags.retain(|vertex, _| keep.contains(vertex));
         for row in self.rows_mut() {
             row.root_flags.retain(|vertex, _| keep.contains(vertex));
         }
-        before - stamps(self)
     }
 
     /// Drops whole rows without touching entries keyed by their subjects in
@@ -502,6 +495,96 @@ mod tests {
         assert!(log.absorb_root_flags(&incoming));
         assert!(log.is_root(v(1, 1)));
         assert_eq!(log.root_flags().len(), 1);
+    }
+
+    #[test]
+    fn rows_follow_an_ordered_model_through_seeded_edits() {
+        // Seeded edits of a site-2 log over anchors, remote objects below
+        // and above the site, and the site's own objects, each mirrored in
+        // one ordered map of rows plus the log-wide stamps. After every
+        // step `rows()` must be strictly ascending and equal the model.
+        let mut state = 0x5eed_0fd0_c51e_57aau64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pool: Vec<VertexId> = (0..4).map(VertexId::site_root).collect();
+        for site in [0, 1, 2, 3] {
+            pool.extend((0..6).map(|obj| v(site, obj)));
+        }
+        let mut pick = |n: usize| -> Vec<VertexId> {
+            (0..n)
+                .map(|_| pool[(next() % pool.len() as u64) as usize])
+                .collect()
+        };
+        let mut log = DkLog::new(SiteId::new(2));
+        let mut model: BTreeMap<VertexId, RootedVector> = BTreeMap::new();
+        let mut flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::new();
+        for step in 0..3_000u64 {
+            let drawn = pick(2);
+            let (subject, entry) = (drawn[0], drawn[1]);
+            let ts = Timestamp::created(step % 5 + 1);
+            match step % 11 {
+                0..=5 => {
+                    log.row_mut(subject).vector.set(entry, ts);
+                    model.entry(subject).or_default().vector.set(entry, ts);
+                }
+                6 => {
+                    log.row_mut(subject).stamp_root(entry, step, step % 2 == 0);
+                    model
+                        .entry(subject)
+                        .or_default()
+                        .stamp_root(entry, step, step % 2 == 0);
+                    log.stamp_root(entry, step, true);
+                    stamp(&mut flags, entry, step, true);
+                }
+                7 => {
+                    let subjects: BTreeSet<VertexId> = pick(3).into_iter().collect();
+                    let before = model.len();
+                    model.retain(|vertex, _| !subjects.contains(vertex));
+                    assert_eq!(log.drop_rows(&subjects), before - model.len());
+                }
+                8 => {
+                    let dead: BTreeSet<VertexId> = pick(2).into_iter().collect();
+                    let before = model.len();
+                    model.retain(|vertex, _| !dead.contains(vertex));
+                    for row in model.values_mut() {
+                        for &vertex in &dead {
+                            row.vector.set(vertex, Timestamp::Never);
+                            row.root_flags.remove(&vertex);
+                        }
+                    }
+                    flags.retain(|vertex, _| !dead.contains(vertex));
+                    assert_eq!(log.prune_vertices(&dead), before - model.len());
+                }
+                9 => {
+                    let keep: BTreeSet<VertexId> = pick(12).into_iter().collect();
+                    for row in model.values_mut() {
+                        row.root_flags.retain(|vertex, _| keep.contains(vertex));
+                    }
+                    flags.retain(|vertex, _| keep.contains(vertex));
+                    log.retain_stamps(&keep);
+                }
+                _ => {
+                    assert_eq!(log.row(subject), model.get(&subject), "step {step}");
+                }
+            }
+            let rows: Vec<(VertexId, &RootedVector)> = log.rows().collect();
+            assert!(
+                rows.windows(2).all(|pair| pair[0].0 < pair[1].0),
+                "step {step}: rows must be strictly ascending"
+            );
+            assert!(
+                rows.iter()
+                    .copied()
+                    .eq(model.iter().map(|(&vertex, row)| (vertex, row))),
+                "step {step}: rows differ from the model"
+            );
+            assert_eq!(log.len(), model.len());
+            assert_eq!(log.root_flags(), &flags);
+        }
     }
 
     #[test]

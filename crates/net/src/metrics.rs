@@ -85,13 +85,22 @@ impl NetMetrics {
         NetMetrics::default()
     }
 
+    /// The bucket of `(class, label)`, created if needed. Buckets are few
+    /// (one per class and payload label), so a scan finds one without
+    /// building an owned key; only a new bucket allocates its label.
     fn bucket(&mut self, class: MessageClass, label: &str) -> &mut Bucket {
-        self.buckets
-            .entry(MetricKey {
+        let is_key = |key: &MetricKey| key.class == class && key.label == label;
+        if !self.buckets.keys().any(is_key) {
+            let key = MetricKey {
                 class,
                 label: label.to_owned(),
-            })
-            .or_default()
+            };
+            return self.buckets.entry(key).or_default();
+        }
+        self.buckets
+            .iter_mut()
+            .find_map(|(key, bucket)| is_key(key).then_some(bucket))
+            .expect("the bucket was just found")
     }
 
     /// Records a message accepted for sending.

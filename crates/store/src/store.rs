@@ -27,7 +27,7 @@ use ggd_types::SiteId;
 use crate::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
 use crate::record::WalRecord;
 use crate::wal::{
-    append_frame, open_checkpoint, scan_wal, seal_checkpoint, wal_header, StoreError,
+    append_frame_with, open_checkpoint, scan_wal, seal_checkpoint, wal_header, StoreError,
 };
 
 /// Where a cluster's durable state lives.
@@ -257,20 +257,23 @@ impl<M> SiteStore<M> {
     where
         M: Encode,
     {
-        let payload = encode_to_vec(record);
-        let framed_len = payload.len() as u64 + 8;
-        match &mut self.backend {
-            Backend::Memory { wal, .. } => append_frame(wal, &payload),
+        let framed_len = match &mut self.backend {
+            Backend::Memory { wal, .. } => {
+                let before = wal.len();
+                append_frame_with(wal, |out| record.encode(out));
+                wal.len() - before
+            }
             Backend::Disk { wal, .. } => {
-                let mut frame = Vec::with_capacity(payload.len() + 8);
-                append_frame(&mut frame, &payload);
+                let mut frame = Vec::new();
+                append_frame_with(&mut frame, |out| record.encode(out));
                 wal.write_all(&frame).expect("WAL append");
                 wal.flush().expect("WAL flush");
+                frame.len()
             }
-        }
+        };
         self.records_since_checkpoint += 1;
         self.stats.records_appended += 1;
-        self.stats.wal_bytes_appended += framed_len;
+        self.stats.wal_bytes_appended += framed_len as u64;
     }
 
     /// Installs a checkpoint and truncates the WAL: every event the image

@@ -113,9 +113,22 @@ pub fn wal_header(epoch: u64) -> Vec<u8> {
 
 /// Appends one checksummed frame carrying `payload` to `out`.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    append_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one checksummed frame to `out` whose payload `encode` writes
+/// straight into `out`: the 8-byte header is reserved first and filled in
+/// with the payload's length and checksum afterwards, so no payload buffer
+/// of its own is needed. The bytes are those of [`append_frame`].
+pub fn append_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode(out);
+    let payload = &out[header + 8..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let sum = checksum(payload).to_le_bytes();
+    out[header..header + 4].copy_from_slice(&len);
+    out[header + 4..header + 8].copy_from_slice(&sum);
 }
 
 /// Wraps a checkpoint payload in magic, version, its epoch and a
@@ -257,6 +270,18 @@ mod tests {
             vec![b"alpha".to_vec(), b"".to_vec(), b"gamma".to_vec()]
         );
         assert_eq!(tail, WalTail::Clean);
+    }
+
+    #[test]
+    fn frame_is_length_checksum_then_payload() {
+        // Encoded in place after earlier bytes, as the memory WAL does.
+        let mut out = b"head".to_vec();
+        append_frame_with(&mut out, |out| out.extend_from_slice(b"abc"));
+        let mut expected = b"head".to_vec();
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.extend_from_slice(&checksum(b"abc").to_le_bytes());
+        expected.extend_from_slice(b"abc");
+        assert_eq!(out, expected);
     }
 
     #[test]

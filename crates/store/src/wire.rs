@@ -726,6 +726,57 @@ mod tests {
     }
 
     #[test]
+    fn remote_state_built_in_opposite_orders_encodes_identically() {
+        // Receives and third-party sends that each name their own holder
+        // and remote target commute. Taken in opposite orders, they fill
+        // the engines' hashed remote state in opposite orders; edges to
+        // every target, half of them dropped again, and a compaction
+        // follow. The checkpoint bytes must not show the order.
+        use ggd_heap::{EdgeDelta, VertexEdgeDelta};
+        let site = SiteId::new(3);
+        let events: Vec<(GlobalAddr, GlobalAddr)> = (0..200u64)
+            .map(|i| {
+                let target = GlobalAddr::new([1, 2, 5, 7][(i % 4) as usize], i / 4 + 1);
+                (GlobalAddr::new(3, i + 1), target)
+            })
+            .collect();
+        // Every `step`-th event's edge, created or destroyed.
+        let edges = |step: usize, create: bool| {
+            let mut delta = EdgeDelta::empty(site);
+            for &(holder, target) in events.iter().step_by(step) {
+                let (created, destroyed) = if create {
+                    (vec![target], vec![])
+                } else {
+                    (vec![], vec![target])
+                };
+                delta.edges.push(VertexEdgeDelta {
+                    vertex: VertexId::Object(holder),
+                    created,
+                    destroyed,
+                });
+            }
+            delta
+        };
+        let build = |order: Vec<&(GlobalAddr, GlobalAddr)>| {
+            let mut engine = ggd_causal::CausalEngine::new(site);
+            for &&(holder, target) in &order {
+                engine.on_receive_ref(holder, target);
+                engine.on_third_party_send(target, VertexId::object(9, 1));
+            }
+            engine.apply_delta(&edges(1, true));
+            engine.apply_delta(&edges(2, false));
+            engine.compact_detected();
+            engine
+        };
+        let first = build(events.iter().collect());
+        let second = build(events.iter().rev().collect());
+        let bytes = encode_to_vec(&first.checkpoint());
+        assert_eq!(bytes, encode_to_vec(&second.checkpoint()));
+        assert_eq!(first.log().to_string(), second.log().to_string());
+        assert_eq!(first.checkpoint().inbound_holders.len(), 100);
+    }
+
+    #[test]
     fn identities_the_site_never_allocated_fail_the_decode() {
         let site = SiteId::new(3);
         let empty = || EngineCheckpoint {

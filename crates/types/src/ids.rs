@@ -8,7 +8,16 @@
 //! roots they stand for.
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+/// A hash map keyed by ids, for state found by one lookup rather than
+/// iterated in order. Its hasher is std's SipHash with fixed keys, never a
+/// randomly seeded one, so a map built by the same history has the same
+/// layout in every run. Code that exposes an order sorts the keys.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Identifier of a site, i.e. one independent address space of the
 /// partitioned object graph (§2 of the paper).
