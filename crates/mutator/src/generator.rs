@@ -259,7 +259,9 @@ impl ScenarioSpec {
                     &mut cyclic,
                 ),
                 Segment::Hub { spokes } => emit_hub(&mut scenario, &mut rng, self.sites, spokes),
-                Segment::Churn { ops } => emit_churn(&mut scenario, &mut rng, self.sites, ops),
+                Segment::Churn { ops } => {
+                    emit_churn(&mut scenario, &mut rng, self.sites, ops, false)
+                }
                 Segment::HotChurn { ops, hot } => {
                     emit_hot_churn(&mut scenario, &mut rng, self.sites, ops, hot)
                 }
@@ -433,7 +435,18 @@ fn emit_hub(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, spokes: u32) {
     s.settle();
 }
 
-fn emit_churn(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, ops: u32) {
+/// The churn segment: `ops` random allocations, reference sends, unlinks
+/// and slot clears over fresh per-site roots, settling every eight ops.
+/// With `any_recipient` any object may receive a reference message (the
+/// hand workload [`random_churn`](crate::workloads::random_churn)); the
+/// explorer's segment draws anchored recipients only.
+pub(crate) fn emit_churn(
+    s: &mut Scenario,
+    rng: &mut ChaCha8Rng,
+    sites: u32,
+    ops: u32,
+    any_recipient: bool,
+) {
     // One segment-local root per site; all tracking below is segment-local,
     // so concurrent segments never touch each other's objects.
     let roots: Vec<ObjName> = (0..sites).map(|i| s.alloc(SiteId::new(i), true)).collect();
@@ -447,8 +460,8 @@ fn emit_churn(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, ops: u32) {
     // object besides its own site — a real mutator cannot forge references.
     let mut forwarders: std::collections::BTreeMap<ObjName, Vec<SiteId>> =
         std::collections::BTreeMap::new();
-    // Objects that may legally *receive* a reference message: local roots
-    // (well-known anchors) and objects whose own reference has been
+    // Objects that may legally *receive* a reference message, unless
+    // `any_recipient`: local roots (well-known anchors) and objects whose own reference has been
     // exported before (which pins them as global-root vertices until
     // proven unreachable). A message to anything else could not have been
     // addressed by a real mutator — see "anchored recipients" in the
@@ -482,7 +495,8 @@ fn emit_churn(s: &mut Scenario, rng: &mut ChaCha8Rng, sites: u32, ops: u32) {
                     let idx = rng.gen_range(0..sites) as usize;
                     &(roots[idx], SiteId::new(idx as u32))
                 } else {
-                    anchored.choose(rng).expect("roots are always anchored")
+                    let pool = if any_recipient { &objects } else { &anchored };
+                    pool.choose(rng).expect("roots are always in the pool")
                 };
                 if target_site != recipient_site {
                     let mut senders = vec![target_site];

@@ -7,14 +7,12 @@
 //! fixed-site parameterizations of the shape builders shared with the
 //! explorer's [`generator`](crate::generator).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use ggd_types::SiteId;
 
-use crate::generator::{chain, cut_list, cut_ring, exchange_hub};
+use crate::generator::{chain, cut_list, cut_ring, emit_churn, exchange_hub};
 use crate::{MutatorOp, ObjName, Scenario};
 
 /// The running example of the paper (Figures 3, 4, 5, 7 and 8): four
@@ -184,102 +182,14 @@ pub fn export_churn(sites: u32, rounds: u32) -> Scenario {
 
 /// A seeded random mutator: objects are allocated over `sites` sites, linked
 /// locally and remotely at random, references are dropped at random, and the
-/// scenario settles periodically. Used by the robustness experiments (E4)
-/// and the safety property tests.
+/// scenario settles periodically. It is the explorer's churn segment with
+/// any object as a reference recipient. Used by the robustness experiments
+/// (E4) and the safety property tests.
 pub fn random_churn(sites: u32, operations: u32, seed: u64) -> Scenario {
     assert!(sites >= 2);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut s = Scenario::new(sites);
-    // One root per site.
-    let roots: Vec<ObjName> = (0..sites).map(|i| s.alloc(SiteId::new(i), true)).collect();
-    // Track, per object, its hosting site; start with the roots.
-    let mut objects: Vec<(ObjName, SiteId)> = roots
-        .iter()
-        .enumerate()
-        .map(|(i, &name)| (name, SiteId::new(i as u32)))
-        .collect();
-    let mut links: Vec<(SiteId, ObjName, ObjName)> = Vec::new();
-    // Sites that legitimately hold (or have been sent) a reference to each
-    // object, besides its own site. References can only be forwarded by a
-    // holder — a real mutator cannot forge them.
-    let mut forwarders: std::collections::BTreeMap<ObjName, Vec<SiteId>> =
-        std::collections::BTreeMap::new();
-
-    for step in 0..operations {
-        match rng.gen_range(0..5u8) {
-            0 => {
-                // Allocate on a random site and link it from a random local
-                // holder (the root if nothing else is local).
-                let site = SiteId::new(rng.gen_range(0..sites));
-                let name = s.alloc(site, false);
-                let holder = objects
-                    .iter()
-                    .filter(|(_, hosting)| *hosting == site)
-                    .map(|&(n, _)| n)
-                    .collect::<Vec<_>>()
-                    .choose(&mut rng)
-                    .copied()
-                    .unwrap_or(roots[site.index() as usize]);
-                s.op(MutatorOp::LinkLocal {
-                    site,
-                    from: holder,
-                    to: name,
-                });
-                links.push((site, holder, name));
-                objects.push((name, site));
-            }
-            1 | 2 => {
-                // Send a reference to a random recipient. The sender must be
-                // a site that actually holds the target's reference: either
-                // the target's own site (a plain export) or a site whose
-                // root previously received it (a third-party forward).
-                let &(target, target_site) = objects.choose(&mut rng).expect("objects");
-                let &(recipient, recipient_site) = if rng.gen_bool(0.5) {
-                    let idx = rng.gen_range(0..sites) as usize;
-                    &(roots[idx], SiteId::new(idx as u32))
-                } else {
-                    objects.choose(&mut rng).expect("objects")
-                };
-                if target_site != recipient_site {
-                    let mut senders = vec![target_site];
-                    senders.extend(forwarders.get(&target).into_iter().flatten().copied());
-                    let from_site = *senders.choose(&mut rng).expect("nonempty");
-                    s.send_ref(from_site, recipient, target);
-                    if roots.contains(&recipient) {
-                        forwarders.entry(target).or_default().push(recipient_site);
-                    }
-                }
-            }
-            3 => {
-                // Drop a previously created local link.
-                if !links.is_empty() {
-                    let idx = rng.gen_range(0..links.len());
-                    let (site, from, to) = links.swap_remove(idx);
-                    s.op(MutatorOp::Unlink { site, from, to });
-                }
-            }
-            _ => {
-                // Clear a random non-root object's slots.
-                let candidates: Vec<ObjName> = objects
-                    .iter()
-                    .map(|&(n, _)| n)
-                    .filter(|n| !roots.contains(n))
-                    .collect();
-                if let (Some(&name), true) = (candidates.choose(&mut rng), !candidates.is_empty()) {
-                    let site = objects
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map(|&(_, hosting)| hosting)
-                        .expect("known object");
-                    s.op(MutatorOp::ClearRefs { site, name });
-                }
-            }
-        }
-        if step % 8 == 7 {
-            s.settle();
-        }
-    }
-    s.settle();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    emit_churn(&mut s, &mut rng, sites, operations, true);
     s
 }
 

@@ -48,6 +48,13 @@ fn digests() -> Vec<(&'static str, u64)> {
         .flat_map(|(sites, objects, churn)| {
             [17, 23].map(|seed| build_perf_scenario(&PerfSpec::mix(sites, objects, churn), seed))
         });
+    let churn = (2..=8u32).flat_map(|sites| {
+        [0, 1, 7, 60, 400]
+            .into_iter()
+            .flat_map(move |ops| (0..=5).map(move |seed| workloads::random_churn(sites, ops, seed)))
+    });
+    let exports = (2..=6u32)
+        .flat_map(|sites| (0..=5).map(move |rounds| workloads::export_churn(sites, rounds)));
     vec![
         (
             "doubly_linked_list",
@@ -60,6 +67,8 @@ fn digests() -> Vec<(&'static str, u64)> {
         ),
         ("garbage_island", digest(islands)),
         ("paper_example", digest([workloads::paper_example()])),
+        ("random_churn", digest(churn)),
+        ("export_churn", digest(exports)),
         ("generated_default", generated(SegmentWeights::default())),
         (
             "generated_hot_churn",
@@ -74,12 +83,14 @@ fn digests() -> Vec<(&'static str, u64)> {
 
 #[test]
 fn op_streams_are_unchanged() {
-    const PINNED: [(&str, u64); 8] = [
+    const PINNED: [(&str, u64); 10] = [
         ("doubly_linked_list", 0xe595_c302_4d78_7a85),
         ("ring", 0xca11_dd58_6b1a_cf2d),
         ("third_party_exchanges", 0x4d4e_d673_5a23_f697),
         ("garbage_island", 0x01fc_6e27_05d8_3a3a),
         ("paper_example", 0x5cb1_163a_3b34_ca05),
+        ("random_churn", 0x74f6_c72a_42d5_1e19),
+        ("export_churn", 0xf747_a6e1_b129_2bf8),
         ("generated_default", 0x1a31_09e7_72cb_4a0f),
         ("generated_hot_churn", 0x5acc_ab7c_8b9c_8649),
         ("perf_mix", 0xcb22_2534_8fba_35c1),

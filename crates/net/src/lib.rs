@@ -21,8 +21,8 @@
 //!   [`FaultPlan::code`] renders the Rust expression that rebuilds a plan.
 //! * [`Frame`] / [`WireCodec`] — length-prefixed encoded messages. The
 //!   `ggd-sim` parallel driver, the one concurrent backend, moves these
-//!   between its worker threads, so its byte metrics report real
-//!   serialized sizes.
+//!   between the mailboxes its drain threads read, so its byte metrics
+//!   report real serialized sizes.
 //! * [`NetMetrics`] — per-class and per-label counters (messages and bytes)
 //!   from which every experiment table derives its "messages" columns.
 //!

@@ -57,12 +57,14 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::faults`] require durability — a crashed volatile
     /// site could not come back.
     pub durability: DurabilityConfig,
-    /// Worker threads for the parallel drive loop
-    /// ([`ParallelCluster`](crate::ParallelCluster)). `0` — the default —
-    /// means the sequential single-threaded driver; the sequential
-    /// [`Cluster`] ignores this field entirely, so every deterministic
-    /// path is bit-for-bit unaffected. `ParallelCluster` requires ≥ 1 and
-    /// hosts the sites sharded across that many workers.
+    /// The number of shards, and so of drain threads, for the parallel
+    /// drive loop ([`ParallelCluster`](crate::ParallelCluster)). `0` — the
+    /// default — means the sequential single-threaded driver; the
+    /// sequential [`Cluster`] ignores this field entirely, so every
+    /// deterministic path is bit-for-bit unaffected. `ParallelCluster`
+    /// requires ≥ 1, hosts the sites round robin on that many shards
+    /// (capped at the site count) and drains each shard's frames on a
+    /// thread of its own.
     pub workers: u32,
     /// Observability (`ggd-obs`): per-site metrics, structured trace events
     /// and the object-lifecycle ledger. Off by default — every probe is a

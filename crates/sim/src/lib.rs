@@ -17,7 +17,8 @@
 //! happens to them) — under two schedulers. [`Cluster`] runs the core on
 //! one thread over any transport, by default the deterministic
 //! [`ggd_net::SimNetwork`]. [`ParallelCluster`], the one concurrent
-//! backend, runs it across worker threads exchanging encoded frames, as an
+//! backend, runs the commands on the calling thread over shards that
+//! exchange encoded frames and drain them on threads of their own, as an
 //! asynchrony/correctness harness.
 //!
 //! # Example

@@ -1,34 +1,36 @@
-//! The parallel driver: the same execution core, scheduled across worker
-//! threads and fed through mailboxes carrying shard commands and encoded
-//! wire frames.
+//! The parallel driver: the same execution core, with the sites sharded
+//! over workers that exchange encoded wire frames through mailboxes and
+//! drain them on threads of their own.
 //!
 //! [`ParallelCluster`] differs from the sequential [`Cluster`](crate::Cluster)
-//! only in who runs what where:
+//! only in how messages move:
 //!
-//! * **Workers** each own one shard (`shard.rs`) hosting a share of the sites
+//! * **Workers** are shards (`shard.rs`), each hosting a share of the sites
 //!   (round robin by site id; with as many workers as sites this
-//!   degenerates to one site per worker) and consume a mailbox: shard
-//!   commands from the coordinator and inter-site wire frames from each
-//!   other. Inter-site traffic is exchanged worker-to-worker as
-//!   length-prefixed encoded [`Frame`]s (the `ggd-store`-backed codec), so
-//!   byte metrics measure real serialized cost and no payload value ever
-//!   crosses a thread boundary.
-//! * **The coordinator** (the calling thread) owns the planner (`plan.rs`):
-//!   it plans each scenario step, routes the resulting commands to the
-//!   worker hosting the site (or to all of them), and detects quiescence.
-//!   Planning needs no round-trip — allocation addresses are predicted, and
-//!   the shard asserts the prediction.
+//!   degenerates to one site per worker), plus a mailbox of the wire frames
+//!   addressed to those sites. Inter-site traffic is exchanged
+//!   worker-to-worker as length-prefixed encoded [`Frame`]s (the
+//!   `ggd-store`-backed codec), so byte metrics measure real serialized cost
+//!   and no payload value ever crosses a thread boundary.
+//! * **The coordinator** (the calling thread) owns the planner (`plan.rs`)
+//!   and every worker. It plans each scenario step and executes the
+//!   resulting commands itself, at once, on the worker hosting the site (or
+//!   on every worker). Planning needs no round-trip — allocation addresses
+//!   are predicted, and the shard asserts the prediction. Frames the
+//!   commands emit wait in the mailboxes: delivery happens only inside a
+//!   settle, under every driver.
+//! * **Drains** are the only concurrency. A settle round gives each worker
+//!   a scoped thread that processes its mailbox until the termination
+//!   barrier reports quiescence, then joins them all.
 //!
-//! Quiescence replaces the sequential settle loop's "poll until the
-//! transport is empty" with a **termination barrier**: a global in-flight
-//! credit counter. A worker increments it *before* handing a frame to a
-//! mailbox and decrements it only after the receiving worker has fully
-//! processed the frame — including enqueuing any frames that processing
-//! produced — so `in_flight == 0` is a stable property: once observed
-//! during a drain phase, no worker can reintroduce traffic. Each settle is
-//! an op barrier (every worker has consumed its command backlog) followed
-//! by rounds of drain-then-collect — deliver everything, collect
-//! everywhere — until a round processes and emits nothing.
+//! The **termination barrier** is a global in-flight credit counter. A
+//! frame's credit is raised *before* the frame enters a mailbox and lowered
+//! only after the receiving worker has fully processed it — including
+//! enqueuing any frames that processing produced — so while every worker
+//! drains, `in_flight == 0` is a stable property: no worker can reintroduce
+//! traffic. Each settle is rounds of drain-then-collect — deliver
+//! everything, collect everywhere — until a round's drain processed nothing
+//! and its collections emitted nothing.
 //!
 //! What stays deterministic and what does not: everything the planner
 //! decides is a pure function of the scenario and config, and every site
@@ -42,12 +44,12 @@
 //! path: measured at two workers it is slower than the sequential driver on
 //! every benchmark workload (DESIGN.md §8).
 
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use ggd_heap::SiteHeap;
 use ggd_mutator::{MembershipEvent, MutatorOp, Scenario, Step};
@@ -63,16 +65,19 @@ use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
 use crate::report::{record_net, record_store, RunReport};
 use crate::shard::{Outbox, Shard};
 
-/// How long a worker spins on the termination barrier, or the coordinator
-/// on a phase acknowledgement, before declaring the run wedged. Only a bug
-/// (a lost credit, a dead worker) can exhaust it; panicking beats hanging.
+/// How long a drain thread waits on the termination barrier with credits
+/// outstanding before declaring the run wedged. Only a bug (a lost credit)
+/// can exhaust it; panicking beats hanging.
 const PHASE_DEADLINE: Duration = Duration::from_secs(60);
 
-/// A collector factory that can move to a worker thread.
+/// A collector factory that can move to a drain thread.
 type SendFactory<C> = Box<dyn Fn(SiteId) -> C + Send>;
 
-/// A shard whose collector factory can move to a worker thread.
+/// A shard whose collector factory can move to a drain thread.
 type WorkerShard<C> = Shard<C, SendFactory<C>>;
+
+/// One mailbox item: an encoded frame from one site to another.
+type Mail = (SiteId, SiteId, Frame);
 
 /// Counters shared by the coordinator and every worker. `in_flight` is the
 /// termination barrier's credit count; the rest feed the run report.
@@ -85,9 +90,9 @@ struct SharedState {
     /// High-water mark of `in_flight` — how deep the termination barrier's
     /// credit pool ever got. Reported on the settle trace event.
     credit_hwm: AtomicU64,
-    /// Total frames ever enqueued — settle rounds diff this to detect
-    /// collect phases that emitted traffic.
-    frames_sent: AtomicU64,
+    /// Raised by a drain thread that panics, so the others stop waiting for
+    /// credits it will never release.
+    abandoned: AtomicBool,
     /// The logical clock: frames processed so far (the transports'
     /// delivered-messages clock, for mailboxes).
     deliveries: AtomicU64,
@@ -97,54 +102,11 @@ struct SharedState {
     peak_queued_bytes: AtomicU64,
 }
 
-/// One item in a worker's mailbox. Items that reach runtime entry points
-/// carry the coordinator's logical scenario step, so worker-side probes
-/// stamp driver-independent timestamps (frames are only processed during
-/// globally synchronized drain phases, so the drain-carried step is
-/// race-free).
-enum Command {
-    /// A planner command for this worker's shard, with its scenario step.
-    Exec(ShardCommand, u64),
-    /// An encoded inter-site frame. Stashed outside drain phases so frames
-    /// never overtake the command stream: delivery happens only inside a
-    /// settle, under every driver.
-    Frame {
-        from: SiteId,
-        to: SiteId,
-        frame: Frame,
-    },
-    /// Acknowledge that every earlier command has been consumed.
-    Barrier,
-    /// Drain phase: process stashed and incoming frames until the global
-    /// in-flight count reaches zero, then acknowledge.
-    Drain(u64),
-    /// Hand the shard, the wire metrics and the stale exports back to the
-    /// coordinator and exit.
-    Shutdown,
-}
-
-/// A worker's acknowledgement or final state.
-enum Reply<C: Collector> {
-    AtBarrier,
-    DrainDone { processed: u64 },
-    Finished(Box<(WorkerShard<C>, NetMetrics, BTreeSet<GlobalAddr>)>),
-}
-
-impl<C: Collector> Reply<C> {
-    fn kind(&self) -> &'static str {
-        match self {
-            Reply::AtBarrier => "barrier",
-            Reply::DrainDone { .. } => "drain",
-            Reply::Finished(_) => "finished",
-        }
-    }
-}
-
 /// A worker's sending side: encodes payloads into frames, mails them to the
 /// worker hosting the destination and keeps the credit and byte ledgers.
 struct Wire {
     /// Every worker's mailbox (index = worker).
-    mailboxes: Vec<Sender<Command>>,
+    mailboxes: Vec<Sender<Mail>>,
     shared: Arc<SharedState>,
     metrics: NetMetrics,
 }
@@ -168,17 +130,10 @@ where
         shared.peak_queued_bytes.fetch_max(queued, Ordering::SeqCst);
         let credited = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         shared.credit_hwm.fetch_max(credited, Ordering::SeqCst);
-        shared.frames_sent.fetch_add(1, Ordering::SeqCst);
         let dest = worker_of(to, self.mailboxes.len());
-        if self.mailboxes[dest]
-            .send(Command::Frame { from, to, frame })
-            .is_err()
-        {
-            // Teardown race (coordinator gone): release the credit so any
-            // worker still draining can terminate.
-            shared.queued_bytes.fetch_sub(len, Ordering::SeqCst);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.mailboxes[dest]
+            .send((from, to, frame))
+            .expect("every mailbox lives as long as the run");
     }
 
     fn now(&self) -> u64 {
@@ -186,47 +141,36 @@ where
     }
 }
 
-/// One worker thread: a shard plus its mailbox plumbing.
+/// One worker: a shard, its sending side and its mailbox.
 struct Worker<C: Collector> {
     index: usize,
     shard: WorkerShard<C>,
     wire: Wire,
-    /// Frames received outside a drain phase, still holding their credit.
-    pending: VecDeque<(SiteId, SiteId, Frame)>,
+    /// Frames addressed to this worker's sites, each still holding its
+    /// credit. Read only in a drain.
+    mailbox: Receiver<Mail>,
     /// Objects a hosted site exported after it had already freed them.
     stale_exports: BTreeSet<GlobalAddr>,
-    replies: Sender<Reply<C>>,
 }
 
-impl<C> Worker<C>
-where
-    C: Collector,
-    C::Msg: Send + 'static,
-{
-    fn run(mut self, rx: Receiver<Command>) {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                Command::Exec(command, step) => {
-                    self.note_stale_export(&command);
-                    self.shard.step = step;
-                    self.shard.execute(command, &mut self.wire);
-                }
-                Command::Frame { from, to, frame } => self.pending.push_back((from, to, frame)),
-                Command::Barrier => {
-                    let _ = self.replies.send(Reply::AtBarrier);
-                }
-                Command::Drain(step) => {
-                    self.shard.step = step;
-                    let processed = self.drain(&rx);
-                    let _ = self.replies.send(Reply::DrainDone { processed });
-                }
-                Command::Shutdown => {
-                    let state = Box::new((self.shard, self.wire.metrics, self.stale_exports));
-                    let _ = self.replies.send(Reply::Finished(state));
-                    return;
-                }
-            }
+/// Marks the run abandoned if the drain thread holding it unwinds.
+struct AbandonOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
         }
+    }
+}
+
+impl<C: Collector> Worker<C> {
+    /// Executes one planner command, stamped with its scenario step so
+    /// probes read driver-independent time.
+    fn execute(&mut self, command: ShardCommand, step: u64) {
+        self.note_stale_export(&command);
+        self.shard.step = step;
+        self.shard.execute(command, &mut self.wire);
     }
 
     /// Records a `SendRef` whose target its own site has already freed. The
@@ -245,47 +189,37 @@ where
         }
     }
 
-    /// Processes frames — the stash first, then live arrivals — until the
-    /// global in-flight credit reaches zero. Zero is stable inside a drain
-    /// phase: every worker is draining, and only frame processing (which
-    /// holds a credit) can enqueue new frames.
-    fn drain(&mut self, rx: &Receiver<Command>) -> u64 {
+    /// Processes mailed frames until the global in-flight credit reaches
+    /// zero, and returns how many it processed. Zero is stable: every
+    /// worker is draining, only frame processing (which holds a credit) can
+    /// enqueue new frames, and the coordinator issues nothing until every
+    /// drain has returned. No rendezvous sits in here — a worker that
+    /// panics raises `abandoned` instead of leaving the others waiting.
+    fn drain(&mut self, step: u64) -> u64 {
+        let shared = Arc::clone(&self.wire.shared);
+        let _guard = AbandonOnPanic(&shared.abandoned);
+        self.shard.step = step;
         let mut processed = 0;
         let deadline = Instant::now() + PHASE_DEADLINE;
         loop {
-            while let Some((from, to, frame)) = self.pending.pop_front() {
+            while let Ok((from, to, frame)) = self.mailbox.try_recv() {
                 self.process_frame(from, to, frame);
                 processed += 1;
             }
-            match rx.try_recv() {
-                Ok(Command::Frame { from, to, frame }) => {
-                    self.process_frame(from, to, frame);
-                    processed += 1;
-                }
-                Ok(_) => unreachable!("only frames are in flight during a drain phase"),
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {
-                    let credited = self.wire.shared.in_flight.load(Ordering::SeqCst);
-                    if credited == 0 {
-                        break;
-                    }
-                    assert!(
-                        Instant::now() < deadline,
-                        "worker {} drain stalled with {credited} frames credited — termination barrier bug",
-                        self.index,
-                    );
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(Command::Frame { from, to, frame }) => {
-                            self.process_frame(from, to, frame);
-                            processed += 1;
-                        }
-                        Ok(_) => unreachable!("only frames are in flight during a drain phase"),
-                        Err(_) => {}
-                    }
-                }
+            let credited = shared.in_flight.load(Ordering::SeqCst);
+            if credited == 0 || shared.abandoned.load(Ordering::SeqCst) {
+                return processed;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "worker {} drain stalled with {credited} frames credited — termination barrier bug",
+                self.index,
+            );
+            if let Ok((from, to, frame)) = self.mailbox.recv_timeout(Duration::from_millis(1)) {
+                self.process_frame(from, to, frame);
+                processed += 1;
             }
         }
-        processed
     }
 
     /// Consumes one frame: decode at the mailbox, deliver to the hosted
@@ -316,91 +250,80 @@ where
     }
 }
 
-/// The coordinator side of a parallel run, while workers are live.
+/// The coordinator side of a parallel run: the planner and every worker.
 struct Coordinator<C: Collector> {
-    config: ClusterConfig,
     planner: Planner,
-    mailboxes: Vec<Sender<Command>>,
-    replies: Receiver<Reply<C>>,
+    workers: Vec<Worker<C>>,
     shared: Arc<SharedState>,
     /// The logical step clock — counts scenario steps (first step = 1,
-    /// end-of-run completion = one more) and rides on every mailed command.
+    /// end-of-run completion = one more) and stamps every command.
     step: u64,
     /// Cluster-scope observability handle.
     obs: SiteObs,
 }
 
-impl<C: Collector> Coordinator<C> {
+impl<C: Collector + Send> Coordinator<C> {
     fn advance_step(&mut self) {
         self.step += 1;
         self.obs.set_step(self.step);
     }
 
-    fn broadcast(&self, make: impl Fn() -> Command) {
-        for mailbox in &self.mailboxes {
-            let _ = mailbox.send(make());
-        }
-    }
-
-    /// Mails one planner command to the worker hosting its site, or to
-    /// every worker. FIFO mailboxes keep each site's commands in planning
-    /// order.
-    fn issue(&self, command: ShardCommand) {
+    /// Executes one planner command on the worker hosting its site, or on
+    /// every worker.
+    fn issue(&mut self, command: ShardCommand) {
+        let step = self.step;
         match command.site() {
             Some(site) => {
-                let owner = worker_of(site, self.mailboxes.len());
-                let _ = self.mailboxes[owner].send(Command::Exec(command, self.step));
+                let owner = worker_of(site, self.workers.len());
+                self.workers[owner].execute(command, step);
             }
-            None => self.broadcast(|| Command::Exec(command.clone(), self.step)),
-        }
-    }
-
-    /// Waits for one acknowledgement of `expected` kind from every worker,
-    /// returning the summed drain counts. Panics (rather than hangs) when a
-    /// worker goes silent — the stress suite asserts the termination
-    /// barrier cannot deadlock.
-    fn await_acks(&self, expected: &'static str) -> u64 {
-        let mut processed = 0;
-        for _ in &self.mailboxes {
-            match self.replies.recv_timeout(PHASE_DEADLINE) {
-                Ok(Reply::DrainDone { processed: p }) if expected == "drain" => processed += p,
-                Ok(Reply::AtBarrier) if expected == "barrier" => {}
-                Ok(other) => panic!(
-                    "parallel protocol violation: got {} while awaiting {expected} acks",
-                    other.kind()
-                ),
-                Err(_) => panic!("parallel {expected} phase stalled — a worker went silent"),
+            None => {
+                for worker in &mut self.workers {
+                    worker.execute(command.clone(), step);
+                }
             }
         }
-        processed
     }
 
-    fn barrier(&self) {
-        self.broadcast(|| Command::Barrier);
-        self.await_acks("barrier");
-    }
-
-    /// The parallel settle: an op barrier, then rounds of drain-then-
-    /// collect until a round neither processed nor emitted a frame. The
-    /// round counter survives only as the safety valve; progress itself is
-    /// judged by the termination barrier.
-    fn settle(&mut self) {
+    /// Drains every mailbox, one scoped thread per worker, and returns the
+    /// frames processed. A drain thread's panic is re-raised here with its
+    /// own payload.
+    fn drain(&mut self) -> u64 {
         let step = self.step;
+        std::thread::scope(|scope| {
+            let drains: Vec<_> = self
+                .workers
+                .iter_mut()
+                .map(|worker| scope.spawn(move || worker.drain(step)))
+                .collect();
+            drains
+                .into_iter()
+                .map(|drain| {
+                    drain
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .sum()
+        })
+    }
+
+    /// The parallel settle: rounds of drain-then-collect until a round's
+    /// drain processed nothing and its collections emitted nothing. No
+    /// mailbox is read outside a drain, so every frame emitted since still
+    /// holds its credit: the round was quiescent iff `in_flight` is zero
+    /// after the collections. The round counter survives only as the
+    /// safety valve.
+    fn settle(&mut self) {
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
-        self.barrier();
         for _ in 0..SETTLE_ROUNDS {
             rounds += 1;
             self.lifecycle();
-            self.broadcast(|| Command::Drain(step));
-            let processed = self.await_acks("drain");
+            let processed = self.drain();
             delivered += processed;
             self.lifecycle();
-            let before = self.shared.frames_sent.load(Ordering::SeqCst);
             self.issue(ShardCommand::CollectAll);
-            self.barrier();
-            let emitted = self.shared.frames_sent.load(Ordering::SeqCst) - before;
-            if processed == 0 && emitted == 0 && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
+            if processed == 0 && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
                 break;
             }
         }
@@ -436,8 +359,8 @@ impl<C: Collector> Coordinator<C> {
         }
     }
 
-    /// Runs the planner's script for one membership event, the settle
-    /// barriers serving as its quiesce points.
+    /// Runs the planner's script for one membership event, the settles
+    /// serving as its quiesce points.
     fn execute_membership(&mut self, ev: MembershipEvent) {
         self.lifecycle();
         for phase in self.planner.plan_membership(ev) {
@@ -451,7 +374,7 @@ impl<C: Collector> Coordinator<C> {
 }
 
 /// The end state of a parallel run: every worker's shard merged back into
-/// one on the calling thread, ready for oracle inspection.
+/// one, ready for oracle inspection.
 pub struct ParallelCluster<C: Collector> {
     shard: WorkerShard<C>,
     planner: Planner,
@@ -467,8 +390,9 @@ where
     C: Collector + Send + 'static,
     C::Msg: Send + 'static,
 {
-    /// Runs `scenario` on [`ClusterConfig::workers`] worker threads and
-    /// returns the report together with the reassembled cluster state.
+    /// Runs `scenario` on [`ClusterConfig::workers`] shards, each draining
+    /// its frames on a thread of its own, and returns the report together
+    /// with the reassembled cluster state.
     ///
     /// Takes the inputs of [`Cluster::run_seeded`](crate::Cluster::run_seeded)
     /// and plans the same commands from them, but the run is *not*
@@ -483,7 +407,8 @@ where
     /// # Panics
     ///
     /// Panics when `config.workers` is zero, or when crash faults are
-    /// scheduled without durability.
+    /// scheduled without durability. A panic in a collector or a factory
+    /// surfaces here with its own message.
     pub fn run_seeded(
         scenario: &Scenario,
         config: ClusterConfig,
@@ -502,48 +427,38 @@ where
         let shared = Arc::new(SharedState::default());
 
         // Build the shards and the mailbox mesh.
-        let (reply_tx, replies) = unbounded::<Reply<C>>();
-        let (mailboxes, receivers): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| unbounded::<Command>()).unzip();
-        let mut handles = Vec::with_capacity(workers);
-        for (index, rx) in receivers.into_iter().enumerate() {
-            let hosted = (0..site_count)
-                .map(SiteId::new)
-                .filter(|&site| worker_of(site, workers) == index);
-            let factory: SendFactory<C> = Box::new(factory.clone());
-            let worker = Worker {
-                index,
-                shard: Shard::new(hosted, config.clone(), factory),
-                wire: Wire {
-                    mailboxes: mailboxes.clone(),
-                    shared: Arc::clone(&shared),
-                    metrics: NetMetrics::new(),
-                },
-                pending: VecDeque::new(),
-                stale_exports: BTreeSet::new(),
-                replies: reply_tx.clone(),
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ggd-worker-{index}"))
-                    .spawn(move || worker.run(rx))
-                    .expect("spawn worker thread"),
-            );
-        }
-        drop(reply_tx);
-
-        let obs = SiteObs::new(None, &config.obs);
+        let (senders, mailboxes): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| unbounded::<Mail>()).unzip();
+        let workers = mailboxes
+            .into_iter()
+            .enumerate()
+            .map(|(index, mailbox)| {
+                let hosted = (0..site_count)
+                    .map(SiteId::new)
+                    .filter(|&site| worker_of(site, workers) == index);
+                let factory: SendFactory<C> = Box::new(factory.clone());
+                Worker {
+                    index,
+                    shard: Shard::new(hosted, config.clone(), factory),
+                    wire: Wire {
+                        mailboxes: senders.clone(),
+                        shared: Arc::clone(&shared),
+                        metrics: NetMetrics::new(),
+                    },
+                    mailbox,
+                    stale_exports: BTreeSet::new(),
+                }
+            })
+            .collect();
         let mut coordinator = Coordinator::<C> {
-            config,
             planner,
-            mailboxes,
-            replies,
+            workers,
             shared: Arc::clone(&shared),
             step: 0,
-            obs,
+            obs: SiteObs::new(None, &config.obs),
         };
 
-        // Drive the scenario: ops stream to the shards, settles synchronize.
+        // Drive the scenario: commands run at once, settles drain.
         for step in scenario.steps() {
             coordinator.advance_step();
             match step {
@@ -562,29 +477,15 @@ where
             coordinator.settle();
         }
 
-        // Shut down and reassemble.
-        coordinator.broadcast(|| Command::Shutdown);
+        // Reassemble.
         let factory: SendFactory<C> = Box::new(factory);
-        let mut shard = Shard::new(std::iter::empty(), coordinator.config, factory);
+        let mut shard = Shard::new(std::iter::empty(), config, factory);
         let mut net = NetMetrics::new();
         let mut stale_exports = BTreeSet::new();
-        for _ in 0..workers {
-            match coordinator.replies.recv_timeout(PHASE_DEADLINE) {
-                Ok(Reply::Finished(state)) => {
-                    let (hosted, metrics, stale) = *state;
-                    shard.merge(hosted);
-                    net.absorb(&metrics);
-                    stale_exports.extend(stale);
-                }
-                Ok(other) => panic!(
-                    "parallel protocol violation: got {} while awaiting shutdown",
-                    other.kind()
-                ),
-                Err(_) => panic!("parallel shutdown stalled — a worker went silent"),
-            }
-        }
-        for handle in handles {
-            handle.join().expect("worker thread exited cleanly");
+        for worker in coordinator.workers {
+            shard.merge(worker.shard);
+            net.absorb(&worker.wire.metrics);
+            stale_exports.extend(worker.stale_exports);
         }
         net.note_peak_queued(shared.peak_queued_bytes.load(Ordering::SeqCst));
 
@@ -915,5 +816,63 @@ mod tests {
             assert!(report.net.dropped_total() > 0, "workers={workers}");
             assert_eq!(report.net.queued_bytes(), 0, "workers={workers}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "factory refused s1")]
+    fn a_worker_panic_surfaces_with_its_own_message() {
+        // Site 1 is down from the first delivery on, so its end-of-run
+        // recovery asks the factory for a fourth collector.
+        let (mut s, [a, b, _]) = three_roots();
+        s.send_ref(S[1], a, b);
+        s.settle();
+        let config = ClusterConfig {
+            faults: ggd_net::FaultPlan::new().with_crash(S[1], 1, u64::MAX),
+            durability: crate::DurabilityConfig::memory(),
+            ..parallel_config(2)
+        };
+        let built = Arc::new(AtomicU64::new(0));
+        let factory = move |site: SiteId| {
+            let count = built.fetch_add(1, Ordering::SeqCst);
+            assert!(count < 3, "factory refused {site}");
+            CausalCollector::new(site)
+        };
+        let _ = ParallelCluster::run_seeded(&s, config, factory);
+    }
+
+    /// A collector that panics on the first reference its site receives.
+    struct RefusesReferences;
+
+    impl Collector for RefusesReferences {
+        type Msg = <CausalCollector as Collector>::Msg;
+
+        fn name(&self) -> &'static str {
+            "refuses-references"
+        }
+        fn on_export(&mut self, _: GlobalAddr, _: GlobalAddr) {}
+        fn on_third_party_send(&mut self, _: GlobalAddr, _: GlobalAddr) {}
+        fn on_receive_ref(&mut self, recipient: GlobalAddr, _: GlobalAddr) {
+            panic!("{recipient} refused a reference");
+        }
+        fn apply_snapshot(&mut self, _: &ggd_heap::ReachabilitySnapshot) {}
+        fn on_message(&mut self, _: SiteId, _: Self::Msg) {}
+        fn take_outgoing(&mut self) -> Vec<(SiteId, Self::Msg)> {
+            Vec::new()
+        }
+        fn take_verdicts(&mut self) -> Vec<GlobalAddr> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "refused a reference")]
+    fn a_drain_panic_surfaces_with_its_own_message() {
+        // The reference lands on site 1, drained by worker 1. Worker 0,
+        // joined first, must stop waiting for the credit worker 1 never
+        // releases rather than stall and raise a message of its own.
+        let (mut s, [a, b, _]) = three_roots();
+        s.send_ref(S[0], b, a);
+        s.settle();
+        let _ = ParallelCluster::run_seeded(&s, parallel_config(2), |_| RefusesReferences);
     }
 }

@@ -1,6 +1,6 @@
-//! Parallel-driver stress: churn workloads over 8 sites on 8 worker
-//! threads — through every collector family, and under site crashes — with
-//! a hard timeout.
+//! Parallel-driver stress: churn workloads over 8 sites on 8 shards, each
+//! drained on a thread of its own — through every collector family, and
+//! under site crashes — with a hard timeout.
 //!
 //! Ignored by default so `cargo test` stays fast and scheduler-dependent
 //! timing cannot flake CI; opt in with:
