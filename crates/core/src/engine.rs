@@ -24,7 +24,7 @@ use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
 use ggd_types::{DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId};
 
 use crate::checkpoint::EngineCheckpoint;
-use crate::log::{stamp, DkLog, RootedVector};
+use crate::log::{DkLog, RootedVector};
 use crate::message::CausalMessage;
 use crate::table::LocalTable;
 
@@ -87,8 +87,9 @@ struct VertexState {
     /// re-propagation of unchanged knowledge). Boxed: most local vertices
     /// never circulate one, and an inline vector would triple every record.
     last_closure: Option<Box<DependencyVector>>,
-    /// The vertex's out-going inter-site edges.
-    edges_out: BTreeSet<GlobalAddr>,
+    /// The vertex's out-going inter-site edges, sorted and without
+    /// duplicates (a checkpoint writes them as a set).
+    edges_out: Vec<GlobalAddr>,
     /// A global root currently reachable from the site's local root set.
     locally_rooted: bool,
     /// A garbage verdict was produced for the vertex (blocks re-detection).
@@ -315,7 +316,9 @@ impl CausalEngine {
                 checkpoint.last_closure.insert(vertex, (**closure).clone());
             }
             if !state.edges_out.is_empty() {
-                checkpoint.edges_out.insert(vertex, state.edges_out.clone());
+                checkpoint
+                    .edges_out
+                    .insert(vertex, state.edges_out.iter().copied().collect());
             }
             if state.locally_rooted {
                 checkpoint.locally_rooted.insert(vertex);
@@ -344,7 +347,7 @@ impl CausalEngine {
         }
         for (vertex, targets) in checkpoint.edges_out {
             if vertices.holds(vertex) {
-                vertices.entry(vertex).edges_out = targets;
+                vertices.entry(vertex).edges_out = targets.into_iter().collect();
             }
         }
         for vertex in checkpoint.locally_rooted {
@@ -541,7 +544,7 @@ impl CausalEngine {
                 }
             }
         }
-        for &vertex in self.log.root_flags().keys() {
+        for vertex in self.log.root_flags().keys() {
             if vertex.site() == departed {
                 dead.insert(vertex);
             }
@@ -701,13 +704,13 @@ impl CausalEngine {
             };
             let id = addr.object();
             if !state.edges_out.is_empty() || state.locally_rooted {
-                per_global_root.insert(id, state.edges_out.clone());
+                per_global_root.insert(id, state.edges_out.iter().copied().collect());
             }
             if state.locally_rooted {
                 locally_rooted.insert(id);
             }
         }
-        let anchor_edges = self.vertices.anchor.edges_out.clone();
+        let anchor_edges = self.vertices.anchor.edges_out.iter().copied().collect();
         ReachabilitySnapshot::from_parts(self.site, anchor_edges, per_global_root, locally_rooted)
     }
 
@@ -771,13 +774,25 @@ impl CausalEngine {
                 .created
                 .iter()
                 .copied()
-                .filter(|&target| targets.insert(target))
+                .filter(|&target| match targets.binary_search(&target) {
+                    Ok(_) => false,
+                    Err(at) => {
+                        targets.insert(at, target);
+                        true
+                    }
+                })
                 .collect();
             let destroyed: Vec<GlobalAddr> = part
                 .destroyed
                 .iter()
                 .copied()
-                .filter(|target| targets.remove(target))
+                .filter(|target| match targets.binary_search(target) {
+                    Ok(at) => {
+                        targets.remove(at);
+                        true
+                    }
+                    Err(_) => false,
+                })
                 .collect();
             for &target in &created {
                 self.remote.entry(target).or_default().refs += 1;
@@ -819,7 +834,7 @@ impl CausalEngine {
                         .is_some_and(|record| record.refs > 0),
                     self.vertices
                         .iter()
-                        .any(|(_, state)| state.edges_out.contains(&target)),
+                        .any(|(_, state)| state.edges_out.binary_search(&target).is_ok()),
                     "edge refcounts diverged from the out-edges"
                 );
                 self.mark_lost_holders(target);
@@ -1005,11 +1020,11 @@ impl CausalEngine {
         // they already compacted away (the soak test pins both).
         let RootedVector { vector, root_flags } = &mut payload;
         for (vertex, _) in vector.iter() {
-            if let Some(&(as_of, is_root)) = self.log.root_flags().get(&vertex) {
-                stamp(root_flags, vertex, as_of, is_root);
+            if let Some((as_of, is_root)) = self.log.root_flags().get(vertex) {
+                root_flags.stamp(vertex, as_of, is_root);
             }
             if let Some(state) = self.vertices.get(vertex).filter(|s| s.locally_rooted) {
-                stamp(root_flags, vertex, state.counter.max(1), true);
+                root_flags.stamp(vertex, state.counter.max(1), true);
             }
         }
         payload
@@ -1032,9 +1047,7 @@ impl CausalEngine {
         let payload = match self.log.row(to) {
             Some(row) => {
                 let mut payload = self.outgoing_payload(row.vector.clone());
-                for (&vertex, &(as_of, is_root)) in &row.root_flags {
-                    stamp(&mut payload.root_flags, vertex, as_of, is_root);
-                }
+                payload.root_flags.absorb(&row.root_flags);
                 payload
             }
             None => self.outgoing_payload(DependencyVector::new()),
@@ -1048,28 +1061,38 @@ impl CausalEngine {
 
     /// Circulates `closure` (the vertex's freshly reconstructed vector-time)
     /// along the vertex's out-going edges. The caller supplies the closure
-    /// so that neither it nor the target set has to be cloned on the hot
-    /// path.
+    /// so that the target set need not be cloned; the payload and its
+    /// stamps are built once and cloned per target.
     fn propagate_with(&mut self, vertex: VertexId, closure: &DependencyVector) {
-        let Some(targets) = self.vertices.get(vertex).map(|state| &state.edges_out) else {
-            return;
-        };
-        if targets.is_empty() {
+        if self
+            .vertices
+            .get(vertex)
+            .map_or(true, |state| state.edges_out.is_empty())
+        {
             return;
         }
         // The propagated vector carries the live transitive closure *plus*
         // the destroyed entries of the vertex's own row: receivers merge
         // monotonically (for idempotence), so destruction news must travel
         // with the propagation or stale live entries could never be revoked
-        // downstream.
-        let mut knowledge = self
-            .log
-            .row(vertex)
-            .map(|row| row.vector.clone())
-            .unwrap_or_default();
-        knowledge.merge(closure);
-        for &target in targets {
-            let payload = self.outgoing_payload(knowledge.clone());
+        // downstream. The closure already holds every entry of the row at
+        // least as new (`DkLog::closure`), so it is that knowledge as is.
+        debug_assert_eq!(
+            self.log
+                .row(vertex)
+                .map_or_else(DependencyVector::new, |row| row.vector.merged_with(closure)),
+            *closure,
+            "the closure of {vertex} must absorb its own row"
+        );
+        let payload = self.outgoing_payload(closure.clone());
+        let Some((&last, rest)) = self
+            .vertices
+            .get(vertex)
+            .and_then(|state| state.edges_out.split_last())
+        else {
+            return;
+        };
+        let mut send = |target: GlobalAddr, payload: RootedVector| {
             self.stats.propagations_sent += 1;
             self.outgoing.push(Outgoing {
                 to_site: target.site(),
@@ -1079,7 +1102,11 @@ impl CausalEngine {
                     payload,
                 },
             });
+        };
+        for &target in rest {
+            send(target, payload.clone());
         }
+        send(last, payload);
     }
 
     fn maybe_declare_garbage(&mut self, vertex: VertexId, closure: &DependencyVector) {

@@ -6,7 +6,7 @@
 //!
 //! * [`RootedVector`] — a dependency vector plus the root knowledge that
 //!   travels with it on the wire (the paper's `root(·)` predicate made
-//!   explicit and dynamic).
+//!   explicit and dynamic), its stamps kept sorted in a [`RootStamps`].
 //! * [`CausalMessage`] — the single GGD control-message format. A message
 //!   whose entry for its sending vertex is destroyed (`Ē`) is an
 //!   *edge-destruction* control message; otherwise it is a *propagation* of
@@ -77,9 +77,11 @@ mod checkpoint;
 mod engine;
 mod log;
 mod message;
+mod stamps;
 mod table;
 
 pub use checkpoint::EngineCheckpoint;
 pub use engine::{CausalEngine, EngineStats, Outgoing};
 pub use log::{DkLog, RootedVector};
 pub use message::CausalMessage;
+pub use stamps::{RootStamps, Stamp};

@@ -6,11 +6,12 @@
 //! sequence (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_types::{DependencyVector, IdMap, SiteId, Timestamp, VertexId};
 
+use crate::stamps::RootStamps;
 use crate::table::LocalTable;
 
 /// A dependency vector bundled with *root knowledge*: for each vertex it
@@ -30,7 +31,7 @@ pub struct RootedVector {
     /// The dependency vector itself.
     pub vector: DependencyVector,
     /// Root-status stamps: vertex → (as-of event index, is-actual-root).
-    pub root_flags: BTreeMap<VertexId, (u64, bool)>,
+    pub root_flags: RootStamps,
 }
 
 impl RootedVector {
@@ -43,51 +44,21 @@ impl RootedVector {
     pub fn from_vector(vector: DependencyVector) -> Self {
         RootedVector {
             vector,
-            root_flags: BTreeMap::new(),
+            root_flags: RootStamps::new(),
         }
     }
 
     /// Records a root-status stamp, keeping the most recent one.
     pub fn stamp_root(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
-        stamp(&mut self.root_flags, vertex, as_of, is_root)
+        self.root_flags.stamp(vertex, as_of, is_root)
     }
 
     /// Merges another rooted vector into this one (vector join plus
     /// freshest-stamp-wins root knowledge). Returns whether anything changed.
     pub fn merge(&mut self, other: &RootedVector) -> bool {
         let changed = self.vector.merge(&other.vector);
-        absorb(&mut self.root_flags, &other.root_flags) | changed
+        self.root_flags.absorb(&other.root_flags) | changed
     }
-}
-
-/// Records a root-status stamp in `flags` unless an equally fresh or
-/// fresher one is already there. Returns whether it was recorded.
-pub(crate) fn stamp(
-    flags: &mut BTreeMap<VertexId, (u64, bool)>,
-    vertex: VertexId,
-    as_of: u64,
-    is_root: bool,
-) -> bool {
-    match flags.get(&vertex) {
-        Some(&(existing, _)) if existing >= as_of => false,
-        _ => {
-            flags.insert(vertex, (as_of, is_root));
-            true
-        }
-    }
-}
-
-/// Stamps every entry of `incoming` into `flags`, freshest stamp winning.
-/// Returns whether anything was recorded.
-fn absorb(
-    flags: &mut BTreeMap<VertexId, (u64, bool)>,
-    incoming: &BTreeMap<VertexId, (u64, bool)>,
-) -> bool {
-    incoming
-        .iter()
-        .fold(false, |changed, (&vertex, &(as_of, is_root))| {
-            stamp(flags, vertex, as_of, is_root) | changed
-        })
 }
 
 impl fmt::Display for RootedVector {
@@ -96,7 +67,7 @@ impl fmt::Display for RootedVector {
         let roots: Vec<String> = self
             .root_flags
             .iter()
-            .filter(|(_, &(_, r))| r)
+            .filter(|(_, (_, r))| *r)
             .map(|(v, _)| v.to_string())
             .collect();
         if !roots.is_empty() {
@@ -125,18 +96,22 @@ pub struct DkLog {
     local: LocalTable<RootedVector>,
     /// Rows of anchors and of other sites' vertices, in no order.
     rows: IdMap<VertexId, RootedVector>,
-    root_flags: BTreeMap<VertexId, (u64, bool)>,
+    root_flags: RootStamps,
     /// Reused traversal buffers of [`DkLog::closure`]; empty between calls.
     scratch: ClosureScratch,
 }
 
-/// The work list and expanded set of one `ComputeV` traversal, kept across
-/// calls so a closure allocates nothing but its result.
+/// The work list, expanded set and result entries of one `ComputeV`
+/// traversal, kept across calls so a closure allocates nothing but its
+/// result, and that exactly once.
 #[derive(Debug, Clone, Default)]
 struct ClosureScratch {
     stack: Vec<VertexId>,
     /// Sorted: searched and extended by binary search.
     expanded: Vec<VertexId>,
+    /// The closure being built, sorted by vertex and never `Never`: the
+    /// entry layout of a `DependencyVector`.
+    result: Vec<(VertexId, Timestamp)>,
 }
 
 impl PartialEq for DkLog {
@@ -155,7 +130,7 @@ impl DkLog {
         DkLog {
             local: LocalTable::new(site),
             rows: IdMap::default(),
-            root_flags: BTreeMap::new(),
+            root_flags: RootStamps::new(),
             scratch: ClosureScratch::default(),
         }
     }
@@ -218,12 +193,12 @@ impl DkLog {
 
     /// Records a root-status stamp in the log-wide root knowledge.
     pub fn stamp_root(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
-        stamp(&mut self.root_flags, vertex, as_of, is_root)
+        self.root_flags.stamp(vertex, as_of, is_root)
     }
 
     /// Merges the root knowledge carried by an incoming vector.
     pub fn absorb_root_flags(&mut self, incoming: &RootedVector) -> bool {
-        absorb(&mut self.root_flags, &incoming.root_flags)
+        self.root_flags.absorb(&incoming.root_flags)
     }
 
     /// True when `vertex` is, per the freshest knowledge in this log, an
@@ -233,13 +208,12 @@ impl DkLog {
             return true;
         }
         self.root_flags
-            .get(&vertex)
-            .map(|&(_, is_root)| is_root)
-            .unwrap_or(false)
+            .get(vertex)
+            .is_some_and(|(_, is_root)| is_root)
     }
 
     /// The current root-status stamps (used when building outgoing vectors).
-    pub fn root_flags(&self) -> &BTreeMap<VertexId, (u64, bool)> {
+    pub fn root_flags(&self) -> &RootStamps {
         &self.root_flags
     }
 
@@ -258,12 +232,10 @@ impl DkLog {
         for row in self.rows_mut() {
             for &vertex in dead {
                 row.vector.set(vertex, Timestamp::Never);
-                row.root_flags.remove(&vertex);
             }
+            row.root_flags.retain(|vertex| !dead.contains(&vertex));
         }
-        for vertex in dead {
-            self.root_flags.remove(vertex);
-        }
+        self.root_flags.retain(|vertex| !dead.contains(&vertex));
         before - self.len()
     }
 
@@ -280,9 +252,9 @@ impl DkLog {
     /// bookkeeping (edges, holders, local roots) can be included
     /// conservatively.
     pub fn retain_stamps(&mut self, keep: &BTreeSet<VertexId>) {
-        self.root_flags.retain(|vertex, _| keep.contains(vertex));
+        self.root_flags.retain(|vertex| keep.contains(&vertex));
         for row in self.rows_mut() {
-            row.root_flags.retain(|vertex, _| keep.contains(vertex));
+            row.root_flags.retain(|vertex| keep.contains(&vertex));
         }
     }
 
@@ -307,11 +279,19 @@ impl DkLog {
     /// destruction news, otherwise stale live entries held by other sites
     /// could never be revoked (the receiving side merges monotonically).
     ///
-    /// It takes `&mut self` only to reuse the log's traversal buffers: a
-    /// closure allocates nothing but the vector it returns.
+    /// The subject's row is expanded first, so the closure holds every
+    /// entry of that row at least as new — the subject's own entry exactly
+    /// as the row has it. Merging the row into its closure therefore never
+    /// changes the closure, which is why a propagation ships the closure
+    /// alone.
+    ///
+    /// It takes `&mut self` only to reuse the log's traversal buffers: the
+    /// result is built in a sorted buffer, one binary search per entry, and
+    /// a closure allocates nothing but the vector it returns, exactly
+    /// sized.
     pub fn closure(&mut self, vertex: VertexId) -> DependencyVector {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut v = DependencyVector::new();
+        let result = &mut scratch.result;
         scratch.stack.push(vertex);
         while let Some(p) = scratch.stack.pop() {
             let Err(at) = scratch.expanded.binary_search(&p) else {
@@ -322,17 +302,36 @@ impl DkLog {
                 continue;
             };
             for (q, ts) in row.vector.iter() {
-                v.merge_entry(q, ts);
-                if v.get(q).is_live() && scratch.expanded.binary_search(&q).is_err() {
+                let merged = match result.binary_search_by_key(&q, |&(k, _)| k) {
+                    Ok(i) => {
+                        result[i].1 = result[i].1.merged(ts);
+                        result[i].1
+                    }
+                    Err(i) => {
+                        result.insert(i, (q, ts));
+                        ts
+                    }
+                };
+                if merged.is_live() && scratch.expanded.binary_search(&q).is_err() {
                     scratch.stack.push(q);
                 }
             }
         }
         // The subject's own entry reflects its own latest event, never a
         // second-hand one.
-        if let Some(row) = self.row(vertex) {
-            v.set(vertex, row.vector.get(vertex));
+        if let Some(own) = self.row(vertex).map(|row| row.vector.get(vertex)) {
+            match result.binary_search_by_key(&vertex, |&(k, _)| k) {
+                Ok(i) if own == Timestamp::Never => {
+                    result.remove(i);
+                }
+                Ok(i) => result[i].1 = own,
+                // The row was expanded first: a recorded own entry is in.
+                Err(_) => debug_assert_eq!(own, Timestamp::Never),
+            }
         }
+        let v = DependencyVector::from_sorted_slice(result)
+            .expect("the closure buffer is sorted and holds no Never");
+        result.clear();
         scratch.expanded.clear();
         self.scratch = scratch;
         v
@@ -370,6 +369,7 @@ impl fmt::Display for DkLog {
 mod tests {
     use super::*;
     use ggd_types::Timestamp;
+    use std::collections::BTreeMap;
 
     fn v(site: u32, obj: u64) -> VertexId {
         VertexId::object(site, obj)
@@ -521,7 +521,7 @@ mod tests {
         };
         let mut log = DkLog::new(SiteId::new(2));
         let mut model: BTreeMap<VertexId, RootedVector> = BTreeMap::new();
-        let mut flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::new();
+        let mut flags = RootStamps::new();
         for step in 0..3_000u64 {
             let drawn = pick(2);
             let (subject, entry) = (drawn[0], drawn[1]);
@@ -538,7 +538,7 @@ mod tests {
                         .or_default()
                         .stamp_root(entry, step, step % 2 == 0);
                     log.stamp_root(entry, step, true);
-                    stamp(&mut flags, entry, step, true);
+                    flags.stamp(entry, step, true);
                 }
                 7 => {
                     let subjects: BTreeSet<VertexId> = pick(3).into_iter().collect();
@@ -553,18 +553,18 @@ mod tests {
                     for row in model.values_mut() {
                         for &vertex in &dead {
                             row.vector.set(vertex, Timestamp::Never);
-                            row.root_flags.remove(&vertex);
                         }
+                        row.root_flags.retain(|vertex| !dead.contains(&vertex));
                     }
-                    flags.retain(|vertex, _| !dead.contains(vertex));
+                    flags.retain(|vertex| !dead.contains(&vertex));
                     assert_eq!(log.prune_vertices(&dead), before - model.len());
                 }
                 9 => {
                     let keep: BTreeSet<VertexId> = pick(12).into_iter().collect();
                     for row in model.values_mut() {
-                        row.root_flags.retain(|vertex, _| keep.contains(vertex));
+                        row.root_flags.retain(|vertex| keep.contains(&vertex));
                     }
-                    flags.retain(|vertex, _| keep.contains(vertex));
+                    flags.retain(|vertex| keep.contains(&vertex));
                     log.retain_stamps(&keep);
                 }
                 _ => {
@@ -585,6 +585,50 @@ mod tests {
             assert_eq!(log.len(), model.len());
             assert_eq!(log.root_flags(), &flags);
         }
+    }
+
+    #[test]
+    fn closure_absorbs_the_subjects_own_row() {
+        // Seeded logs over a small vertex pool, live and destroyed entries
+        // mixed, cycles allowed: for every subject, merging its row into
+        // its closure must change nothing. A propagation ships the closure
+        // on the strength of this (the engine's `debug_assert` checks it
+        // in debug builds only).
+        let mut state = 0xc105_0be5_0f0e_7a11u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut pool: Vec<VertexId> = (0..3).map(VertexId::site_root).collect();
+        for site in 0..4 {
+            pool.extend((1..5).map(|obj| v(site, obj)));
+        }
+        let mut checked = 0;
+        for _ in 0..200 {
+            let mut log = DkLog::new(SiteId::new(next(4) as u32));
+            for _ in 0..next(40) {
+                let subject = pool[next(pool.len() as u64) as usize];
+                let entry = pool[next(pool.len() as u64) as usize];
+                let index = next(6) + 1;
+                let ts = match next(3) {
+                    0 => Timestamp::destroyed(index),
+                    _ => Timestamp::created(index),
+                };
+                log.row_mut(subject).vector.merge_entry(entry, ts);
+            }
+            for &subject in &pool {
+                let closure = log.closure(subject);
+                let Some(row) = log.row(subject) else {
+                    assert!(closure.is_empty());
+                    continue;
+                };
+                assert_eq!(row.vector.merged_with(&closure), closure, "{subject}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 1_000, "only {checked} subjects had rows");
     }
 
     #[test]

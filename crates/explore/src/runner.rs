@@ -304,7 +304,7 @@ pub fn run_triple(triple: &Triple, mode: RunMode) -> TripleOutcome {
         // acyclic garbage (its cycle loses the departed edge at handoff),
         // so the boundary check only applies to membership-free scenarios.
         if !scenario.has_membership() {
-            let reclaimed: &BTreeSet<GlobalAddr> = rl_cluster.reclaimed_addrs();
+            let reclaimed: BTreeSet<GlobalAddr> = rl_cluster.reclaimed_addrs();
             for &name in &triple.cyclic {
                 if let Some(addr) = rl_cluster.addr_of(name) {
                     if reclaimed.contains(&addr) {

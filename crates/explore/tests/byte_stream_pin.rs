@@ -1,7 +1,7 @@
 //! Byte-stream pins for perf-shaped runs: an FNV-1a digest over every
 //! encoded control frame, in send order, and over every engine checkpoint
-//! image, on the two shapes the repo benchmark's `remote_churn` and
-//! `wide_durable` workloads scale up.
+//! image, on the three shapes the repo benchmark's `remote_churn`,
+//! `wide_durable` and `ring_reclaim` workloads scale up.
 //!
 //! The causal engine's in-memory layout is free to change; what it puts on
 //! the wire and into checkpoints is not. Every digest below was generated
@@ -16,6 +16,7 @@ use std::rc::Rc;
 use ggd_causal::CausalMessage;
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
 use ggd_mutator::generator::{build_perf_scenario, PerfSpec};
+use ggd_mutator::{MutatorOp, ObjName, Scenario};
 use ggd_net::{Delivery, Frame, MessageClass, NetMetrics, Payload, SimNetwork, Transport};
 use ggd_sim::{
     CausalCollector, Cluster, ClusterConfig, Collector, DurabilityConfig, MembershipAnnouncement,
@@ -176,7 +177,11 @@ impl Collector for FoldingCollector {
 
 /// Runs `spec` at `seed` with `durability` and returns both digests.
 fn streams_of(spec: &PerfSpec, seed: u64, durability: DurabilityConfig) -> Streams {
-    let scenario = build_perf_scenario(spec, seed);
+    streams_of_scenario(&build_perf_scenario(spec, seed), durability)
+}
+
+/// Runs `scenario` with `durability` and returns both digests.
+fn streams_of_scenario(scenario: &Scenario, durability: DurabilityConfig) -> Streams {
     let config = ClusterConfig {
         safety_oracle: false,
         durability,
@@ -198,7 +203,7 @@ fn streams_of(spec: &PerfSpec, seed: u64, durability: DurabilityConfig) -> Strea
         }
     };
     let mut cluster = Cluster::with_transport(scenario.site_count(), config, net, factory);
-    let report = cluster.run(&scenario);
+    let report = cluster.run(scenario);
     assert!(report.reclaimed > 0, "the run must reclaim something");
     let out = *streams.borrow();
     out
@@ -246,5 +251,80 @@ fn wide_durable_shape_control_stream_and_checkpoints_are_pinned() {
             },
         },
         "wide_durable-shaped control stream or checkpoint images moved"
+    );
+}
+
+/// The splitmix64 step, for ring placement apart from the ballast stream.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A `ring_reclaim`-shaped scenario on 64 sites: clean ballast, then
+/// `rings` times an 8-site ring hung off a rooted anchor, settled, the
+/// anchor cut, settled. Every ring member carries root stamps until the
+/// cut, so this is the shape whose wire and checkpoint bytes pin the
+/// engine's stamp encoding.
+fn ring_scenario(seed: u64, ballast_objects: u32, rings: u32) -> Scenario {
+    const SITES: u32 = 64;
+    const SPAN: u32 = 8;
+    let ballast = PerfSpec {
+        islands: 0,
+        hubs: 0,
+        churn_ops: 0,
+        ..PerfSpec::mix(SITES, ballast_objects, 0)
+    };
+    let mut s = build_perf_scenario(&ballast, seed);
+    let mut rng = seed;
+    for _ in 0..rings {
+        let base = (splitmix64(&mut rng) % u64::from(SITES)) as u32;
+        let stride = 1 + (splitmix64(&mut rng) % 7) as u32;
+        let sites: Vec<SiteId> = (0..SPAN)
+            .map(|k| SiteId::new((base + k * stride) % SITES))
+            .collect();
+        let anchor = s.alloc(sites[0], true);
+        let members: Vec<ObjName> = sites.iter().map(|&site| s.alloc(site, false)).collect();
+        s.send_ref(sites[0], anchor, members[0]);
+        for k in 0..members.len() {
+            let next = (k + 1) % members.len();
+            s.send_ref(sites[next], members[k], members[next]);
+        }
+        s.settle();
+        s.op(MutatorOp::Unlink {
+            site: sites[0],
+            from: anchor,
+            to: members[0],
+        });
+        s.settle();
+    }
+    s
+}
+
+#[test]
+fn ring_reclaim_shape_control_stream_and_checkpoints_are_pinned() {
+    let got = streams_of_scenario(
+        &ring_scenario(17, 2_000, 40),
+        DurabilityConfig::memory().with_checkpoint_every(16),
+    );
+    assert!(
+        got.checkpoints.images > 0,
+        "the durable run must checkpoint"
+    );
+    assert_eq!(
+        got,
+        Streams {
+            control_frames: Digest {
+                images: 2_152,
+                hash: 0x4d766614abedbc93,
+            },
+            checkpoints: Digest {
+                images: 576,
+                hash: 0x6eb4422c8b2d6c9e,
+            },
+        },
+        "ring_reclaim-shaped control stream or checkpoint images moved"
     );
 }

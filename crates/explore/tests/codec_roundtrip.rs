@@ -5,17 +5,22 @@
 //! in `ggd-store`; here the values are *real*: WAL records derived from
 //! every op of pinned generated scenarios, every control message the causal
 //! engines of those runs actually put on the wire, and the full engine
-//! checkpoints of every site at end of run. (Corrupted-record rejection —
-//! bad checksum, truncated tail — is pinned in `ggd-store`'s `wal` and
-//! `store` test modules.)
+//! checkpoints of every site at end of run. Malformed vectors and root
+//! stamps — keys out of order or repeated — must fail the decode with
+//! `CodecError::Invalid`, and the sorted stamp type must encode exactly as
+//! the ordered map it replaced. (Corrupted-record rejection — bad checksum,
+//! truncated tail — is pinned in `ggd-store`'s `wal` and `store` test
+//! modules.)
 
-use ggd_causal::{CausalMessage, EngineCheckpoint};
+use std::collections::BTreeMap;
+
+use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, RootStamps, RootedVector};
 use ggd_explore::corpus_triple;
 use ggd_mutator::generator::SegmentWeights;
 use ggd_mutator::{MutatorOp, Step};
 use ggd_sim::{CausalCollector, Cluster};
-use ggd_store::{decode_from_slice, encode_to_vec, WalRecord};
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_store::{decode_from_slice, encode_to_vec, CodecError, Encode, WalRecord};
+use ggd_types::{write_varint, DependencyVector, GlobalAddr, SiteId, Timestamp, VertexId};
 
 const PINNED_SEED: u64 = 7;
 const PINNED_INDICES: &[u32] = &[0, 1, 2, 3, 4, 5, 6, 7, 11, 19];
@@ -143,4 +148,163 @@ fn engine_checkpoints_and_wire_messages_of_pinned_runs_round_trip() {
     }
     assert!(checkpoints >= 8, "too few checkpoints exercised");
     assert!(messages >= 20, "too few wire messages exercised");
+}
+
+/// The bytes of a length-prefixed list of `(key, value)` entries, in the
+/// order given — the layout of a dependency vector and of a stamp map.
+fn entry_list<K: Encode, V: Encode>(entries: &[(K, V)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_varint(&mut out, entries.len() as u64);
+    for (key, value) in entries {
+        key.encode(&mut out);
+        value.encode(&mut out);
+    }
+    out
+}
+
+/// A control message frame `from → to` around a raw payload.
+fn message_frame(vector: &[u8], stamps: &[u8]) -> Vec<u8> {
+    let mut out = encode_to_vec(&VertexId::object(1, 1));
+    VertexId::object(2, 1).encode(&mut out);
+    out.extend_from_slice(vector);
+    out.extend_from_slice(stamps);
+    out
+}
+
+fn is_invalid<T: std::fmt::Debug>(decoded: Result<T, CodecError>) -> bool {
+    matches!(decoded, Err(CodecError::Invalid(_)))
+}
+
+#[test]
+fn disordered_or_repeated_keys_fail_the_decode() {
+    let v = |obj: u64| VertexId::object(3, obj);
+    let ts = Timestamp::created(1);
+    let sorted_vector = |n: u64| (1..=n).map(|obj| (v(obj), ts)).collect::<Vec<_>>();
+    let sorted_stamps = |n: u64| (1..=n).map(|obj| (v(obj), (obj, true))).collect::<Vec<_>>();
+    let no_stamps = entry_list::<VertexId, (u64, bool)>(&[]);
+    let no_vector = entry_list::<VertexId, Timestamp>(&[]);
+
+    // Inline-sized and spilled vectors alike.
+    for n in [2u64, 3, 6] {
+        let good = sorted_vector(n);
+        let frame = message_frame(&entry_list(&good), &no_stamps);
+        assert!(
+            decode_from_slice::<CausalMessage>(&frame).is_ok(),
+            "{n} sorted"
+        );
+
+        let mut swapped = good.clone();
+        swapped.swap(0, 1);
+        let mut repeated = good.clone();
+        repeated[1].0 = repeated[0].0;
+        let mut never = good.clone();
+        never[n as usize - 1].1 = Timestamp::Never;
+        for (what, bad) in [
+            ("out of order", swapped),
+            ("repeated", repeated),
+            ("Never", never),
+        ] {
+            let bytes = entry_list(&bad);
+            assert!(
+                is_invalid(decode_from_slice::<DependencyVector>(&bytes)),
+                "{n}-entry vector {what}"
+            );
+            let frame = message_frame(&bytes, &no_stamps);
+            assert!(
+                is_invalid(decode_from_slice::<CausalMessage>(&frame)),
+                "{n}-entry payload vector {what}"
+            );
+        }
+
+        let good = sorted_stamps(n);
+        assert!(decode_from_slice::<RootStamps>(&entry_list(&good)).is_ok());
+        let mut swapped = good.clone();
+        swapped.swap(n as usize - 2, n as usize - 1);
+        let mut repeated = good.clone();
+        repeated[1].0 = repeated[0].0;
+        for (what, bad) in [("out of order", swapped), ("repeated", repeated)] {
+            let bytes = entry_list(&bad);
+            assert!(
+                is_invalid(decode_from_slice::<RootStamps>(&bytes)),
+                "{n} stamps {what}"
+            );
+            let frame = message_frame(&no_vector, &bytes);
+            assert!(
+                is_invalid(decode_from_slice::<CausalMessage>(&frame)),
+                "{n} payload stamps {what}"
+            );
+        }
+    }
+
+    // The log-wide stamps of an engine checkpoint: the image of a log with
+    // stamps and no rows, its stamp list spliced out of order.
+    let site = SiteId::new(3);
+    let mut log = DkLog::new(site);
+    log.stamp_root(v(1), 4, true);
+    log.stamp_root(v(2), 5, false);
+    let mut checkpoint = ggd_causal::CausalEngine::new(site).checkpoint();
+    checkpoint.log = log;
+    let bytes = encode_to_vec(&checkpoint);
+    assert!(decode_from_slice::<EngineCheckpoint>(&bytes).is_ok());
+    let stamps = encode_to_vec(checkpoint.log.root_flags());
+    let at = bytes
+        .windows(stamps.len())
+        .position(|window| window == stamps.as_slice())
+        .expect("the image holds the stamp list");
+    let mut spliced = bytes[..at].to_vec();
+    spliced.extend(entry_list(&[(v(2), (5u64, false)), (v(1), (4, true))]));
+    spliced.extend_from_slice(&bytes[at + stamps.len()..]);
+    assert_eq!(spliced.len(), bytes.len());
+    assert!(is_invalid(decode_from_slice::<EngineCheckpoint>(&spliced)));
+}
+
+#[test]
+fn root_stamps_encode_exactly_as_the_ordered_map() {
+    // Seeded stamp sequences over anchors and objects of a few sites, each
+    // applied to the sorted stamp type and to the ordered map it replaced
+    // under the same freshest-stamp-wins rule: the bytes must agree, alone
+    // and inside a rooted vector, and decode back to the same stamps.
+    let mut state = 0x0b7e_e5a9_5eed_c0deu64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let mut total = 0;
+    for _ in 0..300 {
+        let mut stamps = RootStamps::new();
+        let mut map: BTreeMap<VertexId, (u64, bool)> = BTreeMap::new();
+        let mut vector = DependencyVector::new();
+        for _ in 0..next(24) {
+            let site = next(6) as u32;
+            let vertex = if next(5) == 0 {
+                VertexId::site_root(site)
+            } else {
+                VertexId::object(site, next(1 << 20))
+            };
+            let (as_of, is_root) = (next(1 << 40), next(2) == 0);
+            stamps.stamp(vertex, as_of, is_root);
+            match map.get(&vertex) {
+                Some(&(existing, _)) if existing >= as_of => {}
+                _ => {
+                    map.insert(vertex, (as_of, is_root));
+                }
+            }
+            vector.merge_entry(vertex, Timestamp::created(as_of + 1));
+        }
+        total += map.len();
+        let bytes = encode_to_vec(&stamps);
+        assert_eq!(bytes, encode_to_vec(&map));
+        assert_eq!(decode_from_slice::<RootStamps>(&bytes), Ok(stamps.clone()));
+
+        let mut old_layout = encode_to_vec(&vector);
+        map.encode(&mut old_layout);
+        let rooted = RootedVector {
+            vector,
+            root_flags: stamps,
+        };
+        assert_eq!(encode_to_vec(&rooted), old_layout);
+    }
+    assert!(total > 2_000, "only {total} stamps exercised");
 }

@@ -78,7 +78,7 @@ fn compaction_does_not_change_outcomes_under_churn() {
             let (report, cluster) = Cluster::run_seeded(&scenario, config, CausalCollector::new);
             (
                 report.safety_violations,
-                cluster.reclaimed_addrs().clone(),
+                cluster.reclaimed_addrs(),
                 cluster.garbage_addrs(),
             )
         };

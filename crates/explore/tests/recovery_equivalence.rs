@@ -66,7 +66,7 @@ fn outcome_sets<C: Collector>(
         }
     }
     cluster.settle();
-    (cluster.reclaimed_addrs().clone(), cluster.garbage_addrs())
+    (cluster.reclaimed_addrs(), cluster.garbage_addrs())
 }
 
 fn assert_equivalence<C: Collector>(
@@ -155,7 +155,7 @@ fn recovery_equivalence_holds_with_on_disk_stores() {
             }
         }
         cluster.settle();
-        (cluster.reclaimed_addrs().clone(), cluster.garbage_addrs())
+        (cluster.reclaimed_addrs(), cluster.garbage_addrs())
     };
 
     let dir = std::env::temp_dir().join(format!("ggd-recovery-eq-{}", std::process::id()));

@@ -232,8 +232,9 @@ where
 
     /// The addresses of every object reclaimed by local collections so far.
     /// Differential checks compare these sets across collectors (e.g.
-    /// reference listing must never reclaim a cycle member).
-    pub fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
+    /// reference listing must never reclaim a cycle member). Built when
+    /// called: the run only appends freed addresses.
+    pub fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
         self.shard.reclaimed_addrs()
     }
 

@@ -539,8 +539,9 @@ impl<C: Collector> ParallelCluster<C> {
         self.shard.evicted_sites()
     }
 
-    /// The addresses of every object reclaimed by local collections.
-    pub fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
+    /// The addresses of every object reclaimed by local collections, built
+    /// when called.
+    pub fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
         self.shard.reclaimed_addrs()
     }
 

@@ -157,7 +157,9 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// driver-independent logical time. Set by the driver.
     pub(crate) step: u64,
     reclaimed: u64,
-    reclaimed_addrs: BTreeSet<GlobalAddr>,
+    /// Every freed address, in free order; only tests read it, so it is
+    /// appended to here and sorted when read.
+    reclaimed_addrs: Vec<GlobalAddr>,
     safety_violations: u64,
     verdicts: u64,
     recoveries: u64,
@@ -183,7 +185,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             config,
             step: 0,
             reclaimed: 0,
-            reclaimed_addrs: BTreeSet::new(),
+            reclaimed_addrs: Vec::new(),
             safety_violations: 0,
             verdicts: 0,
             recoveries: 0,
@@ -334,7 +336,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             if live.is_some_and(|live| live.contains(&addr)) {
                 self.safety_violations += 1;
             }
-            self.reclaimed_addrs.insert(addr);
+            self.reclaimed_addrs.push(addr);
         }
         self.reclaimed += outcome.freed.len() as u64;
         if let Some(tick) = tick {
@@ -451,8 +453,8 @@ impl<C: Collector, F> Shard<C, F> {
         self.evicted.keys().copied()
     }
 
-    pub(crate) fn reclaimed_addrs(&self) -> &BTreeSet<GlobalAddr> {
-        &self.reclaimed_addrs
+    pub(crate) fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
+        self.reclaimed_addrs.iter().copied().collect()
     }
 
     pub(crate) fn recoveries(&self) -> u64 {

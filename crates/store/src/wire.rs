@@ -3,17 +3,19 @@
 //! vectors, the causal log and message, both baseline message families, and
 //! the heap/engine checkpoint images.
 //!
-//! The encodings mirror the in-memory invariants: dependency vectors decode
-//! through [`DependencyVector::set`] (which maintains key order and drops
-//! `Never`), the log decodes through `row_mut`/`stamp_root`, and enum tags
-//! are stable — they are part of the durable format guarded by
+//! The encodings mirror the in-memory invariants: dependency vectors and
+//! root stamps are written in strictly ascending key order, and their
+//! decoders reject any other order, a duplicate key or a `Never` entry
+//! with [`CodecError::Invalid`] and build the value in one allocation; the
+//! log decodes through `row_mut`/`stamp_root`, and enum tags are stable —
+//! they are part of the durable format guarded by
 //! [`crate::wal::FORMAT_VERSION`].
 
 use std::collections::BTreeMap;
 
 use ggd_baselines::{RefListingMessage, TracingMessage};
 use ggd_causal::EngineStats;
-use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, Outgoing, RootedVector};
+use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, Outgoing, RootStamps, RootedVector};
 use ggd_heap::{HeapImage, HeapStats, ObjRef};
 use ggd_types::{
     write_varint, DependencyVector, EventIndex, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
@@ -151,18 +153,45 @@ impl Encode for DependencyVector {
     }
 }
 impl Decode for DependencyVector {
+    /// Decodes a vector that fits inline without allocating, and a larger
+    /// one into a single exactly sized allocation.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.len()?;
-        let mut v = DependencyVector::new();
-        for _ in 0..n {
-            let vertex = VertexId::decode(r)?;
-            let ts = Timestamp::decode(r)?;
-            if ts == Timestamp::Never {
-                return Err(CodecError::Invalid("Never entry in dependency vector"));
+        let mut inline =
+            [(VertexId::site_root(0), Timestamp::Never); DependencyVector::INLINE_CAPACITY];
+        let vector = if n <= inline.len() {
+            for entry in &mut inline[..n] {
+                *entry = Decode::decode(r)?;
             }
-            v.set(vertex, ts);
+            DependencyVector::from_sorted_slice(&inline[..n])
+        } else {
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                entries.push(Decode::decode(r)?);
+            }
+            DependencyVector::from_sorted(entries)
+        };
+        vector.ok_or(CodecError::Invalid(
+            "dependency vector keys out of order, repeated or Never",
+        ))
+    }
+}
+
+/// Written exactly as the ordered map the stamps used to be kept in: the
+/// count, then each vertex and its `(as_of, is_root)` in ascending order.
+impl Encode for RootStamps {
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.len() as u64);
+        for (vertex, stamp) in self.iter() {
+            vertex.encode(out);
+            stamp.encode(out);
         }
-        Ok(v)
+    }
+}
+impl Decode for RootStamps {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        RootStamps::from_sorted(Vec::decode(r)?)
+            .ok_or(CodecError::Invalid("root stamps out of order"))
     }
 }
 
@@ -176,7 +205,7 @@ impl Decode for RootedVector {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(RootedVector {
             vector: DependencyVector::decode(r)?,
-            root_flags: BTreeMap::decode(r)?,
+            root_flags: RootStamps::decode(r)?,
         })
     }
 }
@@ -200,8 +229,7 @@ fn decode_log(r: &mut Reader<'_>, site: SiteId, next_object: u64) -> Result<DkLo
         let vertex = allocated(VertexId::decode(r)?, site, next_object)?;
         *log.row_mut(vertex) = RootedVector::decode(r)?;
     }
-    let flags: BTreeMap<VertexId, (u64, bool)> = BTreeMap::decode(r)?;
-    for (vertex, (as_of, is_root)) in flags {
+    for &(vertex, (as_of, is_root)) in RootStamps::decode(r)?.iter() {
         log.stamp_root(vertex, as_of, is_root);
     }
     Ok(log)

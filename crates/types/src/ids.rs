@@ -8,16 +8,60 @@
 //! roots they stand for.
 
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A hash map keyed by ids, for state found by one lookup rather than
-/// iterated in order. Its hasher is std's SipHash with fixed keys, never a
-/// randomly seeded one, so a map built by the same history has the same
-/// layout in every run. Code that exposes an order sorts the keys.
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+/// iterated in order. Its hasher is [`IdHasher`], a fixed multiply-rotate
+/// hash with no random seed, so a map built by the same history has the
+/// same layout in every run. Code that exposes an order sorts the keys.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`IdMap`]: FxHash's multiply-rotate step over each word
+/// the key writes. Ids are a few small integers, written word by word, so
+/// one multiply per word mixes them well enough for a hash table, at a
+/// fraction of SipHash's cost. Like the fixed-key SipHash it replaced, it
+/// offers no defence against keys crafted to collide: the ids it hashes
+/// are assigned by the sites of one cluster, never by an outside client.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Identifier of a site, i.e. one independent address space of the
 /// partitioned object graph (§2 of the paper).
@@ -245,6 +289,21 @@ impl From<GlobalAddr> for VertexId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_is_fixed_and_separates_nearby_ids() {
+        use std::hash::BuildHasher;
+        let hash = |vertex: VertexId| BuildHasherDefault::<IdHasher>::default().hash_one(vertex);
+        assert_eq!(hash(VertexId::object(3, 7)), hash(VertexId::object(3, 7)));
+        let mut seen = std::collections::BTreeSet::new();
+        for site in 0..16 {
+            seen.insert(hash(VertexId::site_root(site)));
+            for obj in 0..64 {
+                seen.insert(hash(VertexId::object(site, obj)));
+            }
+        }
+        assert_eq!(seen.len(), 16 * 65, "nearby ids must not collide");
+    }
 
     #[test]
     fn site_and_object_round_trip() {

@@ -116,6 +116,19 @@ impl Entries {
         }
     }
 
+    fn from_slice(v: &[Entry]) -> Self {
+        if v.len() <= DependencyVector::INLINE_CAPACITY {
+            let mut buf = [EMPTY_ENTRY; DependencyVector::INLINE_CAPACITY];
+            buf[..v.len()].copy_from_slice(v);
+            Entries::Inline {
+                len: v.len() as u8,
+                buf,
+            }
+        } else {
+            Entries::Spilled(v.to_vec())
+        }
+    }
+
     fn insert(&mut self, index: usize, entry: Entry) {
         match self {
             Entries::Inline { len, buf } => {
@@ -227,6 +240,24 @@ impl DependencyVector {
         let mut v = DependencyVector::new();
         v.set(addr, ts);
         v
+    }
+
+    /// Builds a vector from `entries`, which must be strictly ascending by
+    /// key and hold no [`Timestamp::Never`]; `None` otherwise. Keeps the
+    /// `Vec`'s allocation when the vector spills, so a decoder that reads
+    /// into an exactly sized `Vec` allocates once.
+    pub fn from_sorted(entries: Vec<(VertexId, Timestamp)>) -> Option<Self> {
+        is_canonical(&entries).then(|| DependencyVector {
+            entries: Entries::from_vec(entries),
+        })
+    }
+
+    /// [`DependencyVector::from_sorted`] from a borrowed buffer: copies the
+    /// entries inline, or into one exactly sized allocation.
+    pub fn from_sorted_slice(entries: &[(VertexId, Timestamp)]) -> Option<Self> {
+        is_canonical(entries).then(|| DependencyVector {
+            entries: Entries::from_slice(entries),
+        })
     }
 
     fn find(&self, addr: VertexId) -> Result<usize, usize> {
@@ -467,6 +498,13 @@ impl DependencyVector {
             CausalOrder::After | CausalOrder::Equal
         )
     }
+}
+
+/// True when `entries` is strictly ascending by key and holds no `Never`:
+/// the invariant of [`Entries`].
+fn is_canonical(entries: &[Entry]) -> bool {
+    entries.windows(2).all(|pair| pair[0].0 < pair[1].0)
+        && entries.iter().all(|&(_, ts)| ts != Timestamp::Never)
 }
 
 impl fmt::Display for DependencyVector {
@@ -724,6 +762,26 @@ mod tests {
         let mut w = DependencyVector::new();
         w.extend(entries);
         assert_eq!(w, v);
+    }
+
+    #[test]
+    fn from_sorted_accepts_only_canonical_entries() {
+        let entries = vec![(a(), Timestamp::created(1)), (b(), Timestamp::destroyed(2))];
+        let v = DependencyVector::from_sorted(entries.clone()).unwrap();
+        assert_eq!(v.iter().collect::<Vec<_>>(), entries);
+        assert_eq!(DependencyVector::from_sorted_slice(&entries), Some(v));
+        let wide: Vec<Entry> = (0..8u32)
+            .map(|i| (VertexId::object(i, 1), Timestamp::created(1)))
+            .collect();
+        assert!(!DependencyVector::from_sorted(wide).unwrap().is_inline());
+        for bad in [
+            vec![(b(), Timestamp::created(1)), (a(), Timestamp::created(1))],
+            vec![(a(), Timestamp::created(1)), (a(), Timestamp::created(2))],
+            vec![(a(), Timestamp::Never)],
+        ] {
+            assert_eq!(DependencyVector::from_sorted_slice(&bad), None);
+            assert_eq!(DependencyVector::from_sorted(bad), None);
+        }
     }
 
     #[test]
