@@ -41,7 +41,7 @@ macro_rules! assert_drivers_agree {
         for workers in [1u32, 3] {
             let parallel_config = ClusterConfig {
                 workers,
-                // No consistent global heap view exists while workers run;
+                // The mid-run oracle is off here to keep the corpus fast;
                 // the dangling check and equalities below judge safety.
                 safety_oracle: false,
                 ..$config.clone()
@@ -133,7 +133,8 @@ fn parallel_driver_matches_sequential_under_churn() {
 fn the_dangling_check_catches_an_unsafe_sweep_on_workers() {
     // Site 1 exports an unrooted object to site 0's root; the saboteur then
     // forges a verdict for it. Without a live oracle, the freed-but-held
-    // reference must still be found at end of run.
+    // reference must still be found at end of run; with it, the parallel
+    // driver judges the sweep as it happens, like the sequential one.
     let [s0, s1] = [0, 1].map(SiteId::new);
     let mut s = ggd_mutator::Scenario::new(2);
     let root = s.alloc(s0, true);
@@ -157,6 +158,15 @@ fn the_dangling_check_catches_an_unsafe_sweep_on_workers() {
         assert!(
             !cluster.dangling_refs().is_empty(),
             "workers={workers}: the unsafe sweep went unnoticed"
+        );
+        let judged = ClusterConfig {
+            workers,
+            ..ClusterConfig::default()
+        };
+        let (report, _) = ParallelCluster::run_seeded(&s, judged, sabotaged);
+        assert!(
+            report.safety_violations > 0,
+            "workers={workers}: the live oracle missed the sweep"
         );
     }
 }

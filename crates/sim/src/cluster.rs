@@ -1,36 +1,39 @@
-//! The sequential driver: one thread schedules every site over any transport.
+//! The drive loop, written once: a [`Cluster`] runs a scenario over a
+//! [`Network`].
 //!
-//! A [`Cluster`] is a scheduler around the crate's one execution core. The
-//! planner (`plan.rs`) turns each scenario step into shard commands — name
-//! resolution, skip analysis, the crash schedule, the membership scripts —
-//! and one shard (`shard.rs`) hosting every site executes them. What is left
-//! here is what only a driver that sees the whole cluster can do: own the
-//! [`Transport`] and poll it to quiescence in [`Cluster::settle`], judge each
-//! local collection against the global reachability [`Oracle`], and assemble
-//! the reports. [`Cluster`] is generic over the transport; its default, the
-//! deterministic [`SimNetwork`], makes every run bit-for-bit reproducible.
-//! Scheduler-dependent interleaving on real OS threads is the
-//! [`ParallelCluster`](crate::ParallelCluster)'s job.
+//! The planner (`plan.rs`) turns each scenario step into shard commands —
+//! name resolution, skip analysis, the crash schedule, the membership
+//! scripts — and one shard (`shard.rs`) hosting every site executes them at
+//! once on the calling thread and judges each local collection against the
+//! global reachability [`Oracle`]. The loop runs ops, settles and
+//! membership scripts, then the end-of-run completion with its straggler
+//! recovery, applying the crash schedule before every op, membership event
+//! and delivery round. The two drivers differ only in their [`Network`]:
+//! how a settle round delivers what is in flight. Any [`Transport`] is
+//! polled to empty, with the crash schedule applied before each delivery;
+//! its default, the deterministic [`SimNetwork`], makes every run
+//! bit-for-bit reproducible. The [`ParallelCluster`](crate::ParallelCluster)
+//! is this loop over a mailbox mesh drained on scoped threads.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_heap::SiteHeap;
 use ggd_mutator::{MembershipEvent, MutatorOp, ObjName, Scenario, Step};
-use ggd_net::{FaultPlan, SimNetwork, SimNetworkConfig, Transport};
+use ggd_net::{FaultPlan, NetMetrics, SimNetwork, SimNetworkConfig, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
 use ggd_store::{DurabilityConfig, StoreStats};
 use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
+use crate::plan::{Phase, Planner, ShardCommand};
 use crate::report::{record_net, record_store, RunReport};
-use crate::shard::Shard;
+use crate::shard::{Outbox, Shard};
 
-/// Safety valve of the settle loop on both drivers: the most rounds of
-/// deliver-then-collect one settle runs before giving up on quiescence.
-pub(crate) const SETTLE_ROUNDS: u32 = 64;
+/// Safety valve of the settle loop: the most rounds of deliver-then-collect
+/// one settle runs before giving up on quiescence.
+const SETTLE_ROUNDS: u32 = 64;
 
 /// Configuration of a cluster run.
 ///
@@ -49,22 +52,23 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// When true (the default), every local collection is cross-checked
     /// against the global reachability oracle — an O(cluster) pass per
-    /// collection. The repo benchmark's timed reps disable it to measure the
-    /// collectors, not the oracle.
+    /// collection, on either driver: both hold every heap on the calling
+    /// thread between deliveries. The repo benchmark's timed reps disable it
+    /// to measure the collectors, not the oracle.
     pub safety_oracle: bool,
     /// Site durability: off (volatile sites, the default), the in-memory
     /// durable medium, or on-disk stores. Crash faults in
     /// [`ClusterConfig::faults`] require durability — a crashed volatile
     /// site could not come back.
     pub durability: DurabilityConfig,
-    /// The number of shards, and so of drain threads, for the parallel
-    /// drive loop ([`ParallelCluster`](crate::ParallelCluster)). `0` — the
-    /// default — means the sequential single-threaded driver; the
-    /// sequential [`Cluster`] ignores this field entirely, so every
-    /// deterministic path is bit-for-bit unaffected. `ParallelCluster`
-    /// requires ≥ 1, hosts the sites round robin on that many shards
-    /// (capped at the site count) and drains each shard's frames on a
-    /// thread of its own.
+    /// The number of drain threads of the parallel driver
+    /// ([`ParallelCluster`](crate::ParallelCluster)). `0` — the default —
+    /// means the sequential single-threaded driver; the sequential
+    /// [`Cluster`] ignores this field entirely, so every deterministic path
+    /// is bit-for-bit unaffected. `ParallelCluster` requires ≥ 1: each
+    /// settle round then drains the mailboxes on that many scoped threads
+    /// (capped at the site count), each lent the sites assigned to it round
+    /// robin by site id.
     pub workers: u32,
     /// Observability (`ggd-obs`): per-site metrics, structured trace events
     /// and the object-lifecycle ledger. Off by default — every probe is a
@@ -103,33 +107,74 @@ impl ClusterConfig {
     }
 }
 
+/// How a settle round moves what is in flight — the one thing the two
+/// drivers do differently. Implemented for every [`Transport`] and for the
+/// parallel driver's mailbox mesh. Public only so [`Cluster`]'s methods can
+/// name it in their bounds: its module is private, so nothing outside this
+/// crate can name or implement it.
+pub trait Network<C: Collector>: Outbox<C::Msg> + Sized {
+    /// Delivers everything in flight, and whatever that delivery sends in
+    /// turn, and returns how many payloads were delivered.
+    fn deliver(cluster: &mut Cluster<C, Self>) -> u64;
+
+    /// True when nothing is in flight.
+    fn idle(&self) -> bool;
+
+    /// The network counters as of now.
+    fn metrics(&self) -> NetMetrics;
+}
+
+impl<C: Collector, T: Transport<SimPayload<C::Msg>>> Network<C> for T {
+    /// Polls the transport to empty. Each delivery advances the transport
+    /// clock, so the crash schedule is applied before each one.
+    fn deliver(cluster: &mut Cluster<C, T>) -> u64 {
+        let mut delivered = 0;
+        while let Some(delivery) = cluster.net.poll() {
+            delivered += 1;
+            cluster.lifecycle();
+            // The transport filters deliveries to crashed sites by its own
+            // clock; a message can still slip through in the instant before
+            // the cluster observes the crash. It dies with the site's inbox.
+            let (from, to, payload) = (delivery.from, delivery.to, delivery.payload);
+            cluster.shard.deliver(from, to, payload, &mut cluster.net);
+        }
+        delivered
+    }
+
+    fn idle(&self) -> bool {
+        self.pending() == 0
+    }
+
+    fn metrics(&self) -> NetMetrics {
+        self.metrics_snapshot()
+    }
+}
+
 /// A cluster of sites, each a [`SiteRuntime`](crate::SiteRuntime) pairing a
-/// heap with a garbage-detection engine, connected by a [`Transport`].
+/// heap with a garbage-detection engine, connected by a network: any
+/// [`Transport`], or the mailbox mesh of a
+/// [`ParallelCluster`](crate::ParallelCluster).
 ///
-/// The transport defaults to the deterministic [`SimNetwork`], so
+/// The network defaults to the deterministic [`SimNetwork`], so
 /// experiment code reads exactly as before the transport abstraction:
 /// `Cluster::from_scenario(&scenario, config, CausalCollector::new)`.
-pub struct Cluster<C, T = SimNetwork<SimPayload<<C as Collector>::Msg>>>
-where
-    C: Collector,
-    T: Transport<SimPayload<C::Msg>>,
-{
-    planner: Planner,
+pub struct Cluster<C: Collector, N = SimNetwork<SimPayload<<C as Collector>::Msg>>> {
+    pub(crate) planner: Planner,
     /// Every site of the cluster, up or down, and the configuration they
     /// were built under. Its logical step clock counts scenario steps during
-    /// [`Cluster::run`]; every driver counts the same steps, so timestamps
-    /// derived from it (unlike transport-clock ones) compare across drivers.
-    shard: Shard<C>,
-    net: T,
+    /// [`Cluster::run`]; both drivers count the same steps, so timestamps
+    /// derived from it (unlike network-clock ones) compare across drivers.
+    pub(crate) shard: Shard<C>,
+    pub(crate) net: N,
     /// Cluster-scope observability handle (disabled unless
     /// [`ClusterConfig::obs`] turns it on).
     obs: SiteObs,
 }
 
-impl<C, T> fmt::Debug for Cluster<C, T>
+impl<C, N> fmt::Debug for Cluster<C, N>
 where
     C: Collector + fmt::Debug,
-    T: Transport<SimPayload<C::Msg>> + fmt::Debug,
+    N: fmt::Debug,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
@@ -177,11 +222,7 @@ impl<C: Collector> Cluster<C> {
     }
 }
 
-impl<C, T> Cluster<C, T>
-where
-    C: Collector,
-    T: Transport<SimPayload<C::Msg>>,
-{
+impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// Creates a cluster of `sites` sites over an explicit `transport`.
     ///
     /// # Panics
@@ -193,55 +234,15 @@ where
     pub fn with_transport(
         sites: u32,
         config: ClusterConfig,
-        transport: T,
+        transport: N,
         factory: impl Fn(SiteId) -> C + 'static,
     ) -> Self {
-        let planner = config.planner(sites);
-        let obs = SiteObs::new(None, &config.obs);
-        let shard: Shard<C> = Shard::new((0..sites).map(SiteId::new), config, Box::new(factory));
         Cluster {
-            planner,
-            shard,
+            planner: config.planner(sites),
+            obs: SiteObs::new(None, &config.obs),
+            shard: Shard::new((0..sites).map(SiteId::new), config, Box::new(factory)),
             net: transport,
-            obs,
         }
-    }
-
-    /// The address allocated for a symbolic object name, if it exists yet.
-    pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.planner.addr_of(name)
-    }
-
-    /// Read access to a site's heap.
-    pub fn heap(&self, site: SiteId) -> &SiteHeap {
-        self.shard.site(site).heap()
-    }
-
-    /// Read access to a site's collector.
-    pub fn collector(&self, site: SiteId) -> &C {
-        self.shard.site(site).collector()
-    }
-
-    /// Iterates over every site's heap — the inputs the [`Oracle`] judges
-    /// the cluster by. Downed sites contribute their crash-time heap: the
-    /// durable store restores exactly it on recovery, so those objects
-    /// still exist in the ground-truth object graph.
-    pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.shard.heaps()
-    }
-
-    /// The addresses of every object reclaimed by local collections so far.
-    /// Differential checks compare these sets across collectors (e.g.
-    /// reference listing must never reclaim a cycle member). Built when
-    /// called: the run only appends freed addresses.
-    pub fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
-        self.shard.reclaimed_addrs()
-    }
-
-    /// The current residual-garbage set: objects that exist but are
-    /// globally unreachable, per the oracle.
-    pub fn garbage_addrs(&self) -> BTreeSet<GlobalAddr> {
-        Oracle::garbage(self.heaps())
     }
 
     /// Runs a whole scenario and returns the end-of-run report. Sites whose
@@ -260,13 +261,13 @@ where
                 Step::Settle => self.settle(),
                 Step::Membership(ev) => self.execute_membership(*ev),
             }
-            self.mark_garbage_unreachable();
+            self.shard.mark_garbage_unreachable();
         }
         // The end-of-run completion (final settle + forced recoveries)
         // counts as one more step.
         self.advance_step();
         self.settle();
-        self.mark_garbage_unreachable();
+        self.shard.mark_garbage_unreachable();
         let stragglers = self.planner.recover_all();
         if !stragglers.is_empty() {
             for command in stragglers {
@@ -312,73 +313,35 @@ where
         }
     }
 
-    /// Hands one planner command to the shard. Collections take the detour
-    /// through [`Cluster::collect_site`], where the oracle judges them.
+    /// Hands one planner command to the shard, at once.
     fn issue(&mut self, command: ShardCommand) {
-        match command {
-            ShardCommand::Op(site, SiteOp::Collect) => self.collect_site(site),
-            ShardCommand::CollectAll => self.collect_all(),
-            command => self.shard.execute(command, &mut self.net),
-        }
+        self.shard.execute(command, &mut self.net);
     }
 
-    /// Applies the fault plan's crash schedule against the transport clock:
+    /// Applies the fault plan's crash schedule against the network clock:
     /// opens every due crash window (tearing the volatile runtime down) and
     /// restarts every site whose window has closed (recovering it from its
     /// durable store).
-    fn lifecycle(&mut self) {
+    pub(crate) fn lifecycle(&mut self) {
         for command in self.planner.lifecycle(self.net.now()) {
             self.issue(command);
         }
     }
 
-    /// The sites whose collector state or heap still references `departed`.
-    /// Empty after a planned leave — the membership oracle of the explorer
-    /// corpus asserts exactly this, cluster-wide, for all three collectors.
-    pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.shard.sites_mentioning(departed)
-    }
-
-    /// Sites gone through a planned leave so far.
-    pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
-        self.planner.departed()
-    }
-
-    /// Sites evicted so far.
-    pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.shard.evicted_sites()
-    }
-
-    /// Current expected membership (up or temporarily crashed).
-    pub fn membership(&self) -> &BTreeSet<SiteId> {
-        self.planner.membership()
-    }
-
     /// Delivers every in-flight message, running local collections between
     /// rounds, until the whole system is quiescent (or the settle-round
-    /// safety valve trips).
+    /// safety valve trips): rounds of deliver-then-collect, until a round
+    /// delivered nothing and its collections left nothing in flight.
     pub fn settle(&mut self) {
         let mut rounds: u64 = 0;
         let mut delivered: u64 = 0;
         for _ in 0..SETTLE_ROUNDS {
             rounds += 1;
-            let mut progressed = false;
             self.lifecycle();
-            while let Some(delivery) = self.net.poll() {
-                progressed = true;
-                delivered += 1;
-                // The transport clock advanced: crash windows may have
-                // opened or closed.
-                self.lifecycle();
-                // The transport filters deliveries to crashed sites by its
-                // own clock; a message can still slip through in the
-                // instant before the cluster observes the crash. It dies
-                // with the site's inbox.
-                self.shard
-                    .deliver(delivery.from, delivery.to, delivery.payload, &mut self.net);
-            }
-            self.collect_all();
-            if !progressed && self.net.pending() == 0 {
+            let round = N::deliver(self);
+            delivered += round;
+            self.issue(ShardCommand::CollectAll);
+            if round == 0 && self.net.idle() {
                 break;
             }
         }
@@ -391,42 +354,9 @@ where
         );
     }
 
-    /// Stamps the first step at which each currently-garbage object was
-    /// observed unreachable. Runs after every scenario step and before
-    /// every collection, but only with observability *and* the safety
-    /// oracle on — a global reachability pass is exactly the cost the
-    /// oracle flag already opts into.
-    fn mark_garbage_unreachable(&mut self) {
-        if self.obs.is_enabled() && self.shard.config.safety_oracle {
-            self.shard.mark_garbage_unreachable();
-        }
-    }
-
-    /// Runs a local collection on one site, checking every freed object
-    /// against the oracle (unless [`ClusterConfig::safety_oracle`] is off).
-    pub fn collect_site(&mut self, site: SiteId) {
-        if !self.site_is_up(site) {
-            return;
-        }
-        let judged = self.shard.config.safety_oracle;
-        let live = judged.then(|| Oracle::reachable(self.heaps()));
-        // The lifecycle ledger learns when objects *became* unreachable
-        // from the same oracle state that polices safety.
-        self.mark_garbage_unreachable();
-        self.shard.collect_site(site, live.as_ref(), &mut self.net);
-    }
-
-    /// Runs a local collection on every site.
-    pub fn collect_all(&mut self) {
-        for site in self.shard.up_sites() {
-            self.collect_site(site);
-        }
-    }
-
     /// Builds the end-of-run report.
     pub fn report(&self) -> RunReport {
-        self.shard
-            .report(self.net.now(), self.net.metrics_snapshot())
+        self.shard.report(self.net.now(), self.net.metrics())
     }
 
     /// Assembles the observability report: the cluster scope (network and
@@ -437,31 +367,10 @@ where
     pub fn obs_report(&self) -> ObsReport {
         let mut cluster_obs = self.obs.clone();
         if cluster_obs.is_enabled() {
-            record_net(&mut cluster_obs, &self.net.metrics_snapshot());
+            record_net(&mut cluster_obs, &self.net.metrics());
             record_store(&mut cluster_obs, &self.store_stats(), self.recoveries());
         }
         ObsReport::assemble(&cluster_obs, self.shard.obs_scopes().iter())
-    }
-
-    /// The transport's current clock value.
-    pub fn net_now(&self) -> u64 {
-        self.net.now()
-    }
-
-    /// True when the site's runtime is currently up.
-    pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.shard.is_up(site)
-    }
-
-    /// Number of site recoveries performed so far.
-    pub fn recoveries(&self) -> u64 {
-        self.shard.recoveries()
-    }
-
-    /// Aggregated durable-store counters across every site (up or down).
-    /// All zeros with durability off.
-    pub fn store_stats(&self) -> StoreStats {
-        self.shard.store_stats()
     }
 
     /// Crashes `site` and recovers it from its durable store on the spot —
@@ -486,6 +395,84 @@ where
         for command in crash.into_iter().chain(self.planner.recover(site)) {
             self.issue(command);
         }
+    }
+}
+
+impl<C: Collector, N> Cluster<C, N> {
+    /// The address allocated for a symbolic object name, if it exists yet.
+    pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
+        self.planner.addr_of(name)
+    }
+
+    /// Read access to a site's heap.
+    pub fn heap(&self, site: SiteId) -> &SiteHeap {
+        self.shard.site(site).heap()
+    }
+
+    /// Read access to a site's collector.
+    pub fn collector(&self, site: SiteId) -> &C {
+        self.shard.site(site).collector()
+    }
+
+    /// Iterates over every site's heap — the inputs the [`Oracle`] judges
+    /// the cluster by. Downed sites contribute their crash-time heap: the
+    /// durable store restores exactly it on recovery, so those objects
+    /// still exist in the ground-truth object graph. Evicted sites
+    /// contribute their last heap, which conservatively still exists.
+    pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
+        self.shard.heaps()
+    }
+
+    /// The addresses of every object reclaimed by local collections so far.
+    /// Differential checks compare these sets across collectors (e.g.
+    /// reference listing must never reclaim a cycle member). Built when
+    /// called: the run only appends freed addresses.
+    pub fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
+        self.shard.reclaimed_addrs()
+    }
+
+    /// The current residual-garbage set: objects that exist but are
+    /// globally unreachable, per the oracle.
+    pub fn garbage_addrs(&self) -> BTreeSet<GlobalAddr> {
+        Oracle::garbage(self.heaps())
+    }
+
+    /// The sites whose collector state or heap still references `departed`.
+    /// Empty after a planned leave — the membership oracle of the explorer
+    /// corpus asserts exactly this, cluster-wide, for all three collectors.
+    pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
+        self.shard.sites_mentioning(departed)
+    }
+
+    /// Sites gone through a planned leave so far.
+    pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
+        self.planner.departed()
+    }
+
+    /// Sites evicted so far.
+    pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.shard.evicted_sites()
+    }
+
+    /// Current expected membership (up or temporarily crashed).
+    pub fn membership(&self) -> &BTreeSet<SiteId> {
+        self.planner.membership()
+    }
+
+    /// True when the site's runtime is currently up.
+    pub fn site_is_up(&self, site: SiteId) -> bool {
+        self.shard.is_up(site)
+    }
+
+    /// Number of site recoveries performed so far.
+    pub fn recoveries(&self) -> u64 {
+        self.shard.recoveries()
+    }
+
+    /// Aggregated durable-store counters across every site (up or down).
+    /// All zeros with durability off.
+    pub fn store_stats(&self) -> StoreStats {
+        self.shard.store_stats()
     }
 }
 
@@ -916,7 +903,7 @@ mod tests {
                 Step::Membership(ev) => probe.execute_membership(*ev),
             }
         }
-        let crash_at = probe.net_now();
+        let crash_at = probe.net.now();
 
         let config = ClusterConfig {
             faults: FaultPlan::new().with_crash(s1, crash_at, u64::MAX),

@@ -11,15 +11,14 @@
 //!
 //! The paper's collector is per-site and message-driven, so nothing in it
 //! depends on who schedules the sites. The crate is built the same way: one
-//! execution core — a pure planner (`plan.rs`: scenario step → commands;
-//! name resolution, skip analysis, crash schedule, membership scripts) and
-//! a shard executor (`shard.rs`: the site runtimes and everything that
-//! happens to them) — under two schedulers. [`Cluster`] runs the core on
-//! one thread over any transport, by default the deterministic
-//! [`ggd_net::SimNetwork`]. [`ParallelCluster`], the one concurrent
-//! backend, runs the commands on the calling thread over shards that
-//! exchange encoded frames and drain them on threads of their own, as an
-//! asynchrony/correctness harness.
+//! drive loop (`cluster.rs`) over one execution core — a pure planner
+//! (`plan.rs`: scenario step → commands; name resolution, skip analysis,
+//! crash schedule, membership scripts) and a shard executor (`shard.rs`:
+//! the site runtimes and everything that happens to them) — with two ways
+//! to deliver messages. [`Cluster`] polls any transport on one thread, by
+//! default the deterministic [`ggd_net::SimNetwork`]. [`ParallelCluster`],
+//! the one concurrent backend, posts encoded frames to mailboxes and drains
+//! them on threads of their own, as an asynchrony/correctness harness.
 //!
 //! # Example
 //!

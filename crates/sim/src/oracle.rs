@@ -65,8 +65,9 @@ impl Oracle {
     /// means either an object was freed while still referenced, or the
     /// mutator sent a reference to an object that was already dead — the
     /// scenario generators name objects by handle and can do that. It is
-    /// the end-of-run safety check for runs that could not consult the
-    /// oracle at every collection, once the second kind is set aside
+    /// the end-of-run safety check for runs with the live oracle
+    /// ([`ClusterConfig::safety_oracle`](crate::ClusterConfig::safety_oracle))
+    /// off, once the second kind is set aside
     /// ([`ParallelCluster::dangling_refs`](crate::ParallelCluster::dangling_refs)).
     /// References into a site with no heap are not judged.
     pub fn dangling<'a>(

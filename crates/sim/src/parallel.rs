@@ -1,36 +1,31 @@
-//! The parallel driver: the same execution core, with the sites sharded
-//! over workers that exchange encoded wire frames through mailboxes and
-//! drain them on threads of their own.
+//! The parallel driver: the drive loop of the sequential driver, with a
+//! mailbox mesh in place of the transport, drained on threads of its own.
 //!
-//! [`ParallelCluster`] differs from the sequential [`Cluster`](crate::Cluster)
-//! only in how messages move:
+//! [`ParallelCluster`] is a [`Cluster`] whose [`Network`] is a mailbox mesh:
+//! the crate's one drive loop over one shard hosting every site, on the
+//! calling thread, exactly as under the sequential driver — every planner
+//! command runs there, at once, and collections are judged by the same
+//! oracle. It differs only in how a settle round delivers what is in
+//! flight:
 //!
-//! * **Workers** are shards (`shard.rs`), each hosting a share of the sites
-//!   (round robin by site id; with as many workers as sites this
-//!   degenerates to one site per worker), plus a mailbox of the wire frames
-//!   addressed to those sites. Inter-site traffic is exchanged
-//!   worker-to-worker as length-prefixed encoded [`Frame`]s (the
-//!   `ggd-store`-backed codec), so byte metrics measure real serialized cost
-//!   and no payload value ever crosses a thread boundary.
-//! * **The coordinator** (the calling thread) owns the planner (`plan.rs`)
-//!   and every worker. It plans each scenario step and executes the
-//!   resulting commands itself, at once, on the worker hosting the site (or
-//!   on every worker). Planning needs no round-trip — allocation addresses
-//!   are predicted, and the shard asserts the prediction. Frames the
-//!   commands emit wait in the mailboxes: delivery happens only inside a
-//!   settle, under every driver.
-//! * **Drains** are the only concurrency. A settle round gives each worker
-//!   a scoped thread that processes its mailbox until the termination
-//!   barrier reports quiescence, then joins them all.
+//! * **The mesh** is one mailbox per worker, each receiving the wire frames
+//!   addressed to the sites `worker_of` assigns it (round robin by site id;
+//!   with as many workers as sites this degenerates to one site per
+//!   worker). Inter-site traffic is posted as length-prefixed encoded
+//!   [`Frame`]s (the `ggd-store`-backed codec), so byte metrics measure real
+//!   serialized cost and no payload value ever crosses a thread boundary.
+//!   Frames wait in the mailboxes until the next drain.
+//! * **A drain** is the only concurrency. The shard lends each worker's
+//!   site runtimes to a scoped thread of its own, which processes its
+//!   mailbox until the termination barrier reports quiescence; the shard
+//!   takes the sites back when the threads join.
 //!
 //! The **termination barrier** is a global in-flight credit counter. A
 //! frame's credit is raised *before* the frame enters a mailbox and lowered
-//! only after the receiving worker has fully processed it — including
-//! enqueuing any frames that processing produced — so while every worker
-//! drains, `in_flight == 0` is a stable property: no worker can reintroduce
-//! traffic. Each settle is rounds of drain-then-collect — deliver
-//! everything, collect everywhere — until a round's drain processed nothing
-//! and its collections emitted nothing.
+//! only after the receiving thread has fully processed it — including
+//! enqueuing any frames that processing produced — so while every thread
+//! drains, `in_flight == 0` is a stable property: no thread can reintroduce
+//! traffic.
 //!
 //! What stays deterministic and what does not: everything the planner
 //! decides is a pure function of the scenario and config, and every site
@@ -39,30 +34,25 @@
 //! driver is opt-in via [`ClusterConfig::workers`].
 //!
 //! It is the workspace's one concurrent backend, and its role is an
-//! asynchrony/correctness harness — the same planner and shard code under
-//! real threads, encoded frames and the termination barrier — not a scaling
-//! path: measured at two workers it is slower than the sequential driver on
-//! every benchmark workload (DESIGN.md §8).
+//! asynchrony/correctness harness — the same drive loop and shard code
+//! under real threads, encoded frames and the termination barrier — not a
+//! scaling path: measured at two workers it is slower than the sequential
+//! driver on every benchmark workload (DESIGN.md §8).
 
 use std::collections::BTreeSet;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use ggd_heap::SiteHeap;
-use ggd_mutator::{MembershipEvent, MutatorOp, Scenario, Step};
+use ggd_mutator::Scenario;
 use ggd_net::{Frame, NetMetrics};
-use ggd_obs::{ObsReport, SiteObs};
-use ggd_store::StoreStats;
 use ggd_types::{GlobalAddr, SiteId};
 
-use crate::cluster::{ClusterConfig, SETTLE_ROUNDS};
+use crate::cluster::{Cluster, ClusterConfig, Network};
 use crate::collector::{Collector, SimPayload};
-use crate::oracle::Oracle;
-use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
-use crate::report::{record_net, record_store, RunReport};
+use crate::report::RunReport;
 use crate::shard::{Outbox, Shard};
 
 /// How long a drain thread waits on the termination barrier with credits
@@ -70,52 +60,69 @@ use crate::shard::{Outbox, Shard};
 /// can exhaust it; panicking beats hanging.
 const PHASE_DEADLINE: Duration = Duration::from_secs(60);
 
-/// A collector factory that can move to a drain thread.
-type SendFactory<C> = Box<dyn Fn(SiteId) -> C + Send>;
-
-/// A shard whose collector factory can move to a drain thread.
-type WorkerShard<C> = Shard<C, SendFactory<C>>;
-
 /// One mailbox item: an encoded frame from one site to another.
 type Mail = (SiteId, SiteId, Frame);
 
-/// Counters shared by the coordinator and every worker. `in_flight` is the
-/// termination barrier's credit count; the rest feed the run report.
+/// Counters shared by the calling thread and every drain thread.
+/// `in_flight` is the termination barrier's credit count; the rest feed the
+/// run report.
 #[derive(Debug, Default)]
 struct SharedState {
     /// Frames enqueued but not yet fully processed (credit scheme: raised
     /// before the mailbox send, lowered after the handler *and its
     /// descendant sends* complete).
     in_flight: AtomicU64,
-    /// High-water mark of `in_flight` — how deep the termination barrier's
-    /// credit pool ever got. Reported on the settle trace event.
-    credit_hwm: AtomicU64,
     /// Raised by a drain thread that panics, so the others stop waiting for
     /// credits it will never release.
     abandoned: AtomicBool,
     /// The logical clock: frames processed so far (the transports'
     /// delivered-messages clock, for mailboxes).
     deliveries: AtomicU64,
-    /// Wire bytes currently sitting in worker mailboxes.
+    /// Wire bytes currently sitting in mailboxes.
     queued_bytes: AtomicU64,
     /// High-water mark of `queued_bytes`, in real encoded frame bytes.
     peak_queued_bytes: AtomicU64,
-}
-
-/// A worker's sending side: encodes payloads into frames, mails them to the
-/// worker hosting the destination and keeps the credit and byte ledgers.
-struct Wire {
-    /// Every worker's mailbox (index = worker).
-    mailboxes: Vec<Sender<Mail>>,
-    shared: Arc<SharedState>,
-    metrics: NetMetrics,
 }
 
 fn worker_of(site: SiteId, workers: usize) -> usize {
     site.index() as usize % workers
 }
 
-impl<M> Outbox<M> for Wire
+/// The mailbox mesh: the parallel driver's [`Network`]. Public only as the
+/// network type of the [`Cluster`] a [`ParallelCluster`] derefs to.
+pub struct Mesh {
+    /// Every worker's mailbox (index = worker).
+    mailboxes: Vec<Sender<Mail>>,
+    /// The receiving ends, read only in a drain.
+    inboxes: Vec<Receiver<Mail>>,
+    shared: SharedState,
+    /// Frame counters, one table per drain thread. The calling thread, which
+    /// posts only between drains, counts in worker 0's.
+    metrics: Vec<NetMetrics>,
+}
+
+impl Mesh {
+    fn new(workers: usize) -> Self {
+        let (mailboxes, inboxes) = (0..workers).map(|_| unbounded()).unzip();
+        Mesh {
+            mailboxes,
+            inboxes,
+            shared: SharedState::default(),
+            metrics: vec![NetMetrics::new(); workers],
+        }
+    }
+}
+
+/// A sending side of the mesh: encodes payloads into frames, mails them to
+/// the worker hosting the destination and keeps the credit and byte
+/// ledgers.
+struct Wire<'a> {
+    mailboxes: &'a [Sender<Mail>],
+    shared: &'a SharedState,
+    metrics: &'a mut NetMetrics,
+}
+
+impl<M> Outbox<M> for Wire<'_>
 where
     SimPayload<M>: ggd_net::WireCodec,
 {
@@ -125,11 +132,10 @@ where
     fn post(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>) {
         let frame = Frame::encode(&payload);
         let len = self.metrics.record_frame_sent(&frame) as u64;
-        let shared = &self.shared;
+        let shared = self.shared;
         let queued = shared.queued_bytes.fetch_add(len, Ordering::SeqCst) + len;
         shared.peak_queued_bytes.fetch_max(queued, Ordering::SeqCst);
-        let credited = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        shared.credit_hwm.fetch_max(credited, Ordering::SeqCst);
+        shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let dest = worker_of(to, self.mailboxes.len());
         self.mailboxes[dest]
             .send((from, to, frame))
@@ -141,16 +147,89 @@ where
     }
 }
 
-/// One worker: a shard, its sending side and its mailbox.
-struct Worker<C: Collector> {
-    index: usize,
-    shard: WorkerShard<C>,
-    wire: Wire,
-    /// Frames addressed to this worker's sites, each still holding its
-    /// credit. Read only in a drain.
-    mailbox: Receiver<Mail>,
-    /// Objects a hosted site exported after it had already freed them.
-    stale_exports: BTreeSet<GlobalAddr>,
+impl<M> Outbox<M> for Mesh
+where
+    SimPayload<M>: ggd_net::WireCodec,
+{
+    fn post(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>) {
+        let mut wire = Wire {
+            mailboxes: &self.mailboxes,
+            shared: &self.shared,
+            metrics: &mut self.metrics[0],
+        };
+        wire.post(from, to, payload);
+    }
+
+    fn now(&self) -> u64 {
+        self.shared.deliveries.load(Ordering::SeqCst)
+    }
+}
+
+impl<C> Network<C> for Mesh
+where
+    C: Collector + Send,
+    C::Msg: Send,
+{
+    /// Drains every mailbox, one scoped thread per worker holding that
+    /// worker's sites, then applies the crash schedule at the advanced
+    /// delivery clock (crash windows opening mid-drain take effect there).
+    /// A drain thread's panic is re-raised here with its own payload.
+    fn deliver(cluster: &mut Cluster<C, Self>) -> u64 {
+        let Mesh {
+            mailboxes,
+            inboxes,
+            shared,
+            metrics,
+        } = &mut cluster.net;
+        let (mailboxes, shared) = (&mailboxes[..], &*shared);
+        let workers = inboxes.len();
+        let mut lent = cluster.shard.lend(workers, |site| worker_of(site, workers));
+        let processed: u64 = std::thread::scope(|scope| {
+            let drains: Vec<_> = lent
+                .iter_mut()
+                .zip(inboxes.iter_mut().zip(metrics.iter_mut()))
+                .enumerate()
+                .map(|(index, (shard, (inbox, metrics)))| {
+                    let wire = Wire {
+                        mailboxes,
+                        shared,
+                        metrics,
+                    };
+                    scope.spawn(move || drain(index, shard, inbox, wire))
+                })
+                .collect();
+            drains
+                .into_iter()
+                .map(|drain| {
+                    drain
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .sum()
+        });
+        for shard in lent {
+            cluster.shard.merge(shard);
+        }
+        cluster.lifecycle();
+        processed
+    }
+
+    fn idle(&self) -> bool {
+        self.shared.in_flight.load(Ordering::SeqCst) == 0
+    }
+
+    /// Every thread's frame counters, with the mesh's queue depth, which
+    /// lives in the shared ledger rather than in any one table.
+    fn metrics(&self) -> NetMetrics {
+        let mut net = NetMetrics::new();
+        for metrics in &self.metrics {
+            net.absorb(metrics);
+        }
+        let shared = &self.shared;
+        net.note_enqueued(shared.queued_bytes.load(Ordering::SeqCst) as usize);
+        net.note_peak_queued(shared.peak_queued_bytes.load(Ordering::SeqCst));
+        net
+    }
 }
 
 /// Marks the run abandoned if the drain thread holding it unwinds.
@@ -164,225 +243,86 @@ impl Drop for AbandonOnPanic<'_> {
     }
 }
 
-impl<C: Collector> Worker<C> {
-    /// Executes one planner command, stamped with its scenario step so
-    /// probes read driver-independent time.
-    fn execute(&mut self, command: ShardCommand, step: u64) {
-        self.note_stale_export(&command);
-        self.shard.step = step;
-        self.shard.execute(command, &mut self.wire);
-    }
-
-    /// Records a `SendRef` whose target its own site has already freed. The
-    /// scenario names objects by handle, so it can export an object after
-    /// its death; the reference that lands then dangles through no fault
-    /// of the collector (see [`ParallelCluster::dangling_refs`]).
-    fn note_stale_export(&mut self, command: &ShardCommand) {
-        if let ShardCommand::Op(site, SiteOp::SendRef { target, .. }) = *command {
-            let shard = &self.shard;
-            if target.site() == site
-                && shard.is_up(site)
-                && !shard.site(site).heap().contains(target.object())
-            {
-                self.stale_exports.insert(target);
-            }
+/// Processes worker `index`'s mailed frames on its lent `shard` until the
+/// global in-flight credit reaches zero, and returns how many it processed.
+/// Zero is stable: every worker is draining, only frame processing (which
+/// holds a credit) can enqueue new frames, and the calling thread issues
+/// nothing until every drain has returned. No rendezvous sits in here — a
+/// thread that panics raises `abandoned` instead of leaving the others
+/// waiting.
+fn drain<C: Collector>(
+    index: usize,
+    shard: &mut Shard<C, ()>,
+    inbox: &mut Receiver<Mail>,
+    mut wire: Wire<'_>,
+) -> u64 {
+    let shared = wire.shared;
+    let _guard = AbandonOnPanic(&shared.abandoned);
+    let mut processed = 0;
+    let deadline = Instant::now() + PHASE_DEADLINE;
+    loop {
+        while let Ok(mail) = inbox.try_recv() {
+            process_frame(shard, mail, &mut wire);
+            processed += 1;
         }
-    }
-
-    /// Processes mailed frames until the global in-flight credit reaches
-    /// zero, and returns how many it processed. Zero is stable: every
-    /// worker is draining, only frame processing (which holds a credit) can
-    /// enqueue new frames, and the coordinator issues nothing until every
-    /// drain has returned. No rendezvous sits in here — a worker that
-    /// panics raises `abandoned` instead of leaving the others waiting.
-    fn drain(&mut self, step: u64) -> u64 {
-        let shared = Arc::clone(&self.wire.shared);
-        let _guard = AbandonOnPanic(&shared.abandoned);
-        self.shard.step = step;
-        let mut processed = 0;
-        let deadline = Instant::now() + PHASE_DEADLINE;
-        loop {
-            while let Ok((from, to, frame)) = self.mailbox.try_recv() {
-                self.process_frame(from, to, frame);
-                processed += 1;
-            }
-            let credited = shared.in_flight.load(Ordering::SeqCst);
-            if credited == 0 || shared.abandoned.load(Ordering::SeqCst) {
-                return processed;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "worker {} drain stalled with {credited} frames credited — termination barrier bug",
-                self.index,
-            );
-            if let Ok((from, to, frame)) = self.mailbox.recv_timeout(Duration::from_millis(1)) {
-                self.process_frame(from, to, frame);
-                processed += 1;
-            }
+        let credited = shared.in_flight.load(Ordering::SeqCst);
+        if credited == 0 || shared.abandoned.load(Ordering::SeqCst) {
+            return processed;
         }
-    }
-
-    /// Consumes one frame: decode at the mailbox, deliver to the hosted
-    /// runtime (or drop as loss if the site is down or a partition window
-    /// separates the link), then release the credit — strictly after
-    /// any descendant sends were enqueued.
-    fn process_frame(&mut self, from: SiteId, to: SiteId, frame: Frame) {
-        let wire = &mut self.wire;
-        let shared = &wire.shared;
-        shared
-            .queued_bytes
-            .fetch_sub(frame.wire_len() as u64, Ordering::SeqCst);
-        let now = shared.deliveries.load(Ordering::SeqCst);
-        if self.shard.is_up(to) && !self.shard.config.faults.partition_drops(from, to, now) {
-            let payload: SimPayload<C::Msg> = frame
-                .decode()
-                .expect("wire frame decodes back to the payload that was sent");
-            wire.metrics.record_frame_delivered(&frame);
-            shared.deliveries.fetch_add(1, Ordering::SeqCst);
-            self.shard.deliver(from, to, payload, wire);
-        } else {
-            // The site is down (or between crash and recover), or the link
-            // is cut at the delivery clock: the frame dies, counted as loss
-            // — the simulated network's semantics.
-            wire.metrics.record_frame_dropped(&frame);
-        }
-        wire.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The coordinator side of a parallel run: the planner and every worker.
-struct Coordinator<C: Collector> {
-    planner: Planner,
-    workers: Vec<Worker<C>>,
-    shared: Arc<SharedState>,
-    /// The logical step clock — counts scenario steps (first step = 1,
-    /// end-of-run completion = one more) and stamps every command.
-    step: u64,
-    /// Cluster-scope observability handle.
-    obs: SiteObs,
-}
-
-impl<C: Collector + Send> Coordinator<C> {
-    fn advance_step(&mut self) {
-        self.step += 1;
-        self.obs.set_step(self.step);
-    }
-
-    /// Executes one planner command on the worker hosting its site, or on
-    /// every worker.
-    fn issue(&mut self, command: ShardCommand) {
-        let step = self.step;
-        match command.site() {
-            Some(site) => {
-                let owner = worker_of(site, self.workers.len());
-                self.workers[owner].execute(command, step);
-            }
-            None => {
-                for worker in &mut self.workers {
-                    worker.execute(command.clone(), step);
-                }
-            }
-        }
-    }
-
-    /// Drains every mailbox, one scoped thread per worker, and returns the
-    /// frames processed. A drain thread's panic is re-raised here with its
-    /// own payload.
-    fn drain(&mut self) -> u64 {
-        let step = self.step;
-        std::thread::scope(|scope| {
-            let drains: Vec<_> = self
-                .workers
-                .iter_mut()
-                .map(|worker| scope.spawn(move || worker.drain(step)))
-                .collect();
-            drains
-                .into_iter()
-                .map(|drain| {
-                    drain
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .sum()
-        })
-    }
-
-    /// The parallel settle: rounds of drain-then-collect until a round's
-    /// drain processed nothing and its collections emitted nothing. No
-    /// mailbox is read outside a drain, so every frame emitted since still
-    /// holds its credit: the round was quiescent iff `in_flight` is zero
-    /// after the collections. The round counter survives only as the
-    /// safety valve.
-    fn settle(&mut self) {
-        let mut rounds: u64 = 0;
-        let mut delivered: u64 = 0;
-        for _ in 0..SETTLE_ROUNDS {
-            rounds += 1;
-            self.lifecycle();
-            let processed = self.drain();
-            delivered += processed;
-            self.lifecycle();
-            self.issue(ShardCommand::CollectAll);
-            if processed == 0 && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-        }
-        // Round/delivery counts are schedule-shaped (drain waves, not a
-        // per-delivery loop) — a non-deterministic event. The credit
-        // high-water mark is the run-so-far peak of the termination
-        // barrier's in-flight pool.
-        self.obs.event(
-            "settle",
-            false,
-            &[
-                ("rounds", rounds),
-                ("delivered", delivered),
-                ("credit_hwm", self.shared.credit_hwm.load(Ordering::SeqCst)),
-            ],
+        assert!(
+            Instant::now() < deadline,
+            "worker {index} drain stalled with {credited} frames credited — termination barrier bug",
         );
-    }
-
-    /// Applies the crash schedule against the shared delivery clock,
-    /// sampled at op dispatch and settle-round boundaries (crash windows
-    /// opening mid-drain take effect at the next boundary).
-    fn lifecycle(&mut self) {
-        let now = self.shared.deliveries.load(Ordering::SeqCst);
-        for command in self.planner.lifecycle(now) {
-            self.issue(command);
-        }
-    }
-
-    fn dispatch(&mut self, op: MutatorOp) {
-        self.lifecycle();
-        if let Some(command) = self.planner.plan_op(op) {
-            self.issue(command);
-        }
-    }
-
-    /// Runs the planner's script for one membership event, the settles
-    /// serving as its quiesce points.
-    fn execute_membership(&mut self, ev: MembershipEvent) {
-        self.lifecycle();
-        for phase in self.planner.plan_membership(ev) {
-            match phase {
-                Phase::Settle => self.settle(),
-                Phase::Run(command) => self.issue(command),
-                Phase::Event(kind, fields) => self.obs.event(kind, true, &fields),
-            }
+        if let Ok(mail) = inbox.recv_timeout(Duration::from_millis(1)) {
+            process_frame(shard, mail, &mut wire);
+            processed += 1;
         }
     }
 }
 
-/// The end state of a parallel run: every worker's shard merged back into
-/// one, ready for oracle inspection.
+/// Consumes one frame: decode at the mailbox, deliver to the hosted
+/// runtime (or drop as loss if the site is down or a partition window
+/// separates the link), then release the credit — strictly after any
+/// descendant sends were enqueued.
+fn process_frame<C: Collector>(
+    shard: &mut Shard<C, ()>,
+    (from, to, frame): Mail,
+    wire: &mut Wire<'_>,
+) {
+    let shared = wire.shared;
+    shared
+        .queued_bytes
+        .fetch_sub(frame.wire_len() as u64, Ordering::SeqCst);
+    let now = shared.deliveries.load(Ordering::SeqCst);
+    if shard.is_up(to) && !shard.config.faults.partition_drops(from, to, now) {
+        let payload: SimPayload<C::Msg> = frame
+            .decode()
+            .expect("wire frame decodes back to the payload that was sent");
+        wire.metrics.record_frame_delivered(&frame);
+        shared.deliveries.fetch_add(1, Ordering::SeqCst);
+        shard.deliver(from, to, payload, wire);
+    } else {
+        // The site is down (or between crash and recover), or the link is
+        // cut at the delivery clock: the frame dies, counted as loss — the
+        // simulated network's semantics.
+        wire.metrics.record_frame_dropped(&frame);
+    }
+    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// A finished parallel run: a [`Cluster`] over the mailbox mesh, whose
+/// read-only accessors ([`Cluster::heaps`], [`Cluster::reclaimed_addrs`],
+/// [`Cluster::obs_report`], …) it derefs to.
 pub struct ParallelCluster<C: Collector> {
-    shard: WorkerShard<C>,
-    planner: Planner,
-    /// Cluster-scope observability handle (network aggregates already
-    /// absorbed as auxiliary gauges at end of run).
-    obs: SiteObs,
-    /// Objects exported by their own site after it had freed them.
-    stale_exports: BTreeSet<GlobalAddr>,
+    cluster: Cluster<C, Mesh>,
+}
+
+impl<C: Collector> Deref for ParallelCluster<C> {
+    type Target = Cluster<C, Mesh>;
+
+    fn deref(&self) -> &Cluster<C, Mesh> {
+        &self.cluster
+    }
 }
 
 impl<C> ParallelCluster<C>
@@ -390,19 +330,18 @@ where
     C: Collector + Send + 'static,
     C::Msg: Send + 'static,
 {
-    /// Runs `scenario` on [`ClusterConfig::workers`] shards, each draining
-    /// its frames on a thread of its own, and returns the report together
-    /// with the reassembled cluster state.
+    /// Runs `scenario` with every site on the calling thread and each
+    /// settle round's frames drained on [`ClusterConfig::workers`] threads,
+    /// and returns the report together with the finished cluster.
     ///
-    /// Takes the inputs of [`Cluster::run_seeded`](crate::Cluster::run_seeded)
-    /// and plans the same commands from them, but the run is *not*
-    /// deterministic: frame interleaving across workers is
-    /// scheduler-dependent. [`ClusterConfig::safety_oracle`] is ignored (no
-    /// consistent global heap view exists mid-run); safety is checked by the
-    /// sequential-equivalence suite and, at end of run, by
-    /// [`ParallelCluster::dangling_refs`] instead. Of [`ClusterConfig::faults`], only the
-    /// crash schedule and partition windows apply, both against the
-    /// delivered-frame clock.
+    /// Takes the inputs of [`Cluster::run_seeded`] and runs the same drive
+    /// loop on them, but the run is *not* deterministic: frame interleaving
+    /// across workers is scheduler-dependent.
+    /// [`ClusterConfig::safety_oracle`] means what it means there: every
+    /// local collection is judged against the global reachability oracle.
+    /// [`ParallelCluster::dangling_refs`] checks safety once more at end of
+    /// run. Of [`ClusterConfig::faults`], only the crash schedule and
+    /// partition windows apply, both against the delivered-frame clock.
     ///
     /// # Panics
     ///
@@ -418,175 +357,28 @@ where
             config.workers >= 1,
             "the parallel driver requires ClusterConfig::workers >= 1"
         );
-        let site_count = scenario.site_count();
-        let mut planner = config.planner(site_count);
-        if scenario.has_membership() {
-            planner.track_legality();
-        }
-        let workers = (config.workers as usize).min(site_count.max(1) as usize);
-        let shared = Arc::new(SharedState::default());
-
-        // Build the shards and the mailbox mesh.
-        let (senders, mailboxes): (Vec<_>, Vec<_>) =
-            (0..workers).map(|_| unbounded::<Mail>()).unzip();
-        let workers = mailboxes
-            .into_iter()
-            .enumerate()
-            .map(|(index, mailbox)| {
-                let hosted = (0..site_count)
-                    .map(SiteId::new)
-                    .filter(|&site| worker_of(site, workers) == index);
-                let factory: SendFactory<C> = Box::new(factory.clone());
-                Worker {
-                    index,
-                    shard: Shard::new(hosted, config.clone(), factory),
-                    wire: Wire {
-                        mailboxes: senders.clone(),
-                        shared: Arc::clone(&shared),
-                        metrics: NetMetrics::new(),
-                    },
-                    mailbox,
-                    stale_exports: BTreeSet::new(),
-                }
-            })
-            .collect();
-        let mut coordinator = Coordinator::<C> {
-            planner,
-            workers,
-            shared: Arc::clone(&shared),
-            step: 0,
-            obs: SiteObs::new(None, &config.obs),
-        };
-
-        // Drive the scenario: commands run at once, settles drain.
-        for step in scenario.steps() {
-            coordinator.advance_step();
-            match step {
-                Step::Op(op) => coordinator.dispatch(*op),
-                Step::Settle => coordinator.settle(),
-                Step::Membership(ev) => coordinator.execute_membership(*ev),
-            }
-        }
-        coordinator.advance_step();
-        coordinator.settle();
-        let stragglers = coordinator.planner.recover_all();
-        if !stragglers.is_empty() {
-            for command in stragglers {
-                coordinator.issue(command);
-            }
-            coordinator.settle();
-        }
-
-        // Reassemble.
-        let factory: SendFactory<C> = Box::new(factory);
-        let mut shard = Shard::new(std::iter::empty(), config, factory);
-        let mut net = NetMetrics::new();
-        let mut stale_exports = BTreeSet::new();
-        for worker in coordinator.workers {
-            shard.merge(worker.shard);
-            net.absorb(&worker.wire.metrics);
-            stale_exports.extend(worker.stale_exports);
-        }
-        net.note_peak_queued(shared.peak_queued_bytes.load(Ordering::SeqCst));
-
+        let sites = scenario.site_count();
+        let mesh = Mesh::new((config.workers as usize).min(sites.max(1) as usize));
+        let mut cluster = Cluster::with_transport(sites, config, mesh, factory);
+        cluster.shard.stale_exports = Some(BTreeSet::new());
+        let report = cluster.run(scenario);
         assert_eq!(
-            shard.up_sites().len(),
-            coordinator.planner.membership().len(),
+            cluster.shard.up_sites().len(),
+            cluster.planner.membership().len(),
             "every member site must be up and returned at end of run"
         );
-        let mut cluster_obs = coordinator.obs.take();
-        if cluster_obs.is_enabled() {
-            // The network aggregates live in the report's metrics snapshot;
-            // record them as auxiliary gauges before `net` moves out.
-            record_net(&mut cluster_obs, &net);
-        }
-        let report = shard.report(shared.deliveries.load(Ordering::SeqCst), net);
-        let cluster = ParallelCluster {
-            shard,
-            planner: coordinator.planner,
-            obs: cluster_obs,
-            stale_exports,
-        };
-        (report, cluster)
+        (report, ParallelCluster { cluster })
     }
 }
 
 impl<C: Collector> ParallelCluster<C> {
-    /// Read access to a site's heap.
-    pub fn heap(&self, site: SiteId) -> &SiteHeap {
-        self.shard.site(site).heap()
-    }
-
-    /// Iterates over every site's heap — member sites plus evicted heaps
-    /// (the latter conservatively still exist for the oracle).
-    pub fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.shard.heaps()
-    }
-
-    /// The sites whose collector state or heap still references `departed`.
-    /// Empty after a planned leave, on any worker count.
-    pub fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        self.shard.sites_mentioning(departed)
-    }
-
-    /// Sites gone through a planned leave over the run.
-    pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
-        self.planner.departed()
-    }
-
-    /// Sites evicted over the run.
-    pub fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.shard.evicted_sites()
-    }
-
-    /// The addresses of every object reclaimed by local collections, built
-    /// when called.
-    pub fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
-        self.shard.reclaimed_addrs()
-    }
-
-    /// The residual-garbage set at end of run, per the oracle.
-    pub fn garbage_addrs(&self) -> BTreeSet<GlobalAddr> {
-        Oracle::garbage(self.heaps())
-    }
-
-    /// The run's end-of-run safety judgment: the [`Oracle::dangling`]
-    /// references, less those naming an object the scenario exported after
-    /// its own site had freed it (a reference born dangling, not one a
-    /// collector broke). Empty unless a collector freed a referenced object.
+    /// The run's end-of-run safety judgment: the
+    /// [`Oracle::dangling`](crate::Oracle::dangling) references, less those
+    /// naming an object the scenario exported after its own site had freed
+    /// it (a reference born dangling, not one a collector broke). Empty
+    /// unless a collector freed a referenced object.
     pub fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
-        let mut dangling = Oracle::dangling(self.heaps());
-        dangling.retain(|(_, target)| !self.stale_exports.contains(target));
-        dangling
-    }
-
-    /// Number of site recoveries performed over the run.
-    pub fn recoveries(&self) -> u64 {
-        self.shard.recoveries()
-    }
-
-    /// True when the site's runtime came back up (always, for a completed
-    /// run — the driver recovers every downed site before reporting).
-    pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.shard.is_up(site)
-    }
-
-    /// Aggregated durable-store counters across every site. All zeros with
-    /// durability off.
-    pub fn store_stats(&self) -> StoreStats {
-        self.shard.store_stats()
-    }
-
-    /// Assembles the observability report: the cluster scope, then every
-    /// site scope, with the scope structure and auxiliary gauges of
-    /// [`Cluster::obs_report`](crate::Cluster::obs_report). Empty/disabled
-    /// when [`ClusterConfig::obs`] is off.
-    pub fn obs_report(&self) -> ObsReport {
-        let mut cluster_obs = self.obs.clone();
-        if cluster_obs.is_enabled() {
-            record_store(&mut cluster_obs, &self.store_stats(), self.recoveries());
-        }
-        ObsReport::assemble(&cluster_obs, self.shard.obs_scopes().iter())
+        self.shard.dangling_refs()
     }
 }
 
@@ -597,6 +389,7 @@ mod tests {
     use crate::Cluster;
     use ggd_mutator::{workloads, ObjName};
     use ggd_types::ObjectId;
+    use std::sync::Arc;
 
     fn parallel_config(workers: u32) -> ClusterConfig {
         ClusterConfig {

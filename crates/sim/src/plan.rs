@@ -48,8 +48,8 @@ pub(crate) enum SiteOp {
     Collect,
 }
 
-/// One instruction to the shard(s) hosting the sites it concerns.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One instruction to the shard.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum ShardCommand {
     /// A resolved mutator op on a site that is up.
     Op(SiteId, SiteOp),
@@ -76,30 +76,12 @@ pub(crate) enum ShardCommand {
     Announce(MembershipAnnouncement),
 }
 
-impl ShardCommand {
-    /// The one site the command concerns; `None` for commands every shard
-    /// must see.
-    pub(crate) fn site(&self) -> Option<SiteId> {
-        match *self {
-            ShardCommand::Op(site, _)
-            | ShardCommand::Crash(site)
-            | ShardCommand::Recover(site)
-            | ShardCommand::Join { site, .. }
-            | ShardCommand::Remove(site)
-            | ShardCommand::Evict(site) => Some(site),
-            ShardCommand::CollectAll | ShardCommand::Handoff { .. } | ShardCommand::Announce(_) => {
-                None
-            }
-        }
-    }
-}
-
 /// One phase of a membership protocol's script.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Quiesce: deliver everything in flight, collecting between rounds.
     Settle,
-    /// Hand the command to the shard(s) concerned.
+    /// Hand the command to the shard.
     Run(ShardCommand),
     /// Record a deterministic cluster-scope trace event.
     Event(&'static str, Vec<(&'static str, u64)>),

@@ -1,17 +1,19 @@
 //! Execution: a set of site runtimes and everything that happens *to* them.
 //!
-//! A [`Shard`] hosts some of the cluster's sites — all of them under the
-//! sequential [`Cluster`](crate::Cluster), one worker's share under
-//! [`ParallelCluster`](crate::ParallelCluster) — and executes the
-//! [`ShardCommand`]s a [`Planner`](crate::plan::Planner) emits: resolved
-//! mutator ops, deliveries, local collections, the crash/recover lifecycle
-//! and the site-side halves of the membership protocols. Every runtime step
-//! ends in [`Shard::absorb`], which books verdicts, posts the step's control
-//! messages to the driver's [`Outbox`] and runs the checkpoint cadence. The
-//! shard never decides *whether* something happens — that is the planner's
-//! job — and never moves a message itself.
+//! A [`Shard`] hosts every site of the cluster, under both drivers, and
+//! executes the [`ShardCommand`]s a [`Planner`](crate::plan::Planner)
+//! emits: resolved mutator ops, deliveries, local collections, the
+//! crash/recover lifecycle and the site-side halves of the membership
+//! protocols. Every runtime step ends in [`Shard::absorb`], which books
+//! verdicts, posts the step's control messages to the driver's [`Outbox`]
+//! and runs the checkpoint cadence. The shard never decides *whether*
+//! something happens — that is the planner's job — and never moves a
+//! message itself. For a parallel drain it lends its up sites to one shard
+//! per drain thread ([`Shard::lend`]) and takes them back when the threads
+//! join ([`Shard::merge`]).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ggd_heap::SiteHeap;
 use ggd_net::{NetMetrics, Transport};
@@ -28,8 +30,9 @@ use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick};
 
 /// Where a shard's outgoing payloads go, and the clock its latency stamps
 /// read: the transport itself under the sequential driver, the encoded-frame
-/// mailboxes under the parallel one.
-pub(crate) trait Outbox<M> {
+/// mailboxes under the parallel one. Public only as the supertrait of
+/// [`Network`](crate::cluster::Network); not nameable outside this crate.
+pub trait Outbox<M> {
     fn post(&mut self, from: SiteId, to: SiteId, payload: SimPayload<M>);
     fn now(&self) -> u64;
 }
@@ -86,7 +89,7 @@ type Stamp = (u64, u64);
 
 /// Per-site entries indexed by `SiteId::index()`. Sites are `0..n` plus
 /// joiners, so a lookup on the per-op path is an index rather than a tree
-/// walk. Iteration runs in ascending `SiteId`: `up_sites`, `collect_all`,
+/// walk. Iteration runs in ascending `SiteId`: `up_sites`, `CollectAll`,
 /// report assembly, `sites_mentioning` and so every control stream depend
 /// on that order. The table grows when a site beyond its end is inserted.
 #[derive(Debug)]
@@ -115,13 +118,10 @@ impl<T> SiteTable<T> {
         self.slots.get_mut(site.index() as usize)?.take()
     }
 
-    /// Moves every entry of `other` in, overwriting entries of the same site.
-    fn extend(&mut self, other: SiteTable<T>) {
-        for (index, slot) in other.slots.into_iter().enumerate() {
-            if let Some(value) = slot {
-                self.insert(SiteId::new(index as u32), value);
-            }
-        }
+    /// Takes every entry out, in ascending `SiteId`.
+    fn drain(&mut self) -> impl Iterator<Item = (SiteId, T)> + '_ {
+        let entries = self.slots.iter_mut().enumerate();
+        entries.filter_map(|(index, slot)| Some((SiteId::new(index as u32), slot.take()?)))
     }
 
     /// Occupied entries in ascending `SiteId`.
@@ -137,7 +137,8 @@ impl<T> SiteTable<T> {
     }
 }
 
-/// The executing half of a drive loop — see the module docs.
+/// The executing half of a drive loop — see the module docs. `F` builds
+/// collectors for joined and recovered sites; a lent shard has none (`()`).
 pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// The hosted sites that are up.
     sites: SiteTable<SiteRuntime<C>>,
@@ -150,8 +151,9 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     evicted: BTreeMap<SiteId, SiteHeap>,
     /// Collector factory, retained so joined and crashed sites can be built.
     factory: F,
-    /// The configuration every hosted site is built under.
-    pub(crate) config: ClusterConfig,
+    /// The configuration every hosted site is built under, shared with the
+    /// shards it lends.
+    pub(crate) config: Arc<ClusterConfig>,
     /// The logical scenario step of whatever is being executed — pushed
     /// into a runtime's obs handle before each entry point, so probes stamp
     /// driver-independent logical time. Set by the driver.
@@ -160,6 +162,13 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// Every freed address, in free order; only tests read it, so it is
     /// appended to here and sorted when read.
     reclaimed_addrs: Vec<GlobalAddr>,
+    /// Objects a site exported after it had already freed them, recorded
+    /// only when the driver asks for them (`Some`): the parallel driver's
+    /// end-of-run check sets them aside. The scenario names objects by
+    /// handle, so it can export an object after its death; the reference
+    /// that lands then dangles through no fault of the collector (see
+    /// [`Shard::dangling_refs`]).
+    pub(crate) stale_exports: Option<BTreeSet<GlobalAddr>>,
     safety_violations: u64,
     verdicts: u64,
     recoveries: u64,
@@ -177,21 +186,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         config: ClusterConfig,
         factory: F,
     ) -> Self {
-        let mut shard = Shard {
-            sites: SiteTable::new(),
-            downed: BTreeMap::new(),
-            evicted: BTreeMap::new(),
-            factory,
-            config,
-            step: 0,
-            reclaimed: 0,
-            reclaimed_addrs: Vec::new(),
-            safety_violations: 0,
-            verdicts: 0,
-            recoveries: 0,
-            triggered: None,
-            last_verdict: None,
-        };
+        let mut shard = Shard::empty(Arc::new(config), factory, 0);
         for site in sites {
             shard.start(site);
         }
@@ -219,7 +214,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             ShardCommand::Op(site, op) => self.apply_op(site, op, out),
             ShardCommand::CollectAll => {
                 for site in self.up_sites() {
-                    self.collect_site(site, None, out);
+                    self.collect_site(site, out);
                 }
             }
             ShardCommand::Crash(site) => self.crash(site),
@@ -261,6 +256,16 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     }
 
     fn apply_op(&mut self, site: SiteId, op: SiteOp, out: &mut impl Outbox<C::Msg>) {
+        if let (SiteOp::SendRef { target, .. }, Some(stale)) = (op, &mut self.stale_exports) {
+            let heap = self
+                .sites
+                .get(site)
+                .expect("site is up on this shard")
+                .heap();
+            if target.site() == site && !heap.contains(target.object()) {
+                stale.insert(target);
+            }
+        }
         let runtime = self.runtime(site);
         let tick = match op {
             SiteOp::Alloc { local_root, expect } => {
@@ -291,49 +296,33 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
                 self.runtime(site)
                     .receive_reference(site, recipient, target)
             }
-            SiteOp::Collect => return self.collect_site(site, None, out),
+            SiteOp::Collect => return self.collect_site(site, out),
         };
         self.absorb(site, tick, out);
     }
 
-    /// Hands a delivered payload to its destination site. A payload for a
-    /// site that is not up here dies with the site's inbox.
-    pub(crate) fn deliver(
-        &mut self,
-        from: SiteId,
-        to: SiteId,
-        payload: SimPayload<C::Msg>,
-        out: &mut impl Outbox<C::Msg>,
-    ) {
-        if !self.is_up(to) {
+    /// Runs a local collection on one site, if it is up. With
+    /// [`ClusterConfig::safety_oracle`] on, every freed object the global
+    /// reachability oracle found reachable just before counts as a safety
+    /// violation: the shard hosts every site, so it sees every heap.
+    fn collect_site(&mut self, site: SiteId, out: &mut impl Outbox<C::Msg>) {
+        if !self.is_up(site) {
             return;
         }
-        let runtime = self.runtime(to);
-        let tick = match payload {
-            SimPayload::Reference { recipient, target } => {
-                runtime.receive_reference(from, recipient, target)
-            }
-            SimPayload::Control(msg) => runtime.on_control(from, msg),
-        };
-        self.absorb(to, tick, out);
-    }
-
-    /// Runs a local collection on one up site. Every freed object found in
-    /// `live` — the oracle's reachable set as of just before the collection,
-    /// when the driver can compute one — counts as a safety violation.
-    pub(crate) fn collect_site(
-        &mut self,
-        site: SiteId,
-        live: Option<&BTreeSet<GlobalAddr>>,
-        out: &mut impl Outbox<C::Msg>,
-    ) {
+        let live = self
+            .config
+            .safety_oracle
+            .then(|| Oracle::reachable(self.heaps()));
+        // The lifecycle ledger learns when objects *became* unreachable
+        // from the same oracle state that polices safety.
+        self.mark_garbage_unreachable();
         let runtime = self.runtime(site);
         let outcome = runtime.collect();
         // A no-op collection does not sync.
         let tick = (!outcome.is_noop()).then(|| runtime.sync());
         for freed in &outcome.freed {
             let addr = GlobalAddr::from_parts(site, *freed);
-            if live.is_some_and(|live| live.contains(&addr)) {
+            if live.as_ref().is_some_and(|live| live.contains(&addr)) {
                 self.safety_violations += 1;
             }
             self.reclaimed_addrs.push(addr);
@@ -395,6 +384,49 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         };
         self.absorb(site, tick, out);
     }
+}
+
+impl<C: Collector, F> Shard<C, F> {
+    fn empty(config: Arc<ClusterConfig>, factory: F, step: u64) -> Self {
+        Shard {
+            sites: SiteTable::new(),
+            downed: BTreeMap::new(),
+            evicted: BTreeMap::new(),
+            factory,
+            config,
+            step,
+            reclaimed: 0,
+            reclaimed_addrs: Vec::new(),
+            stale_exports: None,
+            safety_violations: 0,
+            verdicts: 0,
+            recoveries: 0,
+            triggered: None,
+            last_verdict: None,
+        }
+    }
+
+    /// Hands a delivered payload to its destination site. A payload for a
+    /// site that is not up here dies with the site's inbox.
+    pub(crate) fn deliver(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        payload: SimPayload<C::Msg>,
+        out: &mut impl Outbox<C::Msg>,
+    ) {
+        if !self.is_up(to) {
+            return;
+        }
+        let runtime = self.runtime(to);
+        let tick = match payload {
+            SimPayload::Reference { recipient, target } => {
+                runtime.receive_reference(from, recipient, target)
+            }
+            SimPayload::Control(msg) => runtime.on_control(from, msg),
+        };
+        self.absorb(to, tick, out);
+    }
 
     fn runtime(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
         let runtime = self.sites.get_mut(site).expect("site is up on this shard");
@@ -423,9 +455,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             runtime.maybe_checkpoint();
         }
     }
-}
 
-impl<C: Collector, F> Shard<C, F> {
     /// True when the site's runtime is currently up on this shard.
     pub(crate) fn is_up(&self, site: SiteId) -> bool {
         self.sites.get(site).is_some()
@@ -457,6 +487,17 @@ impl<C: Collector, F> Shard<C, F> {
         self.reclaimed_addrs.iter().copied().collect()
     }
 
+    /// The [`Oracle::dangling`] references, less those naming an object the
+    /// scenario exported after its own site had freed it (a reference born
+    /// dangling, not one a collector broke).
+    pub(crate) fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
+        let mut dangling = Oracle::dangling(self.heaps());
+        if let Some(stale) = &self.stale_exports {
+            dangling.retain(|(_, target)| !stale.contains(target));
+        }
+        dangling
+    }
+
     pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries
     }
@@ -482,10 +523,15 @@ impl<C: Collector, F> Shard<C, F> {
             .collect()
     }
 
-    /// Stamps `step` as the first sighting of each currently-garbage object
-    /// (first sighting wins in the ledger). A global reachability pass:
-    /// meaningful only on a shard that hosts every site.
+    /// Stamps the current step as the first sighting of each
+    /// currently-garbage object (first sighting wins in the ledger). Runs
+    /// after every scenario step and before every collection, but only with
+    /// observability *and* the safety oracle on — a global reachability
+    /// pass is exactly the cost the oracle flag already opts into.
     pub(crate) fn mark_garbage_unreachable(&mut self) {
+        if !(self.config.obs.enabled && self.config.safety_oracle) {
+            return;
+        }
         for addr in Oracle::garbage(self.heaps()) {
             if let Some(runtime) = self.sites.get_mut(addr.site()) {
                 let obs = runtime.obs_mut();
@@ -495,17 +541,31 @@ impl<C: Collector, F> Shard<C, F> {
         }
     }
 
-    /// Folds another shard's sites and counters into this one (end-of-run
-    /// reassembly of a parallel run).
-    pub(crate) fn merge(&mut self, other: Self) {
-        self.sites.extend(other.sites);
-        self.downed.extend(other.downed);
-        self.evicted.extend(other.evicted);
-        self.reclaimed += other.reclaimed;
-        self.reclaimed_addrs.extend(other.reclaimed_addrs);
-        self.safety_violations += other.safety_violations;
+    /// Lends every up site to one of `parts` shards, picked by `part_of`,
+    /// for a parallel drain. Lent shards carry no factory and start with
+    /// zeroed counters; [`Shard::merge`] takes the sites back.
+    pub(crate) fn lend(
+        &mut self,
+        parts: usize,
+        part_of: impl Fn(SiteId) -> usize,
+    ) -> Vec<Shard<C, ()>> {
+        let mut lent: Vec<_> = (0..parts)
+            .map(|_| Shard::empty(Arc::clone(&self.config), (), self.step))
+            .collect();
+        for (site, runtime) in self.sites.drain() {
+            lent[part_of(site)].sites.insert(site, runtime);
+        }
+        lent
+    }
+
+    /// Takes back the sites lent to `other`, with the verdict and trigger
+    /// counters it kept. A lent shard only delivers, so nothing else of it
+    /// can have changed.
+    pub(crate) fn merge<G>(&mut self, mut other: Shard<C, G>) {
+        for (site, runtime) in other.sites.drain() {
+            self.sites.insert(site, runtime);
+        }
         self.verdicts += other.verdicts;
-        self.recoveries += other.recoveries;
         let merge = |a: Option<Stamp>, b: Option<Stamp>, pick: fn(u64, u64) -> u64| match (a, b) {
             (Some(a), Some(b)) => Some((pick(a.0, b.0), pick(a.1, b.1))),
             (a, b) => a.or(b),
@@ -514,8 +574,7 @@ impl<C: Collector, F> Shard<C, F> {
         self.last_verdict = merge(self.last_verdict, other.last_verdict, u64::max);
     }
 
-    /// Builds a run report from this shard's counters — the whole cluster's
-    /// when it hosts (or has merged) every site.
+    /// Builds the run report from this shard's counters.
     pub(crate) fn report(&self, finished_at: u64, net: NetMetrics) -> RunReport {
         RunReport {
             collector: self

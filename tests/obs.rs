@@ -22,8 +22,10 @@ fn corpus() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// Observability on, oracle off: the oracle is sequential-only, so the
-/// cross-driver surface must be produced without it.
+/// Observability on, oracle off: both drivers can run the oracle, but the
+/// deterministic view leaves out what it adds (the ledger's `unreachable`
+/// stamps), so the cross-driver surface is produced without its global
+/// reachability pass per step.
 fn obs_config(workers: u32) -> ClusterConfig {
     ClusterConfig {
         obs: ObsConfig::enabled(),

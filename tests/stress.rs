@@ -39,8 +39,8 @@ fn within_timeout<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) 
     }
 }
 
-/// One run with one worker per site. The parallel driver has no live
-/// oracle, so it is judged at end of run: no reachable object may
+/// One run with one worker per site, with the live oracle off to keep the
+/// stress fast, so it is judged at end of run: no reachable object may
 /// reference one a collector freed.
 fn run<C>(
     scenario: &Scenario,

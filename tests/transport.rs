@@ -10,7 +10,7 @@ use ggd::prelude::*;
 /// reclaimed, what remains and the mutator traffic (control-message counts
 /// may differ — delivery interleaving on threads is scheduler-dependent,
 /// and GGD propagation adapts to it). The sequential run is judged by the
-/// live oracle; the parallel one, which has none, by its end-of-run
+/// live oracle; the parallel one, run with it off, by its end-of-run
 /// dangling-reference check.
 fn run_both<C>(
     scenario: &Scenario,
