@@ -167,11 +167,15 @@ fn planned_departures_leave_zero_references_on_both_drivers() {
                 }
                 let parallel_config = ClusterConfig {
                     workers: 3,
-                    safety_oracle: false,
                     ..config.clone()
                 };
                 let (par_report, par) =
                     ParallelCluster::run_seeded(scenario, parallel_config, $factory);
+                assert_eq!(
+                    par_report.safety_violations, 0,
+                    "triple #{index}: parallel run unsafe ({})",
+                    par_report.collector
+                );
                 assert_eq!(
                     seq.reclaimed_addrs(),
                     par.reclaimed_addrs(),
@@ -256,7 +260,6 @@ fn evicting_a_downed_site_never_recovers_it_on_either_driver() {
     for workers in [1, 3] {
         let parallel_config = ClusterConfig {
             workers,
-            safety_oracle: false,
             ..config.clone()
         };
         let (par_report, par) =
@@ -341,7 +344,6 @@ fn a_joiner_past_the_founding_sites_crashes_recovers_and_outlives_an_eviction_on
     for workers in [1, 3] {
         let parallel_config = ClusterConfig {
             workers,
-            safety_oracle: false,
             ..config.clone()
         };
         let (par_report, par) =

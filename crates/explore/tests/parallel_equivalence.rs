@@ -33,21 +33,24 @@ fn comparable(plan: &FaultPlan, sites: u32) -> bool {
 }
 
 /// Runs one collector through the sequential driver and the parallel driver
-/// at the given worker counts, asserting that the parallel run leaves no
-/// dangling reference and reclaimed- and residual-set equality.
+/// at the given worker counts, asserting that the parallel run frees no
+/// object the live oracle holds reachable, leaves no dangling reference, and
+/// reclaimed- and residual-set equality.
 macro_rules! assert_drivers_agree {
     ($index:expr, $scenario:expr, $config:expr, $factory:expr) => {{
         let (seq_report, seq) = Cluster::run_seeded($scenario, $config.clone(), $factory);
         for workers in [1u32, 3] {
             let parallel_config = ClusterConfig {
                 workers,
-                // The mid-run oracle is off here to keep the corpus fast;
-                // the dangling check and equalities below judge safety.
-                safety_oracle: false,
                 ..$config.clone()
             };
             let (report, cluster) =
                 ParallelCluster::run_seeded($scenario, parallel_config, $factory);
+            assert_eq!(
+                report.safety_violations, 0,
+                "triple #{}: live oracle saw an unsafe sweep ({}, workers={workers})",
+                $index, seq_report.collector
+            );
             let dangling = cluster.dangling_refs();
             assert!(
                 dangling.is_empty(),

@@ -8,8 +8,8 @@
 //!
 //! * `allocated` — the step of the `Alloc` scenario op (always known).
 //! * `unreachable` — the first step at which the safety oracle observed the
-//!   object globally unreachable. Only recorded when the oracle runs (the
-//!   sequential driver with `safety_oracle` on); `None` otherwise, because
+//!   object globally unreachable. Only recorded when the oracle runs
+//!   (either driver, with `safety_oracle` on); `None` otherwise, because
 //!   computing it without the oracle would require a global scan per step.
 //! * `detected` — the step the object's *global-root* verdict was applied
 //!   (the collector proved it unreachable from every remote site). `None`

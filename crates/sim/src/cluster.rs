@@ -51,10 +51,11 @@ pub struct ClusterConfig {
     /// RNG seed for the network (simulated network only).
     pub seed: u64,
     /// When true (the default), every local collection is cross-checked
-    /// against the global reachability oracle — an O(cluster) pass per
-    /// collection, on either driver: both hold every heap on the calling
-    /// thread between deliveries. The repo benchmark's timed reps disable it
-    /// to measure the collectors, not the oracle.
+    /// against the global reachability oracle, on either driver: one
+    /// O(cluster) pass per collection round (a settle round's collections,
+    /// or one scheduled collection), plus one after any unsafe collection.
+    /// The repo benchmark's timed reps disable it to measure the
+    /// collectors, not the oracle.
     pub safety_oracle: bool,
     /// Site durability: off (volatile sites, the default), the in-memory
     /// durable medium, or on-disk stores. Crash faults in
@@ -435,6 +436,16 @@ impl<C: Collector, N> Cluster<C, N> {
     /// globally unreachable, per the oracle.
     pub fn garbage_addrs(&self) -> BTreeSet<GlobalAddr> {
         Oracle::garbage(self.heaps())
+    }
+
+    /// The end-of-run safety judgment of either driver: the
+    /// [`Oracle::dangling`] references, less those naming an object the
+    /// scenario exported after its own site had freed it. Empty unless a
+    /// collector freed a referenced object.
+    pub fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
+        let mut dangling = Oracle::dangling(self.heaps());
+        dangling.retain(|(_, target)| !self.shard.stale_exports.contains(target));
+        dangling
     }
 
     /// The sites whose collector state or heap still references `departed`.
@@ -925,10 +936,10 @@ mod tests {
     fn split_and_heal_is_safe_for_every_collector_on_both_transports() {
         use crate::collector::{RefListingCollector, TracingCollector};
         use crate::ParallelCluster;
-        /// One collector through both drivers. The simulated transport is
-        /// judged by the live oracle. On worker mailboxes the window must
-        /// really cut traffic, every cut frame must release its queued
-        /// bytes, and the end-of-run dangling check stands in for the oracle.
+        /// One collector through both drivers, each judged by the live
+        /// oracle and by the end-of-run dangling check. On worker mailboxes
+        /// the window must really cut traffic, and every cut frame must
+        /// release its queued bytes.
         fn check<C>(factory: impl Fn(SiteId) -> C + Clone + Send + 'static)
         where
             C: Collector + Send + 'static,
@@ -939,18 +950,20 @@ mod tests {
                 faults: FaultPlan::new().with_split(4, 5, 40),
                 ..ClusterConfig::default()
             };
-            let (report, _) = Cluster::run_seeded(&scenario, config.clone(), factory.clone());
+            let (report, cluster) = Cluster::run_seeded(&scenario, config.clone(), factory.clone());
             let name = report.collector;
             assert_eq!(report.safety_violations, 0, "{name} unsafe under a split");
+            let dangling = cluster.dangling_refs();
+            assert!(dangling.is_empty(), "{name}: {dangling:?}");
             for workers in [2, 4] {
                 let config = ClusterConfig {
                     workers,
-                    safety_oracle: false,
                     ..config.clone()
                 };
                 let (report, cluster) =
                     ParallelCluster::run_seeded(&scenario, config, factory.clone());
                 let name = format!("{name} (workers={workers})");
+                assert_eq!(report.safety_violations, 0, "{name} unsafe under a split");
                 assert!(report.net.dropped_total() > 0, "{name}: nothing cut");
                 assert_eq!(report.net.queued_bytes(), 0, "{name}");
                 let dangling = cluster.dangling_refs();

@@ -64,11 +64,10 @@ impl Oracle {
     /// target)` pairs. Object ids are never reused, so a dangling reference
     /// means either an object was freed while still referenced, or the
     /// mutator sent a reference to an object that was already dead — the
-    /// scenario generators name objects by handle and can do that. It is
-    /// the end-of-run safety check for runs with the live oracle
-    /// ([`ClusterConfig::safety_oracle`](crate::ClusterConfig::safety_oracle))
-    /// off, once the second kind is set aside
-    /// ([`ParallelCluster::dangling_refs`](crate::ParallelCluster::dangling_refs)).
+    /// scenario generators name objects by handle and can do that. With
+    /// the second kind set aside, it is both drivers' end-of-run safety
+    /// check ([`Cluster::dangling_refs`](crate::Cluster::dangling_refs)),
+    /// beside or in place of the live oracle.
     /// References into a site with no heap are not judged.
     pub fn dangling<'a>(
         heaps: impl IntoIterator<Item = &'a SiteHeap>,

@@ -39,7 +39,6 @@
 //! scaling path: measured at two workers it is slower than the sequential
 //! driver on every benchmark workload (DESIGN.md §8).
 
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -48,7 +47,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use ggd_mutator::Scenario;
 use ggd_net::{Frame, NetMetrics};
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_types::SiteId;
 
 use crate::cluster::{Cluster, ClusterConfig, Network};
 use crate::collector::{Collector, SimPayload};
@@ -173,8 +172,12 @@ where
     /// Drains every mailbox, one scoped thread per worker holding that
     /// worker's sites, then applies the crash schedule at the advanced
     /// delivery clock (crash windows opening mid-drain take effect there).
-    /// A drain thread's panic is re-raised here with its own payload.
+    /// A drain thread's panic is re-raised here with its own payload. With
+    /// nothing in flight there is nothing to drain and no clock to apply.
     fn deliver(cluster: &mut Cluster<C, Self>) -> u64 {
+        if cluster.net.shared.in_flight.load(Ordering::SeqCst) == 0 {
+            return 0;
+        }
         let Mesh {
             mailboxes,
             inboxes,
@@ -339,9 +342,9 @@ where
     /// across workers is scheduler-dependent.
     /// [`ClusterConfig::safety_oracle`] means what it means there: every
     /// local collection is judged against the global reachability oracle.
-    /// [`ParallelCluster::dangling_refs`] checks safety once more at end of
-    /// run. Of [`ClusterConfig::faults`], only the crash schedule and
-    /// partition windows apply, both against the delivered-frame clock.
+    /// [`Cluster::dangling_refs`] checks safety once more at end of run. Of
+    /// [`ClusterConfig::faults`], only the crash schedule and partition
+    /// windows apply, both against the delivered-frame clock.
     ///
     /// # Panics
     ///
@@ -360,7 +363,6 @@ where
         let sites = scenario.site_count();
         let mesh = Mesh::new((config.workers as usize).min(sites.max(1) as usize));
         let mut cluster = Cluster::with_transport(sites, config, mesh, factory);
-        cluster.shard.stale_exports = Some(BTreeSet::new());
         let report = cluster.run(scenario);
         assert_eq!(
             cluster.shard.up_sites().len(),
@@ -371,24 +373,13 @@ where
     }
 }
 
-impl<C: Collector> ParallelCluster<C> {
-    /// The run's end-of-run safety judgment: the
-    /// [`Oracle::dangling`](crate::Oracle::dangling) references, less those
-    /// naming an object the scenario exported after its own site had freed
-    /// it (a reference born dangling, not one a collector broke). Empty
-    /// unless a collector freed a referenced object.
-    pub fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
-        self.shard.dangling_refs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::{CausalCollector, RefListingCollector, TracingCollector};
     use crate::Cluster;
     use ggd_mutator::{workloads, ObjName};
-    use ggd_types::ObjectId;
+    use ggd_types::{GlobalAddr, ObjectId};
     use std::sync::Arc;
 
     fn parallel_config(workers: u32) -> ClusterConfig {

@@ -162,13 +162,11 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// Every freed address, in free order; only tests read it, so it is
     /// appended to here and sorted when read.
     reclaimed_addrs: Vec<GlobalAddr>,
-    /// Objects a site exported after it had already freed them, recorded
-    /// only when the driver asks for them (`Some`): the parallel driver's
-    /// end-of-run check sets them aside. The scenario names objects by
-    /// handle, so it can export an object after its death; the reference
-    /// that lands then dangles through no fault of the collector (see
-    /// [`Shard::dangling_refs`]).
-    pub(crate) stale_exports: Option<BTreeSet<GlobalAddr>>,
+    /// Objects a site exported after it had already freed them, set aside
+    /// by [`Cluster::dangling_refs`](crate::Cluster::dangling_refs): the
+    /// scenario names objects by handle, so the reference that lands then
+    /// dangles through no fault of the collector.
+    pub(crate) stale_exports: BTreeSet<GlobalAddr>,
     safety_violations: u64,
     verdicts: u64,
     recoveries: u64,
@@ -212,11 +210,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     pub(crate) fn execute(&mut self, command: ShardCommand, out: &mut impl Outbox<C::Msg>) {
         match command {
             ShardCommand::Op(site, op) => self.apply_op(site, op, out),
-            ShardCommand::CollectAll => {
-                for site in self.up_sites() {
-                    self.collect_site(site, out);
-                }
-            }
+            ShardCommand::CollectAll => self.collect_round(self.up_sites(), out),
             ShardCommand::Crash(site) => self.crash(site),
             ShardCommand::Recover(site) => self.recover(site, out),
             ShardCommand::Join { site, history } => {
@@ -256,14 +250,9 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     }
 
     fn apply_op(&mut self, site: SiteId, op: SiteOp, out: &mut impl Outbox<C::Msg>) {
-        if let (SiteOp::SendRef { target, .. }, Some(stale)) = (op, &mut self.stale_exports) {
-            let heap = self
-                .sites
-                .get(site)
-                .expect("site is up on this shard")
-                .heap();
-            if target.site() == site && !heap.contains(target.object()) {
-                stale.insert(target);
+        if let SiteOp::SendRef { target, .. } = op {
+            if target.site() == site && !self.site(site).heap().contains(target.object()) {
+                self.stale_exports.insert(target);
             }
         }
         let runtime = self.runtime(site);
@@ -296,41 +285,51 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
                 self.runtime(site)
                     .receive_reference(site, recipient, target)
             }
-            SiteOp::Collect => return self.collect_site(site, out),
+            SiteOp::Collect => return self.collect_round(vec![site], out),
         };
         self.absorb(site, tick, out);
     }
 
-    /// Runs a local collection on one site, if it is up. With
-    /// [`ClusterConfig::safety_oracle`] on, every freed object the global
-    /// reachability oracle found reachable just before counts as a safety
-    /// violation: the shard hosts every site, so it sees every heap.
-    fn collect_site(&mut self, site: SiteId, out: &mut impl Outbox<C::Msg>) {
-        if !self.is_up(site) {
-            return;
+    /// Runs a local collection on each of `sites`, in order. With
+    /// [`ClusterConfig::safety_oracle`] on, one global live set, built before
+    /// the first, judges them all. It stays exact: a clean collection frees
+    /// only garbage, and a sync only demotes global roots and posts
+    /// messages, which the oracle does not read. After a violation it is rebuilt.
+    fn collect_round(&mut self, sites: Vec<SiteId>, out: &mut impl Outbox<C::Msg>) {
+        let mut live = None;
+        for site in sites {
+            if self.config.safety_oracle && live.is_none() {
+                live = Some(self.live_set());
+            }
+            if self.collect_site(site, live.as_ref(), out) > 0 {
+                live = None;
+            }
         }
-        let live = self
-            .config
-            .safety_oracle
-            .then(|| Oracle::reachable(self.heaps()));
-        // The lifecycle ledger learns when objects *became* unreachable
-        // from the same oracle state that polices safety.
-        self.mark_garbage_unreachable();
+    }
+
+    /// Collects one up site; returns how many freed objects `live` holds.
+    fn collect_site(
+        &mut self,
+        site: SiteId,
+        live: Option<&BTreeSet<GlobalAddr>>,
+        out: &mut impl Outbox<C::Msg>,
+    ) -> u64 {
         let runtime = self.runtime(site);
         let outcome = runtime.collect();
         // A no-op collection does not sync.
         let tick = (!outcome.is_noop()).then(|| runtime.sync());
+        let mut violations = 0;
         for freed in &outcome.freed {
             let addr = GlobalAddr::from_parts(site, *freed);
-            if live.as_ref().is_some_and(|live| live.contains(&addr)) {
-                self.safety_violations += 1;
-            }
+            violations += u64::from(live.is_some_and(|live| live.contains(&addr)));
             self.reclaimed_addrs.push(addr);
         }
+        self.safety_violations += violations;
         self.reclaimed += outcome.freed.len() as u64;
         if let Some(tick) = tick {
             self.absorb(site, tick, out);
         }
+        violations
     }
 
     /// Tears a site's volatile state down, keeping its durable store, its
@@ -397,7 +396,7 @@ impl<C: Collector, F> Shard<C, F> {
             step,
             reclaimed: 0,
             reclaimed_addrs: Vec::new(),
-            stale_exports: None,
+            stale_exports: BTreeSet::new(),
             safety_violations: 0,
             verdicts: 0,
             recoveries: 0,
@@ -487,17 +486,6 @@ impl<C: Collector, F> Shard<C, F> {
         self.reclaimed_addrs.iter().copied().collect()
     }
 
-    /// The [`Oracle::dangling`] references, less those naming an object the
-    /// scenario exported after its own site had freed it (a reference born
-    /// dangling, not one a collector broke).
-    pub(crate) fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
-        let mut dangling = Oracle::dangling(self.heaps());
-        if let Some(stale) = &self.stale_exports {
-            dangling.retain(|(_, target)| !stale.contains(target));
-        }
-        dangling
-    }
-
     pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries
     }
@@ -523,22 +511,33 @@ impl<C: Collector, F> Shard<C, F> {
             .collect()
     }
 
-    /// Stamps the current step as the first sighting of each
-    /// currently-garbage object (first sighting wins in the ledger). Runs
-    /// after every scenario step and before every collection, but only with
-    /// observability *and* the safety oracle on — a global reachability
-    /// pass is exactly the cost the oracle flag already opts into.
+    /// Stamps the current step as the first sighting (which wins in the
+    /// ledger) of each currently-garbage object. Runs after every scenario
+    /// step with observability *and* the safety oracle on; a collection
+    /// round stamps from the live set it is judged by.
     pub(crate) fn mark_garbage_unreachable(&mut self) {
-        if !(self.config.obs.enabled && self.config.safety_oracle) {
-            return;
+        if self.config.obs.enabled && self.config.safety_oracle {
+            self.live_set();
         }
-        for addr in Oracle::garbage(self.heaps()) {
-            if let Some(runtime) = self.sites.get_mut(addr.site()) {
+    }
+
+    /// The global live set. With observability on, the lifecycle ledger
+    /// learns from it when objects *became* unreachable.
+    fn live_set(&mut self) -> BTreeSet<GlobalAddr> {
+        let live = Oracle::reachable(self.heaps());
+        if self.config.obs.enabled {
+            for runtime in self.sites.slots.iter_mut().flatten() {
+                let heap = runtime.heap();
+                let addrs = heap.iter().map(|obj| heap.addr_of(obj.id()));
+                let garbage: Vec<_> = addrs.filter(|addr| !live.contains(addr)).collect();
                 let obs = runtime.obs_mut();
                 obs.set_step(self.step);
-                obs.mark_unreachable(addr);
+                for addr in garbage {
+                    obs.mark_unreachable(addr);
+                }
             }
         }
+        live
     }
 
     /// Lends every up site to one of `parts` shards, picked by `part_of`,

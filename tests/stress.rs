@@ -39,9 +39,9 @@ fn within_timeout<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) 
     }
 }
 
-/// One run with one worker per site, with the live oracle off to keep the
-/// stress fast, so it is judged at end of run: no reachable object may
-/// reference one a collector freed.
+/// One run with one worker per site, judged by the live oracle as it runs
+/// and again at end of run: no reachable object may reference one a
+/// collector freed.
 fn run<C>(
     scenario: &Scenario,
     config: ClusterConfig,
@@ -53,10 +53,14 @@ where
 {
     let config = ClusterConfig {
         workers: 8,
-        safety_oracle: false,
         ..config
     };
     let (report, cluster) = ParallelCluster::run_seeded(scenario, config, factory);
+    assert_eq!(
+        report.safety_violations, 0,
+        "{} freed objects the live oracle holds reachable",
+        report.collector
+    );
     let dangling = cluster.dangling_refs();
     assert!(
         dangling.is_empty(),

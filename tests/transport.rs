@@ -9,9 +9,8 @@ use ggd::prelude::*;
 /// once the two agree on everything scheduling cannot change: what was
 /// reclaimed, what remains and the mutator traffic (control-message counts
 /// may differ — delivery interleaving on threads is scheduler-dependent,
-/// and GGD propagation adapts to it). The sequential run is judged by the
-/// live oracle; the parallel one, run with it off, by its end-of-run
-/// dangling-reference check.
+/// and GGD propagation adapts to it). Both runs are judged by the live
+/// oracle and by the end-of-run dangling-reference check.
 fn run_both<C>(
     scenario: &Scenario,
     factory: impl Fn(SiteId) -> C + Clone + Send + 'static,
@@ -24,13 +23,18 @@ where
     let mut cluster = Cluster::from_scenario(scenario, ClusterConfig::default(), factory.clone());
     let sim = cluster.run(scenario);
     assert_eq!(sim.safety_violations, 0, "{label}: safety violated");
+    let dangling = cluster.dangling_refs();
+    assert!(dangling.is_empty(), "{label}: {dangling:?}");
 
     let config = ClusterConfig {
         workers: 2,
-        safety_oracle: false,
         ..ClusterConfig::default()
     };
     let (parallel, cluster) = ParallelCluster::run_seeded(scenario, config, factory);
+    assert_eq!(
+        parallel.safety_violations, 0,
+        "{label}/parallel: safety violated"
+    );
     let dangling = cluster.dangling_refs();
     assert!(dangling.is_empty(), "{label}/parallel: {dangling:?}");
     assert_eq!(sim.reclaimed, parallel.reclaimed, "{label}: reclaimed");
