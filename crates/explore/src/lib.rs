@@ -55,8 +55,8 @@ mod saboteur;
 mod shrink;
 
 pub use explorer::{
-    corpus_triple, explore, membership_corpus_triple, CollectorTally, CorpusFamily, CorpusStats,
-    Exploration, ExplorerConfig, FailedTriple,
+    corpus_triple, crash_corpus_triple, explore, membership_corpus_triple, CollectorTally,
+    CorpusFamily, CorpusStats, Exploration, ExplorerConfig, FailedTriple,
 };
 pub use repro::reproducer;
 pub use runner::{run_triple, trace_triple, CheckFailure, RunMode, Triple, TripleOutcome};

@@ -8,6 +8,9 @@
 //!   could not fail.
 //! * The 1,600 churn-only explorer builds behind reproducer (C): four
 //!   `ScenarioSpec`s of one `Segment::Churn`, 400 seeds each.
+//! * The benchmark's own `remote_churn` shape, `PerfSpec::mix(64, 8_000,
+//!   150_000)` at full scale, seeds 17 and 23: the benchmark's oracle pass
+//!   runs it at 1/10 scale only, where both seeds are clean.
 //!
 //! The lists record a known defect and must never hide a new one: a
 //! violation not on them fails the sweep, and so does a listed one that
@@ -39,6 +42,10 @@ const PERF_VIOLATIONS: [(u64, u64); 11] = [
 
 /// Residual garbage summed over the 40 perf runs.
 const PERF_RESIDUAL: u64 = 363;
+
+/// The benchmark-shaped seeds, as (seed, violations, residual): every one
+/// of them violates.
+const BENCHMARK_SHAPE_RUNS: [(u64, u64, u64); 2] = [(17, 3, 415), (23, 4, 414)];
 
 /// The churn builds that free a reachable object, as (sites, ops, seed,
 /// violations).
@@ -97,5 +104,22 @@ fn churn_builds_violate_exactly_as_listed() {
     assert_eq!(
         violating, CHURN_VIOLATIONS,
         "churn builds (sites, ops, seed, violations) moved: update the list only for a fix"
+    );
+}
+
+#[test]
+#[ignore = "release-only sweep (CI's safety-sweep step)"]
+fn benchmark_shape_seeds_violate_exactly_as_listed() {
+    let spec = PerfSpec::mix(64, 8_000, 150_000);
+    let runs: Vec<_> = [17, 23]
+        .into_iter()
+        .map(|seed| {
+            let report = run(&build_perf_scenario(&spec, seed));
+            (seed, report.safety_violations, report.residual_garbage)
+        })
+        .collect();
+    assert_eq!(
+        runs, BENCHMARK_SHAPE_RUNS,
+        "benchmark-shaped (seed, violations, residual) moved: update the list only for a fix"
     );
 }

@@ -55,7 +55,9 @@ pub struct ClusterConfig {
     /// O(cluster) pass per collection round (a settle round's collections,
     /// or one scheduled collection), plus one after any unsafe collection.
     /// The repo benchmark's timed reps disable it to measure the
-    /// collectors, not the oracle.
+    /// collectors, not the oracle. Off or on, [`Cluster::report`] runs one
+    /// flat oracle pass ([`Oracle::reachable`]) to count the residual
+    /// garbage.
     pub safety_oracle: bool,
     /// Site durability: off (volatile sites, the default), the in-memory
     /// durable medium, or on-disk stores. Crash faults in

@@ -47,7 +47,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use collector::{
     CausalCollector, Collector, RefListingCollector, SimPayload, TracingCollector,
 };
-pub use oracle::Oracle;
+pub use oracle::{LiveSet, Oracle};
 pub use parallel::ParallelCluster;
 pub use report::RunReport;
 pub use runtime::{SiteRuntime, SiteTick};

@@ -23,7 +23,7 @@ use ggd_types::{GlobalAddr, SiteId};
 
 use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
-use crate::oracle::Oracle;
+use crate::oracle::{LiveSet, Oracle};
 use crate::plan::{slot, ShardCommand, SiteOp};
 use crate::report::{sum_store_stats, RunReport};
 use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick};
@@ -291,9 +291,9 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     }
 
     /// Runs a local collection on each of `sites`, in order. With
-    /// [`ClusterConfig::safety_oracle`] on, one global live set, built before
-    /// the first, judges them all. It stays exact: a clean collection frees
-    /// only garbage, and a sync only demotes global roots and posts
+    /// [`ClusterConfig::safety_oracle`] on, one global [`LiveSet`], built
+    /// before the first, judges them all. It stays exact: a clean collection
+    /// frees only garbage, and a sync only demotes global roots and posts
     /// messages, which the oracle does not read. After a violation it is rebuilt.
     fn collect_round(&mut self, sites: Vec<SiteId>, out: &mut impl Outbox<C::Msg>) {
         let mut live = None;
@@ -311,7 +311,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     fn collect_site(
         &mut self,
         site: SiteId,
-        live: Option<&BTreeSet<GlobalAddr>>,
+        live: Option<&LiveSet>,
         out: &mut impl Outbox<C::Msg>,
     ) -> u64 {
         let runtime = self.runtime(site);
@@ -321,7 +321,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         let mut violations = 0;
         for freed in &outcome.freed {
             let addr = GlobalAddr::from_parts(site, *freed);
-            violations += u64::from(live.is_some_and(|live| live.contains(&addr)));
+            violations += u64::from(live.is_some_and(|live| live.contains(addr)));
             self.reclaimed_addrs.push(addr);
         }
         self.safety_violations += violations;
@@ -512,9 +512,9 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     /// Stamps the current step as the first sighting (which wins in the
-    /// ledger) of each currently-garbage object. Runs after every scenario
-    /// step with observability *and* the safety oracle on; a collection
-    /// round stamps from the live set it is judged by.
+    /// ledger) of each object a flat [`LiveSet`] leaves out. Runs after every
+    /// scenario step with observability *and* the safety oracle on; a
+    /// collection round stamps from the live set it is judged by.
     pub(crate) fn mark_garbage_unreachable(&mut self) {
         if self.config.obs.enabled && self.config.safety_oracle {
             self.live_set();
@@ -523,13 +523,13 @@ impl<C: Collector, F> Shard<C, F> {
 
     /// The global live set. With observability on, the lifecycle ledger
     /// learns from it when objects *became* unreachable.
-    fn live_set(&mut self) -> BTreeSet<GlobalAddr> {
+    fn live_set(&mut self) -> LiveSet {
         let live = Oracle::reachable(self.heaps());
         if self.config.obs.enabled {
             for runtime in self.sites.slots.iter_mut().flatten() {
                 let heap = runtime.heap();
                 let addrs = heap.iter().map(|obj| heap.addr_of(obj.id()));
-                let garbage: Vec<_> = addrs.filter(|addr| !live.contains(addr)).collect();
+                let garbage: Vec<_> = addrs.filter(|addr| !live.contains(*addr)).collect();
                 let obs = runtime.obs_mut();
                 obs.set_step(self.step);
                 for addr in garbage {
@@ -573,8 +573,9 @@ impl<C: Collector, F> Shard<C, F> {
         self.last_verdict = merge(self.last_verdict, other.last_verdict, u64::max);
     }
 
-    /// Builds the run report from this shard's counters.
+    /// Builds the run report; the residual is the heaps' sizes less the live set's.
     pub(crate) fn report(&self, finished_at: u64, net: NetMetrics) -> RunReport {
+        let objects: usize = self.heaps().map(SiteHeap::len).sum();
         RunReport {
             collector: self
                 .sites
@@ -590,7 +591,7 @@ impl<C: Collector, F> Shard<C, F> {
                 .sum(),
             reclaimed: self.reclaimed,
             safety_violations: self.safety_violations,
-            residual_garbage: Oracle::garbage(self.heaps()).len() as u64,
+            residual_garbage: (objects - Oracle::reachable(self.heaps()).len()) as u64,
             verdicts: self.verdicts,
             finished_at,
             last_verdict_at: self.last_verdict.map(|(at, _)| at),
