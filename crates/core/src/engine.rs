@@ -215,6 +215,9 @@ pub struct CausalEngine {
     pending_verdicts: Vec<GlobalAddr>,
     outgoing: Vec<Outgoing>,
     stats: EngineStats,
+    /// `apply_delta`'s edge events, `(vertex, target, created)` in replay
+    /// order: a buffer reused across calls, empty between them.
+    events: Vec<(VertexId, GlobalAddr, bool)>,
 }
 
 impl CausalEngine {
@@ -228,6 +231,7 @@ impl CausalEngine {
             pending_verdicts: Vec::new(),
             outgoing: Vec::new(),
             stats: EngineStats::default(),
+            events: Vec::new(),
         }
     }
 
@@ -379,6 +383,7 @@ impl CausalEngine {
             pending_verdicts: checkpoint.pending_verdicts,
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
+            events: Vec::new(),
         };
         engine.rebuild_edge_refcounts();
         engine
@@ -758,8 +763,7 @@ impl CausalEngine {
         // heap's exactly when garbage finalisation already destroyed a
         // detected vertex's edges ahead of the heap — replaying those would
         // duplicate the finalisation messages.
-        let mut events: Vec<(VertexId, Vec<GlobalAddr>, Vec<GlobalAddr>)> =
-            Vec::with_capacity(delta.edges.len());
+        let mut events = std::mem::take(&mut self.events);
         for part in &delta.edges {
             // Only a creation can give a vertex its first out-edge.
             let targets = if part.created.is_empty() {
@@ -770,42 +774,29 @@ impl CausalEngine {
             } else {
                 &mut self.vertices.entry(part.vertex).edges_out
             };
-            let created: Vec<GlobalAddr> = part
-                .created
-                .iter()
-                .copied()
-                .filter(|&target| match targets.binary_search(&target) {
-                    Ok(_) => false,
-                    Err(at) => {
-                        targets.insert(at, target);
-                        true
-                    }
-                })
-                .collect();
-            let destroyed: Vec<GlobalAddr> = part
-                .destroyed
-                .iter()
-                .copied()
-                .filter(|target| match targets.binary_search(target) {
-                    Ok(at) => {
-                        targets.remove(at);
-                        true
-                    }
-                    Err(_) => false,
-                })
-                .collect();
-            for &target in &created {
-                self.remote.entry(target).or_default().refs += 1;
+            let first = events.len();
+            for &target in &part.created {
+                if let Err(at) = targets.binary_search(&target) {
+                    targets.insert(at, target);
+                    events.push((part.vertex, target, true));
+                }
             }
-            for &target in &destroyed {
-                self.drop_edge_refcount(target);
+            for &target in &part.destroyed {
+                if let Ok(at) = targets.binary_search(&target) {
+                    targets.remove(at);
+                    events.push((part.vertex, target, false));
+                }
             }
-            if !created.is_empty() || !destroyed.is_empty() {
-                events.push((part.vertex, created, destroyed));
+            for &(_, target, created) in &events[first..] {
+                if created {
+                    self.remote.entry(target).or_default().refs += 1;
+                } else {
+                    self.drop_edge_refcount(target);
+                }
             }
         }
-        for (vertex, created, destroyed) in events {
-            for target in created {
+        for &(vertex, target, created) in &events {
+            if created {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
@@ -820,8 +811,7 @@ impl CausalEngine {
                 if vertex.is_site_root() || self.is_locally_rooted(vertex) {
                     self.queue_root_announcement(vertex, target, n);
                 }
-            }
-            for target in destroyed {
+            } else {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::Object(target))
@@ -841,6 +831,8 @@ impl CausalEngine {
                 self.queue_destruction(vertex, target);
             }
         }
+        events.clear();
+        self.events = events;
 
         // 3. Fresh rootedness propagates along the (final) out-edges:
         // losing it lazily restores comprehensiveness, gaining it promptly

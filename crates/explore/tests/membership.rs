@@ -157,7 +157,7 @@ fn planned_departures_leave_zero_references_on_both_drivers() {
                     "triple #{index}: sequential run unsafe ({})",
                     seq_report.collector
                 );
-                for &departed in seq.departed_sites() {
+                for departed in seq.departed_sites() {
                     assert!(
                         seq.sites_mentioning(departed).is_empty(),
                         "triple #{index}: sequential {} still references departed {departed}",
@@ -192,7 +192,7 @@ fn planned_departures_leave_zero_references_on_both_drivers() {
                     seq_report.sites, par_report.sites,
                     "triple #{index}: final fleet sizes diverge"
                 );
-                for &departed in par.departed_sites() {
+                for departed in par.departed_sites() {
                     assert!(
                         par.sites_mentioning(departed).is_empty(),
                         "triple #{index}: parallel {} still references departed {departed}",

@@ -52,6 +52,13 @@ impl fmt::Display for CollectionOutcome {
 }
 
 impl SiteHeap {
+    /// True when the heap holds suspects, objects that may have died since
+    /// the last collection. Without any, [`SiteHeap::collect`] frees
+    /// nothing.
+    pub fn has_suspects(&self) -> bool {
+        self.tracker.has_suspects()
+    }
+
     /// Runs a local collection: frees every object not reachable from the
     /// union of the designated local roots and the current global root set,
     /// exactly as prescribed by §2.1 of the paper. The GGD layer learns

@@ -42,6 +42,7 @@ mod collect;
 mod image;
 mod model;
 mod object;
+mod preds;
 #[cfg(any(test, feature = "reference-model"))]
 mod reference;
 mod site_heap;

@@ -21,17 +21,18 @@
 //! for the vertices whose reachable set can actually have changed (found via
 //! a reverse-edge closure of the dirty objects). Since the arena rebuild the
 //! tracker's hot-path structures are all slot-indexed: dirt lives in a
-//! word-packed bitset, the reverse-edge multiset is a per-slot adjacency
-//! vector, and local rootedness is a second bitset refreshed from the
-//! marker's visit list — so a mutation costs a couple of bit operations, not
-//! a set insertion. A window that only *added* references (no removal, no
-//! local-root or global-root loss, no slot freed under a recorded addition)
-//! skips the per-source recomputation altogether: reach is monotone then, so
-//! the cache is extended along each added edge instead. A window that only
-//! *removed* references re-marks only the sources whose cached targets meet
-//! the remotes the window can have cut off: the removed remote targets and
-//! whatever the removed local targets reach now (DESIGN.md §6 carries both
-//! arguments). Every cached target list is sorted and free of duplicates, so
+//! word-packed bitset, the reverse-edge multiset keeps each slot's first
+//! predecessor inline and spills only further ones to pooled lists
+//! (`preds.rs`), and local rootedness is a second bitset refreshed from the
+//! marker's visit list — so a mutation costs a couple of bit operations,
+//! not a set insertion or an allocation. A window that only *added*
+//! references (no removal, no local-root or global-root loss, no slot freed
+//! under a recorded addition) skips the per-source recomputation
+//! altogether: reach is monotone then, so the cache is extended along each
+//! added edge instead. A window that only *removed* references re-marks
+//! only the sources whose cached targets meet the remotes the window can
+//! have cut off: the removed remote targets and whatever the removed local
+//! targets reach now (DESIGN.md §6 carries both arguments). Every cached target list is sorted and free of duplicates, so
 //! a re-marked source is compared with its cache first and diffed by a merge
 //! walk only when it changed. The running snapshot is available through
 //! [`SiteHeap::cached_snapshot`] and always equals what a fresh
@@ -48,6 +49,7 @@ use ggd_types::{GlobalAddr, ObjectId, SiteId, VertexId};
 
 use crate::arena::{Arena, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
 use crate::object::ObjRef;
+use crate::preds::Preds;
 use crate::site_heap::SiteHeap;
 
 /// A point-in-time view of the edges this site contributes to the global
@@ -451,8 +453,9 @@ impl fmt::Display for EdgeDelta {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DeltaTracker {
     /// Reverse local-edge multiset, slot-indexed:
-    /// `target slot → [(pred slot, occurrence count)]`.
-    preds: Vec<Vec<(u32, u32)>>,
+    /// `target slot → [(pred slot, occurrence count)]`, the first entry
+    /// inline.
+    preds: Preds,
     /// Dirty bitset: slots whose out-edges changed since the last delta.
     dirty_words: Vec<u64>,
     /// Insertion-ordered list of dirtied slots (may hold entries whose bit
@@ -514,8 +517,8 @@ impl DeltaTracker {
 
     /// Sizes every slot-indexed side table for a slab of `slots` slots.
     pub(crate) fn ensure_capacity(&mut self, slots: usize) {
-        if self.preds.len() < slots {
-            self.preds.resize_with(slots, Vec::new);
+        self.preds.ensure_capacity(slots);
+        if self.mark.len() < slots {
             self.mark.resize(slots, 0);
         }
         let words = slots.div_ceil(64);
@@ -538,19 +541,11 @@ impl DeltaTracker {
         self.dirty_words[(slot >> 6) as usize] & (1u64 << (slot & 63)) != 0
     }
 
-    fn add_pred(&mut self, target: u32, pred: u32) {
-        let list = &mut self.preds[target as usize];
-        match list.iter_mut().find(|(p, _)| *p == pred) {
-            Some(entry) => entry.1 += 1,
-            None => list.push((pred, 1)),
-        }
-    }
-
     /// `from` gained the reference `to`; `target` is its slot when `to` is
     /// local.
     pub(crate) fn note_ref_added(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
         if let Some(target) = target {
-            self.add_pred(target, from);
+            self.preds.add(target, from);
         }
         self.set_dirty(from);
         self.added.push((from, to));
@@ -564,16 +559,14 @@ impl DeltaTracker {
         // The target may already be gone when dangling slots to collected
         // objects are dropped — its pred list was torn down at free time.
         if let Some(target) = target {
-            let list = &mut self.preds[target as usize];
-            if let Some(pos) = list.iter().position(|&(p, _)| p == from) {
-                list[pos].1 -= 1;
-                if list[pos].1 == 0 {
-                    list.swap_remove(pos);
-                }
-            }
+            self.preds.remove_one(target, from);
             self.note_suspect(target);
         }
         self.set_dirty(from);
+    }
+
+    pub(crate) fn has_suspects(&self) -> bool {
+        !self.suspects.is_empty()
     }
 
     /// `slot` may have just become garbage: it is fresh, or it lost an
@@ -615,10 +608,7 @@ impl DeltaTracker {
     /// Drops one predecessor entry entirely (the predecessor is being
     /// collected; its occurrence count no longer matters).
     pub(crate) fn remove_pred(&mut self, target: u32, pred: u32) {
-        let list = &mut self.preds[target as usize];
-        if let Some(pos) = list.iter().position(|&(p, _)| p == pred) {
-            list.swap_remove(pos);
-        }
+        self.preds.remove_all(target, pred);
     }
 
     /// Forgets everything keyed to a slot being freed: its own predecessor
@@ -629,7 +619,7 @@ impl DeltaTracker {
         if !self.added.is_empty() {
             self.shrunk = true;
         }
-        self.preds[slot as usize].clear();
+        self.preds.clear(slot);
         let word = (slot >> 6) as usize;
         let bit = 1u64 << (slot & 63);
         self.dirty_words[word] &= !bit;
@@ -688,9 +678,10 @@ impl DeltaTracker {
         let epoch = self.next_epoch();
         self.stack.clear();
         for &slot in scratch.visited() {
-            let held = self.preds[slot as usize]
-                .iter()
-                .any(|&(pred, _count)| !scratch.is_marked(pred));
+            let held = self
+                .preds
+                .entries(slot)
+                .any(|(pred, _count)| !scratch.is_marked(pred));
             if held {
                 self.mark[slot as usize] = epoch;
                 self.stack.push(slot);
@@ -745,8 +736,7 @@ impl DeltaTracker {
             }
             self.mark[s] = self.epoch;
             self.affected.push(slot);
-            for i in 0..self.preds[s].len() {
-                let (pred, _count) = self.preds[s][i];
+            for (pred, _count) in self.preds.entries(slot) {
                 if self.mark[pred as usize] != self.epoch {
                     self.stack.push(pred);
                 }
@@ -1131,7 +1121,7 @@ impl SiteHeap {
         tracker.ensure_capacity(arena.slot_count());
         for slot in arena.live_slots() {
             for target in arena.local_targets(slot) {
-                tracker.add_pred(target, slot);
+                tracker.preds.add(target, slot);
             }
         }
         let sorted = |mut list: Vec<GlobalAddr>| {

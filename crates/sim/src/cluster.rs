@@ -27,9 +27,9 @@ use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::plan::{Phase, Planner, ShardCommand};
+use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
 use crate::report::{record_net, record_store, RunReport};
-use crate::shard::{Outbox, Shard};
+use crate::shard::{Garbage, Outbox, Shard};
 
 /// Safety valve of the settle loop: the most rounds of deliver-then-collect
 /// one settle runs before giving up on quiescence.
@@ -259,18 +259,24 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
             // Advance the logical step clock *before* executing: the first
             // scenario step is step 1.
             self.advance_step();
-            match step {
-                Step::Op(op) => self.execute(*op),
-                Step::Settle => self.settle(),
-                Step::Membership(ev) => self.execute_membership(*ev),
-            }
-            self.shard.mark_garbage_unreachable();
+            let garbage = match step {
+                Step::Op(op) => self.execute_op(*op),
+                Step::Settle => {
+                    self.settle();
+                    Garbage::Any
+                }
+                Step::Membership(ev) => {
+                    self.execute_membership(*ev);
+                    Garbage::Any
+                }
+            };
+            self.shard.mark_garbage_unreachable(garbage);
         }
         // The end-of-run completion (final settle + forced recoveries)
         // counts as one more step.
         self.advance_step();
         self.settle();
-        self.shard.mark_garbage_unreachable();
+        self.shard.mark_garbage_unreachable(Garbage::Any);
         let stragglers = self.planner.recover_all();
         if !stragglers.is_empty() {
             for command in stragglers {
@@ -294,10 +300,31 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// pattern is a pure function of `(scenario, fault plan, seed)`, so
     /// replay determinism is preserved.
     pub fn execute(&mut self, op: MutatorOp) {
-        self.lifecycle();
-        if let Some(command) = self.planner.plan_op(op) {
-            self.issue(command);
-        }
+        self.execute_op(op);
+    }
+
+    /// [`Cluster::execute`], returning what the step can have made
+    /// unreachable. An op that only adds a reference (`LinkLocal`,
+    /// `SendRef`: the oracle counts no global root and no reference in
+    /// flight) or allocates cuts nothing off, unless the crash schedule
+    /// ran in the same step.
+    fn execute_op(&mut self, op: MutatorOp) -> Garbage {
+        let quiet = self.lifecycle() == 0;
+        let Some(command) = self.planner.plan_op(op) else {
+            return if quiet { Garbage::None } else { Garbage::Any };
+        };
+        let garbage = match command {
+            ShardCommand::Op(_, SiteOp::Alloc { local_root, expect }) if quiet && !local_root => {
+                Garbage::Fresh(expect)
+            }
+            ShardCommand::Op(
+                _,
+                SiteOp::Alloc { .. } | SiteOp::LinkLocal { .. } | SiteOp::SendRef { .. },
+            ) if quiet => Garbage::None,
+            _ => Garbage::Any,
+        };
+        self.issue(command);
+        garbage
     }
 
     /// Executes one epoch-stamped membership event — a join, a planned leave
@@ -324,11 +351,14 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// Applies the fault plan's crash schedule against the network clock:
     /// opens every due crash window (tearing the volatile runtime down) and
     /// restarts every site whose window has closed (recovering it from its
-    /// durable store).
-    pub(crate) fn lifecycle(&mut self) {
-        for command in self.planner.lifecycle(self.net.now()) {
+    /// durable store). Returns how many commands it issued.
+    pub(crate) fn lifecycle(&mut self) -> usize {
+        let commands = self.planner.lifecycle(self.net.now());
+        let issued = commands.len();
+        for command in commands {
             self.issue(command);
         }
+        issued
     }
 
     /// Delivers every in-flight message, running local collections between
@@ -390,10 +420,7 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
             self.shard.config.durability.is_on(),
             "crash_and_recover requires durability"
         );
-        assert!(
-            self.planner.membership().contains(&site),
-            "unknown site {site}"
-        );
+        assert!(self.planner.is_member(site), "unknown site {site}");
         let crash = self.planner.crash(site, 0);
         for command in crash.into_iter().chain(self.planner.recover(site)) {
             self.issue(command);
@@ -458,7 +485,7 @@ impl<C: Collector, N> Cluster<C, N> {
     }
 
     /// Sites gone through a planned leave so far.
-    pub fn departed_sites(&self) -> &BTreeSet<SiteId> {
+    pub fn departed_sites(&self) -> BTreeSet<SiteId> {
         self.planner.departed()
     }
 
@@ -468,7 +495,7 @@ impl<C: Collector, N> Cluster<C, N> {
     }
 
     /// Current expected membership (up or temporarily crashed).
-    pub fn membership(&self) -> &BTreeSet<SiteId> {
+    pub fn membership(&self) -> BTreeSet<SiteId> {
         self.planner.membership()
     }
 
@@ -975,5 +1002,103 @@ mod tests {
         check(CausalCollector::new);
         check(TracingCollector::factory(4));
         check(RefListingCollector::new);
+    }
+
+    /// [`Cluster::run`] with one whole-cluster oracle pass after every
+    /// step, whatever the step did: the reference for the ledger's stamps.
+    fn run_stamping_every_step<C: Collector>(cluster: &mut Cluster<C>, scenario: &Scenario) {
+        if scenario.has_membership() {
+            cluster.planner.track_legality();
+        }
+        for step in scenario.steps() {
+            cluster.advance_step();
+            match step {
+                Step::Op(op) => cluster.execute(*op),
+                Step::Settle => cluster.settle(),
+                Step::Membership(ev) => cluster.execute_membership(*ev),
+            }
+            cluster.shard.mark_garbage_unreachable(Garbage::Any);
+        }
+        cluster.advance_step();
+        cluster.settle();
+        cluster.shard.mark_garbage_unreachable(Garbage::Any);
+        let stragglers = cluster.planner.recover_all();
+        if !stragglers.is_empty() {
+            for command in stragglers {
+                cluster.issue(command);
+            }
+            cluster.settle();
+        }
+    }
+
+    #[test]
+    fn steps_that_skip_the_oracle_pass_move_no_ledger_stamp() {
+        use ggd_mutator::generator::{build_perf_scenario, PerfSpec};
+        use ggd_obs::{ObsConfig, TraceView};
+        use ggd_store::DurabilityConfig;
+        let plain = ClusterConfig {
+            obs: ObsConfig::enabled(),
+            ..ClusterConfig::default()
+        };
+        // A crash window makes some steps run the crash schedule too.
+        let crashing = ClusterConfig {
+            faults: FaultPlan::new().with_crash(SiteId::new(2), 5, 40),
+            durability: DurabilityConfig::memory(),
+            ..plain.clone()
+        };
+        // An object allocated unrooted is unreachable, and stamped, at
+        // birth. Objects born rooted that lose their root first and their
+        // last reference later are stamped by the step that cuts them off:
+        // `y` by the `ClearRefs`, `x` by a local `Unlink`, `z` by a remote
+        // one.
+        let (s0, s1) = (SiteId::new(0), SiteId::new(1));
+        let mut cut = Scenario::new(2);
+        let [r, x, y, z] = [true; 4].map(|root| cut.alloc(s0, root));
+        let holder = cut.alloc(s1, true);
+        let link = |from, to| MutatorOp::LinkLocal { site: s0, from, to };
+        cut.op(link(r, x)).op(link(x, y)).op(link(x, z));
+        cut.send_ref(s0, holder, z);
+        cut.settle();
+        for name in [x, y, z] {
+            cut.op(MutatorOp::DropLocalRoot { site: s0, name });
+        }
+        cut.op(MutatorOp::Unlink {
+            site: s0,
+            from: x,
+            to: z,
+        });
+        cut.op(MutatorOp::ClearRefs { site: s0, name: x });
+        cut.op(MutatorOp::Unlink {
+            site: s0,
+            from: r,
+            to: x,
+        });
+        cut.op(MutatorOp::Unlink {
+            site: s1,
+            from: holder,
+            to: z,
+        });
+        cut.settle();
+        let mut cases = vec![("cut", cut, &plain)];
+        for seed in 1..=2 {
+            let scenario = build_perf_scenario(&PerfSpec::mix(6, 100, 800), seed);
+            cases.push(("perf", scenario.clone(), &plain));
+            cases.push(("perf, crashing", scenario, &crashing));
+        }
+        for (label, scenario, config) in cases {
+            let mut skipping =
+                Cluster::from_scenario(&scenario, config.clone(), CausalCollector::new);
+            skipping.run(&scenario);
+            let crashed = skipping.recoveries() > 0;
+            assert_eq!(crashed, !config.faults.crashes().is_empty(), "{label}");
+            let mut every = Cluster::from_scenario(&scenario, config.clone(), CausalCollector::new);
+            run_stamping_every_step(&mut every, &scenario);
+            let trace = skipping.obs_report().trace_jsonl(TraceView::Full);
+            let stamped = trace.matches("\"unreachable\":").count();
+            let unstamped = trace.matches("\"unreachable\":null").count();
+            assert!(stamped > unstamped, "{label}: no stamp to compare");
+            let expected = every.obs_report().trace_jsonl(TraceView::Full);
+            assert!(trace == expected, "{label}: the ledger's stamps moved");
+        }
     }
 }

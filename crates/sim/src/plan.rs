@@ -10,7 +10,7 @@
 //! function of `(scenario, crash schedule)` alone and the same under every
 //! scheduler. What it emits, a [`Shard`](crate::shard::Shard) executes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ggd_mutator::{Legality, MembershipEvent, MembershipKind, MutatorOp, ObjName};
 use ggd_store::{MembershipAnnouncement, MembershipChange};
@@ -106,6 +106,36 @@ pub(crate) fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
     &mut table[index]
 }
 
+/// What the planner knows of one site: whether it is a member of the fleet,
+/// and whether it is up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum SiteStatus {
+    /// Not a member: a site beyond the founding ones that has not joined.
+    #[default]
+    Absent,
+    /// A member that is up.
+    Up,
+    /// A member that crashed; it restarts once the transport clock reaches
+    /// the time given. It is still a member: it comes back.
+    Down(u64),
+    /// Gone through a planned leave: its objects and references dissolved
+    /// with it, and no trace of it may survive anywhere.
+    Departed,
+    /// Evicted without warning (the shard keeps its last heap).
+    Evicted,
+}
+
+impl SiteStatus {
+    fn is_member(self) -> bool {
+        matches!(self, SiteStatus::Up | SiteStatus::Down(_))
+    }
+
+    /// True when the site permanently left the fleet.
+    fn is_gone(self) -> bool {
+        matches!(self, SiteStatus::Departed | SiteStatus::Evicted)
+    }
+}
+
 /// The pure half of a drive loop — see the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct Planner {
@@ -128,19 +158,17 @@ pub(crate) struct Planner {
     /// could forward a reference its sender never held, an illegal
     /// computation outside every collector's safety contract.
     legality: Option<Legality>,
-    /// Current expected membership: founding sites, plus joins, minus
-    /// departures. Crashed sites stay members (they come back).
-    membership: BTreeSet<SiteId>,
-    /// Sites gone through a planned leave: their objects and references
-    /// dissolved with them, and no trace of them may survive anywhere.
-    departed: BTreeSet<SiteId>,
-    /// Sites evicted without warning (the shard keeps their last heap).
-    evicted: BTreeSet<SiteId>,
+    /// Every site's status, indexed by `SiteId::index()`; a site past the
+    /// end is `Absent`. The planner's only record of membership and
+    /// liveness: the founding sites start `Up`, and joins, crashes,
+    /// recoveries and departures move them.
+    sites: Vec<SiteStatus>,
+    /// How many entries of `sites` are `Down`, so that `lifecycle` with
+    /// nothing scheduled reads one number instead of the table.
+    down: usize,
     /// Crash windows that have not opened yet, as `(site, at, restart_after)`
     /// in transport time and schedule order.
     crashes: Vec<(SiteId, u64, u64)>,
-    /// Sites currently down, with their scheduled restart time.
-    downed: BTreeMap<SiteId, u64>,
     /// Every membership announcement so far, in epoch order — late joiners
     /// catch up on it before applying their own join.
     membership_log: Vec<MembershipAnnouncement>,
@@ -152,7 +180,7 @@ impl Planner {
     pub(crate) fn new(sites: u32, crashes: Vec<(SiteId, u64, u64)>) -> Self {
         Planner {
             legality: (!crashes.is_empty()).then(Legality::default),
-            membership: (0..sites).map(SiteId::new).collect(),
+            sites: vec![SiteStatus::Up; sites as usize],
             crashes,
             ..Planner::default()
         }
@@ -170,16 +198,46 @@ impl Planner {
         self.names.get(name.0 as usize).copied().flatten()
     }
 
-    pub(crate) fn membership(&self) -> &BTreeSet<SiteId> {
-        &self.membership
+    fn status(&self, site: SiteId) -> SiteStatus {
+        let entry = self.sites.get(site.index() as usize);
+        entry.copied().unwrap_or_default()
     }
 
-    pub(crate) fn departed(&self) -> &BTreeSet<SiteId> {
-        &self.departed
+    /// Moves `site` to `status`, keeping the count of downed sites.
+    fn set_status(&mut self, site: SiteId, status: SiteStatus) {
+        let entry = slot(&mut self.sites, site.index() as usize);
+        self.down -= usize::from(matches!(*entry, SiteStatus::Down(_)));
+        self.down += usize::from(matches!(status, SiteStatus::Down(_)));
+        *entry = status;
+    }
+
+    /// The sites whose status matches, in ascending `SiteId`.
+    fn sites_where(&self, pick: impl Fn(SiteStatus) -> bool) -> BTreeSet<SiteId> {
+        let entries = self.sites.iter().enumerate();
+        entries
+            .filter(|&(_, &status)| pick(status))
+            .map(|(index, _)| SiteId::new(index as u32))
+            .collect()
+    }
+
+    /// True when `site` is a member of the fleet, up or down.
+    pub(crate) fn is_member(&self, site: SiteId) -> bool {
+        self.status(site).is_member()
+    }
+
+    /// Current expected membership: founding sites, plus joins, minus
+    /// departures. Crashed sites stay members (they come back).
+    pub(crate) fn membership(&self) -> BTreeSet<SiteId> {
+        self.sites_where(SiteStatus::is_member)
+    }
+
+    /// Sites gone through a planned leave.
+    pub(crate) fn departed(&self) -> BTreeSet<SiteId> {
+        self.sites_where(|status| status == SiteStatus::Departed)
     }
 
     fn site_is_up(&self, site: SiteId) -> bool {
-        self.membership.contains(&site) && !self.downed.contains_key(&site)
+        self.status(site) == SiteStatus::Up
     }
 
     /// Resolves `name` for an op running on `site`. `None` — skip the op —
@@ -188,8 +246,7 @@ impl Planner {
     /// a site that has permanently left the fleet.
     fn resolve(&self, site: SiteId, name: ObjName) -> Option<GlobalAddr> {
         let addr = self.addr_of(name)?;
-        let gone = self.departed.contains(&addr.site()) || self.evicted.contains(&addr.site());
-        (self.site_is_up(site) && !gone).then_some(addr)
+        (self.site_is_up(site) && !self.status(addr.site()).is_gone()).then_some(addr)
     }
 
     /// Resolves one mutator op into the command that executes it, or `None`
@@ -266,7 +323,7 @@ impl Planner {
     #[inline] // per op and per delivery: the nothing-scheduled case must cost a branch
     pub(crate) fn lifecycle(&mut self, now: u64) -> Vec<ShardCommand> {
         let mut commands = Vec::new();
-        if self.crashes.is_empty() && self.downed.is_empty() {
+        if self.crashes.is_empty() && self.down == 0 {
             return commands;
         }
         let opening = |&(_, at, _): &(SiteId, u64, u64)| at <= now;
@@ -275,12 +332,7 @@ impl Planner {
         for (site, _, restart_after) in opened {
             commands.extend(self.crash(site, restart_after));
         }
-        let due: Vec<SiteId> = self
-            .downed
-            .iter()
-            .filter(|(_, &restart)| restart <= now)
-            .map(|(&site, _)| site)
-            .collect();
+        let due = self.sites_where(|status| matches!(status, SiteStatus::Down(at) if at <= now));
         commands.extend(due.into_iter().filter_map(|site| self.recover(site)));
         commands
     }
@@ -289,30 +341,35 @@ impl Planner {
     /// has its restart time extended (overlapping windows); a site that is
     /// not a member has nothing to crash.
     pub(crate) fn crash(&mut self, site: SiteId, restart_after: u64) -> Option<ShardCommand> {
-        if let Some(restart) = self.downed.get_mut(&site) {
-            *restart = (*restart).max(restart_after);
-            return None;
+        match self.status(site) {
+            SiteStatus::Down(restart) => {
+                self.set_status(site, SiteStatus::Down(restart.max(restart_after)));
+                None
+            }
+            SiteStatus::Up => {
+                self.set_status(site, SiteStatus::Down(restart_after));
+                Some(ShardCommand::Crash(site))
+            }
+            _ => None,
         }
-        if !self.membership.contains(&site) {
-            return None;
-        }
-        self.downed.insert(site, restart_after);
-        Some(ShardCommand::Crash(site))
     }
 
     /// Brings `site` back if it is down.
     pub(crate) fn recover(&mut self, site: SiteId) -> Option<ShardCommand> {
-        self.downed
-            .remove(&site)
-            .map(|_| ShardCommand::Recover(site))
+        let SiteStatus::Down(_) = self.status(site) else {
+            return None;
+        };
+        self.set_status(site, SiteStatus::Up);
+        Some(ShardCommand::Recover(site))
     }
 
     /// Brings every downed site back immediately, regardless of its
     /// scheduled restart time (end-of-run completion).
     pub(crate) fn recover_all(&mut self) -> Vec<ShardCommand> {
-        std::mem::take(&mut self.downed)
-            .into_keys()
-            .map(ShardCommand::Recover)
+        let downed = self.sites_where(|status| matches!(status, SiteStatus::Down(_)));
+        downed
+            .into_iter()
+            .filter_map(|site| self.recover(site))
             .collect()
     }
 
@@ -343,19 +400,16 @@ impl Planner {
         let mut script = Vec::new();
         let kind = match ev.kind {
             MembershipKind::Join => {
-                if self.membership.contains(&site)
-                    || self.departed.contains(&site)
-                    || self.evicted.contains(&site)
-                {
+                if self.status(site) != SiteStatus::Absent {
                     return script;
                 }
-                self.membership.insert(site);
+                self.set_status(site, SiteStatus::Up);
                 let history = self.membership_log.clone();
                 script.push(Phase::Run(ShardCommand::Join { site, history }));
                 MembershipChange::Join
             }
             MembershipKind::PlannedLeave => {
-                if !self.membership.remove(&site) {
+                if !self.is_member(site) {
                     return script;
                 }
                 // A crashed site can still leave in an orderly fashion:
@@ -371,16 +425,15 @@ impl Planner {
                     epoch: ev.epoch,
                 }));
                 script.push(Phase::Settle);
-                self.departed.insert(site);
+                self.set_status(site, SiteStatus::Departed);
                 script.push(Phase::Run(ShardCommand::Remove(site)));
                 MembershipChange::PlannedLeave
             }
             MembershipKind::Evict => {
-                if !self.membership.remove(&site) {
+                if !self.is_member(site) {
                     return script;
                 }
-                self.downed.remove(&site);
-                self.evicted.insert(site);
+                self.set_status(site, SiteStatus::Evicted);
                 script.push(Phase::Run(ShardCommand::Evict(site)));
                 MembershipChange::Evict
             }
@@ -526,8 +579,8 @@ mod tests {
         // Ops on the sites themselves are skipped too.
         assert_eq!(alloc(&mut planner, S1, 3), None);
         assert_eq!(planner.plan_op(MutatorOp::CollectSite { site: S2 }), None);
-        assert_eq!(planner.departed(), &BTreeSet::from([S1]));
-        assert_eq!(planner.membership(), &BTreeSet::from([S0]));
+        assert_eq!(planner.departed(), BTreeSet::from([S1]));
+        assert_eq!(planner.membership(), BTreeSet::from([S0]));
     }
 
     #[test]
@@ -566,9 +619,9 @@ mod tests {
         // second crash, and the latest restart time wins.
         assert_eq!(planner.lifecycle(5), Vec::new());
         assert_eq!(planner.lifecycle(9), Vec::new());
-        assert!(!planner.downed.is_empty());
+        assert_eq!(planner.down, 1);
         assert_eq!(planner.lifecycle(10), vec![ShardCommand::Recover(S1)]);
-        assert!(planner.downed.is_empty());
+        assert_eq!(planner.down, 0);
         assert_eq!(planner.lifecycle(11), Vec::new());
     }
 
@@ -598,14 +651,128 @@ mod tests {
                 None,
             ]
         );
-        assert!(planner.downed.is_empty(), "the leave consumed the outage");
+        assert_eq!(planner.down, 0, "the leave consumed the outage");
         // An eviction, by contrast, takes a downed site as it lies.
         let mut planner = Planner::new(3, vec![(S2, 1, u64::MAX)]);
         planner.lifecycle(1);
         let script = planner.plan_membership(event(MembershipKind::Evict, S2, 1));
         assert_eq!(outline(&script)[0], Some(&ShardCommand::Evict(S2)));
-        assert!(planner.downed.is_empty());
+        assert_eq!(planner.down, 0);
         assert_eq!(planner.recover_all(), Vec::new());
+    }
+
+    /// The planner's site state as the sets and the map it used to be
+    /// kept in.
+    #[derive(Default)]
+    struct SetModel {
+        membership: BTreeSet<SiteId>,
+        departed: BTreeSet<SiteId>,
+        evicted: BTreeSet<SiteId>,
+        downed: std::collections::BTreeMap<SiteId, u64>,
+    }
+
+    impl SetModel {
+        fn up(&self, site: SiteId) -> bool {
+            self.membership.contains(&site) && !self.downed.contains_key(&site)
+        }
+
+        /// Every view of the status table agrees with the sets, on every
+        /// site and every allocated name.
+        fn check(&self, planner: &Planner, names: &[(u32, GlobalAddr)], when: &str) {
+            assert_eq!(planner.membership(), self.membership, "{when}");
+            assert_eq!(planner.departed(), self.departed, "{when}");
+            assert_eq!(planner.down, self.downed.len(), "{when}");
+            for site in (0..8).map(SiteId::new) {
+                assert_eq!(planner.site_is_up(site), self.up(site), "{when}: {site}");
+                assert_eq!(
+                    planner.is_member(site),
+                    self.membership.contains(&site),
+                    "{when}: {site}"
+                );
+                for &(name, addr) in names {
+                    let gone = [&self.departed, &self.evicted]
+                        .iter()
+                        .any(|set| set.contains(&addr.site()));
+                    let expect = (self.up(site) && !gone).then_some(addr);
+                    let got = planner.resolve(site, ObjName(name));
+                    assert_eq!(got, expect, "{when}: n{name} on {site}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_status_table_agrees_with_the_set_model_through_crashes_and_membership() {
+        let [s1, s2, s3, s4, s5] = [1, 2, 3, 4, 5].map(SiteId::new);
+        let windows = vec![
+            (s1, 2, 8),
+            (s1, 4, 12),
+            (s2, 3, 20),
+            (s3, 3, 30),
+            (s4, 5, 50),
+        ];
+        let mut planner = Planner::new(5, windows);
+        let mut model = SetModel {
+            membership: (0..5).map(SiteId::new).collect(),
+            ..SetModel::default()
+        };
+        let mut names: Vec<(u32, GlobalAddr)> = (0..5)
+            .map(|n| (n, alloc(&mut planner, SiteId::new(n), n).expect("up")))
+            .collect();
+        model.check(&planner, &names, "start");
+
+        assert_eq!(planner.lifecycle(2), vec![ShardCommand::Crash(s1)]);
+        model.downed.insert(s1, 8);
+        model.check(&planner, &names, "t2");
+        let crashes = vec![ShardCommand::Crash(s2), ShardCommand::Crash(s3)];
+        assert_eq!(planner.lifecycle(3), crashes);
+        model.downed.extend([(s2, 20), (s3, 30)]);
+        model.check(&planner, &names, "t3");
+        // The second window of site 1 opens while it is down: the outage
+        // only grows.
+        assert_eq!(planner.lifecycle(4), Vec::new());
+        model.downed.insert(s1, 12);
+        assert_eq!(planner.lifecycle(5), vec![ShardCommand::Crash(s4)]);
+        model.downed.insert(s4, 50);
+        assert_eq!(planner.lifecycle(8), Vec::new(), "site 1 restarts at 12");
+        model.check(&planner, &names, "t8");
+
+        // A planned leave of a downed site recovers it first.
+        let script = planner.plan_membership(event(MembershipKind::PlannedLeave, s2, 1));
+        assert_eq!(outline(&script)[0], Some(&ShardCommand::Recover(s2)));
+        model.membership.remove(&s2);
+        model.downed.remove(&s2);
+        model.departed.insert(s2);
+        model.check(&planner, &names, "leave");
+        // An evict takes a downed site as it lies.
+        let script = planner.plan_membership(event(MembershipKind::Evict, s3, 2));
+        assert_eq!(outline(&script)[0], Some(&ShardCommand::Evict(s3)));
+        model.membership.remove(&s3);
+        model.downed.remove(&s3);
+        model.evicted.insert(s3);
+        model.check(&planner, &names, "evict");
+        // Neither can crash again, and neither comes back.
+        assert_eq!(planner.crash(s2, 99), None);
+        assert_eq!(planner.crash(s3, 99), None);
+        assert_eq!(planner.recover(s3), None);
+        model.check(&planner, &names, "after the departures");
+
+        let script = planner.plan_membership(event(MembershipKind::Join, s5, 3));
+        assert!(
+            matches!(outline(&script)[0], Some(ShardCommand::Join { site, .. }) if *site == s5)
+        );
+        model.membership.insert(s5);
+        names.push((5, alloc(&mut planner, s5, 5).expect("the joiner is up")));
+        model.check(&planner, &names, "join");
+
+        assert_eq!(planner.lifecycle(12), vec![ShardCommand::Recover(s1)]);
+        model.downed.remove(&s1);
+        model.check(&planner, &names, "t12");
+        assert_eq!(planner.recover_all(), vec![ShardCommand::Recover(s4)]);
+        model.downed.clear();
+        model.check(&planner, &names, "recover_all");
+        assert_eq!(planner.lifecycle(u64::MAX), Vec::new());
+        model.check(&planner, &names, "end");
     }
 
     #[test]

@@ -84,6 +84,21 @@ enum Catchup {
     Announce(MembershipAnnouncement),
 }
 
+/// What one scenario step can have made unreachable, for the ledger's
+/// first sightings of garbage. Every object that was unreachable before the
+/// step was stamped then, and a stamp is never moved, so only what the step
+/// itself can have cut off needs looking at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Garbage {
+    /// Nothing: the step ran nothing, or only added references and global
+    /// roots, so the oracle's live set cannot have shrunk.
+    None,
+    /// Only the object just allocated, unrooted, at this address.
+    Fresh(GlobalAddr),
+    /// Anything: the whole cluster is judged.
+    Any,
+}
+
 /// A (transport time, scenario step) pair.
 type Stamp = (u64, u64);
 
@@ -210,7 +225,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     pub(crate) fn execute(&mut self, command: ShardCommand, out: &mut impl Outbox<C::Msg>) {
         match command {
             ShardCommand::Op(site, op) => self.apply_op(site, op, out),
-            ShardCommand::CollectAll => self.collect_round(self.up_sites(), out),
+            ShardCommand::CollectAll => self.collect_round(None, out),
             ShardCommand::Crash(site) => self.crash(site),
             ShardCommand::Recover(site) => self.recover(site, out),
             ShardCommand::Join { site, history } => {
@@ -285,20 +300,32 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
                 self.runtime(site)
                     .receive_reference(site, recipient, target)
             }
-            SiteOp::Collect => return self.collect_round(vec![site], out),
+            SiteOp::Collect => return self.collect_round(Some(site), out),
         };
         self.absorb(site, tick, out);
     }
 
-    /// Runs a local collection on each of `sites`, in order. With
-    /// [`ClusterConfig::safety_oracle`] on, one global [`LiveSet`], built
-    /// before the first, judges them all. It stays exact: a clean collection
-    /// frees only garbage, and a sync only demotes global roots and posts
-    /// messages, which the oracle does not read. After a violation it is rebuilt.
-    fn collect_round(&mut self, sites: Vec<SiteId>, out: &mut impl Outbox<C::Msg>) {
+    /// Runs a local collection on `only`, or on every up site in ascending
+    /// `SiteId`. With [`ClusterConfig::safety_oracle`] on, one global
+    /// [`LiveSet`] judges them all. It stays exact: a clean collection frees
+    /// only garbage, and a sync only demotes global roots and posts
+    /// messages, which the oracle does not read. After a violation it is
+    /// rebuilt. With observability on it is built before the first site,
+    /// since it also stamps the ledger; with it off, right before the first
+    /// site that has suspects: a site without any frees nothing, so a round
+    /// with none builds no set at all.
+    fn collect_round(&mut self, only: Option<SiteId>, out: &mut impl Outbox<C::Msg>) {
+        let sites = match only {
+            Some(site) => site.index() as usize..site.index() as usize + 1,
+            None => 0..self.sites.slots.len(),
+        };
         let mut live = None;
-        for site in sites {
-            if self.config.safety_oracle && live.is_none() {
+        for site in sites.map(|index| SiteId::new(index as u32)) {
+            let Some(runtime) = self.sites.get(site) else {
+                continue;
+            };
+            let judge = self.config.obs.enabled || runtime.heap().has_suspects();
+            if self.config.safety_oracle && live.is_none() && judge {
                 live = Some(self.live_set());
             }
             if self.collect_site(site, live.as_ref(), out) > 0 {
@@ -512,12 +539,19 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     /// Stamps the current step as the first sighting (which wins in the
-    /// ledger) of each object a flat [`LiveSet`] leaves out. Runs after every
-    /// scenario step with observability *and* the safety oracle on; a
-    /// collection round stamps from the live set it is judged by.
-    pub(crate) fn mark_garbage_unreachable(&mut self) {
-        if self.config.obs.enabled && self.config.safety_oracle {
-            self.live_set();
+    /// ledger) of each object the step can have left unreachable: every
+    /// object a flat [`LiveSet`] leaves out, only the fresh object, or
+    /// nothing (see [`Garbage`]). Runs after every scenario step with
+    /// observability *and* the safety oracle on; a collection round stamps
+    /// from the live set it is judged by.
+    pub(crate) fn mark_garbage_unreachable(&mut self, garbage: Garbage) {
+        if !(self.config.obs.enabled && self.config.safety_oracle) {
+            return;
+        }
+        match garbage {
+            Garbage::None => {}
+            Garbage::Fresh(addr) => self.runtime(addr.site()).obs_mut().mark_unreachable(addr),
+            Garbage::Any => drop(self.live_set()),
         }
     }
 

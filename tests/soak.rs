@@ -148,7 +148,7 @@ impl Soak {
         let mut vector_width = 0;
         let mut log_flags = 0;
         let mut row_flags = 0;
-        for &site in self.cluster.membership() {
+        for site in self.cluster.membership() {
             let log = self.cluster.collector(site).engine().log();
             dk_rows = dk_rows.max(log.len());
             log_flags = log_flags.max(log.root_flags().len());
