@@ -8,6 +8,13 @@
 //! The checkpoint holds this state in ordered maps, whatever layout the live
 //! engine uses, so its encoding is in ascending vertex order.
 //!
+//! The image's byte layout is written in one place, `ggd-store`'s
+//! `write_engine_image`, from any [`EngineImageSource`]: the live
+//! [`CausalEngine`] (the checkpoint path writes from its borrowed state,
+//! building no [`EngineCheckpoint`]) or a decoded [`EngineCheckpoint`].
+//!
+//! [`CausalEngine`]: crate::CausalEngine
+//!
 //! A checkpoint is meant to be taken at a quiescent point of the site's own
 //! processing — after the runtime has drained outgoing messages and applied
 //! pending verdicts — but queued items are captured anyway so that
@@ -47,4 +54,99 @@ pub struct EngineCheckpoint {
     pub outgoing: Vec<Outgoing>,
     /// Accumulated statistics.
     pub stats: EngineStats,
+}
+
+/// An engine's durable state as the image writer reads it, borrowed: every
+/// sequence in the order the image lists it, which is ascending by key.
+/// The counted sequences are `Clone`, so the writer can count one before
+/// writing it. A live [`CausalEngine`] and its [`CausalEngine::checkpoint`]
+/// yield the same parts.
+///
+/// [`CausalEngine`]: crate::CausalEngine
+/// [`CausalEngine::checkpoint`]: crate::CausalEngine::checkpoint
+pub trait EngineImageSource {
+    /// The site the engine runs on.
+    fn site(&self) -> SiteId;
+    /// The non-zero event counters.
+    fn counters(&self) -> impl Iterator<Item = (VertexId, u64)> + Clone;
+    /// The log `DK`.
+    fn log(&self) -> &DkLog;
+    /// The circulated-closure memos.
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone;
+    /// The non-empty out-edge sets, each ascending.
+    fn edges_out(
+        &self,
+    ) -> impl Iterator<Item = (VertexId, impl ExactSizeIterator<Item = GlobalAddr>)> + Clone;
+    /// The locally rooted global roots.
+    fn locally_rooted(&self) -> impl Iterator<Item = VertexId> + Clone;
+    /// The non-empty receive-rule holder sets by target, each ascending.
+    fn inbound_holders(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (GlobalAddr, impl ExactSizeIterator<Item = VertexId>)>;
+    /// Every garbage verdict ever produced.
+    fn detected(&self) -> impl Iterator<Item = GlobalAddr> + Clone;
+    /// Verdicts not yet drained.
+    fn pending_verdicts(&self) -> &[GlobalAddr];
+    /// Control messages not yet drained.
+    fn outgoing(&self) -> &[Outgoing];
+    /// Accumulated statistics.
+    fn stats(&self) -> &EngineStats;
+}
+
+impl EngineImageSource for EngineCheckpoint {
+    fn site(&self) -> SiteId {
+        self.site
+    }
+
+    fn counters(&self) -> impl Iterator<Item = (VertexId, u64)> + Clone {
+        self.counters
+            .iter()
+            .map(|(&vertex, &counter)| (vertex, counter))
+    }
+
+    fn log(&self) -> &DkLog {
+        &self.log
+    }
+
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone {
+        self.last_closure
+            .iter()
+            .map(|(&vertex, closure)| (vertex, closure))
+    }
+
+    fn edges_out(
+        &self,
+    ) -> impl Iterator<Item = (VertexId, impl ExactSizeIterator<Item = GlobalAddr>)> + Clone {
+        self.edges_out
+            .iter()
+            .map(|(&vertex, targets)| (vertex, targets.iter().copied()))
+    }
+
+    fn locally_rooted(&self) -> impl Iterator<Item = VertexId> + Clone {
+        self.locally_rooted.iter().copied()
+    }
+
+    fn inbound_holders(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (GlobalAddr, impl ExactSizeIterator<Item = VertexId>)> {
+        self.inbound_holders
+            .iter()
+            .map(|(&target, holders)| (target, holders.iter().copied()))
+    }
+
+    fn detected(&self) -> impl Iterator<Item = GlobalAddr> + Clone {
+        self.detected.iter().copied()
+    }
+
+    fn pending_verdicts(&self) -> &[GlobalAddr] {
+        &self.pending_verdicts
+    }
+
+    fn outgoing(&self) -> &[Outgoing] {
+        &self.outgoing
+    }
+
+    fn stats(&self) -> &EngineStats {
+        &self.stats
+    }
 }

@@ -23,7 +23,7 @@ use std::fmt;
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
 use ggd_types::{DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId};
 
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{EngineCheckpoint, EngineImageSource};
 use crate::log::{DkLog, RootedVector};
 use crate::message::CausalMessage;
 use crate::table::LocalTable;
@@ -183,7 +183,7 @@ impl LocalVertices {
     }
 
     /// Every vertex with state, in ascending order (the anchor first).
-    fn iter(&self) -> impl Iterator<Item = (VertexId, &VertexState)> {
+    fn iter(&self) -> impl Iterator<Item = (VertexId, &VertexState)> + Clone {
         std::iter::once((VertexId::SiteRoot(self.anchor_site), &self.anchor))
             .chain(self.objects.iter())
     }
@@ -279,7 +279,7 @@ impl CausalEngine {
     }
 
     /// All verdicts ever produced by this engine, in ascending order.
-    pub fn detected(&self) -> impl Iterator<Item = GlobalAddr> + '_ {
+    pub fn detected(&self) -> impl Iterator<Item = GlobalAddr> + Clone + '_ {
         self.vertices
             .iter()
             .filter(|(_, state)| state.detected)
@@ -290,9 +290,11 @@ impl CausalEngine {
     // Durability: checkpoint, restore, compaction
     // ------------------------------------------------------------------
 
-    /// Captures the engine's complete durable state, in the ordered form
-    /// the checkpoint codec writes. The derived out-edge counts are not
-    /// included; [`CausalEngine::restore`] rebuilds them.
+    /// Captures the engine's complete durable state as an owned, ordered
+    /// image. The derived out-edge counts are not included;
+    /// [`CausalEngine::restore`] rebuilds them. The checkpoint path does not
+    /// build one: it writes the same parts from the engine's borrowed state
+    /// ([`EngineImageSource`]).
     pub fn checkpoint(&self) -> EngineCheckpoint {
         let mut checkpoint = EngineCheckpoint {
             site: self.site,
@@ -389,14 +391,14 @@ impl CausalEngine {
         engine
     }
 
-    /// Compacts the log against the engine's *stable cutoff*, in two parts:
+    /// Compacts the log against the engine's *stable cutoff*, by four rules:
     ///
     /// 1. **Local detected vertices.** A detected vertex is provably
     ///    unreachable from every actual root and its verdict is final
     ///    ([`CausalEngine::detected`] blocks re-detection forever), so the
-    ///    row kept on its behalf, the entries keyed by it in other rows and
-    ///    its root-status stamps can only ever contribute stale
-    ///    conservatism.
+    ///    row kept on its behalf, the entries keyed by it in other rows, its
+    ///    receive-rule holder bookkeeping and its root-status stamps can only
+    ///    ever contribute stale conservatism.
     /// 2. **Dead remote rows.** A row held on a remote vertex's behalf
     ///    whose entries are all tombstones, while this site holds no edge
     ///    to the vertex and no receive-rule holder bookkeeping for it, is
@@ -405,102 +407,116 @@ impl CausalEngine {
     ///    towards *keeping* objects (an absent row blocks
     ///    `direct_live_entries_resolved`, and a lost tombstone leaves a
     ///    stale live entry standing) — never towards an unsafe verdict.
+    /// 3. **Inert local self-rows.** The receive rule's `bump` creates a
+    ///    row for every local *holder* object (its own counter entry,
+    ///    nothing else). Once the holder is out of every inbound-holder
+    ///    set, holds no tracked out-edges and is not locally rooted, that
+    ///    row carries no cross-vertex knowledge — its single self entry
+    ///    only freshens the holder's own counter in closures passing
+    ///    through stale entries keyed by it. Exported objects' rows always
+    ///    carry their recipient placeholders, so no global root's row can
+    ///    match this shape.
+    /// 4. **Stale root-status stamps.** A stamp is only consulted for
+    ///    vertices carrying a *live* entry in a closure, and every closure
+    ///    entry originates in a row's vector entry — so once no kept row
+    ///    mentions a vertex (and no edge, holder or local-root bookkeeping
+    ///    still tracks it), its stamp can never influence a garbage test
+    ///    here, and no outgoing payload of this engine can carry a live
+    ///    entry that would need it bundled.
     ///
     /// Together they bound log growth under churn: the log tracks the
     /// *live* cross-site graph, not the history of every object that ever
     /// crossed a site boundary. The checkpoint path calls this.
     ///
+    /// The cost is a few passes over the rows, linear in their entries:
+    /// "dead" is the vertex's own `detected` flag, rows are filtered in
+    /// place, and only the few stamped vertices are marked while the
+    /// entries are walked.
+    ///
     /// Returns the number of rows dropped.
     pub fn compact_detected(&mut self) -> usize {
-        let mut dead: BTreeSet<VertexId> = self.detected().map(VertexId::Object).collect();
-        let mut dropped = if dead.is_empty() {
-            0
-        } else {
-            self.remote.retain(|_, record| {
-                record.holders.retain(|holder| !dead.contains(holder));
-                !record.is_empty()
-            });
-            self.log.prune_vertices(&dead)
-        };
+        let site = self.site;
+        let vertices = &self.vertices;
+        let dead = |vertex: VertexId| vertices.get(vertex).is_some_and(|state| state.detected);
 
-        let dead_remote: BTreeSet<VertexId> = self
-            .log
-            .rows()
-            .filter(|(vertex, row)| {
-                let VertexId::Object(addr) = *vertex else {
-                    return false;
-                };
-                addr.site() != self.site
-                    && row.vector.iter().all(|(_, ts)| !ts.is_live())
-                    && !self.remote.contains_key(&addr)
-            })
-            .map(|(vertex, _)| vertex)
-            .collect();
-        dropped += self.log.drop_rows(&dead_remote);
+        // 1. Local detected vertices.
+        self.remote.retain(|_, record| {
+            record.holders.retain(|&holder| !dead(holder));
+            !record.is_empty()
+        });
+        let mut dropped = self.log.prune_vertices(dead);
 
-        // 3. Inert local self-rows: the receive rule's `bump` creates a row
-        // for every local *holder* object (its own counter entry, nothing
-        // else). Once the holder is out of every inbound-holder set, holds
-        // no tracked out-edges and is not locally rooted, that row carries
-        // no cross-vertex knowledge — its single self entry only freshens
-        // the holder's own counter in closures passing through stale
-        // entries keyed by it. Exported objects' rows always carry their
-        // recipient placeholders, so no global root's row can match this
-        // shape.
-        let holders: BTreeSet<VertexId> = self
-            .remote
-            .values()
-            .flat_map(|record| &record.holders)
-            .copied()
-            .collect();
-        let inert_local: BTreeSet<VertexId> = self
-            .log
-            .rows()
-            .filter(|(vertex, row)| {
-                let VertexId::Object(addr) = *vertex else {
-                    return false;
-                };
-                addr.site() == self.site
-                    && row.vector.len() == 1
-                    && row.vector.get(*vertex).is_live()
-                    && row.root_flags.is_empty()
-                    && self.vertices.get(*vertex).map_or(true, |state| {
-                        !state.locally_rooted && state.edges_out.is_empty()
-                    })
-                    && !holders.contains(vertex)
-            })
-            .map(|(vertex, _)| vertex)
-            .collect();
-        dropped += self.log.drop_rows(&inert_local);
-
-        // 4. Stale root-status stamps. A stamp is only consulted for
-        // vertices carrying a *live* entry in a closure, and every closure
-        // entry originates in a row's vector entry — so once no kept row
-        // mentions a vertex (and no edge or holder bookkeeping still
-        // tracks it), its stamp can never influence a garbage test here,
-        // and no outgoing payload of this engine can carry a live entry
-        // that would need it bundled. Dropping it bounds the stamp map by
-        // the live cross-site graph instead of the history of every global
-        // root that ever existed.
-        let mut keep = holders;
-        for (vertex, row) in self.log.rows() {
-            keep.insert(vertex);
-            keep.extend(row.vector.iter().map(|(q, _)| q));
+        // 2. Dead remote rows, dropped in place; 3. the rows shaped like
+        // inert local self-rows, kept for the holder test below.
+        let remote = &self.remote;
+        let mut inert: Vec<(VertexId, bool)> = Vec::new();
+        dropped += self.log.retain_rows(|vertex, row| {
+            let VertexId::Object(addr) = vertex else {
+                return true;
+            };
+            if addr.site() != site {
+                return row.vector.iter().any(|(_, ts)| ts.is_live()) || remote.contains_key(&addr);
+            }
+            if row.vector.len() == 1
+                && row.vector.get(vertex).is_live()
+                && row.root_flags.is_empty()
+                && vertices.get(vertex).map_or(true, |state| {
+                    !state.locally_rooted && state.edges_out.is_empty()
+                })
+            {
+                inert.push((vertex, false));
+            }
+            true
+        });
+        if !inert.is_empty() {
+            // A receive-rule holder keeps its row.
+            inert.sort_unstable();
+            for holder in self.remote.values().flat_map(|record| &record.holders) {
+                if let Ok(i) = inert.binary_search_by_key(holder, |&(vertex, _)| vertex) {
+                    inert[i].1 = true;
+                }
+            }
+            inert.retain(|&(_, held)| !held);
+            dropped += self
+                .log
+                .retain_rows(|vertex, _| inert.binary_search(&(vertex, false)).is_err());
         }
-        keep.extend(self.remote.keys().map(|&a| VertexId::Object(a)));
-        keep.extend(
-            self.vertices
-                .iter()
-                .filter(|(_, state)| state.locally_rooted)
-                .map(|(vertex, _)| vertex),
-        );
-        self.log.retain_stamps(&keep);
+
+        // 4. Stale root-status stamps: mark the stamped vertices something
+        // still mentions, and drop the rest.
+        let stamped = self.log.stamped_vertices();
+        if !stamped.is_empty() {
+            let mut kept = vec![false; stamped.len()];
+            let mut mark = |vertex: VertexId| {
+                if let Ok(i) = stamped.binary_search(&vertex) {
+                    kept[i] = true;
+                }
+            };
+            for (vertex, row) in self.log.rows_unordered() {
+                mark(vertex);
+                row.vector.iter().for_each(|(q, _)| mark(q));
+            }
+            for (&target, record) in &self.remote {
+                mark(VertexId::Object(target));
+                record.holders.iter().for_each(|&holder| mark(holder));
+            }
+            for (vertex, state) in self.vertices.iter() {
+                if state.locally_rooted {
+                    mark(vertex);
+                }
+            }
+            self.log
+                .retain_stamps(|vertex| stamped.binary_search(&vertex).is_ok_and(|i| kept[i]));
+        }
 
         // The circulated-closure memos of every dropped subject are equally
         // final.
-        dead.extend(dead_remote);
-        dead.extend(inert_local);
-        for &vertex in &dead {
+        for state in self.vertices.values_mut() {
+            if state.detected {
+                state.last_closure = None;
+            }
+        }
+        for &(vertex, _) in &inert {
             if let Some(state) = self.vertices.get_mut(vertex) {
                 state.last_closure = None;
             }
@@ -557,7 +573,7 @@ impl CausalEngine {
 
         // 2. Drop their rows, erase entries keyed by them everywhere, and
         // forget their root stamps.
-        let dropped = self.log.prune_vertices(&dead);
+        let dropped = self.log.prune_vertices(|vertex| dead.contains(&vertex));
 
         // 3. Auxiliary state: dead entries inside the closure memos, edges
         // and holder bookkeeping towards departed-hosted targets, and queued
@@ -1145,6 +1161,78 @@ impl CausalEngine {
             self.stats.edge_destructions += 1;
             self.queue_destruction(vertex, target);
         }
+    }
+}
+
+/// The live engine's parts, in image order: local vertices ascend through
+/// the identity-indexed table, and the hashed holder records are sorted
+/// once per image.
+impl EngineImageSource for CausalEngine {
+    fn site(&self) -> SiteId {
+        self.site
+    }
+
+    fn counters(&self) -> impl Iterator<Item = (VertexId, u64)> + Clone {
+        self.vertices
+            .iter()
+            .filter(|(_, state)| state.counter > 0)
+            .map(|(vertex, state)| (vertex, state.counter))
+    }
+
+    fn log(&self) -> &DkLog {
+        &self.log
+    }
+
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone {
+        self.vertices
+            .iter()
+            .filter_map(|(vertex, state)| Some((vertex, &**state.last_closure.as_ref()?)))
+    }
+
+    fn edges_out(
+        &self,
+    ) -> impl Iterator<Item = (VertexId, impl ExactSizeIterator<Item = GlobalAddr>)> + Clone {
+        self.vertices
+            .iter()
+            .filter(|(_, state)| !state.edges_out.is_empty())
+            .map(|(vertex, state)| (vertex, state.edges_out.iter().copied()))
+    }
+
+    fn locally_rooted(&self) -> impl Iterator<Item = VertexId> + Clone {
+        self.vertices
+            .iter()
+            .filter(|(_, state)| state.locally_rooted)
+            .map(|(vertex, _)| vertex)
+    }
+
+    fn inbound_holders(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (GlobalAddr, impl ExactSizeIterator<Item = VertexId>)> {
+        let mut held: Vec<(GlobalAddr, &[VertexId])> = self
+            .remote
+            .iter()
+            .filter(|(_, record)| !record.holders.is_empty())
+            .map(|(&target, record)| (target, record.holders.as_slice()))
+            .collect();
+        held.sort_unstable_by_key(|&(target, _)| target);
+        held.into_iter()
+            .map(|(target, holders)| (target, holders.iter().copied()))
+    }
+
+    fn detected(&self) -> impl Iterator<Item = GlobalAddr> + Clone {
+        CausalEngine::detected(self)
+    }
+
+    fn pending_verdicts(&self) -> &[GlobalAddr] {
+        &self.pending_verdicts
+    }
+
+    fn outgoing(&self) -> &[Outgoing] {
+        &self.outgoing
+    }
+
+    fn stats(&self) -> &EngineStats {
+        &self.stats
     }
 }
 

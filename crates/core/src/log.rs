@@ -6,7 +6,6 @@
 //! sequence (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_types::{DependencyVector, IdMap, SiteId, Timestamp, VertexId};
@@ -87,9 +86,10 @@ impl fmt::Display for RootedVector {
 /// object identity, and the rows of anchors and remote vertices in a hash
 /// map, so every row is found by one lookup. [`DkLog::rows`] sorts the
 /// hashed rows and merges them around the table into one strictly
-/// ascending sequence, so everything that iterates the log (the `Display`
-/// form, the checkpoint codec, compaction, retirement) sees exactly the
-/// order a single ordered map would give. Equality is by content.
+/// ascending sequence, so everything that iterates the log in order (the
+/// `Display` form, the checkpoint codec, retirement) sees exactly the order
+/// a single ordered map would give; compaction filters the rows in place.
+/// Equality is by content.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DkLog {
     /// Rows of the site's own objects, by object identity.
@@ -156,8 +156,7 @@ impl DkLog {
     /// Iterates over all rows in ascending vertex order: rows below the
     /// site's first object (anchors, lower sites), the site's own objects
     /// by identity, then the rest. Sorts the hashed rows first, so it is
-    /// for the cold paths only: codec, `Display`, equality, compaction and
-    /// retirement.
+    /// for the cold paths only: codec, `Display`, equality and retirement.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
         let mut below: Vec<(VertexId, &RootedVector)> = self
             .rows
@@ -170,15 +169,27 @@ impl DkLog {
         below.into_iter().chain(self.local.iter()).chain(above)
     }
 
+    /// Every row, in no particular order and without sorting: for walks
+    /// whose result does not depend on the order.
+    pub fn rows_unordered(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
+        self.local
+            .iter_unordered()
+            .chain(self.rows.iter().map(|(&vertex, row)| (vertex, row)))
+    }
+
     /// Every row, mutably, in no particular order.
     fn rows_mut(&mut self) -> impl Iterator<Item = &mut RootedVector> {
         self.local.values_mut().chain(self.rows.values_mut())
     }
 
-    /// Keeps only the rows whose subject `keep` accepts.
-    fn retain_rows(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
-        self.local.retain(|vertex, _| keep(vertex));
-        self.rows.retain(|&vertex, _| keep(vertex));
+    /// Keeps only the rows `keep` accepts, in place, without touching
+    /// entries keyed by the dropped subjects in other rows. Returns the
+    /// number of rows dropped.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(VertexId, &RootedVector) -> bool) -> usize {
+        let before = self.len();
+        self.local.retain(|vertex, row| keep(vertex, row));
+        self.rows.retain(|&vertex, row| keep(vertex, row));
+        before - self.len()
     }
 
     /// Number of rows currently held.
@@ -217,30 +228,34 @@ impl DkLog {
         &self.root_flags
     }
 
-    /// Compacts the log against a set of *dead* vertices (local vertices
-    /// whose garbage verdict is final): their rows are dropped, entries
-    /// keyed by them are removed from every remaining row, and their
-    /// root-status stamps are forgotten. Soundness rests on what a verdict
-    /// means — a detected vertex is provably unreachable from every actual
-    /// root, so an entry keyed by it can never witness a *real* live root
-    /// path; it can only be stale conservatism (a placeholder or root stamp
-    /// that destruction news would eventually revoke anyway). Dropping it
-    /// anticipates that revocation. Returns the number of rows dropped.
-    pub fn prune_vertices(&mut self, dead: &BTreeSet<VertexId>) -> usize {
-        let before = self.len();
-        self.retain_rows(|vertex| !dead.contains(&vertex));
-        for row in self.rows_mut() {
-            for &vertex in dead {
-                row.vector.set(vertex, Timestamp::Never);
+    /// Compacts the log against the *dead* vertices `dead` accepts (local
+    /// vertices whose garbage verdict is final): their rows are dropped,
+    /// entries keyed by them are removed from every remaining row, and
+    /// their root-status stamps are forgotten, all in one pass over the
+    /// rows. Soundness rests on what a verdict means — a detected vertex is
+    /// provably unreachable from every actual root, so an entry keyed by it
+    /// can never witness a *real* live root path; it can only be stale
+    /// conservatism (a placeholder or root stamp that destruction news
+    /// would eventually revoke anyway). Dropping it anticipates that
+    /// revocation. Returns the number of rows dropped.
+    pub fn prune_vertices(&mut self, dead: impl Fn(VertexId) -> bool) -> usize {
+        let prune = |vertex: VertexId, row: &mut RootedVector| {
+            if dead(vertex) {
+                return false;
             }
-            row.root_flags.retain(|vertex| !dead.contains(&vertex));
-        }
-        self.root_flags.retain(|vertex| !dead.contains(&vertex));
+            row.vector.retain(|q, _| !dead(q));
+            row.root_flags.retain(|q| !dead(q));
+            true
+        };
+        let before = self.len();
+        self.local.retain(&prune);
+        self.rows.retain(|&vertex, row| prune(vertex, row));
+        self.root_flags.retain(|vertex| !dead(vertex));
         before - self.len()
     }
 
     /// Drops every root-status stamp — log-level and per-row — for
-    /// vertices *not* in `keep`.
+    /// vertices `keep` rejects.
     ///
     /// Root stamps are only ever consulted for vertices carrying a *live*
     /// entry in some closure, and every closure entry originates in a
@@ -248,25 +263,25 @@ impl DkLog {
     /// dead weight — yet, left alone, the stamp map grows by one entry for
     /// every global root that ever existed (it rides on every outgoing
     /// payload, so the creep multiplies into message and WAL bytes; the
-    /// soak test pins this). The caller supplies the keep-set so engine
-    /// bookkeeping (edges, holders, local roots) can be included
-    /// conservatively.
-    pub fn retain_stamps(&mut self, keep: &BTreeSet<VertexId>) {
-        self.root_flags.retain(|vertex| keep.contains(&vertex));
+    /// soak test pins this). The caller decides, so engine bookkeeping
+    /// (edges, holders, local roots) can be kept conservatively.
+    pub fn retain_stamps(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        self.root_flags.retain(&mut keep);
         for row in self.rows_mut() {
-            row.root_flags.retain(|vertex| keep.contains(&vertex));
+            row.root_flags.retain(&mut keep);
         }
     }
 
-    /// Drops whole rows without touching entries keyed by their subjects in
-    /// other rows — the compaction step for dead *remote* rows, whose
-    /// tombstone-only contents are safe to forget but whose subject may
-    /// still be mentioned (as a tombstone) elsewhere. Returns the number of
-    /// rows dropped.
-    pub fn drop_rows(&mut self, subjects: &BTreeSet<VertexId>) -> usize {
-        let before = self.len();
-        self.retain_rows(|vertex| !subjects.contains(&vertex));
-        before - self.len()
+    /// Every vertex stamped in the log-level root knowledge or in a row's,
+    /// ascending and without duplicates.
+    pub fn stamped_vertices(&self) -> Vec<VertexId> {
+        let mut stamped: Vec<VertexId> = self.root_flags.keys().collect();
+        for (_, row) in self.rows_unordered() {
+            stamped.extend(row.root_flags.keys());
+        }
+        stamped.sort_unstable();
+        stamped.dedup();
+        stamped
     }
 
     /// The paper's `ComputeV` (Fig. 6): reconstructs the best currently
@@ -369,7 +384,7 @@ impl fmt::Display for DkLog {
 mod tests {
     use super::*;
     use ggd_types::Timestamp;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn v(site: u32, obj: u64) -> VertexId {
         VertexId::object(site, obj)
@@ -544,7 +559,10 @@ mod tests {
                     let subjects: BTreeSet<VertexId> = pick(3).into_iter().collect();
                     let before = model.len();
                     model.retain(|vertex, _| !subjects.contains(vertex));
-                    assert_eq!(log.drop_rows(&subjects), before - model.len());
+                    assert_eq!(
+                        log.retain_rows(|vertex, _| !subjects.contains(&vertex)),
+                        before - model.len()
+                    );
                 }
                 8 => {
                     let dead: BTreeSet<VertexId> = pick(2).into_iter().collect();
@@ -557,7 +575,10 @@ mod tests {
                         row.root_flags.retain(|vertex| !dead.contains(&vertex));
                     }
                     flags.retain(|vertex| !dead.contains(&vertex));
-                    assert_eq!(log.prune_vertices(&dead), before - model.len());
+                    assert_eq!(
+                        log.prune_vertices(|vertex| dead.contains(&vertex)),
+                        before - model.len()
+                    );
                 }
                 9 => {
                     let keep: BTreeSet<VertexId> = pick(12).into_iter().collect();
@@ -565,7 +586,7 @@ mod tests {
                         row.root_flags.retain(|vertex| keep.contains(&vertex));
                     }
                     flags.retain(|vertex| keep.contains(&vertex));
-                    log.retain_stamps(&keep);
+                    log.retain_stamps(|vertex| keep.contains(&vertex));
                 }
                 _ => {
                     assert_eq!(log.row(subject), model.get(&subject), "step {step}");

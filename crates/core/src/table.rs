@@ -125,7 +125,7 @@ impl<T> LocalTable<T> {
     }
 
     /// Iterates the records in ascending vertex order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (VertexId, &T)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VertexId, &T)> + Clone + '_ {
         self.index
             .iter()
             .filter(|&&entry| entry != 0)
@@ -133,6 +133,14 @@ impl<T> LocalTable<T> {
                 let (id, record) = &self.records[entry as usize - 1];
                 (self.vertex(*id), record)
             })
+    }
+
+    /// Iterates the records in no particular order, without walking the
+    /// index.
+    pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (VertexId, &T)> + '_ {
+        self.records
+            .iter()
+            .map(move |(id, record)| (self.vertex(*id), record))
     }
 
     /// Iterates the records mutably, in no particular order.

@@ -14,6 +14,11 @@
 //!
 //! [`ObjectSlot`]: crate::ObjectSlot
 //!
+//! The image's byte layout is written in one place, `ggd-store`'s
+//! `write_heap_image`, from any [`HeapImageSource`]: the live [`SiteHeap`]
+//! (the checkpoint path writes it straight into the sealed frame, building
+//! no [`HeapImage`]) or a decoded [`HeapImage`].
+//!
 //! The incremental-delta tracker is deliberately *not* part of the image:
 //! it is a cache, which [`SiteHeap::from_image`] rebuilds from the restored
 //! heap. The first [`SiteHeap::take_delta`] after a restore therefore
@@ -27,6 +32,99 @@ use ggd_types::{ObjectId, SiteId};
 use crate::collect::HeapStats;
 use crate::object::ObjRef;
 use crate::site_heap::SiteHeap;
+
+/// A heap's durable state as the image writer reads it, borrowed: every
+/// sequence in the order the image lists it. A live [`SiteHeap`] and the
+/// [`HeapImage`] it would produce yield the same parts.
+pub trait HeapImageSource {
+    /// The site the heap belongs to.
+    fn site(&self) -> SiteId;
+    /// The next object identity the heap will allocate.
+    fn next_object(&self) -> u64;
+    /// Lifetime allocation/collection statistics.
+    fn stats(&self) -> HeapStats;
+    /// The designated local roots, ascending.
+    fn local_roots(&self) -> impl ExactSizeIterator<Item = ObjectId>;
+    /// The conservative global root set, ascending.
+    fn global_roots(&self) -> impl ExactSizeIterator<Item = ObjectId>;
+    /// Number of live objects: the length of [`HeapImageSource::objects`].
+    fn object_count(&self) -> usize;
+    /// Every live object with its references in list order, ascending by
+    /// identity.
+    fn objects(&self) -> impl Iterator<Item = (ObjectId, impl ExactSizeIterator<Item = ObjRef>)>;
+    /// The arena's generation watermark.
+    fn generation(&self) -> u32;
+}
+
+impl HeapImageSource for SiteHeap {
+    fn site(&self) -> SiteId {
+        SiteHeap::site(self)
+    }
+
+    fn next_object(&self) -> u64 {
+        self.next_object
+    }
+
+    fn stats(&self) -> HeapStats {
+        *SiteHeap::stats(self)
+    }
+
+    fn local_roots(&self) -> impl ExactSizeIterator<Item = ObjectId> {
+        self.local_roots.iter().copied()
+    }
+
+    fn global_roots(&self) -> impl ExactSizeIterator<Item = ObjectId> {
+        self.global_roots.iter().copied()
+    }
+
+    fn object_count(&self) -> usize {
+        self.len()
+    }
+
+    fn objects(&self) -> impl Iterator<Item = (ObjectId, impl ExactSizeIterator<Item = ObjRef>)> {
+        self.iter().map(|obj| (obj.id(), obj.refs()))
+    }
+
+    fn generation(&self) -> u32 {
+        self.arena.image_generation()
+    }
+}
+
+impl HeapImageSource for HeapImage {
+    fn site(&self) -> SiteId {
+        self.site
+    }
+
+    fn next_object(&self) -> u64 {
+        self.next_object
+    }
+
+    fn stats(&self) -> HeapStats {
+        self.stats
+    }
+
+    fn local_roots(&self) -> impl ExactSizeIterator<Item = ObjectId> {
+        self.local_roots.iter().copied()
+    }
+
+    fn global_roots(&self) -> impl ExactSizeIterator<Item = ObjectId> {
+        self.global_roots.iter().copied()
+    }
+
+    fn object_count(&self) -> usize {
+        self.objects.len()
+    }
+
+    fn objects(&self) -> impl Iterator<Item = (ObjectId, impl ExactSizeIterator<Item = ObjRef>)> {
+        self.objects
+            .iter()
+            .map(|(id, refs)| (*id, refs.iter().copied()))
+    }
+
+    fn generation(&self) -> u32 {
+        self.generation
+    }
+}
 
 /// The durable state of one [`SiteHeap`], as written into checkpoints by
 /// `ggd-store`.
@@ -51,7 +149,9 @@ pub struct HeapImage {
 }
 
 impl SiteHeap {
-    /// Captures the heap's durable state.
+    /// Captures the heap's durable state as an owned image. The checkpoint
+    /// path does not build one: it writes the same parts straight from the
+    /// heap ([`HeapImageSource`]).
     pub fn image(&self) -> HeapImage {
         HeapImage {
             site: self.site(),

@@ -189,7 +189,9 @@ impl Collector for CausalCollector {
         // sites do not accumulate one DK row per object that ever crossed
         // a site boundary.
         self.engine.compact_detected();
-        Some(ggd_store::encode_to_vec(&self.engine.checkpoint()))
+        let mut state = Vec::new();
+        ggd_store::wire::write_engine_image(&mut state, &self.engine);
+        Some(state)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {

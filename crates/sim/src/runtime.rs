@@ -282,10 +282,7 @@ impl<C: Collector> SiteRuntime<C> {
         let Some(state) = self.collector.checkpoint_state() else {
             return;
         };
-        store.install_checkpoint(&CheckpointImage {
-            heap: self.heap.image(),
-            collector: state,
-        });
+        store.install_checkpoint(&self.heap, &state);
         if self.obs.is_enabled() {
             // Checkpointing is where DkLog compaction runs: surface the
             // rows it dropped as a trace event.
@@ -437,11 +434,8 @@ impl<C: Collector> SiteRuntime<C> {
 
     /// Handles an incoming GGD control message from `from`.
     pub fn on_control(&mut self, from: SiteId, message: C::Msg) -> SiteTick<C::Msg> {
-        if self.store.is_some() {
-            self.log(WalRecord::Control {
-                from,
-                msg: message.clone(),
-            });
+        if let Some(store) = &mut self.store {
+            store.append_control(from, &message);
         }
         self.collector.on_message(from, message);
         let applied = self.apply_verdicts();

@@ -128,11 +128,7 @@ impl<M: Encode> Encode for WalRecord<M> {
                 recipient.encode(out);
                 target.encode(out);
             }
-            WalRecord::Control { from, msg } => {
-                out.push(7);
-                from.encode(out);
-                msg.encode(out);
-            }
+            WalRecord::Control { from, msg } => encode_control(out, *from, msg),
             WalRecord::Collect => out.push(8),
             WalRecord::Membership { ann } => {
                 out.push(9);
@@ -144,6 +140,14 @@ impl<M: Encode> Encode for WalRecord<M> {
             }
         }
     }
+}
+
+/// Writes a [`WalRecord::Control`] record from borrowed parts: the bytes of
+/// `WalRecord::Control { from, msg }`, without owning the message.
+pub(crate) fn encode_control<M: Encode>(out: &mut Vec<u8>, from: SiteId, msg: &M) {
+    out.push(7);
+    from.encode(out);
+    msg.encode(out);
 }
 
 impl<M: Decode> Decode for WalRecord<M> {

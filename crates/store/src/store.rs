@@ -16,19 +16,19 @@
 //! (the granularity the simulator models). Power-failure durability would
 //! need an fsync per append; checkpoints, being rare, are fsynced.
 
-use std::collections::VecDeque;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-use ggd_heap::HeapImage;
-use ggd_types::SiteId;
+use ggd_heap::{HeapImage, HeapImageSource, SiteHeap};
+use ggd_types::{write_varint, SiteId};
 
-use crate::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
-use crate::record::WalRecord;
+use crate::codec::{CodecError, Decode, Encode, Reader};
+use crate::record::{encode_control, WalRecord};
 use crate::wal::{
-    append_frame_with, open_checkpoint, scan_wal, seal_checkpoint, wal_header, StoreError,
+    append_frame_with, open_checkpoint, scan_wal, seal_checkpoint_with, wal_header, StoreError,
 };
+use crate::wire::write_heap_image;
 
 /// Where a cluster's durable state lives.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -118,9 +118,27 @@ pub struct CheckpointImage {
 
 impl Encode for CheckpointImage {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.heap.encode(out);
-        self.collector.encode(out);
+        write_checkpoint_payload(out, &self.heap, &self.collector);
     }
+}
+
+/// Writes a checkpoint payload: the heap image, then the collector's state
+/// as the codec writes a byte vector. The one place the payload's layout
+/// is spelled out.
+fn write_checkpoint_payload(out: &mut Vec<u8>, heap: &impl HeapImageSource, collector: &[u8]) {
+    write_heap_image(out, heap);
+    write_varint(out, collector.len() as u64);
+    out.extend_from_slice(collector);
+}
+
+/// Appends to `out` the sealed checkpoint blob of `heap` and the
+/// collector's encoded `state` under `epoch`, writing the heap image straight
+/// from the heap into the frame. The bytes are those of
+/// `seal_checkpoint(&encode_to_vec(&CheckpointImage { heap: heap.image(),
+/// collector: state }), epoch)`, without the image, the payload buffer or
+/// the copy.
+pub fn write_checkpoint(out: &mut Vec<u8>, heap: &SiteHeap, state: &[u8], epoch: u64) {
+    seal_checkpoint_with(out, epoch, |out| write_checkpoint_payload(out, heap, state));
 }
 
 impl Decode for CheckpointImage {
@@ -257,15 +275,30 @@ impl<M> SiteStore<M> {
     where
         M: Encode,
     {
+        self.append_with(|out| record.encode(out));
+    }
+
+    /// Appends a [`WalRecord::Control`] record from a borrowed message: the
+    /// bytes of `append(&WalRecord::Control { from, msg })`, without a
+    /// clone of the message to own the record.
+    pub fn append_control(&mut self, from: SiteId, msg: &M)
+    where
+        M: Encode,
+    {
+        self.append_with(|out| encode_control(out, from, msg));
+    }
+
+    /// Appends one frame whose payload `encode` writes.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         let framed_len = match &mut self.backend {
             Backend::Memory { wal, .. } => {
                 let before = wal.len();
-                append_frame_with(wal, |out| record.encode(out));
+                append_frame_with(wal, encode);
                 wal.len() - before
             }
             Backend::Disk { wal, .. } => {
                 let mut frame = Vec::new();
-                append_frame_with(&mut frame, |out| record.encode(out));
+                append_frame_with(&mut frame, encode);
                 wal.write_all(&frame).expect("WAL append");
                 wal.flush().expect("WAL flush");
                 frame.len()
@@ -276,8 +309,14 @@ impl<M> SiteStore<M> {
         self.stats.wal_bytes_appended += framed_len as u64;
     }
 
-    /// Installs a checkpoint and truncates the WAL: every event the image
-    /// covers leaves the log.
+    /// Installs a checkpoint of `heap` and the collector's encoded `state`,
+    /// and truncates the WAL: every event the image covers leaves the log.
+    ///
+    /// The sealed blob is written straight from the heap
+    /// ([`write_checkpoint`]); the memory backend writes it into its
+    /// previous checkpoint's buffer. The WAL starts a fresh buffer: one
+    /// kept at its last segment's size in every site's store would raise
+    /// the footprint of a many-site run more than regrowing it costs.
     ///
     /// On disk the installation is crash-safe by ordering + epochs: the
     /// checkpoint (stamped with the new epoch) is fsynced and renamed into
@@ -286,12 +325,16 @@ impl<M> SiteStore<M> {
     /// [`SiteStore::load`] sees the stale stamp and discards that log
     /// (every record in it is covered by the checkpoint) instead of
     /// replaying it a second time.
-    pub fn install_checkpoint(&mut self, image: &CheckpointImage) {
+    pub fn install_checkpoint(&mut self, heap: &SiteHeap, state: &[u8]) {
         let epoch = self.epoch + 1;
-        let blob = seal_checkpoint(&encode_to_vec(image), epoch);
         match &mut self.backend {
             Backend::Memory { wal, checkpoint } => {
-                *checkpoint = Some(blob);
+                let blob = checkpoint.get_or_insert_with(Vec::new);
+                blob.clear();
+                write_checkpoint(blob, heap, state, epoch);
+                // Slack kept past the blob would sit in every site's store
+                // until its next checkpoint.
+                blob.shrink_to_fit();
                 *wal = wal_header(epoch);
             }
             Backend::Disk {
@@ -299,6 +342,8 @@ impl<M> SiteStore<M> {
                 ckpt_path,
                 wal,
             } => {
+                let mut blob = Vec::new();
+                write_checkpoint(&mut blob, heap, state, epoch);
                 let tmp = ckpt_path.with_extension("ckpt.tmp");
                 {
                     let mut file = fs::File::create(&tmp).expect("checkpoint written");
@@ -330,8 +375,10 @@ impl<M> SiteStore<M> {
     where
         M: Decode,
     {
-        let (ckpt_bytes, wal_bytes) = match &mut self.backend {
-            Backend::Memory { wal, checkpoint } => (checkpoint.clone(), wal.clone()),
+        // The memory backend is read in place; the disk backend reads its
+        // two files once.
+        let durable = match &self.backend {
+            Backend::Memory { wal, checkpoint } => read_durable(checkpoint.as_deref(), wal)?,
             Backend::Disk {
                 wal_path,
                 ckpt_path,
@@ -342,37 +389,15 @@ impl<M> SiteStore<M> {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
                     Err(e) => return Err(e.into()),
                 };
-                (ckpt, fs::read(wal_path.as_path())?)
+                read_durable(ckpt.as_deref(), &fs::read(wal_path.as_path())?)?
             }
         };
-
-        let (ckpt_epoch, checkpoint) = match ckpt_bytes {
-            Some(blob) => {
-                let (epoch, payload) = open_checkpoint(&blob)?;
-                (
-                    epoch,
-                    Some(crate::codec::decode_from_slice::<CheckpointImage>(payload)?),
-                )
-            }
-            None => (0, None),
-        };
-
-        let mut records: VecDeque<WalRecord<M>> = VecDeque::new();
-        let mut first_error = None;
-        let (wal_epoch, _tail) = scan_wal(&wal_bytes, |payload| {
-            match crate::codec::decode_from_slice::<WalRecord<M>>(payload) {
-                Ok(record) => records.push_back(record),
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        if let Some(e) = first_error {
-            return Err(e.into());
-        }
+        let Durable {
+            ckpt_epoch,
+            checkpoint,
+            wal_epoch,
+            mut records,
+        } = durable;
         if wal_epoch < ckpt_epoch {
             // A crash interrupted a checkpoint install between the rename
             // and the WAL truncation: every record in this log is already
@@ -391,7 +416,6 @@ impl<M> SiteStore<M> {
         }
         self.epoch = ckpt_epoch.max(wal_epoch);
 
-        let records: Vec<WalRecord<M>> = records.into();
         // Recovery replays everything after the checkpoint, so the cadence
         // counter resumes exactly where the pre-crash run's did — future
         // checkpoints land on the same record counts as an uncrashed run.
@@ -401,10 +425,59 @@ impl<M> SiteStore<M> {
     }
 }
 
+/// What [`read_durable`] found: the checkpoint with its epoch, and the WAL's
+/// records with the WAL's epoch.
+struct Durable<M> {
+    ckpt_epoch: u64,
+    checkpoint: Option<CheckpointImage>,
+    wal_epoch: u64,
+    records: Vec<WalRecord<M>>,
+}
+
+/// Opens a checkpoint blob (if any) and scans a WAL, both borrowed: the
+/// checkpoint is verified before anything is decoded, then every complete
+/// WAL frame is decoded in order. A torn final frame is dropped.
+fn read_durable<M: Decode>(ckpt: Option<&[u8]>, wal: &[u8]) -> Result<Durable<M>, StoreError> {
+    let (ckpt_epoch, checkpoint) = match ckpt {
+        Some(blob) => {
+            let (epoch, payload) = open_checkpoint(blob)?;
+            (
+                epoch,
+                Some(crate::codec::decode_from_slice::<CheckpointImage>(payload)?),
+            )
+        }
+        None => (0, None),
+    };
+
+    let mut records = Vec::new();
+    let mut first_error = None;
+    let (wal_epoch, _tail) = scan_wal(wal, |payload| {
+        match crate::codec::decode_from_slice::<WalRecord<M>>(payload) {
+            Ok(record) => records.push(record),
+            Err(e) => {
+                if first_error.is_none() {
+                    first_error = Some(e);
+                }
+            }
+        }
+        Ok(())
+    })?;
+    if let Some(e) = first_error {
+        return Err(e.into());
+    }
+    Ok(Durable {
+        ckpt_epoch,
+        checkpoint,
+        wal_epoch,
+        records,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ggd_heap::SiteHeap;
+    use crate::codec::encode_to_vec;
+    use crate::wal::seal_checkpoint;
 
     fn record(n: u64) -> WalRecord<u64> {
         WalRecord::Control {
@@ -413,12 +486,19 @@ mod tests {
         }
     }
 
-    fn image() -> CheckpointImage {
+    fn heap() -> SiteHeap {
         let mut heap = SiteHeap::new(SiteId::new(1));
         heap.alloc_local_root();
+        heap
+    }
+
+    const STATE: &[u8] = &[1, 2, 3];
+
+    /// What a checkpoint of [`heap`] and [`STATE`] loads back as.
+    fn image() -> CheckpointImage {
         CheckpointImage {
-            heap: heap.image(),
-            collector: vec![1, 2, 3],
+            heap: heap().image(),
+            collector: STATE.to_vec(),
         }
     }
 
@@ -439,13 +519,67 @@ mod tests {
         assert!(ckpt.is_none());
         assert_eq!(records, vec![record(1), record(2)]);
 
-        store.install_checkpoint(&image());
+        store.install_checkpoint(&heap(), STATE);
         store.append(&record(3));
         let (ckpt, records) = store.load().unwrap();
         assert_eq!(ckpt.unwrap(), image());
         assert_eq!(records, vec![record(3)]);
         assert_eq!(store.stats().records_appended, 3);
         assert_eq!(store.stats().checkpoints_installed, 1);
+    }
+
+    #[test]
+    fn memory_installs_write_the_bytes_of_a_freshly_sealed_image() {
+        // Each install writes into the previous blob's buffer; the bytes
+        // must be those of a freshly sealed image, whatever the buffer
+        // held before, next to a fresh WAL header.
+        let mut store =
+            SiteStore::<u64>::open(SiteId::new(1), &DurabilityConfig::memory()).unwrap();
+        let mut heap = heap();
+        for epoch in 1..=3u64 {
+            for n in 0..epoch * 5 {
+                store.append(&record(n));
+            }
+            heap.alloc();
+            let state = vec![epoch as u8; epoch as usize * 40];
+            store.install_checkpoint(&heap, &state);
+            let Backend::Memory { wal, checkpoint } = &store.backend else {
+                unreachable!("a memory store");
+            };
+            let image = CheckpointImage {
+                heap: heap.image(),
+                collector: state,
+            };
+            assert_eq!(
+                checkpoint.as_deref(),
+                Some(&seal_checkpoint(&encode_to_vec(&image), epoch)[..])
+            );
+            assert_eq!(wal, &wal_header(epoch));
+            let mut fresh = Vec::new();
+            write_checkpoint(&mut fresh, &heap, &image.collector, epoch);
+            assert_eq!(checkpoint.as_deref(), Some(&fresh[..]));
+        }
+    }
+
+    #[test]
+    fn control_records_from_a_borrow_equal_owned_ones() {
+        let config = DurabilityConfig::memory();
+        let mut owned = SiteStore::<u64>::open(SiteId::new(1), &config).unwrap();
+        let mut borrowed = SiteStore::<u64>::open(SiteId::new(1), &config).unwrap();
+        for n in [0u64, 7, 1 << 40] {
+            owned.append(&WalRecord::Control {
+                from: SiteId::new(3),
+                msg: n,
+            });
+            borrowed.append_control(SiteId::new(3), &n);
+        }
+        let (Backend::Memory { wal: a, .. }, Backend::Memory { wal: b, .. }) =
+            (&owned.backend, &borrowed.backend)
+        else {
+            unreachable!("memory stores");
+        };
+        assert_eq!(a, b);
+        assert_eq!(owned.stats(), borrowed.stats());
     }
 
     #[test]
@@ -457,7 +591,7 @@ mod tests {
         assert!(!store.wants_checkpoint());
         store.append(&record(2));
         assert!(store.wants_checkpoint());
-        store.install_checkpoint(&image());
+        store.install_checkpoint(&heap(), STATE);
         assert!(!store.wants_checkpoint());
         // After a load the cadence resumes from the replayed count.
         store.append(&record(3));
@@ -477,7 +611,7 @@ mod tests {
         let config = DurabilityConfig::disk(&dir);
         {
             let mut store = SiteStore::<u64>::open(SiteId::new(2), &config).unwrap();
-            store.install_checkpoint(&image());
+            store.install_checkpoint(&heap(), STATE);
             store.append(&record(7));
         }
         // A fresh handle (the "rebooted machine") sees the same state.
@@ -531,7 +665,7 @@ mod tests {
             store.append(&record(2));
             // Install the checkpoint by hand, "crashing" before truncation:
             // write the sealed blob but leave the old WAL in place.
-            let blob = crate::wal::seal_checkpoint(&encode_to_vec(&image()), 1);
+            let blob = seal_checkpoint(&encode_to_vec(&image()), 1);
             fs::write(dir.join("site-4.ckpt"), blob).unwrap();
         }
         let mut store = SiteStore::<u64>::open(SiteId::new(4), &config).unwrap();

@@ -104,11 +104,20 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 /// and knows every record in that log is already covered by the
 /// checkpoint, instead of replaying it a second time on top of it.
 pub fn wal_header(epoch: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13);
-    out.extend_from_slice(WAL_MAGIC);
+    let mut out = Vec::with_capacity(HEADER_LEN);
+    write_header(&mut out, WAL_MAGIC, epoch);
+    out
+}
+
+/// Length of a WAL or checkpoint header: magic, version and epoch.
+const HEADER_LEN: usize = 13;
+
+/// Appends a header — `magic`, the format version and `epoch` — to `out`:
+/// the layout of both the WAL's and the checkpoint blob's.
+fn write_header(out: &mut Vec<u8>, magic: &[u8; 4], epoch: u64) {
+    out.extend_from_slice(magic);
     out.push(FORMAT_VERSION);
     out.extend_from_slice(&epoch.to_le_bytes());
-    out
 }
 
 /// Appends one checksummed frame carrying `payload` to `out`.
@@ -134,12 +143,17 @@ pub fn append_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
 /// Wraps a checkpoint payload in magic, version, its epoch and a
 /// checksummed frame.
 pub fn seal_checkpoint(payload: &[u8], epoch: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 21);
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.push(FORMAT_VERSION);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    append_frame(&mut out, payload);
+    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
+    seal_checkpoint_with(&mut out, epoch, |out| out.extend_from_slice(payload));
     out
+}
+
+/// Appends a sealed checkpoint blob to `out` whose payload `encode` writes
+/// straight into the frame, as [`append_frame_with`] does. The bytes are
+/// those of [`seal_checkpoint`] over the same payload.
+pub fn seal_checkpoint_with(out: &mut Vec<u8>, epoch: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    write_header(out, CHECKPOINT_MAGIC, epoch);
+    append_frame_with(out, encode);
 }
 
 /// Verifies and unwraps a checkpoint blob, returning its epoch and
@@ -179,7 +193,7 @@ pub enum WalTail {
 }
 
 fn expect_header<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<(u64, &'a [u8]), StoreError> {
-    if bytes.len() < 13 {
+    if bytes.len() < HEADER_LEN {
         return Err(StoreError::BadMagic);
     }
     if &bytes[..4] != magic {
@@ -188,8 +202,8 @@ fn expect_header<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<(u64, &'a [u8])
     if bytes[4] != FORMAT_VERSION {
         return Err(StoreError::VersionMismatch { found: bytes[4] });
     }
-    let epoch = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
-    Ok((epoch, &bytes[13..]))
+    let epoch = u64::from_le_bytes(bytes[5..HEADER_LEN].try_into().expect("8 bytes"));
+    Ok((epoch, &bytes[HEADER_LEN..]))
 }
 
 /// A parsed frame: its payload and the bytes following it.

@@ -14,9 +14,11 @@
 use std::collections::BTreeMap;
 
 use ggd_baselines::{RefListingMessage, TracingMessage};
-use ggd_causal::EngineStats;
-use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, Outgoing, RootStamps, RootedVector};
-use ggd_heap::{HeapImage, HeapStats, ObjRef};
+use ggd_causal::{
+    CausalMessage, DkLog, EngineCheckpoint, EngineImageSource, EngineStats, Outgoing, RootStamps,
+    RootedVector,
+};
+use ggd_heap::{HeapImage, HeapImageSource, HeapStats, ObjRef};
 use ggd_types::{
     write_varint, DependencyVector, EventIndex, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
 };
@@ -386,15 +388,48 @@ impl Decode for HeapStats {
     }
 }
 
+/// Writes the heap image of `heap`: the one place its layout is spelled
+/// out. A live [`ggd_heap::SiteHeap`] and the [`HeapImage`] it would
+/// produce write the same bytes.
+pub fn write_heap_image(out: &mut Vec<u8>, heap: &impl HeapImageSource) {
+    heap.site().encode(out);
+    heap.next_object().encode(out);
+    heap.stats().encode(out);
+    write_exact(out, heap.local_roots());
+    write_exact(out, heap.global_roots());
+    write_varint(out, heap.object_count() as u64);
+    for (id, refs) in heap.objects() {
+        id.encode(out);
+        write_exact(out, refs);
+    }
+    heap.generation().encode(out);
+}
+
+/// Writes a sequence as the codec writes a `Vec` or an ordered set: the
+/// count, then each item.
+fn write_exact<T: Encode>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = T>) {
+    write_varint(out, items.len() as u64);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+/// Writes a sequence whose length is not known up front: counted on a
+/// clone first, then written as [`write_exact`] writes it.
+fn write_counted<T>(
+    out: &mut Vec<u8>,
+    items: impl Iterator<Item = T> + Clone,
+    mut write: impl FnMut(&mut Vec<u8>, T),
+) {
+    write_varint(out, items.clone().count() as u64);
+    for item in items {
+        write(out, item);
+    }
+}
+
 impl Encode for HeapImage {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.site.encode(out);
-        self.next_object.encode(out);
-        self.stats.encode(out);
-        self.local_roots.encode(out);
-        self.global_roots.encode(out);
-        self.objects.encode(out);
-        self.generation.encode(out);
+        write_heap_image(out, self);
     }
 }
 impl Decode for HeapImage {
@@ -452,22 +487,46 @@ impl Decode for EngineStats {
     }
 }
 
+/// Writes the engine image of `engine`: the one place its layout is
+/// spelled out, as the ordered maps and sets of an [`EngineCheckpoint`]
+/// encode. A live [`ggd_causal::CausalEngine`] and its checkpoint write the
+/// same bytes.
+pub fn write_engine_image(out: &mut Vec<u8>, engine: &impl EngineImageSource) {
+    engine.site().encode(out);
+    write_counted(out, engine.counters(), |out, (vertex, counter)| {
+        vertex.encode(out);
+        counter.encode(out);
+    });
+    engine.log().encode(out);
+    write_counted(out, engine.last_closures(), |out, (vertex, closure)| {
+        vertex.encode(out);
+        closure.encode(out);
+    });
+    write_counted(out, engine.edges_out(), |out, (vertex, targets)| {
+        vertex.encode(out);
+        write_exact(out, targets);
+    });
+    write_counted(out, engine.locally_rooted(), |out, vertex| {
+        vertex.encode(out)
+    });
+    let holders = engine.inbound_holders();
+    write_varint(out, holders.len() as u64);
+    for (target, holders) in holders {
+        target.encode(out);
+        write_exact(out, holders);
+    }
+    // The retired set of designated roots, kept as an empty set so the
+    // image layout does not change.
+    write_varint(out, 0);
+    write_counted(out, engine.detected(), |out, addr| addr.encode(out));
+    engine.pending_verdicts().encode(out);
+    engine.outgoing().encode(out);
+    engine.stats().encode(out);
+}
+
 impl Encode for EngineCheckpoint {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.site.encode(out);
-        self.counters.encode(out);
-        self.log.encode(out);
-        self.last_closure.encode(out);
-        self.edges_out.encode(out);
-        self.locally_rooted.encode(out);
-        self.inbound_holders.encode(out);
-        // The retired set of designated roots, kept as an empty set so the
-        // image layout does not change.
-        write_varint(out, 0);
-        self.detected.encode(out);
-        self.pending_verdicts.encode(out);
-        self.outgoing.encode(out);
-        self.stats.encode(out);
+        write_engine_image(out, self);
     }
 }
 impl Decode for EngineCheckpoint {

@@ -419,6 +419,27 @@ impl DependencyVector {
         self.entries.clear();
     }
 
+    /// Keeps only the entries `keep` accepts, in place: the vector equals
+    /// the one a [`DependencyVector::set`] to `Never` of every rejected key
+    /// would leave, in one pass.
+    pub fn retain(&mut self, mut keep: impl FnMut(VertexId, Timestamp) -> bool) {
+        match &mut self.entries {
+            Entries::Inline { len, buf } => {
+                let n = usize::from(*len);
+                let mut kept = 0;
+                for i in 0..n {
+                    if keep(buf[i].0, buf[i].1) {
+                        buf[kept] = buf[i];
+                        kept += 1;
+                    }
+                }
+                buf[kept..n].fill(EMPTY_ENTRY);
+                *len = kept as u8;
+            }
+            Entries::Spilled(v) => v.retain(|&(vertex, ts)| keep(vertex, ts)),
+        }
+    }
+
     /// Iterates over the explicit entries in key order.
     pub fn iter(&self) -> VectorEntries<'_> {
         VectorEntries {
@@ -598,6 +619,31 @@ mod tests {
         assert_eq!(prev, Timestamp::created(1));
         assert!(v.is_empty());
         assert_eq!(v, DependencyVector::new());
+    }
+
+    #[test]
+    fn retain_equals_setting_the_rejected_keys_to_never() {
+        // Inline and spilled vectors, every subset of their keys rejected.
+        for n in [0u32, 1, 3, 4, 7] {
+            let key = |i: u32| VertexId::object(i, 1);
+            let full: DependencyVector = (0..n)
+                .map(|i| (key(i), Timestamp::created(u64::from(i) + 1)))
+                .collect::<Vec<_>>()
+                .into();
+            for mask in 0u32..1 << n {
+                let rejected = |k: VertexId| (0..n).any(|i| mask >> i & 1 == 1 && key(i) == k);
+                let mut expected = full.clone();
+                for i in (0..n).filter(|&i| rejected(key(i))) {
+                    expected.set(key(i), Timestamp::Never);
+                }
+                let mut kept = full.clone();
+                kept.retain(|k, ts| {
+                    assert_eq!(full.get(k), ts);
+                    !rejected(k)
+                });
+                assert_eq!(kept, expected, "n {n} mask {mask:b}");
+            }
+        }
     }
 
     #[test]
