@@ -380,7 +380,10 @@ mod tests {
 
     /// Drives `steps` pseudo-random mutator steps through two heaps: `lazy`
     /// collects at an irregular cadence and goes through an image round
-    /// trip mid-stream; `eager` collects after every step. Every collection
+    /// trip mid-stream; `eager` collects after every step. Remote
+    /// references are added, received and removed, and collections free
+    /// their holders, so the tracker's per-remote counts see every kind of
+    /// update between `lazy`'s checked deltas. Every collection
     /// of either must free exactly what `would_collect` names just before
     /// it, so the full trace stays the reference in release builds too.
     /// Operands are drawn from the objects `eager` still holds — what a
@@ -420,8 +423,16 @@ mod tests {
                         let addr = if step % 2 == 0 { local } else { remote };
                         h.receive_ref(recipient, addr).unwrap();
                     }
-                    (7 | 8, Some(from), Some(to)) => {
+                    (7, Some(from), Some(to)) => {
                         h.remove_ref(from, ObjRef::Local(to)).unwrap();
+                    }
+                    (8, Some(from), _) => {
+                        // The first remote `from` holds: both heaps list
+                        // their references in the same order.
+                        let held = h.object(from).and_then(|obj| obj.remote_refs().next());
+                        if let Some(addr) = held {
+                            assert!(h.remove_ref(from, ObjRef::Remote(addr)).unwrap());
+                        }
                     }
                     (9, Some(from), _) => h.clear_refs(from).unwrap(),
                     (10, Some(id), _) => h.add_local_root(id).unwrap(),

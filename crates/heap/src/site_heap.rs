@@ -443,14 +443,22 @@ impl SiteHeap {
     // ------------------------------------------------------------------
 
     /// Frees the traced-dead `slots`, in the order given. The tracker first
-    /// unhooks every doomed slot from its targets' predecessor lists, while
-    /// all of them are still readable. Freed objects were unreachable from
-    /// every snapshot source, so no surviving vertex's reachable set changes
-    /// — no dirt is recorded for survivors.
+    /// unhooks every doomed slot from its targets' predecessor lists and
+    /// uncounts its remote references, while all of them are still
+    /// readable. Freed objects were unreachable from every snapshot source,
+    /// so no surviving vertex's reachable set changes — no dirt is recorded
+    /// for survivors.
     pub(crate) fn sweep(&mut self, slots: &[u32]) {
         for &slot in slots {
-            for target in self.arena.local_targets(slot) {
-                self.tracker.remove_pred(target, slot);
+            for r in self.arena.refs(slot) {
+                match r {
+                    ObjRef::Local(id) => {
+                        if let Some(target) = self.arena.slot_of(id) {
+                            self.tracker.remove_pred(target, slot);
+                        }
+                    }
+                    ObjRef::Remote(addr) => self.tracker.uncount_remote(addr),
+                }
             }
             self.tracker.note_freed_slot(slot);
         }

@@ -32,10 +32,21 @@
 //! added edge instead. A window that only *removed* references re-marks
 //! only the sources whose cached targets meet the remotes the window can
 //! have cut off: the removed remote targets and whatever the removed local
-//! targets reach now (DESIGN.md §6 carries both arguments). Every cached target list is sorted and free of duplicates, so
-//! a re-marked source is compared with its cache first and diffed by a merge
-//! walk only when it changed. The running snapshot is available through
-//! [`SiteHeap::cached_snapshot`] and always equals what a fresh
+//! targets reach now. The tracker also counts the references each remote
+//! address has on the heap, so a source that meets only candidates no slot
+//! holds any more drops them from its list without any mark (DESIGN.md §6
+//! carries all three arguments).
+//!
+//! No step of a delta touches an ordered map: the window's registered and
+//! unregistered roots are short sorted `Vec`s, and the cache finds a global
+//! root's list and rootedness by hash ([`IdMap`], [`IdSet`]). Order is
+//! restored only where the public snapshot API iterates. Every cached
+//! target list is sorted and free of duplicates, so a re-marked source is
+//! compared with its cache first and diffed by a merge walk only when it
+//! changed. [`SiteHeap::take_delta_into`] refills a caller's [`EdgeDelta`]
+//! and recycles its per-vertex entries, lists and all, so a steady stream
+//! of deltas allocates nothing once warm. The running snapshot is available
+//! through [`SiteHeap::cached_snapshot`] and always equals what a fresh
 //! [`SiteHeap::snapshot`] rescan would produce. Debug builds check that on
 //! every delta with one rescan, together with the delta itself: it must
 //! equal the diff from the previous cache to the rescan.
@@ -45,7 +56,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ggd_types::{GlobalAddr, ObjectId, SiteId, VertexId};
+use ggd_types::{GlobalAddr, IdMap, IdSet, ObjectId, SiteId, VertexId};
 
 use crate::arena::{Arena, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
 use crate::object::ObjRef;
@@ -56,13 +67,16 @@ use crate::site_heap::SiteHeap;
 /// root graph, plus the local-rootedness of its global roots.
 ///
 /// Every target list is sorted and free of duplicates, so two snapshots of
-/// the same reachability compare equal.
+/// the same reachability compare equal. The global roots are hashed, for
+/// the delta path's one lookup per source;
+/// [`ReachabilitySnapshot::global_roots`], [`ReachabilitySnapshot::edges`],
+/// `Display` and [`ReachabilitySnapshot::diff`] list them in order.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReachabilitySnapshot {
     site: SiteId,
     from_local_roots: Vec<GlobalAddr>,
-    per_global_root: BTreeMap<ObjectId, Vec<GlobalAddr>>,
-    locally_rooted_global_roots: BTreeSet<ObjectId>,
+    per_global_root: IdMap<ObjectId, Vec<GlobalAddr>>,
+    locally_rooted_global_roots: IdSet<ObjectId>,
 }
 
 impl ReachabilitySnapshot {
@@ -85,9 +99,11 @@ impl ReachabilitySnapshot {
             .unwrap_or(false)
     }
 
-    /// The global roots present in this snapshot.
+    /// The global roots present in this snapshot, ascending.
     pub fn global_roots(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.per_global_root.keys().copied()
+        let mut ids: Vec<ObjectId> = self.per_global_root.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// True when the global root is also reachable from the site's local
@@ -144,7 +160,7 @@ impl ReachabilitySnapshot {
                 .into_iter()
                 .map(|(id, targets)| (id, targets.into_iter().collect()))
                 .collect(),
-            locally_rooted_global_roots,
+            locally_rooted_global_roots: locally_rooted_global_roots.into_iter().collect(),
         }
     }
 
@@ -159,14 +175,17 @@ impl ReachabilitySnapshot {
         let site = newer.site;
         let mut delta = EdgeDelta::empty(site);
         delta.rootedness = newer
-            .global_roots()
-            .filter_map(|id| {
+            .per_global_root
+            .keys()
+            .filter_map(|&id| {
                 let is = newer.is_locally_rooted(id);
                 (self.is_locally_rooted(id) != is).then_some((id, is))
             })
             .collect();
         delta.removed = self
-            .global_roots()
+            .per_global_root
+            .keys()
+            .copied()
             .filter(|id| !newer.per_global_root.contains_key(id))
             .collect();
         let anchor = VertexId::SiteRoot(site);
@@ -184,7 +203,8 @@ impl ReachabilitySnapshot {
             let change = VertexEdgeDelta::between(vertex, self.targets_of(id), new);
             delta.edges.extend(change);
         }
-        delta.in_replay_order()
+        delta.sort_for_replay();
+        delta
     }
 
     /// The sorted remotes global root `id` reaches; none when it is not one.
@@ -253,24 +273,40 @@ pub struct VertexEdgeDelta {
 }
 
 impl VertexEdgeDelta {
+    /// An entry for `vertex` with no change yet.
+    fn unchanged(vertex: VertexId) -> VertexEdgeDelta {
+        VertexEdgeDelta {
+            vertex,
+            created: Vec::new(),
+            destroyed: Vec::new(),
+        }
+    }
+
     /// The changes of `source` when its reachable set goes from `old` to
     /// `new` (both sorted and free of duplicates), or `None` when nothing
-    /// changed. One merge walk over the two lists.
+    /// changed.
     fn between(
         source: VertexId,
         old: &[GlobalAddr],
         new: &[GlobalAddr],
     ) -> Option<VertexEdgeDelta> {
-        let (mut created, mut destroyed) = (Vec::new(), Vec::new());
+        let mut change = VertexEdgeDelta::unchanged(source);
+        change.record_between(old, new);
+        change.is_change().then_some(change)
+    }
+
+    /// Appends what the sorted, duplicate-free `new` gained and lost
+    /// against `old`: one merge walk over the two lists.
+    fn record_between(&mut self, old: &[GlobalAddr], new: &[GlobalAddr]) {
         let (mut i, mut j) = (0, 0);
         while i < old.len() && j < new.len() {
             match old[i].cmp(&new[j]) {
                 Ordering::Less => {
-                    destroyed.push(old[i]);
+                    self.destroyed.push(old[i]);
                     i += 1;
                 }
                 Ordering::Greater => {
-                    created.push(new[j]);
+                    self.created.push(new[j]);
                     j += 1;
                 }
                 Ordering::Equal => {
@@ -279,31 +315,75 @@ impl VertexEdgeDelta {
                 }
             }
         }
-        destroyed.extend_from_slice(&old[i..]);
-        created.extend_from_slice(&new[j..]);
-        (!created.is_empty() || !destroyed.is_empty()).then_some(VertexEdgeDelta {
-            vertex: source,
-            created,
-            destroyed,
-        })
+        self.destroyed.extend_from_slice(&old[i..]);
+        self.created.extend_from_slice(&new[j..]);
+    }
+
+    fn is_change(&self) -> bool {
+        !self.created.is_empty() || !self.destroyed.is_empty()
+    }
+}
+
+/// Emptied [`VertexEdgeDelta`] entries, recycled from the deltas handed
+/// back to [`SiteHeap::take_delta_into`] with their lists' capacity kept.
+#[derive(Debug, Clone, Default)]
+struct EntryPool(Vec<VertexEdgeDelta>);
+
+impl EntryPool {
+    /// An unchanged entry for `vertex`, recycled when one is spare.
+    fn take(&mut self, vertex: VertexId) -> VertexEdgeDelta {
+        match self.0.pop() {
+            Some(mut entry) => {
+                entry.vertex = vertex;
+                entry
+            }
+            None => VertexEdgeDelta::unchanged(vertex),
+        }
+    }
+
+    fn give(&mut self, mut entry: VertexEdgeDelta) {
+        entry.created.clear();
+        entry.destroyed.clear();
+        self.0.push(entry);
+    }
+
+    /// Pushes onto `edges` the change of `vertex` from `old` to `new` (see
+    /// [`VertexEdgeDelta::between`]), when there is one.
+    fn push_between(
+        &mut self,
+        vertex: VertexId,
+        old: &[GlobalAddr],
+        new: &[GlobalAddr],
+        edges: &mut Vec<VertexEdgeDelta>,
+    ) {
+        let mut entry = self.take(vertex);
+        entry.record_between(old, new);
+        if entry.is_change() {
+            edges.push(entry);
+        } else {
+            self.0.push(entry);
+        }
     }
 
     /// Groups creation-only `(vertex, target)` pairs, in any order and free
-    /// of duplicates, into one entry per vertex with its targets sorted.
-    fn group_created(mut pairs: Vec<(VertexId, GlobalAddr)>) -> Vec<VertexEdgeDelta> {
+    /// of duplicates, into one entry per vertex with its targets sorted,
+    /// appended to the empty `edges`.
+    fn group_created(
+        &mut self,
+        pairs: &mut [(VertexId, GlobalAddr)],
+        edges: &mut Vec<VertexEdgeDelta>,
+    ) {
         pairs.sort_unstable();
-        let mut grouped: Vec<VertexEdgeDelta> = Vec::new();
-        for (vertex, target) in pairs {
-            match grouped.last_mut() {
+        for &(vertex, target) in pairs.iter() {
+            match edges.last_mut() {
                 Some(last) if last.vertex == vertex => last.created.push(target),
-                _ => grouped.push(VertexEdgeDelta {
-                    vertex,
-                    created: vec![target],
-                    destroyed: Vec::new(),
-                }),
+                _ => {
+                    let mut entry = self.take(vertex);
+                    entry.created.push(target);
+                    edges.push(entry);
+                }
             }
         }
-        grouped
     }
 }
 
@@ -312,6 +392,22 @@ impl VertexEdgeDelta {
 fn shares_any(a: &[GlobalAddr], b: &[GlobalAddr]) -> bool {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     short.iter().any(|addr| long.binary_search(addr).is_ok())
+}
+
+/// Moves every address of the sorted list `targets` that the sorted list
+/// `gone` also holds onto `destroyed`, in order.
+fn drop_shared(
+    targets: &mut Vec<GlobalAddr>,
+    gone: &[GlobalAddr],
+    destroyed: &mut Vec<GlobalAddr>,
+) {
+    targets.retain(|addr| {
+        let shared = gone.binary_search(addr).is_ok();
+        if shared {
+            destroyed.push(*addr);
+        }
+        !shared
+    });
 }
 
 /// Inserts every address of `reach` that the sorted list `targets` lacks,
@@ -338,14 +434,33 @@ fn refresh_list(
     cached: &mut Vec<GlobalAddr>,
     fresh: &mut Vec<GlobalAddr>,
     edges: &mut Vec<VertexEdgeDelta>,
+    entries: &mut EntryPool,
 ) {
     fresh.sort_unstable();
     fresh.dedup();
     if cached != fresh {
-        edges.extend(VertexEdgeDelta::between(vertex, cached, fresh));
+        entries.push_between(vertex, cached, fresh, edges);
         cached.clear();
         cached.extend_from_slice(fresh);
     }
+}
+
+/// Inserts `id` into the sorted list `ids` unless it is there.
+fn sorted_insert(ids: &mut Vec<ObjectId>, id: ObjectId) {
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
+    }
+}
+
+/// Removes `id` from the sorted list `ids` if it is there.
+fn sorted_remove(ids: &mut Vec<ObjectId>, id: ObjectId) {
+    if let Ok(pos) = ids.binary_search(&id) {
+        ids.remove(pos);
+    }
+}
+
+fn sorted_contains(ids: &[ObjectId], id: ObjectId) -> bool {
+    ids.binary_search(&id).is_ok()
 }
 
 /// The difference between two successive reachability snapshots: what
@@ -363,8 +478,8 @@ pub struct EdgeDelta {
     /// order: `(object, is_now_locally_rooted)`.
     pub rootedness: Vec<(ObjectId, bool)>,
     /// Global-root vertices that left the graph entirely (demoted by a GGD
-    /// verdict, then possibly collected). Their remaining out-edges appear
-    /// in [`EdgeDelta::edges`] as destroyed.
+    /// verdict, then possibly collected), in object order. Their remaining
+    /// out-edges appear in [`EdgeDelta::edges`] as destroyed.
     pub removed: Vec<ObjectId>,
     /// Per-vertex edge changes, sorted by vertex (the anchor sorts first).
     pub edges: Vec<VertexEdgeDelta>,
@@ -390,14 +505,14 @@ impl EdgeDelta {
     }
 
     /// Puts a delta assembled in any order into the order consumers replay:
-    /// rootedness transitions by object, vertex entries by vertex. No object
-    /// or vertex appears twice, so unstable sorts suffice. Shared by the
-    /// snapshot diff and both incremental paths so they can never drift
-    /// apart.
-    fn in_replay_order(mut self) -> EdgeDelta {
+    /// rootedness transitions and removed roots by object, vertex entries by
+    /// vertex. No object or vertex appears twice, so unstable sorts
+    /// suffice. Shared by the snapshot diff and both incremental paths so
+    /// they can never drift apart.
+    fn sort_for_replay(&mut self) {
         self.rootedness.sort_unstable();
+        self.removed.sort_unstable();
         self.edges.sort_unstable_by_key(|v| v.vertex);
-        self
     }
 
     /// Every created edge, flattened as `(source vertex, target)` pairs.
@@ -434,9 +549,19 @@ impl fmt::Display for EdgeDelta {
     }
 }
 
+/// The parts of a heap the delta paths read, borrowed beside its tracker
+/// and its scratch buffers.
+struct HeapParts<'a> {
+    site: SiteId,
+    arena: &'a Arena,
+    local_roots: &'a BTreeSet<ObjectId>,
+    global_roots: &'a BTreeSet<ObjectId>,
+}
+
 /// The per-heap bookkeeping behind [`SiteHeap::take_delta`]: a slot-indexed
-/// reverse-edge multiset, word-packed dirty/rootedness bitsets, the
-/// references added since the last delta, and the running snapshot cache.
+/// reverse-edge multiset, word-packed dirty/rootedness bitsets, a count of
+/// the references to each remote address, the references added and removed
+/// since the last delta, and the running snapshot cache.
 ///
 /// A fresh heap's tracker starts from the empty snapshot of its site and
 /// notes every mutation from then on, so its first delta is the heap's
@@ -456,6 +581,10 @@ pub(crate) struct DeltaTracker {
     /// `target slot → [(pred slot, occurrence count)]`, the first entry
     /// inline.
     preds: Preds,
+    /// Live references to each remote address, one per occurrence, over
+    /// every live slot (garbage included); an address no slot holds has no
+    /// entry.
+    remote_counts: IdMap<GlobalAddr, u32>,
     /// Dirty bitset: slots whose out-edges changed since the last delta.
     dirty_words: Vec<u64>,
     /// Insertion-ordered list of dirtied slots (may hold entries whose bit
@@ -472,11 +601,11 @@ pub(crate) struct DeltaTracker {
     shrunk: bool,
     /// The local root set changed in a reachability-relevant way.
     anchor_dirty: bool,
-    /// Global roots registered since the last delta.
-    roots_added: BTreeSet<ObjectId>,
+    /// Global roots registered since the last delta, sorted.
+    roots_added: Vec<ObjectId>,
     /// Global roots unregistered since the last delta (and present in the
-    /// cache, i.e. they existed at the previous delta).
-    roots_removed: BTreeSet<ObjectId>,
+    /// cache, i.e. they existed at the previous delta), sorted.
+    roots_removed: Vec<ObjectId>,
     /// The running snapshot; equals `SiteHeap::snapshot()` after every
     /// `take_delta`.
     cache: ReachabilitySnapshot,
@@ -490,9 +619,17 @@ pub(crate) struct DeltaTracker {
     affected: Vec<u32>,
     /// Reusable list of the remotes one traversal reached.
     reach: Vec<GlobalAddr>,
-    /// In a window that only removed references: the sorted remotes a
-    /// source can have lost (see `SiteHeap::gather_lost`).
+    /// In a window that only removed references: the sorted candidates a
+    /// source can have lost (see `DeltaTracker::gather_lost`) that no slot
+    /// holds any more, and those some slot still holds.
     lost: Vec<GlobalAddr>,
+    held: Vec<GlobalAddr>,
+    /// Reusable list of the sources a window re-marks.
+    sources: Vec<ObjectId>,
+    /// Reusable list of a grow-only window's `(vertex, target)` creations.
+    created: Vec<(VertexId, GlobalAddr)>,
+    /// Spare delta entries.
+    entries: EntryPool,
     /// Slots that may have become garbage since the last collection: fresh
     /// allocations, local targets of removed references, demoted roots.
     /// Every survivor of the last collection was reachable then, so these
@@ -541,11 +678,30 @@ impl DeltaTracker {
         self.dirty_words[(slot >> 6) as usize] & (1u64 << (slot & 63)) != 0
     }
 
+    /// Counts one more reference to `addr`.
+    fn count_remote(&mut self, addr: GlobalAddr) {
+        *self.remote_counts.entry(addr).or_insert(0) += 1;
+    }
+
+    /// Counts one reference to `addr` fewer; the last one drops its entry.
+    pub(crate) fn uncount_remote(&mut self, addr: GlobalAddr) {
+        if let Some(count) = self.remote_counts.get_mut(&addr) {
+            *count -= 1;
+            if *count == 0 {
+                self.remote_counts.remove(&addr);
+            }
+        } else {
+            debug_assert!(false, "uncounted reference to {addr}");
+        }
+    }
+
     /// `from` gained the reference `to`; `target` is its slot when `to` is
     /// local.
     pub(crate) fn note_ref_added(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
-        if let Some(target) = target {
-            self.preds.add(target, from);
+        match (to, target) {
+            (ObjRef::Remote(addr), _) => self.count_remote(addr),
+            (ObjRef::Local(_), Some(target)) => self.preds.add(target, from),
+            (ObjRef::Local(_), None) => {}
         }
         self.set_dirty(from);
         self.added.push((from, to));
@@ -556,11 +712,16 @@ impl DeltaTracker {
     pub(crate) fn note_ref_removed(&mut self, from: u32, to: ObjRef, target: Option<u32>) {
         self.shrunk = true;
         self.removed.push(to);
-        // The target may already be gone when dangling slots to collected
-        // objects are dropped — its pred list was torn down at free time.
-        if let Some(target) = target {
-            self.preds.remove_one(target, from);
-            self.note_suspect(target);
+        match (to, target) {
+            (ObjRef::Remote(addr), _) => self.uncount_remote(addr),
+            (ObjRef::Local(_), Some(target)) => {
+                self.preds.remove_one(target, from);
+                self.note_suspect(target);
+            }
+            // The target may already be gone when dangling slots to
+            // collected objects are dropped — its pred list was torn down
+            // at free time.
+            (ObjRef::Local(_), None) => {}
         }
         self.set_dirty(from);
     }
@@ -591,17 +752,17 @@ impl DeltaTracker {
     }
 
     pub(crate) fn note_root_added(&mut self, id: ObjectId) {
-        self.roots_removed.remove(&id);
-        self.roots_added.insert(id);
+        sorted_remove(&mut self.roots_removed, id);
+        sorted_insert(&mut self.roots_added, id);
     }
 
     pub(crate) fn note_root_removed(&mut self, id: ObjectId) {
-        self.roots_added.remove(&id);
+        sorted_remove(&mut self.roots_added, id);
         // A removal only needs announcing when the vertex existed at the
         // previous delta; a register/unregister pair inside one window
         // cancels out (a snapshot diff never sees it either).
         if self.cache.per_global_root.contains_key(&id) {
-            self.roots_removed.insert(id);
+            sorted_insert(&mut self.roots_removed, id);
         }
     }
 
@@ -771,6 +932,280 @@ impl DeltaTracker {
         self.roots_added.clear();
         self.roots_removed.clear();
     }
+
+    /// Empties `delta` for a new window of `site`, keeping its entries as
+    /// spares.
+    fn recycle(&mut self, delta: &mut EdgeDelta, site: SiteId) {
+        delta.site = site;
+        delta.rootedness.clear();
+        delta.removed.clear();
+        for entry in delta.edges.drain(..) {
+            self.entries.give(entry);
+        }
+    }
+
+    /// Fills the emptied `delta` with the window's changes and clears the
+    /// window.
+    fn fill(&mut self, heap: &HeapParts<'_>, scratch: &mut Scratch, delta: &mut EdgeDelta) {
+        if !self.has_dirt() {
+            return;
+        }
+        if self.is_grow_only() {
+            self.extend_along_additions(heap, scratch, delta);
+        } else {
+            self.recompute_affected(heap, scratch, delta);
+        }
+        self.clear_dirt();
+        delta.sort_for_replay();
+    }
+
+    /// The grow-only window. With nothing removed, reach is monotone: a
+    /// source's new target is reached through a last added edge `a → r`
+    /// whose source it reaches now, so extending every source that reaches
+    /// `a` by what `r` reaches is exact, in any edge order (DESIGN.md §6).
+    /// Roots registered in the window are recomputed whole instead.
+    fn extend_along_additions(
+        &mut self,
+        heap: &HeapParts<'_>,
+        scratch: &mut Scratch,
+        delta: &mut EdgeDelta,
+    ) {
+        let (site, arena) = (heap.site, heap.arena);
+        self.created.clear();
+        for i in 0..self.added.len() {
+            let (from, to) = self.added[i];
+            let from_rooted = self.is_rooted_slot(from);
+            self.reach.clear();
+            match to {
+                ObjRef::Remote(addr) => self.reach.push(addr),
+                ObjRef::Local(target) => {
+                    let seed = std::iter::once(target);
+                    arena.mark_reachable(scratch, seed, Some(&mut self.reach));
+                    // The first added edge on any path from a local root
+                    // starts at a slot that was already rooted.
+                    if from_rooted {
+                        for &slot in scratch.visited() {
+                            self.set_rooted(slot);
+                            if arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                                let root = arena.id_at(slot);
+                                if self.cache.locally_rooted_global_roots.insert(root) {
+                                    delta.rootedness.push((root, true));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if self.reach.is_empty() {
+                continue;
+            }
+            if from_rooted {
+                extend_sorted(
+                    VertexId::SiteRoot(site),
+                    &self.reach,
+                    &mut self.cache.from_local_roots,
+                    &mut self.created,
+                );
+            }
+            self.compute_reaching(from);
+            for &slot in &self.affected {
+                if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                    continue;
+                }
+                // Registered roots get one whole entry from `refresh_source`
+                // below; every other global root was one at the last delta.
+                let root = arena.id_at(slot);
+                if sorted_contains(&self.roots_added, root) {
+                    continue;
+                }
+                if let Some(targets) = self.cache.per_global_root.get_mut(&root) {
+                    extend_sorted(
+                        VertexId::Object(GlobalAddr::from_parts(site, root)),
+                        &self.reach,
+                        targets,
+                        &mut self.created,
+                    );
+                }
+            }
+        }
+        self.entries
+            .group_created(&mut self.created, &mut delta.edges);
+
+        // A registered root reports rootedness off the now-extended bitset.
+        for i in 0..self.roots_added.len() {
+            let root = self.roots_added[i];
+            let is = arena.slot_of(root).is_some_and(|s| self.is_rooted_slot(s));
+            if is && self.cache.locally_rooted_global_roots.insert(root) {
+                delta.rootedness.push((root, true));
+            }
+            self.refresh_source(heap, scratch, root, &mut delta.edges);
+        }
+    }
+
+    /// Any other window: recompute every source that can reach a dirty slot
+    /// and, when nothing was added, can have lost a remote that some slot
+    /// still holds. A source that can have lost only remotes no slot holds
+    /// any more loses exactly those, without a mark.
+    fn recompute_affected(
+        &mut self,
+        heap: &HeapParts<'_>,
+        scratch: &mut Scratch,
+        delta: &mut EdgeDelta,
+    ) {
+        let (site, arena) = (heap.site, heap.arena);
+        self.compute_affected();
+        // With nothing added a source can only lose remotes, and only ones
+        // in `lost` or `held` (DESIGN.md §6 "Removal windows").
+        let bounded = self.added.is_empty() && self.gather_lost(arena, scratch);
+
+        let mut anchor_affected = self.anchor_dirty;
+        self.sources.clear();
+        for &slot in &self.affected {
+            if arena.has_flag(slot, FLAG_LOCAL_ROOT) {
+                anchor_affected = true;
+            }
+            if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
+                continue;
+            }
+            let root = arena.id_at(slot);
+            if sorted_contains(&self.roots_added, root)
+                || sorted_contains(&self.roots_removed, root)
+            {
+                continue;
+            }
+            let cached = self.cache.per_global_root.get_mut(&root);
+            match cached {
+                Some(cached) if bounded && !shares_any(cached, &self.held) => {
+                    if shares_any(cached, &self.lost) {
+                        // No slot holds these any more, so nothing reaches
+                        // them: the source loses exactly them.
+                        let vertex = VertexId::Object(GlobalAddr::from_parts(site, root));
+                        let mut entry = self.entries.take(vertex);
+                        drop_shared(cached, &self.lost, &mut entry.destroyed);
+                        delta.edges.push(entry);
+                    }
+                }
+                _ => self.sources.push(root),
+            }
+        }
+        self.sources.extend_from_slice(&self.roots_added);
+
+        // Vertices that left the graph: every cached edge is destroyed.
+        for i in 0..self.roots_removed.len() {
+            let id = self.roots_removed[i];
+            delta.removed.push(id);
+            let old = self.cache.per_global_root.remove(&id).unwrap_or_default();
+            self.cache.locally_rooted_global_roots.remove(&id);
+            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            self.entries
+                .push_between(vertex, &old, &[], &mut delta.edges);
+        }
+
+        // Anchor and rootedness: only recomputed when a local root reaches
+        // the affected region (otherwise nothing reachable from the local
+        // root set changed, so neither can any global root's rootedness).
+        if anchor_affected {
+            self.reach.clear();
+            let seeds = heap.local_roots.iter().copied();
+            arena.mark_reachable(scratch, seeds, Some(&mut self.reach));
+            refresh_list(
+                VertexId::SiteRoot(site),
+                &mut self.cache.from_local_roots,
+                &mut self.reach,
+                &mut delta.edges,
+                &mut self.entries,
+            );
+
+            // After the removed-roots pass above, every cached rootedness
+            // entry names a current global root, so one in-place sweep over
+            // the root set finds every transition.
+            let rooted = &mut self.cache.locally_rooted_global_roots;
+            for &root in heap.global_roots {
+                let is = arena.slot_of(root).is_some_and(|s| scratch.is_marked(s));
+                if rooted.contains(&root) != is {
+                    delta.rootedness.push((root, is));
+                    if is {
+                        rooted.insert(root);
+                    } else {
+                        rooted.remove(&root);
+                    }
+                }
+            }
+            self.set_rooted_from(scratch.visited());
+        } else {
+            // No anchor-affecting dirt, so no object's rootedness changed;
+            // the only possible transitions are roots *new to the graph*
+            // that happen to sit in the (still-valid) rooted bitset. A root
+            // re-added in this window is already in the cache and reports
+            // nothing — exactly what a snapshot diff would say.
+            for i in 0..self.roots_added.len() {
+                let root = self.roots_added[i];
+                let is = arena.slot_of(root).is_some_and(|s| self.is_rooted_slot(s));
+                if is && self.cache.locally_rooted_global_roots.insert(root) {
+                    delta.rootedness.push((root, true));
+                }
+            }
+        }
+
+        for i in 0..self.sources.len() {
+            let root = self.sources[i];
+            self.refresh_source(heap, scratch, root, &mut delta.edges);
+        }
+    }
+
+    /// Gathers, sorted, every remote a source can have lost in a window that
+    /// removed references and added none: the removed remote targets, plus
+    /// what the removed local targets reach now (one traversal from all of
+    /// them). Those some slot still holds go to `self.held`, the rest to
+    /// `self.lost`. Returns false, leaving the loss unbounded, when a
+    /// removed local target no longer resolves — a collection in the window
+    /// freed it, or it was gone already.
+    fn gather_lost(&mut self, arena: &Arena, scratch: &mut Scratch) -> bool {
+        self.lost.clear();
+        let mut any_local = false;
+        for &target in &self.removed {
+            match target {
+                ObjRef::Remote(addr) => self.lost.push(addr),
+                ObjRef::Local(id) if arena.slot_of(id).is_some() => any_local = true,
+                ObjRef::Local(_) => return false,
+            }
+        }
+        if any_local {
+            let seeds = self.removed.iter().filter_map(|target| target.as_local());
+            arena.mark_reachable(scratch, seeds, Some(&mut self.lost));
+        }
+        self.lost.sort_unstable();
+        self.lost.dedup();
+        let (counts, held) = (&self.remote_counts, &mut self.held);
+        held.clear();
+        self.lost.retain(|addr| {
+            let still_held = counts.contains_key(addr);
+            if still_held {
+                held.push(*addr);
+            }
+            !still_held
+        });
+        true
+    }
+
+    /// Re-marks global root `root` and, when its remote set changed, pushes
+    /// the difference against the cache onto `edges` and updates the cache
+    /// in place.
+    fn refresh_source(
+        &mut self,
+        heap: &HeapParts<'_>,
+        scratch: &mut Scratch,
+        root: ObjectId,
+        edges: &mut Vec<VertexEdgeDelta>,
+    ) {
+        self.reach.clear();
+        let seed = std::iter::once(root);
+        heap.arena
+            .mark_reachable(scratch, seed, Some(&mut self.reach));
+        let vertex = VertexId::Object(GlobalAddr::from_parts(heap.site, root));
+        let cached = self.cache.per_global_root.entry(root).or_default();
+        refresh_list(vertex, cached, &mut self.reach, edges, &mut self.entries);
+    }
 }
 
 impl SiteHeap {
@@ -788,9 +1223,10 @@ impl SiteHeap {
         self.matches_rescan(&snapshot, &rooted)
     }
 
-    /// True when the cache equals the rescanned snapshot and the rootedness
+    /// True when the cache equals the rescanned snapshot, the rootedness
     /// bitset agrees with the rescanned local-root reach on every live
-    /// slot, carrying no stray bits on dead ones.
+    /// slot, carrying no stray bits on dead ones, and the per-remote counts
+    /// equal a count over the arena.
     fn matches_rescan(&self, snapshot: &ReachabilitySnapshot, rooted: &BTreeSet<ObjectId>) -> bool {
         let tracker = &self.tracker;
         if tracker.cache != *snapshot {
@@ -798,6 +1234,7 @@ impl SiteHeap {
         }
         let arena = &self.arena;
         let mut live_rooted = 0usize;
+        let mut counts: IdMap<GlobalAddr, u32> = IdMap::default();
         for slot in arena.live_slots() {
             let bit = tracker.is_rooted_slot(slot);
             if bit != rooted.contains(&arena.id_at(slot)) {
@@ -806,12 +1243,16 @@ impl SiteHeap {
             if bit {
                 live_rooted += 1;
             }
+            for addr in arena.refs(slot).filter_map(|r| r.as_remote()) {
+                *counts.entry(addr).or_insert(0) += 1;
+            }
         }
-        tracker.rooted_bits() == live_rooted
+        tracker.rooted_bits() == live_rooted && counts == tracker.remote_counts
     }
 
     /// Produces the edge/rootedness difference accumulated since the last
-    /// call, updating the cached snapshot along the way.
+    /// call, updating the cached snapshot along the way. The allocating
+    /// form of [`SiteHeap::take_delta_into`].
     ///
     /// A window that only added references extends the cache along each
     /// added edge: work is the forward closure of the edge's target plus,
@@ -821,41 +1262,60 @@ impl SiteHeap {
     /// whose edge lists changed — plus one reachability recomputation per
     /// source in that region that can have changed. When the window added
     /// nothing, that excludes every source whose cached targets miss the
-    /// remotes the window can have cut off; a removal under which no remote
-    /// hangs therefore re-marks no source at all. None of this is
-    /// proportional to the heap, and a mutation that touched nothing
-    /// relevant returns an empty delta without traversing anything.
+    /// remotes the window can have cut off, and a source that meets only
+    /// remotes no slot holds any more drops them without a recomputation;
+    /// a removal under which no remote hangs therefore re-marks no source
+    /// at all. None of this is proportional to the heap, and a mutation
+    /// that touched nothing relevant returns an empty delta without
+    /// traversing anything.
     ///
     /// Debug builds check every delta, a fresh heap's first included,
     /// against one full rescan: the cache must equal it, and the delta must
     /// equal the [`ReachabilitySnapshot::diff`] from the previous cache to
     /// it.
     pub fn take_delta(&mut self) -> EdgeDelta {
-        if cfg!(debug_assertions) {
-            let dirty = self.tracker.has_dirt();
-            let before = dirty.then(|| self.cached_snapshot().clone());
-            let delta = self.next_delta();
-            self.assert_matches_rescan(before.as_ref().unwrap_or(self.cached_snapshot()), &delta);
-            return delta;
-        }
-        self.next_delta()
+        let mut delta = EdgeDelta::empty(self.site());
+        self.take_delta_into(&mut delta);
+        delta
     }
 
-    /// [`SiteHeap::take_delta`] without the debug-build check.
-    fn next_delta(&mut self) -> EdgeDelta {
-        let mut delta = EdgeDelta::empty(self.site());
-        if !self.tracker.has_dirt() {
-            return delta;
+    /// [`SiteHeap::take_delta`] into a caller's buffer: `delta` is emptied
+    /// and refilled with this window's changes. The per-vertex entries it
+    /// held are recycled, lists and all, so a caller that hands the same
+    /// delta back every time allocates nothing once it is warm.
+    pub fn take_delta_into(&mut self, delta: &mut EdgeDelta) {
+        if cfg!(debug_assertions) {
+            let before = self
+                .tracker
+                .has_dirt()
+                .then(|| self.cached_snapshot().clone());
+            self.next_delta(delta);
+            self.assert_matches_rescan(before.as_ref().unwrap_or(self.cached_snapshot()), delta);
+            return;
         }
-        let mut tracker = std::mem::take(&mut self.tracker);
-        if tracker.is_grow_only() {
-            self.extend_along_additions(&mut tracker, &mut delta);
-        } else {
-            self.recompute_affected(&mut tracker, &mut delta);
-        }
-        tracker.clear_dirt();
-        self.tracker = tracker;
-        delta.in_replay_order()
+        self.next_delta(delta);
+    }
+
+    /// [`SiteHeap::take_delta_into`] without the debug-build check. The
+    /// tracker is borrowed beside the heap parts it reads.
+    fn next_delta(&mut self, delta: &mut EdgeDelta) {
+        let site = self.site();
+        let SiteHeap {
+            arena,
+            local_roots,
+            global_roots,
+            tracker,
+            scratch,
+            ..
+        } = self;
+        tracker.recycle(delta, site);
+        let heap = HeapParts {
+            site,
+            arena,
+            local_roots,
+            global_roots,
+        };
+        tracker.fill(&heap, scratch, delta);
     }
 
     /// The debug-build reference check of one delta: a single full rescan
@@ -875,253 +1335,29 @@ impl SiteHeap {
         );
     }
 
-    /// The grow-only window. With nothing removed, reach is monotone: a
-    /// source's new target is reached through a last added edge `a → r`
-    /// whose source it reaches now, so extending every source that reaches
-    /// `a` by what `r` reaches is exact, in any edge order (DESIGN.md §6).
-    /// Roots registered in the window are recomputed whole instead.
-    fn extend_along_additions(&mut self, tracker: &mut DeltaTracker, delta: &mut EdgeDelta) {
-        let site = self.site();
-        let mut created: Vec<(VertexId, GlobalAddr)> = Vec::new();
-        for i in 0..tracker.added.len() {
-            let (from, to) = tracker.added[i];
-            let from_rooted = tracker.is_rooted_slot(from);
-            tracker.reach.clear();
-            match to {
-                ObjRef::Remote(addr) => tracker.reach.push(addr),
-                ObjRef::Local(target) => {
-                    let (arena, scratch) = (&self.arena, &mut self.scratch);
-                    let seed = std::iter::once(target);
-                    arena.mark_reachable(scratch, seed, Some(&mut tracker.reach));
-                    // The first added edge on any path from a local root
-                    // starts at a slot that was already rooted.
-                    if from_rooted {
-                        for &slot in scratch.visited() {
-                            tracker.set_rooted(slot);
-                            if arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
-                                let root = arena.id_at(slot);
-                                if tracker.cache.locally_rooted_global_roots.insert(root) {
-                                    delta.rootedness.push((root, true));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if tracker.reach.is_empty() {
-                continue;
-            }
-            if from_rooted {
-                extend_sorted(
-                    VertexId::SiteRoot(site),
-                    &tracker.reach,
-                    &mut tracker.cache.from_local_roots,
-                    &mut created,
-                );
-            }
-            tracker.compute_reaching(from);
-            let arena = &self.arena;
-            for &slot in &tracker.affected {
-                if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
-                    continue;
-                }
-                // Registered roots get one whole entry from `refresh_source`
-                // below; every other global root was one at the last delta.
-                let root = arena.id_at(slot);
-                if tracker.roots_added.contains(&root) {
-                    continue;
-                }
-                if let Some(targets) = tracker.cache.per_global_root.get_mut(&root) {
-                    extend_sorted(
-                        VertexId::Object(GlobalAddr::from_parts(site, root)),
-                        &tracker.reach,
-                        targets,
-                        &mut created,
-                    );
-                }
-            }
-        }
-        delta.edges = VertexEdgeDelta::group_created(created);
-
-        // A registered root reports rootedness off the now-extended bitset.
-        for &root in &tracker.roots_added {
-            let is = self
-                .arena
-                .slot_of(root)
-                .is_some_and(|s| tracker.is_rooted_slot(s));
-            if is && tracker.cache.locally_rooted_global_roots.insert(root) {
-                delta.rootedness.push((root, true));
-            }
-            let (cache, reach) = (&mut tracker.cache, &mut tracker.reach);
-            self.refresh_source(cache, reach, root, &mut delta.edges);
-        }
-    }
-
-    /// Any other window: recompute every source that can reach a dirty slot
-    /// and, when nothing was added, can have lost a remote.
-    fn recompute_affected(&mut self, tracker: &mut DeltaTracker, delta: &mut EdgeDelta) {
-        let site = self.site();
-        tracker.compute_affected();
-        // With nothing added a source can only lose remotes, and only ones
-        // in `lost` (DESIGN.md §6 "Removal windows").
-        let bounded = tracker.added.is_empty() && self.gather_lost(tracker);
-
-        let mut anchor_affected = tracker.anchor_dirty;
-        let mut sources: Vec<ObjectId> = Vec::new();
-        {
-            let arena = &self.arena;
-            for &slot in &tracker.affected {
-                if arena.has_flag(slot, FLAG_LOCAL_ROOT) {
-                    anchor_affected = true;
-                }
-                if !arena.has_flag(slot, FLAG_GLOBAL_ROOT) {
-                    continue;
-                }
-                let root = arena.id_at(slot);
-                if tracker.roots_added.contains(&root) || tracker.roots_removed.contains(&root) {
-                    continue;
-                }
-                let cached = tracker.cache.per_global_root.get(&root);
-                if !bounded || cached.map_or(true, |cached| shares_any(cached, &tracker.lost)) {
-                    sources.push(root);
-                }
-            }
-        }
-        sources.extend(tracker.roots_added.iter().copied());
-
-        // Vertices that left the graph: every cached edge is destroyed.
-        for &id in &tracker.roots_removed {
-            delta.removed.push(id);
-            let old = tracker
-                .cache
-                .per_global_root
-                .remove(&id)
-                .unwrap_or_default();
-            tracker.cache.locally_rooted_global_roots.remove(&id);
-            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
-            delta
-                .edges
-                .extend(VertexEdgeDelta::between(vertex, &old, &[]));
-        }
-
-        // Anchor and rootedness: only recomputed when a local root reaches
-        // the affected region (otherwise nothing reachable from the local
-        // root set changed, so neither can any global root's rootedness).
-        if anchor_affected {
-            let (arena, scratch) = (&self.arena, &mut self.scratch);
-            tracker.reach.clear();
-            let seeds = self.local_roots.iter().copied();
-            arena.mark_reachable(scratch, seeds, Some(&mut tracker.reach));
-            refresh_list(
-                VertexId::SiteRoot(site),
-                &mut tracker.cache.from_local_roots,
-                &mut tracker.reach,
-                &mut delta.edges,
-            );
-
-            // After the removed-roots pass above, every cached rootedness
-            // entry names a current global root, so one in-place sweep over
-            // the root set finds every transition.
-            for &root in &self.global_roots {
-                let is = arena.slot_of(root).is_some_and(|s| scratch.is_marked(s));
-                let was = tracker.cache.locally_rooted_global_roots.contains(&root);
-                if was != is {
-                    delta.rootedness.push((root, is));
-                    if is {
-                        tracker.cache.locally_rooted_global_roots.insert(root);
-                    } else {
-                        tracker.cache.locally_rooted_global_roots.remove(&root);
-                    }
-                }
-            }
-            tracker.set_rooted_from(scratch.visited());
-        } else {
-            // No anchor-affecting dirt, so no object's rootedness changed;
-            // the only possible transitions are roots *new to the graph*
-            // that happen to sit in the (still-valid) rooted bitset. A root
-            // re-added in this window is already in the cache and reports
-            // nothing — exactly what a snapshot diff would say.
-            let arena = &self.arena;
-            for &root in &tracker.roots_added {
-                let is = arena
-                    .slot_of(root)
-                    .is_some_and(|s| tracker.is_rooted_slot(s));
-                if is && tracker.cache.locally_rooted_global_roots.insert(root) {
-                    delta.rootedness.push((root, true));
-                }
-            }
-        }
-
-        for root in sources {
-            let (cache, reach) = (&mut tracker.cache, &mut tracker.reach);
-            self.refresh_source(cache, reach, root, &mut delta.edges);
-        }
-    }
-
-    /// Gathers into `tracker.lost`, sorted, every remote a source can have
-    /// lost in a window that removed references and added none: the removed
-    /// remote targets, plus what the removed local targets reach now (one
-    /// traversal from all of them). Returns false, leaving the loss
-    /// unbounded, when a removed local target no longer resolves — a
-    /// collection in the window freed it, or it was gone already.
-    fn gather_lost(&mut self, tracker: &mut DeltaTracker) -> bool {
-        let (arena, scratch) = (&self.arena, &mut self.scratch);
-        tracker.lost.clear();
-        let mut any_local = false;
-        for &target in &tracker.removed {
-            match target {
-                ObjRef::Remote(addr) => tracker.lost.push(addr),
-                ObjRef::Local(id) if arena.slot_of(id).is_some() => any_local = true,
-                ObjRef::Local(_) => return false,
-            }
-        }
-        if any_local {
-            let seeds = tracker
-                .removed
-                .iter()
-                .filter_map(|target| target.as_local());
-            arena.mark_reachable(scratch, seeds, Some(&mut tracker.lost));
-        }
-        tracker.lost.sort_unstable();
-        tracker.lost.dedup();
-        true
-    }
-
-    /// Re-marks global root `root` into the buffer `reach` and, when its
-    /// remote set changed, pushes the difference against `cache` onto
-    /// `edges` and updates `cache` in place.
-    fn refresh_source(
-        &mut self,
-        cache: &mut ReachabilitySnapshot,
-        reach: &mut Vec<GlobalAddr>,
-        root: ObjectId,
-        edges: &mut Vec<VertexEdgeDelta>,
-    ) {
-        reach.clear();
-        let seed = std::iter::once(root);
-        self.arena
-            .mark_reachable(&mut self.scratch, seed, Some(reach));
-        let vertex = VertexId::Object(GlobalAddr::from_parts(self.site(), root));
-        let cached = cache.per_global_root.entry(root).or_default();
-        refresh_list(vertex, cached, reach, edges);
-    }
-
     /// Primes the tracker of a heap whose history is unknown — one just
     /// rebuilt from an image — so that its next delta reports only what
     /// changes from here on, and its next collection is exact. One pass
-    /// over the slab gives the reverse edges. One mark from the local roots
-    /// gives the rootedness bitset and the anchor's list, and one mark per
-    /// global root gives that root's list; these are the rescan's
-    /// traversals on the reusable scratch, so the cache equals
-    /// [`SiteHeap::snapshot`]. One mark from both root sets finds the
-    /// garbage the image carried, and every slot it leaves unreached
-    /// becomes a suspect (DESIGN.md §6).
+    /// over the slab gives the reverse edges and the per-remote counts. One
+    /// mark from the local roots gives the rootedness bitset and the
+    /// anchor's list, and one mark per global root gives that root's list;
+    /// these are the rescan's traversals on the reusable scratch, so the
+    /// cache equals [`SiteHeap::snapshot`]. One mark from both root sets
+    /// finds the garbage the image carried, and every slot it leaves
+    /// unreached becomes a suspect (DESIGN.md §6).
     pub(crate) fn prime_tracker(&mut self) {
         let (arena, scratch, tracker) = (&self.arena, &mut self.scratch, &mut self.tracker);
         tracker.ensure_capacity(arena.slot_count());
         for slot in arena.live_slots() {
-            for target in arena.local_targets(slot) {
-                tracker.preds.add(target, slot);
+            for r in arena.refs(slot) {
+                match r {
+                    ObjRef::Remote(addr) => tracker.count_remote(addr),
+                    ObjRef::Local(id) => {
+                        if let Some(target) = arena.slot_of(id) {
+                            tracker.preds.add(target, slot);
+                        }
+                    }
+                }
             }
         }
         let sorted = |mut list: Vec<GlobalAddr>| {
@@ -1503,6 +1739,166 @@ mod tests {
     }
 
     #[test]
+    fn remote_held_twice_by_one_slot_is_lost_with_its_last_copy() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, _, _, c]) = root_over_chain(remote);
+        h.add_ref(c, ObjRef::Remote(remote)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(c, ObjRef::Remote(remote)).unwrap());
+            assert!(is_removal_only(h));
+        });
+        assert!(delta.is_empty(), "the other copy still holds {remote}");
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(c, ObjRef::Remote(remote)).unwrap());
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+    }
+
+    #[test]
+    fn remote_held_under_two_sources_survives_a_cut_of_one_path() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, b, c]) = root_over_chain(remote);
+        let (k, d) = (h.alloc(), h.alloc());
+        h.add_ref(k, ObjRef::Local(d)).unwrap();
+        h.add_ref(d, ObjRef::Remote(remote)).unwrap();
+        h.register_global_root(k).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(g, ObjRef::Local(a)).unwrap());
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+        assert!(h.cached_snapshot().global_root_reaches(k, remote));
+        // The cut-off `c` still holds the remote until it is collected, so
+        // `k` losing its own copy is re-marked, not trimmed.
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(d, ObjRef::Remote(remote)).unwrap());
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(k), remote)]
+        );
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert_eq!(h.collect().freed, BTreeSet::from([a, b, c]));
+        });
+        assert!(delta.is_empty());
+    }
+
+    #[test]
+    fn clear_refs_dropping_the_last_copies_of_two_remotes() {
+        let (r1, r2, kept) = (
+            GlobalAddr::new(1, 1),
+            GlobalAddr::new(2, 1),
+            GlobalAddr::new(3, 1),
+        );
+        let (mut h, [g, a, _, c]) = root_over_chain(r1);
+        h.add_ref(c, ObjRef::Remote(r2)).unwrap();
+        h.add_ref(c, ObjRef::Remote(r1)).unwrap();
+        h.add_ref(a, ObjRef::Remote(kept)).unwrap();
+        let root = h.alloc_local_root();
+        h.add_ref(root, ObjRef::Local(c)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            h.clear_refs(c).unwrap();
+            assert!(is_removal_only(h));
+        });
+        let anchor = VertexId::SiteRoot(SiteId::new(0));
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![
+                (anchor, r1),
+                (anchor, r2),
+                (object_vertex(g), r1),
+                (object_vertex(g), r2)
+            ]
+        );
+        assert!(h.cached_snapshot().global_root_reaches(g, kept));
+    }
+
+    #[test]
+    fn holder_of_a_remote_freed_inside_the_window() {
+        // The freed slot is a removed local target: the loss is unbounded,
+        // and every affected source is re-marked.
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, b, c]) = root_over_chain(remote);
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(a, ObjRef::Local(b)).unwrap());
+            assert_eq!(h.collect().freed, BTreeSet::from([b, c]));
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+
+        // A garbage holder freed beside a bounded removal: the sweep takes
+        // the last count, so the source drops the remote without a mark.
+        let other = GlobalAddr::new(2, 1);
+        h.add_ref(a, ObjRef::Remote(other)).unwrap();
+        let garbage = h.alloc();
+        h.add_ref(garbage, ObjRef::Remote(other)).unwrap();
+        let (delta, _) = checked_window(&mut h, |h| {
+            assert!(h.remove_ref(a, ObjRef::Remote(other)).unwrap());
+            assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
+            assert!(is_removal_only(h));
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), other)]
+        );
+    }
+
+    #[test]
+    fn receive_and_unlink_of_the_same_remote_in_one_window() {
+        let remote = GlobalAddr::new(1, 1);
+        let (mut h, [g, a, _, c]) = root_over_chain(remote);
+        let (delta, grow_only) = checked_window(&mut h, |h| {
+            h.receive_ref(a, remote).unwrap();
+            assert!(h.remove_ref(c, ObjRef::Remote(remote)).unwrap());
+        });
+        assert!(!grow_only && delta.is_empty());
+        assert!(h.cached_snapshot().global_root_reaches(g, remote));
+        // The copy moves to a slot no source reaches: the edge goes.
+        let loner = h.alloc();
+        let (delta, _) = checked_window(&mut h, |h| {
+            h.receive_ref(loner, remote).unwrap();
+            assert!(h.remove_ref(a, ObjRef::Remote(remote)).unwrap());
+        });
+        assert_eq!(
+            delta.destroyed().collect::<Vec<_>>(),
+            vec![(object_vertex(g), remote)]
+        );
+    }
+
+    #[test]
+    fn heap_rebuilt_from_an_image_counts_what_a_fresh_scan_counts() {
+        let (r1, r2) = (GlobalAddr::new(1, 1), GlobalAddr::new(2, 1));
+        let (mut h, [g, _, _, c]) = root_over_chain(r1);
+        h.add_ref(c, ObjRef::Remote(r1)).unwrap();
+        h.add_ref(c, ObjRef::Remote(r2)).unwrap();
+        let garbage = h.alloc();
+        h.add_ref(garbage, ObjRef::Remote(r2)).unwrap();
+        let _ = h.take_delta();
+        let mut restored = SiteHeap::from_image(&h.image());
+        assert!(restored.tracker_is_consistent());
+        assert_eq!(restored.tracker.remote_counts, h.tracker.remote_counts);
+        assert_eq!(restored.tracker.remote_counts.get(&r1), Some(&2));
+        assert_eq!(restored.tracker.remote_counts.get(&r2), Some(&2));
+        for h in [&mut h, &mut restored] {
+            let (delta, _) = checked_window(h, |h| {
+                assert!(h.remove_ref(c, ObjRef::Remote(r2)).unwrap());
+                assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
+            });
+            assert_eq!(
+                delta.destroyed().collect::<Vec<_>>(),
+                vec![(object_vertex(g), r2)]
+            );
+        }
+    }
+
+    #[test]
     fn sorted_list_helpers_agree_with_btreeset() {
         let mut state = 0x0bad_5eed_1234_5678u64;
         let mut next = move || {
@@ -1531,6 +1927,16 @@ mod tests {
                 None => assert_eq!(old_set, new_set),
             }
             assert_eq!(shares_any(&old, &new), !old_set.is_disjoint(&new_set));
+
+            let mut kept = old.clone();
+            let mut dropped = Vec::new();
+            drop_shared(&mut kept, &new, &mut dropped);
+            let shared: Vec<GlobalAddr> = old_set.intersection(&new_set).copied().collect();
+            assert_eq!(dropped, shared);
+            assert_eq!(
+                kept,
+                old_set.difference(&new_set).copied().collect::<Vec<_>>()
+            );
 
             let mut grown = old.clone();
             let mut gained = Vec::new();

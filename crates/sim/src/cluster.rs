@@ -473,7 +473,8 @@ impl<C: Collector, N> Cluster<C, N> {
     /// collector freed a referenced object.
     pub fn dangling_refs(&self) -> Vec<(GlobalAddr, GlobalAddr)> {
         let mut dangling = Oracle::dangling(self.heaps());
-        dangling.retain(|(_, target)| !self.shard.stale_exports.contains(target));
+        let stale = self.shard.stale_exports();
+        dangling.retain(|(_, target)| stale.binary_search(target).is_err());
         dangling
     }
 

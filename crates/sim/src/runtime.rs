@@ -10,7 +10,7 @@
 //! the site wants sent and the number of GGD verdicts it applied to its own
 //! heap. The shard books the counters and hands the messages to its driver.
 
-use ggd_heap::{CollectionOutcome, ObjRef, SiteHeap};
+use ggd_heap::{CollectionOutcome, EdgeDelta, ObjRef, SiteHeap};
 use ggd_obs::SiteObs;
 use ggd_store::{CheckpointImage, HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
 use ggd_types::{GlobalAddr, SiteId};
@@ -51,6 +51,9 @@ pub struct SiteRuntime<C: Collector> {
     /// with a disabled handle), so WAL replay through the entry points never
     /// double-counts.
     obs: SiteObs,
+    /// The heap's latest delta, handed back to it on every sync so its
+    /// buffers are reused.
+    delta: EdgeDelta,
 }
 
 /// The sites among `sites` whose collector state or heap still references
@@ -81,6 +84,7 @@ impl<C: Collector> SiteRuntime<C> {
             collector,
             store: None,
             obs: SiteObs::disabled(),
+            delta: EdgeDelta::empty(site),
         }
     }
 
@@ -189,6 +193,7 @@ impl<C: Collector> SiteRuntime<C> {
                     collector: restored,
                     store: None,
                     obs: SiteObs::disabled(),
+                    delta: EdgeDelta::empty(site),
                 }
             }
             // No checkpoint yet: replay from genesis (also the only path
@@ -522,10 +527,10 @@ impl<C: Collector> SiteRuntime<C> {
     /// A mutation that produced an empty delta skips the collector entirely
     /// (unless it opted into every sync), so no-op mutations cost O(1).
     pub fn sync(&mut self) -> SiteTick<C::Msg> {
-        let delta = self.heap.take_delta();
-        if !delta.is_empty() || self.collector.needs_every_sync() {
+        self.heap.take_delta_into(&mut self.delta);
+        if !self.delta.is_empty() || self.collector.needs_every_sync() {
             self.collector
-                .apply_delta(&delta, self.heap.cached_snapshot());
+                .apply_delta(&self.delta, self.heap.cached_snapshot());
         }
         let outgoing = self.collector.take_outgoing();
         let verdicts_applied = self.apply_verdicts();

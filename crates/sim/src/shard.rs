@@ -180,8 +180,9 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// Objects a site exported after it had already freed them, set aside
     /// by [`Cluster::dangling_refs`](crate::Cluster::dangling_refs): the
     /// scenario names objects by handle, so the reference that lands then
-    /// dangles through no fault of the collector.
-    pub(crate) stale_exports: BTreeSet<GlobalAddr>,
+    /// dangles through no fault of the collector. Appended to, duplicates
+    /// and all, and sorted when read ([`Shard::stale_exports`]).
+    stale_exports: Vec<GlobalAddr>,
     safety_violations: u64,
     verdicts: u64,
     recoveries: u64,
@@ -267,7 +268,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     fn apply_op(&mut self, site: SiteId, op: SiteOp, out: &mut impl Outbox<C::Msg>) {
         if let SiteOp::SendRef { target, .. } = op {
             if target.site() == site && !self.site(site).heap().contains(target.object()) {
-                self.stale_exports.insert(target);
+                self.stale_exports.push(target);
             }
         }
         let runtime = self.runtime(site);
@@ -423,7 +424,7 @@ impl<C: Collector, F> Shard<C, F> {
             step,
             reclaimed: 0,
             reclaimed_addrs: Vec::new(),
-            stale_exports: BTreeSet::new(),
+            stale_exports: Vec::new(),
             safety_violations: 0,
             verdicts: 0,
             recoveries: 0,
@@ -511,6 +512,15 @@ impl<C: Collector, F> Shard<C, F> {
 
     pub(crate) fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
         self.reclaimed_addrs.iter().copied().collect()
+    }
+
+    /// The objects exported after their own site had freed them, sorted
+    /// and free of duplicates.
+    pub(crate) fn stale_exports(&self) -> Vec<GlobalAddr> {
+        let mut stale = self.stale_exports.clone();
+        stale.sort_unstable();
+        stale.dedup();
+        stale
     }
 
     pub(crate) fn recoveries(&self) -> u64 {

@@ -8,7 +8,7 @@
 //! roots they stand for.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -17,6 +17,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// hash with no random seed, so a map built by the same history has the
 /// same layout in every run. Code that exposes an order sorts the keys.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of ids, hashed like [`IdMap`]: for membership found by one
+/// lookup rather than iterated in order.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// The hasher of [`IdMap`]: FxHash's multiply-rotate step over each word
 /// the key writes. Ids are a few small integers, written word by word, so

@@ -13,8 +13,9 @@
 //! * [`DependencyVector`] is the sparse direct-dependency / vector-time
 //!   representation used by the lazy log-keeping mechanism and by the GGD
 //!   engine (§3.2–§3.3), together with the Schwarz & Mattern partial order;
-//! * [`IdMap`] is the one hashed map of the workspace, with a fixed,
-//!   deterministic multiply-rotate hasher, [`IdHasher`];
+//! * [`IdMap`] (and its set, [`IdSet`]) is the one hashed map of the
+//!   workspace, with a fixed, deterministic multiply-rotate hasher,
+//!   [`IdHasher`];
 //! * [`CausalOrder`] classifies two vectors as causally related, equal or
 //!   concurrent;
 //! * [`write_varint`] / [`read_varint`] are the LEB128 integer encoding the
@@ -43,7 +44,7 @@ mod timestamp;
 mod varint;
 mod vector;
 
-pub use ids::{GlobalAddr, IdHasher, IdMap, ObjectId, SiteId, VertexId};
+pub use ids::{GlobalAddr, IdHasher, IdMap, IdSet, ObjectId, SiteId, VertexId};
 pub use timestamp::{EventIndex, Timestamp};
 pub use varint::{read_varint, write_varint, VarintError};
 pub use vector::{CausalOrder, DependencyVector, VectorEntries};
