@@ -25,7 +25,7 @@ use crate::runner::{run_triple, RunMode, Triple};
 ///   address a message to such an object, and the causal engine's
 ///   comprehensiveness claim only covers legal computations. These two
 ///   rules are [`Legality`](ggd_mutator::Legality), the same judge the
-///   drivers' planner applies to the sends it plans.
+///   drivers apply to the sends they run.
 /// * membership events that no longer describe a fleet change: a `Join`
 ///   of a site that is already a member (or below the `founding` count),
 ///   or a departure of a site that is not currently a member. Kept

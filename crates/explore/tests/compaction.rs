@@ -87,3 +87,50 @@ fn compaction_does_not_change_outcomes_under_churn() {
         assert_eq!(plain, compacting, "compaction changed a run's outcome");
     }
 }
+
+/// Reproducer for ROADMAP item 3, "Compaction keeps some dead rows":
+/// `compact_detected` keeps a remote row while any of its entries is live,
+/// so a row naming an object its owner has freed can outlive it. Under a
+/// 3-site random churn (legal sends only), with memory durability and a
+/// checkpoint every 8 records, site 0's log should hold a handful of such
+/// rows and root stamps whatever the op count. The stamps do stay small
+/// (at most 5), but the dead remote rows grow with the churn: 14–34 of
+/// 55–68 rows at 800 ops and 47–57 of 108–111 at 1,600 (seeds 0–2), each
+/// still carrying live entries for site 0's root and its holder. Ignored
+/// until item 3 lands.
+#[test]
+#[ignore = "ROADMAP item 3: compaction keeps remote rows of freed objects"]
+fn compaction_drops_every_row_of_a_freed_remote_object() {
+    use ggd_explore::sanitize;
+    use ggd_mutator::Scenario;
+    use ggd_types::VertexId;
+
+    const BOUND: usize = 8;
+    let s0 = SiteId::new(0);
+    for ops in [800, 1_600] {
+        for seed in 0..3 {
+            // Illegal sends (ROADMAP item 1) make rows for dead objects of
+            // their own; the sanitized scenario has none.
+            let churn = workloads::random_churn(3, ops, seed);
+            let scenario = Scenario::from_steps(3, sanitize(3, churn.steps()));
+            let config = ClusterConfig {
+                durability: DurabilityConfig::memory().with_checkpoint_every(8),
+                ..ClusterConfig::default()
+            };
+            let (report, cluster) = Cluster::run_seeded(&scenario, config, CausalCollector::new);
+            assert_eq!(report.safety_violations, 0);
+            let log = cluster.collector(s0).engine().log();
+            let freed = |vertex: VertexId| match vertex {
+                VertexId::Object(addr) if addr.site() != s0 => {
+                    !cluster.heap(addr.site()).contains(addr.object())
+                }
+                _ => false,
+            };
+            let dead = log.rows().filter(|&(vertex, _)| freed(vertex)).count();
+            let stamps = log.root_flags().len();
+            let label = format!("{ops} ops, seed {seed}: {} rows", log.len());
+            assert!(stamps <= BOUND, "{label}, {stamps} root stamps");
+            assert!(dead <= BOUND, "{label}, {dead} name freed remote objects");
+        }
+    }
+}

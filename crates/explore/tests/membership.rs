@@ -374,3 +374,107 @@ fn a_joiner_past_the_founding_sites_crashes_recovers_and_outlives_an_eviction_on
         );
     }
 }
+
+/// A planned leave commits when it starts: a crash window that opens on the
+/// departing site while its leave runs is ignored on both drivers. The site
+/// is not crashed mid-protocol, so it is neither recovered later nor left
+/// behind as a downed site; it departs like any other, and both drivers
+/// agree on what was reclaimed and what is left.
+#[test]
+fn a_crash_window_opening_on_a_departing_site_mid_leave_is_ignored_on_both_drivers() {
+    use ggd_mutator::Scenario;
+    use ggd_net::FaultPlan;
+    use ggd_sim::{DurabilityConfig, RunReport};
+
+    let [s0, s1, s2] = [0, 1, 2].map(SiteId::new);
+    let build = |leave: bool| {
+        let mut s = Scenario::new(3);
+        let a = s.alloc(s0, true);
+        let b = s.alloc(s1, true);
+        let c = s.alloc(s2, true);
+        let d = s.alloc(s1, false);
+        s.send_ref(s2, a, c);
+        s.send_ref(s2, b, c);
+        s.send_ref(s1, c, d);
+        s.settle();
+        if leave {
+            s.planned_leave(s2);
+            s.settle();
+        }
+        s
+    };
+    let (prefix, scenario) = (build(false), build(true));
+    let durable = |workers| ClusterConfig {
+        durability: DurabilityConfig::memory().with_checkpoint_every(4),
+        workers,
+        ..ClusterConfig::default()
+    };
+    // The clock each driver reads when the leave begins is where its
+    // prefix run ends: the prefix closes with a settle, so the end-of-run
+    // completion delivers nothing more. The window opens one tick later,
+    // on the first delivery of the leave's own settles.
+    let window = |prefix_report: RunReport| {
+        let at = prefix_report.finished_at + 1;
+        FaultPlan::new().with_crash(s2, at, u64::MAX)
+    };
+    let check = |label: &str, report: &RunReport, at: u64, departed, recoveries, up: bool| {
+        assert_eq!(report.safety_violations, 0, "{label}");
+        assert!(
+            report.finished_at >= at,
+            "{label}: the window must open during the leave (clock {} < {at})",
+            report.finished_at
+        );
+        assert_eq!(recoveries, 0, "{label}: the departing site never crashed");
+        assert_eq!(departed, std::collections::BTreeSet::from([s2]), "{label}");
+        assert!(
+            !up,
+            "{label}: no downed or revived trace of the departed site"
+        );
+        assert_eq!(report.sites, 2, "{label}");
+    };
+
+    let (probe, _) = Cluster::run_seeded(&prefix, durable(0), CausalCollector::new);
+    let faults = window(probe);
+    let at = faults.crashes()[0].at_round;
+    let config = ClusterConfig {
+        faults,
+        ..durable(0)
+    };
+    let (seq_report, seq) = Cluster::run_seeded(&scenario, config, CausalCollector::new);
+    check(
+        "sequential",
+        &seq_report,
+        at,
+        seq.departed_sites(),
+        seq.recoveries(),
+        seq.site_is_up(s2),
+    );
+    assert!(seq.sites_mentioning(s2).is_empty());
+    assert_eq!(seq.membership(), BTreeSet::from([s0, s1]));
+
+    for workers in [1, 3] {
+        let (probe, _) =
+            ParallelCluster::run_seeded(&prefix, durable(workers), CausalCollector::new);
+        let faults = window(probe);
+        let at = faults.crashes()[0].at_round;
+        let config = ClusterConfig {
+            faults,
+            ..durable(workers)
+        };
+        let (par_report, par) =
+            ParallelCluster::run_seeded(&scenario, config, CausalCollector::new);
+        let label = format!("workers={workers}");
+        check(
+            &label,
+            &par_report,
+            at,
+            par.departed_sites(),
+            par.recoveries(),
+            par.site_is_up(s2),
+        );
+        assert!(par.sites_mentioning(s2).is_empty(), "{label}");
+        assert_eq!(par.membership(), seq.membership(), "{label}");
+        assert_eq!(par.reclaimed_addrs(), seq.reclaimed_addrs(), "{label}");
+        assert_eq!(par.garbage_addrs(), seq.garbage_addrs(), "{label}");
+    }
+}

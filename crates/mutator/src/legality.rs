@@ -6,9 +6,9 @@
 //! addressed to. Generated scenarios are legal as built, but skipping ops —
 //! a driver skipping those of a crashed or departed site, the explorer's
 //! shrinker removing steps — can break the causal chain that made a later
-//! send legal. The drivers' planner and the explorer's `sanitize` pass both
-//! judge sends with [`Legality`], so a shrunk scenario replays exactly the
-//! sends the drivers would execute.
+//! send legal. The drive loop of `ggd-sim` and the explorer's `sanitize`
+//! pass both judge sends with [`Legality`], so a shrunk scenario replays
+//! exactly the sends the drivers would execute.
 
 use std::collections::{BTreeMap, BTreeSet};
 

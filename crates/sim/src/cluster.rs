@@ -1,14 +1,16 @@
 //! The drive loop, written once: a [`Cluster`] runs a scenario over a
 //! [`Network`].
 //!
-//! The planner (`plan.rs`) turns each scenario step into shard commands —
-//! name resolution, skip analysis, the crash schedule, the membership
-//! scripts — and one shard (`shard.rs`) hosting every site executes them at
-//! once on the calling thread and judges each local collection against the
-//! global reachability [`Oracle`]. The loop runs ops, settles and
-//! membership scripts, then the end-of-run completion with its straggler
-//! recovery, applying the crash schedule before every op, membership event
-//! and delivery round. The two drivers differ only in their [`Network`]:
+//! The loop decides what each scenario step does — it resolves object
+//! names, skips ops that can no longer run, applies the crash schedule and
+//! runs each membership protocol's steps in order — and calls the one shard
+//! (`shard.rs`) holding every site to do it, at once, on the calling
+//! thread. The shard's site table is the only record of which sites are
+//! members and which are up, and the shard judges each local collection
+//! against the global reachability [`Oracle`]. The loop runs ops, settles
+//! and membership events, then the end-of-run completion with its
+//! straggler recovery, applying the crash schedule before every op,
+//! membership event and delivery round. The two drivers differ only in their [`Network`]:
 //! how a settle round delivers what is in flight. Any [`Transport`] is
 //! polled to empty, with the crash schedule applied before each delivery;
 //! its default, the deterministic [`SimNetwork`], makes every run
@@ -19,17 +21,16 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use ggd_heap::SiteHeap;
-use ggd_mutator::{MembershipEvent, MutatorOp, ObjName, Scenario, Step};
+use ggd_mutator::{Legality, MembershipEvent, MembershipKind, MutatorOp, ObjName, Scenario, Step};
 use ggd_net::{FaultPlan, NetMetrics, SimNetwork, SimNetworkConfig, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
-use ggd_store::{DurabilityConfig, StoreStats};
+use ggd_store::{DurabilityConfig, MembershipAnnouncement, MembershipChange, StoreStats};
 use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
-use crate::plan::{Phase, Planner, ShardCommand, SiteOp};
 use crate::report::{record_net, record_store, RunReport};
-use crate::shard::{Garbage, Outbox, Shard};
+use crate::shard::{slot, Garbage, Outbox, Shard};
 
 /// Safety valve of the settle loop: the most rounds of deliver-then-collect
 /// one settle runs before giving up on quiescence.
@@ -93,23 +94,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// The planner for `sites` founding sites under this config's crash
-    /// schedule. Panics when crashes are scheduled but durability is off: a
-    /// crashed volatile site loses its heap with no way back.
-    pub(crate) fn planner(&self, sites: u32) -> Planner {
-        let crashes = self.faults.crashes();
-        assert!(
-            crashes.is_empty() || self.durability.is_on(),
-            "crash faults require durability (ClusterConfig::durability)"
-        );
-        let windows = crashes
-            .iter()
-            .map(|c| (c.site, c.at_round, c.restart_after));
-        Planner::new(sites, windows.collect())
-    }
-}
-
 /// How a settle round moves what is in flight — the one thing the two
 /// drivers do differently. Implemented for every [`Transport`] and for the
 /// parallel driver's mailbox mesh. Public only so [`Cluster`]'s methods can
@@ -162,8 +146,27 @@ impl<C: Collector, T: Transport<SimPayload<C::Msg>>> Network<C> for T {
 /// experiment code reads exactly as before the transport abstraction:
 /// `Cluster::from_scenario(&scenario, config, CausalCollector::new)`.
 pub struct Cluster<C: Collector, N = SimNetwork<SimPayload<<C as Collector>::Msg>>> {
-    pub(crate) planner: Planner,
-    /// Every site of the cluster, up or down, and the configuration they
+    /// The address each object name was allocated at, indexed by
+    /// `ObjName.0`: names are dense by construction (`Scenario::fresh_name`
+    /// counts up from 0), so resolving one is an index, not a search. `None`
+    /// — like an index past the end — for a name whose `Alloc` has not run
+    /// or was skipped.
+    names: Vec<Option<GlobalAddr>>,
+    /// Mutator-legality tracking, maintained only under crash plans and
+    /// membership schedules: which sites hold (a copy of) each named
+    /// object's reference, and which objects are addressable (local roots,
+    /// or targets of an executed send). When an op is skipped, later ops
+    /// that causally depended on it are skipped too — otherwise a `SendRef`
+    /// could forward a reference its sender never held, an illegal
+    /// computation outside every collector's safety contract.
+    legality: Option<Legality>,
+    /// Crash windows that have not opened yet, as `(site, at, restart)` in
+    /// transport time and schedule order.
+    crashes: Vec<(SiteId, u64, u64)>,
+    /// Every membership announcement so far, in epoch order — late joiners
+    /// catch up on it before applying their own join.
+    membership_log: Vec<MembershipAnnouncement>,
+    /// Every site of the cluster, up, down or gone, and the configuration they
     /// were built under. Its logical step clock counts scenario steps during
     /// [`Cluster::run`]; both drivers count the same steps, so timestamps
     /// derived from it (unlike network-clock ones) compare across drivers.
@@ -182,7 +185,8 @@ where
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
             .field("config", &self.shard.config)
-            .field("planner", &self.planner)
+            .field("crashes", &self.crashes)
+            .field("membership_log", &self.membership_log)
             .field("recoveries", &self.shard.recoveries())
             .field("net", &self.net)
             .finish_non_exhaustive()
@@ -240,8 +244,20 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
         transport: N,
         factory: impl Fn(SiteId) -> C + 'static,
     ) -> Self {
+        let crashes = config.faults.crashes();
+        assert!(
+            crashes.is_empty() || config.durability.is_on(),
+            "crash faults require durability (ClusterConfig::durability)"
+        );
+        let crashes: Vec<_> = crashes
+            .iter()
+            .map(|c| (c.site, c.at_round, c.restart_after))
+            .collect();
         Cluster {
-            planner: config.planner(sites),
+            names: Vec::new(),
+            legality: (!crashes.is_empty()).then(Legality::default),
+            crashes,
+            membership_log: Vec::new(),
             obs: SiteObs::new(None, &config.obs),
             shard: Shard::new((0..sites).map(SiteId::new), config, Box::new(factory)),
             net: transport,
@@ -253,38 +269,46 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// the final settle, so the report always covers the whole cluster.
     pub fn run(&mut self, scenario: &Scenario) -> RunReport {
         if scenario.has_membership() {
-            self.planner.track_legality();
+            // Departures skip ops exactly like crash windows do, and the
+            // skips can break causal send chains.
+            self.legality.get_or_insert_with(Legality::default);
         }
         for step in scenario.steps() {
             // Advance the logical step clock *before* executing: the first
             // scenario step is step 1.
             self.advance_step();
-            let garbage = match step {
-                Step::Op(op) => self.execute_op(*op),
-                Step::Settle => {
-                    self.settle();
-                    Garbage::Any
-                }
-                Step::Membership(ev) => {
-                    self.execute_membership(*ev);
-                    Garbage::Any
-                }
-            };
+            let garbage = self.run_step(step);
             self.shard.mark_garbage_unreachable(garbage);
         }
-        // The end-of-run completion (final settle + forced recoveries)
-        // counts as one more step.
+        self.complete();
+        self.report()
+    }
+
+    /// Runs one scenario step, returning what it can have made unreachable.
+    fn run_step(&mut self, step: &Step) -> Garbage {
+        match step {
+            Step::Op(op) => self.execute_op(*op),
+            Step::Settle => {
+                self.settle();
+                Garbage::Any
+            }
+            Step::Membership(ev) => {
+                self.execute_membership(*ev);
+                Garbage::Any
+            }
+        }
+    }
+
+    /// The end-of-run completion, counted as one more step: a final settle,
+    /// then every site still down is recovered, whatever its restart time,
+    /// and the cluster settles once more.
+    fn complete(&mut self) {
         self.advance_step();
         self.settle();
         self.shard.mark_garbage_unreachable(Garbage::Any);
-        let stragglers = self.planner.recover_all();
-        if !stragglers.is_empty() {
-            for command in stragglers {
-                self.issue(command);
-            }
+        if self.shard.recover_due(u64::MAX, &mut self.net) > 0 {
             self.settle();
         }
-        self.report()
     }
 
     fn advance_step(&mut self) {
@@ -310,55 +334,202 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// ran in the same step.
     fn execute_op(&mut self, op: MutatorOp) -> Garbage {
         let quiet = self.lifecycle() == 0;
-        let Some(command) = self.planner.plan_op(op) else {
-            return if quiet { Garbage::None } else { Garbage::Any };
-        };
-        let garbage = match command {
-            ShardCommand::Op(_, SiteOp::Alloc { local_root, expect }) if quiet && !local_root => {
-                Garbage::Fresh(expect)
-            }
-            ShardCommand::Op(
-                _,
-                SiteOp::Alloc { .. } | SiteOp::LinkLocal { .. } | SiteOp::SendRef { .. },
-            ) if quiet => Garbage::None,
+        match self.apply_op(op) {
+            Some(garbage) if quiet => garbage,
+            None if quiet => Garbage::None,
             _ => Garbage::Any,
-        };
-        self.issue(command);
-        garbage
-    }
-
-    /// Executes one epoch-stamped membership event — a join, a planned leave
-    /// or an eviction — by running the planner's script for it, phase by
-    /// phase (DESIGN.md §9 describes the three protocols). After a planned
-    /// leave no reference to the departed site survives anywhere
-    /// ([`Cluster::sites_mentioning`]).
-    pub fn execute_membership(&mut self, ev: MembershipEvent) {
-        self.lifecycle();
-        for phase in self.planner.plan_membership(ev) {
-            match phase {
-                Phase::Settle => self.settle(),
-                Phase::Run(command) => self.issue(command),
-                Phase::Event(kind, fields) => self.obs.event(kind, true, &fields),
-            }
         }
     }
 
-    /// Hands one planner command to the shard, at once.
-    fn issue(&mut self, command: ShardCommand) {
-        self.shard.execute(command, &mut self.net);
+    /// Runs one op on its site and returns what it can have made
+    /// unreachable, or skips it (`None`): an op on a site that is down,
+    /// naming an object that was never allocated or whose site has
+    /// permanently left, or a `SendRef` that is no longer a legal
+    /// computation after earlier skips.
+    fn apply_op(&mut self, op: MutatorOp) -> Option<Garbage> {
+        let garbage = match op {
+            MutatorOp::Alloc {
+                site,
+                name,
+                local_root,
+            } => {
+                if !self.shard.is_up(site) {
+                    return None;
+                }
+                let addr = self.shard.alloc(site, local_root);
+                // A repeated Alloc of a name rebinds it.
+                *slot(&mut self.names, name.0 as usize) = Some(addr);
+                if let Some(legality) = &mut self.legality {
+                    legality.note_alloc(name, site, local_root);
+                }
+                if local_root {
+                    Garbage::None
+                } else {
+                    Garbage::Fresh(addr)
+                }
+            }
+            MutatorOp::LinkLocal { site, from, to } => {
+                let (from, to) = (self.resolve(site, from)?, self.resolve(site, to)?);
+                self.shard
+                    .mutate(site, &mut self.net, |rt| rt.link_local(from, to));
+                Garbage::None
+            }
+            MutatorOp::Unlink { site, from, to } => {
+                let (from, to) = (self.resolve(site, from)?, self.resolve(site, to)?);
+                self.shard
+                    .mutate(site, &mut self.net, |rt| rt.unlink(from, to));
+                Garbage::Any
+            }
+            MutatorOp::SendRef {
+                from_site,
+                recipient,
+                target,
+            } => {
+                let recipient_addr = self.resolve(from_site, recipient)?;
+                let target_addr = self.resolve(from_site, target)?;
+                if let Some(legality) = &mut self.legality {
+                    if !legality.approve_send(target, from_site, recipient, recipient_addr.site()) {
+                        return None;
+                    }
+                }
+                self.shard
+                    .send_ref(from_site, target_addr, recipient_addr, &mut self.net);
+                Garbage::None
+            }
+            MutatorOp::DropLocalRoot { site, name } => {
+                let addr = self.resolve(site, name)?;
+                self.shard
+                    .mutate(site, &mut self.net, |rt| rt.drop_local_root(addr));
+                Garbage::Any
+            }
+            MutatorOp::ClearRefs { site, name } => {
+                let addr = self.resolve(site, name)?;
+                self.shard
+                    .mutate(site, &mut self.net, |rt| rt.clear_refs(addr));
+                Garbage::Any
+            }
+            MutatorOp::CollectSite { site } => {
+                if !self.shard.is_up(site) {
+                    return None;
+                }
+                self.shard.collect_round(Some(site), &mut self.net);
+                Garbage::Any
+            }
+            MutatorOp::CollectAll => {
+                self.shard.collect_round(None, &mut self.net);
+                Garbage::Any
+            }
+        };
+        Some(garbage)
+    }
+
+    /// Resolves `name` for an op running on `site`. `None` — skip the op —
+    /// when the name's `Alloc` was itself skipped, when `site` is down (the
+    /// mutator process died with its site), or when the object is hosted by
+    /// a site that has permanently left the fleet.
+    fn resolve(&self, site: SiteId, name: ObjName) -> Option<GlobalAddr> {
+        let addr = self.addr_of(name)?;
+        (self.shard.is_up(site) && !self.shard.is_gone(addr.site())).then_some(addr)
+    }
+
+    /// Executes one epoch-stamped membership event — a join, a planned leave
+    /// or an eviction (DESIGN.md §9 describes the three protocols). An event
+    /// that no longer describes a fleet change — a join of a site that is
+    /// or ever was a member, a departure of a non-member — does nothing.
+    ///
+    /// *Join*: a fresh site comes up (durably, when the cluster runs with
+    /// durability: it WAL-logs from its very first input) and catches up on
+    /// the membership history. *Planned leave*: see [`Cluster::leave`].
+    /// *Evict*: unplanned and permanent — no quiesce, no handoff, and a
+    /// site that is down is evicted as it lies, without recovery. The
+    /// evicted site's heap is kept for the oracle (its objects
+    /// conservatively still exist); collectors stay conservative, so
+    /// whatever it pinned becomes residual garbage, never a wrong verdict.
+    ///
+    /// Each change is then recorded in the history, announced to every
+    /// site (deferred to recovery for sites that are down) and settled.
+    pub fn execute_membership(&mut self, ev: MembershipEvent) {
+        self.lifecycle();
+        let site = ev.site;
+        let kind = match ev.kind {
+            MembershipKind::Join if self.shard.is_absent(site) => {
+                let history = &self.membership_log;
+                self.shard.join(site, history, &mut self.net);
+                MembershipChange::Join
+            }
+            MembershipKind::PlannedLeave if self.shard.is_member(site) => {
+                self.leave(site, ev.epoch);
+                MembershipChange::PlannedLeave
+            }
+            MembershipKind::Evict if self.shard.is_member(site) => {
+                self.shard.evict(site);
+                MembershipChange::Evict
+            }
+            _ => return,
+        };
+        let ann = MembershipAnnouncement {
+            epoch: ev.epoch,
+            kind,
+            site,
+        };
+        self.membership_log.push(ann);
+        let kind = match kind {
+            MembershipChange::Join => 0,
+            MembershipChange::PlannedLeave => 1,
+            MembershipChange::Evict => 2,
+        };
+        let fields = [
+            ("epoch", ann.epoch),
+            ("site", u64::from(site.index())),
+            ("kind", kind),
+        ];
+        self.obs.event("membership", true, &fields);
+        self.shard.announce(ann, &mut self.net);
+        self.settle();
+    }
+
+    /// A planned leave, up to its announcement: quiesce, so the departing
+    /// site's DkLog drains; every survivor performs the reference handoff
+    /// (severing its references towards the departing site, durably
+    /// recorded); quiesce again; the departing site dissolves. After the
+    /// announcement every survivor retires the departed site's
+    /// `DependencyVector`/`RootedVector` entries, and no reference to it
+    /// survives anywhere ([`Cluster::sites_mentioning`]).
+    ///
+    /// A leave commits when it starts: the site leaves the crash schedule
+    /// there, so a window that would open on it during the leave is
+    /// ignored.
+    fn leave(&mut self, site: SiteId, epoch: u64) {
+        self.crashes.retain(|&(crashing, ..)| crashing != site);
+        // A crashed site can still leave in an orderly fashion: recover its
+        // durable state first, then hand off.
+        self.shard.recover(site, &mut self.net);
+        self.settle();
+        let fields = [("epoch", epoch), ("departing", u64::from(site.index()))];
+        self.obs.event("handoff", true, &fields);
+        self.shard.handoff(site, epoch, &mut self.net);
+        self.settle();
+        self.shard.remove(site);
     }
 
     /// Applies the fault plan's crash schedule against the network clock:
     /// opens every due crash window (tearing the volatile runtime down) and
     /// restarts every site whose window has closed (recovering it from its
-    /// durable store). Returns how many commands it issued.
+    /// durable store). Returns how many sites it crashed or recovered.
+    #[inline] // per op and per delivery: the nothing-scheduled case must cost a branch
     pub(crate) fn lifecycle(&mut self) -> usize {
-        let commands = self.planner.lifecycle(self.net.now());
-        let issued = commands.len();
-        for command in commands {
-            self.issue(command);
+        if self.crashes.is_empty() && !self.shard.any_down() {
+            return 0;
         }
-        issued
+        let now = self.net.now();
+        let opening = |&(_, at, _): &(SiteId, u64, u64)| at <= now;
+        let opened: Vec<_> = self.crashes.iter().copied().filter(opening).collect();
+        self.crashes.retain(|window| !opening(window));
+        let mut changed = 0;
+        for (site, _, restart) in opened {
+            changed += usize::from(self.shard.crash(site, restart));
+        }
+        changed + self.shard.recover_due(now, &mut self.net)
     }
 
     /// Delivers every in-flight message, running local collections between
@@ -373,7 +544,7 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
             self.lifecycle();
             let round = N::deliver(self);
             delivered += round;
-            self.issue(ShardCommand::CollectAll);
+            self.shard.collect_round(None, &mut self.net);
             if round == 0 && self.net.idle() {
                 break;
             }
@@ -409,29 +580,28 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     /// Crashes `site` and recovers it from its durable store on the spot —
     /// the recovery-equivalence tests and the repo benchmark's recovery
     /// reps use this to exercise the full checkpoint-load + log-replay path
-    /// at a point of their choosing.
+    /// at a point of their choosing. A site that is already down is just
+    /// recovered.
     ///
     /// # Panics
     ///
     /// Panics when durability is off (the site could not come back) or the
-    /// site is unknown.
+    /// site is not a member.
     pub fn crash_and_recover(&mut self, site: SiteId) {
         assert!(
             self.shard.config.durability.is_on(),
             "crash_and_recover requires durability"
         );
-        assert!(self.planner.is_member(site), "unknown site {site}");
-        let crash = self.planner.crash(site, 0);
-        for command in crash.into_iter().chain(self.planner.recover(site)) {
-            self.issue(command);
-        }
+        assert!(self.shard.is_member(site), "unknown site {site}");
+        self.shard.crash(site, 0);
+        self.shard.recover(site, &mut self.net);
     }
 }
 
 impl<C: Collector, N> Cluster<C, N> {
     /// The address allocated for a symbolic object name, if it exists yet.
     pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.planner.addr_of(name)
+        self.names.get(name.0 as usize).copied().flatten()
     }
 
     /// Read access to a site's heap.
@@ -487,7 +657,7 @@ impl<C: Collector, N> Cluster<C, N> {
 
     /// Sites gone through a planned leave so far.
     pub fn departed_sites(&self) -> BTreeSet<SiteId> {
-        self.planner.departed()
+        self.shard.departed()
     }
 
     /// Sites evicted so far.
@@ -497,7 +667,7 @@ impl<C: Collector, N> Cluster<C, N> {
 
     /// Current expected membership (up or temporarily crashed).
     pub fn membership(&self) -> BTreeSet<SiteId> {
-        self.planner.membership()
+        self.shard.membership()
     }
 
     /// True when the site's runtime is currently up.
@@ -521,7 +691,7 @@ impl<C: Collector, N> Cluster<C, N> {
 mod tests {
     use super::*;
     use crate::collector::CausalCollector;
-    use ggd_mutator::workloads;
+    use ggd_mutator::{workloads, MembershipKind};
 
     fn run_causal(scenario: &Scenario) -> RunReport {
         let mut cluster =
@@ -687,24 +857,12 @@ mod tests {
         let drive = |victim: Option<u32>| {
             let mut cluster = Cluster::from_scenario(&scenario, durable(), CausalCollector::new);
             let half = scenario.steps().len() / 2;
-            for step in &scenario.steps()[..half] {
-                match step {
-                    Step::Op(op) => cluster.execute(*op),
-                    Step::Settle => cluster.settle(),
-                    Step::Membership(ev) => cluster.execute_membership(*ev),
-                }
-            }
+            drive(&mut cluster, &scenario.steps()[..half]);
             cluster.settle(); // quiescence: nothing in flight
             if let Some(victim) = victim {
                 cluster.crash_and_recover(ggd_types::SiteId::new(victim));
             }
-            for step in &scenario.steps()[half..] {
-                match step {
-                    Step::Op(op) => cluster.execute(*op),
-                    Step::Settle => cluster.settle(),
-                    Step::Membership(ev) => cluster.execute_membership(*ev),
-                }
-            }
+            drive(&mut cluster, &scenario.steps()[half..]);
             cluster.settle();
             let report = cluster.report();
             (report, cluster.recoveries(), cluster.store_stats())
@@ -937,13 +1095,7 @@ mod tests {
         };
         let prefix = s.steps().len() - 2;
         let mut probe = Cluster::from_scenario(&s, durable(), CausalCollector::new);
-        for step in &s.steps()[..prefix] {
-            match step {
-                Step::Op(op) => probe.execute(*op),
-                Step::Settle => probe.settle(),
-                Step::Membership(ev) => probe.execute_membership(*ev),
-            }
-        }
+        drive(&mut probe, &s.steps()[..prefix]);
         let crash_at = probe.net.now();
 
         let config = ClusterConfig {
@@ -1009,27 +1161,14 @@ mod tests {
     /// step, whatever the step did: the reference for the ledger's stamps.
     fn run_stamping_every_step<C: Collector>(cluster: &mut Cluster<C>, scenario: &Scenario) {
         if scenario.has_membership() {
-            cluster.planner.track_legality();
+            cluster.legality.get_or_insert_with(Legality::default);
         }
         for step in scenario.steps() {
             cluster.advance_step();
-            match step {
-                Step::Op(op) => cluster.execute(*op),
-                Step::Settle => cluster.settle(),
-                Step::Membership(ev) => cluster.execute_membership(*ev),
-            }
+            cluster.run_step(step);
             cluster.shard.mark_garbage_unreachable(Garbage::Any);
         }
-        cluster.advance_step();
-        cluster.settle();
-        cluster.shard.mark_garbage_unreachable(Garbage::Any);
-        let stragglers = cluster.planner.recover_all();
-        if !stragglers.is_empty() {
-            for command in stragglers {
-                cluster.issue(command);
-            }
-            cluster.settle();
-        }
+        cluster.complete();
     }
 
     #[test]
@@ -1101,5 +1240,339 @@ mod tests {
             let expected = every.obs_report().trace_jsonl(TraceView::Full);
             assert!(trace == expected, "{label}: the ledger's stamps moved");
         }
+    }
+
+    const S0: SiteId = SiteId::new(0);
+    const S1: SiteId = SiteId::new(1);
+    const S2: SiteId = SiteId::new(2);
+
+    /// The `n`th object allocated on `site`.
+    fn id(site: SiteId, n: u64) -> GlobalAddr {
+        GlobalAddr::from_parts(site, ggd_types::ObjectId::new(n))
+    }
+
+    fn alloc(site: SiteId, name: u32) -> MutatorOp {
+        MutatorOp::Alloc {
+            site,
+            name: ObjName(name),
+            local_root: true,
+        }
+    }
+
+    fn send(from_site: SiteId, recipient: u32, target: u32) -> MutatorOp {
+        MutatorOp::SendRef {
+            from_site,
+            recipient: ObjName(recipient),
+            target: ObjName(target),
+        }
+    }
+
+    fn membership(kind: MembershipKind, site: SiteId, epoch: u64) -> Step {
+        Step::Membership(MembershipEvent { epoch, kind, site })
+    }
+
+    /// Runs `steps` one at a time, as [`Cluster::run`] does, without its
+    /// end-of-run completion.
+    fn drive<C: Collector>(cluster: &mut Cluster<C>, steps: &[Step]) {
+        for step in steps {
+            match step {
+                Step::Op(op) => cluster.execute(*op),
+                Step::Settle => cluster.settle(),
+                Step::Membership(ev) => cluster.execute_membership(*ev),
+            }
+        }
+    }
+
+    /// A durable causal cluster of `sites` sites under `faults`.
+    fn durable(sites: u32, faults: FaultPlan) -> Cluster<CausalCollector> {
+        let config = ClusterConfig {
+            faults,
+            durability: DurabilityConfig::memory(),
+            ..ClusterConfig::default()
+        };
+        Cluster::new(sites, config, CausalCollector::new)
+    }
+
+    /// Moves the transport clock on, and the crash schedule with it, until
+    /// `done` holds: site 2 hands its root `n{pump}` to site 0's root `n0`
+    /// and the cluster settles, once per round. Returns the clock after
+    /// every round, with whether site 1 was up then.
+    fn pump(
+        cluster: &mut Cluster<CausalCollector>,
+        pump: u32,
+        done: impl Fn(&Cluster<CausalCollector>) -> bool,
+    ) -> Vec<(u64, bool)> {
+        let mut rounds = Vec::new();
+        while !done(cluster) {
+            assert!(rounds.len() < 64, "the clock never got there: {rounds:?}");
+            cluster.execute(send(S2, 0, pump));
+            cluster.settle();
+            rounds.push((cluster.net.now(), cluster.site_is_up(S1)));
+        }
+        rounds
+    }
+
+    /// True when some object of `holder`'s heap references `target`.
+    fn references<C: Collector>(cluster: &Cluster<C>, holder: SiteId, target: GlobalAddr) -> bool {
+        let heap = cluster.heap(holder);
+        heap.iter()
+            .any(|obj| obj.remote_refs().any(|addr| addr == target))
+    }
+
+    #[test]
+    fn an_op_on_a_downed_site_is_skipped_and_breaks_the_send_chain_behind_it() {
+        let mut cluster = durable(3, FaultPlan::new().with_crash(S1, 1, 4));
+        drive(
+            &mut cluster,
+            &[alloc(S0, 0), alloc(S1, 1), alloc(S2, 2)].map(Step::Op),
+        );
+        pump(&mut cluster, 2, |c| !c.site_is_up(S1));
+        // Site 1 would have handed `b` to `a`, but it is down: the send and
+        // an Alloc are skipped.
+        drive(&mut cluster, &[send(S1, 0, 1), alloc(S1, 3)].map(Step::Op));
+        assert_eq!(cluster.addr_of(ObjName(3)), None);
+        pump(&mut cluster, 2, |c| c.site_is_up(S1));
+        // Every site is up again, yet site 0 may not forward `b`: it never
+        // received it. The skipped name never resolves either.
+        let link = MutatorOp::LinkLocal {
+            site: S1,
+            from: ObjName(1),
+            to: ObjName(3),
+        };
+        drive(&mut cluster, &[send(S0, 2, 1), link].map(Step::Op));
+        cluster.settle();
+        assert!(!references(&cluster, S2, id(S1, 1)));
+        // Once the hand-over does happen, the forward is legal.
+        drive(&mut cluster, &[Step::Op(send(S1, 0, 1)), Step::Settle]);
+        assert!(references(&cluster, S0, id(S1, 1)));
+        drive(&mut cluster, &[Step::Op(send(S0, 2, 1)), Step::Settle]);
+        assert!(references(&cluster, S2, id(S1, 1)));
+        assert_eq!(cluster.recoveries(), 1);
+    }
+
+    #[test]
+    fn ops_naming_objects_of_departed_or_evicted_sites_are_skipped() {
+        let mut s = Scenario::new(3);
+        let [a, b, c] = [S0, S1, S2].map(|site| s.alloc(site, true));
+        s.send_ref(S1, a, b).send_ref(S2, a, c).settle();
+        s.planned_leave(S1).evict(S2);
+        for gone in [b, c] {
+            s.send_ref(S0, a, gone);
+            s.op(MutatorOp::Unlink {
+                site: S0,
+                from: a,
+                to: gone,
+            });
+        }
+        // Ops on the sites themselves are skipped too: run, they would find
+        // no runtime.
+        let late = s.alloc(S1, true);
+        s.op(MutatorOp::CollectSite { site: S2 }).settle();
+        let mut cluster =
+            Cluster::from_scenario(&s, ClusterConfig::default(), CausalCollector::new);
+        let report = cluster.run(&s);
+        assert_eq!(report.safety_violations, 0);
+        assert_eq!(report.mutator_messages(), 2, "only the first two sends ran");
+        assert!(
+            references(&cluster, S0, id(S2, 1)),
+            "the unlink of the evicted site's object was skipped"
+        );
+        assert_eq!(cluster.addr_of(late), None);
+        assert_eq!(cluster.departed_sites(), BTreeSet::from([S1]));
+        assert_eq!(cluster.evicted_sites().collect::<Vec<_>>(), [S2]);
+        assert_eq!(cluster.membership(), BTreeSet::from([S0]));
+    }
+
+    #[test]
+    fn a_join_of_a_current_departed_or_evicted_site_changes_nothing() {
+        use ggd_obs::ObsConfig;
+        use MembershipKind::{Evict, Join, PlannedLeave};
+        let mut s = Scenario::new(3);
+        s.push(membership(PlannedLeave, S1, 1));
+        s.push(membership(Evict, S2, 2));
+        for (epoch, site) in [(3, S0), (4, S1), (5, S2)] {
+            s.push(membership(Join, site, epoch));
+        }
+        // Departures of non-members change nothing either.
+        s.push(membership(PlannedLeave, S1, 6));
+        s.push(membership(Evict, S1, 6));
+        // A genuine join is caught up on both earlier announcements.
+        let joiner = SiteId::new(3);
+        s.push(membership(Join, joiner, 7));
+        let config = ClusterConfig {
+            obs: ObsConfig::enabled(),
+            ..ClusterConfig::default()
+        };
+        let factory = crate::collector::TracingCollector::factory(3);
+        let mut cluster = Cluster::from_scenario(&s, config, factory);
+        let report = cluster.run(&s);
+        assert_eq!(report.sites, 2);
+        assert_eq!(cluster.membership(), BTreeSet::from([S0, joiner]));
+        assert_eq!(cluster.departed_sites(), BTreeSet::from([S1]));
+        assert_eq!(cluster.evicted_sites().collect::<Vec<_>>(), [S2]);
+        let announced: Vec<_> = (cluster.obs_report().events().iter())
+            .filter(|event| event.kind == "membership")
+            .map(|event| event.fields.clone())
+            .collect();
+        let field = |epoch, site: SiteId, kind| {
+            vec![
+                ("epoch", epoch),
+                ("site", u64::from(site.index())),
+                ("kind", kind),
+            ]
+        };
+        assert_eq!(
+            announced,
+            [field(1, S1, 1), field(2, S2, 2), field(7, joiner, 0)]
+        );
+        let view: Vec<_> = cluster.collector(joiner).engine().members().collect();
+        assert_eq!(view, [S0, joiner], "the joiner knows of both departures");
+    }
+
+    #[test]
+    fn overlapping_crash_windows_extend_the_outage() {
+        let faults = FaultPlan::new()
+            .with_crash(S1, 2, 6)
+            .with_crash(S1, 4, 10)
+            .with_crash(S1, 5, 7);
+        let mut cluster = durable(3, faults);
+        drive(&mut cluster, &[alloc(S0, 0), alloc(S2, 2)].map(Step::Op));
+        let rounds = pump(&mut cluster, 2, |c| c.net.now() >= 11);
+        // The second and third windows open while the site is down: no
+        // second crash, and the latest restart time wins. Every round ends
+        // with the site down exactly when its clock lies in [2, 10).
+        for &(now, up) in &rounds {
+            assert_eq!(up, !(2..10).contains(&now), "{rounds:?}");
+        }
+        assert!(
+            rounds.iter().any(|&(now, _)| (7..10).contains(&now)),
+            "{rounds:?}"
+        );
+        assert_eq!(cluster.recoveries(), 1, "{rounds:?}");
+    }
+
+    #[test]
+    fn a_planned_leave_of_a_downed_site_recovers_it_before_the_first_settle() {
+        // Site 2 goes down on the first delivery and would stay down.
+        let scenario = |kind| {
+            let mut s = Scenario::new(3);
+            let [a, b, c] = [S0, S1, S2].map(|site| s.alloc(site, true));
+            s.send_ref(S2, a, c).send_ref(S2, b, c).settle();
+            s.push(membership(kind, S2, 1)).settle();
+            s
+        };
+        let faults = FaultPlan::new().with_crash(S2, 1, u64::MAX);
+        let s = scenario(MembershipKind::PlannedLeave);
+        let mut cluster = durable(3, faults.clone());
+        drive(&mut cluster, &s.steps()[..6]);
+        assert!(!cluster.site_is_up(S2));
+        cluster.run(&Scenario::from_steps(3, s.steps()[6..].iter().copied()));
+        assert_eq!(cluster.recoveries(), 1, "recovered to leave");
+        assert_eq!(cluster.departed_sites(), BTreeSet::from([S2]));
+        assert!(!cluster.site_is_up(S2));
+        assert_eq!(cluster.sites_mentioning(S2), Vec::new(), "it handed off");
+        // An eviction, by contrast, takes a downed site as it lies.
+        let s = scenario(MembershipKind::Evict);
+        let mut cluster = durable(3, faults);
+        cluster.run(&s);
+        assert_eq!(cluster.recoveries(), 0);
+        assert_eq!(cluster.evicted_sites().collect::<Vec<_>>(), [S2]);
+        assert_eq!(cluster.membership(), BTreeSet::from([S0, S1]));
+    }
+
+    #[test]
+    fn names_resolve_by_index_whatever_order_they_are_allocated_in() {
+        // Out of order, with gaps — as hand-built tests and shrunk
+        // reproducers name their objects.
+        let mut s = Scenario::new(2);
+        for (site, name) in [(S1, 5), (S0, 2), (S1, 0)] {
+            s.op(alloc(site, name));
+        }
+        // Ops naming a hole are skipped: run, they would fail to resolve.
+        for hole in [1, 7, u32::MAX] {
+            s.op(MutatorOp::LinkLocal {
+                site: S1,
+                from: ObjName(5),
+                to: ObjName(hole),
+            });
+            s.op(MutatorOp::ClearRefs {
+                site: S0,
+                name: ObjName(hole),
+            });
+        }
+        s.op(MutatorOp::LinkLocal {
+            site: S1,
+            from: ObjName(5),
+            to: ObjName(0),
+        });
+        let mut cluster =
+            Cluster::from_scenario(&s, ClusterConfig::default(), CausalCollector::new);
+        cluster.run(&s);
+        let resolved: Vec<_> = (0..8).map(|n| cluster.addr_of(ObjName(n))).collect();
+        let (a, b, c) = (Some(id(S1, 2)), Some(id(S0, 1)), Some(id(S1, 1)));
+        assert_eq!(resolved, [a, None, b, None, None, c, None, None]);
+        // Far past the end of the table: nothing, and no growth.
+        assert_eq!(cluster.addr_of(ObjName(u32::MAX)), None);
+        assert_eq!(cluster.names.len(), 6);
+        let heap = cluster.heap(S1);
+        let links: Vec<Vec<_>> = heap.iter().map(|obj| obj.local_refs().collect()).collect();
+        assert_eq!(links, [vec![id(S1, 2).object()], vec![]]);
+    }
+
+    #[test]
+    fn a_name_whose_alloc_was_skipped_resolves_once_a_later_alloc_runs() {
+        let mut cluster = durable(3, FaultPlan::new().with_crash(S1, 1, 4));
+        drive(&mut cluster, &[alloc(S0, 0), alloc(S2, 9)].map(Step::Op));
+        assert_eq!(cluster.addr_of(ObjName(0)), Some(id(S0, 1)));
+        pump(&mut cluster, 9, |c| !c.site_is_up(S1));
+        cluster.execute(alloc(S1, 3));
+        assert_eq!(cluster.addr_of(ObjName(3)), None, "site 1 is down");
+        pump(&mut cluster, 9, |c| c.site_is_up(S1));
+        // A later Alloc of the same name binds it, and a repeated one
+        // rebinds it, as a map insert would.
+        cluster.execute(alloc(S1, 3));
+        assert_eq!(cluster.addr_of(ObjName(3)), Some(id(S1, 1)));
+        cluster.execute(alloc(S0, 3));
+        assert_eq!(cluster.addr_of(ObjName(3)), Some(id(S0, 2)));
+        // Ops naming it now act on the rebound object.
+        cluster.execute(MutatorOp::LinkLocal {
+            site: S0,
+            from: ObjName(0),
+            to: ObjName(3),
+        });
+        let heap = cluster.heap(S0);
+        assert!(heap
+            .iter()
+            .any(|obj| obj.local_refs().any(|to| to == id(S0, 2).object())));
+    }
+
+    #[test]
+    fn a_recovered_site_continues_its_identities_and_a_joiner_starts_at_o1() {
+        let joiner = SiteId::new(5);
+        let mut cluster = durable(3, FaultPlan::new().with_crash(S1, 1, 3));
+        let allocs = [alloc(S1, 0), alloc(S1, 1), alloc(S0, 2), alloc(S2, 9)];
+        drive(&mut cluster, &allocs.map(Step::Op));
+        pump(&mut cluster, 9, |c| !c.site_is_up(S1));
+        // A skipped Alloc consumes no id: recovery replays only what ran.
+        cluster.execute(alloc(S1, 3));
+        pump(&mut cluster, 9, |c| c.site_is_up(S1));
+        cluster.execute(alloc(S1, 4));
+        cluster.execute(alloc(joiner, 5));
+        assert_eq!(cluster.addr_of(ObjName(5)), None, "not a member yet");
+        cluster.execute_membership(MembershipEvent {
+            epoch: 1,
+            kind: MembershipKind::Join,
+            site: joiner,
+        });
+        cluster.execute(alloc(joiner, 6));
+        let resolved: Vec<_> = (0..7).map(|n| cluster.addr_of(ObjName(n))).collect();
+        let ids = [id(S1, 1), id(S1, 2), id(S0, 1)].map(Some);
+        let expected = [
+            &ids[..],
+            &[None, Some(id(S1, 3)), None, Some(id(joiner, 1))],
+        ]
+        .concat();
+        assert_eq!(resolved, expected);
+        assert_eq!(cluster.recoveries(), 1);
     }
 }

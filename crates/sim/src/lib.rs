@@ -11,14 +11,14 @@
 //!
 //! The paper's collector is per-site and message-driven, so nothing in it
 //! depends on who schedules the sites. The crate is built the same way: one
-//! drive loop (`cluster.rs`) over one execution core — a pure planner
-//! (`plan.rs`: scenario step → commands; name resolution, skip analysis,
-//! crash schedule, membership scripts) and a shard executor (`shard.rs`:
-//! the site runtimes and everything that happens to them) — with two ways
-//! to deliver messages. [`Cluster`] polls any transport on one thread, by
-//! default the deterministic [`ggd_net::SimNetwork`]. [`ParallelCluster`],
-//! the one concurrent backend, posts encoded frames to mailboxes and drains
-//! them on threads of their own, as an asynchrony/correctness harness.
+//! drive loop (`cluster.rs`: name resolution, skip analysis, the crash
+//! schedule and the membership protocols) calls one shard (`shard.rs`: the
+//! table of every site — up, down or gone — and everything that happens to
+//! them) directly, with two ways to deliver messages. [`Cluster`] polls any
+//! transport on one thread, by default the deterministic
+//! [`ggd_net::SimNetwork`]. [`ParallelCluster`], the one concurrent
+//! backend, posts encoded frames to mailboxes and drains them on threads of
+//! their own, as an asynchrony/correctness harness.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@ mod cluster;
 mod collector;
 mod oracle;
 mod parallel;
-mod plan;
 mod report;
 mod runtime;
 mod shard;

@@ -1,18 +1,22 @@
-//! Execution: a set of site runtimes and everything that happens *to* them.
+//! The sites: every site of the cluster and everything that happens to it.
 //!
-//! A [`Shard`] hosts every site of the cluster, under both drivers, and
-//! executes the [`ShardCommand`]s a [`Planner`](crate::plan::Planner)
-//! emits: resolved mutator ops, deliveries, local collections, the
-//! crash/recover lifecycle and the site-side halves of the membership
-//! protocols. Every runtime step ends in [`Shard::absorb`], which books
-//! verdicts, posts the step's control messages to the driver's [`Outbox`]
-//! and runs the checkpoint cadence. The shard never decides *whether*
-//! something happens — that is the planner's job — and never moves a
+//! A [`Shard`] holds one entry per site, under both drivers: the runtime of
+//! a site that is up, the durable store, crash-time heap and restart time
+//! of one that is down, the last heap of an evicted one, or a mark for one
+//! that departed or never joined. That table is the crate's only record of
+//! membership and liveness. The drive loop ([`Cluster`](crate::Cluster))
+//! decides *whether* something happens — name resolution, skip analysis,
+//! the crash schedule, the order of each membership protocol's steps — and
+//! calls the shard's site operations directly: mutator ops, deliveries,
+//! local collections, crash and recovery, and the site-side halves of the
+//! membership protocols. Every runtime step ends in [`Shard::absorb`],
+//! which books verdicts, posts the step's control messages to the driver's
+//! [`Outbox`] and runs the checkpoint cadence; the shard never moves a
 //! message itself. For a parallel drain it lends its up sites to one shard
 //! per drain thread ([`Shard::lend`]) and takes them back when the threads
 //! join ([`Shard::merge`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ggd_heap::SiteHeap;
@@ -24,7 +28,6 @@ use ggd_types::{GlobalAddr, SiteId};
 use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::{LiveSet, Oracle};
-use crate::plan::{slot, ShardCommand, SiteOp};
 use crate::report::{sum_store_stats, RunReport};
 use crate::runtime::{sites_mentioning, SiteRuntime, SiteTick};
 
@@ -50,6 +53,41 @@ where
     }
 }
 
+/// The slot for `index` in a dense table, growing the table (with default
+/// entries) to reach it.
+pub(crate) fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if index >= table.len() {
+        table.resize_with(index + 1, T::default);
+    }
+    &mut table[index]
+}
+
+/// One site as the shard holds it.
+#[derive(Debug, Default)]
+enum Site<C: Collector> {
+    /// Not a member: a site beyond the founding ones that has not joined.
+    #[default]
+    Absent,
+    /// A member that is up.
+    Up(SiteRuntime<C>),
+    /// A member that crashed. It is still a member: it comes back.
+    Down(DownedSite<C::Msg>),
+    /// Gone through a planned leave: its objects and references dissolved
+    /// with it, and no trace of it may survive anywhere.
+    Departed,
+    /// Evicted without warning, with its last heap: the oracle
+    /// conservatively keeps treating its objects as existing (exactly like
+    /// a crashed site's), so an unsafe sweep of an object reachable only
+    /// through the evicted site is still caught.
+    Evicted(SiteHeap),
+}
+
+impl<C: Collector> Site<C> {
+    fn is_member(&self) -> bool {
+        matches!(self, Site::Up(_) | Site::Down(_))
+    }
+}
+
 /// A site that is currently crashed: its durable medium and its heap as of
 /// the crash — kept for the *oracle only*. The durable store provably
 /// restores exactly this heap on recovery, so the site's objects still exist
@@ -58,6 +96,8 @@ where
 /// go undetected.
 #[derive(Debug)]
 struct DownedSite<M> {
+    /// The transport time at which the site restarts.
+    restart: u64,
     store: SiteStore<M>,
     heap: SiteHeap,
     /// Membership protocol steps the site missed while down: applied (and
@@ -102,72 +142,22 @@ pub(crate) enum Garbage {
 /// A (transport time, scenario step) pair.
 type Stamp = (u64, u64);
 
-/// Per-site entries indexed by `SiteId::index()`. Sites are `0..n` plus
-/// joiners, so a lookup on the per-op path is an index rather than a tree
-/// walk. Iteration runs in ascending `SiteId`: `up_sites`, `CollectAll`,
-/// report assembly, `sites_mentioning` and so every control stream depend
-/// on that order. The table grows when a site beyond its end is inserted.
-#[derive(Debug)]
-struct SiteTable<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> SiteTable<T> {
-    fn new() -> Self {
-        SiteTable { slots: Vec::new() }
-    }
-
-    fn get(&self, site: SiteId) -> Option<&T> {
-        self.slots.get(site.index() as usize)?.as_ref()
-    }
-
-    fn get_mut(&mut self, site: SiteId) -> Option<&mut T> {
-        self.slots.get_mut(site.index() as usize)?.as_mut()
-    }
-
-    fn insert(&mut self, site: SiteId, value: T) {
-        *slot(&mut self.slots, site.index() as usize) = Some(value);
-    }
-
-    fn remove(&mut self, site: SiteId) -> Option<T> {
-        self.slots.get_mut(site.index() as usize)?.take()
-    }
-
-    /// Takes every entry out, in ascending `SiteId`.
-    fn drain(&mut self) -> impl Iterator<Item = (SiteId, T)> + '_ {
-        let entries = self.slots.iter_mut().enumerate();
-        entries.filter_map(|(index, slot)| Some((SiteId::new(index as u32), slot.take()?)))
-    }
-
-    /// Occupied entries in ascending `SiteId`.
-    fn iter(&self) -> impl Iterator<Item = (SiteId, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| Some((SiteId::new(index as u32), slot.as_ref()?)))
-    }
-
-    fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().flatten()
-    }
-}
-
-/// The executing half of a drive loop — see the module docs. `F` builds
-/// collectors for joined and recovered sites; a lent shard has none (`()`).
+/// The sites of a drive loop — see the module docs. `F` builds collectors
+/// for joined and recovered sites; a lent shard has none (`()`).
 pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
-    /// The hosted sites that are up.
-    sites: SiteTable<SiteRuntime<C>>,
-    /// Hosted sites currently down, held until their restart.
-    downed: BTreeMap<SiteId, DownedSite<C::Msg>>,
-    /// Hosted sites evicted without warning, with their last heap: the
-    /// oracle conservatively keeps treating their objects as existing
-    /// (exactly like a crashed site's), so an unsafe sweep of an object
-    /// reachable only through the evicted site is still caught.
-    evicted: BTreeMap<SiteId, SiteHeap>,
+    /// Every site, indexed by `SiteId::index()`; a site past the end is
+    /// absent. Sites are `0..n` plus joiners, so a lookup on the per-op path
+    /// is an index rather than a tree walk. Iteration runs in ascending
+    /// `SiteId`: collection rounds, fan-outs, report assembly,
+    /// `sites_mentioning` and so every control stream depend on that order.
+    sites: Vec<Site<C>>,
+    /// How many entries of `sites` are down, so that the crash schedule
+    /// with nothing scheduled reads one number instead of the table.
+    down: usize,
     /// Collector factory, retained so joined and crashed sites can be built.
     factory: F,
-    /// The configuration every hosted site is built under, shared with the
-    /// shards it lends.
+    /// The configuration every site is built under, shared with the shards
+    /// it lends.
     pub(crate) config: Arc<ClusterConfig>,
     /// The logical scenario step of whatever is being executed — pushed
     /// into a runtime's obs handle before each entry point, so probes stamp
@@ -194,7 +184,7 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
 }
 
 impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
-    /// A shard hosting a fresh runtime for each of `sites`.
+    /// A shard whose founding `sites` are up, each with a fresh runtime.
     pub(crate) fn new(
         sites: impl Iterator<Item = SiteId>,
         config: ClusterConfig,
@@ -216,38 +206,32 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         if let Some(store) = SiteStore::open(site, &config.durability) {
             runtime = runtime.with_store(store);
         }
-        self.sites.insert(site, runtime);
+        *slot(&mut self.sites, site.index() as usize) = Site::Up(runtime);
     }
 
-    /// Executes one planner command against the hosted sites. Commands
-    /// naming a site this shard does not host (or that is not in the state
-    /// the command presumes) are no-ops, except `Op`: the planner never
-    /// plans an op for a site that is not up.
-    pub(crate) fn execute(&mut self, command: ShardCommand, out: &mut impl Outbox<C::Msg>) {
-        match command {
-            ShardCommand::Op(site, op) => self.apply_op(site, op, out),
-            ShardCommand::CollectAll => self.collect_round(None, out),
-            ShardCommand::Crash(site) => self.crash(site),
-            ShardCommand::Recover(site) => self.recover(site, out),
-            ShardCommand::Join { site, history } => {
-                self.start(site);
-                for ann in history {
-                    self.apply_step(site, Catchup::Announce(ann), out);
-                }
-            }
-            ShardCommand::Handoff { departing, epoch } => {
-                self.fan_out(Catchup::Handoff { departing, epoch }, Some(departing), out);
-            }
-            ShardCommand::Remove(site) => drop(self.sites.remove(site)),
-            ShardCommand::Evict(site) => {
-                if let Some(runtime) = self.sites.remove(site) {
-                    self.evicted.insert(site, runtime.heap().clone());
-                } else if let Some(downed) = self.downed.remove(&site) {
-                    self.evicted.insert(site, downed.heap);
-                }
-            }
-            ShardCommand::Announce(ann) => self.fan_out(Catchup::Announce(ann), None, out),
+    /// Brings a fresh site up mid-run, caught up on the membership
+    /// `history` so far.
+    pub(crate) fn join(
+        &mut self,
+        site: SiteId,
+        history: &[MembershipAnnouncement],
+        out: &mut impl Outbox<C::Msg>,
+    ) {
+        self.start(site);
+        for &ann in history {
+            self.apply_step(site, Catchup::Announce(ann), out);
         }
+    }
+
+    /// Every survivor severs its references towards `departing`: the
+    /// reference-handoff half of a planned leave.
+    pub(crate) fn handoff(&mut self, departing: SiteId, epoch: u64, out: &mut impl Outbox<C::Msg>) {
+        self.fan_out(Catchup::Handoff { departing, epoch }, Some(departing), out);
+    }
+
+    /// Applies one membership announcement on every site.
+    pub(crate) fn announce(&mut self, ann: MembershipAnnouncement, out: &mut impl Outbox<C::Msg>) {
+        self.fan_out(Catchup::Announce(ann), None, out);
     }
 
     /// Applies one membership protocol step on every up site but `skip`,
@@ -255,55 +239,62 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     /// mid-protocol catches up at recovery, before anyone can observe its
     /// revived heap.
     fn fan_out(&mut self, step: Catchup, skip: Option<SiteId>, out: &mut impl Outbox<C::Msg>) {
-        for site in self.up_sites() {
-            if Some(site) != skip {
-                self.apply_step(site, step, out);
+        for index in 0..self.sites.len() {
+            let site = SiteId::new(index as u32);
+            match &mut self.sites[index] {
+                Site::Up(_) if Some(site) != skip => self.apply_step(site, step, out),
+                Site::Down(downed) => downed.pending_catchup.push(step),
+                _ => {}
             }
-        }
-        for downed in self.downed.values_mut() {
-            downed.pending_catchup.push(step);
         }
     }
 
-    fn apply_op(&mut self, site: SiteId, op: SiteOp, out: &mut impl Outbox<C::Msg>) {
-        if let SiteOp::SendRef { target, .. } = op {
-            if target.site() == site && !self.site(site).heap().contains(target.object()) {
-                self.stale_exports.push(target);
-            }
-        }
+    /// Allocates an object on an up site, returning its address.
+    pub(crate) fn alloc(&mut self, site: SiteId, local_root: bool) -> GlobalAddr {
         let runtime = self.runtime(site);
-        let tick = match op {
-            SiteOp::Alloc { local_root, expect } => {
-                let addr = runtime.alloc(local_root);
-                assert_eq!(
-                    addr, expect,
-                    "planner-predicted allocation address diverged"
-                );
-                runtime.maybe_checkpoint();
-                return;
-            }
-            SiteOp::LinkLocal { from, to } => runtime.link_local(from, to),
-            SiteOp::Unlink { from, to } => runtime.unlink(from, to),
-            SiteOp::ClearRefs { addr } => runtime.clear_refs(addr),
-            SiteOp::DropLocalRoot { addr } => runtime.drop_local_root(addr),
-            SiteOp::SendRef { target, recipient } => {
-                let tick = runtime.export_reference(target, recipient);
-                self.absorb(site, tick, out);
-                if recipient.site() != site {
-                    let payload = SimPayload::Reference { recipient, target };
-                    out.post(site, recipient.site(), payload);
-                    return;
-                }
-                // A same-site transfer is a local mutation, not a network
-                // message (see `SiteRuntime::export_reference`): the
-                // reference is stored immediately and must not be droppable,
-                // duplicable or stallable by a fault plan.
-                self.runtime(site)
-                    .receive_reference(site, recipient, target)
-            }
-            SiteOp::Collect => return self.collect_round(Some(site), out),
-        };
+        let addr = runtime.alloc(local_root);
+        runtime.maybe_checkpoint();
+        addr
+    }
+
+    /// Runs one local mutation on an up site and books its step.
+    pub(crate) fn mutate(
+        &mut self,
+        site: SiteId,
+        out: &mut impl Outbox<C::Msg>,
+        op: impl FnOnce(&mut SiteRuntime<C>) -> SiteTick<C::Msg>,
+    ) {
+        let tick = op(self.runtime(site));
         self.absorb(site, tick, out);
+    }
+
+    /// Exports `target` from `site` to `recipient`: the export, then the
+    /// wire send, or the immediate local receive for a same-site recipient.
+    pub(crate) fn send_ref(
+        &mut self,
+        site: SiteId,
+        target: GlobalAddr,
+        recipient: GlobalAddr,
+        out: &mut impl Outbox<C::Msg>,
+    ) {
+        if target.site() == site && !self.site(site).heap().contains(target.object()) {
+            self.stale_exports.push(target);
+        }
+        self.mutate(site, out, |runtime| {
+            runtime.export_reference(target, recipient)
+        });
+        if recipient.site() != site {
+            let payload = SimPayload::Reference { recipient, target };
+            out.post(site, recipient.site(), payload);
+            return;
+        }
+        // A same-site transfer is a local mutation, not a network message
+        // (see `SiteRuntime::export_reference`): the reference is stored
+        // immediately and must not be droppable, duplicable or stallable by
+        // a fault plan.
+        self.mutate(site, out, |runtime| {
+            runtime.receive_reference(site, recipient, target)
+        });
     }
 
     /// Runs a local collection on `only`, or on every up site in ascending
@@ -315,14 +306,14 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
     /// since it also stamps the ledger; with it off, right before the first
     /// site that has suspects: a site without any frees nothing, so a round
     /// with none builds no set at all.
-    fn collect_round(&mut self, only: Option<SiteId>, out: &mut impl Outbox<C::Msg>) {
+    pub(crate) fn collect_round(&mut self, only: Option<SiteId>, out: &mut impl Outbox<C::Msg>) {
         let sites = match only {
             Some(site) => site.index() as usize..site.index() as usize + 1,
-            None => 0..self.sites.slots.len(),
+            None => 0..self.sites.len(),
         };
         let mut live = None;
         for site in sites.map(|index| SiteId::new(index as u32)) {
-            let Some(runtime) = self.sites.get(site) else {
+            let Some(runtime) = self.up(site) else {
                 continue;
             };
             let judge = self.config.obs.enabled || runtime.heap().has_suspects();
@@ -360,28 +351,63 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         violations
     }
 
-    /// Tears a site's volatile state down, keeping its durable store, its
-    /// crash-time heap and its measurements for the restart.
-    fn crash(&mut self, site: SiteId) {
-        let Some(mut runtime) = self.sites.remove(site) else {
-            return;
+    /// Takes `site` down until `restart`, keeping its durable store, its
+    /// crash-time heap and its measurements. A site already down merely has
+    /// its restart time extended (overlapping windows); a site that is not
+    /// a member has nothing to crash. True when the site went down.
+    pub(crate) fn crash(&mut self, site: SiteId, restart: u64) -> bool {
+        let Some(entry) = self.sites.get_mut(site.index() as usize) else {
+            return false;
+        };
+        let mut runtime = match std::mem::take(entry) {
+            Site::Up(runtime) => runtime,
+            Site::Down(mut downed) => {
+                downed.restart = downed.restart.max(restart);
+                *entry = Site::Down(downed);
+                return false;
+            }
+            other => {
+                *entry = other;
+                return false;
+            }
         };
         let store = runtime
             .take_store()
             .expect("crash faults require durability (checked at construction)");
-        let downed = DownedSite {
+        *entry = Site::Down(DownedSite {
+            restart,
             store,
             heap: runtime.heap().clone(),
             pending_catchup: Vec::new(),
             obs: runtime.take_obs(),
-        };
-        self.downed.insert(site, downed);
+        });
+        self.down += 1;
+        true
     }
 
-    /// Recovers one downed site from its durable store.
-    fn recover(&mut self, site: SiteId, out: &mut impl Outbox<C::Msg>) {
-        let Some(downed) = self.downed.remove(&site) else {
+    /// Recovers every downed site whose restart time is at most `now`, in
+    /// ascending `SiteId`, and returns how many it recovered.
+    pub(crate) fn recover_due(&mut self, now: u64, out: &mut impl Outbox<C::Msg>) -> usize {
+        let due: Vec<SiteId> = self
+            .sites_where(|entry| matches!(entry, Site::Down(downed) if downed.restart <= now))
+            .collect();
+        for &site in &due {
+            self.recover(site, out);
+        }
+        due.len()
+    }
+
+    /// Recovers `site` from its durable store if it is down.
+    pub(crate) fn recover(&mut self, site: SiteId, out: &mut impl Outbox<C::Msg>) {
+        let Some(entry) = self.sites.get_mut(site.index() as usize) else {
             return;
+        };
+        let downed = match std::mem::take(entry) {
+            Site::Down(downed) => downed,
+            other => {
+                *entry = other;
+                return;
+            }
         };
         let mut runtime = SiteRuntime::recover(downed.store, (self.factory)(site));
         let replayed = runtime
@@ -390,7 +416,8 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         // Recovery replays with a disabled handle (no double-counting);
         // re-attach the crash-time measurements now.
         runtime.set_obs(downed.obs);
-        self.sites.insert(site, runtime);
+        *entry = Site::Up(runtime);
+        self.down -= 1;
         self.recoveries += 1;
         let obs = self.runtime(site).obs_mut();
         obs.add_aux("recoveries", 1);
@@ -416,9 +443,8 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
 impl<C: Collector, F> Shard<C, F> {
     fn empty(config: Arc<ClusterConfig>, factory: F, step: u64) -> Self {
         Shard {
-            sites: SiteTable::new(),
-            downed: BTreeMap::new(),
-            evicted: BTreeMap::new(),
+            sites: Vec::new(),
+            down: 0,
             factory,
             config,
             step,
@@ -431,6 +457,31 @@ impl<C: Collector, F> Shard<C, F> {
             triggered: None,
             last_verdict: None,
         }
+    }
+
+    /// Dissolves a site that completed its planned leave.
+    pub(crate) fn remove(&mut self, site: SiteId) {
+        *slot(&mut self.sites, site.index() as usize) = Site::Departed;
+    }
+
+    /// Evicts a member as it lies, up or down, keeping its heap for the
+    /// oracle.
+    pub(crate) fn evict(&mut self, site: SiteId) {
+        let Some(entry) = self.sites.get_mut(site.index() as usize) else {
+            return;
+        };
+        let heap = match std::mem::take(entry) {
+            Site::Up(runtime) => runtime.heap().clone(),
+            Site::Down(downed) => {
+                self.down -= 1;
+                downed.heap
+            }
+            other => {
+                *entry = other;
+                return;
+            }
+        };
+        *entry = Site::Evicted(heap);
     }
 
     /// Hands a delivered payload to its destination site. A payload for a
@@ -455,8 +506,17 @@ impl<C: Collector, F> Shard<C, F> {
         self.absorb(to, tick, out);
     }
 
+    fn up(&self, site: SiteId) -> Option<&SiteRuntime<C>> {
+        match self.sites.get(site.index() as usize)? {
+            Site::Up(runtime) => Some(runtime),
+            _ => None,
+        }
+    }
+
     fn runtime(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let runtime = self.sites.get_mut(site).expect("site is up on this shard");
+        let Some(Site::Up(runtime)) = self.sites.get_mut(site.index() as usize) else {
+            panic!("site {site} is up on this shard");
+        };
         // Keep the runtime's logical clock current so every probe inside
         // the entry point stamps the right step — no signature changes.
         runtime.obs_mut().set_step(self.step);
@@ -478,36 +538,108 @@ impl<C: Collector, F> Shard<C, F> {
             }
             out.post(site, dest, SimPayload::Control(msg));
         }
-        if let Some(runtime) = self.sites.get_mut(site) {
+        if let Some(Site::Up(runtime)) = self.sites.get_mut(site.index() as usize) {
             runtime.maybe_checkpoint();
         }
     }
 
-    /// True when the site's runtime is currently up on this shard.
-    pub(crate) fn is_up(&self, site: SiteId) -> bool {
-        self.sites.get(site).is_some()
+    /// The entries `pick` maps to something, with their sites, in
+    /// ascending `SiteId`.
+    fn each<'a, T: 'a>(
+        &'a self,
+        pick: impl Fn(&'a Site<C>) -> Option<T> + 'a,
+    ) -> impl Iterator<Item = (SiteId, T)> + 'a {
+        let entries = self.sites.iter().enumerate();
+        entries.filter_map(move |(index, entry)| Some((SiteId::new(index as u32), pick(entry)?)))
     }
 
-    pub(crate) fn up_sites(&self) -> Vec<SiteId> {
-        self.sites.iter().map(|(site, _)| site).collect()
+    /// The sites whose entry matches, in ascending `SiteId`.
+    fn sites_where<'a>(
+        &'a self,
+        pick: impl Fn(&Site<C>) -> bool + 'a,
+    ) -> impl Iterator<Item = SiteId> + 'a {
+        self.each(move |entry| pick(entry).then_some(()))
+            .map(|(site, ())| site)
+    }
+
+    /// The sites that are up, with their runtimes, in ascending `SiteId`.
+    fn up_sites(&self) -> impl Iterator<Item = (SiteId, &SiteRuntime<C>)> {
+        self.each(|entry| match entry {
+            Site::Up(runtime) => Some(runtime),
+            _ => None,
+        })
+    }
+
+    /// The sites that are down, in ascending `SiteId`.
+    fn downed(&self) -> impl Iterator<Item = &DownedSite<C::Msg>> {
+        let downed = self.each(|entry| match entry {
+            Site::Down(downed) => Some(downed),
+            _ => None,
+        });
+        downed.map(|(_, downed)| downed)
+    }
+
+    /// True when the site's runtime is currently up on this shard.
+    pub(crate) fn is_up(&self, site: SiteId) -> bool {
+        self.up(site).is_some()
+    }
+
+    /// True when `site` is a member of the fleet, up or down.
+    pub(crate) fn is_member(&self, site: SiteId) -> bool {
+        self.sites
+            .get(site.index() as usize)
+            .is_some_and(Site::is_member)
+    }
+
+    /// True when `site` never was a member: a join may bring it up.
+    pub(crate) fn is_absent(&self, site: SiteId) -> bool {
+        matches!(
+            self.sites.get(site.index() as usize),
+            None | Some(Site::Absent)
+        )
+    }
+
+    /// True when `site` permanently left the fleet, departed or evicted.
+    pub(crate) fn is_gone(&self, site: SiteId) -> bool {
+        let entry = self.sites.get(site.index() as usize);
+        matches!(entry, Some(Site::Departed | Site::Evicted(_)))
+    }
+
+    /// True when some site is down.
+    pub(crate) fn any_down(&self) -> bool {
+        self.down > 0
+    }
+
+    /// Current membership: founding sites, plus joins, minus departures.
+    /// Crashed sites stay members (they come back).
+    pub(crate) fn membership(&self) -> BTreeSet<SiteId> {
+        self.sites_where(Site::is_member).collect()
+    }
+
+    /// Sites gone through a planned leave.
+    pub(crate) fn departed(&self) -> BTreeSet<SiteId> {
+        self.sites_where(|entry| matches!(entry, Site::Departed))
+            .collect()
+    }
+
+    pub(crate) fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.sites_where(|entry| matches!(entry, Site::Evicted(_)))
     }
 
     pub(crate) fn site(&self, site: SiteId) -> &SiteRuntime<C> {
-        self.sites.get(site).expect("site is up on this shard")
+        self.up(site).expect("site is up on this shard")
     }
 
     /// Every heap the oracle judges by: up sites, downed sites as of their
     /// crash, evicted sites as of their eviction.
     pub(crate) fn heaps(&self) -> impl Iterator<Item = &SiteHeap> {
-        self.sites
-            .values()
-            .map(SiteRuntime::heap)
-            .chain(self.downed.values().map(|d| &d.heap))
-            .chain(self.evicted.values())
-    }
-
-    pub(crate) fn evicted_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.evicted.keys().copied()
+        let up = self.up_sites().map(|(_, runtime)| runtime.heap());
+        let downed = self.downed().map(|downed| &downed.heap);
+        let evicted = self.each(|entry| match entry {
+            Site::Evicted(heap) => Some(heap),
+            _ => None,
+        });
+        up.chain(downed).chain(evicted.map(|(_, heap)| heap))
     }
 
     pub(crate) fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
@@ -528,23 +660,21 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     pub(crate) fn sites_mentioning(&self, departed: SiteId) -> Vec<SiteId> {
-        sites_mentioning(self.sites.iter(), departed)
+        sites_mentioning(self.up_sites(), departed)
     }
 
-    /// Aggregated durable-store counters across every hosted site, up or
-    /// down. All zeros with durability off.
+    /// Aggregated durable-store counters across every site, up or down.
+    /// All zeros with durability off.
     pub(crate) fn store_stats(&self) -> StoreStats {
-        let up = self.sites.values().filter_map(SiteRuntime::store);
-        let down = self.downed.values().map(|downed| &downed.store);
+        let up = self.up_sites().filter_map(|(_, runtime)| runtime.store());
+        let down = self.downed().map(|downed| &downed.store);
         sum_store_stats(up.chain(down).map(SiteStore::stats))
     }
 
-    /// Every hosted site's scope of an observability report.
+    /// Every site's scope of an observability report.
     pub(crate) fn obs_scopes(&self) -> Vec<SiteObs> {
-        self.sites
-            .values()
-            .map(SiteRuntime::obs_scope)
-            .chain(self.downed.values().map(|d| d.obs.clone()))
+        let up = self.up_sites().map(|(_, runtime)| runtime.obs_scope());
+        up.chain(self.downed().map(|downed| downed.obs.clone()))
             .collect()
     }
 
@@ -570,7 +700,10 @@ impl<C: Collector, F> Shard<C, F> {
     fn live_set(&mut self) -> LiveSet {
         let live = Oracle::reachable(self.heaps());
         if self.config.obs.enabled {
-            for runtime in self.sites.slots.iter_mut().flatten() {
+            for entry in &mut self.sites {
+                let Site::Up(runtime) = entry else {
+                    continue;
+                };
                 let heap = runtime.heap();
                 let addrs = heap.iter().map(|obj| heap.addr_of(obj.id()));
                 let garbage: Vec<_> = addrs.filter(|addr| !live.contains(*addr)).collect();
@@ -595,8 +728,11 @@ impl<C: Collector, F> Shard<C, F> {
         let mut lent: Vec<_> = (0..parts)
             .map(|_| Shard::empty(Arc::clone(&self.config), (), self.step))
             .collect();
-        for (site, runtime) in self.sites.drain() {
-            lent[part_of(site)].sites.insert(site, runtime);
+        for (index, entry) in self.sites.iter_mut().enumerate() {
+            if let Site::Up(_) = entry {
+                let site = SiteId::new(index as u32);
+                *slot(&mut lent[part_of(site)].sites, index) = std::mem::take(entry);
+            }
         }
         lent
     }
@@ -604,9 +740,11 @@ impl<C: Collector, F> Shard<C, F> {
     /// Takes back the sites lent to `other`, with the verdict and trigger
     /// counters it kept. A lent shard only delivers, so nothing else of it
     /// can have changed.
-    pub(crate) fn merge<G>(&mut self, mut other: Shard<C, G>) {
-        for (site, runtime) in other.sites.drain() {
-            self.sites.insert(site, runtime);
+    pub(crate) fn merge<G>(&mut self, other: Shard<C, G>) {
+        for (index, entry) in other.sites.into_iter().enumerate() {
+            if let Site::Up(_) = entry {
+                self.sites[index] = entry;
+            }
         }
         self.verdicts += other.verdicts;
         let merge = |a: Option<Stamp>, b: Option<Stamp>, pick: fn(u64, u64) -> u64| match (a, b) {
@@ -620,19 +758,14 @@ impl<C: Collector, F> Shard<C, F> {
     /// Builds the run report; the residual is the heaps' sizes less the live set's.
     pub(crate) fn report(&self, finished_at: u64, net: NetMetrics) -> RunReport {
         let objects: usize = self.heaps().map(SiteHeap::len).sum();
+        let up = || self.up_sites().map(|(_, runtime)| runtime);
         RunReport {
-            collector: self
-                .sites
-                .values()
+            collector: up()
                 .next()
                 .map(|rt| rt.collector().name().to_owned())
                 .unwrap_or_default(),
-            sites: self.sites.values().count() as u32,
-            allocated: self
-                .sites
-                .values()
-                .map(|rt| rt.heap().stats().allocated)
-                .sum(),
+            sites: up().count() as u32,
+            allocated: up().map(|rt| rt.heap().stats().allocated).sum(),
             reclaimed: self.reclaimed,
             safety_violations: self.safety_violations,
             residual_garbage: (objects - Oracle::reachable(self.heaps()).len()) as u64,

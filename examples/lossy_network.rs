@@ -1,7 +1,7 @@
 //! Robustness demonstration: the same churning workload is run over networks
 //! that drop and duplicate control messages, and then the paper's example
-//! runs on real OS threads through the parallel driver (the same planner and
-//! site code). Safety is never compromised; loss only leaves residual
+//! runs on real OS threads through the parallel driver (the same drive loop
+//! and site code). Safety is never compromised; loss only leaves residual
 //! garbage (§1/§5 of the paper).
 //!
 //! ```sh

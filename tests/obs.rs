@@ -277,3 +277,44 @@ fn membership_events_land_in_the_deterministic_trace() {
     }
     assert!(saw_handoff, "some schedule must include a planned leave");
 }
+
+/// Reproducer for the ledger's `unreachable` stamp (ROADMAP item 4,
+/// "Latency"): an object allocated unrooted is unreachable from its
+/// allocation step until a link makes it reachable, and the first sighting
+/// wins, so the cut that later makes it garbage never moves the stamp. The
+/// stamp should be the step of that cut (the unlink, step 5); today it is
+/// the allocation step (2), so the `detection` histogram measures lifetime
+/// plus detection. Ignored until item 4 lands.
+#[test]
+#[ignore = "ROADMAP item 4: the unreachable stamp is the alloc step"]
+fn the_unreachable_stamp_is_the_step_that_cut_the_object_off() {
+    let site = SiteId::new(0);
+    let mut s = Scenario::new(1);
+    let root = s.alloc(site, true); // step 1
+    let object = s.alloc(site, false); // step 2
+    s.op(MutatorOp::LinkLocal {
+        site,
+        from: root,
+        to: object,
+    }); // step 3
+    s.settle(); // step 4
+    s.op(MutatorOp::Unlink {
+        site,
+        from: root,
+        to: object,
+    }); // step 5
+    s.settle(); // step 6
+    let config = ClusterConfig {
+        obs: ObsConfig::enabled(),
+        safety_oracle: true,
+        ..ClusterConfig::default()
+    };
+    let (_, cluster) = Cluster::run_seeded(&s, config, CausalCollector::new);
+    let addr = cluster.addr_of(object).expect("the object was allocated");
+    let report = cluster.obs_report();
+    let (_, lifecycle) = (report.ledger().iter())
+        .find(|&(at, _)| at == addr)
+        .expect("the ledger records every allocation");
+    assert_eq!(lifecycle.allocated, 2);
+    assert_eq!(lifecycle.unreachable, Some(5), "stamped by the unlink");
+}

@@ -1,5 +1,5 @@
 //! Driver-genericity tests: the paper's scenario runs through the *same*
-//! planner and shard code on the sequential `Cluster` over the
+//! drive loop and shard code on the sequential `Cluster` over the
 //! deterministic simulated network and on the `ParallelCluster`'s worker
 //! threads, for every collector family, and produces the same outcome.
 
