@@ -332,14 +332,14 @@ impl TracingEngine {
     }
 
     fn current_body(&self, snapshot: &ReachabilitySnapshot) -> ReportBody {
-        let anchor = VertexId::SiteRoot(self.site);
+        let anchor = VertexId::site_root(self.site.index());
         let mut vertices = vec![(
             anchor,
             true,
             snapshot.edges_of(anchor).into_iter().collect::<Vec<_>>(),
         )];
         for id in snapshot.global_roots() {
-            let vertex = VertexId::Object(GlobalAddr::from_parts(self.site, id));
+            let vertex = VertexId::from(GlobalAddr::from_parts(self.site, id));
             vertices.push((
                 vertex,
                 snapshot.is_locally_rooted(id),
@@ -362,7 +362,7 @@ impl TracingEngine {
     fn polled_body(&self) -> ReportBody {
         let vertices = match &self.last_report {
             Some(last) => last.vertices.clone(),
-            None => vec![(VertexId::SiteRoot(self.site), true, Vec::new())],
+            None => vec![(VertexId::site_root(self.site.index()), true, Vec::new())],
         };
         let (transfers_sent, transfers_received) = self.ledgers();
         ReportBody {
@@ -523,8 +523,8 @@ impl TracingEngine {
         let mut in_transit: BTreeMap<(GlobalAddr, GlobalAddr), i64> = BTreeMap::new();
         for body in bodies {
             for (vertex, is_root, targets) in &body.vertices {
-                if let VertexId::Object(addr) = vertex {
-                    all_objects.insert(*addr);
+                if let Some(addr) = vertex.as_object() {
+                    all_objects.insert(addr);
                 }
                 if *is_root || vertex.is_site_root() {
                     roots.push(*vertex);
@@ -532,7 +532,7 @@ impl TracingEngine {
                 edges
                     .entry(*vertex)
                     .or_default()
-                    .extend(targets.iter().map(|&t| VertexId::Object(t)));
+                    .extend(targets.iter().map(|&t| VertexId::from(t)));
             }
             for &(pair, count) in &body.transfers_sent {
                 *in_transit.entry(pair).or_default() += count as i64;
@@ -546,7 +546,7 @@ impl TracingEngine {
         // any moment. Stale ledgers only ever err towards keeping objects.
         for (&(target, _recipient), &unmatched) in &in_transit {
             if unmatched > 0 {
-                roots.push(VertexId::Object(target));
+                roots.push(VertexId::from(target));
             }
         }
         let mut marked: BTreeSet<VertexId> = BTreeSet::new();
@@ -561,7 +561,7 @@ impl TracingEngine {
         }
         let mut per_site: BTreeMap<SiteId, Vec<GlobalAddr>> = BTreeMap::new();
         for addr in all_objects {
-            if !marked.contains(&VertexId::Object(addr)) && self.already_swept.insert(addr) {
+            if !marked.contains(&VertexId::from(addr)) && self.already_swept.insert(addr) {
                 per_site.entry(addr.site()).or_default().push(addr);
             }
         }

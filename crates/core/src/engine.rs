@@ -84,8 +84,9 @@ struct VertexState {
     /// Log-keeping event counter; 0 until the vertex's first event.
     counter: u64,
     /// The closure last circulated from the vertex (suppresses
-    /// re-propagation of unchanged knowledge). Boxed: most local vertices
-    /// never circulate one, and an inline vector would triple every record.
+    /// re-propagation of unchanged knowledge, and is what a propagation
+    /// ships). Boxed: most local vertices never circulate one, and an inline
+    /// vector would triple every record.
     last_closure: Option<Box<DependencyVector>>,
     /// The vertex's out-going inter-site edges, sorted and without
     /// duplicates (a checkpoint writes them as a set).
@@ -97,12 +98,29 @@ struct VertexState {
 }
 
 impl VertexState {
-    /// Remembers `closure` as the last one circulated, reusing the memo's
-    /// allocation.
+    /// Remembers `closure` as the last one circulated.
     fn remember(&mut self, closure: DependencyVector) {
+        self.last_closure = Some(Box::new(closure));
+    }
+
+    /// Remembers the closure `entries` (a `DependencyVector`'s entry
+    /// layout) unless the memo already holds exactly them, copying into the
+    /// memo's allocation. Returns whether the memo changed: whether the
+    /// closure improved on the one last circulated.
+    fn remember_entries(&mut self, entries: &[(VertexId, Timestamp)]) -> bool {
         match &mut self.last_closure {
-            Some(memo) => **memo = closure,
-            None => self.last_closure = Some(Box::new(closure)),
+            Some(memo) if memo.as_slice() == entries => false,
+            Some(memo) => {
+                let copied = memo.assign_sorted_slice(entries);
+                debug_assert!(copied, "a closure is sorted and holds no NEVER");
+                true
+            }
+            None => {
+                let memo = DependencyVector::from_sorted_slice(entries)
+                    .expect("a closure is sorted and holds no NEVER");
+                self.remember(memo);
+                true
+            }
         }
     }
 }
@@ -146,7 +164,7 @@ impl LocalVertices {
     }
 
     fn is_anchor(&self, vertex: VertexId) -> bool {
-        vertex == VertexId::SiteRoot(self.anchor_site)
+        vertex == VertexId::site_root(self.anchor_site.index())
     }
 
     /// True when `vertex` is the anchor or one of the site's objects.
@@ -184,7 +202,7 @@ impl LocalVertices {
 
     /// Every vertex with state, in ascending order (the anchor first).
     fn iter(&self) -> impl Iterator<Item = (VertexId, &VertexState)> + Clone {
-        std::iter::once((VertexId::SiteRoot(self.anchor_site), &self.anchor))
+        std::iter::once((VertexId::site_root(self.anchor_site.index()), &self.anchor))
             .chain(self.objects.iter())
     }
 
@@ -242,7 +260,7 @@ impl CausalEngine {
 
     /// The vertex standing for this site's local root set.
     pub fn anchor(&self) -> VertexId {
-        VertexId::SiteRoot(self.site)
+        VertexId::site_root(self.site.index())
     }
 
     /// Read access to the engine's log `DK` (used to reproduce Figure 8 of
@@ -362,8 +380,8 @@ impl CausalEngine {
             }
         }
         for addr in checkpoint.detected {
-            if vertices.objects.holds(VertexId::Object(addr)) {
-                vertices.entry(VertexId::Object(addr)).detected = true;
+            if vertices.objects.holds(VertexId::from(addr)) {
+                vertices.entry(VertexId::from(addr)).detected = true;
             }
         }
         // Holders are local objects the receive rule bumps; keep no other.
@@ -451,7 +469,7 @@ impl CausalEngine {
         let remote = &self.remote;
         let mut inert: Vec<(VertexId, bool)> = Vec::new();
         dropped += self.log.retain_rows(|vertex, row| {
-            let VertexId::Object(addr) = vertex else {
+            let Some(addr) = vertex.as_object() else {
                 return true;
             };
             if addr.site() != site {
@@ -497,7 +515,7 @@ impl CausalEngine {
                 row.vector.iter().for_each(|(q, _)| mark(q));
             }
             for (&target, record) in &self.remote {
-                mark(VertexId::Object(target));
+                mark(VertexId::from(target));
                 record.holders.iter().for_each(|&holder| mark(holder));
             }
             for (vertex, state) in self.vertices.iter() {
@@ -554,7 +572,7 @@ impl CausalEngine {
 
         // 1. Every departed-hosted vertex this engine has ever heard of.
         let mut dead: BTreeSet<VertexId> = BTreeSet::new();
-        dead.insert(VertexId::SiteRoot(departed));
+        dead.insert(VertexId::site_root(departed.index()));
         for (vertex, row) in self.log.rows() {
             if vertex.site() == departed {
                 dead.insert(vertex);
@@ -582,7 +600,7 @@ impl CausalEngine {
         for state in self.vertices.values_mut() {
             if let Some(closure) = &mut state.last_closure {
                 for &vertex in &dead {
-                    closure.set(vertex, Timestamp::Never);
+                    closure.set(vertex, Timestamp::NEVER);
                 }
             }
             state.edges_out.retain(|addr| addr.site() != departed);
@@ -597,11 +615,13 @@ impl CausalEngine {
             .log
             .rows()
             .map(|(vertex, _)| vertex)
-            .filter(|vertex| matches!(vertex, VertexId::Object(addr) if addr.site() == self.site))
+            .filter(|vertex| !vertex.is_site_root() && vertex.site() == self.site)
             .collect();
         for vertex in subjects {
             let closure = self.log.closure(vertex);
-            self.maybe_declare_garbage(vertex, &closure);
+            if self.is_garbage(vertex, closure.as_slice()) {
+                self.declare_garbage(vertex);
+            }
         }
         dropped
     }
@@ -639,7 +659,7 @@ impl CausalEngine {
         if exported.site() != self.site {
             return;
         }
-        let vertex = VertexId::Object(exported);
+        let vertex = VertexId::from(exported);
         self.bump(vertex);
         self.log
             .row_mut(vertex)
@@ -660,7 +680,7 @@ impl CausalEngine {
             self.on_export(target, recipient);
             return;
         }
-        let row = self.log.row_mut(VertexId::Object(target));
+        let row = self.log.row_mut(VertexId::from(target));
         row.vector.merge_entry(recipient, Timestamp::created(1));
         self.stats.lazy_records += 1;
     }
@@ -680,14 +700,14 @@ impl CausalEngine {
         if recipient.site() != self.site {
             return;
         }
-        let holder = VertexId::Object(recipient);
+        let holder = VertexId::from(recipient);
         // The hosting site is the authority for this holder's entry: use the
         // holder's own (monotone) event counter so that later destructions
         // and re-acquisitions always supersede older knowledge, wherever it
         // was recorded.
         let n = self.bump(holder);
         self.log
-            .row_mut(VertexId::Object(target))
+            .row_mut(VertexId::from(target))
             .vector
             .merge_entry(holder, Timestamp::created(n));
         let holders = &mut self.remote.entry(target).or_default().holders;
@@ -720,7 +740,7 @@ impl CausalEngine {
         let mut per_global_root = BTreeMap::new();
         let mut locally_rooted = BTreeSet::new();
         for (vertex, state) in self.vertices.objects.iter() {
-            let VertexId::Object(addr) = vertex else {
+            let Some(addr) = vertex.as_object() else {
                 continue;
             };
             let id = addr.object();
@@ -749,7 +769,7 @@ impl CausalEngine {
             return;
         }
         let site = self.site;
-        let local = |id: ObjectId| VertexId::Object(GlobalAddr::from_parts(site, id));
+        let local = |id: ObjectId| VertexId::from(GlobalAddr::from_parts(site, id));
 
         // 0. Vertices that left the graph stop being locally rooted without
         // a transition event.
@@ -815,7 +835,7 @@ impl CausalEngine {
             if created {
                 let n = self.bump(vertex);
                 self.log
-                    .row_mut(VertexId::Object(target))
+                    .row_mut(VertexId::from(target))
                     .vector
                     .merge_entry(vertex, Timestamp::created(n));
                 self.stats.edge_creations += 1;
@@ -830,7 +850,7 @@ impl CausalEngine {
             } else {
                 let n = self.bump(vertex);
                 self.log
-                    .row_mut(VertexId::Object(target))
+                    .row_mut(VertexId::from(target))
                     .vector
                     .set(vertex, Timestamp::destroyed(n));
                 self.stats.edge_destructions += 1;
@@ -854,9 +874,9 @@ impl CausalEngine {
         // losing it lazily restores comprehensiveness, gaining it promptly
         // preserves safety.
         for vertex in rootedness_changed {
-            let closure = self.log.closure(vertex);
-            self.propagate_with(vertex, &closure);
-            self.vertices.entry(vertex).remember(closure);
+            let closure = self.log.closure_entries(vertex);
+            self.vertices.entry(vertex).remember_entries(closure);
+            self.propagate(vertex);
         }
     }
 
@@ -921,27 +941,26 @@ impl CausalEngine {
             self.bump(to);
         }
 
-        let closure = self.log.closure(to);
-        let closure_improved = self
-            .vertices
-            .get(to)
-            .and_then(|state| state.last_closure.as_deref())
-            != Some(&closure);
-        if closure_improved {
+        // `ComputeV` into the log's buffer; the memo takes a copy only when
+        // the closure improved on the one last circulated.
+        let closure = self.log.closure_entries(to);
+        if self.vertices.entry(to).remember_entries(closure) {
             // New knowledge: circulate the improved approximation of the
             // vector-time along the out-going edges (step 3, §3.3).
-            self.propagate_with(to, &closure);
+            self.propagate(to);
         }
-        // Evaluate the garbage test on every receipt. The paper gates it on
-        // a no-change receipt as a convergence proxy; here the explicit
-        // safety conditions (placeholder resolution and root flags, see
-        // DESIGN.md) make the test safe to run eagerly, which removes the
-        // dependence on a further message arriving.
-        self.maybe_declare_garbage(to, &closure);
-        if closure_improved {
-            // Remember the circulated closure — by move, not clone; the
-            // next receipt compares against it.
-            self.vertices.entry(to).remember(closure);
+        // Evaluate the garbage test on every receipt, against the closure
+        // just computed — the memo holds exactly it now. The paper gates
+        // the test on a no-change receipt as a convergence proxy; here the
+        // explicit safety conditions (placeholder resolution and root flags,
+        // see DESIGN.md) make the test safe to run eagerly, which removes
+        // the dependence on a further message arriving.
+        let closure = self
+            .vertices
+            .get(to)
+            .and_then(|state| state.last_closure.as_deref());
+        if closure.is_some_and(|closure| self.is_garbage(to, closure.as_slice())) {
+            self.declare_garbage(to);
         }
     }
 
@@ -963,7 +982,7 @@ impl CausalEngine {
         for holder in holders {
             let index = self.bump(holder);
             self.log
-                .row_mut(VertexId::Object(target))
+                .row_mut(VertexId::from(target))
                 .vector
                 .set(holder, Timestamp::destroyed(index));
         }
@@ -1028,7 +1047,7 @@ impl CausalEngine {
         // they already compacted away (the soak test pins both).
         let RootedVector { vector, root_flags } = &mut payload;
         for (vertex, _) in vector.iter() {
-            if let Some((as_of, is_root)) = self.log.root_flags().get(vertex) {
+            if let Some((as_of, is_root)) = self.log.root_stamp(vertex) {
                 root_flags.stamp(vertex, as_of, is_root);
             }
             if let Some(state) = self.vertices.get(vertex).filter(|s| s.locally_rooted) {
@@ -1039,7 +1058,7 @@ impl CausalEngine {
     }
 
     fn queue_root_announcement(&mut self, from: VertexId, target: GlobalAddr, index: u64) {
-        let to = VertexId::Object(target);
+        let to = VertexId::from(target);
         let mut vector = DependencyVector::new();
         vector.set(from, Timestamp::created(index));
         let payload = self.outgoing_payload(vector);
@@ -1051,7 +1070,7 @@ impl CausalEngine {
     }
 
     fn queue_destruction(&mut self, from: VertexId, target: GlobalAddr) {
-        let to = VertexId::Object(target);
+        let to = VertexId::from(target);
         let payload = match self.log.row(to) {
             Some(row) => {
                 let mut payload = self.outgoing_payload(row.vector.clone());
@@ -1067,24 +1086,27 @@ impl CausalEngine {
         });
     }
 
-    /// Circulates `closure` (the vertex's freshly reconstructed vector-time)
-    /// along the vertex's out-going edges. The caller supplies the closure
-    /// so that the target set need not be cloned; the payload and its
-    /// stamps are built once and cloned per target.
-    fn propagate_with(&mut self, vertex: VertexId, closure: &DependencyVector) {
-        if self
-            .vertices
-            .get(vertex)
-            .map_or(true, |state| state.edges_out.is_empty())
-        {
+    /// Circulates the vertex's remembered closure (its freshly
+    /// reconstructed vector-time) along the vertex's out-going edges. The
+    /// payload and its stamps are built once and cloned per target.
+    fn propagate(&mut self, vertex: VertexId) {
+        let Some(state) = self.vertices.get(vertex) else {
             return;
-        }
+        };
+        let Some((&last, rest)) = state.edges_out.split_last() else {
+            return;
+        };
+        let closure = state
+            .last_closure
+            .as_deref()
+            .expect("a propagation ships the remembered closure");
         // The propagated vector carries the live transitive closure *plus*
         // the destroyed entries of the vertex's own row: receivers merge
         // monotonically (for idempotence), so destruction news must travel
         // with the propagation or stale live entries could never be revoked
         // downstream. The closure already holds every entry of the row at
-        // least as new (`DkLog::closure`), so it is that knowledge as is.
+        // least as new (`DkLog::closure_entries`), so it is that knowledge
+        // as is.
         debug_assert_eq!(
             self.log
                 .row(vertex)
@@ -1093,52 +1115,47 @@ impl CausalEngine {
             "the closure of {vertex} must absorb its own row"
         );
         let payload = self.outgoing_payload(closure.clone());
-        let Some((&last, rest)) = self
-            .vertices
-            .get(vertex)
-            .and_then(|state| state.edges_out.split_last())
-        else {
-            return;
-        };
-        let mut send = |target: GlobalAddr, payload: RootedVector| {
-            self.stats.propagations_sent += 1;
-            self.outgoing.push(Outgoing {
-                to_site: target.site(),
-                message: CausalMessage {
-                    from: vertex,
-                    to: VertexId::Object(target),
-                    payload,
-                },
-            });
+        let message = |target: GlobalAddr, payload: RootedVector| Outgoing {
+            to_site: target.site(),
+            message: CausalMessage {
+                from: vertex,
+                to: VertexId::from(target),
+                payload,
+            },
         };
         for &target in rest {
-            send(target, payload.clone());
+            self.outgoing.push(message(target, payload.clone()));
         }
-        send(last, payload);
+        self.outgoing.push(message(last, payload));
+        self.stats.propagations_sent += 1 + rest.len() as u64;
     }
 
-    fn maybe_declare_garbage(&mut self, vertex: VertexId, closure: &DependencyVector) {
-        let VertexId::Object(addr) = vertex else {
-            return; // Anchors are never garbage.
-        };
-        if self
-            .vertices
-            .get(vertex)
-            .is_some_and(|state| state.detected)
+    /// The garbage test of Fig. 6 for a local object, against its closure
+    /// `closure` (a `DependencyVector`'s entries): no live entry keyed by
+    /// an actual root other than itself, and every direct inbound entry
+    /// resolved. Anchors and vertices already detected are never garbage.
+    fn is_garbage(&self, vertex: VertexId, closure: &[(VertexId, Timestamp)]) -> bool {
+        if vertex.is_site_root()
+            || self
+                .vertices
+                .get(vertex)
+                .is_some_and(|state| state.detected)
         {
-            return;
+            return false;
         }
         let has_live_root = closure
-            .live_support()
-            .any(|q| q != vertex && self.is_root(q));
-        if has_live_root {
-            return;
-        }
-        if !self.log.direct_live_entries_resolved(vertex) {
-            // Some inbound path is only known as a placeholder: wait for the
-            // owning site's vector before concluding (safety first).
-            return;
-        }
+            .iter()
+            .any(|&(q, ts)| ts.is_live() && q != vertex && self.is_root(q));
+        // An unresolved direct entry means some inbound path is only known
+        // as a placeholder: wait for the owning site's vector before
+        // concluding (safety first).
+        !has_live_root && self.log.direct_live_entries_resolved(vertex)
+    }
+
+    /// Records the verdict for `vertex`, which [`CausalEngine::is_garbage`]
+    /// accepted, and finalises it.
+    fn declare_garbage(&mut self, vertex: VertexId) {
+        let addr = vertex.as_object().expect("only objects are garbage");
         // Garbage detected: the vertex is no longer reachable from any
         // actual root of the global root graph.
         self.vertices.entry(vertex).detected = true;
@@ -1153,7 +1170,7 @@ impl CausalEngine {
         let targets = std::mem::take(&mut self.vertices.entry(vertex).edges_out);
         for target in targets {
             self.drop_edge_refcount(target);
-            let to = VertexId::Object(target);
+            let to = VertexId::from(target);
             self.log
                 .row_mut(to)
                 .vector
@@ -1334,7 +1351,7 @@ mod tests {
         engines
             .get_mut(&s1)
             .unwrap()
-            .on_export(obj_addr, VertexId::SiteRoot(s0));
+            .on_export(obj_addr, VertexId::site_root(s0.index()));
         engines
             .get_mut(&s1)
             .unwrap()
@@ -1379,8 +1396,8 @@ mod tests {
         heap1.register_global_root(obj).unwrap();
         let obj_addr = heap1.addr_of(obj);
         let e1 = engines.get_mut(&s1).unwrap();
-        e1.on_export(obj_addr, VertexId::SiteRoot(s0));
-        e1.on_export(obj_addr, VertexId::SiteRoot(s2));
+        e1.on_export(obj_addr, VertexId::site_root(s0.index()));
+        e1.on_export(obj_addr, VertexId::site_root(s2.index()));
         e1.apply_snapshot(&heap1.snapshot());
 
         let root0 = heap0.alloc_local_root();
@@ -1430,7 +1447,7 @@ mod tests {
         let obj = heap1.alloc();
         heap1.register_global_root(obj).unwrap();
         let obj_addr = heap1.addr_of(obj);
-        e1.on_export(obj_addr, VertexId::SiteRoot(s0));
+        e1.on_export(obj_addr, VertexId::site_root(s0.index()));
         e1.apply_snapshot(&heap1.snapshot());
 
         let root = heap0.alloc_local_root();
@@ -1468,7 +1485,7 @@ mod tests {
         let obj = heap1.alloc();
         heap1.register_global_root(obj).unwrap();
         let obj_addr = heap1.addr_of(obj);
-        e1.on_export(obj_addr, VertexId::SiteRoot(s0));
+        e1.on_export(obj_addr, VertexId::site_root(s0.index()));
         // The object's reference was also exported to site 9, whose vector
         // never arrives (e.g. it is slow or partitioned away).
         e1.on_export(obj_addr, VertexId::object(9, 1));
@@ -1503,7 +1520,7 @@ mod tests {
         let obj = heap1.alloc();
         heap1.register_global_root(obj).unwrap();
         let obj_addr = heap1.addr_of(obj);
-        e1.on_export(obj_addr, VertexId::SiteRoot(s0));
+        e1.on_export(obj_addr, VertexId::site_root(s0.index()));
         e1.on_export(obj_addr, VertexId::object(9, 1));
         e1.apply_snapshot(&heap1.snapshot());
 
@@ -1618,10 +1635,12 @@ mod tests {
     fn hashed_remote_state_shows_no_order() {
         // Two engines of one site take the same history: receives and
         // third-party sends that each name their own holder and remote
-        // target (so they commute), then one delta that drops every other
-        // edge, then compaction. The first takes the commuting events in
-        // target order, the second in reverse, so their hashed remote state
-        // is built in opposite orders. Nothing they expose may show it.
+        // target, then one control message per holder whose payload stamps
+        // two vertices of its own (so they all commute), then one delta
+        // that drops every other edge, then compaction. The first takes the
+        // commuting events in target order, the second in reverse, so their
+        // hashed remote state and log-wide root stamps are built in
+        // opposite orders. Nothing they expose may show it.
         let site = SiteId::new(2);
         let mut heap = SiteHeap::new(site);
         let mut events = Vec::new();
@@ -1643,6 +1662,33 @@ mod tests {
             twins[1].on_receive_ref(holder, target);
             twins[1].on_third_party_send(target, recipient);
         }
+        // Each sender is a root stamped on a site below or above `site`, and
+        // its vector names a second vertex, stamped on the other side, that
+        // is a root or not; both stay in the sender's row, so compaction
+        // keeps their stamps.
+        let messages: Vec<CausalMessage> = (0..events.len() as u64)
+            .map(|i| {
+                let (holder, _, _) = events[i as usize];
+                let from = VertexId::object([0, 1, 3, 4][(i % 4) as usize], 1_000 + i);
+                let stamped = VertexId::object([4, 3, 1, 0][(i % 4) as usize], 2_000 + i);
+                let mut payload = RootedVector::new();
+                payload.vector.set(from, Timestamp::created(1));
+                payload.vector.set(stamped, Timestamp::created(1));
+                payload.stamp_root(from, 1, true);
+                payload.stamp_root(stamped, i + 1, i % 3 != 0);
+                CausalMessage {
+                    from,
+                    to: VertexId::from(holder),
+                    payload,
+                }
+            })
+            .collect();
+        for message in &messages {
+            twins[0].on_message(message.clone());
+        }
+        for message in messages.iter().rev() {
+            twins[1].on_message(message.clone());
+        }
         let delta = heap.take_delta();
         for twin in &mut twins {
             twin.apply_delta(&delta);
@@ -1661,6 +1707,19 @@ mod tests {
         assert_eq!(first.take_outgoing(), second.take_outgoing());
         assert_eq!(first.checkpoint(), second.checkpoint());
         assert_eq!(first.log().to_string(), second.log().to_string());
+        // The codec writes the rows and the sorted stamps, so equal
+        // sequences are equal checkpoint bytes.
+        assert!(first.log().rows().eq(second.log().rows()));
+        let stamps = first.log().root_flags();
+        assert_eq!(stamps, second.log().root_flags());
+        assert_eq!(stamps.len(), 2 * events.len());
+        assert!(stamps.keys().any(|vertex| vertex.site() < site));
+        assert!(stamps.keys().any(|vertex| vertex.site() > site));
+        assert_eq!(
+            first.log().stamped_vertices(),
+            second.log().stamped_vertices()
+        );
+        assert_eq!(first.stats().verdicts, 0);
         // A target whose edge is gone lost its holders with it; the others
         // keep theirs, and restore rebuilds the same records.
         let holders = first.checkpoint().inbound_holders;
@@ -1722,11 +1781,11 @@ mod tests {
                 6 if present => {
                     heap.register_global_root(a).unwrap();
                     for twin in &mut twins {
-                        twin.on_export(from, VertexId::Object(remote));
+                        twin.on_export(from, VertexId::from(remote));
                     }
                 }
                 7 => {
-                    let recipient = VertexId::Object(addr(remote.site().index() % 3 + 1, 9));
+                    let recipient = VertexId::from(addr(remote.site().index() % 3 + 1, 9));
                     for twin in &mut twins {
                         twin.on_third_party_send(remote, recipient);
                     }
@@ -1745,7 +1804,7 @@ mod tests {
                 }
                 11 | 12 if heap.is_global_root(a) => {
                     index += 1;
-                    let sender = VertexId::Object(remote);
+                    let sender = VertexId::from(remote);
                     let news = if next() % 2 == 0 {
                         Timestamp::destroyed(index)
                     } else {
@@ -1755,7 +1814,7 @@ mod tests {
                     payload.vector.set(sender, news);
                     let message = CausalMessage {
                         from: sender,
-                        to: VertexId::Object(from),
+                        to: VertexId::from(from),
                         payload,
                     };
                     for twin in &mut twins {

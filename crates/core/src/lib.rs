@@ -52,7 +52,7 @@
 //! let obj = heap1.alloc();
 //! heap1.register_global_root(obj).unwrap();
 //! let obj_addr = heap1.addr_of(obj);
-//! eng1.on_export(obj_addr, ggd_types::VertexId::SiteRoot(s0));
+//! eng1.on_export(obj_addr, ggd_types::VertexId::site_root(s0.index()));
 //! eng1.apply_snapshot(&heap1.snapshot());
 //!
 //! let root = heap0.alloc_local_root();

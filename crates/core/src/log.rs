@@ -3,9 +3,11 @@
 //!
 //! A site's log finds the rows of its own objects by index and the rest by
 //! one hashed lookup; [`DkLog::rows`] still yields one strictly ascending
-//! sequence (DESIGN.md §6 "Engine state").
+//! sequence. Its log-wide root stamps are hashed too, and sorted only where
+//! an order is exposed (DESIGN.md §6 "Engine state").
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use ggd_types::{DependencyVector, IdMap, SiteId, Timestamp, VertexId};
@@ -89,27 +91,32 @@ impl fmt::Display for RootedVector {
 /// ascending sequence, so everything that iterates the log in order (the
 /// `Display` form, the checkpoint codec, retirement) sees exactly the order
 /// a single ordered map would give; compaction filters the rows in place.
-/// Equality is by content.
+/// The log-wide root stamps are one hashed map, read in one lookup by the
+/// garbage test and by every outgoing payload; [`DkLog::root_flags`] sorts
+/// them for the codec. Equality is by content.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DkLog {
     /// Rows of the site's own objects, by object identity.
     local: LocalTable<RootedVector>,
     /// Rows of anchors and of other sites' vertices, in no order.
     rows: IdMap<VertexId, RootedVector>,
-    root_flags: RootStamps,
-    /// Reused traversal buffers of [`DkLog::closure`]; empty between calls.
+    /// Log-wide root stamps, vertex → (as-of event index, is-actual-root),
+    /// in no order.
+    root_flags: IdMap<VertexId, (u64, bool)>,
+    /// Reused buffers of `ComputeV`: its traversal, and the last closure
+    /// [`DkLog::closure_entries`] computed.
     scratch: ClosureScratch,
 }
 
 /// The work list, expanded set and result entries of one `ComputeV`
-/// traversal, kept across calls so a closure allocates nothing but its
-/// result, and that exactly once.
+/// traversal, kept across calls so a closure allocates nothing once the
+/// buffers have grown to the widest closure seen.
 #[derive(Debug, Clone, Default)]
 struct ClosureScratch {
     stack: Vec<VertexId>,
     /// Sorted: searched and extended by binary search.
     expanded: Vec<VertexId>,
-    /// The closure being built, sorted by vertex and never `Never`: the
+    /// The closure last built, sorted by vertex and never `NEVER`: the
     /// entry layout of a `DependencyVector`.
     result: Vec<(VertexId, Timestamp)>,
 }
@@ -130,7 +137,7 @@ impl DkLog {
         DkLog {
             local: LocalTable::new(site),
             rows: IdMap::default(),
-            root_flags: RootStamps::new(),
+            root_flags: IdMap::default(),
             scratch: ClosureScratch::default(),
         }
     }
@@ -202,30 +209,54 @@ impl DkLog {
         self.len() == 0
     }
 
-    /// Records a root-status stamp in the log-wide root knowledge.
+    /// Records a root-status stamp in the log-wide root knowledge unless an
+    /// equally fresh or fresher one is already there. Returns whether it was
+    /// recorded.
     pub fn stamp_root(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
-        self.root_flags.stamp(vertex, as_of, is_root)
+        match self.root_flags.entry(vertex) {
+            Entry::Occupied(stamp) if stamp.get().0 >= as_of => false,
+            Entry::Occupied(mut stamp) => {
+                stamp.insert((as_of, is_root));
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((as_of, is_root));
+                true
+            }
+        }
     }
 
     /// Merges the root knowledge carried by an incoming vector.
     pub fn absorb_root_flags(&mut self, incoming: &RootedVector) -> bool {
-        self.root_flags.absorb(&incoming.root_flags)
+        incoming
+            .root_flags
+            .iter()
+            .fold(false, |changed, &(vertex, (as_of, is_root))| {
+                self.stamp_root(vertex, as_of, is_root) | changed
+            })
     }
 
     /// True when `vertex` is, per the freshest knowledge in this log, an
     /// actual root of the global root graph.
     pub fn is_root(&self, vertex: VertexId) -> bool {
-        if vertex.is_site_root() {
-            return true;
-        }
-        self.root_flags
-            .get(vertex)
-            .is_some_and(|(_, is_root)| is_root)
+        vertex.is_site_root() || self.root_stamp(vertex).is_some_and(|(_, is_root)| is_root)
     }
 
-    /// The current root-status stamps (used when building outgoing vectors).
-    pub fn root_flags(&self) -> &RootStamps {
-        &self.root_flags
+    /// The log-wide stamp held for `vertex`, if any: one hashed lookup.
+    pub fn root_stamp(&self, vertex: VertexId) -> Option<(u64, bool)> {
+        self.root_flags.get(&vertex).copied()
+    }
+
+    /// The log-wide root-status stamps, sorted into a fresh [`RootStamps`]:
+    /// for the codec and the other cold paths that need them in order.
+    pub fn root_flags(&self) -> RootStamps {
+        let mut stamps: Vec<_> = self
+            .root_flags
+            .iter()
+            .map(|(&vertex, &stamp)| (vertex, stamp))
+            .collect();
+        stamps.sort_unstable_by_key(|&(vertex, _)| vertex);
+        RootStamps::from_sorted(stamps).expect("a map holds each vertex once")
     }
 
     /// Compacts the log against the *dead* vertices `dead` accepts (local
@@ -250,7 +281,7 @@ impl DkLog {
         let before = self.len();
         self.local.retain(&prune);
         self.rows.retain(|&vertex, row| prune(vertex, row));
-        self.root_flags.retain(|vertex| !dead(vertex));
+        self.root_flags.retain(|&vertex, _| !dead(vertex));
         before - self.len()
     }
 
@@ -266,7 +297,7 @@ impl DkLog {
     /// soak test pins this). The caller decides, so engine bookkeeping
     /// (edges, holders, local roots) can be kept conservatively.
     pub fn retain_stamps(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
-        self.root_flags.retain(&mut keep);
+        self.root_flags.retain(|&vertex, _| keep(vertex));
         for row in self.rows_mut() {
             row.root_flags.retain(&mut keep);
         }
@@ -275,7 +306,7 @@ impl DkLog {
     /// Every vertex stamped in the log-level root knowledge or in a row's,
     /// ascending and without duplicates.
     pub fn stamped_vertices(&self) -> Vec<VertexId> {
-        let mut stamped: Vec<VertexId> = self.root_flags.keys().collect();
+        let mut stamped: Vec<VertexId> = self.root_flags.keys().copied().collect();
         for (_, row) in self.rows_unordered() {
             stamped.extend(row.root_flags.keys());
         }
@@ -300,13 +331,15 @@ impl DkLog {
     /// changes the closure, which is why a propagation ships the closure
     /// alone.
     ///
-    /// It takes `&mut self` only to reuse the log's traversal buffers: the
-    /// result is built in a sorted buffer, one binary search per entry, and
-    /// a closure allocates nothing but the vector it returns, exactly
-    /// sized.
-    pub fn closure(&mut self, vertex: VertexId) -> DependencyVector {
+    /// It writes the closure into the log's buffer and returns it there, in
+    /// the entry layout of a [`DependencyVector`]: sorted by vertex and
+    /// never [`Timestamp::NEVER`]. It takes `&mut self` only to reuse that
+    /// buffer and the traversal's, so once they have grown to the widest
+    /// closure seen, a closure allocates nothing.
+    pub fn closure_entries(&mut self, vertex: VertexId) -> &[(VertexId, Timestamp)] {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = &mut scratch.result;
+        result.clear();
         scratch.stack.push(vertex);
         while let Some(p) = scratch.stack.pop() {
             let Err(at) = scratch.expanded.binary_search(&p) else {
@@ -336,20 +369,23 @@ impl DkLog {
         // second-hand one.
         if let Some(own) = self.row(vertex).map(|row| row.vector.get(vertex)) {
             match result.binary_search_by_key(&vertex, |&(k, _)| k) {
-                Ok(i) if own == Timestamp::Never => {
+                Ok(i) if own == Timestamp::NEVER => {
                     result.remove(i);
                 }
                 Ok(i) => result[i].1 = own,
                 // The row was expanded first: a recorded own entry is in.
-                Err(_) => debug_assert_eq!(own, Timestamp::Never),
+                Err(_) => debug_assert_eq!(own, Timestamp::NEVER),
             }
         }
-        let v = DependencyVector::from_sorted_slice(result)
-            .expect("the closure buffer is sorted and holds no Never");
-        result.clear();
         scratch.expanded.clear();
         self.scratch = scratch;
-        v
+        &self.scratch.result
+    }
+
+    /// [`DkLog::closure_entries`] as an owned vector.
+    pub fn closure(&mut self, vertex: VertexId) -> DependencyVector {
+        DependencyVector::from_sorted_slice(self.closure_entries(vertex))
+            .expect("the closure buffer is sorted and holds no NEVER")
     }
 
     /// True when every live, non-root *direct* in-edge entry recorded in the
@@ -453,7 +489,7 @@ mod tests {
         // The destroyed entry is kept as a tombstone but not expanded, so
         // nothing reachable only through it contributes a live path.
         assert_eq!(closure.get(v(2, 1)), Timestamp::destroyed(5));
-        assert_eq!(closure.get(v(1, 1)), Timestamp::Never);
+        assert_eq!(closure.get(v(1, 1)), Timestamp::NEVER);
         assert!(closure.live_support().count() == 0);
     }
 
@@ -468,7 +504,7 @@ mod tests {
             .set(v(1, 1), Timestamp::created(1));
         let closure = log.closure(v(1, 1));
         assert!(closure.get(v(2, 1)).is_live());
-        assert!(closure.get(v(1, 1)).is_live() || closure.get(v(1, 1)) == Timestamp::Never);
+        assert!(closure.get(v(1, 1)).is_live() || closure.get(v(1, 1)) == Timestamp::NEVER);
     }
 
     #[test]
@@ -570,7 +606,7 @@ mod tests {
                     model.retain(|vertex, _| !dead.contains(vertex));
                     for row in model.values_mut() {
                         for &vertex in &dead {
-                            row.vector.set(vertex, Timestamp::Never);
+                            row.vector.set(vertex, Timestamp::NEVER);
                         }
                         row.root_flags.retain(|vertex| !dead.contains(&vertex));
                     }
@@ -604,7 +640,8 @@ mod tests {
                 "step {step}: rows differ from the model"
             );
             assert_eq!(log.len(), model.len());
-            assert_eq!(log.root_flags(), &flags);
+            assert_eq!(log.root_flags(), flags, "step {step}: the sorted view");
+            assert_eq!(log.root_stamp(entry), flags.get(entry), "step {step}");
         }
     }
 

@@ -33,7 +33,7 @@ impl<T> LocalTable<T> {
 
     /// True when `vertex` is one of the site's objects.
     pub(crate) fn holds(&self, vertex: VertexId) -> bool {
-        matches!(vertex, VertexId::Object(addr) if addr.site() == self.site)
+        !vertex.is_site_root() && vertex.site() == self.site
     }
 
     /// The least vertex the table can hold: every vertex below it sorts
@@ -43,13 +43,11 @@ impl<T> LocalTable<T> {
     }
 
     fn vertex(&self, id: ObjectId) -> VertexId {
-        VertexId::Object(GlobalAddr::from_parts(self.site, id))
+        VertexId::from(GlobalAddr::from_parts(self.site, id))
     }
 
     fn position(&self, vertex: VertexId) -> Option<usize> {
-        let VertexId::Object(addr) = vertex else {
-            return None;
-        };
+        let addr = vertex.as_object()?;
         if addr.site() != self.site {
             return None;
         }
@@ -87,8 +85,8 @@ impl<T> LocalTable<T> {
         let pos = match self.position(vertex) {
             Some(pos) => pos,
             None => {
-                let id = match vertex {
-                    VertexId::Object(addr) if addr.site() == self.site => addr.object(),
+                let id = match vertex.as_object() {
+                    Some(addr) if addr.site() == self.site => addr.object(),
                     _ => panic!("{vertex} is not an object of {}", self.site),
                 };
                 let slot = usize::try_from(id.index()).expect("object identity fits a usize");
@@ -112,7 +110,7 @@ impl<T> LocalTable<T> {
         let site = self.site;
         let before = self.records.len();
         self.records.retain_mut(|(id, record)| {
-            keep(VertexId::Object(GlobalAddr::from_parts(site, *id)), record)
+            keep(VertexId::from(GlobalAddr::from_parts(site, *id)), record)
         });
         if self.records.len() != before {
             self.index.fill(0);

@@ -89,7 +89,7 @@ fn stamp_count(log: &DkLog) -> usize {
 /// number of rows dropped.
 fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
     let site = c.site;
-    let dead: BTreeSet<VertexId> = c.detected.iter().map(|&a| VertexId::Object(a)).collect();
+    let dead: BTreeSet<VertexId> = c.detected.iter().map(|&a| VertexId::from(a)).collect();
 
     // 1. Local detected vertices: rows, entries keyed by them, holders and
     // stamps.
@@ -106,7 +106,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
             |vertex| !dead.contains(&vertex),
             |row| {
                 for &vertex in &dead {
-                    if row.vector.set(vertex, Timestamp::Never) != Timestamp::Never {
+                    if row.vector.set(vertex, Timestamp::NEVER) != Timestamp::NEVER {
                         rules.dead_entries += 1;
                     }
                 }
@@ -130,7 +130,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
         .log
         .rows()
         .filter(|(vertex, row)| {
-            let VertexId::Object(addr) = *vertex else {
+            let Some(addr) = vertex.as_object() else {
                 return false;
             };
             addr.site() != site
@@ -146,7 +146,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
         .log
         .rows()
         .filter(|(vertex, row)| {
-            let VertexId::Object(addr) = *vertex else {
+            let Some(addr) = vertex.as_object() else {
                 return false;
             };
             addr.site() == site
@@ -177,7 +177,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
         keep.insert(vertex);
         keep.extend(row.vector.iter().map(|(q, _)| q));
     }
-    keep.extend(remote.iter().map(|&addr| VertexId::Object(addr)));
+    keep.extend(remote.iter().map(|&addr| VertexId::from(addr)));
     keep.extend(c.locally_rooted.iter().copied());
     let before = stamp_count(&c.log);
     c.log = rebuilt(

@@ -198,7 +198,7 @@ fn disordered_or_repeated_keys_fail_the_decode() {
         let mut repeated = good.clone();
         repeated[1].0 = repeated[0].0;
         let mut never = good.clone();
-        never[n as usize - 1].1 = Timestamp::Never;
+        never[n as usize - 1].1 = Timestamp::NEVER;
         for (what, bad) in [
             ("out of order", swapped),
             ("repeated", repeated),
@@ -246,7 +246,7 @@ fn disordered_or_repeated_keys_fail_the_decode() {
     checkpoint.log = log;
     let bytes = encode_to_vec(&checkpoint);
     assert!(decode_from_slice::<EngineCheckpoint>(&bytes).is_ok());
-    let stamps = encode_to_vec(checkpoint.log.root_flags());
+    let stamps = encode_to_vec(&checkpoint.log.root_flags());
     let at = bytes
         .windows(stamps.len())
         .position(|window| window == stamps.as_slice())

@@ -120,8 +120,8 @@ fn compaction_drops_every_row_of_a_freed_remote_object() {
             let (report, cluster) = Cluster::run_seeded(&scenario, config, CausalCollector::new);
             assert_eq!(report.safety_violations, 0);
             let log = cluster.collector(s0).engine().log();
-            let freed = |vertex: VertexId| match vertex {
-                VertexId::Object(addr) if addr.site() != s0 => {
+            let freed = |vertex: VertexId| match vertex.as_object() {
+                Some(addr) if addr.site() != s0 => {
                     !cluster.heap(addr.site()).contains(addr.object())
                 }
                 _ => false,

@@ -355,12 +355,12 @@ impl ObjectModel for RefHeap {
 
         let mut edges: Vec<VertexEdgeDelta> = Vec::new();
         let mut vertices: BTreeSet<VertexId> = BTreeSet::new();
-        vertices.insert(VertexId::SiteRoot(self.site));
+        vertices.insert(VertexId::site_root(self.site.index()));
         for &id in &new_roots {
-            vertices.insert(VertexId::Object(GlobalAddr::from_parts(self.site, id)));
+            vertices.insert(VertexId::from(GlobalAddr::from_parts(self.site, id)));
         }
         for &id in &removed {
-            vertices.insert(VertexId::Object(GlobalAddr::from_parts(self.site, id)));
+            vertices.insert(VertexId::from(GlobalAddr::from_parts(self.site, id)));
         }
         for vertex in vertices {
             let old_set = old.edges_of(vertex);

@@ -118,10 +118,10 @@ impl ReachabilitySnapshot {
     pub fn edges(&self) -> BTreeSet<(VertexId, GlobalAddr)> {
         let mut edges = BTreeSet::new();
         for &target in &self.from_local_roots {
-            edges.insert((VertexId::SiteRoot(self.site), target));
+            edges.insert((VertexId::site_root(self.site.index()), target));
         }
         for (&id, targets) in &self.per_global_root {
-            let source = VertexId::Object(GlobalAddr::from_parts(self.site, id));
+            let source = VertexId::from(GlobalAddr::from_parts(self.site, id));
             for &target in targets {
                 edges.insert((source, target));
             }
@@ -131,16 +131,16 @@ impl ReachabilitySnapshot {
 
     /// The out-going edges of one vertex hosted by this site.
     pub fn edges_of(&self, vertex: VertexId) -> BTreeSet<GlobalAddr> {
-        match vertex {
-            VertexId::SiteRoot(site) if site == self.site => {
-                self.from_local_roots.iter().copied().collect()
-            }
-            VertexId::Object(addr) if addr.site() == self.site => self
+        if vertex.site() != self.site {
+            return BTreeSet::new();
+        }
+        match vertex.as_object() {
+            None => self.from_local_roots.iter().copied().collect(),
+            Some(addr) => self
                 .per_global_root
                 .get(&addr.object())
                 .map(|targets| targets.iter().copied().collect())
                 .unwrap_or_default(),
-            _ => BTreeSet::new(),
         }
     }
 
@@ -188,7 +188,7 @@ impl ReachabilitySnapshot {
             .copied()
             .filter(|id| !newer.per_global_root.contains_key(id))
             .collect();
-        let anchor = VertexId::SiteRoot(site);
+        let anchor = VertexId::site_root(site.index());
         let (old, new) = (&self.from_local_roots, &newer.from_local_roots);
         delta
             .edges
@@ -199,7 +199,7 @@ impl ReachabilitySnapshot {
             .iter()
             .map(|(&id, t)| (id, t.as_slice()));
         for (id, new) in roots.chain(gone) {
-            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            let vertex = VertexId::from(GlobalAddr::from_parts(site, id));
             let change = VertexEdgeDelta::between(vertex, self.targets_of(id), new);
             delta.edges.extend(change);
         }
@@ -1001,7 +1001,7 @@ impl DeltaTracker {
             }
             if from_rooted {
                 extend_sorted(
-                    VertexId::SiteRoot(site),
+                    VertexId::site_root(site.index()),
                     &self.reach,
                     &mut self.cache.from_local_roots,
                     &mut self.created,
@@ -1020,7 +1020,7 @@ impl DeltaTracker {
                 }
                 if let Some(targets) = self.cache.per_global_root.get_mut(&root) {
                     extend_sorted(
-                        VertexId::Object(GlobalAddr::from_parts(site, root)),
+                        VertexId::from(GlobalAddr::from_parts(site, root)),
                         &self.reach,
                         targets,
                         &mut self.created,
@@ -1079,7 +1079,7 @@ impl DeltaTracker {
                     if shares_any(cached, &self.lost) {
                         // No slot holds these any more, so nothing reaches
                         // them: the source loses exactly them.
-                        let vertex = VertexId::Object(GlobalAddr::from_parts(site, root));
+                        let vertex = VertexId::from(GlobalAddr::from_parts(site, root));
                         let mut entry = self.entries.take(vertex);
                         drop_shared(cached, &self.lost, &mut entry.destroyed);
                         delta.edges.push(entry);
@@ -1096,7 +1096,7 @@ impl DeltaTracker {
             delta.removed.push(id);
             let old = self.cache.per_global_root.remove(&id).unwrap_or_default();
             self.cache.locally_rooted_global_roots.remove(&id);
-            let vertex = VertexId::Object(GlobalAddr::from_parts(site, id));
+            let vertex = VertexId::from(GlobalAddr::from_parts(site, id));
             self.entries
                 .push_between(vertex, &old, &[], &mut delta.edges);
         }
@@ -1109,7 +1109,7 @@ impl DeltaTracker {
             let seeds = heap.local_roots.iter().copied();
             arena.mark_reachable(scratch, seeds, Some(&mut self.reach));
             refresh_list(
-                VertexId::SiteRoot(site),
+                VertexId::site_root(site.index()),
                 &mut self.cache.from_local_roots,
                 &mut self.reach,
                 &mut delta.edges,
@@ -1202,7 +1202,7 @@ impl DeltaTracker {
         let seed = std::iter::once(root);
         heap.arena
             .mark_reachable(scratch, seed, Some(&mut self.reach));
-        let vertex = VertexId::Object(GlobalAddr::from_parts(heap.site, root));
+        let vertex = VertexId::from(GlobalAddr::from_parts(heap.site, root));
         let cached = self.cache.per_global_root.entry(root).or_default();
         refresh_list(vertex, cached, &mut self.reach, edges, &mut self.entries);
     }
@@ -1421,16 +1421,16 @@ mod tests {
         assert_eq!(snap.edges().len(), 2);
 
         let edges = snap.edges();
-        assert!(edges.contains(&(VertexId::SiteRoot(SiteId::new(0)), remote_a)));
+        assert!(edges.contains(&(VertexId::site_root(0), remote_a)));
         assert!(edges.contains(&(
-            VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), exported)),
+            VertexId::from(GlobalAddr::from_parts(SiteId::new(0), exported)),
             remote_b
         )));
         assert_eq!(
-            snap.edges_of(VertexId::SiteRoot(SiteId::new(0))),
+            snap.edges_of(VertexId::site_root(0)),
             BTreeSet::from([remote_a])
         );
-        assert!(snap.edges_of(VertexId::SiteRoot(SiteId::new(9))).is_empty());
+        assert!(snap.edges_of(VertexId::site_root(9)).is_empty());
     }
 
     #[test]
@@ -1460,11 +1460,11 @@ mod tests {
         let diff = before.diff(&after);
         assert_eq!(
             diff.created().collect::<Vec<_>>(),
-            vec![(VertexId::SiteRoot(SiteId::new(0)), remote_b)]
+            vec![(VertexId::site_root(0), remote_b)]
         );
         assert_eq!(
             diff.destroyed().collect::<Vec<_>>(),
-            vec![(VertexId::SiteRoot(SiteId::new(0)), remote_a)]
+            vec![(VertexId::site_root(0), remote_a)]
         );
         assert!(!diff.is_empty());
         assert!(after.diff(&after).is_empty());
@@ -1490,7 +1490,7 @@ mod tests {
         assert_eq!(
             diff.destroyed().collect::<Vec<_>>(),
             vec![(
-                VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), exported)),
+                VertexId::from(GlobalAddr::from_parts(SiteId::new(0), exported)),
                 remote
             )]
         );
@@ -1619,7 +1619,7 @@ mod tests {
     }
 
     fn object_vertex(id: ObjectId) -> VertexId {
-        VertexId::Object(GlobalAddr::from_parts(SiteId::new(0), id))
+        VertexId::from(GlobalAddr::from_parts(SiteId::new(0), id))
     }
 
     /// True when the pending window removed references and added none, so
@@ -1805,7 +1805,7 @@ mod tests {
             h.clear_refs(c).unwrap();
             assert!(is_removal_only(h));
         });
-        let anchor = VertexId::SiteRoot(SiteId::new(0));
+        let anchor = VertexId::site_root(0);
         assert_eq!(
             delta.destroyed().collect::<Vec<_>>(),
             vec![
@@ -1966,7 +1966,7 @@ mod tests {
         assert_eq!(delta.rootedness, vec![(y, true)]);
         assert_eq!(
             delta.created().collect::<Vec<_>>(),
-            vec![(VertexId::SiteRoot(SiteId::new(0)), remote)]
+            vec![(VertexId::site_root(0), remote)]
         );
         // `x` and `y` are rooted now: the next window's addition under `y`
         // must reach the anchor.
@@ -2062,7 +2062,7 @@ mod tests {
         assert_eq!(delta.rootedness, vec![(g, true)]);
         assert_eq!(
             delta.created().collect::<Vec<_>>(),
-            vec![(VertexId::SiteRoot(SiteId::new(0)), remote)]
+            vec![(VertexId::site_root(0), remote)]
         );
     }
 

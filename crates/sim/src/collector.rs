@@ -163,12 +163,12 @@ impl Collector for CausalCollector {
     }
 
     fn on_export(&mut self, exported: GlobalAddr, recipient: GlobalAddr) {
-        self.engine.on_export(exported, VertexId::Object(recipient));
+        self.engine.on_export(exported, VertexId::from(recipient));
     }
 
     fn on_third_party_send(&mut self, target: GlobalAddr, recipient: GlobalAddr) {
         self.engine
-            .on_third_party_send(target, VertexId::Object(recipient));
+            .on_third_party_send(target, VertexId::from(recipient));
     }
 
     fn on_receive_ref(&mut self, recipient: GlobalAddr, target: GlobalAddr) {
@@ -391,13 +391,12 @@ mod tests {
         }
 
         let mut payload = ggd_causal::RootedVector::new();
-        payload.vector.set(
-            VertexId::Object(GlobalAddr::new(2, 4)),
-            Timestamp::created(9),
-        );
+        payload
+            .vector
+            .set(VertexId::from(GlobalAddr::new(2, 4)), Timestamp::created(9));
         let control: SimPayload<CausalMessage> = SimPayload::Control(CausalMessage {
-            from: VertexId::Object(GlobalAddr::new(2, 4)),
-            to: VertexId::Object(GlobalAddr::new(0, 7)),
+            from: VertexId::from(GlobalAddr::new(2, 4)),
+            to: VertexId::from(GlobalAddr::new(0, 7)),
             payload,
         });
         let frame = Frame::encode(&control);

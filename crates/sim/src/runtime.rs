@@ -633,12 +633,12 @@ mod tests {
                 let mut payload = ggd_causal::RootedVector::new();
                 payload
                     .vector
-                    .set(VertexId::Object(remote), ggd_types::Timestamp::created(1));
+                    .set(VertexId::from(remote), ggd_types::Timestamp::created(1));
                 rt.on_control(
                     remote.site(),
                     CausalMessage {
-                        from: VertexId::Object(remote),
-                        to: VertexId::Object(child),
+                        from: VertexId::from(remote),
+                        to: VertexId::from(child),
                         payload,
                     },
                 )

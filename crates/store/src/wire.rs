@@ -20,7 +20,7 @@ use ggd_causal::{
 };
 use ggd_heap::{HeapImage, HeapImageSource, HeapStats, ObjRef};
 use ggd_types::{
-    write_varint, DependencyVector, EventIndex, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
+    write_varint, DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
 };
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
@@ -64,12 +64,12 @@ impl Decode for GlobalAddr {
 
 impl Encode for VertexId {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            VertexId::SiteRoot(site) => {
+        match self.as_object() {
+            None => {
                 out.push(0);
-                site.encode(out);
+                self.site().encode(out);
             }
-            VertexId::Object(addr) => {
+            Some(addr) => {
                 out.push(1);
                 addr.encode(out);
             }
@@ -79,8 +79,8 @@ impl Encode for VertexId {
 impl Decode for VertexId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
-            0 => Ok(VertexId::SiteRoot(SiteId::decode(r)?)),
-            1 => Ok(VertexId::Object(GlobalAddr::decode(r)?)),
+            0 => Ok(VertexId::site_root(SiteId::decode(r)?.index())),
+            1 => Ok(VertexId::from(GlobalAddr::decode(r)?)),
             tag => Err(CodecError::BadTag {
                 what: "VertexId",
                 tag,
@@ -91,30 +91,15 @@ impl Decode for VertexId {
 
 impl Encode for Timestamp {
     fn encode(&self, out: &mut Vec<u8>) {
-        // One varint: 0 for Never, 2n for Created(n), 2n+1 for Destroyed(n).
-        // Event indices are small in practice, so the common stamps cost a
-        // single byte.
-        let packed = match self {
-            Timestamp::Never => 0,
-            Timestamp::Created(n) => n.get() << 1,
-            Timestamp::Destroyed(n) => (n.get() << 1) | 1,
-        };
-        write_varint(out, packed);
+        // One varint of the wire form: 0 for Never, 2n for Created(n),
+        // 2n+1 for Destroyed(n). Event indices are small in practice, so
+        // the common stamps cost a single byte.
+        write_varint(out, self.wire());
     }
 }
 impl Decode for Timestamp {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let packed = r.varint()?;
-        if packed == 0 {
-            return Ok(Timestamp::Never);
-        }
-        let index =
-            EventIndex::new(packed >> 1).map_err(|_| CodecError::Invalid("zero event index"))?;
-        Ok(if packed & 1 == 0 {
-            Timestamp::Created(index)
-        } else {
-            Timestamp::Destroyed(index)
-        })
+        Timestamp::from_wire(r.varint()?).map_err(|_| CodecError::Invalid("zero event index"))
     }
 }
 
@@ -160,7 +145,7 @@ impl Decode for DependencyVector {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.len()?;
         let mut inline =
-            [(VertexId::site_root(0), Timestamp::Never); DependencyVector::INLINE_CAPACITY];
+            [(VertexId::site_root(0), Timestamp::NEVER); DependencyVector::INLINE_CAPACITY];
         let vector = if n <= inline.len() {
             for entry in &mut inline[..n] {
                 *entry = Decode::decode(r)?;
@@ -242,12 +227,10 @@ fn decode_log(r: &mut Reader<'_>, site: SiteId, next_object: u64) -> Result<DkLo
 /// engine and its log find their own objects' state in tables indexed by
 /// identity, so such an identity must fail the decode, not size a table.
 fn allocated(vertex: VertexId, site: SiteId, next_object: u64) -> Result<VertexId, CodecError> {
-    match vertex {
-        VertexId::Object(addr) if addr.site() == site && addr.object().index() >= next_object => {
-            Err(CodecError::Invalid(
-                "object identity the site never allocated",
-            ))
-        }
+    match vertex.as_object() {
+        Some(addr) if addr.site() == site && addr.object().index() >= next_object => Err(
+            CodecError::Invalid("object identity the site never allocated"),
+        ),
         _ => Ok(vertex),
     }
 }
@@ -591,12 +574,7 @@ fn decode_checkpoint(r: &mut Reader<'_>, next_object: u64) -> Result<EngineCheck
         .chain(&checkpoint.locally_rooted)
         .chain(checkpoint.inbound_holders.values().flatten())
         .copied()
-        .chain(
-            checkpoint
-                .detected
-                .iter()
-                .map(|&addr| VertexId::Object(addr)),
-        );
+        .chain(checkpoint.detected.iter().map(|&addr| VertexId::from(addr)));
     for vertex in with_state {
         allocated(vertex, site, next_object)?;
     }
@@ -628,11 +606,72 @@ mod tests {
 
     #[test]
     fn timestamps_round_trip() {
-        round_trip(Timestamp::Never);
+        round_trip(Timestamp::NEVER);
         round_trip(Timestamp::created(1));
         round_trip(Timestamp::destroyed(1));
         round_trip(Timestamp::created(1 << 40));
         round_trip(Timestamp::destroyed(u64::MAX >> 1));
+    }
+
+    #[test]
+    fn packed_identities_and_timestamps_write_the_enum_codec_bytes() {
+        // The bytes the enum forms of `VertexId` and `Timestamp` encoded
+        // to, and `GlobalAddr`'s, at the edges of their ranges.
+        let m = u32::MAX;
+        let max = u64::MAX >> 1;
+        let vertices: [(VertexId, &[u8]); 7] = [
+            (VertexId::site_root(0), &[0, 0]),
+            (VertexId::site_root(3), &[0, 3]),
+            (VertexId::site_root(m), &[0, 255, 255, 255, 255, 15]),
+            (VertexId::object(0, 0), &[1, 0, 0]),
+            (VertexId::object(2, 7), &[1, 2, 7]),
+            (VertexId::object(1, 300), &[1, 1, 172, 2]),
+            (
+                VertexId::object(m, u64::MAX),
+                &[
+                    1, 255, 255, 255, 255, 15, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1,
+                ],
+            ),
+        ];
+        for (vertex, bytes) in vertices {
+            assert_eq!(encode_to_vec(&vertex), bytes, "{vertex}");
+            round_trip(vertex);
+        }
+        let addrs: [(GlobalAddr, &[u8]); 3] = [
+            (GlobalAddr::new(0, 0), &[0, 0]),
+            (GlobalAddr::new(1, 7), &[1, 7]),
+            (
+                GlobalAddr::new(m, u64::MAX),
+                &[
+                    255, 255, 255, 255, 15, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1,
+                ],
+            ),
+        ];
+        for (addr, bytes) in addrs {
+            assert_eq!(encode_to_vec(&addr), bytes, "{addr}");
+            round_trip(addr);
+        }
+        let timestamps: [(Timestamp, &[u8]); 7] = [
+            (Timestamp::NEVER, &[0]),
+            (Timestamp::created(1), &[2]),
+            (Timestamp::destroyed(1), &[3]),
+            (Timestamp::created(64), &[128, 1]),
+            (Timestamp::destroyed(300), &[217, 4]),
+            (
+                Timestamp::created(max),
+                &[254, 255, 255, 255, 255, 255, 255, 255, 255, 1],
+            ),
+            (
+                Timestamp::destroyed(max),
+                &[255, 255, 255, 255, 255, 255, 255, 255, 255, 1],
+            ),
+        ];
+        for (ts, bytes) in timestamps {
+            assert_eq!(encode_to_vec(&ts), bytes, "{ts:?}");
+            round_trip(ts);
+        }
+        // A destruction at index zero is the one wire value no timestamp has.
+        assert!(decode_from_slice::<Timestamp>(&[1]).is_err());
     }
 
     #[test]
@@ -651,6 +690,22 @@ mod tests {
         *log.row_mut(VertexId::object(3, 1)) = rooted;
         log.stamp_root(VertexId::object(2, 2), 5, false);
         log_round_trip(&log, SiteId::new(1));
+
+        // Log-wide stamps are hashed: stamped in opposite orders, on sites
+        // below and above the log's own, they encode to the same bytes.
+        let stamps: Vec<(VertexId, u64)> = (0..64u64)
+            .map(|i| (VertexId::object([0, 2, 3][(i % 3) as usize], i), i + 1))
+            .chain([(VertexId::site_root(3), 1), (VertexId::site_root(0), 2)])
+            .collect();
+        let mut twins = [DkLog::new(SiteId::new(1)), DkLog::new(SiteId::new(1))];
+        for &(vertex, as_of) in &stamps {
+            twins[0].stamp_root(vertex, as_of, as_of % 2 == 0);
+        }
+        for &(vertex, as_of) in stamps.iter().rev() {
+            twins[1].stamp_root(vertex, as_of, as_of % 2 == 0);
+        }
+        assert_eq!(encode_to_vec(&twins[0]), encode_to_vec(&twins[1]));
+        log_round_trip(&twins[1], SiteId::new(1));
     }
 
     /// A log's encode → decode → encode, decoded into its site's layout.
@@ -722,14 +777,14 @@ mod tests {
             let own = GlobalAddr::new(3, local[next(3) as usize]);
             let other = remote[next(4) as usize];
             match next(7) {
-                0 => engine.on_export(own, VertexId::Object(other)),
+                0 => engine.on_export(own, VertexId::from(other)),
                 1 => engine.on_receive_ref(own, other),
-                2 => engine.on_third_party_send(other, VertexId::Object(remote[next(4) as usize])),
+                2 => engine.on_third_party_send(other, VertexId::from(remote[next(4) as usize])),
                 3 => {
                     let vertex = if next(2) == 0 {
                         engine.anchor()
                     } else {
-                        VertexId::Object(own)
+                        VertexId::from(own)
                     };
                     let (created, destroyed) = if next(2) == 0 {
                         (vec![other], vec![])
@@ -745,7 +800,7 @@ mod tests {
                     engine.apply_delta(&delta);
                 }
                 4 => {
-                    let from = VertexId::Object(other);
+                    let from = VertexId::from(other);
                     let index = next(5) + 1;
                     let news = if next(2) == 0 {
                         Timestamp::created(index)
@@ -754,7 +809,7 @@ mod tests {
                     };
                     engine.on_message(CausalMessage {
                         from,
-                        to: VertexId::Object(own),
+                        to: VertexId::from(own),
                         payload: RootedVector::from_vector(DependencyVector::singleton(from, news)),
                     });
                 }
@@ -837,7 +892,7 @@ mod tests {
                     (vec![], vec![target])
                 };
                 delta.edges.push(VertexEdgeDelta {
-                    vertex: VertexId::Object(holder),
+                    vertex: VertexId::from(holder),
                     created,
                     destroyed,
                 });

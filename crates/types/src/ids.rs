@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A hash map keyed by ids, for state found by one lookup rather than
 /// iterated in order. Its hasher is [`IdHasher`], a fixed multiply-rotate
@@ -152,6 +152,7 @@ impl From<u64> for ObjectId {
 ///
 /// `GlobalAddr` is the identity used for vertices of the global root graph
 /// and as the key space of [`DependencyVector`](crate::DependencyVector)s.
+/// It orders by site, then object, compared as one 128-bit key.
 ///
 /// # Example
 ///
@@ -162,9 +163,7 @@ impl From<u64> for ObjectId {
 /// assert_eq!(a.object(), ObjectId::new(7));
 /// assert_eq!(a.to_string(), "s1/o7");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct GlobalAddr {
     site: SiteId,
     object: ObjectId,
@@ -193,6 +192,24 @@ impl GlobalAddr {
     pub const fn object(self) -> ObjectId {
         self.object
     }
+
+    /// The order key: site above object.
+    const fn key(self) -> u128 {
+        (self.site.0 as u128) << 64 | self.object.0 as u128
+    }
+}
+
+impl PartialOrd for GlobalAddr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for GlobalAddr {
+    /// By site, then by object: the order of the pair.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl fmt::Display for GlobalAddr {
@@ -211,82 +228,147 @@ impl From<(SiteId, ObjectId)> for GlobalAddr {
 ///
 /// The global root graph has two kinds of vertices:
 ///
-/// * [`VertexId::Object`] — a *global root*: an object that has been
+/// * a *global root* ([`VertexId::object`]): an object that has been
 ///   referenced from another site at least once;
-/// * [`VertexId::SiteRoot`] — the *actual-root anchor* of a site: it stands
-///   for the site's local root set (the paper's designated root objects,
-///   e.g. object 1 of Figure 3) and is always an actual root of the global
-///   root graph while it holds outgoing inter-site paths.
+/// * the *actual-root anchor* of a site ([`VertexId::site_root`]): it
+///   stands for the site's local root set (the paper's designated root
+///   objects, e.g. object 1 of Figure 3) and is always an actual root of the
+///   global root graph while it holds outgoing inter-site paths.
 ///
 /// Dependency vectors are keyed by `VertexId`, so a vector entry keyed by a
-/// `SiteRoot` that is still live is exactly the paper's "path from an actual
-/// root" evidence used by the garbage test of Figure 6.
+/// site-root anchor that is still live is exactly the paper's "path from an
+/// actual root" evidence used by the garbage test of Figure 6.
+///
+/// A vertex is two machine words: `hi` holds the kind in bit 32 (0 for an
+/// anchor, 1 for an object) above the site, `lo` the object (0 for an
+/// anchor). The order is that of the two words read as one 128-bit key:
+/// every anchor first, by site, then every object, by site and object.
+/// `Debug` prints `SiteRoot(..)` or `Object(..)`.
 ///
 /// # Example
 ///
 /// ```
-/// use ggd_types::{GlobalAddr, VertexId};
+/// use ggd_types::{GlobalAddr, SiteId, VertexId};
 /// let g = VertexId::object(2, 7);
 /// let r = VertexId::site_root(1);
 /// assert!(g.as_object().is_some());
 /// assert!(r.is_site_root());
+/// assert_eq!(r.as_site_root(), Some(SiteId::new(1)));
+/// assert!(r < g);
 /// assert_eq!(g.to_string(), "s2/o7");
 /// assert_eq!(r.to_string(), "root(s1)");
 /// assert_eq!(VertexId::from(GlobalAddr::new(2, 7)), g);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum VertexId {
-    /// The anchor vertex standing for a site's local root set.
-    SiteRoot(SiteId),
-    /// A global root object.
-    Object(GlobalAddr),
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct VertexId {
+    /// `OBJECT_KIND` for a global root, plus the site.
+    hi: u64,
+    /// The object; 0 for an anchor.
+    lo: u64,
 }
+
+/// The kind bit of [`VertexId::hi`], set for a global-root object.
+const OBJECT_KIND: u64 = 1 << 32;
 
 impl VertexId {
     /// Creates the vertex for a global-root object from raw indices.
     pub const fn object(site: u32, object: u64) -> Self {
-        VertexId::Object(GlobalAddr::new(site, object))
+        VertexId {
+            hi: OBJECT_KIND | site as u64,
+            lo: object,
+        }
     }
 
     /// Creates the actual-root anchor vertex of a site.
     pub const fn site_root(site: u32) -> Self {
-        VertexId::SiteRoot(SiteId::new(site))
+        VertexId {
+            hi: site as u64,
+            lo: 0,
+        }
     }
 
     /// The site hosting this vertex.
     pub const fn site(self) -> SiteId {
-        match self {
-            VertexId::SiteRoot(s) => s,
-            VertexId::Object(a) => a.site(),
-        }
+        SiteId::new(self.hi as u32)
     }
 
     /// The object address, when the vertex is a global root.
     pub const fn as_object(self) -> Option<GlobalAddr> {
-        match self {
-            VertexId::SiteRoot(_) => None,
-            VertexId::Object(a) => Some(a),
+        if self.is_site_root() {
+            None
+        } else {
+            Some(GlobalAddr::from_parts(self.site(), ObjectId::new(self.lo)))
+        }
+    }
+
+    /// The site whose local roots the vertex stands for, when it is an
+    /// anchor.
+    pub const fn as_site_root(self) -> Option<SiteId> {
+        if self.is_site_root() {
+            Some(self.site())
+        } else {
+            None
         }
     }
 
     /// True when the vertex is a site's actual-root anchor.
     pub const fn is_site_root(self) -> bool {
-        matches!(self, VertexId::SiteRoot(_))
+        self.hi & OBJECT_KIND == 0
+    }
+
+    /// The order key: `hi` above `lo`.
+    const fn key(self) -> u128 {
+        (self.hi as u128) << 64 | self.lo as u128
+    }
+}
+
+impl PartialOrd for VertexId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for VertexId {
+    /// Every anchor first, by site; then every object, by site and object.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl Hash for VertexId {
+    /// Writes the kind as a `usize`, the site and, for an object, the
+    /// object; `tests/packed.rs` pins the `IdHasher` values, and so the
+    /// layout of every map keyed by vertices.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(usize::from(!self.is_site_root()));
+        state.write_u32(self.site().index());
+        if !self.is_site_root() {
+            state.write_u64(self.lo);
+        }
+    }
+}
+
+impl fmt::Debug for VertexId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.as_object() {
+            None => f.debug_tuple("SiteRoot").field(&self.site()).finish(),
+            Some(addr) => f.debug_tuple("Object").field(&addr).finish(),
+        }
     }
 }
 
 impl fmt::Display for VertexId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VertexId::SiteRoot(s) => write!(f, "root({s})"),
-            VertexId::Object(a) => write!(f, "{a}"),
+        match self.as_object() {
+            None => write!(f, "root({})", self.site()),
+            Some(addr) => write!(f, "{addr}"),
         }
     }
 }
 
 impl From<GlobalAddr> for VertexId {
     fn from(addr: GlobalAddr) -> Self {
-        VertexId::Object(addr)
+        VertexId::object(addr.site().index(), addr.object().index())
     }
 }
 

@@ -10,7 +10,7 @@
 //! Sparseness matters: the vertex set of the global root graph is dynamic, so
 //! fixed-dimension arrays (as used in the paper's 4-object illustration) do
 //! not generalise. A missing key is equivalent to an explicit
-//! [`Timestamp::Never`] entry, and the comparison and merge operations honour
+//! [`Timestamp::NEVER`] entry, and the comparison and merge operations honour
 //! that equivalence.
 //!
 //! # Representation
@@ -20,7 +20,7 @@
 //! allocation at all — the common case for the singleton and few-entry
 //! vectors the engine creates on its hot path), larger vectors spill to a
 //! contiguous `Vec`. Merges walk both entry slices with two pointers and
-//! mutate in place when no new key is introduced; comparisons
+//! mutate in place, growing the storage when new keys arrive; comparisons
 //! ([`DependencyVector::causal_order`], [`DependencyVector::dominates`])
 //! never allocate.
 
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::{SiteId, Timestamp, VertexId};
+use crate::{Timestamp, VertexId};
 
 /// Outcome of comparing two dependency vectors under the Schwarz & Mattern
 /// partial order (§3.2 of the paper).
@@ -60,12 +60,12 @@ impl fmt::Display for CausalOrder {
 type Entry = (VertexId, Timestamp);
 
 /// Placeholder for unused inline slots; never observable through the API.
-const EMPTY_ENTRY: Entry = (VertexId::SiteRoot(SiteId::new(0)), Timestamp::Never);
+const EMPTY_ENTRY: Entry = (VertexId::site_root(0), Timestamp::NEVER);
 
 /// The sorted small-vector backing store of a [`DependencyVector`].
 ///
 /// Invariants: entries are strictly sorted by key and never hold
-/// [`Timestamp::Never`] (an absent key *is* `Never`).
+/// [`Timestamp::NEVER`] (an absent key *is* `NEVER`).
 #[derive(Debug, Clone)]
 enum Entries {
     /// At most `INLINE` entries stored inline; `len` are valid.
@@ -186,7 +186,7 @@ impl Entries {
 /// v.set(b, Timestamp::destroyed(2));
 ///
 /// assert_eq!(v.get(a), Timestamp::created(1));
-/// assert_eq!(v.get(VertexId::object(9, 9)), Timestamp::Never);
+/// assert_eq!(v.get(VertexId::object(9, 9)), Timestamp::NEVER);
 /// assert!(v.get(b).is_absent());
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -228,7 +228,7 @@ impl DependencyVector {
     /// Number of entries stored inline before the vector spills to the heap.
     pub const INLINE_CAPACITY: usize = 3;
 
-    /// Creates an empty vector (every entry implicitly [`Timestamp::Never`]).
+    /// Creates an empty vector (every entry implicitly [`Timestamp::NEVER`]).
     pub fn new() -> Self {
         DependencyVector {
             entries: Entries::default(),
@@ -243,7 +243,7 @@ impl DependencyVector {
     }
 
     /// Builds a vector from `entries`, which must be strictly ascending by
-    /// key and hold no [`Timestamp::Never`]; `None` otherwise. Keeps the
+    /// key and hold no [`Timestamp::NEVER`]; `None` otherwise. Keeps the
     /// `Vec`'s allocation when the vector spills, so a decoder that reads
     /// into an exactly sized `Vec` allocates once.
     pub fn from_sorted(entries: Vec<(VertexId, Timestamp)>) -> Option<Self> {
@@ -260,28 +260,51 @@ impl DependencyVector {
         })
     }
 
+    /// Overwrites the vector with `entries`, which must be strictly
+    /// ascending by key and hold no [`Timestamp::NEVER`]. Reuses the
+    /// vector's allocation, if it has one. Returns `false`, and leaves the
+    /// vector as it was, when `entries` is not canonical.
+    pub fn assign_sorted_slice(&mut self, entries: &[(VertexId, Timestamp)]) -> bool {
+        if !is_canonical(entries) {
+            return false;
+        }
+        match &mut self.entries {
+            Entries::Spilled(v) => {
+                v.clear();
+                v.extend_from_slice(entries);
+            }
+            Entries::Inline { .. } => self.entries = Entries::from_slice(entries),
+        }
+        true
+    }
+
+    /// The explicit entries, in key order.
+    pub fn as_slice(&self) -> &[(VertexId, Timestamp)] {
+        self.entries.as_slice()
+    }
+
     fn find(&self, addr: VertexId) -> Result<usize, usize> {
         self.entries.as_slice().binary_search_by_key(&addr, |e| e.0)
     }
 
     /// Returns the timestamp recorded for `addr`, defaulting to
-    /// [`Timestamp::Never`] for unknown roots.
+    /// [`Timestamp::NEVER`] for unknown roots.
     pub fn get(&self, addr: VertexId) -> Timestamp {
         match self.find(addr) {
             Ok(i) => self.entries.as_slice()[i].1,
-            Err(_) => Timestamp::Never,
+            Err(_) => Timestamp::NEVER,
         }
     }
 
     /// Sets the entry for `addr`, returning the previous value.
     ///
-    /// Setting an entry to [`Timestamp::Never`] removes it from the sparse
+    /// Setting an entry to [`Timestamp::NEVER`] removes it from the sparse
     /// representation so that logically equal vectors compare equal.
     pub fn set(&mut self, addr: VertexId, ts: Timestamp) -> Timestamp {
         match self.find(addr) {
             Ok(i) => {
                 let prev = self.entries.as_slice()[i].1;
-                if ts == Timestamp::Never {
+                if ts == Timestamp::NEVER {
                     self.entries.remove(i);
                 } else {
                     self.entries.as_mut_slice()[i].1 = ts;
@@ -289,10 +312,10 @@ impl DependencyVector {
                 prev
             }
             Err(i) => {
-                if ts != Timestamp::Never {
+                if ts != Timestamp::NEVER {
                     self.entries.insert(i, (addr, ts));
                 }
-                Timestamp::Never
+                Timestamp::NEVER
             }
         }
     }
@@ -312,7 +335,7 @@ impl DependencyVector {
                 }
             }
             Err(i) => {
-                if ts == Timestamp::Never {
+                if ts == Timestamp::NEVER {
                     false
                 } else {
                     self.entries.insert(i, (addr, ts));
@@ -325,7 +348,9 @@ impl DependencyVector {
     /// Point-wise merge (lattice join) of another vector into this one,
     /// walking both sorted entry lists with two pointers. When no new key is
     /// introduced the merge mutates entries in place without moving or
-    /// allocating anything. Returns `true` when any entry changed.
+    /// allocating anything; new keys grow the vector in place — inline while
+    /// it fits, else by one amortised `resize` of the spilled entries — and
+    /// are merged in from the back. Returns `true` when any entry changed.
     pub fn merge(&mut self, other: &DependencyVector) -> bool {
         let b = other.entries.as_slice();
         if b.is_empty() {
@@ -365,30 +390,45 @@ impl DependencyVector {
             }
             return true;
         }
-        // Pass 2: rebuild with the exact final size in one allocation.
-        let a = self.entries.as_slice();
-        let mut merged = Vec::with_capacity(a.len() + inserts);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((a[i].0, a[i].1.merged(b[j].1)));
-                    i += 1;
-                    j += 1;
-                }
+        // Pass 2: grow in place by the new keys, then merge from the back,
+        // so every entry moves once and nothing is read after it is
+        // overwritten.
+        let old_len = self.len();
+        let new_len = old_len + inserts;
+        let merged = match &mut self.entries {
+            Entries::Inline { len, buf } if new_len <= DependencyVector::INLINE_CAPACITY => {
+                *len = new_len as u8;
+                &mut buf[..new_len]
+            }
+            Entries::Inline { buf, .. } => {
+                let mut spilled = Vec::with_capacity(new_len);
+                spilled.extend_from_slice(&buf[..old_len]);
+                spilled.resize(new_len, EMPTY_ENTRY);
+                self.entries = Entries::Spilled(spilled);
+                self.entries.as_mut_slice()
+            }
+            Entries::Spilled(v) => {
+                v.resize(new_len, EMPTY_ENTRY);
+                v.as_mut_slice()
+            }
+        };
+        let (mut i, mut j, mut k) = (old_len, b.len(), new_len);
+        while j > 0 {
+            k -= 1;
+            if i > 0 && merged[i - 1].0 > b[j - 1].0 {
+                merged[k] = merged[i - 1];
+                i -= 1;
+            } else if i > 0 && merged[i - 1].0 == b[j - 1].0 {
+                merged[k] = (b[j - 1].0, merged[i - 1].1.merged(b[j - 1].1));
+                i -= 1;
+                j -= 1;
+            } else {
+                merged[k] = b[j - 1];
+                j -= 1;
             }
         }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.entries = Entries::from_vec(merged);
+        // What is left of `self` below `k` is already in place.
+        debug_assert_eq!(i, k);
         true
     }
 
@@ -525,7 +565,7 @@ impl DependencyVector {
 /// the invariant of [`Entries`].
 fn is_canonical(entries: &[Entry]) -> bool {
     entries.windows(2).all(|pair| pair[0].0 < pair[1].0)
-        && entries.iter().all(|&(_, ts)| ts != Timestamp::Never)
+        && entries.iter().all(|&(_, ts)| ts != Timestamp::NEVER)
 }
 
 impl fmt::Display for DependencyVector {
@@ -606,7 +646,7 @@ mod tests {
     #[test]
     fn get_defaults_to_never() {
         let v = DependencyVector::new();
-        assert_eq!(v.get(a()), Timestamp::Never);
+        assert_eq!(v.get(a()), Timestamp::NEVER);
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
     }
@@ -615,7 +655,7 @@ mod tests {
     fn set_never_removes_entry() {
         let mut v = DependencyVector::singleton(a(), Timestamp::created(1));
         assert_eq!(v.len(), 1);
-        let prev = v.set(a(), Timestamp::Never);
+        let prev = v.set(a(), Timestamp::NEVER);
         assert_eq!(prev, Timestamp::created(1));
         assert!(v.is_empty());
         assert_eq!(v, DependencyVector::new());
@@ -634,7 +674,7 @@ mod tests {
                 let rejected = |k: VertexId| (0..n).any(|i| mask >> i & 1 == 1 && key(i) == k);
                 let mut expected = full.clone();
                 for i in (0..n).filter(|&i| rejected(key(i))) {
-                    expected.set(key(i), Timestamp::Never);
+                    expected.set(key(i), Timestamp::NEVER);
                 }
                 let mut kept = full.clone();
                 kept.retain(|k, ts| {
@@ -653,7 +693,7 @@ mod tests {
         assert!(!v.merge_entry(a(), Timestamp::created(1)));
         assert!(v.merge_entry(a(), Timestamp::destroyed(2)));
         assert!(!v.merge_entry(a(), Timestamp::created(2)));
-        assert!(!v.merge_entry(b(), Timestamp::Never));
+        assert!(!v.merge_entry(b(), Timestamp::NEVER));
         assert_eq!(v.get(a()), Timestamp::destroyed(2));
     }
 
@@ -732,7 +772,7 @@ mod tests {
             grown.set(VertexId::object(i as u32, 1), Timestamp::created(1));
         }
         for i in 1..n {
-            grown.set(VertexId::object(i as u32, 1), Timestamp::Never);
+            grown.set(VertexId::object(i as u32, 1), Timestamp::NEVER);
         }
         let small = DependencyVector::singleton(VertexId::object(0, 1), Timestamp::created(1));
         assert!(!grown.is_inline());
@@ -823,7 +863,7 @@ mod tests {
         for bad in [
             vec![(b(), Timestamp::created(1)), (a(), Timestamp::created(1))],
             vec![(a(), Timestamp::created(1)), (a(), Timestamp::created(2))],
-            vec![(a(), Timestamp::Never)],
+            vec![(a(), Timestamp::NEVER)],
         ] {
             assert_eq!(DependencyVector::from_sorted_slice(&bad), None);
             assert_eq!(DependencyVector::from_sorted(bad), None);
@@ -863,6 +903,80 @@ mod tests {
     }
 
     #[test]
+    fn in_place_merge_grows_vectors_like_an_ordered_map() {
+        // Seeded merges into one vector that starts empty and grows past
+        // the spill point, against a BTreeMap model. Each incoming vector
+        // mixes keys below, between and above the current ones with keys
+        // already present, at older, equal and newer timestamps; the first
+        // rounds cross the inline boundary (3 to 4 entries) one key at a
+        // time.
+        use std::collections::BTreeMap;
+        let mut state = 0x1a9e_d0e5_3e7e_4a11u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let ts = |index: u64, destroyed: bool| {
+            if destroyed {
+                Timestamp::destroyed(index)
+            } else {
+                Timestamp::created(index)
+            }
+        };
+        let mut crossings = 0;
+        for run in 0..60 {
+            let mut v = DependencyVector::new();
+            let mut model: BTreeMap<VertexId, Timestamp> = BTreeMap::new();
+            for round in 0..40u64 {
+                let mut incoming = DependencyVector::new();
+                let keys: Vec<VertexId> = model.keys().copied().collect();
+                let width = if round < 6 { 1 } else { next(6) + 1 };
+                for _ in 0..width {
+                    let key = match (next(4), keys.is_empty()) {
+                        // A key already present: equal, older or newer.
+                        (0, false) => keys[next(keys.len() as u64) as usize],
+                        // Anywhere in a wide key space: below, between or
+                        // above the present keys, anchors included.
+                        (1, _) => VertexId::site_root(next(8) as u32),
+                        _ => VertexId::object(next(8) as u32 * 2, next(64) * 2),
+                    };
+                    let stamp = match model.get(&key) {
+                        Some(&current) if next(3) == 0 => current,
+                        _ => ts(next(6) + 1, next(2) == 0),
+                    };
+                    incoming.merge_entry(key, stamp);
+                }
+                let mut expected = model.clone();
+                for (key, stamp) in incoming.iter() {
+                    let entry = expected.entry(key).or_insert(stamp);
+                    *entry = entry.merged(stamp);
+                }
+                let changed = v.merge(&incoming);
+                assert_eq!(changed, expected != model, "run {run} round {round}");
+                if model.len() == DependencyVector::INLINE_CAPACITY && expected.len() > model.len()
+                {
+                    crossings += 1;
+                }
+                model = expected;
+                assert!(
+                    v.iter().eq(model.iter().map(|(&k, &t)| (k, t))),
+                    "run {run} round {round}: {v} differs from the model"
+                );
+                if model.len() <= DependencyVector::INLINE_CAPACITY && round < 6 {
+                    assert!(v.is_inline(), "run {run} round {round}: spilled early");
+                }
+            }
+            assert!(!v.is_inline(), "run {run} never spilled");
+        }
+        assert!(
+            crossings > 30,
+            "only {crossings} merges spilled a full inline vector"
+        );
+    }
+
+    #[test]
     fn merge_against_btreemap_model() {
         // Pseudo-random differential check of the small-vector merge against
         // a BTreeMap model (the previous representation).
@@ -888,9 +1002,9 @@ mod tests {
                     Timestamp::destroyed(idx)
                 };
                 left.merge_entry(key, ts);
-                let cur = model.get(&key).copied().unwrap_or(Timestamp::Never);
+                let cur = model.get(&key).copied().unwrap_or(Timestamp::NEVER);
                 let merged = cur.merged(ts);
-                if merged != Timestamp::Never {
+                if merged != Timestamp::NEVER {
                     model.insert(key, merged);
                 }
             }
@@ -903,20 +1017,20 @@ mod tests {
                     Timestamp::destroyed(idx)
                 };
                 right.merge_entry(key, ts);
-                let cur = right_model.get(&key).copied().unwrap_or(Timestamp::Never);
+                let cur = right_model.get(&key).copied().unwrap_or(Timestamp::NEVER);
                 let merged = cur.merged(ts);
-                if merged != Timestamp::Never {
+                if merged != Timestamp::NEVER {
                     right_model.insert(key, merged);
                 }
             }
             left.merge(&right);
             for (&k, &ts) in &right_model {
-                let cur = model.get(&k).copied().unwrap_or(Timestamp::Never);
+                let cur = model.get(&k).copied().unwrap_or(Timestamp::NEVER);
                 model.insert(k, cur.merged(ts));
             }
             let expect: Vec<(VertexId, Timestamp)> = model
                 .into_iter()
-                .filter(|(_, t)| *t != Timestamp::Never)
+                .filter(|(_, t)| *t != Timestamp::NEVER)
                 .collect();
             let got: Vec<(VertexId, Timestamp)> = left.iter().collect();
             assert_eq!(got, expect);

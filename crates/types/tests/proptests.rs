@@ -10,7 +10,7 @@ fn arb_addr() -> impl Strategy<Value = VertexId> {
 
 fn arb_timestamp() -> impl Strategy<Value = Timestamp> {
     prop_oneof![
-        Just(Timestamp::Never),
+        Just(Timestamp::NEVER),
         (1u64..64).prop_map(Timestamp::created),
         (1u64..64).prop_map(Timestamp::destroyed),
     ]
@@ -99,7 +99,7 @@ proptest! {
         let mut with_destroyed = v.clone();
         with_destroyed.set(addr, Timestamp::destroyed(idx));
         let mut without = v.clone();
-        without.set(addr, Timestamp::Never);
+        without.set(addr, Timestamp::NEVER);
         prop_assert_eq!(with_destroyed.causal_order(&without), CausalOrder::Equal);
     }
 }
