@@ -11,7 +11,11 @@
 //! The image's byte layout is written in one place, `ggd-store`'s
 //! `write_engine_image`, from any [`EngineImageSource`]: the live
 //! [`CausalEngine`] (the checkpoint path writes from its borrowed state,
-//! building no [`EngineCheckpoint`]) or a decoded [`EngineCheckpoint`].
+//! building no [`EngineCheckpoint`]) or a decoded [`EngineCheckpoint`]. It
+//! is read in one place, `ggd-store`'s `read_engine_image`, into any
+//! [`EngineImageSink`]: a restored [`CausalEngine`] (recovery decodes
+//! straight into its tables, building no ordered map) or an owned
+//! [`EngineCheckpoint`].
 //!
 //! [`CausalEngine`]: crate::CausalEngine
 //!
@@ -91,6 +95,100 @@ pub trait EngineImageSource {
     fn outgoing(&self) -> &[Outgoing];
     /// Accumulated statistics.
     fn stats(&self) -> &EngineStats;
+}
+
+/// An engine being rebuilt from its image, fed part by part in layout
+/// order by the image reader: the read-side twin of [`EngineImageSource`].
+/// The reader checks every part before handing it over — keys strictly
+/// ascend, and no vertex with state is one of the site's objects the heap
+/// never allocated — and a malformed image fails the read, dropping the
+/// half-built sink. A restored [`CausalEngine`] and an owned
+/// [`EngineCheckpoint`] are the two sinks; the first keeps state for its
+/// own site's vertices only, as [`CausalEngine::restore`] does.
+///
+/// [`CausalEngine`]: crate::CausalEngine
+/// [`CausalEngine::restore`]: crate::CausalEngine::restore
+pub trait EngineImageSink: Sized {
+    /// Starts the engine of `site`.
+    fn begin(site: SiteId) -> Self;
+    /// An event counter.
+    fn counter(&mut self, vertex: VertexId, counter: u64);
+    /// A circulated-closure memo.
+    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector);
+    /// An out-edge set, ascending.
+    fn edges_out(&mut self, vertex: VertexId, targets: &[GlobalAddr]);
+    /// A locally rooted global root.
+    fn locally_rooted(&mut self, vertex: VertexId);
+    /// A receive-rule holder set, ascending.
+    fn holders(&mut self, target: GlobalAddr, holders: &[VertexId]);
+    /// A garbage verdict produced.
+    fn detected(&mut self, addr: GlobalAddr);
+    /// Ends the image with the parts read whole: the log, the undrained
+    /// verdicts and messages, and the statistics.
+    fn finish(
+        &mut self,
+        log: DkLog,
+        pending_verdicts: Vec<GlobalAddr>,
+        outgoing: Vec<Outgoing>,
+        stats: EngineStats,
+    );
+}
+
+impl EngineImageSink for EngineCheckpoint {
+    fn begin(site: SiteId) -> Self {
+        EngineCheckpoint {
+            site,
+            counters: BTreeMap::new(),
+            log: DkLog::new(site),
+            last_closure: BTreeMap::new(),
+            edges_out: BTreeMap::new(),
+            locally_rooted: BTreeSet::new(),
+            inbound_holders: BTreeMap::new(),
+            detected: BTreeSet::new(),
+            pending_verdicts: Vec::new(),
+            outgoing: Vec::new(),
+            stats: EngineStats::default(),
+        }
+    }
+
+    fn counter(&mut self, vertex: VertexId, counter: u64) {
+        self.counters.insert(vertex, counter);
+    }
+
+    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector) {
+        self.last_closure.insert(vertex, closure);
+    }
+
+    fn edges_out(&mut self, vertex: VertexId, targets: &[GlobalAddr]) {
+        self.edges_out
+            .insert(vertex, targets.iter().copied().collect());
+    }
+
+    fn locally_rooted(&mut self, vertex: VertexId) {
+        self.locally_rooted.insert(vertex);
+    }
+
+    fn holders(&mut self, target: GlobalAddr, holders: &[VertexId]) {
+        self.inbound_holders
+            .insert(target, holders.iter().copied().collect());
+    }
+
+    fn detected(&mut self, addr: GlobalAddr) {
+        self.detected.insert(addr);
+    }
+
+    fn finish(
+        &mut self,
+        log: DkLog,
+        pending_verdicts: Vec<GlobalAddr>,
+        outgoing: Vec<Outgoing>,
+        stats: EngineStats,
+    ) {
+        self.log = log;
+        self.pending_verdicts = pending_verdicts;
+        self.outgoing = outgoing;
+        self.stats = stats;
+    }
 }
 
 impl EngineImageSource for EngineCheckpoint {

@@ -23,7 +23,7 @@ use std::fmt;
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
 use ggd_types::{DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId};
 
-use crate::checkpoint::{EngineCheckpoint, EngineImageSource};
+use crate::checkpoint::{EngineCheckpoint, EngineImageSink, EngineImageSource};
 use crate::log::{DkLog, RootedVector};
 use crate::message::CausalMessage;
 use crate::table::LocalTable;
@@ -355,7 +355,9 @@ impl CausalEngine {
     /// `CausalEngine::restore(e.checkpoint())` is indistinguishable from
     /// `e` under every public operation. State a checkpoint holds for
     /// another site's vertices is ignored: the engine keeps state for its
-    /// own vertices only.
+    /// own vertices only. Recovery builds no checkpoint: it reads the image
+    /// straight into an engine ([`EngineImageSink`]), which must equal this
+    /// rebuild.
     pub fn restore(checkpoint: EngineCheckpoint) -> Self {
         let site = checkpoint.site;
         let mut vertices = LocalVertices::new(site);
@@ -1184,6 +1186,73 @@ impl CausalEngine {
 /// The live engine's parts, in image order: local vertices ascend through
 /// the identity-indexed table, and the hashed holder records are sorted
 /// once per image.
+/// Restores straight into the engine's tables, keeping state for the
+/// site's own vertices only and rebuilding the out-edge counts at the end:
+/// the engine [`CausalEngine::restore`] builds from the same image.
+impl EngineImageSink for CausalEngine {
+    fn begin(site: SiteId) -> Self {
+        CausalEngine::new(site)
+    }
+
+    fn counter(&mut self, vertex: VertexId, counter: u64) {
+        if self.vertices.holds(vertex) {
+            self.vertices.entry(vertex).counter = counter;
+        }
+    }
+
+    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector) {
+        if self.vertices.holds(vertex) {
+            self.vertices.entry(vertex).remember(closure);
+        }
+    }
+
+    fn edges_out(&mut self, vertex: VertexId, targets: &[GlobalAddr]) {
+        if self.vertices.holds(vertex) {
+            self.vertices.entry(vertex).edges_out = targets.to_vec();
+        }
+    }
+
+    fn locally_rooted(&mut self, vertex: VertexId) {
+        if self.vertices.holds(vertex) {
+            self.vertices.entry(vertex).locally_rooted = true;
+        }
+    }
+
+    fn holders(&mut self, target: GlobalAddr, holders: &[VertexId]) {
+        // Holders are local objects the receive rule bumps; keep no other.
+        let holders: Vec<VertexId> = holders
+            .iter()
+            .copied()
+            .filter(|&holder| self.vertices.objects.holds(holder))
+            .collect();
+        if !holders.is_empty() {
+            self.remote
+                .insert(target, RemoteTarget { refs: 0, holders });
+        }
+    }
+
+    fn detected(&mut self, addr: GlobalAddr) {
+        let vertex = VertexId::from(addr);
+        if self.vertices.objects.holds(vertex) {
+            self.vertices.entry(vertex).detected = true;
+        }
+    }
+
+    fn finish(
+        &mut self,
+        log: DkLog,
+        pending_verdicts: Vec<GlobalAddr>,
+        outgoing: Vec<Outgoing>,
+        stats: EngineStats,
+    ) {
+        self.log = log;
+        self.pending_verdicts = pending_verdicts;
+        self.outgoing = outgoing;
+        self.stats = stats;
+        self.rebuild_edge_refcounts();
+    }
+}
+
 impl EngineImageSource for CausalEngine {
     fn site(&self) -> SiteId {
         self.site
@@ -1625,10 +1694,46 @@ mod tests {
             .insert(addr(1, 2), BTreeSet::from([foreign]));
         checkpoint.counters.insert(foreign, 99);
         checkpoint.detected.insert(addr(5, 3));
+        // Read part by part into an engine, as recovery reads an image.
+        assert_eq!(
+            through_sink::<CausalEngine>(&checkpoint).checkpoint(),
+            engine.checkpoint()
+        );
+        assert_eq!(through_sink::<EngineCheckpoint>(&checkpoint), checkpoint);
         assert_eq!(
             CausalEngine::restore(checkpoint).checkpoint(),
             engine.checkpoint()
         );
+    }
+
+    /// Feeds `checkpoint` to a sink part by part, as the image reader does.
+    fn through_sink<S: EngineImageSink>(checkpoint: &EngineCheckpoint) -> S {
+        let mut sink = S::begin(checkpoint.site);
+        for (&vertex, &counter) in &checkpoint.counters {
+            sink.counter(vertex, counter);
+        }
+        for (&vertex, closure) in &checkpoint.last_closure {
+            sink.last_closure(vertex, closure.clone());
+        }
+        for (&vertex, targets) in &checkpoint.edges_out {
+            sink.edges_out(vertex, &targets.iter().copied().collect::<Vec<_>>());
+        }
+        for &vertex in &checkpoint.locally_rooted {
+            sink.locally_rooted(vertex);
+        }
+        for (&target, holders) in &checkpoint.inbound_holders {
+            sink.holders(target, &holders.iter().copied().collect::<Vec<_>>());
+        }
+        for &addr in &checkpoint.detected {
+            sink.detected(addr);
+        }
+        sink.finish(
+            checkpoint.log.clone(),
+            checkpoint.pending_verdicts.clone(),
+            checkpoint.outgoing.clone(),
+            checkpoint.stats,
+        );
+        sink
     }
 
     #[test]

@@ -80,7 +80,7 @@ mod message;
 mod stamps;
 mod table;
 
-pub use checkpoint::{EngineCheckpoint, EngineImageSource};
+pub use checkpoint::{EngineCheckpoint, EngineImageSink, EngineImageSource};
 pub use engine::{CausalEngine, EngineStats, Outgoing};
 pub use log::{DkLog, RootedVector};
 pub use message::CausalMessage;

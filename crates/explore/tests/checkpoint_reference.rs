@@ -16,6 +16,14 @@
 //!   it over its own previous checkpoints must load the same image back,
 //!   from which the same heap is rebuilt. The byte pins fold only the
 //!   collector bytes, so this pins the heap half.
+//! * **Readers.** Recovery reads the same blob straight into a heap and an
+//!   engine (`SiteStore::load_with` into a `SiteHeap`, `read_engine_image`
+//!   into a `CausalEngine`). The reference is the owned rebuild it
+//!   replaced: `load()` then `SiteHeap::from_image`, and
+//!   `decode_engine_checkpoint` then `CausalEngine::restore`. The heaps
+//!   must be equal, with the same generation watermark and a primed
+//!   tracker equal to a rescan; the engines' checkpoint bytes and logs must
+//!   be equal.
 //!
 //! The runs: the `wide_durable` and `remote_churn` shapes of the repo
 //! benchmark at 1/10 scale, `workloads::export_churn`,
@@ -26,9 +34,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, RootedVector};
+use ggd_causal::{CausalEngine, CausalMessage, DkLog, EngineCheckpoint, RootedVector};
 use ggd_explore::crash_corpus_triple;
-use ggd_heap::{EdgeDelta, ReachabilitySnapshot, SiteHeap};
+use ggd_heap::{EdgeDelta, HeapImageSource, ReachabilitySnapshot, SiteHeap};
 use ggd_mutator::generator::{build_perf_scenario, PerfSpec, SegmentWeights};
 use ggd_mutator::{workloads, Scenario, Step};
 use ggd_sim::{
@@ -36,6 +44,7 @@ use ggd_sim::{
 };
 use ggd_store::store::write_checkpoint;
 use ggd_store::wal::seal_checkpoint;
+use ggd_store::wire::{decode_engine_checkpoint, read_engine_image};
 use ggd_store::{encode_to_vec, CheckpointImage, SiteStore};
 use ggd_types::{GlobalAddr, SiteId, Timestamp, VertexId};
 
@@ -333,7 +342,41 @@ fn check_blobs(cluster: &Cluster<AuditCollector>, audit: &Shared) {
         assert!(records.is_empty());
         let loaded = loaded.expect("the store holds a checkpoint");
         assert_eq!(loaded, image, "{site}: loaded image");
-        assert_eq!(&SiteHeap::from_image(&loaded.heap), heap, "{site}: heap");
+        let rebuilt = SiteHeap::from_image(&loaded.heap);
+        assert_eq!(&rebuilt, heap, "{site}: heap");
+
+        let (read, _) = store
+            .load_with(|heap: SiteHeap, state| {
+                let engine: CausalEngine =
+                    read_engine_image(state, heap.next_object()).expect("the engine image reads");
+                (heap, engine)
+            })
+            .expect("a sealed blob reads");
+        let (read_heap, read_engine) = read.expect("the store holds a checkpoint");
+        assert_eq!(read_heap, rebuilt, "{site}: heap read");
+        assert_eq!(
+            HeapImageSource::generation(&read_heap),
+            HeapImageSource::generation(&rebuilt),
+            "{site}: heap read watermark"
+        );
+        assert!(
+            read_heap.tracker_is_consistent(),
+            "{site}: heap read tracker"
+        );
+        let restored = CausalEngine::restore(
+            decode_engine_checkpoint(&loaded.collector, loaded.heap.next_object)
+                .expect("the engine image decodes"),
+        );
+        assert_eq!(
+            encode_to_vec(&read_engine.checkpoint()),
+            encode_to_vec(&restored.checkpoint()),
+            "{site}: engine read"
+        );
+        assert_eq!(
+            read_engine.log().to_string(),
+            restored.log().to_string(),
+            "{site}: engine read log"
+        );
         audit.blobs += 1;
     }
 }

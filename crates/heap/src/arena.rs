@@ -470,6 +470,25 @@ impl Arena {
     pub(crate) fn set_watermark(&mut self, watermark: u32) {
         self.watermark = watermark;
     }
+
+    /// Makes room for `objects` more slots, and as many identities, in a
+    /// slab being rebuilt.
+    pub(crate) fn reserve(&mut self, objects: usize) {
+        self.slots.reserve(objects);
+        self.id_index.reserve(objects);
+    }
+
+    /// Sets the watermark of a slab rebuilt from an image after its objects
+    /// were inserted, and starts every slot's generation there — as if
+    /// [`Arena::set_watermark`] had preceded the inserts. The slab must
+    /// never have freed a slot.
+    pub(crate) fn stamp_generations(&mut self, watermark: u32) {
+        debug_assert!(self.free_slots.is_empty(), "a rebuilt slab frees nothing");
+        self.watermark = watermark;
+        for slot in &mut self.slots {
+            slot.generation = watermark;
+        }
+    }
 }
 
 /// Iterator over the references of one object, in list order.

@@ -17,13 +17,17 @@
 //! The image's byte layout is written in one place, `ggd-store`'s
 //! `write_heap_image`, from any [`HeapImageSource`]: the live [`SiteHeap`]
 //! (the checkpoint path writes it straight into the sealed frame, building
-//! no [`HeapImage`]) or a decoded [`HeapImage`].
+//! no [`HeapImage`]) or a decoded [`HeapImage`]. It is read in one place,
+//! `ggd-store`'s `read_heap_image`, into any [`HeapImageSink`]: a restored
+//! [`SiteHeap`] (recovery decodes each object straight into the arena,
+//! building no [`HeapImage`]) or an owned [`HeapImage`].
 //!
 //! The incremental-delta tracker is deliberately *not* part of the image:
-//! it is a cache, which [`SiteHeap::from_image`] rebuilds from the restored
-//! heap. The first [`SiteHeap::take_delta`] after a restore therefore
-//! reports only what changed since, and the first [`SiteHeap::collect`]
-//! frees exactly the garbage the image carried plus whatever died since.
+//! it is a cache, which a restored heap rebuilds once its objects are in
+//! ([`HeapImageSink::finish`], [`SiteHeap::from_image`]). The first
+//! [`SiteHeap::take_delta`] after a restore therefore reports only what
+//! changed since, and the first [`SiteHeap::collect`] frees exactly the
+//! garbage the image carried plus whatever died since.
 
 use std::collections::BTreeSet;
 
@@ -126,6 +130,96 @@ impl HeapImageSource for HeapImage {
     }
 }
 
+/// A heap being rebuilt from its image, fed part by part in layout order by
+/// the image reader: the read-side twin of [`HeapImageSource`]. The reader
+/// checks every part before handing it over — object identities strictly
+/// ascend within `1..next_object` — and a malformed image fails the read,
+/// dropping the half-built sink. A restored [`SiteHeap`] and an owned
+/// [`HeapImage`] are the two sinks.
+pub trait HeapImageSink: Sized {
+    /// Starts the heap of `site` from the image's header, its two root sets
+    /// and the number of objects that follow.
+    fn begin(
+        site: SiteId,
+        next_object: u64,
+        stats: HeapStats,
+        local_roots: BTreeSet<ObjectId>,
+        global_roots: BTreeSet<ObjectId>,
+        objects: usize,
+    ) -> Self;
+    /// Adds the next object, with its references in list order.
+    fn object(&mut self, id: ObjectId, refs: &[ObjRef]);
+    /// Ends the image with the arena's generation watermark, which comes
+    /// last in the layout.
+    fn finish(&mut self, generation: u32);
+}
+
+/// Each object goes into the arena as it is read, its references onto its
+/// chunk chain; the root sets are moved in. Once the watermark is read
+/// every slot starts its generation there, the roots are flagged and the
+/// delta tracker is primed — the heap [`SiteHeap::from_image`] would build
+/// from the same image.
+impl HeapImageSink for SiteHeap {
+    fn begin(
+        site: SiteId,
+        next_object: u64,
+        stats: HeapStats,
+        local_roots: BTreeSet<ObjectId>,
+        global_roots: BTreeSet<ObjectId>,
+        objects: usize,
+    ) -> Self {
+        let mut heap = SiteHeap::new(site);
+        heap.next_object = next_object;
+        heap.stats = stats;
+        heap.local_roots = local_roots;
+        heap.global_roots = global_roots;
+        heap.arena.reserve(objects);
+        heap
+    }
+
+    fn object(&mut self, id: ObjectId, refs: &[ObjRef]) {
+        let slot = self.arena.insert(id);
+        for &r in refs {
+            self.arena.push_ref(slot, r);
+        }
+    }
+
+    fn finish(&mut self, generation: u32) {
+        self.arena.stamp_generations(generation);
+        self.flag_roots();
+        self.prime_tracker();
+    }
+}
+
+impl HeapImageSink for HeapImage {
+    fn begin(
+        site: SiteId,
+        next_object: u64,
+        stats: HeapStats,
+        local_roots: BTreeSet<ObjectId>,
+        global_roots: BTreeSet<ObjectId>,
+        objects: usize,
+    ) -> Self {
+        HeapImage {
+            site,
+            next_object,
+            stats,
+            local_roots,
+            global_roots,
+            objects: Vec::with_capacity(objects),
+            generation: 0,
+        }
+    }
+
+    fn object(&mut self, id: ObjectId, refs: &[ObjRef]) {
+        self.objects.push((id, refs.to_vec()));
+    }
+
+    fn finish(&mut self, generation: u32) {
+        self.generation = generation;
+    }
+}
+
 /// The durable state of one [`SiteHeap`], as written into checkpoints by
 /// `ggd-store`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,11 +258,13 @@ impl SiteHeap {
         }
     }
 
-    /// Rebuilds a heap from a checkpoint image. Every slot of the rebuilt
-    /// slab starts at the image's generation watermark. The image holds no
-    /// history, so the delta tracker is primed once from the rebuilt heap:
-    /// its cache is the restored snapshot, and the objects no root reaches
-    /// are the next collection's suspects.
+    /// Rebuilds a heap from an owned checkpoint image. Every slot of the
+    /// rebuilt slab starts at the image's generation watermark. The image
+    /// holds no history, so the delta tracker is primed once from the
+    /// rebuilt heap: its cache is the restored snapshot, and the objects no
+    /// root reaches are the next collection's suspects. Recovery builds no
+    /// image: it reads the checkpoint straight into a heap
+    /// ([`HeapImageSink`]), which must equal this rebuild.
     pub fn from_image(image: &HeapImage) -> SiteHeap {
         let mut heap = SiteHeap::new(image.site);
         heap.next_object = image.next_object;
@@ -180,7 +276,9 @@ impl SiteHeap {
                 heap.arena.push_ref(slot, r);
             }
         }
-        heap.set_root_sets(image.local_roots.clone(), image.global_roots.clone());
+        heap.local_roots = image.local_roots.clone();
+        heap.global_roots = image.global_roots.clone();
+        heap.flag_roots();
         heap.prime_tracker();
         heap
     }
@@ -228,6 +326,66 @@ mod tests {
         let fresh_a = h.alloc();
         let fresh_b = h2.alloc();
         assert_eq!(fresh_a, fresh_b);
+    }
+
+    /// Feeds `image` to a sink part by part, as the image reader does.
+    fn through_sink<S: HeapImageSink>(image: &HeapImage) -> S {
+        let mut sink = S::begin(
+            image.site,
+            image.next_object,
+            image.stats,
+            image.local_roots.clone(),
+            image.global_roots.clone(),
+            image.objects.len(),
+        );
+        for (id, refs) in &image.objects {
+            sink.object(*id, refs);
+        }
+        sink.finish(image.generation);
+        sink
+    }
+
+    #[test]
+    fn a_heap_read_from_an_image_equals_its_rebuild() {
+        let mut h = SiteHeap::new(SiteId::new(1));
+        let root = h.alloc_local_root();
+        let held = h.alloc();
+        let loose = h.alloc();
+        h.register_global_root(held).unwrap();
+        h.register_global_root(loose).unwrap();
+        h.add_ref(root, ObjRef::Local(held)).unwrap();
+        for obj in 0..9 {
+            // Long enough to span several chunks, duplicates in order.
+            h.add_ref(held, ObjRef::Remote(GlobalAddr::new(2, obj % 4)))
+                .unwrap();
+        }
+        h.add_ref(loose, ObjRef::Local(root)).unwrap();
+        let garbage = h.alloc();
+        h.add_ref(garbage, ObjRef::Remote(GlobalAddr::new(3, 1)))
+            .unwrap();
+        let handle = h.slot_of(root).unwrap();
+
+        let image = h.image();
+        assert_eq!(through_sink::<HeapImage>(&image), image);
+        let read: SiteHeap = through_sink(&image);
+        let rebuilt = SiteHeap::from_image(&image);
+        assert_eq!(read, rebuilt);
+        assert_eq!(read, h);
+        assert!(read.tracker_is_consistent());
+        assert_eq!(read.cached_snapshot(), rebuilt.cached_snapshot());
+        assert_eq!(
+            HeapImageSource::generation(&read),
+            HeapImageSource::generation(&rebuilt),
+            "every slot starts at the watermark"
+        );
+        assert!(read.resolve_slot(handle).is_none());
+        assert_eq!(
+            read.object(root).unwrap().refs_vec(),
+            h.object(root).unwrap().refs_vec()
+        );
+        let (mut read, mut rebuilt) = (read, rebuilt);
+        assert_eq!(read.collect().freed, rebuilt.collect().freed);
+        assert_eq!(read.alloc(), rebuilt.alloc());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod snapshot;
 
 pub use arena::{ObjectSlot, ObjectView, Refs};
 pub use collect::{CollectionOutcome, HeapStats};
-pub use image::{HeapImage, HeapImageSource};
+pub use image::{HeapImage, HeapImageSink, HeapImageSource};
 pub use model::ObjectModel;
 pub use object::ObjRef;
 #[cfg(any(test, feature = "reference-model"))]

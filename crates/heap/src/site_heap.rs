@@ -467,23 +467,19 @@ impl SiteHeap {
         }
     }
 
-    pub(crate) fn set_root_sets(
-        &mut self,
-        local_roots: BTreeSet<ObjectId>,
-        global_roots: BTreeSet<ObjectId>,
-    ) {
-        for &id in &local_roots {
+    /// Mirrors both root sets into the resident objects' slot flags, for a
+    /// heap whose root sets and objects were rebuilt from an image.
+    pub(crate) fn flag_roots(&mut self) {
+        for &id in &self.local_roots {
             if let Some(slot) = self.arena.slot_of(id) {
                 self.arena.set_flag(slot, FLAG_LOCAL_ROOT);
             }
         }
-        for &id in &global_roots {
+        for &id in &self.global_roots {
             if let Some(slot) = self.arena.slot_of(id) {
                 self.arena.set_flag(slot, FLAG_GLOBAL_ROOT);
             }
         }
-        self.local_roots = local_roots;
-        self.global_roots = global_roots;
     }
 
     pub(crate) fn ensure_exists(&self, id: ObjectId) -> Result<(), HeapError> {

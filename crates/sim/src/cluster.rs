@@ -439,7 +439,7 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
     ///
     /// *Join*: a fresh site comes up (durably, when the cluster runs with
     /// durability: it WAL-logs from its very first input) and catches up on
-    /// the membership history. *Planned leave*: see [`Cluster::leave`].
+    /// the membership history. *Planned leave*: see `Cluster::leave`.
     /// *Evict*: unplanned and permanent — no quiesce, no handoff, and a
     /// site that is down is evicted as it lies, without recovery. The
     /// evicted site's heap is kept for the oracle (its objects

@@ -199,9 +199,9 @@ impl Collector for CausalCollector {
     }
 
     fn restore_state_below(&mut self, bytes: &[u8], next_object: u64) -> bool {
-        match ggd_store::wire::decode_engine_checkpoint(bytes, next_object) {
-            Ok(checkpoint) => {
-                self.engine = CausalEngine::restore(checkpoint);
+        match ggd_store::wire::read_engine_image(bytes, next_object) {
+            Ok(engine) => {
+                self.engine = engine;
                 true
             }
             Err(_) => false,

@@ -10,9 +10,9 @@
 //! the site wants sent and the number of GGD verdicts it applied to its own
 //! heap. The shard books the counters and hands the messages to its driver.
 
-use ggd_heap::{CollectionOutcome, EdgeDelta, ObjRef, SiteHeap};
+use ggd_heap::{CollectionOutcome, EdgeDelta, HeapImageSource, ObjRef, SiteHeap};
 use ggd_obs::SiteObs;
-use ggd_store::{CheckpointImage, HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
+use ggd_store::{HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
 use ggd_types::{GlobalAddr, SiteId};
 
 use std::collections::BTreeSet;
@@ -168,19 +168,20 @@ impl<C: Collector> SiteRuntime<C> {
     /// Panics when the durable state is unreadable (corrupt checksum,
     /// undecodable record) or when the collector refuses its checkpoint —
     /// recovery must fail loudly, never run with half a state.
-    pub fn recover(mut store: SiteStore<C::Msg>, collector: C) -> Self {
+    pub fn recover(mut store: SiteStore<C::Msg>, mut collector: C) -> Self {
         let site = store.site();
+        // The checkpoint's heap image is read straight into the heap, and
+        // the collector restores from its state borrowed from the store.
         let (checkpoint, records) = store
-            .load()
+            .load_with(|heap: SiteHeap, state| {
+                let accepted = collector.restore_state_below(state, heap.next_object());
+                (heap, accepted)
+            })
             .expect("durable site state must be readable for recovery");
         let mut runtime = match checkpoint {
-            Some(CheckpointImage {
-                heap,
-                collector: state,
-            }) => {
-                let mut restored = collector;
+            Some((heap, accepted)) => {
                 assert!(
-                    restored.restore_state_below(&state, heap.next_object),
+                    accepted,
                     "collector rejected its own checkpoint during recovery of {site}"
                 );
                 // The restored heap's delta cache is its restored state, the
@@ -189,8 +190,8 @@ impl<C: Collector> SiteRuntime<C> {
                 // original run.
                 SiteRuntime {
                     site,
-                    heap: SiteHeap::from_image(&heap),
-                    collector: restored,
+                    heap,
+                    collector,
                     store: None,
                     obs: SiteObs::disabled(),
                     delta: EdgeDelta::empty(site),
@@ -318,6 +319,13 @@ impl<C: Collector> SiteRuntime<C> {
     /// Read access to the site's heap.
     pub fn heap(&self) -> &SiteHeap {
         &self.heap
+    }
+
+    /// Drops the runtime, keeping only its heap — the crash path, once the
+    /// store and the measurements are detached: the crash-time heap is
+    /// moved out of the volatile state, not copied.
+    pub(crate) fn into_heap(self) -> SiteHeap {
+        self.heap
     }
 
     /// Read access to the site's collector.

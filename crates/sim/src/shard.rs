@@ -374,12 +374,13 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         let store = runtime
             .take_store()
             .expect("crash faults require durability (checked at construction)");
+        let obs = runtime.take_obs();
         *entry = Site::Down(DownedSite {
             restart,
             store,
-            heap: runtime.heap().clone(),
+            heap: runtime.into_heap(),
             pending_catchup: Vec::new(),
-            obs: runtime.take_obs(),
+            obs,
         });
         self.down += 1;
         true
@@ -410,9 +411,11 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
             }
         };
         let mut runtime = SiteRuntime::recover(downed.store, (self.factory)(site));
+        // Replay logs nothing, so the records since the checkpoint are the
+        // tail this recovery just replayed.
         let replayed = runtime
             .store()
-            .map_or(0, |store| store.stats().records_replayed);
+            .map_or(0, |store| u64::from(store.records_since_checkpoint()));
         // Recovery replays with a disabled handle (no double-counting);
         // re-attach the crash-time measurements now.
         runtime.set_obs(downed.obs);
@@ -471,7 +474,7 @@ impl<C: Collector, F> Shard<C, F> {
             return;
         };
         let heap = match std::mem::take(entry) {
-            Site::Up(runtime) => runtime.heap().clone(),
+            Site::Up(runtime) => runtime.into_heap(),
             Site::Down(downed) => {
                 self.down -= 1;
                 downed.heap

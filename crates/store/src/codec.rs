@@ -105,6 +105,20 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
+    /// Reads the next `n` bytes, borrowed from the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::UnexpectedEof`] when fewer than `n` remain.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.remaining() {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let out = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
     /// Reads a length prefix, bounded by the remaining input so corrupt
     /// lengths fail fast instead of attempting huge allocations.
     ///
@@ -315,13 +329,12 @@ impl<T: Encode> Encode for std::collections::BTreeSet<T> {
     }
 }
 impl<T: Decode + Ord> Decode for std::collections::BTreeSet<T> {
+    /// Collects the items rather than inserting them one by one: the
+    /// ascending order the encoder writes builds the set in one pass.
+    /// Items out of order or repeated are sorted and merged, as inserts
+    /// would.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.len()?;
-        let mut out = std::collections::BTreeSet::new();
-        for _ in 0..n {
-            out.insert(T::decode(r)?);
-        }
-        Ok(out)
+        Ok(Vec::<T>::decode(r)?.into_iter().collect())
     }
 }
 

@@ -20,7 +20,7 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-use ggd_heap::{HeapImage, HeapImageSource, SiteHeap};
+use ggd_heap::{HeapImage, HeapImageSink, HeapImageSource, SiteHeap};
 use ggd_types::{write_varint, SiteId};
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
@@ -28,7 +28,7 @@ use crate::record::{encode_control, WalRecord};
 use crate::wal::{
     append_frame_with, open_checkpoint, scan_wal, seal_checkpoint_with, wal_header, StoreError,
 };
-use crate::wire::write_heap_image;
+use crate::wire::{read_heap_image, write_heap_image};
 
 /// Where a cluster's durable state lives.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -141,11 +141,23 @@ pub fn write_checkpoint(out: &mut Vec<u8>, heap: &SiteHeap, state: &[u8], epoch:
     seal_checkpoint_with(out, epoch, |out| write_checkpoint_payload(out, heap, state));
 }
 
+/// Reads a checkpoint payload as [`write_checkpoint_payload`] lays it out:
+/// the heap image into `H`, then the collector's state, borrowed from the
+/// payload.
+fn read_checkpoint_payload<'a, H: HeapImageSink>(
+    r: &mut Reader<'a>,
+) -> Result<(H, &'a [u8]), CodecError> {
+    let heap = read_heap_image(r)?;
+    let len = r.len()?;
+    Ok((heap, r.bytes(len)?))
+}
+
 impl Decode for CheckpointImage {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (heap, collector) = read_checkpoint_payload(r)?;
         Ok(CheckpointImage {
-            heap: HeapImage::decode(r)?,
-            collector: Vec::decode(r)?,
+            heap,
+            collector: collector.to_vec(),
         })
     }
 }
@@ -362,6 +374,12 @@ impl<M> SiteStore<M> {
         self.stats.checkpoints_installed += 1;
     }
 
+    /// WAL records appended since the last checkpoint — right after a
+    /// [`SiteStore::load`], the ones it returned.
+    pub fn records_since_checkpoint(&self) -> u32 {
+        self.records_since_checkpoint
+    }
+
     /// Reads the durable state back: the latest checkpoint (if any) and
     /// every WAL record appended after it, in order. A torn final record —
     /// the signature of a crash mid-append — is dropped; checksum
@@ -370,15 +388,43 @@ impl<M> SiteStore<M> {
     /// # Errors
     ///
     /// Returns a [`StoreError`] when the checkpoint or a WAL frame is
-    /// corrupt (bad magic/version/checksum) or fails to decode.
+    /// corrupt (bad magic/version/checksum) or fails to decode, or when
+    /// the on-disk backend cannot read its files or finish an interrupted
+    /// checkpoint install.
     pub fn load(&mut self) -> Result<(Option<CheckpointImage>, Vec<WalRecord<M>>), StoreError>
+    where
+        M: Decode,
+    {
+        self.load_with(|heap, collector| CheckpointImage {
+            heap,
+            collector: collector.to_vec(),
+        })
+    }
+
+    /// [`SiteStore::load`], reading the checkpoint's heap image straight
+    /// into `H` and handing it to `restore` with the collector's state
+    /// borrowed from the checkpoint: recovery reads into a [`SiteHeap`],
+    /// building no [`HeapImage`] and copying no collector bytes. `restore`
+    /// runs once the checkpoint and every WAL record have decoded, so a
+    /// malformed store fails the load before anything runs on it; its
+    /// result stands in for the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// As [`SiteStore::load`].
+    pub fn load_with<H: HeapImageSink, R>(
+        &mut self,
+        restore: impl FnOnce(H, &[u8]) -> R,
+    ) -> Result<(Option<R>, Vec<WalRecord<M>>), StoreError>
     where
         M: Decode,
     {
         // The memory backend is read in place; the disk backend reads its
         // two files once.
         let durable = match &self.backend {
-            Backend::Memory { wal, checkpoint } => read_durable(checkpoint.as_deref(), wal)?,
+            Backend::Memory { wal, checkpoint } => {
+                read_durable(checkpoint.as_deref(), wal, restore)?
+            }
             Backend::Disk {
                 wal_path,
                 ckpt_path,
@@ -389,7 +435,7 @@ impl<M> SiteStore<M> {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
                     Err(e) => return Err(e.into()),
                 };
-                read_durable(ckpt.as_deref(), &fs::read(wal_path.as_path())?)?
+                read_durable(ckpt.as_deref(), &fs::read(wal_path.as_path())?, restore)?
             }
         };
         let Durable {
@@ -407,10 +453,9 @@ impl<M> SiteStore<M> {
             match &mut self.backend {
                 Backend::Memory { wal, .. } => *wal = wal_header(ckpt_epoch),
                 Backend::Disk { wal_path, wal, .. } => {
-                    *wal = fs::File::create(wal_path.as_path()).expect("WAL truncated");
-                    wal.write_all(&wal_header(ckpt_epoch))
-                        .expect("WAL header written");
-                    wal.flush().expect("WAL header flushed");
+                    *wal = fs::File::create(wal_path.as_path())?;
+                    wal.write_all(&wal_header(ckpt_epoch))?;
+                    wal.flush()?;
                 }
             }
         }
@@ -425,26 +470,34 @@ impl<M> SiteStore<M> {
     }
 }
 
-/// What [`read_durable`] found: the checkpoint with its epoch, and the WAL's
-/// records with the WAL's epoch.
-struct Durable<M> {
+/// What [`read_durable`] found: the checkpoint, as its `restore` made it,
+/// with its epoch, and the WAL's records with the WAL's epoch.
+struct Durable<M, R> {
     ckpt_epoch: u64,
-    checkpoint: Option<CheckpointImage>,
+    checkpoint: Option<R>,
     wal_epoch: u64,
     records: Vec<WalRecord<M>>,
 }
 
 /// Opens a checkpoint blob (if any) and scans a WAL, both borrowed: the
-/// checkpoint is verified before anything is decoded, then every complete
-/// WAL frame is decoded in order. A torn final frame is dropped.
-fn read_durable<M: Decode>(ckpt: Option<&[u8]>, wal: &[u8]) -> Result<Durable<M>, StoreError> {
+/// checkpoint is verified before anything is decoded, its heap image is
+/// read into `H`, then every complete WAL frame is decoded in order. A torn
+/// final frame is dropped. Once everything has decoded, `restore` gets the
+/// heap and the collector's state.
+fn read_durable<M: Decode, H: HeapImageSink, R>(
+    ckpt: Option<&[u8]>,
+    wal: &[u8],
+    restore: impl FnOnce(H, &[u8]) -> R,
+) -> Result<Durable<M, R>, StoreError> {
     let (ckpt_epoch, checkpoint) = match ckpt {
         Some(blob) => {
             let (epoch, payload) = open_checkpoint(blob)?;
-            (
-                epoch,
-                Some(crate::codec::decode_from_slice::<CheckpointImage>(payload)?),
-            )
+            let mut r = Reader::new(payload);
+            let parts = read_checkpoint_payload::<H>(&mut r)?;
+            if !r.is_empty() {
+                return Err(CodecError::Invalid("trailing bytes after value").into());
+            }
+            (epoch, Some(parts))
         }
         None => (0, None),
     };
@@ -467,7 +520,7 @@ fn read_durable<M: Decode>(ckpt: Option<&[u8]>, wal: &[u8]) -> Result<Durable<M>
     }
     Ok(Durable {
         ckpt_epoch,
-        checkpoint,
+        checkpoint: checkpoint.map(|(heap, state)| restore(heap, state)),
         wal_epoch,
         records,
     })
@@ -478,6 +531,7 @@ mod tests {
     use super::*;
     use crate::codec::encode_to_vec;
     use crate::wal::seal_checkpoint;
+    use ggd_types::ObjectId;
 
     fn record(n: u64) -> WalRecord<u64> {
         WalRecord::Control {
@@ -681,6 +735,57 @@ mod tests {
         let (_, records) = store.load().unwrap();
         assert_eq!(records, vec![record(9)]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_reads_the_heap_and_borrows_the_state_it_loads() {
+        let mut store =
+            SiteStore::<u64>::open(SiteId::new(1), &DurabilityConfig::memory()).unwrap();
+        let (restored, _) = store.load_with(|heap: SiteHeap, _| heap).unwrap();
+        assert!(restored.is_none(), "no checkpoint yet");
+        store.install_checkpoint(&heap(), STATE);
+        store.append(&record(3));
+        let (restored, records) = store
+            .load_with(|heap: SiteHeap, state| (heap, state.to_vec()))
+            .unwrap();
+        let (restored, state) = restored.unwrap();
+        assert_eq!(restored, SiteHeap::from_image(&image().heap));
+        assert!(restored.tracker_is_consistent());
+        assert_eq!(state, STATE);
+        assert_eq!(records, vec![record(3)]);
+        assert_eq!(store.records_since_checkpoint(), 1);
+    }
+
+    #[test]
+    fn repeated_or_descending_identities_fail_the_load() {
+        // Hand-sealed checkpoints the writer never produces: a repeated
+        // identity and a descending pair. Both the owned load and the
+        // recovery read into a heap must fail with a typed error.
+        for ids in [[2u64, 2], [3, 2]] {
+            let mut image = image();
+            image.heap.next_object = 5;
+            image.heap.objects = ids
+                .iter()
+                .map(|&id| (ObjectId::new(id), Vec::new()))
+                .collect();
+            let mut store =
+                SiteStore::<u64>::open(SiteId::new(1), &DurabilityConfig::memory()).unwrap();
+            let Backend::Memory { checkpoint, .. } = &mut store.backend else {
+                unreachable!("a memory store");
+            };
+            *checkpoint = Some(seal_checkpoint(&encode_to_vec(&image), 1));
+            assert!(
+                matches!(store.load(), Err(StoreError::Codec(CodecError::Invalid(_)))),
+                "{ids:?}: load"
+            );
+            assert!(
+                matches!(
+                    store.load_with(|heap: SiteHeap, _| heap),
+                    Err(StoreError::Codec(CodecError::Invalid(_)))
+                ),
+                "{ids:?}: recovery read"
+            );
+        }
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! they are part of the durable format guarded by
 //! [`crate::wal::FORMAT_VERSION`].
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use ggd_baselines::{RefListingMessage, TracingMessage};
 use ggd_causal::{
-    CausalMessage, DkLog, EngineCheckpoint, EngineImageSource, EngineStats, Outgoing, RootStamps,
-    RootedVector,
+    CausalMessage, DkLog, EngineCheckpoint, EngineImageSink, EngineImageSource, EngineStats,
+    Outgoing, RootStamps, RootedVector,
 };
-use ggd_heap::{HeapImage, HeapImageSource, HeapStats, ObjRef};
+use ggd_heap::{HeapImage, HeapImageSink, HeapImageSource, HeapStats, ObjRef};
 use ggd_types::{
     write_varint, DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
 };
@@ -207,19 +207,50 @@ impl Encode for DkLog {
         self.root_flags().encode(out);
     }
 }
-/// Decodes the log of `site`. A row for one of the site's own objects at or
-/// past `next_object` is rejected before the log indexes it by identity.
+/// Decodes the log of `site`, its rows in strictly ascending vertex order.
+/// A row for one of the site's own objects at or past `next_object` is
+/// rejected before the log indexes it by identity.
 fn decode_log(r: &mut Reader<'_>, site: SiteId, next_object: u64) -> Result<DkLog, CodecError> {
     let mut log = DkLog::new(site);
-    let rows = r.len()?;
-    for _ in 0..rows {
-        let vertex = allocated(VertexId::decode(r)?, site, next_object)?;
-        *log.row_mut(vertex) = RootedVector::decode(r)?;
-    }
+    read_ascending(r, |r, vertex| {
+        *log.row_mut(allocated(vertex, site, next_object)?) = RootedVector::decode(r)?;
+        Ok(())
+    })?;
     for &(vertex, (as_of, is_root)) in RootStamps::decode(r)?.iter() {
         log.stamp_root(vertex, as_of, is_root);
     }
     Ok(log)
+}
+
+/// Reads a counted sequence whose keys strictly ascend — the layout of an
+/// ordered map or set — handing each key to `item`, which reads the rest
+/// of its entry. A key out of order or repeated fails the read.
+fn read_ascending<K: Decode + Ord + Copy>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>, K) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    let mut last = None;
+    for _ in 0..r.len()? {
+        let key = K::decode(r)?;
+        if last.is_some_and(|last| last >= key) {
+            return Err(CodecError::Invalid("keys out of order or repeated"));
+        }
+        last = Some(key);
+        item(r, key)?;
+    }
+    Ok(())
+}
+
+/// Reads a strictly ascending set into `out`, replacing its contents.
+fn read_ascending_into<K: Decode + Ord + Copy>(
+    r: &mut Reader<'_>,
+    out: &mut Vec<K>,
+) -> Result<(), CodecError> {
+    out.clear();
+    read_ascending(r, |_, key| {
+        out.push(key);
+        Ok(())
+    })
 }
 
 /// Passes `vertex` through unless it is one of `site`'s objects with an
@@ -410,34 +441,54 @@ fn write_counted<T>(
     }
 }
 
+/// Reads a heap image into `S`: the one place its layout is read, each
+/// part checked before the sink gets it. An object identity outside
+/// `1..next_object` fails the read (the arena indexes its objects by
+/// identity, and the heap never allocated one), and so do identities that
+/// do not strictly ascend (the writer emits them ascending; a repeat would
+/// put one identity in two slots). A restored [`ggd_heap::SiteHeap`] and
+/// the [`HeapImage`] it would be rebuilt from read the same bytes.
+pub(crate) fn read_heap_image<S: HeapImageSink>(r: &mut Reader<'_>) -> Result<S, CodecError> {
+    let site = SiteId::decode(r)?;
+    let next_object = u64::decode(r)?;
+    let stats = HeapStats::decode(r)?;
+    let local_roots = BTreeSet::decode(r)?;
+    let global_roots = BTreeSet::decode(r)?;
+    let count = r.len()?;
+    let mut sink = S::begin(site, next_object, stats, local_roots, global_roots, count);
+    let mut refs = Vec::new();
+    let mut last = 0;
+    for _ in 0..count {
+        let id = ObjectId::decode(r)?;
+        if id.index() == 0 || id.index() >= next_object {
+            return Err(CodecError::Invalid(
+                "object identity the heap never allocated",
+            ));
+        }
+        if id.index() <= last {
+            return Err(CodecError::Invalid(
+                "object identities out of order or repeated",
+            ));
+        }
+        last = id.index();
+        refs.clear();
+        for _ in 0..r.len()? {
+            refs.push(ObjRef::decode(r)?);
+        }
+        sink.object(id, &refs);
+    }
+    sink.finish(u32::decode(r)?);
+    Ok(sink)
+}
+
 impl Encode for HeapImage {
     fn encode(&self, out: &mut Vec<u8>) {
         write_heap_image(out, self);
     }
 }
 impl Decode for HeapImage {
-    /// Rejects an object identity outside `1..next_object`: the arena
-    /// indexes its objects by identity, and the heap never allocated one.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let image = HeapImage {
-            site: SiteId::decode(r)?,
-            next_object: u64::decode(r)?,
-            stats: HeapStats::decode(r)?,
-            local_roots: std::collections::BTreeSet::decode(r)?,
-            global_roots: std::collections::BTreeSet::decode(r)?,
-            objects: Vec::decode(r)?,
-            generation: u32::decode(r)?,
-        };
-        if image
-            .objects
-            .iter()
-            .any(|(id, _)| id.index() == 0 || id.index() >= image.next_object)
-        {
-            return Err(CodecError::Invalid(
-                "object identity the heap never allocated",
-            ));
-        }
-        Ok(image)
+        read_heap_image(r)
     }
 }
 
@@ -514,77 +565,104 @@ impl Encode for EngineCheckpoint {
 }
 impl Decode for EngineCheckpoint {
     /// Decodes an image without knowing its heap: only the one identity no
-    /// site allocates, `u64::MAX`, is rejected. Recovery decodes through
-    /// [`decode_engine_checkpoint`] instead.
+    /// site allocates, `u64::MAX`, is rejected. Recovery reads through
+    /// [`read_engine_image`] instead.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_checkpoint(r, u64::MAX)
+        read_engine(r, u64::MAX)
     }
 }
 
-/// Decodes an engine checkpoint image taken beside a heap image whose next
-/// object identity is `next_object`, requiring every byte to be consumed.
+/// Reads an engine image into `S`, taken beside a heap image whose next
+/// object identity is `next_object`, requiring every byte to be consumed:
+/// the one place the layout is read, each part checked before the sink
+/// gets it. A restored [`ggd_causal::CausalEngine`] and the
+/// [`EngineCheckpoint`] it would be restored from read the same bytes.
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on malformed input, on trailing bytes, and when
-/// the image names one of its own site's objects at or past `next_object`
-/// as a vertex with engine state or a log row.
+/// Returns a [`CodecError`] on malformed input, on trailing bytes, on the
+/// keys of a map or set out of order or repeated, and when the image names
+/// one of its own site's objects at or past `next_object` as a vertex with
+/// engine state or a log row.
+pub fn read_engine_image<S: EngineImageSink>(
+    bytes: &[u8],
+    next_object: u64,
+) -> Result<S, CodecError> {
+    let mut r = Reader::new(bytes);
+    let sink = read_engine(&mut r, next_object)?;
+    if !r.is_empty() {
+        return Err(CodecError::Invalid("trailing bytes after value"));
+    }
+    Ok(sink)
+}
+
+/// [`read_engine_image`] into an owned checkpoint: the form the reference
+/// rebuild, `CausalEngine::restore`, takes.
+///
+/// # Errors
+///
+/// As [`read_engine_image`].
 pub fn decode_engine_checkpoint(
     bytes: &[u8],
     next_object: u64,
 ) -> Result<EngineCheckpoint, CodecError> {
-    let mut r = Reader::new(bytes);
-    let checkpoint = decode_checkpoint(&mut r, next_object)?;
-    if !r.is_empty() {
-        return Err(CodecError::Invalid("trailing bytes after value"));
-    }
-    Ok(checkpoint)
+    read_engine_image(bytes, next_object)
 }
 
-fn decode_checkpoint(r: &mut Reader<'_>, next_object: u64) -> Result<EngineCheckpoint, CodecError> {
+fn read_engine<S: EngineImageSink>(r: &mut Reader<'_>, next_object: u64) -> Result<S, CodecError> {
     let site = SiteId::decode(r)?;
-    let counters = BTreeMap::decode(r)?;
+    // Every vertex the engine keeps state for.
+    let with_state = |vertex| allocated(vertex, site, next_object);
+    let mut sink = S::begin(site);
+    read_ascending(r, |r, vertex| {
+        sink.counter(with_state(vertex)?, u64::decode(r)?);
+        Ok(())
+    })?;
     let log = decode_log(r, site, next_object)?;
-    let last_closure = BTreeMap::decode(r)?;
-    let edges_out = BTreeMap::decode(r)?;
-    let locally_rooted = std::collections::BTreeSet::decode(r)?;
-    let inbound_holders = BTreeMap::decode(r)?;
+    read_ascending(r, |r, vertex| {
+        sink.last_closure(with_state(vertex)?, DependencyVector::decode(r)?);
+        Ok(())
+    })?;
+    let mut targets = Vec::new();
+    read_ascending(r, |r, vertex| {
+        let vertex = with_state(vertex)?;
+        read_ascending_into(r, &mut targets)?;
+        sink.edges_out(vertex, &targets);
+        Ok(())
+    })?;
+    read_ascending(r, |_, vertex| {
+        sink.locally_rooted(with_state(vertex)?);
+        Ok(())
+    })?;
+    let mut holders = Vec::new();
+    read_ascending(r, |r, target| {
+        read_ascending_into(r, &mut holders)?;
+        for &holder in &holders {
+            with_state(holder)?;
+        }
+        sink.holders(target, &holders);
+        Ok(())
+    })?;
     if r.len()? != 0 {
         return Err(CodecError::Invalid("designated roots in an engine image"));
     }
-    let checkpoint = EngineCheckpoint {
-        site,
-        counters,
-        log,
-        last_closure,
-        edges_out,
-        locally_rooted,
-        inbound_holders,
-        detected: std::collections::BTreeSet::decode(r)?,
-        pending_verdicts: Vec::decode(r)?,
-        outgoing: Vec::decode(r)?,
-        stats: EngineStats::decode(r)?,
-    };
-    // Every vertex `CausalEngine::restore` keeps state for.
-    let with_state = checkpoint
-        .counters
-        .keys()
-        .chain(checkpoint.last_closure.keys())
-        .chain(checkpoint.edges_out.keys())
-        .chain(&checkpoint.locally_rooted)
-        .chain(checkpoint.inbound_holders.values().flatten())
-        .copied()
-        .chain(checkpoint.detected.iter().map(|&addr| VertexId::from(addr)));
-    for vertex in with_state {
-        allocated(vertex, site, next_object)?;
-    }
-    Ok(checkpoint)
+    read_ascending(r, |_, addr: GlobalAddr| {
+        with_state(VertexId::from(addr))?;
+        sink.detected(addr);
+        Ok(())
+    })?;
+    let pending_verdicts = Vec::decode(r)?;
+    let outgoing = Vec::decode(r)?;
+    let stats = EngineStats::decode(r)?;
+    sink.finish(log, pending_verdicts, outgoing, stats);
+    Ok(sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::{decode_from_slice, encode_to_vec};
+    use std::collections::BTreeMap;
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = encode_to_vec(&value);
@@ -1039,7 +1117,19 @@ mod tests {
             generation: 0,
         };
         round_trip(image(&[1, 4]));
-        for ids in [&[0u64][..], &[1, 5], &[1 << 40]] {
+        let bytes = encode_to_vec(&image(&[1, 4]));
+        let heap: ggd_heap::SiteHeap = read_heap_image(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(heap, ggd_heap::SiteHeap::from_image(&image(&[1, 4])));
+        // Out of range, repeated (which would put one identity in two
+        // slots) and descending identities fail both sinks' read alike.
+        for ids in [
+            &[0u64][..],
+            &[1, 5],
+            &[1 << 40],
+            &[2, 2],
+            &[3, 2],
+            &[1, 4, 4],
+        ] {
             let bytes = encode_to_vec(&image(ids));
             assert!(
                 matches!(
@@ -1048,6 +1138,72 @@ mod tests {
                 ),
                 "{ids:?} must fail the decode"
             );
+            assert!(
+                matches!(
+                    read_heap_image::<ggd_heap::SiteHeap>(&mut Reader::new(&bytes)),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{ids:?} must fail the read into a heap"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_image_keys_out_of_order_or_repeated_fail_the_decode() {
+        let site = SiteId::new(3);
+        let (a, b) = (VertexId::object(3, 1), VertexId::object(3, 2));
+        let (x, y) = (GlobalAddr::new(4, 1), GlobalAddr::new(4, 2));
+        let empty = || <EngineCheckpoint as EngineImageSink>::begin(site);
+        // An image with two keys in one map or set, and the bytes those
+        // keys (with their values) are written as.
+        let mut counters = empty();
+        counters.counters.insert(a, 5);
+        counters.counters.insert(b, 6);
+        let mut edges = empty();
+        edges.edges_out.insert(a, [x, y].into_iter().collect());
+        let mut holders = empty();
+        holders
+            .inbound_holders
+            .insert(x, [a, b].into_iter().collect());
+        let mut detected = empty();
+        detected.detected.insert(GlobalAddr::new(3, 1));
+        detected.detected.insert(GlobalAddr::new(3, 2));
+        let entry = |key: VertexId, value: u64| {
+            let mut out = encode_to_vec(&key);
+            value.encode(&mut out);
+            out
+        };
+        let cases = [
+            (counters, entry(a, 5), entry(b, 6)),
+            (edges, encode_to_vec(&x), encode_to_vec(&y)),
+            (holders, encode_to_vec(&a), encode_to_vec(&b)),
+            (
+                detected,
+                encode_to_vec(&GlobalAddr::new(3, 1)),
+                encode_to_vec(&GlobalAddr::new(3, 2)),
+            ),
+        ];
+        for (image, first, second) in cases {
+            let bytes = encode_to_vec(&image);
+            assert_eq!(decode_engine_checkpoint(&bytes, 10), Ok(image.clone()));
+            let pair = [first.clone(), second.clone()].concat();
+            let at = bytes
+                .windows(pair.len())
+                .position(|window| window == pair.as_slice())
+                .expect("the image holds both keys");
+            for bad in [[&second[..], &first], [&first, &first]] {
+                let mut spliced = bytes[..at].to_vec();
+                spliced.extend(bad.concat());
+                spliced.extend_from_slice(&bytes[at + pair.len()..]);
+                assert!(matches!(
+                    decode_engine_checkpoint(&spliced, 10),
+                    Err(CodecError::Invalid(_))
+                ));
+                assert!(matches!(
+                    read_engine_image::<ggd_causal::CausalEngine>(&spliced, 10),
+                    Err(CodecError::Invalid(_))
+                ));
+            }
         }
     }
 

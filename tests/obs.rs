@@ -260,6 +260,50 @@ fn crash_faults_keep_the_trace_valid_and_count_recoveries() {
 }
 
 #[test]
+fn wal_replay_events_count_the_tail_each_recovery_replayed() {
+    // No checkpoint in the run: each recovery replays the site's whole log,
+    // which grows between the two crashes. Each event must count its own
+    // tail, not the store's lifetime sum of replayed records.
+    let scenario = workloads::random_churn(4, 120, 5);
+    let config = ClusterConfig {
+        obs: ObsConfig::enabled(),
+        durability: DurabilityConfig::memory().with_checkpoint_every(100_000),
+        safety_oracle: false,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::from_scenario(&scenario, config, CausalCollector::new);
+    let site = SiteId::new(1);
+    let steps = scenario.steps();
+    let mut tails = Vec::new();
+    for half in steps.chunks(steps.len().div_ceil(2)) {
+        for step in half {
+            match step {
+                Step::Op(op) => cluster.execute(*op),
+                Step::Settle => cluster.settle(),
+                Step::Membership(ev) => cluster.execute_membership(*ev),
+            }
+        }
+        let before = cluster.store_stats().records_replayed;
+        cluster.crash_and_recover(site);
+        tails.push(cluster.store_stats().records_replayed - before);
+    }
+    assert!(
+        tails[0] > 0 && tails[1] > tails[0],
+        "the log grows between the crashes: {tails:?}"
+    );
+    let replayed: Vec<u64> = cluster
+        .obs_report()
+        .events()
+        .iter()
+        .filter(|e| e.kind == "wal-replay" && e.site == Some(site))
+        .flat_map(|e| &e.fields)
+        .filter(|(name, _)| *name == "records_replayed")
+        .map(|&(_, count)| count)
+        .collect();
+    assert_eq!(replayed, tails, "each event counts its own tail");
+}
+
+#[test]
 fn membership_events_land_in_the_deterministic_trace() {
     let base = workloads::random_churn(5, 60, 3);
     let mut saw_handoff = false;
