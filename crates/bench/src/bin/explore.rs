@@ -25,41 +25,89 @@
 //! under `--strict` — no divergences either); 1 otherwise, with every
 //! failing triple shrunk and printed as a paste-ready test snippet. In
 //! `--self-test` mode the expectation flips: the deliberately sabotaged
-//! causal collector *must* be caught, so a clean corpus exits 1.
+//! causal collector *must* be caught, so a clean corpus exits 1. An
+//! unknown argument, or a `--corpus` or `--seed` without a valid value (a
+//! corpus must be at least 1), runs nothing and exits 2.
 
 use ggd_explore::{corpus_triple, explore, trace_triple, CorpusFamily, ExplorerConfig, RunMode};
 use ggd_obs::validate_jsonl;
+
+/// The flags the explorer takes.
+const FLAGS: [&str; 6] = [
+    "--self-test",
+    "--trace",
+    "--validate-traces",
+    "--strict",
+    "--membership",
+    "--crashes",
+];
+
+/// The options the explorer takes, each followed by its value.
+const OPTIONS: [&str; 2] = ["--corpus", "--seed"];
+
+/// The first argument that is neither a flag nor an option with its value:
+/// a mistyped flag must not run a corpus other than the one asked for.
+fn unknown_arg(args: &[String]) -> Option<&String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if OPTIONS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !FLAGS.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
 
 fn parse_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn parse_u64(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The value after option `name`: `Ok(None)` when the option is absent,
+/// an error when its value is missing or does not parse.
+fn parse_option<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{name}: cannot parse {value:?}"))
 }
 
-/// Parses a corpus size: out-of-range or zero values are rejected (falling
-/// back to the default) rather than silently truncated — a truncated-to-0
-/// corpus would make the CI oracle "pass" having verified nothing.
-fn parse_corpus(args: &[String], name: &str) -> Option<u32> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&corpus| corpus > 0)
+/// Parses a corpus size: out-of-range or zero values are errors, not
+/// silently replaced — a corpus of 0 would make the CI oracle "pass"
+/// having verified nothing, and any other substitute checks a corpus
+/// nobody asked for.
+fn parse_corpus(args: &[String], name: &str) -> Result<Option<u32>, String> {
+    match parse_option::<u32>(args, name)? {
+        Some(0) => Err(format!("{name} must be at least 1")),
+        corpus => Ok(corpus),
+    }
+}
+
+/// Exits 2 with `message` on bad usage.
+fn usage_error(message: String) -> ! {
+    eprintln!("explore: {message}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_arg(&args) {
+        usage_error(format!("unknown argument {arg:?}"));
+    }
     let self_test = parse_flag(&args, "--self-test");
     let trace = parse_flag(&args, "--trace");
     let validate_traces = parse_flag(&args, "--validate-traces");
+    let corpus = parse_corpus(&args, "--corpus").unwrap_or_else(|e| usage_error(e));
+    let seed = parse_option::<u64>(&args, "--seed").unwrap_or_else(|e| usage_error(e));
     let config = ExplorerConfig {
-        corpus: parse_corpus(&args, "--corpus").unwrap_or(200),
-        seed: parse_u64(&args, "--seed").unwrap_or(7),
+        corpus: corpus.unwrap_or(200),
+        seed: seed.unwrap_or(7),
         strict: parse_flag(&args, "--strict"),
         // `--membership` wins over `--crashes`.
         family: if parse_flag(&args, "--membership") {
@@ -162,5 +210,66 @@ fn main() {
         || (config.strict && !exploration.failures.is_empty())
     {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn absent_options_take_the_defaults() {
+        let none = args(&["--crashes"]);
+        assert_eq!(parse_corpus(&none, "--corpus"), Ok(None));
+        assert_eq!(parse_option::<u64>(&none, "--seed"), Ok(None));
+    }
+
+    #[test]
+    fn valid_values_parse() {
+        let given = args(&["--corpus", "30", "--seed", "7"]);
+        assert_eq!(parse_corpus(&given, "--corpus"), Ok(Some(30)));
+        assert_eq!(parse_option::<u64>(&given, "--seed"), Ok(Some(7)));
+    }
+
+    #[test]
+    fn only_known_arguments_are_accepted() {
+        let golden = args(&["--corpus", "12", "--seed", "7", "--crashes", "--self-test"]);
+        assert_eq!(unknown_arg(&golden), None);
+        assert_eq!(unknown_arg(&args(&FLAGS)), None);
+        // An option's value is not taken for an argument of its own.
+        assert_eq!(unknown_arg(&args(&["--seed", "--crashes"])), None);
+        for bad in [&["--crash"][..], &["200"], &["--corpus", "30", "-v"]] {
+            assert_eq!(
+                unknown_arg(&args(bad)),
+                bad.last().map(|a| a.to_string()).as_ref()
+            );
+        }
+    }
+
+    #[test]
+    fn bad_values_are_errors_not_defaults() {
+        for bad in [
+            &["--seed", "0x11"][..],
+            &["--seed", "-1"],
+            &["--seed"],
+            &["--seed", "18446744073709551616"],
+        ] {
+            assert!(
+                parse_option::<u64>(&args(bad), "--seed").is_err(),
+                "{bad:?}"
+            );
+        }
+        for bad in [
+            &["--corpus", "0"][..],
+            &["--corpus", "4294967296"],
+            &["--corpus", "ten"],
+            &["--corpus"],
+        ] {
+            assert!(parse_corpus(&args(bad), "--corpus").is_err(), "{bad:?}");
+        }
     }
 }

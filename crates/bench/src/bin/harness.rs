@@ -4,15 +4,37 @@
 //! cargo run --release -p ggd-bench --bin harness            # all experiments
 //! cargo run --release -p ggd-bench --bin harness -- e3 e6   # a subset
 //! ```
+//!
+//! Ids are case-insensitive; `baseline` writes `BENCH_baseline.json` into
+//! the working directory. An unknown id runs nothing and exits 2; a failed
+//! write of the baseline exits 1.
 
 use ggd_bench as bench;
+
+/// Every id the harness accepts, in the order it runs them.
+const IDS: [&str; 10] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "baseline",
+];
 
 fn wanted(args: &[String], id: &str) -> bool {
     args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id))
 }
 
+/// The first argument that names no experiment, if any.
+fn unknown_id(args: &[String]) -> Option<&String> {
+    args.iter()
+        .find(|a| !IDS.iter().any(|id| a.eq_ignore_ascii_case(id)))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(id) = unknown_id(&args) {
+        eprintln!(
+            "harness: unknown experiment {id:?} (known: {})",
+            IDS.join(", ")
+        );
+        std::process::exit(2);
+    }
 
     if wanted(&args, "e1") || wanted(&args, "e2") {
         let (report, logs) = bench::experiment_paper_example();
@@ -82,7 +104,35 @@ fn main() {
         let path = "BENCH_baseline.json";
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {} baseline entries to {path}", entries.len()),
-            Err(err) => eprintln!("could not write {path}: {err}"),
+            Err(err) => {
+                eprintln!("harness: could not write {path}: {err}");
+                std::process::exit(1);
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn every_known_id_is_accepted_in_any_case() {
+        assert_eq!(unknown_id(&args(&[])), None);
+        assert_eq!(unknown_id(&args(&IDS)), None);
+        assert_eq!(unknown_id(&args(&["E1", "Baseline", "e10"])), None);
+    }
+
+    #[test]
+    fn an_unknown_id_is_named() {
+        assert_eq!(
+            unknown_id(&args(&["e1", "e9", "e11"])),
+            Some(&"e9".to_string())
+        );
+        assert_eq!(unknown_id(&args(&["--all"])), Some(&"--all".to_string()));
     }
 }

@@ -1,14 +1,19 @@
 //! Byte-stream pins for perf-shaped runs: an FNV-1a digest over every
-//! encoded control frame, in send order, and over every engine checkpoint
-//! image, on the three shapes the repo benchmark's `remote_churn`,
+//! encoded control frame, in send order, over every engine checkpoint
+//! image and, on the durable runs, over the heap image of every site's
+//! final heap, on the three shapes the repo benchmark's `remote_churn`,
 //! `wide_durable` and `ring_reclaim` workloads scale up.
 //!
-//! The causal engine's in-memory layout is free to change; what it puts on
-//! the wire and into checkpoints is not. Every digest below was generated
-//! before the engine's per-vertex state moved from ordered maps to dense
-//! tables, so a representation change that reorders a single row, entry or
-//! message fails here. The wrappers see the collector and the transport
-//! from outside, the way `benchmark/src/traced.rs` does.
+//! The causal engine's and the heap's in-memory layouts are free to change;
+//! what they put on the wire and into checkpoints is not. The control-frame
+//! digests were generated before the engine's per-vertex state moved from
+//! ordered maps to dense tables, so a representation change that reorders
+//! a single row, entry or message fails here. The engine-checkpoint and
+//! heap-image digests were generated at durable format v3
+//! (`ggd_store::FORMAT_VERSION`): a change that moves either changes the
+//! durable layout and needs a format bump with it. The wrappers see the
+//! collector and the transport from outside, the way
+//! `benchmark/src/traced.rs` does.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,6 +27,7 @@ use ggd_sim::{
     CausalCollector, Cluster, ClusterConfig, Collector, DurabilityConfig, MembershipAnnouncement,
     SimPayload,
 };
+use ggd_store::wire::write_heap_image;
 use ggd_types::{GlobalAddr, SiteId};
 
 type Wire = SimPayload<CausalMessage>;
@@ -51,11 +57,13 @@ impl Digest {
     }
 }
 
-/// The two digests of one run.
+/// The three digests of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Streams {
     control_frames: Digest,
     checkpoints: Digest,
+    /// Every site's final heap image, in site order; durable runs only.
+    heaps: Digest,
 }
 
 type Shared = Rc<RefCell<Streams>>;
@@ -175,13 +183,14 @@ impl Collector for FoldingCollector {
     }
 }
 
-/// Runs `spec` at `seed` with `durability` and returns both digests.
+/// Runs `spec` at `seed` with `durability` and returns its digests.
 fn streams_of(spec: &PerfSpec, seed: u64, durability: DurabilityConfig) -> Streams {
     streams_of_scenario(&build_perf_scenario(spec, seed), durability)
 }
 
-/// Runs `scenario` with `durability` and returns both digests.
+/// Runs `scenario` with `durability` and returns its digests.
 fn streams_of_scenario(scenario: &Scenario, durability: DurabilityConfig) -> Streams {
+    let durable = durability.is_on();
     let config = ClusterConfig {
         safety_oracle: false,
         durability,
@@ -190,6 +199,7 @@ fn streams_of_scenario(scenario: &Scenario, durability: DurabilityConfig) -> Str
     let streams: Shared = Rc::new(RefCell::new(Streams {
         control_frames: Digest::new(),
         checkpoints: Digest::new(),
+        heaps: Digest::new(),
     }));
     let net = FoldingTransport {
         inner: SimNetwork::with_faults(config.net, config.faults.clone(), config.seed),
@@ -205,7 +215,15 @@ fn streams_of_scenario(scenario: &Scenario, durability: DurabilityConfig) -> Str
     let mut cluster = Cluster::with_transport(scenario.site_count(), config, net, factory);
     let report = cluster.run(scenario);
     assert!(report.reclaimed > 0, "the run must reclaim something");
-    let out = *streams.borrow();
+    let mut out = *streams.borrow();
+    if durable {
+        let mut image = Vec::new();
+        for heap in cluster.heaps() {
+            image.clear();
+            write_heap_image(&mut image, heap);
+            out.heaps.fold(&image);
+        }
+    }
     out
 }
 
@@ -220,6 +238,7 @@ fn remote_churn_shape_control_stream_is_pinned() {
                 hash: 0x427c8fd035a54685,
             },
             checkpoints: Digest::new(),
+            heaps: Digest::new(),
         },
         "remote_churn-shaped control stream moved"
     );
@@ -247,10 +266,14 @@ fn wide_durable_shape_control_stream_and_checkpoints_are_pinned() {
             },
             checkpoints: Digest {
                 images: 449,
-                hash: 0x18e54eee62cd99cc,
+                hash: 0x417ccdff275c753d,
+            },
+            heaps: Digest {
+                images: 256,
+                hash: 0xede7bed367447084,
             },
         },
-        "wide_durable-shaped control stream or checkpoint images moved"
+        "wide_durable-shaped control stream, checkpoint or heap images moved"
     );
 }
 
@@ -322,9 +345,13 @@ fn ring_reclaim_shape_control_stream_and_checkpoints_are_pinned() {
             },
             checkpoints: Digest {
                 images: 576,
-                hash: 0x6eb4422c8b2d6c9e,
+                hash: 0x9569efb3e05cfe92,
+            },
+            heaps: Digest {
+                images: 64,
+                hash: 0x2afc40e739e01739,
             },
         },
-        "ring_reclaim-shaped control stream or checkpoint images moved"
+        "ring_reclaim-shaped control stream, checkpoint or heap images moved"
     );
 }

@@ -88,7 +88,7 @@ fn pipelines_agree_on_the_perf_shaped_churn() {
     //   running between deltas.
     // * `bulk_build`: mostly growth, so most deltas take the tracker's
     //   grow-only path (the cache extended along added references).
-    // The oracle is off: ROADMAP item 1's violations on the churn shape are
+    // The oracle is off: ROADMAP item 2's violations on the churn shape are
     // the collector's, not the tracker's, and `perf_shape_safety.rs` pins
     // them.
     let config = ClusterConfig {

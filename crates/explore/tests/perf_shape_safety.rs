@@ -1,10 +1,10 @@
-//! ROADMAP item 1: minimal inputs on which the causal collector frees an
+//! ROADMAP item 2: minimal inputs on which the causal collector frees an
 //! object that is still reachable. All are `ggd-causal` protocol bugs
 //! (DESIGN.md "Known limitations" carries the traces). (A) and (B) come
 //! from the perf-shaped generator — 64 sites and remote-reference churn
 //! over reused slots; (C) is a fault-free, 13-op shrink of a churn-only
 //! explorer spec, so the ≤16-site explorer DSL reaches the same class of
-//! bug. All fail today, so they are `#[ignore]`d until item 1 lands its
+//! bug. All fail today, so they are `#[ignore]`d until item 2 lands its
 //! fix:
 //!
 //! ```sh
@@ -36,7 +36,7 @@ fn safety_violations(spec: &PerfSpec, seed: u64) -> u64 {
 /// keeps for s29/o9, the verdict fires before the `Reference` lands, and
 /// s51/o12 (with its child o15) is swept while s29/o9 holds it.
 #[test]
-#[ignore = "ROADMAP item 1 (A)"]
+#[ignore = "ROADMAP item 2 (A)"]
 fn on_behalf_row_must_not_resolve_a_reexport_placeholder() {
     assert_eq!(safety_violations(&PerfSpec::mix(64, 200, 3_750), 6), 0);
 }
@@ -48,7 +48,7 @@ fn on_behalf_row_must_not_resolve_a_reexport_placeholder() {
 /// the verdict fires, and the second `Reference` re-creates the edge lazily.
 /// At step 4467 s32/o19 is swept while s42/o4 holds it.
 #[test]
-#[ignore = "ROADMAP item 1 (B)"]
+#[ignore = "ROADMAP item 2 (B)"]
 fn second_export_to_a_current_holder_must_stay_visible() {
     assert_eq!(safety_violations(&PerfSpec::mix(64, 800, 15_000), 14), 0);
 }
@@ -61,7 +61,7 @@ fn second_export_to_a_current_holder_must_stay_visible() {
 /// s1's own row is `{root(s3):1, s1/o2:5, s3/o1:1}`, and s0/o3 is swept
 /// while s1/o2 holds it.
 #[test]
-#[ignore = "ROADMAP item 1 (C)"]
+#[ignore = "ROADMAP item 2 (C)"]
 fn churn_spec_export_to_a_remotely_rooted_holder_must_stay_live() {
     let (s0, s1, s3) = (SiteId::new(0), SiteId::new(1), SiteId::new(3));
     let mut s = Scenario::new(4);

@@ -1,5 +1,5 @@
 //! The standing safety sweep: the causal collector, judged by the live
-//! oracle, over the two scenario sets on which ROADMAP item 1's violations
+//! oracle, over the two scenario sets on which ROADMAP item 2's violations
 //! were found, compared with the checked-in list of what it frees unsafely
 //! today.
 //!
@@ -14,7 +14,7 @@
 //!
 //! The lists record a known defect and must never hide a new one: a
 //! violation not on them fails the sweep, and so does a listed one that
-//! stops happening, so the fix for item 1 must empty them. Release only —
+//! stops happening, so the fix for item 2 must empty them. Release only —
 //! the full-scale seeds take minutes in a debug build:
 //!
 //! ```sh

@@ -1,15 +1,15 @@
 //! The slab arena behind [`SiteHeap`](crate::SiteHeap): objects live in
-//! generation-stamped slots addressed by dense `u32` indices, and their
-//! outbound reference lists live in fixed-size chunks drawn from a pool the
-//! arena owns — so the mutation hot path performs no per-object collection
-//! allocations at all.
+//! slots addressed by dense `u32` indices, and their outbound reference
+//! lists live in fixed-size chunks drawn from a pool the arena owns — so
+//! the mutation hot path performs no per-object collection allocations at
+//! all.
 //!
-//! The design follows the mmtk-style split between an object's *identity*
-//! and its *placement*: [`ObjectId`]s stay monotone and are never reused
-//! (they are the unit of cross-site addressing and of the durable image),
-//! while [`ObjectSlot`]s — slab index plus generation stamp — are recycled
-//! freely. Every recycle bumps the slot's generation, so a stale handle
-//! minted before a reclaim can never resolve against the reused slot.
+//! An object's only name is its identity: [`ObjectId`]s stay monotone and
+//! are never reused (they are the unit of cross-site addressing and of the
+//! durable image), and a flat index maps each resident identity to its
+//! slot. Slots are placement only, private to the crate, and recycled
+//! freely: a freed slot drops out of the index, so a stale identity finds
+//! nothing even after the slot is reused.
 //!
 //! Reference lists preserve `Vec` semantics exactly: [`Arena::push_ref`]
 //! appends, [`Arena::remove_first_ref`] swaps the last element into the
@@ -39,41 +39,9 @@ pub(crate) const FLAG_GLOBAL_ROOT: u8 = 2;
 /// Either root flag: the object is in the local collector's root set.
 const FLAG_ANY_ROOT: u8 = FLAG_LOCAL_ROOT | FLAG_GLOBAL_ROOT;
 
-/// The placement of an object in its site's slab: a dense index plus the
-/// generation the slot carried when the handle was minted.
-///
-/// Handles are cheap, `Copy`, and *checked*: once the object is reclaimed
-/// and the slot reused, the generation no longer matches and
-/// [`SiteHeap::resolve_slot`](crate::SiteHeap::resolve_slot) returns `None`
-/// instead of aliasing the new tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ObjectSlot {
-    index: u32,
-    generation: u32,
-}
-
-impl ObjectSlot {
-    /// The dense slab index.
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
-    /// The generation stamp the slot carried when this handle was minted.
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-}
-
-impl fmt::Display for ObjectSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "slot{}@g{}", self.index, self.generation)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     id: ObjectId,
-    generation: u32,
     /// First edge chunk, as chunk index + 1 (0 = none).
     head: u32,
     /// Last edge chunk, same encoding.
@@ -104,10 +72,6 @@ pub(crate) struct Arena {
     /// not a map — and iterating it yields objects in identity order.
     id_index: Vec<u32>,
     live: usize,
-    /// Highest generation any slot has reached; restored arenas start every
-    /// slot here so pre-checkpoint handles can never resolve (see
-    /// [`Arena::image_generation`]).
-    watermark: u32,
 }
 
 impl Arena {
@@ -131,7 +95,6 @@ impl Arena {
             None => {
                 self.slots.push(Slot {
                     id,
-                    generation: self.watermark,
                     head: 0,
                     tail: 0,
                     len: 0,
@@ -152,18 +115,15 @@ impl Arena {
         slot
     }
 
-    /// Reclaims a slot: edges go back to the pool, the generation bumps (so
-    /// stale handles die), and the slot joins the free list for reuse.
+    /// Reclaims a slot: edges go back to the pool, the identity leaves the
+    /// index, and the slot joins the free list for reuse.
     pub(crate) fn free(&mut self, slot: u32) {
         self.clear_refs(slot);
         let s = &mut self.slots[slot as usize];
         debug_assert!(s.live, "double free of slot {slot}");
         s.live = false;
         s.flags = 0;
-        s.generation = s.generation.wrapping_add(1);
-        let generation = s.generation;
         let pos = (s.id.index() - 1) as usize;
-        self.watermark = self.watermark.max(generation);
         self.id_index[pos] = 0;
         self.free_slots.push(slot);
         self.live -= 1;
@@ -186,21 +146,6 @@ impl Arena {
     /// The identity of the object in `slot`.
     pub(crate) fn id_at(&self, slot: u32) -> ObjectId {
         self.slots[slot as usize].id
-    }
-
-    /// A checked handle for the object currently in `slot`.
-    pub(crate) fn handle(&self, slot: u32) -> ObjectSlot {
-        ObjectSlot {
-            index: slot,
-            generation: self.slots[slot as usize].generation,
-        }
-    }
-
-    /// Resolves a handle back to its slot index — `None` once the slot was
-    /// reclaimed (and possibly reused at a newer generation).
-    pub(crate) fn resolve(&self, handle: ObjectSlot) -> Option<u32> {
-        let s = self.slots.get(handle.index as usize)?;
-        (s.live && s.generation == handle.generation).then_some(handle.index)
     }
 
     /// Number of live objects.
@@ -457,37 +402,11 @@ impl Arena {
     // Durability
     // ------------------------------------------------------------------
 
-    /// The generation watermark to persist in a checkpoint image: strictly
-    /// above every generation ever stamped onto a handle, so nothing minted
-    /// before the checkpoint resolves against the restored slab.
-    pub(crate) fn image_generation(&self) -> u32 {
-        let live_max = self.slots.iter().map(|s| s.generation).max().unwrap_or(0);
-        self.watermark.max(live_max).saturating_add(1)
-    }
-
-    /// Primes the watermark of a slab being rebuilt from an image; new slots
-    /// start their generations here.
-    pub(crate) fn set_watermark(&mut self, watermark: u32) {
-        self.watermark = watermark;
-    }
-
     /// Makes room for `objects` more slots, and as many identities, in a
     /// slab being rebuilt.
     pub(crate) fn reserve(&mut self, objects: usize) {
         self.slots.reserve(objects);
         self.id_index.reserve(objects);
-    }
-
-    /// Sets the watermark of a slab rebuilt from an image after its objects
-    /// were inserted, and starts every slot's generation there — as if
-    /// [`Arena::set_watermark`] had preceded the inserts. The slab must
-    /// never have freed a slot.
-    pub(crate) fn stamp_generations(&mut self, watermark: u32) {
-        debug_assert!(self.free_slots.is_empty(), "a rebuilt slab frees nothing");
-        self.watermark = watermark;
-        for slot in &mut self.slots {
-            slot.generation = watermark;
-        }
     }
 }
 
@@ -525,9 +444,9 @@ impl Iterator for Refs<'_> {
 
 impl ExactSizeIterator for Refs<'_> {}
 
-/// A borrowed read view of one live object: its identity, placement and
-/// references. This is what [`SiteHeap::object`](crate::SiteHeap::object)
-/// and heap iteration hand out — the arena swap is invisible to callers.
+/// A borrowed read view of one live object: its identity and references.
+/// This is what [`SiteHeap::object`](crate::SiteHeap::object) and heap
+/// iteration hand out — the arena swap is invisible to callers.
 #[derive(Debug, Clone, Copy)]
 pub struct ObjectView<'a> {
     arena: &'a Arena,
@@ -538,11 +457,6 @@ impl<'a> ObjectView<'a> {
     /// The object's identity within its site.
     pub fn id(&self) -> ObjectId {
         self.arena.id_at(self.slot)
-    }
-
-    /// The object's checked slab placement.
-    pub fn slot(&self) -> ObjectSlot {
-        self.arena.handle(self.slot)
     }
 
     /// Number of references held.
@@ -714,18 +628,24 @@ mod tests {
     }
 
     #[test]
-    fn freed_slots_are_reused_with_bumped_generation() {
+    fn freed_slots_are_reused_under_a_new_identity() {
         let mut a = Arena::default();
         let s1 = a.insert(ObjectId::new(1));
-        let stale = a.handle(s1);
         a.free(s1);
-        assert_eq!(a.resolve(stale), None, "freed handle must not resolve");
+        assert_eq!(
+            a.slot_of(ObjectId::new(1)),
+            None,
+            "freed id must not resolve"
+        );
         let s2 = a.insert(ObjectId::new(2));
         assert_eq!(s1, s2, "slot is recycled");
-        assert_eq!(a.resolve(stale), None, "stale handle must not alias");
-        assert_eq!(a.resolve(a.handle(s2)), Some(s2));
-        assert_eq!(a.slot_of(ObjectId::new(1)), None);
+        assert_eq!(a.slot_of(ObjectId::new(1)), None, "stale id must not alias");
         assert_eq!(a.slot_of(ObjectId::new(2)), Some(s2));
+    }
+
+    #[test]
+    fn slot_records_are_three_words() {
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
     }
 
     #[test]
@@ -752,17 +672,5 @@ mod tests {
                 GlobalAddr::new(7, 7)
             ]
         );
-    }
-
-    #[test]
-    fn image_generation_outruns_every_handle() {
-        let mut a = Arena::default();
-        let s1 = a.insert(ObjectId::new(1));
-        let live = a.handle(s1);
-        let s2 = a.insert(ObjectId::new(2));
-        a.free(s2);
-        assert!(a.image_generation() > live.generation());
-        let s3 = a.insert(ObjectId::new(3));
-        assert!(a.image_generation() > a.handle(s3).generation());
     }
 }

@@ -315,14 +315,14 @@ mod tests {
     fn slot_reused_between_collections_carries_no_stale_state() {
         let (mut h, root) = rooted_heap();
         let doomed = h.alloc();
-        let doomed_slot = h.slot_of(doomed).unwrap().index();
+        let doomed_slot = h.arena.slot_of(doomed).unwrap();
         link(&mut h, root, doomed);
         h.remove_ref(root, ObjRef::Local(doomed)).unwrap();
         assert_eq!(h.collect().freed, BTreeSet::from([doomed]));
         // The new tenant of the slot is held; the old tenant's suspect entry
         // and reverse edges must not leak onto it.
         let tenant = h.alloc();
-        assert_eq!(h.slot_of(tenant).unwrap().index(), doomed_slot);
+        assert_eq!(h.arena.slot_of(tenant).unwrap(), doomed_slot);
         link(&mut h, root, tenant);
         assert!(h.collect().is_noop());
         h.remove_ref(root, ObjRef::Local(tenant)).unwrap();
@@ -349,7 +349,7 @@ mod tests {
             let slots: Vec<u32> = (0..4)
                 .map(|_| {
                     let id = h.alloc();
-                    h.slot_of(id).unwrap().index()
+                    h.arena.slot_of(id).unwrap()
                 })
                 .collect();
             tenants.push(slots);

@@ -5,14 +5,10 @@
 //! reference lists in original order (list order matters — `remove_ref`
 //! drops the first matching slot, so a reordered image would make replayed
 //! unlinks diverge), both root sets, the allocation counter (so replayed
-//! `alloc`s reassign the very same [`ObjectId`]s), the lifetime statistics
-//! and the arena's generation watermark. The watermark strictly exceeds
-//! every generation the pre-crash slab ever stamped onto a handle, so a
-//! restored heap starts its slots above it — any [`ObjectSlot`] handle
-//! minted before the checkpoint fails to resolve instead of aliasing
-//! whatever landed in the re-packed slab.
-//!
-//! [`ObjectSlot`]: crate::ObjectSlot
+//! `alloc`s reassign the very same [`ObjectId`]s) and the lifetime
+//! statistics. Slot placement is not part of it: objects are named by
+//! identity alone, so a restored heap packs them into fresh slots in
+//! identity order.
 //!
 //! The image's byte layout is written in one place, `ggd-store`'s
 //! `write_heap_image`, from any [`HeapImageSource`]: the live [`SiteHeap`]
@@ -56,8 +52,6 @@ pub trait HeapImageSource {
     /// Every live object with its references in list order, ascending by
     /// identity.
     fn objects(&self) -> impl Iterator<Item = (ObjectId, impl ExactSizeIterator<Item = ObjRef>)>;
-    /// The arena's generation watermark.
-    fn generation(&self) -> u32;
 }
 
 impl HeapImageSource for SiteHeap {
@@ -87,10 +81,6 @@ impl HeapImageSource for SiteHeap {
 
     fn objects(&self) -> impl Iterator<Item = (ObjectId, impl ExactSizeIterator<Item = ObjRef>)> {
         self.iter().map(|obj| (obj.id(), obj.refs()))
-    }
-
-    fn generation(&self) -> u32 {
-        self.arena.image_generation()
     }
 }
 
@@ -124,10 +114,6 @@ impl HeapImageSource for HeapImage {
             .iter()
             .map(|(id, refs)| (*id, refs.iter().copied()))
     }
-
-    fn generation(&self) -> u32 {
-        self.generation
-    }
 }
 
 /// A heap being rebuilt from its image, fed part by part in layout order by
@@ -149,16 +135,14 @@ pub trait HeapImageSink: Sized {
     ) -> Self;
     /// Adds the next object, with its references in list order.
     fn object(&mut self, id: ObjectId, refs: &[ObjRef]);
-    /// Ends the image with the arena's generation watermark, which comes
-    /// last in the layout.
-    fn finish(&mut self, generation: u32);
+    /// Ends the image once its last object is in.
+    fn finish(&mut self);
 }
 
 /// Each object goes into the arena as it is read, its references onto its
-/// chunk chain; the root sets are moved in. Once the watermark is read
-/// every slot starts its generation there, the roots are flagged and the
-/// delta tracker is primed — the heap [`SiteHeap::from_image`] would build
-/// from the same image.
+/// chunk chain; the root sets are moved in. Once the last object is in, the
+/// roots are flagged and the delta tracker is primed — the heap
+/// [`SiteHeap::from_image`] would build from the same image.
 impl HeapImageSink for SiteHeap {
     fn begin(
         site: SiteId,
@@ -184,8 +168,7 @@ impl HeapImageSink for SiteHeap {
         }
     }
 
-    fn finish(&mut self, generation: u32) {
-        self.arena.stamp_generations(generation);
+    fn finish(&mut self) {
         self.flag_roots();
         self.prime_tracker();
     }
@@ -207,7 +190,6 @@ impl HeapImageSink for HeapImage {
             local_roots,
             global_roots,
             objects: Vec::with_capacity(objects),
-            generation: 0,
         }
     }
 
@@ -215,9 +197,7 @@ impl HeapImageSink for HeapImage {
         self.objects.push((id, refs.to_vec()));
     }
 
-    fn finish(&mut self, generation: u32) {
-        self.generation = generation;
-    }
+    fn finish(&mut self) {}
 }
 
 /// The durable state of one [`SiteHeap`], as written into checkpoints by
@@ -236,10 +216,6 @@ pub struct HeapImage {
     pub global_roots: BTreeSet<ObjectId>,
     /// Every live object with its references in list order, sorted by id.
     pub objects: Vec<(ObjectId, Vec<ObjRef>)>,
-    /// The arena's generation watermark: strictly above every slot
-    /// generation the imaged heap ever handed out, so stale handles cannot
-    /// resolve against the restored slab.
-    pub generation: u32,
 }
 
 impl SiteHeap {
@@ -254,22 +230,20 @@ impl SiteHeap {
             local_roots: self.local_roots().collect(),
             global_roots: self.global_roots().collect(),
             objects: self.iter().map(|obj| (obj.id(), obj.refs_vec())).collect(),
-            generation: self.arena.image_generation(),
         }
     }
 
-    /// Rebuilds a heap from an owned checkpoint image. Every slot of the
-    /// rebuilt slab starts at the image's generation watermark. The image
-    /// holds no history, so the delta tracker is primed once from the
-    /// rebuilt heap: its cache is the restored snapshot, and the objects no
-    /// root reaches are the next collection's suspects. Recovery builds no
+    /// Rebuilds a heap from an owned checkpoint image, its objects packed
+    /// into fresh slots in identity order. The image holds no history, so
+    /// the delta tracker is primed once from the rebuilt heap: its cache is
+    /// the restored snapshot, and the objects no root reaches are the next
+    /// collection's suspects. Recovery builds no
     /// image: it reads the checkpoint straight into a heap
     /// ([`HeapImageSink`]), which must equal this rebuild.
     pub fn from_image(image: &HeapImage) -> SiteHeap {
         let mut heap = SiteHeap::new(image.site);
         heap.next_object = image.next_object;
         heap.stats = image.stats;
-        heap.arena.set_watermark(image.generation);
         for (id, refs) in &image.objects {
             let slot = heap.arena.insert(*id);
             for &r in refs {
@@ -311,15 +285,7 @@ mod tests {
         let back = SiteHeap::from_image(&image);
         assert_eq!(back, h, "restored heap equals the original");
 
-        // Re-imaging reproduces everything except the watermark, which only
-        // ratchets upward (the restored slab starts above the old one).
-        let mut again = back.image();
-        assert!(again.generation > image.generation);
-        again.generation = image.generation;
-        assert_eq!(
-            again, image,
-            "image round trip is exact up to the watermark"
-        );
+        assert_eq!(back.image(), image, "image round trip is exact");
 
         // The allocation counter continues where it left off.
         let mut h2 = SiteHeap::from_image(&image);
@@ -341,7 +307,7 @@ mod tests {
         for (id, refs) in &image.objects {
             sink.object(*id, refs);
         }
-        sink.finish(image.generation);
+        sink.finish();
         sink
     }
 
@@ -363,7 +329,6 @@ mod tests {
         let garbage = h.alloc();
         h.add_ref(garbage, ObjRef::Remote(GlobalAddr::new(3, 1)))
             .unwrap();
-        let handle = h.slot_of(root).unwrap();
 
         let image = h.image();
         assert_eq!(through_sink::<HeapImage>(&image), image);
@@ -373,12 +338,6 @@ mod tests {
         assert_eq!(read, h);
         assert!(read.tracker_is_consistent());
         assert_eq!(read.cached_snapshot(), rebuilt.cached_snapshot());
-        assert_eq!(
-            HeapImageSource::generation(&read),
-            HeapImageSource::generation(&rebuilt),
-            "every slot starts at the watermark"
-        );
-        assert!(read.resolve_slot(handle).is_none());
         assert_eq!(
             read.object(root).unwrap().refs_vec(),
             h.object(root).unwrap().refs_vec()
@@ -434,21 +393,5 @@ mod tests {
             h.object(a).unwrap().refs_vec(),
             restored.object(a).unwrap().refs_vec()
         );
-    }
-
-    #[test]
-    fn pre_checkpoint_handles_do_not_resolve_after_restore() {
-        let mut h = SiteHeap::new(SiteId::new(0));
-        let root = h.alloc_local_root();
-        let handle = h.slot_of(root).unwrap();
-        let restored = SiteHeap::from_image(&h.image());
-        assert!(restored.contains(root), "the object itself survives");
-        assert!(
-            restored.resolve_slot(handle).is_none(),
-            "a handle minted before the checkpoint must go stale"
-        );
-        // Handles minted after restore work as usual.
-        let fresh = restored.slot_of(root).unwrap();
-        assert_eq!(restored.resolve_slot(fresh).unwrap().id(), root);
     }
 }

@@ -48,7 +48,7 @@ mod reference;
 mod site_heap;
 mod snapshot;
 
-pub use arena::{ObjectSlot, ObjectView, Refs};
+pub use arena::{ObjectView, Refs};
 pub use collect::{CollectionOutcome, HeapStats};
 pub use image::{HeapImage, HeapImageSink, HeapImageSource};
 pub use model::ObjectModel;

@@ -5,8 +5,8 @@
 //! against this narrow surface, so the storage policy behind it — the
 //! production slab arena, or the map-based reference model used by the
 //! differential tests — is swappable without touching callers. The trait
-//! deliberately excludes representation-revealing operations (slot handles,
-//! checkpoint images): those belong to the concrete heap.
+//! deliberately excludes representation-revealing operations (borrowed
+//! object views, checkpoint images): those belong to the concrete heap.
 
 use std::collections::BTreeSet;
 

@@ -17,7 +17,7 @@ use std::fmt;
 
 use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
-use crate::arena::{Arena, ObjectSlot, ObjectView, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
+use crate::arena::{Arena, ObjectView, Scratch, FLAG_GLOBAL_ROOT, FLAG_LOCAL_ROOT};
 use crate::collect::HeapStats;
 use crate::object::ObjRef;
 use crate::snapshot::DeltaTracker;
@@ -75,7 +75,7 @@ pub struct SiteHeap {
 
 impl PartialEq for SiteHeap {
     fn eq(&self, other: &Self) -> bool {
-        // Logical identity only: slab layout, generations and caches are
+        // Logical identity only: slab layout and caches are
         // representation details (a recovered heap compares equal to the
         // heap it checkpointed even though its slots were re-packed).
         self.site == other.site
@@ -149,19 +149,6 @@ impl SiteHeap {
     /// Read access to an object.
     pub fn object(&self, id: ObjectId) -> Option<ObjectView<'_>> {
         self.arena.slot_of(id).map(|slot| self.arena.view(slot))
-    }
-
-    /// The slab placement of a live object, as a checked handle.
-    pub fn slot_of(&self, id: ObjectId) -> Option<ObjectSlot> {
-        self.arena.slot_of(id).map(|slot| self.arena.handle(slot))
-    }
-
-    /// Resolves a slot handle back to the object living there, provided the
-    /// placement is still current. A handle minted before the object was
-    /// reclaimed returns `None` even when the slot has been reused — the
-    /// generation stamp no longer matches.
-    pub fn resolve_slot(&self, handle: ObjectSlot) -> Option<ObjectView<'_>> {
-        self.arena.resolve(handle).map(|slot| self.arena.view(slot))
     }
 
     /// Number of live (not yet collected) objects.
@@ -635,27 +622,24 @@ mod tests {
 
     #[test]
     fn slot_handles_go_stale_after_reclaim_and_reuse() {
-        // The satellite invariant: a stale ObjectId (and its slot handle)
-        // must not resolve once the slot has been reclaimed and reused.
+        // The heap's only handle on an object is its identity: a stale
+        // ObjectId must not resolve once its slot has been reclaimed and
+        // reused.
         let mut h = heap();
         let root = h.alloc_local_root();
         let doomed = h.alloc();
-        let doomed_handle = h.slot_of(doomed).unwrap();
+        let doomed_slot = h.arena.slot_of(doomed).unwrap();
         h.collect(); // frees `doomed`
         assert!(!h.contains(doomed));
         assert!(h.object(doomed).is_none());
-        assert!(h.resolve_slot(doomed_handle).is_none());
 
         // The freed slot is reused by the next allocation...
         let reuser = h.alloc();
-        let reuser_handle = h.slot_of(reuser).unwrap();
-        assert_eq!(doomed_handle.index(), reuser_handle.index());
-        assert_ne!(doomed_handle.generation(), reuser_handle.generation());
+        assert_eq!(h.arena.slot_of(reuser), Some(doomed_slot));
 
-        // ...and neither the stale id nor the stale handle can reach it.
+        // ...and the stale id cannot reach it.
         assert!(h.object(doomed).is_none());
-        assert!(h.resolve_slot(doomed_handle).is_none());
-        assert_eq!(h.resolve_slot(reuser_handle).unwrap().id(), reuser);
+        assert_eq!(h.object(reuser).unwrap().id(), reuser);
         assert!(h.contains(root));
     }
 

@@ -2072,13 +2072,13 @@ mod tests {
         h.alloc_local_root();
         let (delta, grow_only) = checked_window(&mut h, |h| {
             let garbage = h.alloc();
-            let slot = h.slot_of(garbage).unwrap().index();
+            let slot = h.arena.slot_of(garbage).unwrap();
             h.add_ref(garbage, ObjRef::Remote(GlobalAddr::new(4, 1)))
                 .unwrap();
             assert_eq!(h.collect().freed, BTreeSet::from([garbage]));
             // The recorded `from` slot now holds a local root.
             let tenant = h.alloc_local_root();
-            assert_eq!(h.slot_of(tenant).unwrap().index(), slot);
+            assert_eq!(h.arena.slot_of(tenant).unwrap(), slot);
         });
         assert!(
             !grow_only,

@@ -702,6 +702,35 @@ mod tests {
     }
 
     #[test]
+    fn disk_state_in_the_previous_format_fails_the_load() {
+        let dir = std::env::temp_dir().join(format!(
+            "ggd-store-test-{}-{}",
+            std::process::id(),
+            "previous_format"
+        ));
+        // Each file in turn carries version 2 in its header.
+        for file in ["site-5.ckpt", "site-5.wal"] {
+            let _ = fs::remove_dir_all(&dir);
+            let config = DurabilityConfig::disk(&dir);
+            {
+                let mut store = SiteStore::<u64>::open(SiteId::new(5), &config).unwrap();
+                store.install_checkpoint(&heap(), STATE);
+                store.append(&record(1));
+            }
+            let path = dir.join(file);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[4] = 2;
+            fs::write(&path, bytes).unwrap();
+            let mut store = SiteStore::<u64>::open(SiteId::new(5), &config).unwrap();
+            assert!(
+                matches!(store.load(), Err(StoreError::VersionMismatch { found: 2 })),
+                "{file}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn interrupted_checkpoint_install_never_double_replays() {
         // Simulate a crash between the checkpoint rename and the WAL
         // truncation: the new checkpoint (epoch n+1) sits next to the old

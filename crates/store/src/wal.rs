@@ -4,9 +4,13 @@
 //!
 //! ```text
 //! log   := header frame*
-//! header:= magic "GGDW" version:u8
+//! header:= magic "GGDW" version:u8 epoch:u64le
 //! frame := len:u32le checksum:u32le payload[len]
 //! ```
+//!
+//! `version` is [`FORMAT_VERSION`]: a log or checkpoint of any other
+//! version fails with [`StoreError::VersionMismatch`] before any payload is
+//! decoded, so no image is read in a layout it was not written in.
 //!
 //! `checksum` is FNV-1a over the payload. A frame whose checksum does not
 //! match is *corruption* and fails the whole load (the durable medium lied);
@@ -26,7 +30,9 @@ use crate::codec::CodecError;
 ///
 /// v2: `HeapImage` carries the arena's generation watermark, so restored
 /// slabs invalidate every pre-checkpoint `ObjectSlot` handle.
-pub const FORMAT_VERSION: u8 = 2;
+/// v3: the heap image drops the watermark (objects are named by identity
+/// alone) and the engine image drops the always-empty designated-root set.
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Magic prefix of a WAL.
 pub const WAL_MAGIC: &[u8; 4] = b"GGDW";
@@ -335,6 +341,25 @@ mod tests {
         assert!(matches!(
             scan_wal(b"GG", |_| Ok(())),
             Err(StoreError::BadMagic)
+        ));
+    }
+
+    #[test]
+    fn previous_format_version_is_rejected() {
+        // A v2 heap image ends in a generation watermark that v3 does not
+        // write; the header must stop it before any payload is decoded.
+        let mut wal = wal_header(0);
+        append_frame(&mut wal, b"record");
+        wal[4] = 2;
+        assert!(matches!(
+            scan_wal(&wal, |_| Ok(())),
+            Err(StoreError::VersionMismatch { found: 2 })
+        ));
+        let mut blob = seal_checkpoint(b"engine+heap", 1);
+        blob[4] = 2;
+        assert!(matches!(
+            open_checkpoint(&blob),
+            Err(StoreError::VersionMismatch { found: 2 })
         ));
     }
 

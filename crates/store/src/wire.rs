@@ -416,7 +416,6 @@ pub fn write_heap_image(out: &mut Vec<u8>, heap: &impl HeapImageSource) {
         id.encode(out);
         write_exact(out, refs);
     }
-    heap.generation().encode(out);
 }
 
 /// Writes a sequence as the codec writes a `Vec` or an ordered set: the
@@ -477,7 +476,7 @@ pub(crate) fn read_heap_image<S: HeapImageSink>(r: &mut Reader<'_>) -> Result<S,
         }
         sink.object(id, &refs);
     }
-    sink.finish(u32::decode(r)?);
+    sink.finish();
     Ok(sink)
 }
 
@@ -549,9 +548,6 @@ pub fn write_engine_image(out: &mut Vec<u8>, engine: &impl EngineImageSource) {
         target.encode(out);
         write_exact(out, holders);
     }
-    // The retired set of designated roots, kept as an empty set so the
-    // image layout does not change.
-    write_varint(out, 0);
     write_counted(out, engine.detected(), |out, addr| addr.encode(out));
     engine.pending_verdicts().encode(out);
     engine.outgoing().encode(out);
@@ -643,9 +639,6 @@ fn read_engine<S: EngineImageSink>(r: &mut Reader<'_>, next_object: u64) -> Resu
         sink.holders(target, &holders);
         Ok(())
     })?;
-    if r.len()? != 0 {
-        return Err(CodecError::Invalid("designated roots in an engine image"));
-    }
     read_ascending(r, |_, addr: GlobalAddr| {
         with_state(VertexId::from(addr))?;
         sink.detected(addr);
@@ -1074,35 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn designated_roots_fail_the_decode() {
-        let mut engine = ggd_causal::CausalEngine::new(SiteId::new(2));
-        engine.on_export(GlobalAddr::new(2, 1), VertexId::object(5, 1));
-        let image = engine.checkpoint();
-        let bytes = encode_to_vec(&image);
-        // Everything before the retired set of designated roots.
-        let mut head = Vec::new();
-        image.site.encode(&mut head);
-        image.counters.encode(&mut head);
-        image.log.encode(&mut head);
-        image.last_closure.encode(&mut head);
-        image.edges_out.encode(&mut head);
-        image.locally_rooted.encode(&mut head);
-        image.inbound_holders.encode(&mut head);
-        assert_eq!(bytes[head.len()], 0, "the set is written empty");
-        assert_eq!(decode_engine_checkpoint(&bytes, 2), Ok(image));
-
-        let tail = &bytes[head.len() + 1..];
-        let mut spliced = head;
-        write_varint(&mut spliced, 1);
-        VertexId::site_root(2).encode(&mut spliced);
-        spliced.extend_from_slice(tail);
-        assert!(matches!(
-            decode_engine_checkpoint(&spliced, 2),
-            Err(CodecError::Invalid(_))
-        ));
-    }
-
-    #[test]
     fn heap_images_name_only_allocated_identities() {
         let image = |ids: &[u64]| HeapImage {
             site: SiteId::new(1),
@@ -1114,7 +1078,6 @@ mod tests {
                 .iter()
                 .map(|&id| (ObjectId::new(id), Vec::new()))
                 .collect(),
-            generation: 0,
         };
         round_trip(image(&[1, 4]));
         let bytes = encode_to_vec(&image(&[1, 4]));
