@@ -236,6 +236,16 @@ pub struct CausalEngine {
     /// `apply_delta`'s edge events, `(vertex, target, created)` in replay
     /// order: a buffer reused across calls, empty between them.
     events: Vec<(VertexId, GlobalAddr, bool)>,
+    /// `apply_delta`'s vertices whose local rootedness changed, in delta
+    /// order: a buffer reused across calls, empty between them.
+    rootedness_changed: Vec<VertexId>,
+    /// The payload of the message last received, emptied: the next
+    /// outgoing payload is built in its storage, so a chain of control
+    /// messages reuses the allocations it arrives with.
+    spare: RootedVector,
+    /// The holder list of the remote record last dropped for a lost
+    /// target, emptied: the next record that gains a holder takes it.
+    spare_holders: Vec<VertexId>,
 }
 
 impl CausalEngine {
@@ -250,6 +260,9 @@ impl CausalEngine {
             outgoing: Vec::new(),
             stats: EngineStats::default(),
             events: Vec::new(),
+            rootedness_changed: Vec::new(),
+            spare: RootedVector::new(),
+            spare_holders: Vec::new(),
         }
     }
 
@@ -406,6 +419,9 @@ impl CausalEngine {
             outgoing: checkpoint.outgoing,
             stats: checkpoint.stats,
             events: Vec::new(),
+            rootedness_changed: Vec::new(),
+            spare: RootedVector::new(),
+            spare_holders: Vec::new(),
         };
         engine.rebuild_edge_refcounts();
         engine
@@ -548,7 +564,7 @@ impl CausalEngine {
 
     /// Retires every trace of a site that left the fleet through a
     /// *planned departure* — the vector-retirement step of elastic
-    /// membership (ROADMAP item 3, first concrete instance).
+    /// membership (DESIGN.md §9, "Elastic membership and partitions").
     ///
     /// By the time this runs, the departure protocol has already (a)
     /// quiesced the cluster, so no message from the departed site is in
@@ -712,7 +728,15 @@ impl CausalEngine {
             .row_mut(VertexId::from(target))
             .vector
             .merge_entry(holder, Timestamp::created(n));
-        let holders = &mut self.remote.entry(target).or_default().holders;
+        let spare = &mut self.spare_holders;
+        let holders = &mut self
+            .remote
+            .entry(target)
+            .or_insert_with(|| RemoteTarget {
+                refs: 0,
+                holders: std::mem::take(spare),
+            })
+            .holders;
         if let Err(at) = holders.binary_search(&holder) {
             holders.insert(at, holder);
         }
@@ -782,7 +806,7 @@ impl CausalEngine {
         }
 
         // 1. Local-rootedness transitions of current global roots.
-        let mut rootedness_changed = Vec::new();
+        let mut rootedness_changed = std::mem::take(&mut self.rootedness_changed);
         for &(id, is) in &delta.rootedness {
             let vertex = local(id);
             if self.is_locally_rooted(vertex) != is {
@@ -875,11 +899,13 @@ impl CausalEngine {
         // 3. Fresh rootedness propagates along the (final) out-edges:
         // losing it lazily restores comprehensiveness, gaining it promptly
         // preserves safety.
-        for vertex in rootedness_changed {
+        for &vertex in &rootedness_changed {
             let closure = self.log.closure_entries(vertex);
             self.vertices.entry(vertex).remember_entries(closure);
             self.propagate(vertex);
         }
+        rootedness_changed.clear();
+        self.rootedness_changed = rootedness_changed;
     }
 
     // ------------------------------------------------------------------
@@ -897,15 +923,34 @@ impl CausalEngine {
     /// corrupt message is dropped; and losing a control message can only
     /// leave residual garbage, never free a reachable object. The rule keeps
     /// the engine's tables growing from local events only.
+    ///
+    /// Once merged, the payload is emptied and becomes the engine's spare:
+    /// the payloads the receipt goes on to queue are built in its storage.
     pub fn on_message(&mut self, message: CausalMessage) {
         self.stats.messages_received += 1;
-        let CausalMessage { from, to, payload } = message;
+        let CausalMessage {
+            from,
+            to,
+            mut payload,
+        } = message;
+        let accepted = self.merge_payload(from, to, &payload);
+        payload.clear();
+        self.spare = payload;
+        if accepted {
+            self.recompute(to);
+        }
+    }
+
+    /// The merge half of [`CausalEngine::on_message`]: absorbs `payload`,
+    /// sent from `from` to `to`, into the log. Returns `false`, having
+    /// changed nothing, when the message is dropped.
+    fn merge_payload(&mut self, from: VertexId, to: VertexId, payload: &RootedVector) -> bool {
         if to.site() != self.site {
             // Misrouted message: ignore (robustness over panicking).
-            return;
+            return false;
         }
         match self.vertices.get(to) {
-            None => return,
+            None => return false,
             Some(state) if state.detected => {
                 // News for a vertex already declared garbage: the object is
                 // as good as deleted, so there is nothing to improve and
@@ -917,24 +962,24 @@ impl CausalEngine {
                 // (the sender entry is absent, hence not live), bumping
                 // their counters and re-improving their closures — a
                 // message livelock that keeps `settle` spinning forever.
-                return;
+                return false;
             }
             Some(_) => {}
         }
         if from.site() == self.site && self.vertices.get(from).is_none() {
-            return;
+            return false;
         }
-        self.log.absorb_root_flags(&payload);
+        self.log.absorb_root_flags(payload);
 
         let news = payload.vector.get(from);
         let mut changed = false;
         if news.is_live() {
             // Propagation: `payload` is the sender's own latest vector.
-            changed |= self.log.row_mut(from).merge(&payload);
+            changed |= self.log.row_mut(from).merge(payload);
         } else {
             // Edge destruction: `payload` is the vector the sender kept on
             // the recipient's behalf (bundled lazy edge-creation news).
-            changed |= self.log.row_mut(to).merge(&payload);
+            changed |= self.log.row_mut(to).merge(payload);
         }
         changed |= self.log.row_mut(to).vector.merge_entry(from, news);
 
@@ -942,7 +987,12 @@ impl CausalEngine {
             // A (new) edge-destruction event at the recipient vertex.
             self.bump(to);
         }
+        true
+    }
 
+    /// The rest of [`CausalEngine::on_message`], once the payload is
+    /// merged: `ComputeV` for `to`, then propagation or a garbage verdict.
+    fn recompute(&mut self, to: VertexId) {
         // `ComputeV` into the log's buffer; the memo takes a copy only when
         // the closure improved on the one last circulated.
         let closure = self.log.closure_entries(to);
@@ -977,17 +1027,19 @@ impl CausalEngine {
     /// so that the bundled edge-destruction message supersedes the matching
     /// placeholders held at the target's site.
     fn mark_lost_holders(&mut self, target: GlobalAddr) {
-        let holders = match self.remote.entry(target) {
+        let mut holders = match self.remote.entry(target) {
             Entry::Occupied(record) if record.get().refs == 0 => record.remove().holders,
             _ => return,
         };
-        for holder in holders {
+        for &holder in &holders {
             let index = self.bump(holder);
             self.log
                 .row_mut(VertexId::from(target))
                 .vector
                 .set(holder, Timestamp::destroyed(index));
         }
+        holders.clear();
+        self.spare_holders = holders;
     }
 
     /// Recomputes the edge counts from the vertices' out-edges — used by
@@ -1035,35 +1087,15 @@ impl CausalEngine {
         vertex.is_site_root() || self.log.is_root(vertex)
     }
 
-    fn outgoing_payload(&self, vector: DependencyVector) -> RootedVector {
-        let mut payload = RootedVector::from_vector(vector);
-        // Bundle exactly the stamps the shipped entries depend on: the
-        // receiver only ever consults root status for vertices carrying a
-        // live entry in one of its closures, and every such entry arrives
-        // inside some payload vector — so stamping the mentioned vertices
-        // keeps the "knowledge arrives no later than the entries that
-        // depend on it" invariant while bounding the message by the
-        // vector's width. Shipping the whole stamp map instead would make
-        // every message (and so every WAL record) grow with the number of
-        // global roots that ever existed, and would re-teach peers stamps
-        // they already compacted away (the soak test pins both).
-        let RootedVector { vector, root_flags } = &mut payload;
-        for (vertex, _) in vector.iter() {
-            if let Some((as_of, is_root)) = self.log.root_stamp(vertex) {
-                root_flags.stamp(vertex, as_of, is_root);
-            }
-            if let Some(state) = self.vertices.get(vertex).filter(|s| s.locally_rooted) {
-                root_flags.stamp(vertex, state.counter.max(1), true);
-            }
-        }
-        payload
-    }
-
     fn queue_root_announcement(&mut self, from: VertexId, target: GlobalAddr, index: u64) {
         let to = VertexId::from(target);
-        let mut vector = DependencyVector::new();
-        vector.set(from, Timestamp::created(index));
-        let payload = self.outgoing_payload(vector);
+        let mut payload = std::mem::take(&mut self.spare);
+        fill_payload(
+            &self.log,
+            &self.vertices,
+            &mut payload,
+            &[(from, Timestamp::created(index))],
+        );
         self.stats.propagations_sent += 1;
         self.outgoing.push(Outgoing {
             to_site: target.site(),
@@ -1073,14 +1105,19 @@ impl CausalEngine {
 
     fn queue_destruction(&mut self, from: VertexId, target: GlobalAddr) {
         let to = VertexId::from(target);
-        let payload = match self.log.row(to) {
+        let mut payload = std::mem::take(&mut self.spare);
+        match self.log.row(to) {
             Some(row) => {
-                let mut payload = self.outgoing_payload(row.vector.clone());
+                fill_payload(
+                    &self.log,
+                    &self.vertices,
+                    &mut payload,
+                    row.vector.as_slice(),
+                );
                 payload.root_flags.absorb(&row.root_flags);
-                payload
             }
-            None => self.outgoing_payload(DependencyVector::new()),
-        };
+            None => fill_payload(&self.log, &self.vertices, &mut payload, &[]),
+        }
         self.stats.destructions_sent += 1;
         self.outgoing.push(Outgoing {
             to_site: target.site(),
@@ -1090,7 +1127,8 @@ impl CausalEngine {
 
     /// Circulates the vertex's remembered closure (its freshly
     /// reconstructed vector-time) along the vertex's out-going edges. The
-    /// payload and its stamps are built once and cloned per target.
+    /// payload and its stamps are built once, in the spare, and cloned per
+    /// further target.
     fn propagate(&mut self, vertex: VertexId) {
         let Some(state) = self.vertices.get(vertex) else {
             return;
@@ -1116,7 +1154,8 @@ impl CausalEngine {
             *closure,
             "the closure of {vertex} must absorb its own row"
         );
-        let payload = self.outgoing_payload(closure.clone());
+        let mut payload = std::mem::take(&mut self.spare);
+        fill_payload(&self.log, &self.vertices, &mut payload, closure.as_slice());
         let message = |target: GlobalAddr, payload: RootedVector| Outgoing {
             to_site: target.site(),
             message: CausalMessage {
@@ -1179,6 +1218,47 @@ impl CausalEngine {
                 .set(vertex, Timestamp::destroyed(n));
             self.stats.edge_destructions += 1;
             self.queue_destruction(vertex, target);
+        }
+    }
+}
+
+/// Fills the emptied `payload` with the vector `entries` (a
+/// `DependencyVector`'s entry layout) and exactly the root stamps they
+/// depend on, reusing the payload's storage.
+///
+/// The receiver only ever consults root status for vertices carrying a live
+/// entry in one of its closures, and every such entry arrives inside some
+/// payload vector — so stamping the mentioned vertices keeps the "knowledge
+/// arrives no later than the entries that depend on it" invariant while
+/// bounding the message by the vector's width. Shipping the whole stamp map
+/// instead would make every message (and so every WAL record) grow with the
+/// number of global roots that ever existed, and would re-teach peers stamps
+/// they already compacted away (the soak test pins both).
+fn fill_payload(
+    log: &DkLog,
+    vertices: &LocalVertices,
+    payload: &mut RootedVector,
+    entries: &[(VertexId, Timestamp)],
+) {
+    debug_assert!(payload.root_flags.is_empty(), "the spare is emptied");
+    if payload.vector.is_inline() && entries.len() > DependencyVector::INLINE_CAPACITY {
+        // Spill with room to spare: relayed along a chain, the payload
+        // meets closures a few entries wider than the one it carries.
+        let mut spilled = Vec::with_capacity(2 * entries.len());
+        spilled.extend_from_slice(entries);
+        payload.vector = DependencyVector::from_sorted(spilled)
+            .expect("a payload vector is sorted and holds no NEVER");
+    } else {
+        let copied = payload.vector.assign_sorted_slice(entries);
+        debug_assert!(copied, "a payload vector is sorted and holds no NEVER");
+    }
+    let RootedVector { vector, root_flags } = payload;
+    for (vertex, _) in vector.iter() {
+        if let Some((as_of, is_root)) = log.root_stamp(vertex) {
+            root_flags.stamp(vertex, as_of, is_root);
+        }
+        if let Some(state) = vertices.get(vertex).filter(|s| s.locally_rooted) {
+            root_flags.stamp(vertex, state.counter.max(1), true);
         }
     }
 }

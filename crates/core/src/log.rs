@@ -54,6 +54,12 @@ impl RootedVector {
         self.root_flags.stamp(vertex, as_of, is_root)
     }
 
+    /// Empties the vector and its stamps, keeping both allocations.
+    pub fn clear(&mut self) {
+        self.vector.clear();
+        self.root_flags.clear();
+    }
+
     /// Merges another rooted vector into this one (vector join plus
     /// freshest-stamp-wins root knowledge). Returns whether anything changed.
     pub fn merge(&mut self, other: &RootedVector) -> bool {

@@ -5,8 +5,9 @@
 //! its vector, a row rarely any — and is read and merged on every control
 //! message, so it is a vector sorted by vertex rather than an ordered map:
 //! a lookup is one binary search, a merge of ascending stamps appends, and
-//! an empty map allocates nothing. Iteration is in ascending vertex order,
-//! exactly as an ordered map would give, so the codec writes it the same.
+//! a map of at most one stamp allocates nothing. Iteration is in ascending
+//! vertex order, exactly as an ordered map would give, so the codec writes
+//! it the same.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,48 +18,112 @@ use ggd_types::VertexId;
 pub type Stamp = (VertexId, (u64, bool));
 
 /// Root-status stamps sorted by vertex, at most one per vertex.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(from = "Vec<Stamp>", into = "Vec<Stamp>")]
 pub struct RootStamps {
-    /// Strictly ascending by vertex.
-    entries: Vec<Stamp>,
+    entries: Entries,
+}
+
+/// The stamps, strictly ascending by vertex: one held inline — most rows
+/// and payloads hold none or one — and more in a `Vec`, which keeps its
+/// allocation once spilled, also when emptied.
+#[derive(Debug, Clone)]
+enum Entries {
+    Inline(Option<Stamp>),
+    Spilled(Vec<Stamp>),
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Inline(None)
+    }
+}
+
+impl PartialEq for RootStamps {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RootStamps {}
+
+impl From<Vec<Stamp>> for RootStamps {
+    fn from(entries: Vec<Stamp>) -> Self {
+        let mut stamps = RootStamps::new();
+        for (vertex, (as_of, is_root)) in entries {
+            stamps.stamp(vertex, as_of, is_root);
+        }
+        stamps
+    }
+}
+
+impl From<RootStamps> for Vec<Stamp> {
+    fn from(stamps: RootStamps) -> Self {
+        stamps.as_slice().to_vec()
+    }
 }
 
 impl RootStamps {
     /// Creates an empty stamp map; allocates nothing.
     pub const fn new() -> Self {
         RootStamps {
-            entries: Vec::new(),
+            entries: Entries::Inline(None),
         }
     }
 
     /// Builds a stamp map from `entries`, which must be strictly ascending
-    /// by vertex; `None` otherwise. Keeps the `Vec`'s allocation.
-    pub fn from_sorted(entries: Vec<Stamp>) -> Option<Self> {
-        entries
-            .windows(2)
-            .all(|pair| pair[0].0 < pair[1].0)
-            .then_some(RootStamps { entries })
+    /// by vertex; `None` otherwise. Keeps the `Vec`'s allocation when it
+    /// holds more than one stamp.
+    pub fn from_sorted(mut entries: Vec<Stamp>) -> Option<Self> {
+        if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            return None;
+        }
+        let entries = if entries.len() > 1 {
+            Entries::Spilled(entries)
+        } else {
+            Entries::Inline(entries.pop())
+        };
+        Some(RootStamps { entries })
+    }
+
+    fn as_slice(&self) -> &[Stamp] {
+        match &self.entries {
+            Entries::Inline(one) => one.as_slice(),
+            Entries::Spilled(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Stamp] {
+        match &mut self.entries {
+            Entries::Inline(one) => one.as_mut_slice(),
+            Entries::Spilled(v) => v,
+        }
     }
 
     /// The stamp held for `vertex`, if any.
     pub fn get(&self, vertex: VertexId) -> Option<(u64, bool)> {
-        self.find(vertex).ok().map(|i| self.entries[i].1)
+        self.find(vertex).ok().map(|i| self.as_slice()[i].1)
     }
 
     /// Records a stamp unless an equally fresh or fresher one is already
     /// there. Returns whether it was recorded.
     pub fn stamp(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
+        let stamp = (vertex, (as_of, is_root));
         match self.find(vertex) {
-            Ok(i) if self.entries[i].1 .0 >= as_of => false,
-            Ok(i) => {
-                self.entries[i].1 = (as_of, is_root);
-                true
-            }
-            Err(i) => {
-                self.entries.insert(i, (vertex, (as_of, is_root)));
-                true
-            }
+            Ok(i) if self.as_slice()[i].1 .0 >= as_of => return false,
+            Ok(i) => self.as_mut_slice()[i] = stamp,
+            Err(i) => match &mut self.entries {
+                Entries::Inline(None) => self.entries = Entries::Inline(Some(stamp)),
+                Entries::Inline(Some(held)) => {
+                    let mut spilled = Vec::with_capacity(4);
+                    spilled.push(*held);
+                    spilled.insert(i, stamp);
+                    self.entries = Entries::Spilled(spilled);
+                }
+                Entries::Spilled(v) => v.insert(i, stamp),
+            },
         }
+        true
     }
 
     /// Stamps every entry of `incoming`, freshest stamp winning. Returns
@@ -73,31 +138,46 @@ impl RootStamps {
 
     /// Keeps only the stamps whose vertex `keep` accepts.
     pub fn retain(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
-        self.entries.retain(|&(vertex, _)| keep(vertex));
+        match &mut self.entries {
+            Entries::Inline(one) => {
+                if one.is_some_and(|(vertex, _)| !keep(vertex)) {
+                    *one = None;
+                }
+            }
+            Entries::Spilled(v) => v.retain(|&(vertex, _)| keep(vertex)),
+        }
+    }
+
+    /// Drops every stamp, keeping the allocation.
+    pub fn clear(&mut self) {
+        match &mut self.entries {
+            Entries::Inline(one) => *one = None,
+            Entries::Spilled(v) => v.clear(),
+        }
     }
 
     /// Every stamp, in ascending vertex order.
     pub fn iter(&self) -> std::slice::Iter<'_, Stamp> {
-        self.entries.iter()
+        self.as_slice().iter()
     }
 
     /// Every stamped vertex, in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.entries.iter().map(|&(vertex, _)| vertex)
+        self.iter().map(|&(vertex, _)| vertex)
     }
 
     /// Number of stamps held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.as_slice().len()
     }
 
     /// True when no stamp is held.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.as_slice().is_empty()
     }
 
     fn find(&self, vertex: VertexId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&vertex, |&(v, _)| v)
+        self.as_slice().binary_search_by_key(&vertex, |&(v, _)| v)
     }
 }
 
@@ -164,6 +244,34 @@ mod tests {
             assert_eq!(stamps.len(), model.len());
             assert_eq!(stamps.keys().count(), model.len());
         }
+    }
+
+    #[test]
+    fn equality_ignores_where_the_stamps_are_held() {
+        let (a, b) = (VertexId::object(1, 1), VertexId::object(2, 1));
+        let mut one = RootStamps::new();
+        one.stamp(a, 3, true);
+        // Two stamps spill; dropping one leaves a spilled single stamp.
+        let mut spilled = RootStamps::new();
+        spilled.stamp(b, 1, false);
+        spilled.stamp(a, 3, true);
+        assert_eq!(spilled.keys().collect::<Vec<_>>(), [a, b]);
+        spilled.retain(|vertex| vertex == a);
+        assert_eq!(spilled, one);
+        assert_eq!(
+            RootStamps::from_sorted(vec![(a, (3, true))]),
+            Some(one.clone())
+        );
+        assert_eq!(spilled.get(a), Some((3, true)));
+        // Cleared, either form equals the empty map and restamps the same.
+        spilled.clear();
+        one.clear();
+        assert_eq!(spilled, RootStamps::new());
+        assert_eq!(one, RootStamps::new());
+        spilled.stamp(b, 2, true);
+        one.stamp(b, 2, true);
+        assert_eq!(spilled, one);
+        assert_eq!(Vec::from(spilled), vec![(b, (2, true))]);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! `CodecError::Invalid`, and the sorted stamp type must encode exactly as
 //! the ordered map it replaced. (Corrupted-record rejection — bad checksum,
 //! truncated tail — is pinned in `ggd-store`'s `wal` and `store` test
-//! modules.)
+//! modules.) A payload the engine builds in the storage of one it received
+//! must encode exactly as one built in fresh storage.
 
 use std::collections::BTreeMap;
 
-use ggd_causal::{CausalMessage, DkLog, EngineCheckpoint, RootStamps, RootedVector};
+use ggd_causal::{CausalEngine, CausalMessage, DkLog, EngineCheckpoint, RootStamps, RootedVector};
 use ggd_explore::corpus_triple;
+use ggd_heap::{ObjRef, SiteHeap};
 use ggd_mutator::generator::SegmentWeights;
 use ggd_mutator::{MutatorOp, Step};
 use ggd_sim::{CausalCollector, Cluster};
@@ -307,4 +309,94 @@ fn root_stamps_encode_exactly_as_the_ordered_map() {
         assert_eq!(encode_to_vec(&rooted), old_layout);
     }
     assert!(total > 2_000, "only {total} stamps exercised");
+}
+
+/// Every payload an engine builds in the storage of a payload it received —
+/// here first a wide one, nine entries and three stamps, both spilled —
+/// equals, entry for entry and byte for byte, the payload its twin builds:
+/// the engine restored from a checkpoint taken right after that receipt,
+/// which holds no received storage. Covers a destruction and a root
+/// announcement built in that storage, then propagations, each built in the
+/// storage of the message that caused it and cloned for a second target.
+#[test]
+fn payloads_built_in_received_storage_equal_a_fresh_engines() {
+    let site = SiteId::new(0);
+    let remote = |site: u32, obj: u64| VertexId::object(site, obj);
+    let mut heap = SiteHeap::new(site);
+    let mut engine = CausalEngine::new(site);
+
+    // `sender` holds three remote references, `quiet` none; both exported.
+    let (sender, quiet) = (heap.alloc(), heap.alloc());
+    for (obj, holder) in [(sender, remote(5, 1)), (quiet, remote(6, 1))] {
+        heap.register_global_root(obj).unwrap();
+        engine.on_export(heap.addr_of(obj), holder);
+    }
+    let targets = [1, 2, 3].map(|obj| GlobalAddr::new(3, obj));
+    for target in targets {
+        heap.add_ref(sender, ObjRef::Remote(target)).unwrap();
+    }
+    engine.apply_delta(&heap.take_delta());
+    assert!(
+        engine.take_outgoing().is_empty(),
+        "lazy creations send nothing"
+    );
+
+    // The wide message: `quiet` has no out-edges, so its receipt propagates
+    // nothing and its payload stays behind as the spare. It names vertices
+    // of site 8, which no later payload mentions: a stamp of theirs left in
+    // the spare would show in the next payload built there.
+    let wide = |from: VertexId, to: VertexId, index: u64, site: u32| {
+        let mut payload = RootedVector::new();
+        payload.vector.set(from, Timestamp::created(index));
+        for k in 0..8 {
+            payload
+                .vector
+                .set(remote(site, k + 1), Timestamp::created(index + k));
+        }
+        for k in 0..3 {
+            payload.stamp_root(remote(site, k + 1), index, k != 1);
+        }
+        CausalMessage { from, to, payload }
+    };
+    let quiet_vertex = VertexId::from(heap.addr_of(quiet));
+    let message = wide(remote(6, 1), quiet_vertex, 1, 8);
+    assert!(!message.payload.vector.is_inline());
+    engine.on_message(message);
+    assert!(engine.take_outgoing().is_empty());
+    let mut twin = CausalEngine::restore(engine.checkpoint());
+
+    // Every later event goes to both engines; their messages must agree.
+    let mut checked = 0;
+    let mut compare = |engine: &mut CausalEngine, twin: &mut CausalEngine, what: &str| {
+        let (ours, theirs) = (engine.take_outgoing(), twin.take_outgoing());
+        assert!(!ours.is_empty(), "{what}: nothing sent");
+        assert_eq!(ours, theirs, "{what}");
+        for (a, b) in ours.iter().zip(&theirs) {
+            assert_eq!(
+                encode_to_vec(&a.message),
+                encode_to_vec(&b.message),
+                "{what}"
+            );
+        }
+        checked += ours.len();
+    };
+    heap.remove_ref(sender, ObjRef::Remote(targets[0])).unwrap();
+    let delta = heap.take_delta();
+    engine.apply_delta(&delta);
+    twin.apply_delta(&delta);
+    compare(&mut engine, &mut twin, "destruction");
+    let root = heap.alloc_local_root();
+    heap.add_ref(root, ObjRef::Remote(targets[1])).unwrap();
+    let delta = heap.take_delta();
+    engine.apply_delta(&delta);
+    twin.apply_delta(&delta);
+    compare(&mut engine, &mut twin, "root announcement");
+    let sender_vertex = VertexId::from(heap.addr_of(sender));
+    for index in 2..5 {
+        let message = wide(remote(5, 1), sender_vertex, index, 7);
+        engine.on_message(message.clone());
+        twin.on_message(message);
+        compare(&mut engine, &mut twin, "propagation");
+    }
+    assert_eq!(checked, 2 + 3 * 2);
 }

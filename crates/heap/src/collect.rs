@@ -63,41 +63,60 @@ impl SiteHeap {
     /// union of the designated local roots and the current global root set,
     /// exactly as prescribed by §2.1 of the paper. The GGD layer learns
     /// which remote references died with them from the next
-    /// [`SiteHeap::take_delta`].
+    /// [`SiteHeap::take_delta`]. The allocating form of
+    /// [`SiteHeap::collect_into`].
+    pub fn collect(&mut self) -> CollectionOutcome {
+        let mut freed = Vec::new();
+        self.collect_into(&mut freed);
+        CollectionOutcome {
+            freed: freed.into_iter().collect(),
+            live: self.len(),
+        }
+    }
+
+    /// [`SiteHeap::collect`] into a caller's buffer: `freed` is overwritten
+    /// with the freed objects, in ascending order.
     ///
     /// The outcome is always that of a stop-the-world mark-sweep over the
     /// whole site, but the cost is proportional to what changed since the
     /// previous collection: the heap records *suspects* (fresh objects,
     /// local targets of removed references, demoted roots, and on a heap
     /// restored from an image the garbage it carried) and a collection
-    /// examines only their forward closure — returning in O(1), without
-    /// allocating, when there are none. Freed slots go back to the arena in
-    /// ascending order, so slot reuse follows the freed set alone. Debug
-    /// builds check every collection against [`SiteHeap::would_collect`].
-    pub fn collect(&mut self) -> CollectionOutcome {
+    /// examines only their forward closure — returning in O(1) when there
+    /// are none. Once `freed` and the heap's traversal buffers have grown,
+    /// a collection allocates nothing. Freed slots go back to the arena in
+    /// ascending slot order, so slot reuse follows the freed set alone.
+    /// Debug builds check every collection against
+    /// [`SiteHeap::would_collect`].
+    pub fn collect_into(&mut self, freed: &mut Vec<ObjectId>) {
+        freed.clear();
+        self.stats.collections += 1;
+        if !self.tracker.has_suspects() {
+            debug_assert!(
+                self.would_collect().is_empty(),
+                "{} has garbage but no suspects",
+                self.site()
+            );
+            return;
+        }
         #[cfg(debug_assertions)]
         let expected = self.would_collect();
 
-        let doomed = self.tracker.unheld_suspects(&self.arena, &mut self.scratch);
-        let freed: BTreeSet<ObjectId> = doomed.iter().map(|&slot| self.arena.id_at(slot)).collect();
+        self.tracker.unheld_suspects(&self.arena, &mut self.scratch);
+        let doomed = std::mem::take(&mut self.tracker.doomed);
+        freed.extend(doomed.iter().map(|&slot| self.arena.id_at(slot)));
+        freed.sort_unstable();
         #[cfg(debug_assertions)]
-        assert_eq!(
-            freed,
-            expected,
+        assert!(
+            freed.iter().eq(&expected),
             "collection on {} diverged from the full trace",
             self.site()
         );
 
         self.sweep(&doomed);
-        self.drop_roots_of_collected(&freed);
-
-        self.stats.collections += 1;
+        self.tracker.doomed = doomed;
+        self.drop_roots_of_collected(freed);
         self.stats.collected += freed.len() as u64;
-
-        CollectionOutcome {
-            freed,
-            live: self.len(),
-        }
     }
 
     /// Computes, without mutating the heap, the set of objects a collection
@@ -358,6 +377,42 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_buffer_leaves_the_free_list_of_a_full_sweep() {
+        // `bounded_sweep_leaves_the_free_list_of_a_full_sweep` through one
+        // `collect_into` buffer, which starts out holding stale entries.
+        let (mut h, root) = rooted_heap();
+        let objs: Vec<ObjectId> = (0..4).map(|_| h.alloc()).collect();
+        for &obj in &objs {
+            link(&mut h, root, obj);
+        }
+        for &obj in objs.iter().rev() {
+            h.remove_ref(root, ObjRef::Local(obj)).unwrap();
+        }
+        let mut twin = SiteHeap::from_image(&h.image());
+        let mut freed = vec![root; 9];
+        let mut tenants = Vec::new();
+        for h in [&mut h, &mut twin] {
+            h.collect_into(&mut freed);
+            assert_eq!(freed, objs);
+            let slots: Vec<u32> = (0..4)
+                .map(|_| {
+                    let id = h.alloc();
+                    h.arena.slot_of(id).unwrap()
+                })
+                .collect();
+            tenants.push(slots);
+            h.collect_into(&mut freed);
+            assert_eq!(freed.len(), 4, "the tenants are garbage too");
+        }
+        assert_eq!(tenants[0], tenants[1]);
+        // A collection with no suspects empties the buffer and still counts.
+        let collections = h.stats().collections;
+        h.collect_into(&mut freed);
+        assert!(freed.is_empty());
+        assert_eq!(h.stats().collections, collections + 1);
+    }
+
+    #[test]
     fn first_collection_after_from_image_frees_the_garbage_it_carried() {
         let (mut h, root) = rooted_heap();
         let kept = h.alloc();
@@ -386,6 +441,9 @@ mod tests {
     /// update between `lazy`'s checked deltas. Every collection
     /// of either must free exactly what `would_collect` names just before
     /// it, so the full trace stays the reference in release builds too.
+    /// `eager` collects through [`SiteHeap::collect`], `lazy` through one
+    /// [`SiteHeap::collect_into`] buffer reused for the whole run, each of
+    /// its collections checked against the allocating form on a clone.
     /// Operands are drawn from the objects `eager` still holds — what a
     /// mutator can reach — so both heaps accept the same stream.
     fn lazy_and_eager_twins_agree(seed: u64, steps: u64, deltas: bool) {
@@ -398,6 +456,7 @@ mod tests {
         };
         let mut lazy = heap();
         let mut eager = heap();
+        let mut freed = Vec::new();
         for step in 0..steps {
             let live: Vec<ObjectId> = eager.iter().map(|obj| obj.id()).collect();
             let mut pick = || live.get((next() % live.len().max(1) as u64) as usize);
@@ -462,11 +521,11 @@ mod tests {
                 lazy = SiteHeap::from_image(&lazy.image());
             }
             if next() % 5 == 0 {
-                collect_checked(&mut lazy);
+                collect_into_checked(&mut lazy, &mut freed);
                 assert_eq!(lazy.image().objects, eager.image().objects, "step {step}");
             }
         }
-        collect_checked(&mut lazy);
+        collect_into_checked(&mut lazy, &mut freed);
         assert_eq!(lazy.image().objects, eager.image().objects);
         assert_eq!(lazy.local_roots, eager.local_roots);
         assert_eq!(lazy.global_roots, eager.global_roots);
@@ -477,6 +536,24 @@ mod tests {
     fn collect_checked(h: &mut SiteHeap) {
         let expected = h.would_collect();
         assert_eq!(h.collect().freed, expected);
+    }
+
+    /// Collects into `freed`, checking it against the full trace and
+    /// against [`SiteHeap::collect`] on a clone: the same objects, in
+    /// ascending order, and the same slots handed to the next allocations.
+    fn collect_into_checked(h: &mut SiteHeap, freed: &mut Vec<ObjectId>) {
+        let expected = h.would_collect();
+        let mut allocating = h.clone();
+        let outcome = allocating.collect();
+        h.collect_into(freed);
+        assert!(freed.iter().eq(&expected), "{freed:?} != {expected:?}");
+        assert!(freed.iter().eq(&outcome.freed));
+        assert_eq!(h.stats(), allocating.stats());
+        let mut reused = h.clone();
+        for _ in 0..freed.len() + 1 {
+            let (a, b) = (reused.alloc(), allocating.alloc());
+            assert_eq!(reused.arena.slot_of(a), allocating.arena.slot_of(b));
+        }
     }
 
     #[test]

@@ -484,7 +484,7 @@ impl SiteHeap {
             .collect()
     }
 
-    pub(crate) fn drop_roots_of_collected(&mut self, freed: &BTreeSet<ObjectId>) {
+    pub(crate) fn drop_roots_of_collected(&mut self, freed: &[ObjectId]) {
         // Roots are themselves part of the local-GC root set, so a correct
         // collection never frees one; the tracker notes are defensive. The
         // slots are already gone, so only the ordered sets need cleaning.

@@ -637,6 +637,9 @@ pub(crate) struct DeltaTracker {
     /// allowed; no slot is freed between collections, so the indices stay
     /// valid until the next one drains the list.
     suspects: Vec<u32>,
+    /// The slots the last collection's trace doomed, ascending: a buffer
+    /// reused across collections (see [`DeltaTracker::unheld_suspects`]).
+    pub(crate) doomed: Vec<u32>,
 }
 
 impl DeltaTracker {
@@ -822,18 +825,19 @@ impl DeltaTracker {
         self.epoch
     }
 
-    /// The change-proportional trace: returns, in ascending slot order,
-    /// exactly the slots a full mark-sweep would free, and drains the
-    /// suspect list.
+    /// The change-proportional trace: leaves in `self.doomed`, in ascending
+    /// slot order, exactly the slots a full mark-sweep would free, and
+    /// drains the suspect list.
     ///
     /// All garbage lies in the *region* — the forward closure of the
     /// suspects through non-root slots — so everything outside it is live.
     /// A region member with a predecessor outside the region is therefore
     /// live, and so is whatever it reaches inside the region; the rest of
     /// the region is garbage. DESIGN.md §6 carries the full argument.
-    pub(crate) fn unheld_suspects(&mut self, arena: &Arena, scratch: &mut Scratch) -> Vec<u32> {
+    pub(crate) fn unheld_suspects(&mut self, arena: &Arena, scratch: &mut Scratch) {
+        self.doomed.clear();
         if self.suspects.is_empty() {
-            return Vec::new();
+            return;
         }
         arena.mark_region(scratch, self.suspects.drain(..));
         let epoch = self.next_epoch();
@@ -857,11 +861,9 @@ impl DeltaTracker {
             }
         }
         let region = scratch.visited().iter().copied();
-        let mut doomed: Vec<u32> = region
-            .filter(|&slot| self.mark[slot as usize] != epoch)
-            .collect();
-        doomed.sort_unstable();
-        doomed
+        self.doomed
+            .extend(region.filter(|&slot| self.mark[slot as usize] != epoch));
+        self.doomed.sort_unstable();
     }
 
     /// Computes the reverse-edge closure of the dirty slots into

@@ -10,10 +10,10 @@
 //! the site wants sent and the number of GGD verdicts it applied to its own
 //! heap. The shard books the counters and hands the messages to its driver.
 
-use ggd_heap::{CollectionOutcome, EdgeDelta, HeapImageSource, ObjRef, SiteHeap};
+use ggd_heap::{EdgeDelta, HeapImageSource, ObjRef, SiteHeap};
 use ggd_obs::SiteObs;
 use ggd_store::{HandoffRecord, MembershipAnnouncement, SiteStore, WalRecord};
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
 use std::collections::BTreeSet;
 
@@ -54,6 +54,9 @@ pub struct SiteRuntime<C: Collector> {
     /// The heap's latest delta, handed back to it on every sync so its
     /// buffers are reused.
     delta: EdgeDelta,
+    /// The objects the latest collection freed, ascending: handed back to
+    /// the heap on every collection so the buffer is reused.
+    freed: Vec<ObjectId>,
 }
 
 /// The sites among `sites` whose collector state or heap still references
@@ -85,6 +88,7 @@ impl<C: Collector> SiteRuntime<C> {
             store: None,
             obs: SiteObs::disabled(),
             delta: EdgeDelta::empty(site),
+            freed: Vec::new(),
         }
     }
 
@@ -195,6 +199,7 @@ impl<C: Collector> SiteRuntime<C> {
                     store: None,
                     obs: SiteObs::disabled(),
                     delta: EdgeDelta::empty(site),
+                    freed: Vec::new(),
                 }
             }
             // No checkpoint yet: replay from genesis (also the only path
@@ -244,10 +249,9 @@ impl<C: Collector> SiteRuntime<C> {
                 let _ = self.on_control(*from, msg.clone());
             }
             WalRecord::Collect => {
-                // As when the record was written: a no-op collection
-                // does not sync.
-                let outcome = self.collect();
-                if !outcome.is_noop() {
+                // As when the record was written: a collection that
+                // freed nothing does not sync.
+                if !self.collect().is_empty() {
                     let _ = self.sync();
                 }
             }
@@ -513,19 +517,20 @@ impl<C: Collector> SiteRuntime<C> {
         self.sync()
     }
 
-    /// Runs a local mark-sweep collection. The caller decides whether the
-    /// outcome warrants a [`SiteRuntime::sync`] (a no-op collection does
-    /// not) and judges the freed set against the oracle.
-    pub fn collect(&mut self) -> CollectionOutcome {
+    /// Runs a local mark-sweep collection and returns the objects it
+    /// freed, in ascending order, from a buffer the runtime reuses. The
+    /// caller decides whether they warrant a [`SiteRuntime::sync`] (a
+    /// collection that freed nothing does not) and judges them against the
+    /// oracle.
+    pub fn collect(&mut self) -> &[ObjectId] {
         self.log(WalRecord::Collect);
-        let outcome = self.heap.collect();
+        self.heap.collect_into(&mut self.freed);
         if self.obs.is_enabled() {
-            for id in &outcome.freed {
-                self.obs
-                    .on_reclaimed(GlobalAddr::from_parts(self.site, *id));
+            for &id in &self.freed {
+                self.obs.on_reclaimed(GlobalAddr::from_parts(self.site, id));
             }
         }
-        outcome
+        &self.freed
     }
 
     /// Snapshot plumbing after local mutation: feeds the collector the
@@ -577,8 +582,7 @@ mod tests {
         assert_eq!(tick.verdicts_applied, 0);
         assert_eq!(rt.heap().len(), 2);
 
-        let outcome = rt.collect();
-        assert!(outcome.freed.is_empty(), "everything is rooted");
+        assert!(rt.collect().is_empty(), "everything is rooted");
     }
 
     #[test]
@@ -627,8 +631,7 @@ mod tests {
             }));
             events.push(Box::new(move |rt| rt.unlink(root, child)));
             events.push(Box::new(move |rt| {
-                let outcome = rt.collect();
-                if outcome.is_noop() {
+                if rt.collect().is_empty() {
                     SiteTick {
                         outgoing: Vec::new(),
                         verdicts_applied: 0,

@@ -88,6 +88,16 @@ impl<C: Collector> Site<C> {
     }
 }
 
+/// The runtime of the up `site` in `sites`, its logical clock set to `step`
+/// so every probe inside the next entry point stamps the right step.
+fn up_runtime<C: Collector>(sites: &mut [Site<C>], site: SiteId, step: u64) -> &mut SiteRuntime<C> {
+    let Some(Site::Up(runtime)) = sites.get_mut(site.index() as usize) else {
+        panic!("site {site} is up on this shard");
+    };
+    runtime.obs_mut().set_step(step);
+    runtime
+}
+
 /// A site that is currently crashed: its durable medium and its heap as of
 /// the crash — kept for the *oracle only*. The durable store provably
 /// restores exactly this heap on recovery, so the site's objects still exist
@@ -333,19 +343,19 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         live: Option<&LiveSet>,
         out: &mut impl Outbox<C::Msg>,
     ) -> u64 {
-        let runtime = self.runtime(site);
-        let outcome = runtime.collect();
-        // A no-op collection does not sync.
-        let tick = (!outcome.is_noop()).then(|| runtime.sync());
+        let runtime = up_runtime(&mut self.sites, site, self.step);
+        let freed = runtime.collect();
         let mut violations = 0;
-        for freed in &outcome.freed {
-            let addr = GlobalAddr::from_parts(site, *freed);
+        for &id in freed {
+            let addr = GlobalAddr::from_parts(site, id);
             violations += u64::from(live.is_some_and(|live| live.contains(addr)));
             self.reclaimed_addrs.push(addr);
         }
         self.safety_violations += violations;
-        self.reclaimed += outcome.freed.len() as u64;
-        if let Some(tick) = tick {
+        self.reclaimed += freed.len() as u64;
+        // A collection that freed nothing does not sync.
+        if !freed.is_empty() {
+            let tick = runtime.sync();
             self.absorb(site, tick, out);
         }
         violations
@@ -517,13 +527,7 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     fn runtime(&mut self, site: SiteId) -> &mut SiteRuntime<C> {
-        let Some(Site::Up(runtime)) = self.sites.get_mut(site.index() as usize) else {
-            panic!("site {site} is up on this shard");
-        };
-        // Keep the runtime's logical clock current so every probe inside
-        // the entry point stamps the right step — no signature changes.
-        runtime.obs_mut().set_step(self.step);
-        runtime
+        up_runtime(&mut self.sites, site, self.step)
     }
 
     /// Books a runtime step's results: verdict counters, then the control

@@ -164,7 +164,13 @@ impl Entries {
     }
 
     fn clear(&mut self) {
-        *self = Entries::default();
+        match self {
+            Entries::Inline { len, buf } => {
+                buf[..usize::from(*len)].fill(EMPTY_ENTRY);
+                *len = 0;
+            }
+            Entries::Spilled(v) => v.clear(),
+        }
     }
 }
 
@@ -454,7 +460,8 @@ impl DependencyVector {
         matches!(self.entries, Entries::Inline { .. })
     }
 
-    /// Removes every explicit entry.
+    /// Removes every explicit entry. A spilled vector keeps its allocation,
+    /// so refilling it up to its old width allocates nothing.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -876,9 +883,17 @@ mod tests {
         for i in 0..8u32 {
             v.set(VertexId::object(i, 1), Timestamp::created(1));
         }
+        let spilled = v.clone();
         v.clear();
         assert!(v.is_empty());
-        assert!(v.is_inline());
+        assert_eq!(v, DependencyVector::new());
+        // The allocation stays: the spilled storage is refilled in place.
+        assert!(!v.is_inline());
+        assert!(v.assign_sorted_slice(spilled.as_slice()));
+        assert_eq!(v, spilled);
+        let mut small = DependencyVector::singleton(a(), Timestamp::created(1));
+        small.clear();
+        assert!(small.is_empty() && small.is_inline());
     }
 
     #[test]
