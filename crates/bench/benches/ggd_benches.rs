@@ -101,12 +101,8 @@ fn bench_closure(c: &mut Criterion) {
         for i in 0..chain {
             let this = VertexId::object(i as u32, 1);
             let next = VertexId::object(i as u32 + 1, 1);
-            log.row_mut(next)
-                .vector
-                .set(this, Timestamp::created(i + 1));
-            log.row_mut(this)
-                .vector
-                .set(this, Timestamp::created(i + 1));
+            log.row_mut(next).set(this, Timestamp::created(i + 1));
+            log.row_mut(this).set(this, Timestamp::created(i + 1));
         }
         let subject = VertexId::object(chain as u32, 1);
         group.bench_with_input(BenchmarkId::new("chain", chain), &chain, |bencher, _| {
@@ -127,10 +123,8 @@ fn bench_closure(c: &mut Criterion) {
         let mut log = DkLog::new(site);
         for i in 0..chain {
             log.row_mut(vertex(i + 1))
-                .vector
                 .set(vertex(i), Timestamp::created(i + 1));
             log.row_mut(vertex(i))
-                .vector
                 .set(vertex(i), Timestamp::created(i + 1));
         }
         let subject = vertex(chain);

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ggd_types::{DependencyVector, GlobalAddr, SiteId, VertexId};
+use ggd_types::{CompactVector, GlobalAddr, SiteId, VertexId};
 
 use crate::engine::{EngineStats, Outgoing};
 use crate::log::DkLog;
@@ -43,7 +43,7 @@ pub struct EngineCheckpoint {
     /// The log `DK` of dependency-vector rows plus root knowledge.
     pub log: DkLog,
     /// The last closure circulated per vertex (suppresses re-propagation).
-    pub last_closure: BTreeMap<VertexId, DependencyVector>,
+    pub last_closure: BTreeMap<VertexId, CompactVector>,
     /// The engine's view of its site's out-going inter-site edges.
     pub edges_out: BTreeMap<VertexId, BTreeSet<GlobalAddr>>,
     /// Global roots currently reachable from the site's local root set.
@@ -76,7 +76,7 @@ pub trait EngineImageSource {
     /// The log `DK`.
     fn log(&self) -> &DkLog;
     /// The circulated-closure memos.
-    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone;
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &CompactVector)> + Clone;
     /// The non-empty out-edge sets, each ascending.
     fn edges_out(
         &self,
@@ -114,7 +114,7 @@ pub trait EngineImageSink: Sized {
     /// An event counter.
     fn counter(&mut self, vertex: VertexId, counter: u64);
     /// A circulated-closure memo.
-    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector);
+    fn last_closure(&mut self, vertex: VertexId, closure: CompactVector);
     /// An out-edge set, ascending.
     fn edges_out(&mut self, vertex: VertexId, targets: &[GlobalAddr]);
     /// A locally rooted global root.
@@ -155,7 +155,7 @@ impl EngineImageSink for EngineCheckpoint {
         self.counters.insert(vertex, counter);
     }
 
-    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector) {
+    fn last_closure(&mut self, vertex: VertexId, closure: CompactVector) {
         self.last_closure.insert(vertex, closure);
     }
 
@@ -206,7 +206,7 @@ impl EngineImageSource for EngineCheckpoint {
         &self.log
     }
 
-    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone {
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &CompactVector)> + Clone {
         self.last_closure
             .iter()
             .map(|(&vertex, closure)| (vertex, closure))

@@ -21,7 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use ggd_heap::{EdgeDelta, ReachabilitySnapshot};
-use ggd_types::{DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId};
+use ggd_types::{
+    CompactVector, DependencyVector, GlobalAddr, IdMap, ObjectId, SiteId, Timestamp, VertexId,
+};
 
 use crate::checkpoint::{EngineCheckpoint, EngineImageSink, EngineImageSource};
 use crate::log::{DkLog, RootedVector};
@@ -77,6 +79,21 @@ impl fmt::Display for EngineStats {
     }
 }
 
+/// How many of each per-vertex record an engine holds: the counts that
+/// attribute its memory, each record's size being fixed by its shape
+/// (DESIGN.md §6 "Engine state").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineFootprint {
+    /// Log rows of the site's own objects (three entries inline).
+    pub local_rows: usize,
+    /// Log rows of anchors and of other sites' vertices (one entry inline).
+    pub remote_rows: usize,
+    /// Edge-count and holder records of remote objects.
+    pub remote_records: usize,
+    /// Entries held by the closure memos of the site's vertices.
+    pub memo_entries: usize,
+}
+
 /// What the engine keeps about one of its own site's vertices: the anchor
 /// or a local object (DESIGN.md §6 "Engine state").
 #[derive(Debug, Clone, Default)]
@@ -85,9 +102,10 @@ struct VertexState {
     counter: u64,
     /// The closure last circulated from the vertex (suppresses
     /// re-propagation of unchanged knowledge, and is what a propagation
-    /// ships). Boxed: most local vertices never circulate one, and an inline
-    /// vector would triple every record.
-    last_closure: Option<Box<DependencyVector>>,
+    /// ships). Boxed: most local vertices never circulate one. In the
+    /// compact shape: a closure averages four and a half entries, so it
+    /// spills whatever its inline room.
+    last_closure: Option<Box<CompactVector>>,
     /// The vertex's out-going inter-site edges, sorted and without
     /// duplicates (a checkpoint writes them as a set).
     edges_out: Vec<GlobalAddr>,
@@ -99,7 +117,7 @@ struct VertexState {
 
 impl VertexState {
     /// Remembers `closure` as the last one circulated.
-    fn remember(&mut self, closure: DependencyVector) {
+    fn remember(&mut self, closure: CompactVector) {
         self.last_closure = Some(Box::new(closure));
     }
 
@@ -116,7 +134,7 @@ impl VertexState {
                 true
             }
             None => {
-                let memo = DependencyVector::from_sorted_slice(entries)
+                let memo = CompactVector::from_sorted_slice(entries)
                     .expect("a closure is sorted and holds no NEVER");
                 self.remember(memo);
                 true
@@ -135,13 +153,83 @@ struct RemoteTarget {
     /// to "does this site still reach it?" on the delta path. Kept in
     /// lockstep with the vertices' out-edges.
     refs: u32,
-    /// Receive-rule holders, sorted and without duplicates.
-    holders: Vec<VertexId>,
+    /// Receive-rule holders.
+    holders: Holders,
 }
 
 impl RemoteTarget {
     fn is_empty(&self) -> bool {
         self.refs == 0 && self.holders.is_empty()
+    }
+}
+
+/// The receive-rule holders of one remote object, sorted and without
+/// duplicates: the one holder nearly every record has (99.6% of them in a
+/// churning 64-site run) inline, more in a boxed slice.
+#[derive(Debug, Clone, Default)]
+enum Holders {
+    #[default]
+    Empty,
+    One(VertexId),
+    Many(Box<[VertexId]>),
+}
+
+impl Holders {
+    /// The holders of `sorted`, which ascends without duplicates.
+    fn from_sorted(sorted: Vec<VertexId>) -> Self {
+        match *sorted {
+            [] => Holders::Empty,
+            [holder] => Holders::One(holder),
+            _ => Holders::Many(sorted.into_boxed_slice()),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Holders::Empty)
+    }
+
+    fn insert(&mut self, holder: VertexId) {
+        match self.binary_search(&holder) {
+            Ok(_) => {}
+            Err(_) if self.is_empty() => *self = Holders::One(holder),
+            Err(at) => {
+                let mut held = Vec::with_capacity(self.len() + 1);
+                held.extend_from_slice(&self[..at]);
+                held.push(holder);
+                held.extend_from_slice(&self[at..]);
+                *self = Holders::Many(held.into_boxed_slice());
+            }
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        match self {
+            Holders::Empty => {}
+            Holders::One(held) => {
+                if !keep(*held) {
+                    *self = Holders::Empty;
+                }
+            }
+            Holders::Many(held) => {
+                let kept: Vec<VertexId> = held.iter().copied().filter(|&h| keep(h)).collect();
+                if kept.len() < held.len() {
+                    *self = Holders::from_sorted(kept);
+                }
+            }
+        }
+    }
+}
+
+/// The holders as a sorted slice.
+impl std::ops::Deref for Holders {
+    type Target = [VertexId];
+
+    fn deref(&self) -> &[VertexId] {
+        match self {
+            Holders::Empty => &[],
+            Holders::One(holder) => std::slice::from_ref(holder),
+            Holders::Many(holders) => holders,
+        }
     }
 }
 
@@ -243,9 +331,6 @@ pub struct CausalEngine {
     /// outgoing payload is built in its storage, so a chain of control
     /// messages reuses the allocations it arrives with.
     spare: RootedVector,
-    /// The holder list of the remote record last dropped for a lost
-    /// target, emptied: the next record that gains a holder takes it.
-    spare_holders: Vec<VertexId>,
 }
 
 impl CausalEngine {
@@ -262,7 +347,6 @@ impl CausalEngine {
             events: Vec::new(),
             rootedness_changed: Vec::new(),
             spare: RootedVector::new(),
-            spare_holders: Vec::new(),
         }
     }
 
@@ -290,6 +374,21 @@ impl CausalEngine {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
+    }
+
+    /// How many of each per-vertex record the engine holds now.
+    pub fn footprint(&self) -> EngineFootprint {
+        EngineFootprint {
+            local_rows: self.log.local_len(),
+            remote_rows: self.log.len() - self.log.local_len(),
+            remote_records: self.remote.len(),
+            memo_entries: self
+                .vertices
+                .iter()
+                .filter_map(|(_, state)| state.last_closure.as_ref())
+                .map(|memo| memo.len())
+                .sum(),
+        }
     }
 
     /// Drains the control messages queued since the last call.
@@ -407,7 +506,13 @@ impl CausalEngine {
                 .filter(|&holder| vertices.objects.holds(holder))
                 .collect();
             if !holders.is_empty() {
-                remote.insert(target, RemoteTarget { refs: 0, holders });
+                remote.insert(
+                    target,
+                    RemoteTarget {
+                        refs: 0,
+                        holders: Holders::from_sorted(holders),
+                    },
+                );
             }
         }
         let mut engine = CausalEngine {
@@ -421,7 +526,6 @@ impl CausalEngine {
             events: Vec::new(),
             rootedness_changed: Vec::new(),
             spare: RootedVector::new(),
-            spare_holders: Vec::new(),
         };
         engine.rebuild_edge_refcounts();
         engine
@@ -477,7 +581,7 @@ impl CausalEngine {
 
         // 1. Local detected vertices.
         self.remote.retain(|_, record| {
-            record.holders.retain(|&holder| !dead(holder));
+            record.holders.retain(|holder| !dead(holder));
             !record.is_empty()
         });
         let mut dropped = self.log.prune_vertices(dead);
@@ -491,11 +595,12 @@ impl CausalEngine {
                 return true;
             };
             if addr.site() != site {
-                return row.vector.iter().any(|(_, ts)| ts.is_live()) || remote.contains_key(&addr);
+                return row.entries().iter().any(|(_, ts)| ts.is_live())
+                    || remote.contains_key(&addr);
             }
-            if row.vector.len() == 1
-                && row.vector.get(vertex).is_live()
-                && row.root_flags.is_empty()
+            if row.entries().len() == 1
+                && row.get(vertex).is_live()
+                && row.root_flags().is_empty()
                 && vertices.get(vertex).map_or(true, |state| {
                     !state.locally_rooted && state.edges_out.is_empty()
                 })
@@ -507,7 +612,11 @@ impl CausalEngine {
         if !inert.is_empty() {
             // A receive-rule holder keeps its row.
             inert.sort_unstable();
-            for holder in self.remote.values().flat_map(|record| &record.holders) {
+            for holder in self
+                .remote
+                .values()
+                .flat_map(|record| record.holders.iter())
+            {
                 if let Ok(i) = inert.binary_search_by_key(holder, |&(vertex, _)| vertex) {
                     inert[i].1 = true;
                 }
@@ -530,7 +639,7 @@ impl CausalEngine {
             };
             for (vertex, row) in self.log.rows_unordered() {
                 mark(vertex);
-                row.vector.iter().for_each(|(q, _)| mark(q));
+                row.entries().iter().for_each(|&(q, _)| mark(q));
             }
             for (&target, record) in &self.remote {
                 mark(VertexId::from(target));
@@ -595,7 +704,7 @@ impl CausalEngine {
             if vertex.site() == departed {
                 dead.insert(vertex);
             }
-            for (q, _) in row.vector.iter() {
+            for &(q, _) in row.entries() {
                 if q.site() == departed {
                     dead.insert(q);
                 }
@@ -651,7 +760,7 @@ impl CausalEngine {
     /// pins that.
     pub fn mentions_site(&self, site: SiteId) -> bool {
         self.log.rows().any(|(vertex, row)| {
-            vertex.site() == site || row.vector.iter().any(|(q, _)| q.site() == site)
+            vertex.site() == site || row.entries().iter().any(|(q, _)| q.site() == site)
         }) || self.log.root_flags().keys().any(|v| v.site() == site)
             || self.vertices.iter().any(|(vertex, state)| {
                 state.last_closure.as_ref().is_some_and(|closure| {
@@ -681,7 +790,6 @@ impl CausalEngine {
         self.bump(vertex);
         self.log
             .row_mut(vertex)
-            .vector
             .merge_entry(recipient, Timestamp::created(1));
         self.stats.lazy_records += 1;
     }
@@ -698,8 +806,9 @@ impl CausalEngine {
             self.on_export(target, recipient);
             return;
         }
-        let row = self.log.row_mut(VertexId::from(target));
-        row.vector.merge_entry(recipient, Timestamp::created(1));
+        self.log
+            .row_mut(VertexId::from(target))
+            .merge_entry(recipient, Timestamp::created(1));
         self.stats.lazy_records += 1;
     }
 
@@ -726,20 +835,12 @@ impl CausalEngine {
         let n = self.bump(holder);
         self.log
             .row_mut(VertexId::from(target))
-            .vector
             .merge_entry(holder, Timestamp::created(n));
-        let spare = &mut self.spare_holders;
-        let holders = &mut self
-            .remote
+        self.remote
             .entry(target)
-            .or_insert_with(|| RemoteTarget {
-                refs: 0,
-                holders: std::mem::take(spare),
-            })
-            .holders;
-        if let Err(at) = holders.binary_search(&holder) {
-            holders.insert(at, holder);
-        }
+            .or_default()
+            .holders
+            .insert(holder);
         self.stats.lazy_records += 1;
     }
 
@@ -862,7 +963,6 @@ impl CausalEngine {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::from(target))
-                    .vector
                     .merge_entry(vertex, Timestamp::created(n));
                 self.stats.edge_creations += 1;
                 // Deliberate deviation from pure laziness (see DESIGN.md):
@@ -877,7 +977,6 @@ impl CausalEngine {
                 let n = self.bump(vertex);
                 self.log
                     .row_mut(VertexId::from(target))
-                    .vector
                     .set(vertex, Timestamp::destroyed(n));
                 self.stats.edge_destructions += 1;
                 debug_assert_eq!(
@@ -981,7 +1080,7 @@ impl CausalEngine {
             // the recipient's behalf (bundled lazy edge-creation news).
             changed |= self.log.row_mut(to).merge(payload);
         }
-        changed |= self.log.row_mut(to).vector.merge_entry(from, news);
+        changed |= self.log.row_mut(to).merge_entry(from, news);
 
         if changed && !news.is_live() {
             // A (new) edge-destruction event at the recipient vertex.
@@ -1027,19 +1126,16 @@ impl CausalEngine {
     /// so that the bundled edge-destruction message supersedes the matching
     /// placeholders held at the target's site.
     fn mark_lost_holders(&mut self, target: GlobalAddr) {
-        let mut holders = match self.remote.entry(target) {
+        let holders = match self.remote.entry(target) {
             Entry::Occupied(record) if record.get().refs == 0 => record.remove().holders,
             _ => return,
         };
-        for &holder in &holders {
+        for &holder in holders.iter() {
             let index = self.bump(holder);
             self.log
                 .row_mut(VertexId::from(target))
-                .vector
                 .set(holder, Timestamp::destroyed(index));
         }
-        holders.clear();
-        self.spare_holders = holders;
     }
 
     /// Recomputes the edge counts from the vertices' out-edges — used by
@@ -1072,7 +1168,6 @@ impl CausalEngine {
         let n = state.counter;
         self.log
             .row_mut(vertex)
-            .vector
             .merge_entry(vertex, Timestamp::created(n));
         n
     }
@@ -1108,13 +1203,8 @@ impl CausalEngine {
         let mut payload = std::mem::take(&mut self.spare);
         match self.log.row(to) {
             Some(row) => {
-                fill_payload(
-                    &self.log,
-                    &self.vertices,
-                    &mut payload,
-                    row.vector.as_slice(),
-                );
-                payload.root_flags.absorb(&row.root_flags);
+                fill_payload(&self.log, &self.vertices, &mut payload, row.entries());
+                payload.root_flags.absorb(row.root_flags());
             }
             None => fill_payload(&self.log, &self.vertices, &mut payload, &[]),
         }
@@ -1147,11 +1237,10 @@ impl CausalEngine {
         // downstream. The closure already holds every entry of the row at
         // least as new (`DkLog::closure_entries`), so it is that knowledge
         // as is.
-        debug_assert_eq!(
+        debug_assert!(
             self.log
                 .row(vertex)
-                .map_or_else(DependencyVector::new, |row| row.vector.merged_with(closure)),
-            *closure,
+                .map_or(true, |row| !closure.clone().merge(&row.to_rooted().vector)),
             "the closure of {vertex} must absorb its own row"
         );
         let mut payload = std::mem::take(&mut self.spare);
@@ -1212,10 +1301,7 @@ impl CausalEngine {
         for target in targets {
             self.drop_edge_refcount(target);
             let to = VertexId::from(target);
-            self.log
-                .row_mut(to)
-                .vector
-                .set(vertex, Timestamp::destroyed(n));
+            self.log.row_mut(to).set(vertex, Timestamp::destroyed(n));
             self.stats.edge_destructions += 1;
             self.queue_destruction(vertex, target);
         }
@@ -1241,7 +1327,7 @@ fn fill_payload(
     entries: &[(VertexId, Timestamp)],
 ) {
     debug_assert!(payload.root_flags.is_empty(), "the spare is emptied");
-    if payload.vector.is_inline() && entries.len() > DependencyVector::INLINE_CAPACITY {
+    if payload.vector.is_inline() && entries.len() > <DependencyVector>::INLINE_CAPACITY {
         // Spill with room to spare: relayed along a chain, the payload
         // meets closures a few entries wider than the one it carries.
         let mut spilled = Vec::with_capacity(2 * entries.len());
@@ -1280,7 +1366,7 @@ impl EngineImageSink for CausalEngine {
         }
     }
 
-    fn last_closure(&mut self, vertex: VertexId, closure: DependencyVector) {
+    fn last_closure(&mut self, vertex: VertexId, closure: CompactVector) {
         if self.vertices.holds(vertex) {
             self.vertices.entry(vertex).remember(closure);
         }
@@ -1306,8 +1392,13 @@ impl EngineImageSink for CausalEngine {
             .filter(|&holder| self.vertices.objects.holds(holder))
             .collect();
         if !holders.is_empty() {
-            self.remote
-                .insert(target, RemoteTarget { refs: 0, holders });
+            self.remote.insert(
+                target,
+                RemoteTarget {
+                    refs: 0,
+                    holders: Holders::from_sorted(holders),
+                },
+            );
         }
     }
 
@@ -1349,7 +1440,7 @@ impl EngineImageSource for CausalEngine {
         &self.log
     }
 
-    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &DependencyVector)> + Clone {
+    fn last_closures(&self) -> impl Iterator<Item = (VertexId, &CompactVector)> + Clone {
         self.vertices
             .iter()
             .filter_map(|(vertex, state)| Some((vertex, &**state.last_closure.as_ref()?)))
@@ -1378,7 +1469,7 @@ impl EngineImageSource for CausalEngine {
             .remote
             .iter()
             .filter(|(_, record)| !record.holders.is_empty())
-            .map(|(&target, record)| (target, record.holders.as_slice()))
+            .map(|(&target, record)| (target, &*record.holders))
             .collect();
         held.sort_unstable_by_key(|&(target, _)| target);
         held.into_iter()
@@ -1429,13 +1520,41 @@ mod tests {
         }
     }
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn per_vertex_records_are_sized_to_their_common_case() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<VertexState>(), 48);
+        assert_eq!(size_of::<Holders>(), 24);
+        assert_eq!(size_of::<RemoteTarget>(), 32);
+    }
+
+    #[test]
+    fn holders_stay_sorted_and_shrink_back_inline() {
+        let h = |obj: u64| VertexId::object(1, obj);
+        let mut holders = Holders::default();
+        for obj in [5, 2, 5, 9, 2] {
+            holders.insert(h(obj));
+        }
+        assert_eq!(*holders, [h(2), h(5), h(9)]);
+        holders.retain(|holder| holder == h(5));
+        assert!(matches!(holders, Holders::One(held) if held == h(5)));
+        holders.retain(|_| false);
+        assert!(holders.is_empty());
+        assert!(matches!(
+            Holders::from_sorted(vec![h(1), h(3)]),
+            Holders::Many(held) if *held == [h(1), h(3)]
+        ));
+        assert!(matches!(Holders::from_sorted(vec![h(4)]), Holders::One(held) if held == h(4)));
+    }
+
     #[test]
     fn export_records_placeholder_inbound_edge() {
         let mut engine = CausalEngine::new(SiteId::new(1));
         engine.on_export(addr(1, 5), VertexId::site_root(0));
         let row = engine.log().row(VertexId::object(1, 5)).unwrap();
-        assert!(row.vector.get(VertexId::site_root(0)).is_live());
-        assert!(row.vector.get(VertexId::object(1, 5)).is_live());
+        assert!(row.get(VertexId::site_root(0)).is_live());
+        assert!(row.get(VertexId::object(1, 5)).is_live());
         assert_eq!(engine.stats().lazy_records, 1);
     }
 
@@ -1444,7 +1563,7 @@ mod tests {
         let mut engine = CausalEngine::new(SiteId::new(0));
         engine.on_third_party_send(addr(3, 1), VertexId::object(4, 1));
         let row = engine.log().row(VertexId::object(3, 1)).unwrap();
-        assert!(row.vector.get(VertexId::object(4, 1)).is_live());
+        assert!(row.get(VertexId::object(4, 1)).is_live());
         // Local targets are handled by the export rule instead.
         let mut local = CausalEngine::new(SiteId::new(3));
         local.on_third_party_send(addr(3, 1), VertexId::object(4, 1));
@@ -1452,7 +1571,6 @@ mod tests {
             .log()
             .row(VertexId::object(3, 1))
             .unwrap()
-            .vector
             .get(VertexId::object(3, 1))
             .is_live());
     }

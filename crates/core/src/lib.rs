@@ -7,6 +7,9 @@
 //! * [`RootedVector`] — a dependency vector plus the root knowledge that
 //!   travels with it on the wire (the paper's `root(·)` predicate made
 //!   explicit and dynamic), its stamps kept sorted in a [`RootStamps`].
+//! * [`DkLog`] — the per-site log `DK` of such vectors, each row stored in
+//!   the shape its role needs and read through a [`Row`] or edited through
+//!   a [`RowMut`].
 //! * [`CausalMessage`] — the single GGD control-message format. A message
 //!   whose entry for its sending vertex is destroyed (`Ē`) is an
 //!   *edge-destruction* control message; otherwise it is a *propagation* of
@@ -81,7 +84,7 @@ mod stamps;
 mod table;
 
 pub use checkpoint::{EngineCheckpoint, EngineImageSink, EngineImageSource};
-pub use engine::{CausalEngine, EngineStats, Outgoing};
-pub use log::{DkLog, RootedVector};
+pub use engine::{CausalEngine, EngineFootprint, EngineStats, Outgoing};
+pub use log::{DkLog, RootedVector, Row, RowMut};
 pub use message::CausalMessage;
 pub use stamps::{RootStamps, Stamp};

@@ -5,6 +5,14 @@
 //! one hashed lookup; [`DkLog::rows`] still yields one strictly ascending
 //! sequence. Its log-wide root stamps are hashed too, and sorted only where
 //! an order is exposed (DESIGN.md §6 "Engine state").
+//!
+//! A row costs what it holds in the common case. A site's own object's row
+//! keeps three entries inline (most hold two or three); the row of an
+//! anchor or another site's vertex keeps one (86% of them hold one, in a
+//! churning 64-site run), in the [`ggd_types::CompactVector`] shape. Either row's root
+//! stamps are one word while it has none, which is almost always. The
+//! shapes are private: rows are read through the borrowed [`Row`] and
+//! edited through [`RowMut`], whichever table holds them.
 
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -12,7 +20,7 @@ use std::fmt;
 
 use ggd_types::{DependencyVector, IdMap, SiteId, Timestamp, VertexId};
 
-use crate::stamps::RootStamps;
+use crate::stamps::{RootStamps, RowStamps, Stamp};
 use crate::table::LocalTable;
 
 /// A dependency vector bundled with *root knowledge*: for each vertex it
@@ -27,6 +35,9 @@ use crate::table::LocalTable;
 /// than the entries that depend on it. Newer stamps (higher `as_of` event
 /// index) supersede older ones, so losing local-rootedness eventually
 /// propagates too.
+///
+/// This is the payload shape: three entries and one stamp inline. The log
+/// keeps its rows in smaller shapes of the same content.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RootedVector {
     /// The dependency vector itself.
@@ -64,13 +75,73 @@ impl RootedVector {
     /// freshest-stamp-wins root knowledge). Returns whether anything changed.
     pub fn merge(&mut self, other: &RootedVector) -> bool {
         let changed = self.vector.merge(&other.vector);
-        self.root_flags.absorb(&other.root_flags) | changed
+        self.root_flags.absorb(other.root_flags.as_slice()) | changed
+    }
+
+    /// The vector and its stamps borrowed as a log row reads: what a row
+    /// built from them would compare equal to.
+    pub fn as_row(&self) -> Row<'_> {
+        Row {
+            entries: self.vector.as_slice(),
+            root_flags: self.root_flags.as_slice(),
+        }
     }
 }
 
 impl fmt::Display for RootedVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.vector)?;
+        self.as_row().fmt(f)
+    }
+}
+
+/// One row of a [`DkLog`], borrowed: the row's vector entries, sorted by
+/// vertex and never [`Timestamp::NEVER`], and its root stamps, sorted by
+/// vertex. Equal rows compare equal whatever shape they are stored in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    entries: &'a [(VertexId, Timestamp)],
+    root_flags: &'a [Stamp],
+}
+
+impl<'a> Row<'a> {
+    /// The vector's explicit entries, in key order.
+    pub fn entries(&self) -> &'a [(VertexId, Timestamp)] {
+        self.entries
+    }
+
+    /// The entry for `vertex`, [`Timestamp::NEVER`] when it has none.
+    pub fn get(&self, vertex: VertexId) -> Timestamp {
+        self.entries
+            .binary_search_by_key(&vertex, |&(v, _)| v)
+            .map_or(Timestamp::NEVER, |i| self.entries[i].1)
+    }
+
+    /// The row's root-status stamps, in ascending vertex order.
+    pub fn root_flags(&self) -> &'a [Stamp] {
+        self.root_flags
+    }
+
+    /// The row as an owned payload-shaped vector.
+    pub fn to_rooted(&self) -> RootedVector {
+        RootedVector {
+            vector: DependencyVector::from_sorted_slice(self.entries)
+                .expect("a row's entries are sorted and hold no NEVER"),
+            root_flags: RootStamps::from_sorted(self.root_flags.to_vec())
+                .expect("a row's stamps are sorted"),
+        }
+    }
+}
+
+impl fmt::Display for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{")?;
+        for (i, (vertex, ts)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{vertex}:{ts}")?;
+        }
+        write!(f, "}}")?;
         let roots: Vec<String> = self
             .root_flags
             .iter()
@@ -81,6 +152,97 @@ impl fmt::Display for RootedVector {
             write!(f, " roots[{}]", roots.join(","))?;
         }
         Ok(())
+    }
+}
+
+/// A row as the log stores it: its vector with `N` entries inline, and its
+/// root stamps.
+#[derive(Debug, Clone, Default)]
+struct StoredRow<const N: usize> {
+    vector: DependencyVector<N>,
+    root_flags: RowStamps,
+}
+
+/// The row of one of the site's own objects: three entries inline.
+type LocalRow = StoredRow<3>;
+/// The row of an anchor or of another site's vertex: one entry inline.
+type RemoteRow = StoredRow<1>;
+
+impl<const N: usize> StoredRow<N> {
+    fn view(&self) -> Row<'_> {
+        Row {
+            entries: self.vector.as_slice(),
+            root_flags: self.root_flags.as_slice(),
+        }
+    }
+
+    /// The row of `vertex` after the vertices `dead` accepts are pruned:
+    /// `false` — drop the row — when `vertex` is one of them, else `true`,
+    /// having dropped their entries and stamps.
+    fn prune(&mut self, vertex: VertexId, dead: impl Fn(VertexId) -> bool) -> bool {
+        if dead(vertex) {
+            return false;
+        }
+        self.vector.retain(|q, _| !dead(q));
+        self.root_flags.retain(|q| !dead(q));
+        true
+    }
+}
+
+/// One row of a [`DkLog`], mutably: [`DkLog::row_mut`] finds or creates it
+/// in whichever table holds the vertex's rows.
+#[derive(Debug)]
+pub struct RowMut<'a>(RowSlot<'a>);
+
+#[derive(Debug)]
+enum RowSlot<'a> {
+    Local(&'a mut LocalRow),
+    Remote(&'a mut RemoteRow),
+}
+
+/// Runs `$body` on the stored row behind a [`RowMut`], whichever its shape.
+macro_rules! on_row {
+    ($handle:expr, $row:ident => $body:expr) => {
+        match $handle.0 {
+            RowSlot::Local($row) => $body,
+            RowSlot::Remote($row) => $body,
+        }
+    };
+}
+
+impl RowMut<'_> {
+    /// As [`DependencyVector::set`] on the row's vector.
+    pub fn set(self, vertex: VertexId, ts: Timestamp) -> Timestamp {
+        on_row!(self, row => row.vector.set(vertex, ts))
+    }
+
+    /// As [`DependencyVector::merge_entry`] on the row's vector.
+    pub fn merge_entry(self, vertex: VertexId, ts: Timestamp) -> bool {
+        on_row!(self, row => row.vector.merge_entry(vertex, ts))
+    }
+
+    /// As [`RootedVector::merge`]: the vector join plus freshest-stamp-wins
+    /// root knowledge. Returns whether anything changed.
+    pub fn merge(self, other: &RootedVector) -> bool {
+        on_row!(self, row => {
+            let changed = row.vector.merge(&other.vector);
+            row.root_flags.absorb(other.root_flags.as_slice()) | changed
+        })
+    }
+
+    /// As [`RootedVector::stamp_root`] on the row's own stamps.
+    pub fn stamp_root(self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
+        on_row!(self, row => row.root_flags.stamp(vertex, as_of, is_root))
+    }
+
+    /// Replaces the row with `row`, taking its storage where the shapes
+    /// allow.
+    pub fn assign(self, row: RootedVector) {
+        let RootedVector { vector, root_flags } = row;
+        on_row!(self, stored => {
+            stored.vector = vector.into_shape();
+            stored.root_flags = RowStamps::from(root_flags);
+        })
     }
 }
 
@@ -103,9 +265,9 @@ impl fmt::Display for RootedVector {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DkLog {
     /// Rows of the site's own objects, by object identity.
-    local: LocalTable<RootedVector>,
+    local: LocalTable<LocalRow>,
     /// Rows of anchors and of other sites' vertices, in no order.
-    rows: IdMap<VertexId, RootedVector>,
+    rows: IdMap<VertexId, RemoteRow>,
     /// Log-wide root stamps, vertex → (as-of event index, is-actual-root),
     /// in no order.
     root_flags: IdMap<VertexId, (u64, bool)>,
@@ -149,65 +311,70 @@ impl DkLog {
     }
 
     /// Read access to the row held for `vertex` (empty if never touched).
-    pub fn row(&self, vertex: VertexId) -> Option<&RootedVector> {
+    pub fn row(&self, vertex: VertexId) -> Option<Row<'_>> {
         if self.local.holds(vertex) {
-            self.local.get(vertex)
+            self.local.get(vertex).map(LocalRow::view)
         } else {
-            self.rows.get(&vertex)
+            self.rows.get(&vertex).map(RemoteRow::view)
         }
     }
 
     /// Mutable access to the row held for `vertex`, creating it if needed.
-    pub fn row_mut(&mut self, vertex: VertexId) -> &mut RootedVector {
-        if self.local.holds(vertex) {
-            self.local.get_or_default(vertex)
+    pub fn row_mut(&mut self, vertex: VertexId) -> RowMut<'_> {
+        RowMut(if self.local.holds(vertex) {
+            RowSlot::Local(self.local.get_or_default(vertex))
         } else {
-            self.rows.entry(vertex).or_default()
-        }
+            RowSlot::Remote(self.rows.entry(vertex).or_default())
+        })
     }
 
     /// Iterates over all rows in ascending vertex order: rows below the
     /// site's first object (anchors, lower sites), the site's own objects
     /// by identity, then the rest. Sorts the hashed rows first, so it is
     /// for the cold paths only: codec, `Display`, equality and retirement.
-    pub fn rows(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
-        let mut below: Vec<(VertexId, &RootedVector)> = self
+    pub fn rows(&self) -> impl Iterator<Item = (VertexId, Row<'_>)> {
+        let mut below: Vec<(VertexId, Row<'_>)> = self
             .rows
             .iter()
-            .map(|(&vertex, row)| (vertex, row))
+            .map(|(&vertex, row)| (vertex, row.view()))
             .collect();
         below.sort_unstable_by_key(|&(vertex, _)| vertex);
         let first_local = self.local.first_vertex();
         let above = below.split_off(below.partition_point(|&(vertex, _)| vertex < first_local));
-        below.into_iter().chain(self.local.iter()).chain(above)
+        below
+            .into_iter()
+            .chain(self.local.iter().map(|(vertex, row)| (vertex, row.view())))
+            .chain(above)
     }
 
     /// Every row, in no particular order and without sorting: for walks
     /// whose result does not depend on the order.
-    pub fn rows_unordered(&self) -> impl Iterator<Item = (VertexId, &RootedVector)> {
+    pub fn rows_unordered(&self) -> impl Iterator<Item = (VertexId, Row<'_>)> {
         self.local
             .iter_unordered()
-            .chain(self.rows.iter().map(|(&vertex, row)| (vertex, row)))
-    }
-
-    /// Every row, mutably, in no particular order.
-    fn rows_mut(&mut self) -> impl Iterator<Item = &mut RootedVector> {
-        self.local.values_mut().chain(self.rows.values_mut())
+            .map(|(vertex, row)| (vertex, row.view()))
+            .chain(self.rows.iter().map(|(&vertex, row)| (vertex, row.view())))
     }
 
     /// Keeps only the rows `keep` accepts, in place, without touching
     /// entries keyed by the dropped subjects in other rows. Returns the
     /// number of rows dropped.
-    pub fn retain_rows(&mut self, mut keep: impl FnMut(VertexId, &RootedVector) -> bool) -> usize {
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(VertexId, Row<'_>) -> bool) -> usize {
         let before = self.len();
-        self.local.retain(|vertex, row| keep(vertex, row));
-        self.rows.retain(|&vertex, row| keep(vertex, row));
+        self.local.retain(|vertex, row| keep(vertex, row.view()));
+        self.rows.retain(|&vertex, row| keep(vertex, row.view()));
         before - self.len()
     }
 
     /// Number of rows currently held.
     pub fn len(&self) -> usize {
         self.local.len() + self.rows.len()
+    }
+
+    /// Number of rows held for the site's own objects; the rest are the
+    /// rows of anchors and other sites' vertices.
+    pub fn local_len(&self) -> usize {
+        self.local.len()
     }
 
     /// True when the log holds no rows.
@@ -276,17 +443,9 @@ impl DkLog {
     /// would eventually revoke anyway). Dropping it anticipates that
     /// revocation. Returns the number of rows dropped.
     pub fn prune_vertices(&mut self, dead: impl Fn(VertexId) -> bool) -> usize {
-        let prune = |vertex: VertexId, row: &mut RootedVector| {
-            if dead(vertex) {
-                return false;
-            }
-            row.vector.retain(|q, _| !dead(q));
-            row.root_flags.retain(|q| !dead(q));
-            true
-        };
         let before = self.len();
-        self.local.retain(&prune);
-        self.rows.retain(|&vertex, row| prune(vertex, row));
+        self.local.retain(|vertex, row| row.prune(vertex, &dead));
+        self.rows.retain(|&vertex, row| row.prune(vertex, &dead));
         self.root_flags.retain(|&vertex, _| !dead(vertex));
         before - self.len()
     }
@@ -304,7 +463,10 @@ impl DkLog {
     /// (edges, holders, local roots) can be kept conservatively.
     pub fn retain_stamps(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
         self.root_flags.retain(|&vertex, _| keep(vertex));
-        for row in self.rows_mut() {
+        for row in self.local.values_mut() {
+            row.root_flags.retain(&mut keep);
+        }
+        for row in self.rows.values_mut() {
             row.root_flags.retain(&mut keep);
         }
     }
@@ -314,7 +476,7 @@ impl DkLog {
     pub fn stamped_vertices(&self) -> Vec<VertexId> {
         let mut stamped: Vec<VertexId> = self.root_flags.keys().copied().collect();
         for (_, row) in self.rows_unordered() {
-            stamped.extend(row.root_flags.keys());
+            stamped.extend(row.root_flags().iter().map(|&(vertex, _)| vertex));
         }
         stamped.sort_unstable();
         stamped.dedup();
@@ -355,7 +517,7 @@ impl DkLog {
             let Some(row) = self.row(p) else {
                 continue;
             };
-            for (q, ts) in row.vector.iter() {
+            for &(q, ts) in row.entries() {
                 let merged = match result.binary_search_by_key(&q, |&(k, _)| k) {
                     Ok(i) => {
                         result[i].1 = result[i].1.merged(ts);
@@ -373,7 +535,7 @@ impl DkLog {
         }
         // The subject's own entry reflects its own latest event, never a
         // second-hand one.
-        if let Some(own) = self.row(vertex).map(|row| row.vector.get(vertex)) {
+        if let Some(own) = self.row(vertex).map(|row| row.get(vertex)) {
             match result.binary_search_by_key(&vertex, |&(k, _)| k) {
                 Ok(i) if own == Timestamp::NEVER => {
                     result.remove(i);
@@ -406,10 +568,10 @@ impl DkLog {
         let Some(row) = self.row(subject) else {
             return true;
         };
-        row.vector
+        row.entries()
             .iter()
-            .filter(|(q, ts)| *q != subject && ts.is_live() && !self.is_root(*q))
-            .all(|(q, _)| self.row(q).is_some_and(|r| !r.vector.is_empty()))
+            .filter(|&&(q, ts)| q != subject && ts.is_live() && !self.is_root(q))
+            .all(|&(q, _)| self.row(q).is_some_and(|r| !r.entries().is_empty()))
     }
 }
 
@@ -462,19 +624,11 @@ mod tests {
     fn closure_expands_transitively_through_live_entries() {
         let mut log = DkLog::new(SiteId::new(2));
         // c's row: b reaches c.
-        log.row_mut(v(3, 1))
-            .vector
-            .set(v(2, 1), Timestamp::created(1));
-        log.row_mut(v(3, 1))
-            .vector
-            .set(v(3, 1), Timestamp::created(2));
+        log.row_mut(v(3, 1)).set(v(2, 1), Timestamp::created(1));
+        log.row_mut(v(3, 1)).set(v(3, 1), Timestamp::created(2));
         // b's row: a reaches b.
-        log.row_mut(v(2, 1))
-            .vector
-            .set(v(1, 1), Timestamp::created(4));
-        log.row_mut(v(2, 1))
-            .vector
-            .set(v(2, 1), Timestamp::created(1));
+        log.row_mut(v(2, 1)).set(v(1, 1), Timestamp::created(4));
+        log.row_mut(v(2, 1)).set(v(2, 1), Timestamp::created(1));
 
         let closure = log.closure(v(3, 1));
         assert_eq!(closure.get(v(3, 1)), Timestamp::created(2));
@@ -485,12 +639,8 @@ mod tests {
     #[test]
     fn closure_stops_at_destroyed_entries() {
         let mut log = DkLog::new(SiteId::new(2));
-        log.row_mut(v(3, 1))
-            .vector
-            .set(v(2, 1), Timestamp::destroyed(5));
-        log.row_mut(v(2, 1))
-            .vector
-            .set(v(1, 1), Timestamp::created(1));
+        log.row_mut(v(3, 1)).set(v(2, 1), Timestamp::destroyed(5));
+        log.row_mut(v(2, 1)).set(v(1, 1), Timestamp::created(1));
         let closure = log.closure(v(3, 1));
         // The destroyed entry is kept as a tombstone but not expanded, so
         // nothing reachable only through it contributes a live path.
@@ -502,12 +652,8 @@ mod tests {
     #[test]
     fn closure_terminates_on_cycles() {
         let mut log = DkLog::new(SiteId::new(2));
-        log.row_mut(v(1, 1))
-            .vector
-            .set(v(2, 1), Timestamp::created(1));
-        log.row_mut(v(2, 1))
-            .vector
-            .set(v(1, 1), Timestamp::created(1));
+        log.row_mut(v(1, 1)).set(v(2, 1), Timestamp::created(1));
+        log.row_mut(v(2, 1)).set(v(1, 1), Timestamp::created(1));
         let closure = log.closure(v(1, 1));
         assert!(closure.get(v(2, 1)).is_live());
         assert!(closure.get(v(1, 1)).is_live() || closure.get(v(1, 1)) == Timestamp::NEVER);
@@ -519,16 +665,15 @@ mod tests {
         // Subject t has a live placeholder for q but q's row is unknown.
         let t = v(2, 1);
         let q = v(3, 1);
-        log.row_mut(t).vector.set(q, Timestamp::created(1));
-        log.row_mut(t).vector.set(t, Timestamp::created(1));
+        log.row_mut(t).set(q, Timestamp::created(1));
+        log.row_mut(t).set(t, Timestamp::created(1));
         assert!(!log.direct_live_entries_resolved(t));
         // Once anything of q's vector is known the entry is resolved.
-        log.row_mut(q).vector.set(v(1, 1), Timestamp::created(1));
+        log.row_mut(q).set(v(1, 1), Timestamp::created(1));
         assert!(log.direct_live_entries_resolved(t));
         // Destroyed or root-keyed entries never block resolution.
-        log.row_mut(t).vector.set(v(4, 1), Timestamp::destroyed(2));
+        log.row_mut(t).set(v(4, 1), Timestamp::destroyed(2));
         log.row_mut(t)
-            .vector
             .set(VertexId::site_root(0), Timestamp::created(1));
         assert!(log.direct_live_entries_resolved(t));
         // A vertex with no row at all is trivially resolved.
@@ -585,7 +730,7 @@ mod tests {
             let ts = Timestamp::created(step % 5 + 1);
             match step % 11 {
                 0..=5 => {
-                    log.row_mut(subject).vector.set(entry, ts);
+                    log.row_mut(subject).set(entry, ts);
                     model.entry(subject).or_default().vector.set(entry, ts);
                 }
                 6 => {
@@ -631,10 +776,14 @@ mod tests {
                     log.retain_stamps(|vertex| keep.contains(&vertex));
                 }
                 _ => {
-                    assert_eq!(log.row(subject), model.get(&subject), "step {step}");
+                    assert_eq!(
+                        log.row(subject),
+                        model.get(&subject).map(RootedVector::as_row),
+                        "step {step}"
+                    );
                 }
             }
-            let rows: Vec<(VertexId, &RootedVector)> = log.rows().collect();
+            let rows: Vec<(VertexId, Row<'_>)> = log.rows().collect();
             assert!(
                 rows.windows(2).all(|pair| pair[0].0 < pair[1].0),
                 "step {step}: rows must be strictly ascending"
@@ -642,7 +791,7 @@ mod tests {
             assert!(
                 rows.iter()
                     .copied()
-                    .eq(model.iter().map(|(&vertex, row)| (vertex, row))),
+                    .eq(model.iter().map(|(&vertex, row)| (vertex, row.as_row()))),
                 "step {step}: rows differ from the model"
             );
             assert_eq!(log.len(), model.len());
@@ -680,7 +829,7 @@ mod tests {
                     0 => Timestamp::destroyed(index),
                     _ => Timestamp::created(index),
                 };
-                log.row_mut(subject).vector.merge_entry(entry, ts);
+                log.row_mut(subject).merge_entry(entry, ts);
             }
             for &subject in &pool {
                 let closure = log.closure(subject);
@@ -688,20 +837,70 @@ mod tests {
                     assert!(closure.is_empty());
                     continue;
                 };
-                assert_eq!(row.vector.merged_with(&closure), closure, "{subject}");
+                assert_eq!(
+                    row.to_rooted().vector.merged_with(&closure),
+                    closure,
+                    "{subject}"
+                );
                 checked += 1;
             }
         }
         assert!(checked > 1_000, "only {checked} subjects had rows");
     }
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn rows_are_sized_by_role() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<RemoteRow>(), 40);
+        assert_eq!(size_of::<LocalRow>(), 88);
+        // The payload keeps three entries and one stamp inline.
+        assert_eq!(size_of::<RootedVector>(), 112);
+    }
+
+    #[test]
+    fn rows_of_either_shape_read_and_write_alike() {
+        // A local row (three entries inline) and a remote one (one), given
+        // the same edits, read back equal, spill and shrink alike, and are
+        // written back from the payload shape unchanged.
+        let mut log = DkLog::new(SiteId::new(2));
+        let (local, remote) = (v(2, 1), v(3, 1));
+        let mut payload = RootedVector::new();
+        for i in 0..5u32 {
+            payload
+                .vector
+                .set(v(i, 7), Timestamp::created(u64::from(i) + 1));
+        }
+        payload.stamp_root(v(1, 7), 4, true);
+        for subject in [local, remote] {
+            assert!(log.row_mut(subject).merge(&payload));
+            assert!(!log.row_mut(subject).merge(&payload));
+            log.row_mut(subject).set(v(0, 7), Timestamp::NEVER);
+            log.row_mut(subject)
+                .merge_entry(v(9, 9), Timestamp::destroyed(2));
+        }
+        assert_eq!(log.row(local), log.row(remote));
+        let row = log.row(remote).unwrap();
+        assert_eq!(row.entries().len(), 5);
+        assert_eq!(row.root_flags(), &[(v(1, 7), (4, true))]);
+        assert_eq!(row.get(v(9, 9)), Timestamp::destroyed(2));
+        assert_eq!(row.get(v(0, 7)), Timestamp::NEVER);
+        let owned = row.to_rooted();
+        for subject in [local, remote] {
+            log.row_mut(subject).assign(owned.clone());
+            assert_eq!(log.row(subject), Some(owned.as_row()));
+        }
+        // Pruning every stamped vertex frees the rows' stamps.
+        log.prune_vertices(|vertex| vertex == v(1, 7));
+        assert!(log.row(remote).unwrap().root_flags().is_empty());
+        assert_eq!(log.row(local), log.row(remote));
+    }
+
     #[test]
     fn display_and_size() {
         let mut log = DkLog::new(SiteId::new(2));
         assert!(log.is_empty());
-        log.row_mut(v(1, 1))
-            .vector
-            .set(v(1, 1), Timestamp::created(1));
+        log.row_mut(v(1, 1)).set(v(1, 1), Timestamp::created(1));
         assert_eq!(log.len(), 1);
         assert!(!log.is_empty());
         assert!(log.to_string().contains("DK[s1/o1]"));

@@ -2,12 +2,17 @@
 //! it an actual root as of its own event index `as_of`?".
 //!
 //! A stamp map is tiny — a payload carries at most one stamp per entry of
-//! its vector, a row rarely any — and is read and merged on every control
-//! message, so it is a vector sorted by vertex rather than an ordered map:
-//! a lookup is one binary search, a merge of ascending stamps appends, and
-//! a map of at most one stamp allocates nothing. Iteration is in ascending
-//! vertex order, exactly as an ordered map would give, so the codec writes
-//! it the same.
+//! its vector, and a log row almost never holds any — and is read and
+//! merged on every control message, so it is a vector sorted by vertex
+//! rather than an ordered map: a lookup is one binary search, a merge of
+//! ascending stamps appends, and a map of at most one stamp allocates
+//! nothing. Iteration is in ascending vertex order, exactly as an ordered
+//! map would give, so the codec writes it the same.
+//!
+//! The stamps come in two footprints. A payload's, [`RootStamps`], holds
+//! one stamp inline (32 bytes). A log row's, [`RowStamps`], is one word
+//! while empty and boxes a [`RootStamps`] with its first stamp: 99.9% of
+//! the rows of a churning log hold none.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,7 +91,8 @@ impl RootStamps {
         Some(RootStamps { entries })
     }
 
-    fn as_slice(&self) -> &[Stamp] {
+    /// Every stamp, in ascending vertex order.
+    pub fn as_slice(&self) -> &[Stamp] {
         match &self.entries {
             Entries::Inline(one) => one.as_slice(),
             Entries::Spilled(v) => v,
@@ -128,7 +134,7 @@ impl RootStamps {
 
     /// Stamps every entry of `incoming`, freshest stamp winning. Returns
     /// whether anything was recorded.
-    pub fn absorb(&mut self, incoming: &RootStamps) -> bool {
+    pub fn absorb(&mut self, incoming: &[Stamp]) -> bool {
         incoming
             .iter()
             .fold(false, |changed, &(vertex, (as_of, is_root))| {
@@ -181,6 +187,47 @@ impl RootStamps {
     }
 }
 
+/// A log row's root stamps: one word while there are none, a boxed
+/// [`RootStamps`] from the first stamp until the last is dropped.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowStamps(Option<Box<RootStamps>>);
+
+impl RowStamps {
+    /// Every stamp, in ascending vertex order.
+    pub(crate) fn as_slice(&self) -> &[Stamp] {
+        self.0.as_deref().map_or(&[], RootStamps::as_slice)
+    }
+
+    /// As [`RootStamps::stamp`].
+    pub(crate) fn stamp(&mut self, vertex: VertexId, as_of: u64, is_root: bool) -> bool {
+        self.0
+            .get_or_insert_with(Box::default)
+            .stamp(vertex, as_of, is_root)
+    }
+
+    /// As [`RootStamps::absorb`]; allocates nothing when `incoming` is
+    /// empty.
+    pub(crate) fn absorb(&mut self, incoming: &[Stamp]) -> bool {
+        !incoming.is_empty() && self.0.get_or_insert_with(Box::default).absorb(incoming)
+    }
+
+    /// As [`RootStamps::retain`]; frees the box once no stamp is left.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(VertexId) -> bool) {
+        if let Some(stamps) = &mut self.0 {
+            stamps.retain(keep);
+            if stamps.is_empty() {
+                self.0 = None;
+            }
+        }
+    }
+}
+
+impl From<RootStamps> for RowStamps {
+    fn from(stamps: RootStamps) -> Self {
+        RowStamps((!stamps.is_empty()).then(|| Box::new(stamps)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +236,7 @@ mod tests {
     #[test]
     fn follows_an_ordered_map_through_seeded_stamps() {
         // Seeded stamps, absorbs and retains, each mirrored in the ordered
-        // map the stamps used to be kept in.
+        // map the stamps used to be kept in and in a row's boxed stamps.
         let mut state = 0x57a3_95ee_d0c5_a11fu64;
         let mut next = move |n: u64| {
             state ^= state << 13;
@@ -206,16 +253,16 @@ mod tests {
                 }
             };
         let mut stamps = RootStamps::new();
+        let mut row = RowStamps::default();
         let mut model = BTreeMap::new();
         for step in 0..4_000u64 {
             let vertex = VertexId::object(next(4) as u32, next(6));
             match next(7) {
                 0..=3 => {
                     let (as_of, is_root) = (next(9), next(2) == 0);
-                    assert_eq!(
-                        stamps.stamp(vertex, as_of, is_root),
-                        stamp_model(&mut model, vertex, as_of, is_root)
-                    );
+                    let expected = stamp_model(&mut model, vertex, as_of, is_root);
+                    assert_eq!(stamps.stamp(vertex, as_of, is_root), expected);
+                    assert_eq!(row.stamp(vertex, as_of, is_root), expected);
                 }
                 4 => {
                     let mut incoming = RootStamps::new();
@@ -225,11 +272,13 @@ mod tests {
                     let expected = incoming.iter().fold(false, |changed, &(v, (a, r))| {
                         stamp_model(&mut model, v, a, r) | changed
                     });
-                    assert_eq!(stamps.absorb(&incoming), expected);
+                    assert_eq!(stamps.absorb(incoming.as_slice()), expected);
+                    assert_eq!(row.absorb(incoming.as_slice()), expected);
                 }
                 5 => {
                     let site = next(4) as u32;
                     stamps.retain(|v| v.site().index() != site);
+                    row.retain(|v| v.site().index() != site);
                     model.retain(|v, _| v.site().index() != site);
                 }
                 _ => assert_eq!(stamps.get(vertex), model.get(&vertex).copied()),
@@ -243,7 +292,18 @@ mod tests {
             );
             assert_eq!(stamps.len(), model.len());
             assert_eq!(stamps.keys().count(), model.len());
+            assert_eq!(row.as_slice(), stamps.as_slice(), "step {step}");
+            assert_eq!(row.0.is_none(), model.is_empty(), "step {step}: the box");
         }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_payload_holds_one_stamp_inline_and_a_row_one_word() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Stamp>(), 32);
+        assert_eq!(size_of::<RootStamps>(), 32);
+        assert_eq!(size_of::<RowStamps>(), 8);
     }
 
     #[test]

@@ -69,9 +69,9 @@ fn rebuilt(
     let mut out = DkLog::new(site);
     for (vertex, row) in log.rows() {
         if keep_row(vertex) {
-            let mut row = row.clone();
+            let mut row = row.to_rooted();
             edit(&mut row);
-            *out.row_mut(vertex) = row;
+            out.row_mut(vertex).assign(row);
         }
     }
     for &(vertex, (as_of, is_root)) in log.root_flags().iter() {
@@ -86,7 +86,7 @@ fn stamp_count(log: &DkLog) -> usize {
     log.root_flags().len()
         + log
             .rows()
-            .map(|(_, row)| row.root_flags.len())
+            .map(|(_, row)| row.root_flags().len())
             .sum::<usize>()
 }
 
@@ -142,7 +142,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
                 return false;
             };
             addr.site() != site
-                && row.vector.iter().all(|(_, ts)| !ts.is_live())
+                && row.entries().iter().all(|(_, ts)| !ts.is_live())
                 && !remote.contains(&addr)
         })
         .map(|(vertex, _)| vertex)
@@ -158,9 +158,9 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
                 return false;
             };
             addr.site() == site
-                && row.vector.len() == 1
-                && row.vector.get(*vertex).is_live()
-                && row.root_flags.is_empty()
+                && row.entries().len() == 1
+                && row.get(*vertex).is_live()
+                && row.root_flags().is_empty()
                 && !c.locally_rooted.contains(vertex)
                 && !c.edges_out.contains_key(vertex)
                 && !holders.contains(vertex)
@@ -183,7 +183,7 @@ fn reference_compact(c: &mut EngineCheckpoint, rules: &mut Rules) -> usize {
     let mut keep = holders;
     for (vertex, row) in c.log.rows() {
         keep.insert(vertex);
-        keep.extend(row.vector.iter().map(|(q, _)| q));
+        keep.extend(row.entries().iter().map(|&(q, _)| q));
     }
     keep.extend(remote.iter().map(|&addr| VertexId::from(addr)));
     keep.extend(c.locally_rooted.iter().copied());

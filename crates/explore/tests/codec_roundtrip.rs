@@ -127,7 +127,7 @@ fn engine_checkpoints_and_wire_messages_of_pinned_runs_round_trip() {
                 let message = CausalMessage {
                     from: vertex,
                     to: vertex,
-                    payload: row.clone(),
+                    payload: row.to_rooted(),
                 };
                 assert_bit_identical(
                     &message,

@@ -25,7 +25,7 @@ use ggd_mutator::{Legality, MembershipEvent, MembershipKind, MutatorOp, ObjName,
 use ggd_net::{FaultPlan, NetMetrics, SimNetwork, SimNetworkConfig, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
 use ggd_store::{DurabilityConfig, MembershipAnnouncement, MembershipChange, StoreStats};
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
@@ -148,10 +148,11 @@ impl<C: Collector, T: Transport<SimPayload<C::Msg>>> Network<C> for T {
 pub struct Cluster<C: Collector, N = SimNetwork<SimPayload<<C as Collector>::Msg>>> {
     /// The address each object name was allocated at, indexed by
     /// `ObjName.0`: names are dense by construction (`Scenario::fresh_name`
-    /// counts up from 0), so resolving one is an index, not a search. `None`
-    /// — like an index past the end — for a name whose `Alloc` has not run
-    /// or was skipped.
-    names: Vec<Option<GlobalAddr>>,
+    /// counts up from 0), so resolving one is an index, not a search. A
+    /// name whose `Alloc` has not run or was skipped holds the default
+    /// address, whose object 0 no heap allocates: it resolves to nothing,
+    /// like an index past the end.
+    names: Vec<GlobalAddr>,
     /// Mutator-legality tracking, maintained only under crash plans and
     /// membership schedules: which sites hold (a copy of) each named
     /// object's reference, and which objects are addressable (local roots,
@@ -358,7 +359,7 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
                 }
                 let addr = self.shard.alloc(site, local_root);
                 // A repeated Alloc of a name rebinds it.
-                *slot(&mut self.names, name.0 as usize) = Some(addr);
+                *slot(&mut self.names, name.0 as usize) = addr;
                 if let Some(legality) = &mut self.legality {
                     legality.note_alloc(name, site, local_root);
                 }
@@ -601,7 +602,10 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
 impl<C: Collector, N> Cluster<C, N> {
     /// The address allocated for a symbolic object name, if it exists yet.
     pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
-        self.names.get(name.0 as usize).copied().flatten()
+        self.names
+            .get(name.0 as usize)
+            .copied()
+            .filter(|addr| addr.object() != ObjectId::new(0))
     }
 
     /// Read access to a site's heap.

@@ -114,10 +114,12 @@ pub trait Collector {
 
     /// Observability counters this collector exports, as `(name, value)`
     /// pairs — absorbed into the per-site metrics registry at report time
-    /// (`ggd-obs`). Names must be static and values cumulative. The default
-    /// exports nothing; engines with internal bookkeeping (the causal
-    /// engine's [`EngineStats`](ggd_causal::EngineStats), its DkLog
-    /// compaction counters) surface it here.
+    /// (`ggd-obs`). Names must be static; values are cumulative counts or
+    /// current sizes. The default exports nothing; engines with internal
+    /// bookkeeping (the causal engine's
+    /// [`EngineStats`](ggd_causal::EngineStats), its DkLog compaction
+    /// counters, and its record counts,
+    /// [`EngineFootprint`](ggd_causal::EngineFootprint)) surface it here.
     fn obs_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }
@@ -248,6 +250,7 @@ impl Collector for CausalCollector {
 
     fn obs_counters(&self) -> Vec<(&'static str, u64)> {
         let stats = self.engine.stats();
+        let footprint = self.engine.footprint();
         vec![
             ("engine_edge_creations", stats.edge_creations),
             ("engine_edge_destructions", stats.edge_destructions),
@@ -258,6 +261,10 @@ impl Collector for CausalCollector {
             ("engine_verdicts", stats.verdicts),
             ("dk_compaction_runs", stats.compaction_runs),
             ("dk_rows_compacted", stats.compaction_rows_dropped),
+            ("dk_local_rows", footprint.local_rows as u64),
+            ("dk_remote_rows", footprint.remote_rows as u64),
+            ("engine_remote_records", footprint.remote_records as u64),
+            ("engine_memo_entries", footprint.memo_entries as u64),
         ]
     }
 }
@@ -358,6 +365,23 @@ mod tests {
         assert!(c.take_outgoing().is_empty(), "lazy rules send nothing");
         assert!(c.take_verdicts().is_empty());
         assert!(c.engine().stats().lazy_records >= 2);
+    }
+
+    #[test]
+    fn obs_counters_count_the_engines_records_by_role() {
+        let mut c = CausalCollector::new(SiteId::new(1));
+        // Rows of s1/o5 (local) and s3/o1 (remote).
+        c.on_export(GlobalAddr::new(1, 5), GlobalAddr::new(0, 1));
+        c.on_third_party_send(GlobalAddr::new(3, 1), GlobalAddr::new(4, 1));
+        // The holder's row (local), the target's row (remote) and the
+        // target's record.
+        c.on_receive_ref(GlobalAddr::new(1, 6), GlobalAddr::new(2, 2));
+        let counters = c.obs_counters();
+        let gauge = |name| counters.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(gauge("dk_local_rows"), Some(2));
+        assert_eq!(gauge("dk_remote_rows"), Some(2));
+        assert_eq!(gauge("engine_remote_records"), Some(1));
+        assert_eq!(gauge("engine_memo_entries"), Some(0));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! root stamps are written in strictly ascending key order, and their
 //! decoders reject any other order, a duplicate key or a `Never` entry
 //! with [`CodecError::Invalid`] and build the value in one allocation; the
-//! log decodes through `row_mut`/`stamp_root`, and enum tags are stable —
+//! log decodes through `row_mut`/`stamp_root`, each row written and read as
+//! the [`RootedVector`] it equals whatever shape the log keeps it in, and
+//! enum tags are stable —
 //! they are part of the durable format guarded by
 //! [`crate::wal::FORMAT_VERSION`].
 
@@ -16,11 +18,12 @@ use std::collections::BTreeSet;
 use ggd_baselines::{RefListingMessage, TracingMessage};
 use ggd_causal::{
     CausalMessage, DkLog, EngineCheckpoint, EngineImageSink, EngineImageSource, EngineStats,
-    Outgoing, RootStamps, RootedVector,
+    Outgoing, RootStamps, RootedVector, Row,
 };
 use ggd_heap::{HeapImage, HeapImageSink, HeapImageSource, HeapStats, ObjRef};
 use ggd_types::{
-    write_varint, DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp, VertexId,
+    write_varint, CompactVector, DependencyVector, GlobalAddr, ObjectId, SiteId, Timestamp,
+    VertexId,
 };
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
@@ -130,22 +133,19 @@ impl Decode for ObjRef {
     }
 }
 
-impl Encode for DependencyVector {
+/// The count, then each entry in ascending key order, whatever the
+/// vector's shape.
+impl<const N: usize> Encode for DependencyVector<N> {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.len() as u64);
-        for (vertex, ts) in self.iter() {
-            vertex.encode(out);
-            ts.encode(out);
-        }
+        self.as_slice().encode(out);
     }
 }
-impl Decode for DependencyVector {
+impl<const N: usize> Decode for DependencyVector<N> {
     /// Decodes a vector that fits inline without allocating, and a larger
     /// one into a single exactly sized allocation.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.len()?;
-        let mut inline =
-            [(VertexId::site_root(0), Timestamp::NEVER); DependencyVector::INLINE_CAPACITY];
+        let mut inline = [(VertexId::site_root(0), Timestamp::NEVER); N];
         let vector = if n <= inline.len() {
             for entry in &mut inline[..n] {
                 *entry = Decode::decode(r)?;
@@ -168,11 +168,7 @@ impl Decode for DependencyVector {
 /// count, then each vertex and its `(as_of, is_root)` in ascending order.
 impl Encode for RootStamps {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.len() as u64);
-        for (vertex, stamp) in self.iter() {
-            vertex.encode(out);
-            stamp.encode(out);
-        }
+        self.as_slice().encode(out);
     }
 }
 impl Decode for RootStamps {
@@ -184,8 +180,7 @@ impl Decode for RootStamps {
 
 impl Encode for RootedVector {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.vector.encode(out);
-        self.root_flags.encode(out);
+        self.as_row().encode(out);
     }
 }
 impl Decode for RootedVector {
@@ -194,6 +189,15 @@ impl Decode for RootedVector {
             vector: DependencyVector::decode(r)?,
             root_flags: RootStamps::decode(r)?,
         })
+    }
+}
+
+/// A log row is written as the [`RootedVector`] it equals, whatever shape
+/// the log stores it in.
+impl Encode for Row<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.entries().encode(out);
+        self.root_flags().encode(out);
     }
 }
 
@@ -213,7 +217,8 @@ impl Encode for DkLog {
 fn decode_log(r: &mut Reader<'_>, site: SiteId, next_object: u64) -> Result<DkLog, CodecError> {
     let mut log = DkLog::new(site);
     read_ascending(r, |r, vertex| {
-        *log.row_mut(allocated(vertex, site, next_object)?) = RootedVector::decode(r)?;
+        log.row_mut(allocated(vertex, site, next_object)?)
+            .assign(RootedVector::decode(r)?);
         Ok(())
     })?;
     for &(vertex, (as_of, is_root)) in RootStamps::decode(r)?.iter() {
@@ -616,7 +621,7 @@ fn read_engine<S: EngineImageSink>(r: &mut Reader<'_>, next_object: u64) -> Resu
     })?;
     let log = decode_log(r, site, next_object)?;
     read_ascending(r, |r, vertex| {
-        sink.last_closure(with_state(vertex)?, DependencyVector::decode(r)?);
+        sink.last_closure(with_state(vertex)?, CompactVector::decode(r)?);
         Ok(())
     })?;
     let mut targets = Vec::new();
@@ -757,8 +762,8 @@ mod tests {
         round_trip(rooted.clone());
 
         let mut log = DkLog::new(SiteId::new(1));
-        *log.row_mut(VertexId::object(1, 1)) = rooted.clone();
-        *log.row_mut(VertexId::object(3, 1)) = rooted;
+        log.row_mut(VertexId::object(1, 1)).assign(rooted.clone());
+        log.row_mut(VertexId::object(3, 1)).assign(rooted);
         log.stamp_root(VertexId::object(2, 2), 5, false);
         log_round_trip(&log, SiteId::new(1));
 

@@ -12,7 +12,8 @@
 //!   paper's `Ē` destruction marker;
 //! * [`DependencyVector`] is the sparse direct-dependency / vector-time
 //!   representation used by the lazy log-keeping mechanism and by the GGD
-//!   engine (§3.2–§3.3), together with the Schwarz & Mattern partial order;
+//!   engine (§3.2–§3.3), together with the Schwarz & Mattern partial order,
+//!   in two footprints: three entries inline, or one ([`CompactVector`]);
 //! * [`IdMap`] (and its set, [`IdSet`]) is the one hashed map of the
 //!   workspace, with a fixed, deterministic multiply-rotate hasher,
 //!   [`IdHasher`];
@@ -47,7 +48,7 @@ mod vector;
 pub use ids::{GlobalAddr, IdHasher, IdMap, IdSet, ObjectId, SiteId, VertexId};
 pub use timestamp::{EventIndex, Timestamp};
 pub use varint::{read_varint, write_varint, VarintError};
-pub use vector::{CausalOrder, DependencyVector, VectorEntries};
+pub use vector::{CausalOrder, CompactVector, DependencyVector, VectorEntries};
 
 /// Convenience result alias used by fallible constructors in this crate.
 pub type Result<T> = std::result::Result<T, TypeError>;

@@ -15,12 +15,21 @@
 //!
 //! # Representation
 //!
-//! Vectors are stored as a key-sorted small vector: up to
-//! [`DependencyVector::INLINE_CAPACITY`] entries live inline (no heap
-//! allocation at all — the common case for the singleton and few-entry
-//! vectors the engine creates on its hot path), larger vectors spill to a
-//! contiguous `Vec`. Merges walk both entry slices with two pointers and
-//! mutate in place, growing the storage when new keys arrive; comparisons
+//! Vectors are stored as a key-sorted small vector: up to `N` entries live
+//! inline (no heap allocation at all), larger vectors spill to a contiguous
+//! `Vec`. `N` is a const parameter with two values in use, chosen by what
+//! a vector holds in the common case:
+//!
+//! * three (the default, 80 bytes): control payloads, and the log rows of a
+//!   site's own objects, most of which hold two or three entries;
+//! * one ([`CompactVector`], 32 bytes): the log rows kept for remote
+//!   vertices, most of which hold one entry, and closure memos, which
+//!   average four and a half and so spill whatever their inline room.
+//!
+//! The shape is a footprint, not a behaviour: every operation gives the
+//! same result in either, and a merge takes a vector of any shape. Merges
+//! walk both entry slices with two pointers and mutate in place, growing
+//! the storage when new keys arrive; comparisons
 //! ([`DependencyVector::causal_order`], [`DependencyVector::dominates`])
 //! never allocate.
 
@@ -62,33 +71,34 @@ type Entry = (VertexId, Timestamp);
 /// Placeholder for unused inline slots; never observable through the API.
 const EMPTY_ENTRY: Entry = (VertexId::site_root(0), Timestamp::NEVER);
 
-/// The sorted small-vector backing store of a [`DependencyVector`].
+/// The sorted small-vector backing store of a [`DependencyVector`] with
+/// `N` entries inline.
 ///
 /// Invariants: entries are strictly sorted by key and never hold
 /// [`Timestamp::NEVER`] (an absent key *is* `NEVER`).
 #[derive(Debug, Clone)]
-enum Entries {
-    /// At most `INLINE` entries stored inline; `len` are valid.
+enum Entries<const N: usize> {
+    /// At most `N` entries stored inline; `len` are valid.
     Inline {
         /// Number of valid entries in `buf`.
         len: u8,
         /// Entry storage; slots at `len..` hold `EMPTY_ENTRY`.
-        buf: [Entry; DependencyVector::INLINE_CAPACITY],
+        buf: [Entry; N],
     },
     /// Spilled storage for larger vectors.
     Spilled(Vec<Entry>),
 }
 
-impl Default for Entries {
+impl<const N: usize> Default for Entries<N> {
     fn default() -> Self {
         Entries::Inline {
             len: 0,
-            buf: [EMPTY_ENTRY; DependencyVector::INLINE_CAPACITY],
+            buf: [EMPTY_ENTRY; N],
         }
     }
 }
 
-impl Entries {
+impl<const N: usize> Entries<N> {
     fn as_slice(&self) -> &[Entry] {
         match self {
             Entries::Inline { len, buf } => &buf[..usize::from(*len)],
@@ -104,28 +114,28 @@ impl Entries {
     }
 
     fn from_vec(v: Vec<Entry>) -> Self {
-        if v.len() <= DependencyVector::INLINE_CAPACITY {
-            let mut buf = [EMPTY_ENTRY; DependencyVector::INLINE_CAPACITY];
-            buf[..v.len()].copy_from_slice(&v);
-            Entries::Inline {
-                len: v.len() as u8,
-                buf,
-            }
+        if v.len() <= N {
+            Entries::inline(&v)
         } else {
             Entries::Spilled(v)
         }
     }
 
     fn from_slice(v: &[Entry]) -> Self {
-        if v.len() <= DependencyVector::INLINE_CAPACITY {
-            let mut buf = [EMPTY_ENTRY; DependencyVector::INLINE_CAPACITY];
-            buf[..v.len()].copy_from_slice(v);
-            Entries::Inline {
-                len: v.len() as u8,
-                buf,
-            }
+        if v.len() <= N {
+            Entries::inline(v)
         } else {
             Entries::Spilled(v.to_vec())
+        }
+    }
+
+    /// `v`, of at most `N` entries, stored inline.
+    fn inline(v: &[Entry]) -> Self {
+        let mut buf = [EMPTY_ENTRY; N];
+        buf[..v.len()].copy_from_slice(v);
+        Entries::Inline {
+            len: v.len() as u8,
+            buf,
         }
     }
 
@@ -133,7 +143,7 @@ impl Entries {
         match self {
             Entries::Inline { len, buf } => {
                 let n = usize::from(*len);
-                if n < DependencyVector::INLINE_CAPACITY {
+                if n < N {
                     buf.copy_within(index..n, index + 1);
                     buf[index] = entry;
                     *len += 1;
@@ -195,50 +205,64 @@ impl Entries {
 /// assert_eq!(v.get(VertexId::object(9, 9)), Timestamp::NEVER);
 /// assert!(v.get(b).is_absent());
 /// ```
+///
+/// # Shapes
+///
+/// `N` is the number of entries held inline before the vector spills; it
+/// changes the footprint, never the behaviour. The default, three, is the
+/// shape of a control payload and of a site's own object's log row; the
+/// [`CompactVector`], one, is the shape of a remote vertex's log row and of
+/// a closure memo. Constructors named after their result ([`new`],
+/// [`singleton`]) build the default shape; every shape starts from
+/// [`Default`] or [`DependencyVector::from_sorted`], and
+/// [`DependencyVector::into_shape`] moves a vector between shapes.
+///
+/// [`new`]: DependencyVector::new
+/// [`singleton`]: DependencyVector::singleton
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(
     from = "Vec<(VertexId, Timestamp)>",
     into = "Vec<(VertexId, Timestamp)>"
 )]
-pub struct DependencyVector {
-    entries: Entries,
+pub struct DependencyVector<const N: usize = 3> {
+    entries: Entries<N>,
 }
 
-impl PartialEq for DependencyVector {
+/// A [`DependencyVector`] with one entry inline: 32 bytes where the default
+/// shape takes 80. Most remote vertices' log rows hold one entry, and
+/// closure memos spill whatever their inline room.
+pub type CompactVector = DependencyVector<1>;
+
+impl<const N: usize> PartialEq for DependencyVector<N> {
     fn eq(&self, other: &Self) -> bool {
         self.entries.as_slice() == other.entries.as_slice()
     }
 }
 
-impl Eq for DependencyVector {}
+impl<const N: usize> Eq for DependencyVector<N> {}
 
-impl Hash for DependencyVector {
+impl<const N: usize> Hash for DependencyVector<N> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.entries.as_slice().hash(state);
     }
 }
 
-impl From<Vec<(VertexId, Timestamp)>> for DependencyVector {
+impl<const N: usize> From<Vec<(VertexId, Timestamp)>> for DependencyVector<N> {
     fn from(entries: Vec<(VertexId, Timestamp)>) -> Self {
         entries.into_iter().collect()
     }
 }
 
-impl From<DependencyVector> for Vec<(VertexId, Timestamp)> {
-    fn from(v: DependencyVector) -> Self {
+impl<const N: usize> From<DependencyVector<N>> for Vec<(VertexId, Timestamp)> {
+    fn from(v: DependencyVector<N>) -> Self {
         v.entries.as_slice().to_vec()
     }
 }
 
 impl DependencyVector {
-    /// Number of entries stored inline before the vector spills to the heap.
-    pub const INLINE_CAPACITY: usize = 3;
-
     /// Creates an empty vector (every entry implicitly [`Timestamp::NEVER`]).
     pub fn new() -> Self {
-        DependencyVector {
-            entries: Entries::default(),
-        }
+        DependencyVector::default()
     }
 
     /// Creates a vector holding a single entry.
@@ -247,6 +271,11 @@ impl DependencyVector {
         v.set(addr, ts);
         v
     }
+}
+
+impl<const N: usize> DependencyVector<N> {
+    /// Number of entries stored inline before the vector spills to the heap.
+    pub const INLINE_CAPACITY: usize = N;
 
     /// Builds a vector from `entries`, which must be strictly ascending by
     /// key and hold no [`Timestamp::NEVER`]; `None` otherwise. Keeps the
@@ -282,6 +311,16 @@ impl DependencyVector {
             Entries::Inline { .. } => self.entries = Entries::from_slice(entries),
         }
         true
+    }
+
+    /// The same vector in the shape with `M` entries inline. A spilled
+    /// vector too wide for `M` keeps its allocation; any other is copied.
+    pub fn into_shape<const M: usize>(self) -> DependencyVector<M> {
+        let entries = match self.entries {
+            Entries::Spilled(v) if v.len() > M => Entries::Spilled(v),
+            entries => Entries::from_slice(entries.as_slice()),
+        };
+        DependencyVector { entries }
     }
 
     /// The explicit entries, in key order.
@@ -357,7 +396,7 @@ impl DependencyVector {
     /// allocating anything; new keys grow the vector in place — inline while
     /// it fits, else by one amortised `resize` of the spilled entries — and
     /// are merged in from the back. Returns `true` when any entry changed.
-    pub fn merge(&mut self, other: &DependencyVector) -> bool {
+    pub fn merge<const M: usize>(&mut self, other: &DependencyVector<M>) -> bool {
         let b = other.entries.as_slice();
         if b.is_empty() {
             return false;
@@ -402,7 +441,7 @@ impl DependencyVector {
         let old_len = self.len();
         let new_len = old_len + inserts;
         let merged = match &mut self.entries {
-            Entries::Inline { len, buf } if new_len <= DependencyVector::INLINE_CAPACITY => {
+            Entries::Inline { len, buf } if new_len <= N => {
                 *len = new_len as u8;
                 &mut buf[..new_len]
             }
@@ -439,7 +478,7 @@ impl DependencyVector {
     }
 
     /// Returns the point-wise merge of two vectors without mutating either.
-    pub fn merged_with(&self, other: &DependencyVector) -> DependencyVector {
+    pub fn merged_with(&self, other: &Self) -> Self {
         let mut out = self.clone();
         out.merge(other);
         out
@@ -509,7 +548,7 @@ impl DependencyVector {
     ///
     /// The comparison walks both sorted entry lists with two pointers and
     /// performs no allocation.
-    pub fn causal_order(&self, other: &DependencyVector) -> CausalOrder {
+    pub fn causal_order(&self, other: &Self) -> CausalOrder {
         let a = self.entries.as_slice();
         let b = other.entries.as_slice();
         let (mut i, mut j) = (0, 0);
@@ -545,12 +584,12 @@ impl DependencyVector {
     }
 
     /// True when `self` causally precedes `other` (strictly, `V(a) < V(b)`).
-    pub fn causally_precedes(&self, other: &DependencyVector) -> bool {
+    pub fn causally_precedes(&self, other: &Self) -> bool {
         self.causal_order(other) == CausalOrder::Before
     }
 
     /// True when `self ≤ other` under the live-index partial order.
-    pub fn dominated_by(&self, other: &DependencyVector) -> bool {
+    pub fn dominated_by(&self, other: &Self) -> bool {
         matches!(
             self.causal_order(other),
             CausalOrder::Before | CausalOrder::Equal
@@ -560,7 +599,7 @@ impl DependencyVector {
     /// True when `self ≥ other` under the live-index partial order — the
     /// direction the garbage test asks about ("does my knowledge supersede
     /// the announced event?"). Allocation-free.
-    pub fn dominates(&self, other: &DependencyVector) -> bool {
+    pub fn dominates(&self, other: &Self) -> bool {
         matches!(
             self.causal_order(other),
             CausalOrder::After | CausalOrder::Equal
@@ -575,7 +614,7 @@ fn is_canonical(entries: &[Entry]) -> bool {
         && entries.iter().all(|&(_, ts)| ts != Timestamp::NEVER)
 }
 
-impl fmt::Display for DependencyVector {
+impl<const N: usize> fmt::Display for DependencyVector<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         for (i, (addr, ts)) in self.iter().enumerate() {
@@ -588,9 +627,9 @@ impl fmt::Display for DependencyVector {
     }
 }
 
-impl FromIterator<(VertexId, Timestamp)> for DependencyVector {
+impl<const N: usize> FromIterator<(VertexId, Timestamp)> for DependencyVector<N> {
     fn from_iter<T: IntoIterator<Item = (VertexId, Timestamp)>>(iter: T) -> Self {
-        let mut v = DependencyVector::new();
+        let mut v = DependencyVector::default();
         for (addr, ts) in iter {
             v.merge_entry(addr, ts);
         }
@@ -598,7 +637,7 @@ impl FromIterator<(VertexId, Timestamp)> for DependencyVector {
     }
 }
 
-impl Extend<(VertexId, Timestamp)> for DependencyVector {
+impl<const N: usize> Extend<(VertexId, Timestamp)> for DependencyVector<N> {
     fn extend<T: IntoIterator<Item = (VertexId, Timestamp)>>(&mut self, iter: T) {
         for (addr, ts) in iter {
             self.merge_entry(addr, ts);
@@ -606,7 +645,7 @@ impl Extend<(VertexId, Timestamp)> for DependencyVector {
     }
 }
 
-impl<'a> IntoIterator for &'a DependencyVector {
+impl<'a, const N: usize> IntoIterator for &'a DependencyVector<N> {
     type Item = (VertexId, Timestamp);
     type IntoIter = VectorEntries<'a>;
 
@@ -743,7 +782,7 @@ mod tests {
 
     #[test]
     fn spill_and_stay_sorted_beyond_inline_capacity() {
-        let n = DependencyVector::INLINE_CAPACITY * 4;
+        let n = <DependencyVector>::INLINE_CAPACITY * 4;
         let mut v = DependencyVector::new();
         // Insert in reverse order to exercise front insertion.
         for i in (0..n).rev() {
@@ -774,7 +813,7 @@ mod tests {
         // One vector grown past the spill point and shrunk back, one built
         // small: logically equal, so they must compare (and hash) equal.
         let mut grown = DependencyVector::new();
-        let n = DependencyVector::INLINE_CAPACITY * 2;
+        let n = <DependencyVector>::INLINE_CAPACITY * 2;
         for i in 0..n {
             grown.set(VertexId::object(i as u32, 1), Timestamp::created(1));
         }
@@ -860,20 +899,20 @@ mod tests {
     #[test]
     fn from_sorted_accepts_only_canonical_entries() {
         let entries = vec![(a(), Timestamp::created(1)), (b(), Timestamp::destroyed(2))];
-        let v = DependencyVector::from_sorted(entries.clone()).unwrap();
+        let v = <DependencyVector>::from_sorted(entries.clone()).unwrap();
         assert_eq!(v.iter().collect::<Vec<_>>(), entries);
         assert_eq!(DependencyVector::from_sorted_slice(&entries), Some(v));
         let wide: Vec<Entry> = (0..8u32)
             .map(|i| (VertexId::object(i, 1), Timestamp::created(1)))
             .collect();
-        assert!(!DependencyVector::from_sorted(wide).unwrap().is_inline());
+        assert!(!<DependencyVector>::from_sorted(wide).unwrap().is_inline());
         for bad in [
             vec![(b(), Timestamp::created(1)), (a(), Timestamp::created(1))],
             vec![(a(), Timestamp::created(1)), (a(), Timestamp::created(2))],
             vec![(a(), Timestamp::NEVER)],
         ] {
-            assert_eq!(DependencyVector::from_sorted_slice(&bad), None);
-            assert_eq!(DependencyVector::from_sorted(bad), None);
+            assert_eq!(<DependencyVector>::from_sorted_slice(&bad), None);
+            assert_eq!(<DependencyVector>::from_sorted(bad), None);
         }
     }
 
@@ -894,6 +933,31 @@ mod tests {
         let mut small = DependencyVector::singleton(a(), Timestamp::created(1));
         small.clear();
         assert!(small.is_empty() && small.is_inline());
+    }
+
+    #[test]
+    fn into_shape_keeps_the_entries() {
+        for n in 0..6u32 {
+            let v: DependencyVector = (0..n)
+                .map(|i| (VertexId::object(i, 1), Timestamp::created(1)))
+                .collect();
+            let compact: CompactVector = v.clone().into_shape();
+            assert!(compact.iter().eq(v.iter()), "{n} entries");
+            assert_eq!(compact.is_inline(), n <= 1);
+            let back: DependencyVector = compact.into_shape();
+            assert_eq!(back, v);
+            assert_eq!(back.is_inline(), n <= 3);
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_two_shapes_take_80_and_32_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Entry>(), 24);
+        assert_eq!(size_of::<DependencyVector>(), 80);
+        assert_eq!(size_of::<CompactVector>(), 32);
+        assert_eq!(size_of::<Option<CompactVector>>(), 32);
     }
 
     #[test]
@@ -919,12 +983,17 @@ mod tests {
 
     #[test]
     fn in_place_merge_grows_vectors_like_an_ordered_map() {
-        // Seeded merges into one vector that starts empty and grows past
-        // the spill point, against a BTreeMap model. Each incoming vector
-        // mixes keys below, between and above the current ones with keys
-        // already present, at older, equal and newer timestamps; the first
-        // rounds cross the inline boundary (3 to 4 entries) one key at a
-        // time.
+        grows_like_an_ordered_map::<3>();
+        grows_like_an_ordered_map::<1>();
+    }
+
+    /// Seeded merges of default-shape vectors into one vector of shape `N`
+    /// that starts empty and grows past the spill point, against a
+    /// BTreeMap model. Each incoming vector mixes keys below, between and
+    /// above the current ones with keys already present, at older, equal
+    /// and newer timestamps; the first rounds cross the inline boundary
+    /// (`N` to `N + 1` entries) one key at a time.
+    fn grows_like_an_ordered_map<const N: usize>() {
         use std::collections::BTreeMap;
         let mut state = 0x1a9e_d0e5_3e7e_4a11u64;
         let mut next = move |n: u64| {
@@ -942,7 +1011,7 @@ mod tests {
         };
         let mut crossings = 0;
         for run in 0..60 {
-            let mut v = DependencyVector::new();
+            let mut v = DependencyVector::<N>::default();
             let mut model: BTreeMap<VertexId, Timestamp> = BTreeMap::new();
             for round in 0..40u64 {
                 let mut incoming = DependencyVector::new();
@@ -970,8 +1039,7 @@ mod tests {
                 }
                 let changed = v.merge(&incoming);
                 assert_eq!(changed, expected != model, "run {run} round {round}");
-                if model.len() == DependencyVector::INLINE_CAPACITY && expected.len() > model.len()
-                {
+                if model.len() == N && expected.len() > model.len() {
                     crossings += 1;
                 }
                 model = expected;
@@ -979,7 +1047,7 @@ mod tests {
                     v.iter().eq(model.iter().map(|(&k, &t)| (k, t))),
                     "run {run} round {round}: {v} differs from the model"
                 );
-                if model.len() <= DependencyVector::INLINE_CAPACITY && round < 6 {
+                if model.len() <= N && round < 6 {
                     assert!(v.is_inline(), "run {run} round {round}: spilled early");
                 }
             }
@@ -993,8 +1061,14 @@ mod tests {
 
     #[test]
     fn merge_against_btreemap_model() {
-        // Pseudo-random differential check of the small-vector merge against
-        // a BTreeMap model (the previous representation).
+        merge_matches_an_ordered_map::<3>();
+        merge_matches_an_ordered_map::<1>();
+    }
+
+    /// Pseudo-random differential check of the small-vector merge of a
+    /// default-shape vector into one of shape `N`, against a BTreeMap model
+    /// (the previous representation).
+    fn merge_matches_an_ordered_map<const N: usize>() {
         use std::collections::BTreeMap;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -1005,7 +1079,7 @@ mod tests {
         };
         for _ in 0..200 {
             let mut model: BTreeMap<VertexId, Timestamp> = BTreeMap::new();
-            let mut left = DependencyVector::new();
+            let mut left = DependencyVector::<N>::default();
             let mut right = DependencyVector::new();
             let mut right_model: BTreeMap<VertexId, Timestamp> = BTreeMap::new();
             for _ in 0..(next() % 12) {

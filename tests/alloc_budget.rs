@@ -4,7 +4,8 @@
 //! closure memos and holders. What it receives and collects it builds in
 //! storage it already owns. The one allocation a step may make by design is
 //! the `Vec` each non-empty `take_outgoing` or `take_verdicts` of the
-//! `Collector` trait hands out.
+//! `Collector` trait hands out. And what it holds should cost what it
+//! holds: a warm cluster's live bytes per log row are bounded too.
 //!
 //! A thread-local counting allocator measures one test thread at a time, so
 //! the tests can run in parallel. Release only: debug builds clone snapshots
@@ -24,18 +25,33 @@ use ggd::mutator::generator::{build_perf_scenario, PerfSpec};
 use ggd::prelude::*;
 use ggd::store::MembershipAnnouncement;
 
-/// Counts the allocation calls (`alloc` and `realloc`) of the current
-/// thread and forwards everything to the system allocator.
+/// Counts the allocation calls (`alloc` and `realloc`) and the live bytes
+/// of the current thread and forwards everything to the system allocator.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static NONEMPTY_TAKES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread, wrapping: a
+    /// thread may free what another allocated, so only differences are
+    /// read.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     // `try_with`: the thread may be tearing its locals down.
     let _ = counter.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Adds `grown` bytes to the live count and takes `freed` off it.
+fn track(grown: usize, freed: usize) {
+    let _ = LIVE.try_with(|n| {
+        n.set(
+            n.get()
+                .wrapping_add(grown as u64)
+                .wrapping_sub(freed as u64),
+        )
+    });
 }
 
 // The one unsafe item of the workspace: a `GlobalAlloc` that only counts
@@ -50,20 +66,24 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS);
+        track(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS);
+        track(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(&ALLOCS);
+        track(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -246,5 +266,33 @@ fn a_quiet_warm_cluster_collects_without_allocating() {
         (allocs, takes),
         (0, 0),
         "a quiet settle is one collection round"
+    );
+}
+
+#[test]
+fn a_warm_ring_clusters_log_rows_cost_what_they_hold() {
+    let scenario = ring_scenario(WARM_RINGS);
+    let cluster = warm_cluster(&scenario);
+    let logs = || (0..SITES).map(|site| cluster.collector(SiteId::new(site)).0.engine().log());
+    let rows: usize = logs().map(|log| log.len()).sum();
+    assert!(rows > 800, "only {rows} log rows");
+    // The live bytes of a copy of every site's log: its rows and tables,
+    // without the heaps and network beside them, whose bytes would hide a
+    // regrown row (one remote row shape regrown to three entries inline
+    // moves the whole cluster's live bytes per row by 3.5%, the logs' by
+    // 19%).
+    let before = read(&LIVE);
+    let copies: Vec<_> = logs().cloned().collect();
+    let live = read(&LIVE).wrapping_sub(before);
+    drop(copies);
+    // Measured on this cluster's 896 rows: 176 bytes a row with rows sized
+    // by role, 209 with remote rows regrown to three entries inline, and
+    // 231 with every row holding three entries and a stamp inline. The
+    // bound is the first plus a tenth.
+    let per_row = live / rows as u64;
+    let bound = 176 * 11 / 10;
+    assert!(
+        per_row <= bound,
+        "{per_row} live bytes per log row ({live} bytes, {rows} rows), bound {bound}"
     );
 }

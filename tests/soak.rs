@@ -153,8 +153,8 @@ impl Soak {
             dk_rows = dk_rows.max(log.len());
             log_flags = log_flags.max(log.root_flags().len());
             for (_, row) in log.rows() {
-                vector_width = vector_width.max(row.vector.len());
-                row_flags = row_flags.max(row.root_flags.len());
+                vector_width = vector_width.max(row.entries().len());
+                row_flags = row_flags.max(row.root_flags().len());
             }
         }
         Sample {
