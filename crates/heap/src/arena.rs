@@ -16,6 +16,14 @@
 //! first match (the `swap_remove` idiom the rest of the stack depends on —
 //! checkpoint images and replayed unlinks are slot-order sensitive), and
 //! [`Arena::clear_refs`] returns the whole chain to the pool.
+//!
+//! A chunk stores each reference packed into 16 bytes rather than as the
+//! 24-byte [`ObjRef`] enum: the object's `u64`, the site's `u32` (0 for a
+//! local reference) and the local/remote tag in a field of its own, so no
+//! valid site or object number doubles as a sentinel and every value of
+//! both stays representable; a chunk of four references is 72 bytes.
+//! Packing is canonical, so packed references compare as the `ObjRef`s
+//! they pack; the enum is rebuilt only when a reference is read.
 
 use std::fmt;
 
@@ -30,7 +38,7 @@ const CHUNK_USIZE: usize = CHUNK as usize;
 
 /// Filler for slots of a chunk beyond the owner's length — never observable,
 /// iteration stops at the recorded length.
-const VACANT: ObjRef = ObjRef::Local(ObjectId::new(0));
+const VACANT: PackedRef = PackedRef::pack(ObjRef::Local(ObjectId::new(0)));
 
 /// Slot flag: the object is a designated local root.
 pub(crate) const FLAG_LOCAL_ROOT: u8 = 1;
@@ -52,9 +60,45 @@ struct Slot {
     live: bool,
 }
 
+/// An [`ObjRef`] as an edge chunk stores it: 16 bytes where the enum takes
+/// 24 (its discriminant pads the 12-byte address to 24).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedRef {
+    object: u64,
+    /// The target's site; 0 for a local reference.
+    site: u32,
+    /// The tag: true for a remote reference (a proxy).
+    remote: bool,
+}
+
+impl PackedRef {
+    const fn pack(r: ObjRef) -> Self {
+        match r {
+            ObjRef::Local(id) => PackedRef {
+                object: id.index(),
+                site: 0,
+                remote: false,
+            },
+            ObjRef::Remote(addr) => PackedRef {
+                object: addr.object().index(),
+                site: addr.site().index(),
+                remote: true,
+            },
+        }
+    }
+
+    fn unpack(self) -> ObjRef {
+        if self.remote {
+            ObjRef::Remote(GlobalAddr::new(self.site, self.object))
+        } else {
+            ObjRef::Local(ObjectId::new(self.object))
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct EdgeChunk {
-    refs: [ObjRef; CHUNK_USIZE],
+    refs: [PackedRef; CHUNK_USIZE],
     /// Next chunk in the owner's chain, as chunk index + 1 (0 = none).
     next: u32,
 }
@@ -218,6 +262,7 @@ impl Arena {
 
     /// Appends a reference (the `Vec::push` of the chunk chain).
     pub(crate) fn push_ref(&mut self, slot: u32, r: ObjRef) {
+        let r = PackedRef::pack(r);
         let (len, tail) = {
             let s = &self.slots[slot as usize];
             (s.len, s.tail)
@@ -249,6 +294,7 @@ impl Arena {
         if len == 0 {
             return false;
         }
+        let r = PackedRef::pack(r);
         let mut found = None;
         let mut chunk = head;
         let mut remaining = len;
@@ -427,7 +473,7 @@ impl Iterator for Refs<'_> {
             return None;
         }
         let c = &self.chunks[(self.chunk - 1) as usize];
-        let r = c.refs[self.offset as usize];
+        let r = c.refs[self.offset as usize].unpack();
         self.remaining -= 1;
         self.offset += 1;
         if self.offset == CHUNK {
@@ -646,6 +692,46 @@ mod tests {
     #[test]
     fn slot_records_are_three_words() {
         assert_eq!(std::mem::size_of::<Slot>(), 24);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_packed_reference_is_16_bytes_and_a_chunk_of_four_72() {
+        assert_eq!(std::mem::size_of::<PackedRef>(), 16);
+        assert_eq!(std::mem::size_of::<EdgeChunk>(), 72);
+    }
+
+    #[test]
+    fn packed_references_round_trip_and_compare_as_obj_refs_at_the_boundaries() {
+        let mut refs = Vec::new();
+        for object in [0, 1, u64::MAX] {
+            refs.push(ObjRef::Local(ObjectId::new(object)));
+            for site in [0, 1, u32::MAX] {
+                refs.push(ObjRef::Remote(GlobalAddr::new(site, object)));
+            }
+        }
+        for &a in &refs {
+            assert_eq!(PackedRef::pack(a).unpack(), a);
+            for &b in &refs {
+                assert_eq!(
+                    PackedRef::pack(a) == PackedRef::pack(b),
+                    a == b,
+                    "{a} vs {b}"
+                );
+            }
+        }
+        // A local and a remote reference with the same numbers stay apart,
+        // in a chunk as in the enum.
+        let (local, remote) = (
+            ObjRef::Local(ObjectId::new(7)),
+            ObjRef::Remote(GlobalAddr::new(0, 7)),
+        );
+        let (mut a, s) = arena_with(1);
+        a.push_ref(s, local);
+        a.push_ref(s, remote);
+        assert!(a.remove_first_ref(s, remote));
+        assert_eq!(a.refs(s).collect::<Vec<_>>(), [local]);
+        assert!(!a.remove_first_ref(s, remote));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use ggd_mutator::{Legality, MembershipEvent, MembershipKind, MutatorOp, ObjName,
 use ggd_net::{FaultPlan, NetMetrics, SimNetwork, SimNetworkConfig, Transport};
 use ggd_obs::{ObsConfig, ObsReport, SiteObs};
 use ggd_store::{DurabilityConfig, MembershipAnnouncement, MembershipChange, StoreStats};
-use ggd_types::{GlobalAddr, ObjectId, SiteId};
+use ggd_types::{GlobalAddr, SiteId};
 
 use crate::collector::{Collector, SimPayload};
 use crate::oracle::Oracle;
@@ -137,6 +137,39 @@ impl<C: Collector, T: Transport<SimPayload<C::Msg>>> Network<C> for T {
     }
 }
 
+/// An entry of the name table: the address a name is bound to, in 8 bytes
+/// where a [`GlobalAddr`] takes 16. Object 0, which no heap allocates,
+/// means unbound, so the default entry resolves to nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Binding {
+    site: u32,
+    object: u32,
+}
+
+impl Binding {
+    /// The entry binding a name to `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `addr`'s object identity is 2^32 or more: the entry
+    /// cannot hold it, and truncating it would alias another object.
+    fn to(addr: GlobalAddr) -> Self {
+        let object = addr.object().index();
+        let Ok(object) = u32::try_from(object) else {
+            panic!("object identity {object} of {addr} is past the name table's limit of 2^32 - 1");
+        };
+        Binding {
+            site: addr.site().index(),
+            object,
+        }
+    }
+
+    /// The bound address, or `None` for an unbound entry.
+    fn addr(self) -> Option<GlobalAddr> {
+        (self.object != 0).then(|| GlobalAddr::new(self.site, u64::from(self.object)))
+    }
+}
+
 /// A cluster of sites, each a [`SiteRuntime`](crate::SiteRuntime) pairing a
 /// heap with a garbage-detection engine, connected by a network: any
 /// [`Transport`], or the mailbox mesh of a
@@ -150,9 +183,9 @@ pub struct Cluster<C: Collector, N = SimNetwork<SimPayload<<C as Collector>::Msg
     /// `ObjName.0`: names are dense by construction (`Scenario::fresh_name`
     /// counts up from 0), so resolving one is an index, not a search. A
     /// name whose `Alloc` has not run or was skipped holds the default
-    /// address, whose object 0 no heap allocates: it resolves to nothing,
+    /// entry, whose object 0 no heap allocates: it resolves to nothing,
     /// like an index past the end.
-    names: Vec<GlobalAddr>,
+    names: Vec<Binding>,
     /// Mutator-legality tracking, maintained only under crash plans and
     /// membership schedules: which sites hold (a copy of) each named
     /// object's reference, and which objects are addressable (local roots,
@@ -359,7 +392,7 @@ impl<C: Collector, N: Network<C>> Cluster<C, N> {
                 }
                 let addr = self.shard.alloc(site, local_root);
                 // A repeated Alloc of a name rebinds it.
-                *slot(&mut self.names, name.0 as usize) = addr;
+                *slot(&mut self.names, name.0 as usize) = Binding::to(addr);
                 if let Some(legality) = &mut self.legality {
                     legality.note_alloc(name, site, local_root);
                 }
@@ -604,8 +637,7 @@ impl<C: Collector, N> Cluster<C, N> {
     pub fn addr_of(&self, name: ObjName) -> Option<GlobalAddr> {
         self.names
             .get(name.0 as usize)
-            .copied()
-            .filter(|addr| addr.object() != ObjectId::new(0))
+            .and_then(|entry| entry.addr())
     }
 
     /// Read access to a site's heap.
@@ -1521,6 +1553,32 @@ mod tests {
         let heap = cluster.heap(S1);
         let links: Vec<Vec<_>> = heap.iter().map(|obj| obj.local_refs().collect()).collect();
         assert_eq!(links, [vec![id(S1, 2).object()], vec![]]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_name_table_entry_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<Binding>(), 8);
+    }
+
+    #[test]
+    fn name_entries_round_trip_up_to_the_limit() {
+        for addr in [
+            GlobalAddr::new(0, 1),
+            GlobalAddr::new(u32::MAX, 1),
+            GlobalAddr::new(3, u64::from(u32::MAX)),
+        ] {
+            assert_eq!(Binding::to(addr).addr(), Some(addr));
+        }
+        assert_eq!(Binding::default().addr(), None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "4294967296 of s2/o4294967296 is past the name table's limit of 2^32 - 1"
+    )]
+    fn a_name_entry_rejects_an_identity_of_2_to_the_32() {
+        Binding::to(GlobalAddr::new(2, 1 << 32));
     }
 
     #[test]

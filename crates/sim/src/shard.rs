@@ -23,7 +23,7 @@ use ggd_heap::SiteHeap;
 use ggd_net::{NetMetrics, Transport};
 use ggd_obs::SiteObs;
 use ggd_store::{MembershipAnnouncement, SiteStore, StoreStats};
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
 use crate::cluster::ClusterConfig;
 use crate::collector::{Collector, SimPayload};
@@ -60,6 +60,36 @@ pub(crate) fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
         table.resize_with(index + 1, T::default);
     }
     &mut table[index]
+}
+
+/// Every identity freed on each site, one bit apiece: a word vector per
+/// `SiteId::index()`, bit `ObjectId::index()`. Identities are dense per
+/// site and never reused, so one bit records each for good.
+#[derive(Debug, Default)]
+struct FreedIds(Vec<Vec<u64>>);
+
+impl FreedIds {
+    fn insert(&mut self, site: SiteId, id: ObjectId) {
+        let (word, bit) = (id.index() / 64, id.index() % 64);
+        let words = slot(&mut self.0, site.index() as usize);
+        *slot(words, word as usize) |= 1 << bit;
+    }
+
+    /// The freed addresses, in address order.
+    fn addrs(&self) -> BTreeSet<GlobalAddr> {
+        let mut addrs = BTreeSet::new();
+        for (site, words) in self.0.iter().enumerate() {
+            for (w, &word) in words.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let object = w as u64 * 64 + u64::from(rest.trailing_zeros());
+                    addrs.insert(GlobalAddr::new(site as u32, object));
+                    rest &= rest - 1;
+                }
+            }
+        }
+        addrs
+    }
 }
 
 /// One site as the shard holds it.
@@ -174,9 +204,9 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     /// driver-independent logical time. Set by the driver.
     pub(crate) step: u64,
     reclaimed: u64,
-    /// Every freed address, in free order; only tests read it, so it is
-    /// appended to here and sorted when read.
-    reclaimed_addrs: Vec<GlobalAddr>,
+    /// Every freed identity, kept here rather than by the sites so that
+    /// frees on sites that later depart stay recorded; only tests read it.
+    freed: FreedIds,
     /// Objects a site exported after it had already freed them, set aside
     /// by [`Cluster::dangling_refs`](crate::Cluster::dangling_refs): the
     /// scenario names objects by handle, so the reference that lands then
@@ -349,7 +379,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         for &id in freed {
             let addr = GlobalAddr::from_parts(site, id);
             violations += u64::from(live.is_some_and(|live| live.contains(addr)));
-            self.reclaimed_addrs.push(addr);
+            self.freed.insert(site, id);
         }
         self.safety_violations += violations;
         self.reclaimed += freed.len() as u64;
@@ -462,7 +492,7 @@ impl<C: Collector, F> Shard<C, F> {
             config,
             step,
             reclaimed: 0,
-            reclaimed_addrs: Vec::new(),
+            freed: FreedIds::default(),
             stale_exports: Vec::new(),
             safety_violations: 0,
             verdicts: 0,
@@ -650,7 +680,7 @@ impl<C: Collector, F> Shard<C, F> {
     }
 
     pub(crate) fn reclaimed_addrs(&self) -> BTreeSet<GlobalAddr> {
-        self.reclaimed_addrs.iter().copied().collect()
+        self.freed.addrs()
     }
 
     /// The objects exported after their own site had freed them, sorted
@@ -784,5 +814,37 @@ impl<C: Collector, F> Shard<C, F> {
             last_verdict_step: self.last_verdict.map(|(_, step)| step),
             net,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn freed_ids_read_back_as_the_set_of_freed_addresses() {
+        let mut freed = FreedIds::default();
+        let mut model = BTreeSet::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..500 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Out of order, repeated, across word boundaries and sites with
+            // gaps between them.
+            let addr = GlobalAddr::new((state % 5 * 3) as u32, state >> 54 | 1);
+            freed.insert(addr.site(), addr.object());
+            model.insert(addr);
+        }
+        for addr in [
+            GlobalAddr::new(0, 1),
+            GlobalAddr::new(9, 63),
+            GlobalAddr::new(9, 64),
+        ] {
+            freed.insert(addr.site(), addr.object());
+            model.insert(addr);
+        }
+        assert_eq!(freed.addrs(), model);
+        assert_eq!(FreedIds::default().addrs(), BTreeSet::new());
     }
 }
