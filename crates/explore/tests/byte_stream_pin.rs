@@ -11,7 +11,10 @@
 //! a single row, entry or message fails here. The engine-checkpoint and
 //! heap-image digests were generated at durable format v3
 //! (`ggd_store::FORMAT_VERSION`): a change that moves either changes the
-//! durable layout and needs a format bump with it. The wrappers see the
+//! durable layout and needs a format bump with it. They cover the control
+//! frames and the images only, never the WAL's framing or its records, so
+//! format v4 (a varint frame length, site-relative record addresses) left
+//! every digest as it was. The wrappers see the
 //! collector and the transport from outside, the way
 //! `benchmark/src/traced.rs` does.
 

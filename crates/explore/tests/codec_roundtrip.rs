@@ -3,7 +3,9 @@
 //! `encode ∘ decode ∘ encode` must be the byte-identity for every value the
 //! durable format carries. Synthetic values are covered by the unit tests
 //! in `ggd-store`; here the values are *real*: WAL records derived from
-//! every op of pinned generated scenarios, every control message the causal
+//! every op of pinned generated scenarios (through the site-relative codec
+//! of the WALs of sites 0 and 3, which some of their addresses name, and of
+//! site 7, which none does), every control message the causal
 //! engines of those runs actually put on the wire, and the full engine
 //! checkpoints of every site at end of run. Malformed vectors and root
 //! stamps — keys out of order or repeated — must fail the decode with
@@ -41,6 +43,19 @@ where
         bytes,
         "{what}: re-encode is not bit-identical"
     );
+}
+
+/// [`assert_bit_identical`] for a WAL record, in the WAL of `site`.
+fn assert_record_bit_identical(record: &WalRecord<CausalMessage>, site: SiteId, what: &str) {
+    let mut bytes = Vec::new();
+    record.encode_at(site, &mut bytes);
+    let decoded = WalRecord::decode_at(site, &bytes).unwrap_or_else(|e| {
+        panic!("{what}: decode failed: {e} (record {record:?})");
+    });
+    assert_eq!(&decoded, record, "{what}: decode changed the record");
+    let mut again = Vec::new();
+    decoded.encode_at(site, &mut again);
+    assert_eq!(again, bytes, "{what}: re-encode is not bit-identical");
 }
 
 /// Maps a scenario op to the WAL records a site would log for it (address
@@ -92,7 +107,10 @@ fn wal_records_of_pinned_scenarios_round_trip_bit_identically() {
         for step in triple.scenario.steps() {
             let Step::Op(op) = step else { continue };
             for record in records_for(op) {
-                assert_bit_identical(&record, &format!("triple #{index} record"));
+                for site in [0, 3, 7].map(SiteId::new) {
+                    let what = format!("triple #{index} record at {site}");
+                    assert_record_bit_identical(&record, site, &what);
+                }
                 records += 1;
             }
         }

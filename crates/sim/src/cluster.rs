@@ -738,6 +738,47 @@ mod tests {
     }
 
     #[test]
+    fn stale_exports_read_back_as_the_set_of_stale_addresses() {
+        // Site 0 frees 198 unrooted objects, then exports some of them to a
+        // root on site 1 — out of order, repeated and across word
+        // boundaries — beside a live one, which is not stale.
+        let (s0, s1) = (SiteId::new(0), SiteId::new(1));
+        let mut cluster = Cluster::new(2, ClusterConfig::default(), CausalCollector::new);
+        let alloc = |site, n, local_root| MutatorOp::Alloc {
+            site,
+            name: ObjName(n),
+            local_root,
+        };
+        cluster.execute(alloc(s1, 0, true));
+        cluster.execute(alloc(s0, 1, true));
+        for n in 2..200 {
+            cluster.execute(alloc(s0, n, false));
+        }
+        cluster.execute(MutatorOp::CollectSite { site: s0 });
+        let mut stale = BTreeSet::new();
+        for n in [150, 3, 64, 65, 3, 199, 1, 150, 127, 128] {
+            let target = cluster.addr_of(ObjName(n)).unwrap();
+            if n != 1 {
+                assert!(cluster.reclaimed_addrs().contains(&target));
+                stale.insert(target);
+            }
+            cluster.execute(MutatorOp::SendRef {
+                from_site: s0,
+                recipient: ObjName(0),
+                target: ObjName(n),
+            });
+        }
+        cluster.settle();
+        assert_eq!(
+            cluster.shard.stale_exports(),
+            stale.into_iter().collect::<Vec<_>>()
+        );
+        // The references that landed dangle, and are all set aside.
+        assert_eq!(Oracle::dangling(cluster.heaps()).len(), 9);
+        assert_eq!(cluster.dangling_refs(), Vec::new());
+    }
+
+    #[test]
     fn paper_example_collects_the_disconnected_cycle() {
         let scenario = workloads::paper_example();
         let report = run_causal(&scenario);

@@ -206,7 +206,7 @@ impl<C: Collector> SiteRuntime<C> {
             // for collectors that cannot checkpoint).
             None => SiteRuntime::new(site, collector),
         };
-        for record in &records {
+        for record in records {
             runtime.replay(record);
         }
         runtime.store = Some(store);
@@ -218,35 +218,35 @@ impl<C: Collector> SiteRuntime<C> {
     /// are discarded: the outgoing messages were already sent and the
     /// verdicts already applied (to this heap — which the replay re-applies
     /// identically) before the crash.
-    fn replay(&mut self, record: &WalRecord<C::Msg>) {
+    fn replay(&mut self, record: WalRecord<C::Msg>) {
         match record {
             WalRecord::Alloc { local_root } => {
-                let _ = self.alloc(*local_root);
+                let _ = self.alloc(local_root);
             }
             WalRecord::LinkLocal { from, to } => {
-                let _ = self.link_local(*from, *to);
+                let _ = self.link_local(from, to);
             }
             WalRecord::Unlink { from, to } => {
-                let _ = self.unlink(*from, *to);
+                let _ = self.unlink(from, to);
             }
             WalRecord::ClearRefs { addr } => {
-                let _ = self.clear_refs(*addr);
+                let _ = self.clear_refs(addr);
             }
             WalRecord::DropLocalRoot { addr } => {
-                let _ = self.drop_local_root(*addr);
+                let _ = self.drop_local_root(addr);
             }
             WalRecord::Export { target, recipient } => {
-                let _ = self.export_reference(*target, *recipient);
+                let _ = self.export_reference(target, recipient);
             }
             WalRecord::ReceiveRef {
                 from,
                 recipient,
                 target,
             } => {
-                let _ = self.receive_reference(*from, *recipient, *target);
+                let _ = self.receive_reference(from, recipient, target);
             }
             WalRecord::Control { from, msg } => {
-                let _ = self.on_control(*from, msg.clone());
+                let _ = self.on_control(from, msg);
             }
             WalRecord::Collect => {
                 // As when the record was written: a collection that
@@ -256,13 +256,13 @@ impl<C: Collector> SiteRuntime<C> {
                 }
             }
             WalRecord::Membership { ann } => {
-                let _ = self.apply_membership(*ann);
+                let _ = self.apply_membership(ann);
             }
             WalRecord::Handoff { record } => {
                 // Replay applies the *recorded* drops, never a fresh heap
                 // scan: the severing is identical regardless of what the
                 // surrounding replay has reconstructed so far.
-                let _ = self.apply_handoff(record);
+                let _ = self.apply_handoff(&record);
             }
         }
     }

@@ -62,20 +62,21 @@ pub(crate) fn slot<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
     &mut table[index]
 }
 
-/// Every identity freed on each site, one bit apiece: a word vector per
+/// A set of addresses, one bit apiece: a word vector per
 /// `SiteId::index()`, bit `ObjectId::index()`. Identities are dense per
-/// site and never reused, so one bit records each for good.
+/// site and never reused, so one bit records each for good, and a repeat
+/// costs nothing.
 #[derive(Debug, Default)]
-struct FreedIds(Vec<Vec<u64>>);
+struct AddrBits(Vec<Vec<u64>>);
 
-impl FreedIds {
+impl AddrBits {
     fn insert(&mut self, site: SiteId, id: ObjectId) {
         let (word, bit) = (id.index() / 64, id.index() % 64);
         let words = slot(&mut self.0, site.index() as usize);
         *slot(words, word as usize) |= 1 << bit;
     }
 
-    /// The freed addresses, in address order.
+    /// The addresses, in address order.
     fn addrs(&self) -> BTreeSet<GlobalAddr> {
         let mut addrs = BTreeSet::new();
         for (site, words) in self.0.iter().enumerate() {
@@ -206,13 +207,12 @@ pub(crate) struct Shard<C: Collector, F = Box<dyn Fn(SiteId) -> C>> {
     reclaimed: u64,
     /// Every freed identity, kept here rather than by the sites so that
     /// frees on sites that later depart stay recorded; only tests read it.
-    freed: FreedIds,
+    freed: AddrBits,
     /// Objects a site exported after it had already freed them, set aside
     /// by [`Cluster::dangling_refs`](crate::Cluster::dangling_refs): the
     /// scenario names objects by handle, so the reference that lands then
-    /// dangles through no fault of the collector. Appended to, duplicates
-    /// and all, and sorted when read ([`Shard::stale_exports`]).
-    stale_exports: Vec<GlobalAddr>,
+    /// dangles through no fault of the collector.
+    stale_exports: AddrBits,
     safety_violations: u64,
     verdicts: u64,
     recoveries: u64,
@@ -318,7 +318,7 @@ impl<C: Collector, F: Fn(SiteId) -> C> Shard<C, F> {
         out: &mut impl Outbox<C::Msg>,
     ) {
         if target.site() == site && !self.site(site).heap().contains(target.object()) {
-            self.stale_exports.push(target);
+            self.stale_exports.insert(site, target.object());
         }
         self.mutate(site, out, |runtime| {
             runtime.export_reference(target, recipient)
@@ -492,8 +492,8 @@ impl<C: Collector, F> Shard<C, F> {
             config,
             step,
             reclaimed: 0,
-            freed: FreedIds::default(),
-            stale_exports: Vec::new(),
+            freed: AddrBits::default(),
+            stale_exports: AddrBits::default(),
             safety_violations: 0,
             verdicts: 0,
             recoveries: 0,
@@ -686,10 +686,7 @@ impl<C: Collector, F> Shard<C, F> {
     /// The objects exported after their own site had freed them, sorted
     /// and free of duplicates.
     pub(crate) fn stale_exports(&self) -> Vec<GlobalAddr> {
-        let mut stale = self.stale_exports.clone();
-        stale.sort_unstable();
-        stale.dedup();
-        stale
+        self.stale_exports.addrs().into_iter().collect()
     }
 
     pub(crate) fn recoveries(&self) -> u64 {
@@ -823,7 +820,7 @@ mod tests {
 
     #[test]
     fn freed_ids_read_back_as_the_set_of_freed_addresses() {
-        let mut freed = FreedIds::default();
+        let mut freed = AddrBits::default();
         let mut model = BTreeSet::new();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..500 {
@@ -845,6 +842,6 @@ mod tests {
             model.insert(addr);
         }
         assert_eq!(freed.addrs(), model);
-        assert_eq!(FreedIds::default().addrs(), BTreeSet::new());
+        assert_eq!(AddrBits::default().addrs(), BTreeSet::new());
     }
 }

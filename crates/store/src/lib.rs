@@ -21,7 +21,7 @@
 //!   (the vendored serde stand-in has no serialization, see
 //!   `vendor/README.md`);
 //! * [`wire`] — encodings for every domain type on the wire or in the WAL;
-//! * [`record`] — the WAL record vocabulary;
+//! * [`record`] — the WAL record vocabulary and its site-relative codec;
 //! * [`wal`] — framing, checksums, torn-tail handling, format versioning;
 //! * [`store`] — the per-site store over in-memory or on-disk backends.
 //!

@@ -7,8 +7,13 @@
 //! bit-for-bit; the control messages regenerated during replay equal the
 //! ones originally sent, which is the recovery-equivalence property the
 //! `ggd-explore` tests pin.
+//!
+//! A record is encoded relative to the site whose log holds it
+//! ([`WalRecord::encode_at`] / [`WalRecord::decode_at`]): an address on that
+//! site is written as its object alone, so the common record — a local
+//! mutation — costs a tag byte and its object ids.
 
-use ggd_types::{GlobalAddr, SiteId};
+use ggd_types::{GlobalAddr, ObjectId, SiteId};
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
 use crate::membership::{HandoffRecord, MembershipAnnouncement};
@@ -88,109 +93,188 @@ pub enum WalRecord<M> {
     },
 }
 
-impl<M: Encode> Encode for WalRecord<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Alloc { local_root } => {
-                out.push(0);
-                local_root.encode(out);
-            }
+// A record is a tag byte and its fields. The tag's low four bits are the
+// kind; the two flag bits above them mark which address fields live on the
+// log's own site (written as their `ObjectId` alone) and carry `Alloc`'s
+// `local_root`. Every other address is written whole, so a record naming
+// any site round-trips; a whole address of the log's own site is refused,
+// which keeps one encoding per record.
+
+/// The record kind: the tag's low four bits.
+const KIND: u8 = 0x0f;
+/// Tag flag: the first address field is local (on `Alloc`: `local_root`).
+const FIRST: u8 = 0x10;
+/// Tag flag: the second address field is local.
+const SECOND: u8 = 0x20;
+
+const ALLOC: u8 = 0;
+const LINK_LOCAL: u8 = 1;
+const UNLINK: u8 = 2;
+const CLEAR_REFS: u8 = 3;
+const DROP_LOCAL_ROOT: u8 = 4;
+const EXPORT: u8 = 5;
+const RECEIVE_REF: u8 = 6;
+const CONTROL: u8 = 7;
+const COLLECT: u8 = 8;
+const MEMBERSHIP: u8 = 9;
+const HANDOFF: u8 = 10;
+
+/// Writes `addr` as the WAL of `site` names it — its object alone when it
+/// lives on `site`, whole otherwise — and returns `flag` for a local one,
+/// else 0.
+fn put_addr(out: &mut Vec<u8>, site: SiteId, addr: GlobalAddr, flag: u8) -> u8 {
+    if addr.site() == site {
+        addr.object().encode(out);
+        flag
+    } else {
+        addr.encode(out);
+        0
+    }
+}
+
+/// Reads an address [`put_addr`] wrote: an object of `site` when `local`,
+/// a whole address of another site otherwise.
+fn get_addr(r: &mut Reader<'_>, site: SiteId, local: bool) -> Result<GlobalAddr, CodecError> {
+    if local {
+        return Ok(GlobalAddr::from_parts(site, ObjectId::decode(r)?));
+    }
+    let addr = GlobalAddr::decode(r)?;
+    if addr.site() == site {
+        return Err(CodecError::Invalid("whole address of the log's own site"));
+    }
+    Ok(addr)
+}
+
+impl<M: Encode> WalRecord<M> {
+    /// Appends the record as the WAL of `site` stores it: addresses on
+    /// `site` are written as their object alone.
+    pub fn encode_at(&self, site: SiteId, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.push(0);
+        let tag = match self {
+            WalRecord::Alloc { local_root } => ALLOC | if *local_root { FIRST } else { 0 },
             WalRecord::LinkLocal { from, to } => {
-                out.push(1);
-                from.encode(out);
-                to.encode(out);
+                LINK_LOCAL | put_addr(out, site, *from, FIRST) | put_addr(out, site, *to, SECOND)
             }
             WalRecord::Unlink { from, to } => {
-                out.push(2);
-                from.encode(out);
-                to.encode(out);
+                UNLINK | put_addr(out, site, *from, FIRST) | put_addr(out, site, *to, SECOND)
             }
-            WalRecord::ClearRefs { addr } => {
-                out.push(3);
-                addr.encode(out);
-            }
+            WalRecord::ClearRefs { addr } => CLEAR_REFS | put_addr(out, site, *addr, FIRST),
             WalRecord::DropLocalRoot { addr } => {
-                out.push(4);
-                addr.encode(out);
+                DROP_LOCAL_ROOT | put_addr(out, site, *addr, FIRST)
             }
             WalRecord::Export { target, recipient } => {
-                out.push(5);
-                target.encode(out);
-                recipient.encode(out);
+                EXPORT
+                    | put_addr(out, site, *target, FIRST)
+                    | put_addr(out, site, *recipient, SECOND)
             }
             WalRecord::ReceiveRef {
                 from,
                 recipient,
                 target,
             } => {
-                out.push(6);
                 from.encode(out);
-                recipient.encode(out);
-                target.encode(out);
+                RECEIVE_REF
+                    | put_addr(out, site, *recipient, FIRST)
+                    | put_addr(out, site, *target, SECOND)
             }
-            WalRecord::Control { from, msg } => encode_control(out, *from, msg),
-            WalRecord::Collect => out.push(8),
+            WalRecord::Control { from, msg } => {
+                from.encode(out);
+                msg.encode(out);
+                CONTROL
+            }
+            WalRecord::Collect => COLLECT,
             WalRecord::Membership { ann } => {
-                out.push(9);
                 ann.encode(out);
+                MEMBERSHIP
             }
             WalRecord::Handoff { record } => {
-                out.push(10);
                 record.encode(out);
+                HANDOFF
             }
-        }
+        };
+        out[at] = tag;
     }
 }
 
 /// Writes a [`WalRecord::Control`] record from borrowed parts: the bytes of
-/// `WalRecord::Control { from, msg }`, without owning the message.
+/// `WalRecord::Control { from, msg }` in any site's WAL, without owning the
+/// message.
 pub(crate) fn encode_control<M: Encode>(out: &mut Vec<u8>, from: SiteId, msg: &M) {
-    out.push(7);
+    out.push(CONTROL);
     from.encode(out);
     msg.encode(out);
 }
 
-impl<M: Decode> Decode for WalRecord<M> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(WalRecord::Alloc {
-                local_root: bool::decode(r)?,
+impl<M: Decode> WalRecord<M> {
+    /// Reads one record from the whole of `bytes`, as the WAL of `site`
+    /// stores it ([`WalRecord::encode_at`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] when the bytes are not a record's encoding
+    /// in that WAL, or when bytes follow it.
+    pub fn decode_at(site: SiteId, bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let record = Self::read_at(site, &mut r)?;
+        if !r.is_empty() {
+            return Err(CodecError::Invalid("trailing bytes after value"));
+        }
+        Ok(record)
+    }
+
+    fn read_at(site: SiteId, r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let tag = r.u8()?;
+        let kind = tag & KIND;
+        let flags = match kind {
+            ALLOC | CLEAR_REFS | DROP_LOCAL_ROOT => FIRST,
+            LINK_LOCAL | UNLINK | EXPORT | RECEIVE_REF => FIRST | SECOND,
+            _ => 0,
+        };
+        if tag & !KIND & !flags != 0 {
+            return Err(CodecError::BadTag {
+                what: "WalRecord",
+                tag,
+            });
+        }
+        let (first, second) = (tag & FIRST != 0, tag & SECOND != 0);
+        match kind {
+            ALLOC => Ok(WalRecord::Alloc { local_root: first }),
+            LINK_LOCAL => Ok(WalRecord::LinkLocal {
+                from: get_addr(r, site, first)?,
+                to: get_addr(r, site, second)?,
             }),
-            1 => Ok(WalRecord::LinkLocal {
-                from: GlobalAddr::decode(r)?,
-                to: GlobalAddr::decode(r)?,
+            UNLINK => Ok(WalRecord::Unlink {
+                from: get_addr(r, site, first)?,
+                to: get_addr(r, site, second)?,
             }),
-            2 => Ok(WalRecord::Unlink {
-                from: GlobalAddr::decode(r)?,
-                to: GlobalAddr::decode(r)?,
+            CLEAR_REFS => Ok(WalRecord::ClearRefs {
+                addr: get_addr(r, site, first)?,
             }),
-            3 => Ok(WalRecord::ClearRefs {
-                addr: GlobalAddr::decode(r)?,
+            DROP_LOCAL_ROOT => Ok(WalRecord::DropLocalRoot {
+                addr: get_addr(r, site, first)?,
             }),
-            4 => Ok(WalRecord::DropLocalRoot {
-                addr: GlobalAddr::decode(r)?,
+            EXPORT => Ok(WalRecord::Export {
+                target: get_addr(r, site, first)?,
+                recipient: get_addr(r, site, second)?,
             }),
-            5 => Ok(WalRecord::Export {
-                target: GlobalAddr::decode(r)?,
-                recipient: GlobalAddr::decode(r)?,
-            }),
-            6 => Ok(WalRecord::ReceiveRef {
+            RECEIVE_REF => Ok(WalRecord::ReceiveRef {
                 from: SiteId::decode(r)?,
-                recipient: GlobalAddr::decode(r)?,
-                target: GlobalAddr::decode(r)?,
+                recipient: get_addr(r, site, first)?,
+                target: get_addr(r, site, second)?,
             }),
-            7 => Ok(WalRecord::Control {
+            CONTROL => Ok(WalRecord::Control {
                 from: SiteId::decode(r)?,
                 msg: M::decode(r)?,
             }),
-            8 => Ok(WalRecord::Collect),
-            9 => Ok(WalRecord::Membership {
+            COLLECT => Ok(WalRecord::Collect),
+            MEMBERSHIP => Ok(WalRecord::Membership {
                 ann: MembershipAnnouncement::decode(r)?,
             }),
-            10 => Ok(WalRecord::Handoff {
+            HANDOFF => Ok(WalRecord::Handoff {
                 record: HandoffRecord::decode(r)?,
             }),
-            tag => Err(CodecError::BadTag {
+            _ => Err(CodecError::BadTag {
                 what: "WalRecord",
                 tag,
             }),
@@ -201,7 +285,14 @@ impl<M: Decode> Decode for WalRecord<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_from_slice, encode_to_vec};
+
+    const SITE: SiteId = SiteId::new(0);
+
+    fn encode(record: &WalRecord<u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        record.encode_at(SITE, &mut out);
+        out
+    }
 
     #[test]
     fn every_record_kind_round_trips() {
@@ -251,11 +342,81 @@ mod tests {
                 },
             },
         ];
-        for record in records {
-            let bytes = encode_to_vec(&record);
-            let back: WalRecord<u64> = decode_from_slice(&bytes).unwrap();
-            assert_eq!(back, record);
-            assert_eq!(encode_to_vec(&back), bytes);
+        // In the WAL of site 0, where most addresses are local, and of
+        // sites where none or other ones are.
+        for site in [0, 1, 2, 300, u32::MAX].map(SiteId::new) {
+            for record in &records {
+                let mut bytes = Vec::new();
+                record.encode_at(site, &mut bytes);
+                let back = WalRecord::<u64>::decode_at(site, &bytes).unwrap();
+                assert_eq!(&back, record, "{site}");
+                let mut again = Vec::new();
+                back.encode_at(site, &mut again);
+                assert_eq!(again, bytes, "{site}");
+            }
         }
+    }
+
+    #[test]
+    fn local_addresses_cost_their_object_alone() {
+        assert_eq!(encode(&WalRecord::Alloc { local_root: false }), [ALLOC]);
+        assert_eq!(
+            encode(&WalRecord::Alloc { local_root: true }),
+            [ALLOC | FIRST]
+        );
+        let link = WalRecord::LinkLocal {
+            from: GlobalAddr::new(0, 5),
+            to: GlobalAddr::new(0, 127),
+        };
+        assert_eq!(encode(&link), [LINK_LOCAL | FIRST | SECOND, 5, 127]);
+        // A remote address is written whole: site, then object.
+        let unlink = WalRecord::Unlink {
+            from: GlobalAddr::new(0, 5),
+            to: GlobalAddr::new(200, 9),
+        };
+        assert_eq!(encode(&unlink), [UNLINK | FIRST, 5, 0xc8, 0x01, 9]);
+    }
+
+    #[test]
+    fn a_whole_address_of_the_logs_own_site_is_refused() {
+        // `LinkLocal` with an explicit `to` naming site 0, in site 0's WAL.
+        let bytes = [LINK_LOCAL | FIRST, 5, 0, 7];
+        assert_eq!(
+            WalRecord::<u64>::decode_at(SITE, &bytes),
+            Err(CodecError::Invalid("whole address of the log's own site"))
+        );
+        // The same bytes are a remote address in any other site's WAL.
+        assert!(WalRecord::<u64>::decode_at(SiteId::new(1), &bytes).is_ok());
+    }
+
+    #[test]
+    fn flags_a_kind_does_not_carry_are_bad_tags() {
+        for tag in [
+            COLLECT | FIRST,
+            CONTROL | SECOND,
+            ALLOC | SECOND,
+            CLEAR_REFS | SECOND,
+            LINK_LOCAL | 0x40,
+            0x80,
+            11,
+            KIND,
+        ] {
+            assert_eq!(
+                WalRecord::<u64>::decode_at(SITE, &[tag]).err(),
+                Some(CodecError::BadTag {
+                    what: "WalRecord",
+                    tag
+                }),
+                "{tag:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        assert!(matches!(
+            WalRecord::<u64>::decode_at(SITE, &[COLLECT, 0]),
+            Err(CodecError::Invalid(_))
+        ));
     }
 }

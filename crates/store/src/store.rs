@@ -282,12 +282,14 @@ impl<M> SiteStore<M> {
     }
 
     /// Appends one record to the WAL (write-ahead: call *before* applying
-    /// the event to volatile state).
+    /// the event to volatile state), its addresses on this store's site
+    /// written as their object alone ([`WalRecord::encode_at`]).
     pub fn append(&mut self, record: &WalRecord<M>)
     where
         M: Encode,
     {
-        self.append_with(|out| record.encode(out));
+        let site = self.site;
+        self.append_with(|out| record.encode_at(site, out));
     }
 
     /// Appends a [`WalRecord::Control`] record from a borrowed message: the
@@ -423,7 +425,7 @@ impl<M> SiteStore<M> {
         // two files once.
         let durable = match &self.backend {
             Backend::Memory { wal, checkpoint } => {
-                read_durable(checkpoint.as_deref(), wal, restore)?
+                read_durable(self.site, checkpoint.as_deref(), wal, restore)?
             }
             Backend::Disk {
                 wal_path,
@@ -435,7 +437,12 @@ impl<M> SiteStore<M> {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
                     Err(e) => return Err(e.into()),
                 };
-                read_durable(ckpt.as_deref(), &fs::read(wal_path.as_path())?, restore)?
+                read_durable(
+                    self.site,
+                    ckpt.as_deref(),
+                    &fs::read(wal_path.as_path())?,
+                    restore,
+                )?
             }
         };
         let Durable {
@@ -481,10 +488,11 @@ struct Durable<M, R> {
 
 /// Opens a checkpoint blob (if any) and scans a WAL, both borrowed: the
 /// checkpoint is verified before anything is decoded, its heap image is
-/// read into `H`, then every complete WAL frame is decoded in order. A torn
-/// final frame is dropped. Once everything has decoded, `restore` gets the
-/// heap and the collector's state.
+/// read into `H`, then every complete WAL frame is decoded in order as a
+/// record of `site`'s log. A torn final frame is dropped. Once everything
+/// has decoded, `restore` gets the heap and the collector's state.
 fn read_durable<M: Decode, H: HeapImageSink, R>(
+    site: SiteId,
     ckpt: Option<&[u8]>,
     wal: &[u8],
     restore: impl FnOnce(H, &[u8]) -> R,
@@ -505,7 +513,7 @@ fn read_durable<M: Decode, H: HeapImageSink, R>(
     let mut records = Vec::new();
     let mut first_error = None;
     let (wal_epoch, _tail) = scan_wal(wal, |payload| {
-        match crate::codec::decode_from_slice::<WalRecord<M>>(payload) {
+        match WalRecord::decode_at(site, payload) {
             Ok(record) => records.push(record),
             Err(e) => {
                 if first_error.is_none() {
@@ -531,7 +539,7 @@ mod tests {
     use super::*;
     use crate::codec::encode_to_vec;
     use crate::wal::seal_checkpoint;
-    use ggd_types::ObjectId;
+    use ggd_types::{GlobalAddr, ObjectId};
 
     fn record(n: u64) -> WalRecord<u64> {
         WalRecord::Control {
@@ -637,6 +645,32 @@ mod tests {
     }
 
     #[test]
+    fn records_of_local_objects_cost_their_ids_and_five_bytes_of_frame() {
+        let mut store =
+            SiteStore::<u64>::open(SiteId::new(200), &DurabilityConfig::memory()).unwrap();
+        let sizes = [
+            (WalRecord::Alloc { local_root: true }, 1),
+            (
+                WalRecord::LinkLocal {
+                    from: GlobalAddr::new(200, 1),
+                    to: GlobalAddr::new(200, 127),
+                },
+                3,
+            ),
+            (WalRecord::Collect, 1),
+        ];
+        let mut total = 0;
+        for (record, payload) in &sizes {
+            store.append(record);
+            total += payload + 5;
+            assert_eq!(store.stats().wal_bytes_appended, total, "{record:?}");
+        }
+        let (_, records) = store.load().unwrap();
+        let appended: Vec<_> = sizes.into_iter().map(|(record, _)| record).collect();
+        assert_eq!(records, appended);
+    }
+
+    #[test]
     fn checkpoint_cadence_counts_records() {
         let config = DurabilityConfig::memory().with_checkpoint_every(2);
         let mut store = SiteStore::<u64>::open(SiteId::new(1), &config).unwrap();
@@ -708,7 +742,7 @@ mod tests {
             std::process::id(),
             "previous_format"
         ));
-        // Each file in turn carries version 2 in its header.
+        // Each file in turn carries version 3 in its header.
         for file in ["site-5.ckpt", "site-5.wal"] {
             let _ = fs::remove_dir_all(&dir);
             let config = DurabilityConfig::disk(&dir);
@@ -719,11 +753,11 @@ mod tests {
             }
             let path = dir.join(file);
             let mut bytes = fs::read(&path).unwrap();
-            bytes[4] = 2;
+            bytes[4] = 3;
             fs::write(&path, bytes).unwrap();
             let mut store = SiteStore::<u64>::open(SiteId::new(5), &config).unwrap();
             assert!(
-                matches!(store.load(), Err(StoreError::VersionMismatch { found: 2 })),
+                matches!(store.load(), Err(StoreError::VersionMismatch { found: 3 })),
                 "{file}"
             );
         }

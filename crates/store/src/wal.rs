@@ -5,8 +5,11 @@
 //! ```text
 //! log   := header frame*
 //! header:= magic "GGDW" version:u8 epoch:u64le
-//! frame := len:u32le checksum:u32le payload[len]
+//! frame := len:LEB128 checksum:u32le payload[len]
 //! ```
+//!
+//! A payload below 128 bytes — every WAL record but the rare wide control
+//! message — costs one length byte and four checksum bytes.
 //!
 //! `version` is [`FORMAT_VERSION`]: a log or checkpoint of any other
 //! version fails with [`StoreError::VersionMismatch`] before any payload is
@@ -16,11 +19,14 @@
 //! match is *corruption* and fails the whole load (the durable medium lied);
 //! a frame that runs past the end of the log is a *torn tail* — the normal
 //! signature of a crash mid-append — and is dropped, with the prefix before
-//! it recovered intact. The distinction is pinned by the corrupted-record
-//! tests.
+//! it recovered intact. A length varint cut off by the end of the log is
+//! torn too; an overlong one, or a length no address space can hold, is
+//! corruption. The distinction is pinned by the corrupted-record tests.
 //!
 //! Checkpoint blobs reuse the same frame (magic "GGDC"), so a checkpoint is
 //! verified by the same checksum machinery before anything is decoded.
+
+use ggd_types::{read_varint, write_varint, VarintError};
 
 use crate::codec::CodecError;
 
@@ -32,7 +38,9 @@ use crate::codec::CodecError;
 /// slabs invalidate every pre-checkpoint `ObjectSlot` handle.
 /// v3: the heap image drops the watermark (objects are named by identity
 /// alone) and the engine image drops the always-empty designated-root set.
-pub const FORMAT_VERSION: u8 = 3;
+/// v4: a frame's length is a varint instead of a `u32`, and WAL records
+/// name the log's own site implicitly ([`crate::record`]).
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Magic prefix of a WAL.
 pub const WAL_MAGIC: &[u8; 4] = b"GGDW";
@@ -132,24 +140,34 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Appends one checksummed frame to `out` whose payload `encode` writes
-/// straight into `out`: the 8-byte header is reserved first and filled in
-/// with the payload's length and checksum afterwards, so no payload buffer
-/// of its own is needed. The bytes are those of [`append_frame`].
+/// straight into `out`: a one-byte length and the checksum are reserved
+/// first and filled in afterwards, so no payload buffer of its own is
+/// needed. The bytes are those of [`append_frame`].
 pub fn append_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     let header = out.len();
-    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&[0; 5]);
     encode(out);
-    let payload = &out[header + 8..];
-    let len = (payload.len() as u32).to_le_bytes();
-    let sum = checksum(payload).to_le_bytes();
-    out[header..header + 4].copy_from_slice(&len);
-    out[header + 4..header + 8].copy_from_slice(&sum);
+    let len = out.len() - header - 5;
+    let sum = checksum(&out[header + 5..]).to_le_bytes();
+    out[header + 1..header + 5].copy_from_slice(&sum);
+    if len < 0x80 {
+        out[header] = len as u8;
+    } else {
+        // A longer length (a checkpoint, a wide message): write its varint
+        // past the payload, rotate it in after the one-byte slot and drop
+        // the slot.
+        let end = out.len();
+        write_varint(out, len as u64);
+        let varint = out.len() - end;
+        out[header + 1..].rotate_right(varint);
+        out.remove(header);
+    }
 }
 
 /// Wraps a checkpoint payload in magic, version, its epoch and a
 /// checksummed frame.
 pub fn seal_checkpoint(payload: &[u8], epoch: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
+    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 14);
     seal_checkpoint_with(&mut out, epoch, |out| out.extend_from_slice(payload));
     out
 }
@@ -216,19 +234,32 @@ fn expect_header<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<(u64, &'a [u8])
 type Frame<'a> = (&'a [u8], &'a [u8]);
 
 /// Reads one frame. `Ok(None)` means a torn (incomplete) frame.
+///
+/// # Errors
+///
+/// [`StoreError::ChecksumMismatch`] on a payload that does not match its
+/// checksum; [`CodecError::VarintOverflow`] on an overlong length varint
+/// and [`CodecError::Invalid`] on a length past the end of any address
+/// space — corruption, not a tear, since no append writes either.
 fn read_frame(bytes: &[u8], offset: usize) -> Result<Option<Frame<'_>>, StoreError> {
-    if bytes.len() < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let stored = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let Some(payload) = bytes.get(8..8 + len) else {
+    let (len, used) = match read_varint(bytes) {
+        Ok(read) => read,
+        Err(VarintError::Truncated) => return Ok(None),
+        Err(VarintError::Overflow) => return Err(CodecError::VarintOverflow.into()),
+    };
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| used.checked_add(4)?.checked_add(len))
+        .ok_or(CodecError::Invalid("frame length"))?;
+    let Some(frame) = bytes.get(..end) else {
         return Ok(None);
     };
+    let stored = u32::from_le_bytes(frame[used..used + 4].try_into().expect("4 bytes"));
+    let payload = &frame[used + 4..];
     if checksum(payload) != stored {
         return Err(StoreError::ChecksumMismatch { offset });
     }
-    Ok(Some((payload, &bytes[8 + len..])))
+    Ok(Some((payload, &bytes[end..])))
 }
 
 /// Scans a whole WAL, yielding each frame payload to `visit`; returns the
@@ -293,15 +324,80 @@ mod tests {
     }
 
     #[test]
-    fn frame_is_length_checksum_then_payload() {
-        // Encoded in place after earlier bytes, as the memory WAL does.
+    fn frame_is_varint_length_checksum_then_payload() {
+        // Encoded in place after earlier bytes, as the memory WAL does: a
+        // payload below 128 bytes costs 5 bytes of framing.
         let mut out = b"head".to_vec();
         append_frame_with(&mut out, |out| out.extend_from_slice(b"abc"));
         let mut expected = b"head".to_vec();
-        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.push(3);
         expected.extend_from_slice(&checksum(b"abc").to_le_bytes());
         expected.extend_from_slice(b"abc");
         assert_eq!(out, expected);
+        for len in [0, 1, 127] {
+            let mut out = Vec::new();
+            append_frame(&mut out, &vec![7; len]);
+            assert_eq!(out.len(), len + 5, "{len}-byte payload");
+        }
+    }
+
+    #[test]
+    fn longer_payloads_take_a_longer_length_varint() {
+        for len in [128usize, 300, 16_383, 16_384, 70_000] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut out = b"head".to_vec();
+            append_frame_with(&mut out, |out| out.extend_from_slice(&payload));
+            let mut expected = b"head".to_vec();
+            write_varint(&mut expected, len as u64);
+            expected.extend_from_slice(&checksum(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+            assert_eq!(out, expected, "{len}-byte payload");
+            let mut wal = wal_header(3);
+            wal.extend_from_slice(&out[4..]);
+            assert_eq!(collect(&wal), (vec![payload], WalTail::Clean));
+        }
+    }
+
+    #[test]
+    fn a_length_cut_off_by_the_end_of_the_log_is_torn() {
+        let mut wal = wal_with(&[b"kept"]);
+        let torn_at = wal.len();
+        wal.extend_from_slice(&[0x80, 0x80]); // a varint still continuing
+        let (seen, tail) = collect(&wal);
+        assert_eq!(seen, vec![b"kept".to_vec()]);
+        assert_eq!(tail, WalTail::Torn { at: torn_at });
+    }
+
+    #[test]
+    fn an_overlong_length_varint_is_an_error() {
+        let mut wal = wal_with(&[b"kept"]);
+        wal.extend_from_slice(&[0x80; 11]);
+        wal.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            scan_wal(&wal, |_| Ok(())),
+            Err(StoreError::Codec(CodecError::VarintOverflow))
+        ));
+    }
+
+    #[test]
+    fn a_length_past_the_address_space_is_an_error() {
+        // `used + 4 + len` overflows `usize` (on 32-bit targets the length
+        // does not even fit one): corruption, not a tear.
+        let mut wal = wal_with(&[b"kept"]);
+        write_varint(&mut wal, u64::MAX - 3);
+        wal.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            scan_wal(&wal, |_| Ok(())),
+            Err(StoreError::Codec(CodecError::Invalid(_)))
+        ));
+        let mut blob = seal_checkpoint(b"", 1);
+        blob.truncate(HEADER_LEN);
+        write_varint(&mut blob, u64::MAX);
+        blob.extend_from_slice(&[0; 4]);
+        assert!(matches!(
+            open_checkpoint(&blob),
+            Err(StoreError::Codec(CodecError::Invalid(_)))
+        ));
     }
 
     #[test]
@@ -344,22 +440,29 @@ mod tests {
         ));
     }
 
+    /// `payload` as a v3 log or checkpoint lays it out: the header, then a
+    /// frame of a `u32` length and the checksum.
+    fn v3_image(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        out.push(3);
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&checksum(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
     fn previous_format_version_is_rejected() {
-        // A v2 heap image ends in a generation watermark that v3 does not
-        // write; the header must stop it before any payload is decoded.
-        let mut wal = wal_header(0);
-        append_frame(&mut wal, b"record");
-        wal[4] = 2;
+        // A v3 frame's length is a fixed `u32` that v4 would read as a
+        // varint; the header must stop it before any frame is read.
         assert!(matches!(
-            scan_wal(&wal, |_| Ok(())),
-            Err(StoreError::VersionMismatch { found: 2 })
+            scan_wal(&v3_image(WAL_MAGIC, b"record"), |_| Ok(())),
+            Err(StoreError::VersionMismatch { found: 3 })
         ));
-        let mut blob = seal_checkpoint(b"engine+heap", 1);
-        blob[4] = 2;
         assert!(matches!(
-            open_checkpoint(&blob),
-            Err(StoreError::VersionMismatch { found: 2 })
+            open_checkpoint(&v3_image(CHECKPOINT_MAGIC, b"engine+heap")),
+            Err(StoreError::VersionMismatch { found: 3 })
         ));
     }
 
