@@ -2,7 +2,7 @@
 //! the paper (see DESIGN.md §5 and EXPERIMENTS.md).
 //!
 //! Each `run_*` function returns printable rows so that the same code backs
-//! the `harness` binary, the Criterion benchmarks and the integration tests.
+//! the `harness` binary and the integration tests.
 
 use std::fmt::Write as _;
 

@@ -1,11 +1,16 @@
 //! The standing safety sweep: the causal collector, judged by the live
-//! oracle, over the two scenario sets on which ROADMAP item 2's violations
-//! were found, compared with the checked-in list of what it frees unsafely
+//! oracle, over the scenario sets on which ROADMAP item 2's violations
+//! were found, compared with the checked-in lists of what it frees unsafely
 //! today.
 //!
-//! * Seeds 1..=40 of `PerfSpec::mix(64, 800, 15_000)`, at full scale: no
-//!   seed violates at 1/10, 1/20 or 1/40 scale, so a reduced-scale sweep
-//!   could not fail.
+//! * Seeds 1..=40 of `PerfSpec::mix(64, 800, 15_000)`, at full scale: none
+//!   of seeds 1..40 violates at 1/10, 1/20 or 1/40 scale, so a
+//!   reduced-scale sweep of them could not fail. Reduced scale is not
+//!   clean beyond them: seed 173 of `PerfSpec::mix(64, 80, 1_500)` (1/10)
+//!   violates once.
+//! * Seeds 1..=40 of the narrow-cluster shape `PerfSpec::mix(16, 400,
+//!   8_000)`: 16 sites violate far more often than 64, on 18 of these 40
+//!   seeds, in about 3 s.
 //! * The 1,600 churn-only explorer builds behind reproducer (C): four
 //!   `ScenarioSpec`s of one `Segment::Churn`, 400 seeds each.
 //! * The benchmark's own `remote_churn` shape, `PerfSpec::mix(64, 8_000,
@@ -43,6 +48,32 @@ const PERF_VIOLATIONS: [(u64, u64); 11] = [
 /// Residual garbage summed over the 40 perf runs.
 const PERF_RESIDUAL: u64 = 363;
 
+/// The narrow-cluster seeds that free a reachable object, as (seed,
+/// violations).
+const NARROW_VIOLATIONS: [(u64, u64); 18] = [
+    (2, 3),
+    (6, 5),
+    (8, 1),
+    (10, 4),
+    (15, 2),
+    (16, 1),
+    (18, 2),
+    (19, 4),
+    (20, 2),
+    (21, 1),
+    (22, 2),
+    (24, 5),
+    (27, 1),
+    (28, 3),
+    (30, 3),
+    (34, 1),
+    (37, 1),
+    (39, 3),
+];
+
+/// Residual garbage summed over the 40 narrow-cluster runs.
+const NARROW_RESIDUAL: u64 = 144;
+
 /// The benchmark-shaped seeds, as (seed, violations, residual): every one
 /// of them violates.
 const BENCHMARK_SHAPE_RUNS: [(u64, u64, u64); 2] = [(17, 3, 415), (23, 4, 414)];
@@ -65,10 +96,9 @@ fn run(scenario: &Scenario) -> RunReport {
     Cluster::run_seeded(scenario, ClusterConfig::default(), CausalCollector::new).0
 }
 
-#[test]
-#[ignore = "release-only sweep (CI's safety-sweep step)"]
-fn perf_seeds_violate_exactly_as_listed() {
-    let spec = PerfSpec::mix(64, 800, 15_000);
+/// Runs seeds 1..=40 of `spec`: the (seed, violations) of each seed that
+/// violates, and the residual garbage summed over all 40.
+fn sweep_seeds_1_to_40(spec: PerfSpec) -> (Vec<(u64, u64)>, u64) {
     let mut violating = Vec::new();
     let mut residual = 0;
     for seed in 1..=40 {
@@ -78,6 +108,13 @@ fn perf_seeds_violate_exactly_as_listed() {
         }
         residual += report.residual_garbage;
     }
+    (violating, residual)
+}
+
+#[test]
+#[ignore = "release-only sweep (CI's safety-sweep step)"]
+fn perf_seeds_violate_exactly_as_listed() {
+    let (violating, residual) = sweep_seeds_1_to_40(PerfSpec::mix(64, 800, 15_000));
     assert_eq!(
         violating, PERF_VIOLATIONS,
         "perf seeds (seed, violations) moved: update the list only for a fix"
@@ -121,5 +158,19 @@ fn benchmark_shape_seeds_violate_exactly_as_listed() {
     assert_eq!(
         runs, BENCHMARK_SHAPE_RUNS,
         "benchmark-shaped (seed, violations, residual) moved: update the list only for a fix"
+    );
+}
+
+#[test]
+#[ignore = "release-only sweep (CI's safety-sweep step)"]
+fn narrow_cluster_seeds_violate_exactly_as_listed() {
+    let (violating, residual) = sweep_seeds_1_to_40(PerfSpec::mix(16, 400, 8_000));
+    assert_eq!(
+        violating, NARROW_VIOLATIONS,
+        "narrow-cluster seeds (seed, violations) moved: update the list only for a fix"
+    );
+    assert_eq!(
+        residual, NARROW_RESIDUAL,
+        "residual over the 40 narrow-cluster seeds"
     );
 }

@@ -12,34 +12,24 @@ use crate::fault::FaultPlan;
 use crate::message::{Delivery, MessageClass, MessageId, Payload};
 use crate::metrics::NetMetrics;
 
+/// Latency, in ticks, of every message before jitter and any per-link
+/// [`LinkFault::extra_delay`](crate::LinkFault::extra_delay).
+const BASE_LATENCY: u64 = 1;
+
 /// Static configuration of a [`SimNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimNetworkConfig {
-    /// Base latency, in ticks, of every message.
-    pub base_latency: u64,
-    /// Maximum random extra latency added on top of `base_latency`.
+    /// Maximum random extra latency added on top of the one-tick base.
     /// A value of `0` keeps per-link FIFO ordering; larger values allow
     /// reordering, which the GGD algorithm must tolerate.
     pub jitter: u64,
-}
-
-impl Default for SimNetworkConfig {
-    fn default() -> Self {
-        SimNetworkConfig {
-            base_latency: 1,
-            jitter: 0,
-        }
-    }
 }
 
 impl SimNetworkConfig {
     /// A configuration that reorders messages aggressively (large jitter),
     /// used by the robustness property tests.
     pub fn reordering(jitter: u64) -> Self {
-        SimNetworkConfig {
-            base_latency: 1,
-            jitter,
-        }
+        SimNetworkConfig { jitter }
     }
 }
 
@@ -186,7 +176,7 @@ impl<P: Payload> SimNetwork<P> {
         } else {
             self.rng.gen_range(0..=self.config.jitter)
         };
-        self.config.base_latency + jitter + self.faults.extra_delay(from, to)
+        BASE_LATENCY + jitter + self.faults.extra_delay(from, to)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -264,6 +254,7 @@ impl<P: Payload> SimNetwork<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::LinkFault;
     use crate::message::TestPayload;
 
     fn site(i: u32) -> SiteId {
@@ -299,20 +290,21 @@ mod tests {
 
     #[test]
     fn clock_advances_with_latency() {
-        let mut n: SimNetwork<TestPayload> = SimNetwork::new(
-            SimNetworkConfig {
-                base_latency: 5,
-                jitter: 0,
-            },
-            7,
-        );
+        let slow = LinkFault {
+            extra_delay: 4,
+            ..LinkFault::default()
+        };
+        let faults = FaultPlan::new().with_link_fault(site(0), site(1), slow);
+        let mut n: SimNetwork<TestPayload> =
+            SimNetwork::with_faults(SimNetworkConfig::default(), faults, 7);
         n.send(site(0), site(1), TestPayload::control("a"));
         let d = n.deliver_next().unwrap();
         assert_eq!(d.at, 5);
         assert_eq!(n.now(), 5);
+        // The reverse link has no override: the base latency alone.
         n.send(site(1), site(0), TestPayload::control("b"));
         let d2 = n.deliver_next().unwrap();
-        assert_eq!(d2.at, 10);
+        assert_eq!(d2.at, 6);
     }
 
     #[test]

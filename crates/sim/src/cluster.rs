@@ -38,9 +38,14 @@ const SETTLE_ROUNDS: u32 = 64;
 
 /// Configuration of a cluster run.
 ///
-/// The `net`, `faults` and `seed` fields parameterize the [`SimNetwork`]
-/// constructors ([`Cluster::new`] / [`Cluster::from_scenario`]); transports
-/// supplied through [`Cluster::with_transport`] ignore them.
+/// The `net` and `seed` fields parameterize the [`SimNetwork`] that
+/// [`Cluster::new`] / [`Cluster::from_scenario`] build, which applies all of
+/// `faults`. Whatever the network, every cluster takes its crash schedule
+/// from `faults` ([`FaultPlan::crashes`]), [`Cluster::with_transport`]
+/// included. A network supplied there ignores `net` and `seed` and
+/// injects only the faults it was built with. Of the rest of `faults`,
+/// only the partition windows apply there, and only on the parallel
+/// driver's mesh, which drops frames across them.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Network latency/jitter configuration (simulated network only).

@@ -12,13 +12,11 @@
 //!   paper's `Ē` destruction marker;
 //! * [`DependencyVector`] is the sparse direct-dependency / vector-time
 //!   representation used by the lazy log-keeping mechanism and by the GGD
-//!   engine (§3.2–§3.3), together with the Schwarz & Mattern partial order,
-//!   in two footprints: three entries inline, or one ([`CompactVector`]);
+//!   engine (§3.2–§3.3), in two footprints: three entries inline, or one
+//!   ([`CompactVector`]);
 //! * [`IdMap`] (and its set, [`IdSet`]) is the one hashed map of the
 //!   workspace, with a fixed, deterministic multiply-rotate hasher,
 //!   [`IdHasher`];
-//! * [`CausalOrder`] classifies two vectors as causally related, equal or
-//!   concurrent;
 //! * [`write_varint`] / [`read_varint`] are the LEB128 integer encoding the
 //!   durable codec and the wire frames share.
 //!
@@ -30,14 +28,17 @@
 //! let a = VertexId::object(1, 1);
 //! let b = VertexId::object(2, 1);
 //!
-//! let mut earlier = DependencyVector::new();
-//! earlier.set(a, Timestamp::created(1));
+//! let mut known = DependencyVector::new();
+//! known.set(a, Timestamp::created(1));
 //!
-//! let mut later = earlier.clone();
-//! later.set(b, Timestamp::created(1));
+//! let mut heard = DependencyVector::new();
+//! heard.set(a, Timestamp::destroyed(1));
+//! heard.set(b, Timestamp::created(1));
 //!
-//! assert!(earlier.causally_precedes(&later));
-//! assert!(!later.causally_precedes(&earlier));
+//! // The join keeps the freshest knowledge about each root.
+//! assert!(known.merge(&heard));
+//! assert_eq!(known, heard);
+//! assert!(known.get(a).is_absent() && known.get(b).is_live());
 //! ```
 
 mod ids;
@@ -48,7 +49,7 @@ mod vector;
 pub use ids::{GlobalAddr, IdHasher, IdMap, IdSet, ObjectId, SiteId, VertexId};
 pub use timestamp::{EventIndex, Timestamp};
 pub use varint::{read_varint, write_varint, VarintError};
-pub use vector::{CausalOrder, CompactVector, DependencyVector, VectorEntries};
+pub use vector::{CompactVector, DependencyVector, VectorEntries};
 
 /// Convenience result alias used by fallible constructors in this crate.
 pub type Result<T> = std::result::Result<T, TypeError>;

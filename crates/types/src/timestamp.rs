@@ -15,10 +15,9 @@
 //!
 //! The paper's predicate `A(x)` — "the entry denotes the absence of a live
 //! edge" — holds for `0` and `Ē`; it is exposed here as
-//! [`Timestamp::is_absent`]. When vector-times are compared for reachability
-//! purposes a destroyed entry is treated "as if no edge creation event had
-//! ever been sent from this global root" (§3.2), which is what
-//! [`Timestamp::live_index`] encodes.
+//! [`Timestamp::is_absent`]. For reachability a destroyed entry is treated
+//! "as if no edge creation event had ever been sent from this global root"
+//! (§3.2): only [`Timestamp::is_live`] entries carry a live path.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -199,17 +198,6 @@ impl Timestamp {
         self.0 >> 1
     }
 
-    /// The event index counted as contributing a live path: destroyed and
-    /// absent entries both report `0`, as mandated by §3.2 ("treated as if no
-    /// edge creation event had ever been sent from this global root").
-    pub const fn live_index(self) -> u64 {
-        if self.is_destroyed() {
-            0
-        } else {
-            self.index()
-        }
-    }
-
     /// Turns this entry into its destroyed counterpart, preserving the index.
     ///
     /// [`Timestamp::NEVER`] stays `NEVER` (there is nothing to destroy).
@@ -225,11 +213,6 @@ impl Timestamp {
     /// recent one (the lattice join used when merging dependency vectors).
     pub fn merged(self, other: Timestamp) -> Timestamp {
         self.max(other)
-    }
-
-    /// True when `self` carries strictly newer information than `other`.
-    pub fn is_newer_than(self, other: Timestamp) -> bool {
-        self > other
     }
 }
 
@@ -296,9 +279,6 @@ mod tests {
         assert_eq!(Timestamp::NEVER.index(), 0);
         assert_eq!(Timestamp::created(7).index(), 7);
         assert_eq!(Timestamp::destroyed(7).index(), 7);
-        assert_eq!(Timestamp::NEVER.live_index(), 0);
-        assert_eq!(Timestamp::created(7).live_index(), 7);
-        assert_eq!(Timestamp::destroyed(7).live_index(), 0);
     }
 
     #[test]
@@ -317,8 +297,6 @@ mod tests {
         assert_eq!(b.merged(a), b);
         assert_eq!(Timestamp::NEVER.merged(a), a);
         assert_eq!(a.merged(Timestamp::created(5)), Timestamp::created(5));
-        assert!(b.is_newer_than(a));
-        assert!(!a.is_newer_than(b));
     }
 
     #[test]

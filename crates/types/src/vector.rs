@@ -1,4 +1,4 @@
-//! Sparse dependency vectors and the vector-time partial order.
+//! Sparse dependency vectors and their point-wise merge.
 //!
 //! The GGD algorithm manipulates two flavours of the same structure (§3.2 of
 //! the paper): the *direct dependency vector* (DDV) maintained by lazy
@@ -10,8 +10,8 @@
 //! Sparseness matters: the vertex set of the global root graph is dynamic, so
 //! fixed-dimension arrays (as used in the paper's 4-object illustration) do
 //! not generalise. A missing key is equivalent to an explicit
-//! [`Timestamp::NEVER`] entry, and the comparison and merge operations honour
-//! that equivalence.
+//! [`Timestamp::NEVER`] entry, and every operation honours that
+//! equivalence.
 //!
 //! # Representation
 //!
@@ -29,41 +29,13 @@
 //! The shape is a footprint, not a behaviour: every operation gives the
 //! same result in either, and a merge takes a vector of any shape. Merges
 //! walk both entry slices with two pointers and mutate in place, growing
-//! the storage when new keys arrive; comparisons
-//! ([`DependencyVector::causal_order`], [`DependencyVector::dominates`])
-//! never allocate.
+//! the storage when new keys arrive.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::{Timestamp, VertexId};
-
-/// Outcome of comparing two dependency vectors under the Schwarz & Mattern
-/// partial order (§3.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CausalOrder {
-    /// The two vectors are identical.
-    Equal,
-    /// The left vector causally precedes the right one (`V(a) < V(b)`).
-    Before,
-    /// The right vector causally precedes the left one.
-    After,
-    /// Neither dominates the other: the underlying events are concurrent.
-    Concurrent,
-}
-
-impl fmt::Display for CausalOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CausalOrder::Equal => "equal",
-            CausalOrder::Before => "before",
-            CausalOrder::After => "after",
-            CausalOrder::Concurrent => "concurrent",
-        };
-        write!(f, "{s}")
-    }
-}
 
 /// One stored entry: a vertex and the freshest knowledge about it.
 type Entry = (VertexId, Timestamp);
@@ -477,13 +449,6 @@ impl<const N: usize> DependencyVector<N> {
         true
     }
 
-    /// Returns the point-wise merge of two vectors without mutating either.
-    pub fn merged_with(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.merge(other);
-        out
-    }
-
     /// Number of explicit (non-`Never`) entries.
     pub fn len(&self) -> usize {
         self.entries.as_slice().len()
@@ -531,79 +496,6 @@ impl<const N: usize> DependencyVector<N> {
         VectorEntries {
             inner: self.entries.as_slice().iter(),
         }
-    }
-
-    /// The set of roots for which this vector records a *live* (creation)
-    /// entry — i.e. the roots through which a live path may still exist.
-    pub fn live_support(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.entries
-            .as_slice()
-            .iter()
-            .filter(|(_, ts)| ts.is_live())
-            .map(|&(addr, _)| addr)
-    }
-
-    /// Compares two vectors under the Schwarz & Mattern partial order,
-    /// counting destroyed entries as "no live edge ever created" (§3.2).
-    ///
-    /// The comparison walks both sorted entry lists with two pointers and
-    /// performs no allocation.
-    pub fn causal_order(&self, other: &Self) -> CausalOrder {
-        let a = self.entries.as_slice();
-        let b = other.entries.as_slice();
-        let (mut i, mut j) = (0, 0);
-        let mut less = false;
-        let mut greater = false;
-        while i < a.len() || j < b.len() {
-            let (x, y) = if j >= b.len() || (i < a.len() && a[i].0 < b[j].0) {
-                let x = a[i].1.live_index();
-                i += 1;
-                (x, 0)
-            } else if i >= a.len() || b[j].0 < a[i].0 {
-                let y = b[j].1.live_index();
-                j += 1;
-                (0, y)
-            } else {
-                let pair = (a[i].1.live_index(), b[j].1.live_index());
-                i += 1;
-                j += 1;
-                pair
-            };
-            if x < y {
-                less = true;
-            } else if x > y {
-                greater = true;
-            }
-        }
-        match (less, greater) {
-            (false, false) => CausalOrder::Equal,
-            (true, false) => CausalOrder::Before,
-            (false, true) => CausalOrder::After,
-            (true, true) => CausalOrder::Concurrent,
-        }
-    }
-
-    /// True when `self` causally precedes `other` (strictly, `V(a) < V(b)`).
-    pub fn causally_precedes(&self, other: &Self) -> bool {
-        self.causal_order(other) == CausalOrder::Before
-    }
-
-    /// True when `self ≤ other` under the live-index partial order.
-    pub fn dominated_by(&self, other: &Self) -> bool {
-        matches!(
-            self.causal_order(other),
-            CausalOrder::Before | CausalOrder::Equal
-        )
-    }
-
-    /// True when `self ≥ other` under the live-index partial order — the
-    /// direction the garbage test asks about ("does my knowledge supersede
-    /// the announced event?"). Allocation-free.
-    pub fn dominates(&self, other: &Self) -> bool {
-        matches!(
-            self.causal_order(other),
-            CausalOrder::After | CausalOrder::Equal
-        )
     }
 }
 
@@ -753,15 +645,12 @@ mod tests {
         right.set(b(), Timestamp::destroyed(1));
         right.set(c(), Timestamp::created(4));
 
-        let joined = left.merged_with(&right);
+        let mut joined = left.clone();
+        assert!(joined.merge(&right));
         assert_eq!(joined.get(a()), Timestamp::created(3));
         assert_eq!(joined.get(b()), Timestamp::destroyed(1));
         assert_eq!(joined.get(c()), Timestamp::created(4));
-
-        let mut again = left.clone();
-        assert!(again.merge(&right));
-        assert!(!again.merge(&right));
-        assert_eq!(again, joined);
+        assert!(!joined.merge(&right));
     }
 
     #[test]
@@ -831,50 +720,6 @@ mod tests {
         grown.hash(&mut h1);
         small.hash(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
-    }
-
-    #[test]
-    fn causal_order_matches_schwarz_mattern() {
-        let mut earlier = DependencyVector::new();
-        earlier.set(a(), Timestamp::created(1));
-        let mut later = earlier.clone();
-        later.set(b(), Timestamp::created(1));
-
-        assert_eq!(earlier.causal_order(&later), CausalOrder::Before);
-        assert_eq!(later.causal_order(&earlier), CausalOrder::After);
-        assert_eq!(earlier.causal_order(&earlier), CausalOrder::Equal);
-        assert!(earlier.causally_precedes(&later));
-        assert!(earlier.dominated_by(&later));
-        assert!(earlier.dominated_by(&earlier));
-        assert!(later.dominates(&earlier));
-        assert!(later.dominates(&later));
-        assert!(!earlier.dominates(&later));
-
-        let mut other = DependencyVector::new();
-        other.set(c(), Timestamp::created(1));
-        assert_eq!(earlier.causal_order(&other), CausalOrder::Concurrent);
-        assert!(!earlier.dominates(&other));
-        assert!(!earlier.dominated_by(&other));
-    }
-
-    #[test]
-    fn destroyed_entries_count_as_zero_in_causal_order() {
-        // A vector whose only knowledge of `a` is a destruction marker is
-        // equivalent, for reachability, to one that never heard from `a`.
-        let with_destroyed = DependencyVector::singleton(a(), Timestamp::destroyed(5));
-        let empty = DependencyVector::new();
-        assert_eq!(with_destroyed.causal_order(&empty), CausalOrder::Equal);
-        assert_eq!(empty.causal_order(&with_destroyed), CausalOrder::Equal);
-    }
-
-    #[test]
-    fn live_support_and_roots() {
-        let mut v = DependencyVector::new();
-        v.set(a(), Timestamp::created(1));
-        v.set(b(), Timestamp::destroyed(2));
-        v.set(c(), Timestamp::created(3));
-        let live: Vec<_> = v.live_support().collect();
-        assert_eq!(live, vec![a(), c()]);
     }
 
     #[test]

@@ -108,7 +108,6 @@ fn timestamp_order_and_equality_follow_the_pair_model() {
         assert_eq!(a.index(), ma.0);
         assert_eq!(a.is_live(), ma.0 > 0 && !ma.1);
         assert_eq!(a.is_absent(), !a.is_live());
-        assert_eq!(a.live_index(), if ma.1 { 0 } else { ma.0 });
         assert_eq!(a.wire(), ma.0 << 1 | u64::from(ma.1));
         assert_eq!(Timestamp::from_wire(a.wire()), Ok(a));
     }
